@@ -329,22 +329,35 @@ class SacAgent:
             header = json.loads(raw[16:16 + header_len].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
+        try:
+            config_dict = dict(header["config"])
+            config_dict["hidden"] = tuple(config_dict["hidden"])
+            config = SacConfig(**config_dict)
+            arrays = [(str(name), list(shape)) for name, shape in header["arrays"]]
+            counters = [int(header[key]) for key in ("env_steps", "grad_steps")]
+            counters += [int(header["adam_steps"][key])
+                         for key in ("opt_policy", "opt_critic", "opt_alpha")]
+            digest = header["payload_sha256"]
+            expected = sum(int(np.prod(shape)) * 8 for _, shape in arrays)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
         payload = raw[16 + header_len:]
-        expected = sum(int(np.prod(shape)) * 8 for _, shape in header["arrays"])
         if len(payload) != expected:
             raise CheckpointError(
                 f"{path} payload is {len(payload)} bytes, expected {expected}")
-        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        if hashlib.sha256(payload).hexdigest() != digest:
             raise CheckpointError(f"{path} payload does not match its digest")
 
-        config_dict = dict(header["config"])
-        config_dict["hidden"] = tuple(config_dict["hidden"])
-        agent = cls(SacConfig(**config_dict), seed=seed)
-        offset = 0
+        agent = cls(config, seed=seed)
         targets = dict(agent._named_arrays())
-        for name, shape in header["arrays"]:
-            if name not in targets:
-                raise CheckpointError(f"{path} holds unknown array {name!r}")
+        names = [name for name, _ in arrays]
+        if sorted(names) != sorted(targets):
+            odd = set(names) ^ set(targets) | {n for n in names if names.count(n) > 1}
+            raise CheckpointError(
+                f"{path}: arrays missing, unknown or repeated: {sorted(odd)}")
+        offset = 0
+        for name, shape in arrays:
             dst = targets[name]
             if list(dst.shape) != list(shape):
                 raise CheckpointError(
@@ -355,11 +368,8 @@ class SacAgent:
                                    offset=offset)
             dst[:] = values.reshape(dst.shape)
             offset += count * 8
-        agent.env_steps = int(header["env_steps"])
-        agent.grad_steps = int(header["grad_steps"])
-        agent.opt_policy.t = int(header["adam_steps"]["opt_policy"])
-        agent.opt_critic.t = int(header["adam_steps"]["opt_critic"])
-        agent.opt_alpha.t = int(header["adam_steps"]["opt_alpha"])
+        (agent.env_steps, agent.grad_steps, agent.opt_policy.t,
+         agent.opt_critic.t, agent.opt_alpha.t) = counters
         return agent
 
 

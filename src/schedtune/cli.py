@@ -92,7 +92,7 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         raise ConfigError(
             f"unknown method {method!r}, expected one of {list(TUNE_METHODS)}")
     if method == "agent" and checkpoint is None:
-        raise ConfigError("method 'agent' requires --checkpoint")
+        raise ConfigError("evaluating the agent requires --checkpoint")
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [{
         "config": config.to_dict(),
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
 def cmd_tune(args) -> int:
     config = _config_of(args)
     path = run_tune(config, args.method, args.seed, Path(args.out),
-                    checkpoint=args.checkpoint, jobs=args.jobs)
+                    jobs=args.jobs)
     print(f"tuned {config.n_scenarios} scenarios with method "
           f"{args.method!r}; trials appended to {path}")
     return 0
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for artifacts")
         if method:
             p.add_argument("--method", default="random",
-                           choices=list(TUNE_METHODS),
+                           choices=sorted(OPTIMIZERS),
                            help="tuning method")
         if checkpoint:
             p.add_argument("--checkpoint",
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("tune", help="tune scenarios with a baseline method")
-    common(p, jobs=True, method=True, checkpoint=True)
+    common(p, jobs=True, method=True)
     p.set_defaults(handler=cmd_tune)
 
     p = sub.add_parser("train-agent", help="train the actor-critic tuner")

@@ -1,31 +1,32 @@
-"""Heterogeneous cluster inventories and network topologies.
+"""Heterogeneous cluster inventories and their network paths.
 
 A cluster is built from a preset distribution over nine device classes
 (largest-remainder rounding turns fractions into node counts) and wired into
-one of two network topologies:
+one of two fixed tree topologies, each a chain of layer switches:
 
-* ``internet``: every node hangs off a single core switch, uniform link
-  bandwidth and latency.
+* ``internet``: a single core switch, uniform link bandwidth and latency.
 * ``urban``: three layers (cloud, metro, edge) with strictly decreasing
   bandwidth and increasing latency towards the edge.  Cloud devices attach to
   the cloud switch; edge devices are split between the metro and edge
   switches by the build seed.
 
-Each topology carries one data-store vertex per layer and a single image
-registry vertex attached to the top layer.  Transfer time between two
-vertices is the summed link latency along the (unique) path plus the payload
-size divided by the bottleneck bandwidth.
+Every node, and one data store per layer, hangs off its layer's switch by a
+link with that layer's parameters; the image registry hangs off the top
+switch.  The link between two adjacent switches runs at the lower layer's
+parameters.  Scheduling only ever needs node-to-registry and node-to-store
+transfers, so the builder computes them in closed form per node layer: the
+summed link latency along the path plus the payload size divided by the
+bottleneck bandwidth.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as _data
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError
 
 ACCELERATORS = ("none", "gpu", "tpu")
 LOCALITIES = ("cloud", "edge")
@@ -61,6 +62,13 @@ URBAN_LAYERS = ("cloud", "metro", "edge")
 URBAN_BANDWIDTH_BPS = {"cloud": 1.25e8, "metro": 2.5e7, "edge": 1.25e7}
 URBAN_LATENCY_S = {"cloud": 1e-3, "metro": 5e-3, "edge": 1e-2}
 
+# (latency, bandwidth) of each topology's layers, top layer first.
+_LAYER_LINKS = {
+    "internet": ((INTERNET_LATENCY_S, INTERNET_BANDWIDTH_BPS),),
+    "urban": tuple((URBAN_LATENCY_S[layer], URBAN_BANDWIDTH_BPS[layer])
+                   for layer in URBAN_LAYERS),
+}
+
 
 @dataclass(frozen=True)
 class DeviceClass:
@@ -88,16 +96,11 @@ class DeviceClass:
 
 @dataclass
 class Node:
-    """One schedulable machine with live allocation state."""
+    """One schedulable machine and the images it has pulled."""
 
     id: int
     device: DeviceClass
-    capacity_cpu: float
-    capacity_mem: float
-    alloc_cpu: float = 0.0
-    alloc_mem: float = 0.0
     image_cache: set = field(default_factory=set)
-    vertex: int = -1
 
 
 @dataclass(frozen=True)
@@ -118,84 +121,24 @@ class ClusterSpec:
             )
 
 
-class NetworkTopology:
-    """Undirected link graph over node vertices plus infrastructure vertices.
-
-    Vertices 0..n_nodes-1 are the cluster nodes; the remaining vertices are
-    switches, data stores and the image registry.  Both shipped topologies
-    are trees, so the path between any two vertices is unique.
-    """
-
-    def __init__(self, kind: str, n_vertices: int):
-        self.kind = kind
-        self.n_vertices = n_vertices
-        self._adj: dict[int, list[tuple[int, float, float]]] = {i: [] for i in range(n_vertices)}
-        self.registry_vertex = -1
-        self.store_vertices: tuple[int, ...] = ()
-        self.layer_of: dict[int, str] = {}
-
-    def add_link(self, a: int, b: int, bandwidth_bps: float, latency_s: float) -> None:
-        if bandwidth_bps <= 0 or latency_s < 0:
-            raise TopologyError("links need positive bandwidth and nonnegative latency")
-        self._adj[a].append((b, bandwidth_bps, latency_s))
-        self._adj[b].append((a, bandwidth_bps, latency_s))
-
-    def path_params(self, a: int, b: int) -> tuple[float, float]:
-        """Summed latency and bottleneck bandwidth along the a->b path."""
-        if a == b:
-            return 0.0, math.inf
-        prev: dict[int, tuple[int, float, float]] = {a: (-1, 0.0, 0.0)}
-        frontier = deque([a])
-        while frontier:
-            v = frontier.popleft()
-            if v == b:
-                break
-            for w, bw, lat in self._adj[v]:
-                if w not in prev:
-                    prev[w] = (v, bw, lat)
-                    frontier.append(w)
-        if b not in prev:
-            raise TopologyError(f"vertices {a} and {b} are not connected")
-        latency = 0.0
-        min_bw = math.inf
-        v = b
-        while v != a:
-            v, bw, lat = prev[v]
-            latency += lat
-            min_bw = min(min_bw, bw)
-        return latency, min_bw
-
-    def transfer_time(self, nbytes: float, a: int, b: int) -> float:
-        """Seconds to move ``nbytes`` between two vertices; 0 on the same vertex."""
-        if nbytes < 0:
-            raise ConfigError("nbytes must be nonnegative")
-        if a == b:
-            return 0.0
-        latency, min_bw = self.path_params(a, b)
-        return latency + nbytes / min_bw
-
-
 @dataclass
 class Cluster:
-    """A built inventory: nodes, topology, and vectorized scheduling state.
+    """A built inventory: nodes plus per-node arrays for vectorized scoring.
 
-    The numpy mirrors of per-node state exist so that scoring an entire
-    feasible set is a handful of array operations.  All mutation goes through
-    :meth:`commit` and :meth:`add_image` to keep them in sync with the Node
-    objects.
+    Capacities and allocations live only in these arrays, and allocations
+    change through :meth:`commit` alone.  The path arrays hold, per node, the
+    latency and bottleneck bandwidth to the registry and to each data store
+    (one row per store, top layer first).
     """
 
     spec: ClusterSpec
     nodes: list[Node]
-    topology: NetworkTopology = field(compare=False)
     capacity_cpu: np.ndarray = field(compare=False, repr=False)
     capacity_mem: np.ndarray = field(compare=False, repr=False)
     alloc_cpu: np.ndarray = field(compare=False, repr=False)
     alloc_mem: np.ndarray = field(compare=False, repr=False)
     locality_code: np.ndarray = field(compare=False, repr=False)
     accel_code: np.ndarray = field(compare=False, repr=False)
-    speed_factor: np.ndarray = field(compare=False, repr=False)
-    # Per-node path parameters to the registry and to each data store.
     registry_latency: np.ndarray = field(compare=False, repr=False)
     registry_bw: np.ndarray = field(compare=False, repr=False)
     store_latency: np.ndarray = field(compare=False, repr=False)
@@ -207,9 +150,6 @@ class Cluster:
 
     def commit(self, node_id: int, cpu: float, mem: float) -> None:
         """Reserve resources on a node (warm-up and autoscale placements)."""
-        node = self.nodes[node_id]
-        node.alloc_cpu += cpu
-        node.alloc_mem += mem
         self.alloc_cpu[node_id] += cpu
         self.alloc_mem[node_id] += mem
 
@@ -229,28 +169,11 @@ class Cluster:
         return float(self.registry_latency[node_id] + nbytes / self.registry_bw[node_id])
 
     def clone(self) -> "Cluster":
-        """Independent copy; the topology is immutable and stays shared."""
-        nodes = [
-            Node(n.id, n.device, n.capacity_cpu, n.capacity_mem,
-                 n.alloc_cpu, n.alloc_mem, set(n.image_cache), n.vertex)
-            for n in self.nodes
-        ]
-        return Cluster(
-            spec=self.spec,
-            nodes=nodes,
-            topology=self.topology,
-            capacity_cpu=self.capacity_cpu,
-            capacity_mem=self.capacity_mem,
-            alloc_cpu=self.alloc_cpu.copy(),
-            alloc_mem=self.alloc_mem.copy(),
-            locality_code=self.locality_code,
-            accel_code=self.accel_code,
-            speed_factor=self.speed_factor,
-            registry_latency=self.registry_latency,
-            registry_bw=self.registry_bw,
-            store_latency=self.store_latency,
-            store_bw=self.store_bw,
-        )
+        """Independent copy of the allocations and image caches; the
+        read-only arrays stay shared."""
+        nodes = [Node(n.id, n.device, set(n.image_cache)) for n in self.nodes]
+        return replace(self, nodes=nodes, alloc_cpu=self.alloc_cpu.copy(),
+                       alloc_mem=self.alloc_mem.copy())
 
 
 def load_device_catalog(data_dir=None) -> dict[str, DeviceClass]:
@@ -306,50 +229,23 @@ def largest_remainder_counts(fractions: list[float], total: int) -> list[int]:
     return counts
 
 
-def _build_internet(nodes: list[Node]) -> NetworkTopology:
-    n = len(nodes)
-    core, registry, store = n, n + 1, n + 2
-    topo = NetworkTopology("internet", n + 3)
-    for node in nodes:
-        node.vertex = node.id
-        topo.add_link(node.id, core, INTERNET_BANDWIDTH_BPS, INTERNET_LATENCY_S)
-    topo.add_link(registry, core, INTERNET_BANDWIDTH_BPS, INTERNET_LATENCY_S)
-    topo.add_link(store, core, INTERNET_BANDWIDTH_BPS, INTERNET_LATENCY_S)
-    topo.registry_vertex = registry
-    topo.store_vertices = (store,)
-    return topo
+def _layer_path(links, node_layer: int, store_layer: int) -> tuple[float, float]:
+    """Summed latency and bottleneck bandwidth from a node on ``node_layer``
+    to the data store on ``store_layer``.
 
-
-def _build_urban(nodes: list[Node], rng: np.random.Generator) -> NetworkTopology:
-    n = len(nodes)
-    switches = {"cloud": n, "metro": n + 1, "edge": n + 2}
-    registry = n + 3
-    stores = {"cloud": n + 4, "metro": n + 5, "edge": n + 6}
-    topo = NetworkTopology("urban", n + 7)
-    # Chain the layer switches; each inter-layer link runs at the lower
-    # layer's speed, so any cross-layer path is strictly slower than an
-    # intra-layer path within the faster layer.
-    topo.add_link(switches["cloud"], switches["metro"],
-                  URBAN_BANDWIDTH_BPS["metro"], URBAN_LATENCY_S["metro"])
-    topo.add_link(switches["metro"], switches["edge"],
-                  URBAN_BANDWIDTH_BPS["edge"], URBAN_LATENCY_S["edge"])
-    for node in nodes:
-        if node.device.locality == "cloud":
-            layer = "cloud"
-        else:
-            layer = "metro" if rng.integers(2) == 0 else "edge"
-        node.vertex = node.id
-        topo.layer_of[node.id] = layer
-        topo.add_link(node.id, switches[layer],
-                      URBAN_BANDWIDTH_BPS[layer], URBAN_LATENCY_S[layer])
-    topo.add_link(registry, switches["cloud"],
-                  URBAN_BANDWIDTH_BPS["cloud"], URBAN_LATENCY_S["cloud"])
-    for layer in URBAN_LAYERS:
-        topo.add_link(stores[layer], switches[layer],
-                      URBAN_BANDWIDTH_BPS[layer], URBAN_LATENCY_S[layer])
-    topo.registry_vertex = registry
-    topo.store_vertices = (stores["cloud"], stores["metro"], stores["edge"])
-    return topo
+    The hops are the node's own link, the switch chain, then the store's
+    link.  The latency is summed left to right in that order (not with
+    ``sum``, which compensates rounding from Python 3.12 on), so an edge
+    node's latency to the cloud store is 0.01 + 0.01 + 0.005 + 0.001 =
+    0.026000000000000002.
+    """
+    step = 1 if store_layer >= node_layer else -1
+    chain = [max(i, i + step) for i in range(node_layer, store_layer, step)]
+    hops = [links[layer] for layer in (node_layer, *chain, store_layer)]
+    latency = 0.0
+    for lat, _ in hops:
+        latency += lat
+    return latency, min(bw for _, bw in hops)
 
 
 def build_cluster(spec: ClusterSpec, data_dir=None) -> Cluster:
@@ -361,43 +257,36 @@ def build_cluster(spec: ClusterSpec, data_dir=None) -> Cluster:
 
     nodes = []
     for name, count in zip(names, counts):
-        dev = devices[name]
         for _ in range(count):
-            nid = len(nodes)
-            nodes.append(Node(nid, dev, float(dev.cpu_cores), float(dev.memory_mb)))
+            nodes.append(Node(len(nodes), devices[name]))
 
+    # Layer index per node: cloud devices and every internet node sit on the
+    # top layer; each urban edge device draws metro (0) or edge (1), in node
+    # order.
     rng = np.random.default_rng(spec.seed)
-    if spec.topology_kind == "internet":
-        topo = _build_internet(nodes)
-    else:
-        topo = _build_urban(nodes, rng)
+    layer = np.array([
+        0 if spec.topology_kind == "internet" or nd.device.locality == "cloud"
+        else 1 + int(rng.integers(2))
+        for nd in nodes])
+    # paths[s, l] = (latency, bandwidth) from a node on layer l to store s.
+    # The registry hangs off the top switch by a top-layer link, exactly
+    # like store 0, so it shares that row.
+    links = _LAYER_LINKS[spec.topology_kind]
+    paths = np.array([[_layer_path(links, lay, s) for lay in range(len(links))]
+                      for s in range(len(links))])
 
     n = len(nodes)
-    reg_lat = np.empty(n)
-    reg_bw = np.empty(n)
-    n_stores = len(topo.store_vertices)
-    store_lat = np.empty((n_stores, n))
-    store_bw = np.empty((n_stores, n))
-    for node in nodes:
-        lat, bw = topo.path_params(topo.registry_vertex, node.vertex)
-        reg_lat[node.id], reg_bw[node.id] = lat, bw
-        for s, sv in enumerate(topo.store_vertices):
-            lat, bw = topo.path_params(sv, node.vertex)
-            store_lat[s, node.id], store_bw[s, node.id] = lat, bw
-
     return Cluster(
         spec=spec,
         nodes=nodes,
-        topology=topo,
-        capacity_cpu=np.array([nd.capacity_cpu for nd in nodes]),
-        capacity_mem=np.array([nd.capacity_mem for nd in nodes]),
+        capacity_cpu=np.array([float(nd.device.cpu_cores) for nd in nodes]),
+        capacity_mem=np.array([float(nd.device.memory_mb) for nd in nodes]),
         alloc_cpu=np.zeros(n),
         alloc_mem=np.zeros(n),
         locality_code=np.array([LOCALITIES.index(nd.device.locality) for nd in nodes]),
         accel_code=np.array([ACCELERATORS.index(nd.device.accelerator) for nd in nodes]),
-        speed_factor=np.array([nd.device.speed_factor for nd in nodes]),
-        registry_latency=reg_lat,
-        registry_bw=reg_bw,
-        store_latency=store_lat,
-        store_bw=store_bw,
+        registry_latency=paths[0, layer, 0],
+        registry_bw=paths[0, layer, 1],
+        store_latency=paths[:, layer, 0],
+        store_bw=paths[:, layer, 1],
     )

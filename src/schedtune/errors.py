@@ -9,10 +9,6 @@ class ConfigError(SchedTuneError):
     """Invalid configuration value or malformed config file."""
 
 
-class TopologyError(SchedTuneError):
-    """Disconnected or otherwise malformed network topology."""
-
-
 class UnschedulableError(SchedTuneError):
     """No feasible node for a pod during warm-up placement."""
 

@@ -169,30 +169,6 @@ def write_summary_csv(path, summaries) -> None:
             })
 
 
-def read_summary_csv(path) -> list[MethodSummary]:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            raw = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read summary {path}: {exc}") from exc
-    out = []
-    for line_no, row in enumerate(raw, start=2):
-        if row.get("schema_version") != str(CSV_SCHEMA_VERSION):
-            raise ProtocolError(
-                f"{path} line {line_no}: unknown schema version "
-                f"{row.get('schema_version')!r}")
-        out.append(MethodSummary(
-            experiment=row["experiment"],
-            method=row["method"],
-            n_scenarios=int(row["n_scenarios"]),
-            mean_reference=float(row["mean_reference"]),
-            mean_best=float(row["mean_best"]),
-            mean_improvement=float(row["mean_improvement"]),
-            win_rate=float(row["win_rate"]),
-        ))
-    return out
-
-
 # -- plotting ----------------------------------------------------------------
 
 _BAR_COLORS = ("#9aa5b1", "#3472b8")

@@ -81,11 +81,6 @@ def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     return mask
 
 
-def filter_feasible(fn: FunctionSpec, cluster: Cluster) -> list[int]:
-    """Node ids that can hold the pod, ascending."""
-    return [int(i) for i in np.nonzero(feasible_mask(fn, cluster))[0]]
-
-
 def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
                 options: SchedulerOptions) -> np.ndarray:
     """Matrix of the eight scores, one row per node id.
@@ -129,12 +124,6 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
         least_allocated, most_allocated, rtc_ratio, locality_type,
         data_locality, capability, balanced_resource, latency_aware,
     ])
-
-
-def score_node(fn: FunctionSpec, node_id: int, cluster: Cluster,
-               options: SchedulerOptions) -> np.ndarray:
-    """Score vector for a single node (row of :func:`score_nodes`)."""
-    return score_nodes(fn, np.array([node_id]), cluster, options)[0]
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,

@@ -18,9 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .tunenv import SpaceSet, SpaceVar, TuningEnv
-
-MODES = ("train", "test")
+from .tunenv import MODES, SpaceSet, SpaceVar, TuningEnv
 
 # Global normalization ranges for the episode parameters; train and test
 # domains occupy disjoint halves so test episodes are genuinely held out.

@@ -64,15 +64,6 @@ class SpaceVar:
     def sample_int(self, rng: np.random.Generator) -> int:
         return int(rng.integers(int(self.min), int(self.max) + 1))
 
-    def to_json(self) -> list:
-        return [self.name, self.min, self.max]
-
-    @classmethod
-    def from_json(cls, triple) -> "SpaceVar":
-        if len(triple) != 3:
-            raise ConfigError(f"space variable must be [name, min, max], got {triple!r}")
-        return cls(str(triple[0]), float(triple[1]), float(triple[2]))
-
 
 @dataclass
 class SpaceSet:
@@ -101,30 +92,6 @@ class SpaceSet:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         space = self.domain_train if mode == "train" else self.domain_test
         return {v.name: v for v in space}
-
-    def to_dict(self) -> dict:
-        return {
-            "static": [v.to_json() for v in self.static],
-            "domain_train": [v.to_json() for v in self.domain_train],
-            "domain_test": [v.to_json() for v in self.domain_test],
-            "initial_action": [float(a) for a in self.initial_action],
-            "reward": self.reward.to_json(),
-            "actions": [v.to_json() for v in self.actions],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpaceSet":
-        try:
-            return cls(
-                static=tuple(SpaceVar.from_json(v) for v in payload["static"]),
-                domain_train=tuple(SpaceVar.from_json(v) for v in payload["domain_train"]),
-                domain_test=tuple(SpaceVar.from_json(v) for v in payload["domain_test"]),
-                initial_action=np.array(payload["initial_action"], dtype=float),
-                reward=SpaceVar.from_json(payload["reward"]),
-                actions=tuple(SpaceVar.from_json(v) for v in payload["actions"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"space set is missing key {exc.args[0]!r}") from exc
 
 
 def default_space_set() -> SpaceSet:

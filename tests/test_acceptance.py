@@ -107,7 +107,7 @@ def test_02_scheduler_scoring_invariants(capsys):
                 locality=("any", "cloud", "edge")[rng.integers(3)],
                 image_bytes=float(rng.uniform(1e7, 2e9)),
                 dataset_bytes=float(rng.uniform(0.0, 1e9)))
-            ids = np.array(sched.filter_feasible(fn, cluster))
+            ids = np.nonzero(sched.feasible_mask(fn, cluster))[0]
             assert len(ids) > 0
             scores = sched.score_nodes(fn, ids, cluster, options)
 

@@ -1,4 +1,9 @@
 """Policy distribution math, update gradients, checkpoints, training loop."""
+import hashlib
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -270,6 +275,61 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         SacAgent.load(tmp_path / "missing.ckpt")
     assert raw[:4] == CHECKPOINT_MAGIC
+
+
+def _forge_checkpoint(path, agent, names=None, drop=()):
+    """Write a checkpoint of ``agent`` holding the arrays ``names`` (in that
+    order, duplicates allowed) and a header without the keys in ``drop``;
+    the payload length and digest stay consistent."""
+    arrays = dict(agent._named_arrays())
+    if names is None:
+        names = [name for name, _ in agent._named_arrays()]
+    payload = b"".join(arrays[n].astype("<f8").tobytes() for n in names)
+    header = {
+        "config": asdict(agent.config),
+        "arrays": [[n, list(arrays[n].shape)] for n in names],
+        "env_steps": 0,
+        "grad_steps": 0,
+        "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    for key in drop:
+        del header[key]
+    blob = json.dumps(header).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(blob)) + blob + payload)
+    return path
+
+
+@pytest.mark.parametrize("key", ["config", "arrays", "env_steps", "grad_steps",
+                                 "adam_steps", "payload_sha256"])
+def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
+    path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), drop=[key])
+    with pytest.raises(CheckpointError, match=key):
+        SacAgent.load(path)
+
+
+def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
+    blob = b"[1, 2]"
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="header"):
+        SacAgent.load(path)
+
+
+def test_checkpoint_rejects_missing_or_duplicate_arrays(tmp_path):
+    agent = tiny_agent(seed=24)
+    names = [name for name, _ in agent._named_arrays()]
+    SacAgent.load(_forge_checkpoint(tmp_path / "ok.ckpt", agent, names))
+    assert "opt_alpha.v0" in names
+    missing = [n for n in names if n != "opt_alpha.v0"]
+    with pytest.raises(CheckpointError, match="opt_alpha.v0"):
+        SacAgent.load(_forge_checkpoint(tmp_path / "m.ckpt", agent, missing))
+    # same length and byte count, but opt_alpha.m0 twice and no v0
+    duplicate = [n if n != "opt_alpha.v0" else "opt_alpha.m0" for n in names]
+    with pytest.raises(CheckpointError, match="opt_alpha"):
+        SacAgent.load(_forge_checkpoint(tmp_path / "d.ckpt", agent, duplicate))
 
 
 def test_evaluate_policy_collects_full_episodes():

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from schedtune.cli import main, scenario_seeds
-from schedtune.report import read_summary_csv, read_trials_csv
+from schedtune.data import data_dir
+from schedtune.report import read_trials_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -41,13 +42,14 @@ def test_tune_compare_report_round_trip(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "fixed" in table and "random" in table
 
-    summaries = read_summary_csv(tmp_path / "run" / "summary.csv")
-    assert [s.method for s in summaries] == ["fixed", "random"]
+    with open(tmp_path / "run" / "summary.csv", newline="") as fh:
+        summaries = list(csv.DictReader(fh))
+    assert [s["method"] for s in summaries] == ["fixed", "random"]
     fixed, random = summaries
     # same master seed => both methods tuned identical scenarios
-    assert fixed.mean_reference == pytest.approx(random.mean_reference)
-    assert fixed.n_scenarios == random.n_scenarios == 3
-    assert fixed.mean_improvement == 0.0
+    assert fixed["mean_reference"] == random["mean_reference"]
+    assert fixed["n_scenarios"] == random["n_scenarios"] == "3"
+    assert float(fixed["mean_improvement"]) == 0.0
 
     assert main(["report", "--config", config, "--out", out]) == 0
     report = (tmp_path / "run" / "report.md").read_text()
@@ -130,10 +132,15 @@ def test_simulate_appends_run_records(tmp_path, capsys):
 
 def test_agent_method_requires_checkpoint(tmp_path, capsys):
     config = write_config(tmp_path)
-    code = main(["tune", "--config", config, "--out", str(tmp_path / "x"),
-                 "--method", "agent"])
+    code = main(["eval", "--config", config, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "requires --checkpoint" in capsys.readouterr().err
+    # the agent is evaluated with `eval` only; `tune` takes baselines
+    for extra in (["--method", "agent"], ["--checkpoint", "agent.ckpt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--config", config, "--out", str(tmp_path / "x")] + extra)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):
@@ -161,3 +168,41 @@ def test_out_flag_is_required(capsys):
     with pytest.raises(SystemExit):
         main(["tune", "--method", "random"])
     capsys.readouterr()
+
+
+def _drop(entry, field):
+    del entry[field]
+
+
+@pytest.mark.parametrize("file_name, edit, where", [
+    ("functions.json", lambda p: _drop(p["functions"][0], "image_name"),
+     "functions[0].image_name: missing"),
+    ("functions.json", lambda p: p["functions"][2].update(req_cpu="2"),
+     "functions[2].req_cpu: expected a number"),
+    ("functions.json", lambda p: p.update(functions={}),
+     "functions: expected a list"),
+    ("devices.json", lambda p: p["devices"][1].update(cpu_cores="32"),
+     "devices[1].cpu_cores: expected an integer"),
+    ("devices.json", lambda p: p["devices"].__setitem__(0, "xeon_cpu"),
+     "devices[0]: expected an object"),
+    ("presets.json", lambda p: p["presets"]["edge_sbc"].update(rpi3=None),
+     "presets.edge_sbc.rpi3: expected a number"),
+    ("presets.json", lambda p: _drop(p, "presets"), "presets: missing"),
+    ("presets.json", lambda p: [p], "top level: expected an object"),
+])
+def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
+                                                        file_name, edit, where):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("devices.json", "presets.json", "functions.json"):
+        payload = json.loads((data_dir() / name).read_text())
+        if name == file_name:
+            payload = edit(payload) or payload
+        (data / name).write_text(json.dumps(payload))
+    config = write_config(tmp_path, env_kind="faas", mode="train",
+                          duration_s=20.0, data_dir=str(data))
+    assert main(["simulate", "--config", config, "--out",
+                 str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{file_name}: {where}" in err

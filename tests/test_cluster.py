@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,48 +72,44 @@ def test_build_is_pure_function_of_spec():
         )
         a, b = cl.build_cluster(spec), cl.build_cluster(spec)
         assert a == b
-        assert np.array_equal(a.alloc_cpu, b.alloc_cpu)
-        assert [n.vertex for n in a.nodes] == [n.vertex for n in b.nodes]
-        assert a.topology.store_vertices == b.topology.store_vertices
+        for name in ("alloc_cpu", "registry_latency", "registry_bw",
+                     "store_latency", "store_bw"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_node_capacity_matches_device_class(small_cluster):
     for node in small_cluster.nodes:
-        assert node.capacity_cpu == node.device.cpu_cores
-        assert node.capacity_mem == node.device.memory_mb
-        assert node.alloc_cpu == 0.0
-        assert node.alloc_mem == 0.0
+        assert small_cluster.capacity_cpu[node.id] == node.device.cpu_cores
+        assert small_cluster.capacity_mem[node.id] == node.device.memory_mb
+    assert not small_cluster.alloc_cpu.any()
+    assert not small_cluster.alloc_mem.any()
 
 
 def test_node_ids_dense_from_zero(small_cluster):
     assert [n.id for n in small_cluster.nodes] == list(range(small_cluster.n_nodes))
 
 
-def test_transfer_time_same_vertex_is_zero(small_cluster):
-    topo = small_cluster.topology
-    assert topo.transfer_time(1e9, 0, 0) == 0.0
-
-
-def test_transfer_time_symmetry_and_triangle():
-    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 12, "internet", seed=1))
-    topo = c.topology
-    nbytes = 3.2e8
-    for a in range(0, 12, 3):
-        for b in range(1, 12, 4):
-            tab = topo.transfer_time(nbytes, a, b)
-            assert tab == topo.transfer_time(nbytes, b, a)
-            for mid in (2, 7):
-                if mid not in (a, b):
-                    detour = topo.transfer_time(nbytes, a, mid) + topo.transfer_time(nbytes, mid, b)
-                    assert tab <= detour + 1e-12
-
-
-def test_internet_transfer_time_value():
+def test_internet_path_hand_value():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 4, "internet"))
-    topo = c.topology
     # two hops through the core switch at uniform bandwidth
     expected = (0.001 + 0.001) + 2.5e8 / 1.25e8
-    assert topo.transfer_time(2.5e8, 0, 1) == expected
+    assert c.store_latency.shape == (1, 4)
+    for node in range(4):
+        assert c.image_pull_time(node, 2.5e8) == expected
+        assert c.data_fetch_time(node, 2.5e8) == expected
+
+
+# Per urban layer: registry (latency, bandwidth), then the latencies and
+# bandwidths to the cloud, metro and edge stores.  A path runs over the
+# node's link, the switch chain (each switch-to-switch link at the slower
+# layer's parameters), then the target's link.
+URBAN_PATHS = {
+    "cloud": (0.002, 1.25e8, (0.002, 0.011, 0.026000000000000002),
+              (1.25e8, 2.5e7, 1.25e7)),
+    "metro": (0.011, 2.5e7, (0.011, 0.01, 0.025), (2.5e7, 2.5e7, 1.25e7)),
+    "edge": (0.026000000000000002, 1.25e7, (0.026000000000000002, 0.025, 0.02),
+             (1.25e7, 1.25e7, 1.25e7)),
+}
 
 
 def _urban_cluster():
@@ -123,54 +117,58 @@ def _urban_cluster():
     return cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=9))
 
 
-def test_urban_cross_layer_slower_than_intra_layer():
-    c = _urban_cluster()
-    topo = c.topology
+def _nodes_by_layer(c):
+    """Node ids per urban layer, told apart by their registry latency."""
+    layer_by_latency = {paths[0]: layer for layer, paths in URBAN_PATHS.items()}
     by_layer = {}
     for node in c.nodes:
-        by_layer.setdefault(topo.layer_of[node.id], []).append(node.id)
+        layer = layer_by_latency[c.registry_latency[node.id]]
+        by_layer.setdefault(layer, []).append(node.id)
+    return by_layer
+
+
+def test_urban_cross_layer_slower_than_intra_layer():
+    c = _urban_cluster()
+    by_layer = _nodes_by_layer(c)
     assert set(by_layer) == {"cloud", "metro", "edge"}
 
     nbytes = 1e8
     for layer, ids in by_layer.items():
-        a, b = ids[0], ids[1]
-        intra = topo.transfer_time(nbytes, a, b)
-        for other_layer, other_ids in by_layer.items():
+        a = ids[0]
+        own = cl.URBAN_LAYERS.index(layer)
+        intra = c.store_latency[own, a] + nbytes / c.store_bw[own, a]
+        for store, other_layer in enumerate(cl.URBAN_LAYERS):
             if other_layer == layer:
                 continue
-            cross = topo.transfer_time(nbytes, a, other_ids[0])
+            cross = c.store_latency[store, a] + nbytes / c.store_bw[store, a]
             faster = min(layer, other_layer, key=lambda l: cl.URBAN_LATENCY_S[l])
-            speed = cl.URBAN_BANDWIDTH_BPS[faster]
-            _, cross_bw = topo.path_params(a, other_ids[0])
-            assert cross_bw < speed
+            assert c.store_bw[store, a] < cl.URBAN_BANDWIDTH_BPS[faster]
             if layer == faster:
                 assert cross > intra
 
 
 def test_urban_cross_layer_hand_value():
     c = _urban_cluster()
-    topo = c.topology
-    by_layer = {}
-    for node in c.nodes:
-        by_layer.setdefault(topo.layer_of[node.id], []).append(node.id)
-    edge_a, edge_b = by_layer["edge"][:2]
-    cloud = by_layer["cloud"][0]
+    by_layer = _nodes_by_layer(c)
+    for layer, ids in by_layer.items():
+        reg_lat, reg_bw, store_lat, store_bw = URBAN_PATHS[layer]
+        for node in ids:
+            assert c.registry_latency[node] == reg_lat
+            assert c.registry_bw[node] == reg_bw
+            assert tuple(c.store_latency[:, node]) == store_lat
+            assert tuple(c.store_bw[:, node]) == store_bw
+            # cloud devices sit on the cloud layer, edge devices below it
+            assert (layer == "cloud") == (c.nodes[node].device.locality == "cloud")
+    edge_a = by_layer["edge"][0]
     nbytes = 1e8
-    intra_edge = (0.01 + 0.01) + nbytes / 1.25e7
-    assert topo.transfer_time(nbytes, edge_a, edge_b) == intra_edge
-    cross = (0.01 + 0.01 + 0.005 + 0.001) + nbytes / 1.25e7
-    assert abs(topo.transfer_time(nbytes, edge_a, cloud) - cross) < 1e-12
-    assert topo.transfer_time(nbytes, edge_a, cloud) > intra_edge
+    assert c.image_pull_time(edge_a, nbytes) == 0.026000000000000002 + nbytes / 1.25e7
 
 
 def test_urban_has_one_store_per_layer_and_registry():
     c = _urban_cluster()
-    assert len(c.topology.store_vertices) == 3
-    assert c.topology.registry_vertex >= c.n_nodes
+    assert c.store_latency.shape == c.store_bw.shape == (3, c.n_nodes)
     # registry sits in the cloud layer: pulling to a cloud node is fastest
-    by_layer = {}
-    for node in c.nodes:
-        by_layer.setdefault(c.topology.layer_of[node.id], []).append(node.id)
+    by_layer = _nodes_by_layer(c)
     t_cloud = c.image_pull_time(by_layer["cloud"][0], 1e8)
     t_edge = c.image_pull_time(by_layer["edge"][0], 1e8)
     assert t_cloud < t_edge
@@ -178,17 +176,18 @@ def test_urban_has_one_store_per_layer_and_registry():
 
 def test_data_fetch_uses_nearest_store():
     c = _urban_cluster()
-    topo = c.topology
     nbytes = 5e7
-    for node in c.nodes[:10]:
-        direct = min(topo.transfer_time(nbytes, sv, node.vertex) for sv in topo.store_vertices)
+    layer_by_node = {n: layer for layer, ids in _nodes_by_layer(c).items() for n in ids}
+    for node in c.nodes:
+        _, _, store_lat, store_bw = URBAN_PATHS[layer_by_node[node.id]]
+        direct = min(lat + nbytes / bw for lat, bw in zip(store_lat, store_bw))
         assert c.data_fetch_time(node.id, nbytes) == direct
 
 
 def test_commit_updates_node_and_arrays(small_cluster):
     small_cluster.commit(3, 2.0, 512.0)
-    assert small_cluster.nodes[3].alloc_cpu == 2.0
-    assert small_cluster.alloc_cpu[3] == 2.0
+    small_cluster.commit(3, 1.0, 0.0)
+    assert small_cluster.alloc_cpu[3] == 3.0
     assert small_cluster.alloc_mem[3] == 512.0
 
 
@@ -198,8 +197,8 @@ def test_clone_is_independent(small_cluster):
     other = small_cluster.clone()
     other.commit(0, 1.0, 128.0)
     other.add_image(1, "img")
-    assert small_cluster.nodes[0].alloc_cpu == 1.0
-    assert other.nodes[0].alloc_cpu == 2.0
+    assert small_cluster.alloc_cpu[0] == 1.0
+    assert other.alloc_cpu[0] == 2.0
     assert not small_cluster.has_image(1, "img")
     assert other.has_image(0, "img")
 

@@ -28,17 +28,17 @@ def test_piecewise_linear_interpolates_and_clamps():
 
 
 def test_filter_excludes_overfull_nodes(small_cluster, probe_function):
-    node = small_cluster.nodes[0]
-    small_cluster.commit(0, node.capacity_cpu, node.capacity_mem)
-    ids = sched.filter_feasible(probe_function, small_cluster)
-    assert 0 not in ids
-    assert ids == sorted(ids)
+    small_cluster.commit(0, small_cluster.capacity_cpu[0], small_cluster.capacity_mem[0])
+    mask = sched.feasible_mask(probe_function, small_cluster)
+    assert not mask[0]
+    assert mask[1:].all()
 
 
 def test_filter_requires_accelerator():
     c = cl.build_cluster(cl.ClusterSpec("edge_sbc", 20))
     fn = make_function(accel="gpu", required=True)
-    ids = sched.filter_feasible(fn, c)
+    ids = np.nonzero(sched.feasible_mask(fn, c))[0]
+    assert len(ids) > 0
     for i in ids:
         assert c.nodes[i].device.accelerator == "gpu"
     # a cluster without gpus yields an empty feasible set
@@ -60,10 +60,8 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     opts = sched.SchedulerOptions()
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
-        node = small_cluster.nodes[nid]
-        if node.capacity_cpu - node.alloc_cpu >= 1.0 and \
-           node.capacity_mem - node.alloc_mem >= 1024.0:
-            s = sched.score_node(probe_function, nid, small_cluster, opts)
+        if sched.feasible_mask(probe_function, small_cluster)[nid]:
+            s = sched.score_nodes(probe_function, [nid], small_cluster, opts)[0]
             assert s.shape == (8,)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             small_cluster.commit(nid, 1.0, 1024.0)
@@ -85,10 +83,9 @@ def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
 
 def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
-    node = c.nodes[0]
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
-    fn = make_function(cpu=node.capacity_cpu, mem=node.capacity_mem * 1e-12)
-    s = sched.score_node(fn, 0, c, sched.SchedulerOptions())
+    fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
+    s = sched.score_nodes(fn, [0], c, sched.SchedulerOptions())[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
@@ -99,35 +96,35 @@ def test_locality_and_capability_scores():
     any_pref = make_function(locality="any")
     gpu_pref = make_function(accel="gpu")
     none_pref = make_function(accel="none")
-    for node in c.nodes:
-        s_cloud = sched.score_node(cloud_pref, node.id, c, opts)
-        assert s_cloud[3] == (1.0 if node.device.locality == "cloud" else 0.0)
-        assert sched.score_node(any_pref, node.id, c, opts)[3] == 1.0
-        s_gpu = sched.score_node(gpu_pref, node.id, c, opts)
-        assert s_gpu[5] == (1.0 if node.device.accelerator == "gpu" else 0.0)
-        assert sched.score_node(none_pref, node.id, c, opts)[5] == 0.5
+    ids = np.arange(c.n_nodes)
+    is_cloud = [float(n.device.locality == "cloud") for n in c.nodes]
+    is_gpu = [float(n.device.accelerator == "gpu") for n in c.nodes]
+    assert sched.score_nodes(cloud_pref, ids, c, opts)[:, 3].tolist() == is_cloud
+    assert (sched.score_nodes(any_pref, ids, c, opts)[:, 3] == 1.0).all()
+    assert sched.score_nodes(gpu_pref, ids, c, opts)[:, 5].tolist() == is_gpu
+    assert (sched.score_nodes(none_pref, ids, c, opts)[:, 5] == 0.5).all()
+    assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
     opts = sched.SchedulerOptions()
     huge = make_function(image_bytes=1e12)
-    s = sched.score_node(huge, 0, small_cluster, opts)
-    assert s[7] == 0.0
+    assert sched.score_nodes(huge, [0], small_cluster, opts)[0, 7] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert sched.score_node(huge, 0, small_cluster, opts)[7] == 1.0
+    assert sched.score_nodes(huge, [0], small_cluster, opts)[0, 7] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
     opts = sched.SchedulerOptions()
-    near = sched.score_node(make_function(dataset_bytes=1e6), 0, small_cluster, opts)[4]
-    far = sched.score_node(make_function(dataset_bytes=1e10), 0, small_cluster, opts)[4]
+    near = sched.score_nodes(make_function(dataset_bytes=1e6), [0], small_cluster, opts)[0, 4]
+    far = sched.score_nodes(make_function(dataset_bytes=1e10), [0], small_cluster, opts)[0, 4]
     assert near > far
     assert far == 0.0
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
     opts = sched.SchedulerOptions()
-    ids = np.array(sched.filter_feasible(probe_function, small_cluster))
+    ids = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0]
     scores = sched.score_nodes(probe_function, ids, small_cluster, opts)
     for j in range(8):
         w = np.zeros(8)
@@ -152,7 +149,7 @@ def test_scale_invariance_of_argmax(small_cluster, probe_function):
 
 
 def test_subsample_size_floor(small_cluster, probe_function):
-    feasible = sched.filter_feasible(probe_function, small_cluster)
+    feasible = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0].tolist()
     n = len(feasible)
     opts = sched.SchedulerOptions(percent_nodes_to_score=1.0 / (n + 1))
     # floor gives zero, the floor of one node still applies
@@ -162,12 +159,12 @@ def test_subsample_size_floor(small_cluster, probe_function):
 
 
 def test_place_does_not_mutate_cluster(small_cluster, probe_function):
-    before_cpu = small_cluster.alloc_cpu.copy()
-    before_nodes = [(n.alloc_cpu, n.alloc_mem) for n in small_cluster.nodes]
+    small_cluster.commit(2, 1.0, 256.0)
+    before = (small_cluster.alloc_cpu.copy(), small_cluster.alloc_mem.copy())
     sched.place(probe_function, small_cluster, sched.FIXED_WEIGHTS,
                 sched.SchedulerOptions(), np.random.default_rng(0))
-    assert np.array_equal(small_cluster.alloc_cpu, before_cpu)
-    assert [(n.alloc_cpu, n.alloc_mem) for n in small_cluster.nodes] == before_nodes
+    assert np.array_equal(small_cluster.alloc_cpu, before[0])
+    assert np.array_equal(small_cluster.alloc_mem, before[1])
 
 
 def test_tie_break_lowest_node_id():
@@ -208,4 +205,4 @@ def test_placement_feasible_and_deterministic(seed, pct):
     b = sched.place(fn, c, w, opts, np.random.default_rng(seed))
     assert a == b
     if a is not None:
-        assert a in sched.filter_feasible(fn, c)
+        assert sched.feasible_mask(fn, c)[a]

@@ -6,6 +6,7 @@ from schedtune import scheduler as sched
 from schedtune import simengine as se
 from schedtune import workload as wl
 from schedtune.errors import ConfigError, UnschedulableError
+from schedtune.tunenv import default_space_set, sample_scenario
 from tests.conftest import make_function
 
 
@@ -97,7 +98,7 @@ def test_warmup_places_min_replicas_and_commits():
     warm = [p for p in res.placements if p.time_s == 0.0]
     assert len(warm) == 6
     # the input cluster is never mutated
-    assert all(n.alloc_cpu == 0.0 for n in c.nodes)
+    assert not c.alloc_cpu.any() and not c.alloc_mem.any()
 
 
 def test_warmup_unschedulable_raises_with_function_name():
@@ -186,3 +187,29 @@ def test_mismatched_horizons_rejected():
     spec = _mini_workload(duration=50.0)
     with pytest.raises(ConfigError):
         se.run_benchmark(c, spec, sched.FIXED_WEIGHTS, se.SimOptions(duration_s=100.0))
+
+
+# Scores of six sampled scenarios (50 s horizon) under the fixed weights and
+# one spread-out weight vector, as repr floats.  Any change to cluster
+# building, placement or the engine that is meant to keep behaviour must
+# keep every one of them bit for bit.
+PINNED_WEIGHTS = np.array([0.3, 0.9, 0.1, 0.7, 0.5, 0.2, 0.8, 0.6])
+PINNED_SCORES = [
+    # mode, rng seed, fixed weights, PINNED_WEIGHTS    preset / topology / nodes
+    ("train", 0, 0.5571078634226603, 0.5205456611664303),  # edge_cloudlet urban 107
+    ("train", 2, 0.7236735136587528, 0.7119485027974675),  # edge_cloudlet internet 46
+    ("train", 11, 0.7996091948396188, 0.7917092106284424),  # cloud_cpu internet 150
+    ("test", 0, 0.5716036753939256, 0.5574635260345219),  # hybrid_balanced urban 302
+    ("test", 1, 0.9027041253307555, 0.8136839030646894),  # edge_gpu urban 351
+    ("test", 2, 0.756033659009378, 0.7519420683185483),  # hybrid_balanced internet 221
+]
+
+
+@pytest.mark.parametrize("mode, seed, fixed, spread", PINNED_SCORES)
+def test_pinned_benchmark_scores(mode, seed, fixed, spread):
+    scenario = sample_scenario(default_space_set(), mode,
+                               np.random.default_rng(seed), duration_s=50.0)
+    cluster = cl.build_cluster(scenario.cluster_spec)
+    scores = [se.run_benchmark(cluster, scenario.workload, w, scenario.options).score
+              for w in (sched.FIXED_WEIGHTS, PINNED_WEIGHTS)]
+    assert scores == [fixed, spread]

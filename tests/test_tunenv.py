@@ -196,23 +196,13 @@ def test_space_var_degenerate_sampling():
     assert v.sample_int(rng) == 10
 
 
-def test_space_set_round_trip():
-    space = default_space_set()
-    clone = SpaceSet.from_dict(space.to_dict())
-    assert clone.static == space.static
-    assert clone.domain_train == space.domain_train
-    assert clone.domain_test == space.domain_test
-    assert clone.reward == space.reward
-    assert clone.actions == space.actions
-    assert np.array_equal(clone.initial_action, space.initial_action)
-
-
 def test_space_set_rejects_initial_action_outside_bounds():
     space = default_space_set()
-    payload = space.to_dict()
-    payload["initial_action"][0] = 2.0
-    with pytest.raises(ConfigError):
-        SpaceSet.from_dict(payload)
+    bad = space.initial_action.copy()
+    bad[0] = 2.0
+    with pytest.raises(ConfigError, match="initial action outside bounds"):
+        SpaceSet(space.static, space.domain_train, space.domain_test, bad,
+                 space.reward, space.actions)
 
 
 def test_default_space_actions_match_scoring_functions():
