@@ -32,6 +32,7 @@ from .report import (
     read_trials_csv,
     render_report_md,
     render_score_chart,
+    require_paired,
     summarize_trials,
     trial_rows,
     write_summary_csv,
@@ -214,11 +215,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    out_dir = Path(args.out)
+def _summarize_table(out_dir: Path):
+    """Summarize ``trials.csv`` into ``summary.csv``; every method must
+    cover the same scenarios."""
     rows = read_trials_csv(out_dir / "trials.csv")
     summaries = summarize_trials(rows)
+    require_paired(rows)
     write_summary_csv(out_dir / "summary.csv", summaries)
+    return summaries
+
+
+def cmd_compare(args) -> int:
+    out_dir = Path(args.out)
+    summaries = _summarize_table(out_dir)
     width = max(len(s.method) for s in summaries)
     print(f"{'method'.ljust(width)}  scenarios  mean initial  mean best  "
           f"improvement  win rate")
@@ -233,9 +242,7 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     config = _config_of(args) if args.config else None
     out_dir = Path(args.out)
-    rows = read_trials_csv(out_dir / "trials.csv")
-    summaries = summarize_trials(rows)
-    write_summary_csv(out_dir / "summary.csv", summaries)
+    summaries = _summarize_table(out_dir)
     (out_dir / "scores.svg").write_text(render_score_chart(summaries),
                                         encoding="utf-8")
     markdown = render_report_md(

@@ -96,11 +96,10 @@ class DeviceClass:
 
 @dataclass
 class Node:
-    """One schedulable machine and the images it has pulled."""
+    """One schedulable machine."""
 
     id: int
     device: DeviceClass
-    image_cache: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,10 @@ class Cluster:
     Capacities and allocations live only in these arrays, and allocations
     change through :meth:`commit` alone.  The path arrays hold, per node, the
     latency and bottleneck bandwidth to the registry and to each data store
-    (one row per store, top layer first).
+    (one row per store, top layer first).  ``images`` maps each image name
+    that some node has pulled to a boolean array over the nodes, so scoring
+    reads a whole candidate set's cache state with one fancy index; images
+    change through :meth:`add_image` alone.
     """
 
     spec: ClusterSpec
@@ -143,6 +145,7 @@ class Cluster:
     registry_bw: np.ndarray = field(compare=False, repr=False)
     store_latency: np.ndarray = field(compare=False, repr=False)
     store_bw: np.ndarray = field(compare=False, repr=False)
+    images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -154,10 +157,18 @@ class Cluster:
         self.alloc_mem[node_id] += mem
 
     def add_image(self, node_id: int, image_name: str) -> None:
-        self.nodes[node_id].image_cache.add(image_name)
+        if image_name not in self.images:
+            self.images[image_name] = np.zeros(self.n_nodes, dtype=bool)
+        self.images[image_name][node_id] = True
 
     def has_image(self, node_id: int, image_name: str) -> bool:
-        return image_name in self.nodes[node_id].image_cache
+        cached = self.images.get(image_name)
+        return cached is not None and bool(cached[node_id])
+
+    def image_mask(self, image_name: str) -> np.ndarray:
+        """Boolean array over the nodes: which ones hold the image."""
+        cached = self.images.get(image_name)
+        return np.zeros(self.n_nodes, dtype=bool) if cached is None else cached
 
     def data_fetch_time(self, node_id: int, nbytes: float) -> float:
         """Transfer time from the nearest data store to a node."""
@@ -169,11 +180,11 @@ class Cluster:
         return float(self.registry_latency[node_id] + nbytes / self.registry_bw[node_id])
 
     def clone(self) -> "Cluster":
-        """Independent copy of the allocations and image caches; the
-        read-only arrays stay shared."""
-        nodes = [Node(n.id, n.device, set(n.image_cache)) for n in self.nodes]
-        return replace(self, nodes=nodes, alloc_cpu=self.alloc_cpu.copy(),
-                       alloc_mem=self.alloc_mem.copy())
+        """Independent copy of the allocations and image caches; the nodes
+        and the read-only arrays stay shared."""
+        return replace(self, alloc_cpu=self.alloc_cpu.copy(),
+                       alloc_mem=self.alloc_mem.copy(),
+                       images={name: cached.copy() for name, cached in self.images.items()})
 
 
 def load_device_catalog(data_dir=None) -> dict[str, DeviceClass]:

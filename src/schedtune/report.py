@@ -107,6 +107,26 @@ def read_trials_csv(path) -> list[dict]:
     return rows
 
 
+def require_paired(rows) -> None:
+    """Fail unless every method covers the same (scenario_seed,
+    scenario_digest) set, so per-method means compare like with like."""
+    covered: dict[str, set] = {}
+    for row in rows:
+        covered.setdefault(row["method"], set()).add(
+            (row["scenario_seed"], row["scenario_digest"]))
+    if not covered:
+        return
+    (first, reference), *others = sorted(covered.items())
+    for method, scenarios in others:
+        if scenarios != reference:
+            seed, digest = min(scenarios ^ reference)
+            owner = first if (seed, digest) in reference else method
+            raise ProtocolError(
+                f"trials table is unpaired: methods {first!r} and {method!r} "
+                f"cover different scenarios (seed {seed}, digest {digest} "
+                f"only under {owner!r})")
+
+
 def summarize_trials(rows) -> list[MethodSummary]:
     """Aggregate per method; best scores are recomputed from trials >= 1."""
     if not rows:

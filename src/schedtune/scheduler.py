@@ -116,7 +116,7 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
     balanced_resource = 1.0 - np.abs(u_cpu - u_mem) / 2.0
 
     pull = cluster.registry_latency[ids] + fn.image_bytes / cluster.registry_bw[ids]
-    cached = np.array([cluster.has_image(int(i), fn.image_name) for i in ids])
+    cached = cluster.image_mask(fn.image_name)[ids]
     latency_aware = np.where(
         cached, 1.0, 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0))
 

@@ -17,6 +17,17 @@ One benchmark run plays a request trace against a cluster copy:
   feasibility.
 * A request is successful iff it completes strictly before ``duration_s``.
 
+The event loop merges two streams: the trace, which must be sorted by
+arrival time and is read by index, and a heap that holds only pending
+completions.  At equal times an arrival goes before a completion, and
+completions go in the order they were scheduled.  Per-event work does not
+grow with the trace or the replica count: each function keeps a list of
+replica loads (queued plus in-service requests) and a count of waiting
+requests, both updated as requests arrive, start and complete, and each
+replica's compute, pull and fetch times are computed once, when it is
+placed.  Because allocations are never released, a function whose scale-up
+found no feasible node skips ``place`` for the rest of the run.
+
 The resulting per-function metrics feed a score in [0, 1]: the mean over
 functions of the mean of three terms -- capped-and-flipped mean execution
 time, capped-and-flipped mean queue wait, and the success ratio.
@@ -108,119 +119,164 @@ def compute_score(metrics: BenchmarkMetrics, norm: ScoreNorm = ScoreNorm()) -> f
 
 
 class _Replica:
-    __slots__ = ("pod", "function_name", "node_id", "queue", "serving")
+    """One pod: its FIFO queue and its service-time parts on its node."""
 
-    def __init__(self, pod: str, function_name: str, node_id: int):
-        self.pod = pod
-        self.function_name = function_name
+    __slots__ = ("index", "node_id", "queue", "exec_s", "pull_s", "fetch_s")
+
+    def __init__(self, index: int, node_id: int, exec_s: float,
+                 pull_s: float | None, fetch_s: float):
+        self.index = index
         self.node_id = node_id
         self.queue: deque[Request] = deque()
-        self.serving: Request | None = None
+        self.exec_s = exec_s
+        self.pull_s = pull_s  # None when the function has no image
+        self.fetch_s = fetch_s
 
-    @property
-    def load(self) -> int:
-        return len(self.queue) + (1 if self.serving is not None else 0)
+
+class _Function:
+    """Per-function engine state.
+
+    ``loads[i]`` is replica i's queued plus in-service request count, and
+    ``waiting`` the function's queued requests that are not yet in service.
+    ``unplaceable`` is set once ``place`` finds no feasible node: allocations
+    are never released, so no later scale-up can succeed either.
+    """
+
+    __slots__ = ("spec", "replicas", "loads", "waiting", "unplaceable",
+                 "fet", "wait", "n_total")
+
+    def __init__(self, spec: FunctionSpec):
+        self.spec = spec
+        self.replicas: list[_Replica] = []
+        self.loads: list[int] = []
+        self.waiting = 0
+        self.unplaceable = False
+        self.fet: list[float] = []
+        self.wait: list[float] = []
+        self.n_total = 0
 
 
 class _Engine:
     def __init__(self, cluster: Cluster, functions: list[FunctionSpec],
                  weights: np.ndarray, options: SimOptions):
         self.cluster = cluster.clone()
-        self.functions = functions
         self.weights = validate_weights(weights)
         self.options = options
         self.rng = np.random.default_rng(options.seed)
-        self.replicas: dict[str, list[_Replica]] = {fn.name: [] for fn in functions}
+        self.functions = {fn.name: _Function(fn) for fn in functions}
         self.placements: list[Placement] = []
-        self.heap: list[tuple] = []
+        self.completions: list[tuple] = []
         self.seq = 0
-        self.fet: dict[str, list[float]] = {fn.name: [] for fn in functions}
-        self.wait: dict[str, list[float]] = {fn.name: [] for fn in functions}
-        self.n_total: dict[str, int] = {fn.name: 0 for fn in functions}
 
-    def add_replica(self, fn: FunctionSpec, time_s: float) -> bool:
+    def add_replica(self, fs: _Function, time_s: float) -> bool:
+        if fs.unplaceable:
+            return False
+        fn = fs.spec
         nid = place(fn, self.cluster, self.weights, self.options.scheduler, self.rng)
         if nid is None:
+            fs.unplaceable = True
             return False
-        self.cluster.commit(nid, fn.req_cpu, fn.req_mem)
-        reps = self.replicas[fn.name]
-        pod = f"{fn.name}-{len(reps)}"
-        reps.append(_Replica(pod, fn.name, nid))
-        self.placements.append(Placement(pod, nid, time_s))
+        cluster = self.cluster
+        cluster.commit(nid, fn.req_cpu, fn.req_mem)
+        pull_s = cluster.image_pull_time(nid, fn.image_bytes) if fn.image_name else None
+        rep = _Replica(len(fs.replicas), nid,
+                       execution_seconds(fn, cluster.nodes[nid].device), pull_s,
+                       cluster.data_fetch_time(nid, fn.dataset_bytes))
+        fs.replicas.append(rep)
+        fs.loads.append(0)
+        self.placements.append(Placement(f"{fn.name}-{rep.index}", nid, time_s))
         return True
 
     def warm_up(self):
-        for fn in self.functions:
+        for fs in self.functions.values():
             for _ in range(self.options.min_replicas):
-                if not self.add_replica(fn, 0.0):
-                    raise UnschedulableError(fn.name)
+                if not self.add_replica(fs, 0.0):
+                    raise UnschedulableError(fs.spec.name)
 
-    def push(self, time_s: float, kind: str, payload):
-        self.seq += 1
-        heapq.heappush(self.heap, (time_s, self.seq, kind, payload))
-
-    def start_service(self, rep: _Replica, now: float):
+    def start_service(self, fs: _Function, rep: _Replica, now: float):
         req = rep.queue.popleft()
-        rep.serving = req
-        fn = req.function
-        node = self.cluster.nodes[rep.node_id]
-        service = execution_seconds(fn, node.device)
-        if fn.image_name and not self.cluster.has_image(rep.node_id, fn.image_name):
-            service += self.cluster.image_pull_time(rep.node_id, fn.image_bytes)
-            self.cluster.add_image(rep.node_id, fn.image_name)
-        service += self.cluster.data_fetch_time(rep.node_id, fn.dataset_bytes)
-        self.push(now + service, "complete", (rep, req.arrival_s, now, service))
+        fs.waiting -= 1
+        # Added in the order exec, pull, fetch, like the per-request sum
+        # this replaces, so service times stay bit-identical.
+        service = rep.exec_s
+        if rep.pull_s is not None:
+            image = fs.spec.image_name
+            if not self.cluster.has_image(rep.node_id, image):
+                service += rep.pull_s
+                self.cluster.add_image(rep.node_id, image)
+        service += rep.fetch_s
+        self.seq += 1
+        heapq.heappush(self.completions,
+                       (now + service, self.seq, fs, rep, req.arrival_s, now, service))
 
-    def maybe_scale(self, fn: FunctionSpec, now: float):
+    def maybe_scale(self, fs: _Function, now: float):
         # Waiting = queued but not in service; the trigger is a strict >.
-        reps = self.replicas[fn.name]
-        waiting = sum(len(r.queue) for r in reps)
-        if waiting <= QUEUE_SCALE_FACTOR * len(reps):
+        if fs.waiting <= QUEUE_SCALE_FACTOR * len(fs.replicas):
             return
         for _ in range(self.options.scale_factor):
-            if len(reps) >= self.options.max_replicas:
+            if len(fs.replicas) >= self.options.max_replicas:
                 break
-            if not self.add_replica(fn, now):
+            if not self.add_replica(fs, now):
                 break
 
     def on_arrival(self, req: Request, now: float):
-        reps = self.replicas[req.function.name]
-        self.n_total[req.function.name] += 1
-        target = min(enumerate(reps), key=lambda pair: (pair[1].load, pair[0]))[1]
+        fs = self.functions[req.function.name]
+        fs.n_total += 1
+        loads = fs.loads
+        # index() finds the first minimum: ties go to the oldest replica.
+        i = loads.index(min(loads))
+        loads[i] += 1
+        target = fs.replicas[i]
         target.queue.append(req)
-        if target.serving is None:
-            self.start_service(target, now)
-        self.maybe_scale(req.function, now)
+        fs.waiting += 1
+        if loads[i] == 1:
+            self.start_service(fs, target, now)
+        self.maybe_scale(fs, now)
+
+    def on_completion(self, fs: _Function, rep: _Replica, arrival_s: float,
+                      start_s: float, service_s: float, now: float):
+        fs.loads[rep.index] -= 1
+        fs.fet.append(service_s)
+        fs.wait.append(start_s - arrival_s)
+        if rep.queue:
+            self.start_service(fs, rep, now)
 
     def run(self, requests: list[Request]) -> SimResult:
         self.warm_up()
-        for i, req in enumerate(requests):
-            if req.arrival_s >= self.options.duration_s:
+        horizon = self.options.duration_s
+        prev = 0.0
+        for req in requests:
+            if req.arrival_s >= horizon:
                 raise ConfigError("request trace extends past the horizon")
-            heapq.heappush(self.heap, (req.arrival_s, -len(requests) + i, "arrival", req))
-        last = 0.0
-        while self.heap and self.heap[0][0] < self.options.duration_s:
-            now, _, kind, payload = heapq.heappop(self.heap)
-            assert now >= last, "event times must be nondecreasing"
-            last = now
-            if kind == "arrival":
-                self.on_arrival(payload, now)
+            if req.arrival_s < prev:
+                raise ConfigError("request trace must be sorted by arrival time, from 0")
+            prev = req.arrival_s
+        completions = self.completions
+        n, i, last = len(requests), 0, 0.0
+        while True:
+            # Arrivals win ties, so at equal times they go first.
+            if i < n and (not completions or requests[i].arrival_s <= completions[0][0]):
+                req = requests[i]
+                i += 1
+                now = req.arrival_s
+                assert now >= last, "event times must be nondecreasing"
+                last = now
+                self.on_arrival(req, now)
+            elif completions and completions[0][0] < horizon:
+                now, _, *done = heapq.heappop(completions)
+                assert now >= last, "event times must be nondecreasing"
+                last = now
+                self.on_completion(*done, now)
             else:
-                rep, arrival_s, start_s, service_s = payload
-                rep.serving = None
-                self.fet[rep.function_name].append(service_s)
-                self.wait[rep.function_name].append(start_s - arrival_s)
-                if rep.queue:
-                    self.start_service(rep, now)
+                break
 
         per = {}
-        for fn in self.functions:
-            fets, waits = self.fet[fn.name], self.wait[fn.name]
-            per[fn.name] = FunctionMetrics(
-                mu_fet_s=sum(fets) / len(fets) if fets else 0.0,
-                mu_wait_s=sum(waits) / len(waits) if waits else 0.0,
-                n_success=len(fets),
-                n_total=self.n_total[fn.name],
+        for name, fs in self.functions.items():
+            per[name] = FunctionMetrics(
+                mu_fet_s=sum(fs.fet) / len(fs.fet) if fs.fet else 0.0,
+                mu_wait_s=sum(fs.wait) / len(fs.wait) if fs.wait else 0.0,
+                n_success=len(fs.fet),
+                n_total=fs.n_total,
             )
         metrics = BenchmarkMetrics(per)
         return SimResult(metrics, compute_score(metrics, self.options.norm), self.placements)
@@ -229,7 +285,8 @@ class _Engine:
 def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
                       requests: list[Request], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
-    """Run an explicit request trace.  The input cluster is not mutated."""
+    """Run an explicit request trace, sorted by arrival time.  The input
+    cluster is not mutated."""
     return _Engine(cluster, functions, weights, options).run(requests)
 
 

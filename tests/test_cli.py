@@ -157,6 +157,22 @@ def test_compare_without_trials_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "report"])
+def test_unpaired_methods_fail_with_one_error_line(tmp_path, capsys, command):
+    config = write_config(tmp_path, n_scenarios=2)
+    out = str(tmp_path / "run")
+    assert main(["tune", "--config", config, "--seed", "1",
+                 "--out", out, "--method", "random"]) == 0
+    assert main(["tune", "--config", config, "--seed", "2",
+                 "--out", out, "--method", "fixed"]) == 0
+    capsys.readouterr()
+    assert main([command, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fixed" in err and "random" in err
+    assert not (tmp_path / "run" / "summary.csv").exists()
+
+
 def test_unknown_method_rejected_by_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tune", "--out", str(tmp_path / "x"), "--method", "grid"])

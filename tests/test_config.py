@@ -1,5 +1,6 @@
 """Experiment config parsing and validation."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +101,11 @@ def test_load_config_reports_json_position(tmp_path):
     path.write_text('{"name": "x",\n  "n_steps": }\n')
     with pytest.raises(ConfigError, match=r"line 2"):
         load_config(path)
+
+
+def test_readme_minimal_config_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    _, rest = readme.split("A minimal config", 1)
+    block = rest.split("```json\n", 1)[1].split("```", 1)[0]
+    config = config_from_dict(json.loads(block))
+    assert (config.num_envs, config.total_env_steps) == (4, 8000)

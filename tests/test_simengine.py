@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def test_requests_after_horizon_do_not_complete():
     assert fm.n_total == 1
     assert fm.n_success == 0
     assert fm.mu_fet_s == 0.0
+
+
+@pytest.mark.parametrize("times, message", [
+    ([1.0, 100.0], "past the horizon"),
+    ([2.0, 1.0], "sorted by arrival time"),
+    ([-1.0, 1.0], "sorted by arrival time"),
+])
+def test_trace_must_be_sorted_and_inside_the_horizon(times, message):
+    c = _two_xeon_cluster()
+    fn = make_function(name="f")
+    reqs = [wl.Request(fn, t) for t in times]
+    with pytest.raises(ConfigError, match=message):
+        se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, se.SimOptions())
 
 
 def test_warmup_places_min_replicas_and_commits():
@@ -190,9 +205,11 @@ def test_mismatched_horizons_rejected():
 
 
 # Scores of six sampled scenarios (50 s horizon) under the fixed weights and
-# one spread-out weight vector, as repr floats.  Any change to cluster
-# building, placement or the engine that is meant to keep behaviour must
-# keep every one of them bit for bit.
+# one spread-out weight vector, as repr floats, and the SHA-256 of each run's
+# (pod, node, repr(time_s)) placement list.  Any change to cluster building,
+# placement or the engine that is meant to keep behaviour must keep every one
+# of them bit for bit; the digests also catch a tie-break drift that happens
+# to leave the score unchanged.
 PINNED_WEIGHTS = np.array([0.3, 0.9, 0.1, 0.7, 0.5, 0.2, 0.8, 0.6])
 PINNED_SCORES = [
     # mode, rng seed, fixed weights, PINNED_WEIGHTS    preset / topology / nodes
@@ -203,6 +220,32 @@ PINNED_SCORES = [
     ("test", 1, 0.9027041253307555, 0.8136839030646894),  # edge_gpu urban 351
     ("test", 2, 0.756033659009378, 0.7519420683185483),  # hybrid_balanced internet 221
 ]
+PINNED_PLACEMENTS = {
+    # (mode, rng seed): (fixed weights, PINNED_WEIGHTS)
+    ("train", 0): (
+        "8fa0b4e2f7a0485d795d5154c513997a0873988dcc0867b560e8b6005990117d",
+        "1fb1fc566d47dd285b2667f3552d328567bc5c85fbde292f4561bf82416f29e6"),
+    ("train", 2): (
+        "76ec264eb8ece14e019235317a0f8ed6568849f7aa590f18564d30f15494bffd",
+        "73ed2bd5622d3594b595b8af51c9f48765407cd1192cd7cbf41db01c40fa9e2c"),
+    ("train", 11): (
+        "ac649d1564cdcad46f6bf419d410ab79f2f3459ef492b6bf8a878f3f3f299a0e",
+        "1277d0607de2d4db2302a78f82ce7fa52f79ee8750a1cb4f6ac488fa20b3570f"),
+    ("test", 0): (
+        "48af6bf745b60aa9c5fe47aaebb650e176d9bd1bfe57541aa5d7d31b668abb43",
+        "7eed9e88b93cd0fceca3d6939b508a1dcf3a3fe7d226932bc0f454f1082b7935"),
+    ("test", 1): (
+        "55583e13372f2eb4bfd17191138e11d2c87f515e1b4800edcce7329be4ce5b71",
+        "9ead377c5c41b360b470ef583c6868911a77cc25e3cdfc47db8aa827fb2c1d5f"),
+    ("test", 2): (
+        "0e3da09c623694bb68d12f56272a81b279eb74ec00cacc6929680ecd4463511a",
+        "9f0850341da60ed59c940e50588a64666da022093dda5323dd075263052a315b"),
+}
+
+
+def _placement_digest(result):
+    rows = [(p.pod, p.node, repr(p.time_s)) for p in result.placements]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mode, seed, fixed, spread", PINNED_SCORES)
@@ -210,6 +253,28 @@ def test_pinned_benchmark_scores(mode, seed, fixed, spread):
     scenario = sample_scenario(default_space_set(), mode,
                                np.random.default_rng(seed), duration_s=50.0)
     cluster = cl.build_cluster(scenario.cluster_spec)
-    scores = [se.run_benchmark(cluster, scenario.workload, w, scenario.options).score
-              for w in (sched.FIXED_WEIGHTS, PINNED_WEIGHTS)]
-    assert scores == [fixed, spread]
+    results = [se.run_benchmark(cluster, scenario.workload, w, scenario.options)
+               for w in (sched.FIXED_WEIGHTS, PINNED_WEIGHTS)]
+    assert [r.score for r in results] == [fixed, spread]
+    assert tuple(map(_placement_digest, results)) == PINNED_PLACEMENTS[mode, seed]
+
+
+def test_scale_up_stops_calling_place_after_the_feasibility_wall(monkeypatch):
+    # Two 32-core nodes hold four 16-core replicas.  Allocations are never
+    # released, so once place finds no node, no later scale-up can succeed.
+    c = _two_xeon_cluster()
+    fn = make_function(name="wide", cpu=16.0, image_bytes=0.0,
+                       dataset_bytes=0.0, base_exec_s=50.0)
+    reqs = [wl.Request(fn, 0.01 * i) for i in range(1, 200)]
+    outcomes = []
+
+    def recording_place(*args, **kwargs):
+        outcomes.append(sched.place(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(se, "place", recording_place)
+    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS,
+                               se.SimOptions(min_replicas=1, max_replicas=100))
+    assert len(res.placements) == 4
+    assert outcomes.count(None) == 1
+    assert outcomes[-1] is None
