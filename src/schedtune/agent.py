@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -109,15 +111,22 @@ def tanh_action(env_act: np.ndarray) -> np.ndarray:
 
 class SacAgent:
     def __init__(self, config: SacConfig, seed: int = 0):
+        self._build(config, seed, fill=True)
+
+    def _build(self, config: SacConfig, seed: int, fill: bool) -> None:
+        """Allocate every array.  With ``fill`` False the network weights
+        are left uninitialized and the rng draws nothing: :meth:`load`
+        overwrites them, and the Adam moments, from the checkpoint."""
         self.config = config
         self.rng = np.random.default_rng(seed)
+        init = self.rng if fill else None
         sizes = (config.obs_dim,) + config.hidden
-        self.policy = Mlp(sizes + (2 * config.act_dim,), self.rng)
+        self.policy = Mlp(sizes + (2 * config.act_dim,), init)
         critic_sizes = (config.obs_dim + config.act_dim,) + config.hidden + (1,)
-        self.q1 = Mlp(critic_sizes, self.rng)
-        self.q2 = Mlp(critic_sizes, self.rng)
-        self.q1_target = self.q1.clone()
-        self.q2_target = self.q2.clone()
+        self.q1 = Mlp(critic_sizes, init)
+        self.q2 = Mlp(critic_sizes, init)
+        self.q1_target = self.q1.clone() if fill else Mlp(critic_sizes, None)
+        self.q2_target = self.q2.clone() if fill else Mlp(critic_sizes, None)
         self.log_alpha = np.zeros(1)
         self.opt_policy = Adam(self.policy.parameters, lr=config.lr)
         self.opt_critic = Adam(self.q1.parameters + self.q2.parameters,
@@ -287,9 +296,15 @@ class SacAgent:
         return out
 
     def save(self, path) -> None:
-        arrays = self._named_arrays()
-        payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                           for _, a in arrays)
+        """Write the header, then each array's little-endian float64 bytes
+        in ``_named_arrays`` order.  The header carries the payload digest,
+        so one pass hashes the arrays before a second writes them; neither
+        copies them on a little-endian host."""
+        arrays = [(name, np.ascontiguousarray(a, dtype="<f8"))
+                  for name, a in self._named_arrays()]
+        hasher = hashlib.sha256()
+        for _, a in arrays:
+            hasher.update(a)
         header = {
             "config": asdict(self.config),
             "arrays": [[name, list(a.shape)] for name, a in arrays],
@@ -298,7 +313,7 @@ class SacAgent:
             "adam_steps": {"opt_policy": self.opt_policy.t,
                            "opt_critic": self.opt_critic.t,
                            "opt_alpha": self.opt_alpha.t},
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "payload_sha256": hasher.hexdigest(),
         }
         blob = json.dumps(header, sort_keys=True).encode()
         with open(path, "wb") as fh:
@@ -306,68 +321,82 @@ class SacAgent:
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(payload)
+            for _, a in arrays:
+                fh.write(a)
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "SacAgent":
+        """Read a checkpoint written by :meth:`save`.
+
+        The header is checked in full first: its keys, the arrays the
+        config implies (each once, with its shape) and the payload length
+        against the file size.  Then each array is read from the file
+        straight into the agent's own storage, in header order, and hashed
+        as it arrives; the digest is compared before the agent is returned.
+        The agent's rng starts fresh from ``seed``.
+        """
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            fh = open(path, "rb")
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path} is not an agent checkpoint")
-        version = struct.unpack("<I", raw[4:8])[0]
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version}, "
-                f"expected {CHECKPOINT_VERSION}")
-        header_len = struct.unpack("<Q", raw[8:16])[0]
-        if len(raw) < 16 + header_len:
-            raise CheckpointError(f"{path} is truncated inside the header")
-        try:
-            header = json.loads(raw[16:16 + header_len].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
-        try:
-            config_dict = dict(header["config"])
-            config_dict["hidden"] = tuple(config_dict["hidden"])
-            config = SacConfig(**config_dict)
-            arrays = [(str(name), list(shape)) for name, shape in header["arrays"]]
-            counters = [int(header[key]) for key in ("env_steps", "grad_steps")]
-            counters += [int(header["adam_steps"][key])
-                         for key in ("opt_policy", "opt_critic", "opt_alpha")]
-            digest = header["payload_sha256"]
-            expected = sum(int(np.prod(shape)) * 8 for _, shape in arrays)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
-        payload = raw[16 + header_len:]
-        if len(payload) != expected:
-            raise CheckpointError(
-                f"{path} payload is {len(payload)} bytes, expected {expected}")
-        if hashlib.sha256(payload).hexdigest() != digest:
-            raise CheckpointError(f"{path} payload does not match its digest")
-
-        agent = cls(config, seed=seed)
-        targets = dict(agent._named_arrays())
-        names = [name for name, _ in arrays]
-        if sorted(names) != sorted(targets):
-            odd = set(names) ^ set(targets) | {n for n in names if names.count(n) > 1}
-            raise CheckpointError(
-                f"{path}: arrays missing, unknown or repeated: {sorted(odd)}")
-        offset = 0
-        for name, shape in arrays:
-            dst = targets[name]
-            if list(dst.shape) != list(shape):
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(16)
+            if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path} is not an agent checkpoint")
+            version, header_len = struct.unpack("<IQ", head[4:])
+            if version != CHECKPOINT_VERSION:
                 raise CheckpointError(
-                    f"{path}: array {name!r} has shape {shape}, "
-                    f"expected {list(dst.shape)}")
-            count = dst.size
-            values = np.frombuffer(payload, dtype="<f8", count=count,
-                                   offset=offset)
-            dst[:] = values.reshape(dst.shape)
-            offset += count * 8
+                    f"unsupported checkpoint version {version}, "
+                    f"expected {CHECKPOINT_VERSION}")
+            if size < 16 + header_len:
+                raise CheckpointError(f"{path} is truncated inside the header")
+            try:
+                header = json.loads(fh.read(header_len).decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
+            try:
+                config_dict = dict(header["config"])
+                config_dict["hidden"] = tuple(config_dict["hidden"])
+                config = SacConfig(**config_dict)
+                arrays = [(str(name), list(shape)) for name, shape in header["arrays"]]
+                counters = [int(header[key]) for key in ("env_steps", "grad_steps")]
+                counters += [int(header["adam_steps"][key])
+                             for key in ("opt_policy", "opt_critic", "opt_alpha")]
+                digest = header["payload_sha256"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
+
+            agent = cls.__new__(cls)
+            agent._build(config, seed, fill=False)
+            targets = dict(agent._named_arrays())
+            names = [name for name, _ in arrays]
+            if sorted(names) != sorted(targets):
+                odd = set(names) ^ set(targets) | {n for n in names if names.count(n) > 1}
+                raise CheckpointError(
+                    f"{path}: arrays missing, unknown or repeated: {sorted(odd)}")
+            for name, shape in arrays:
+                if list(targets[name].shape) != shape:
+                    raise CheckpointError(
+                        f"{path}: array {name!r} has shape {shape}, "
+                        f"expected {list(targets[name].shape)}")
+            payload = size - 16 - header_len
+            expected = sum(a.nbytes for a in targets.values())
+            if payload != expected:
+                raise CheckpointError(
+                    f"{path} payload is {payload} bytes, expected {expected}")
+
+            hasher = hashlib.sha256()
+            for name in names:
+                dst = targets[name]
+                if fh.readinto(dst) != dst.nbytes:
+                    raise CheckpointError(f"{path} is truncated inside the payload")
+                hasher.update(dst)
+                if sys.byteorder == "big":
+                    dst.byteswap(inplace=True)
+        if hasher.hexdigest() != digest:
+            raise CheckpointError(f"{path} payload does not match its digest")
         (agent.env_steps, agent.grad_steps, agent.opt_policy.t,
          agent.opt_critic.t, agent.opt_alpha.t) = counters
         return agent

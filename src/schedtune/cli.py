@@ -17,7 +17,9 @@ import argparse
 import csv
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +74,9 @@ def scenario_seeds(seed: int, count: int) -> list[int]:
             for c in children]
 
 
-def _tune_worker(payload: dict) -> list[dict]:
+def _tune_worker(payload: dict) -> tuple[list[dict], float]:
+    """Tune one scenario; return its trial rows and its wall time in s."""
+    start = time.perf_counter()
     config = config_from_dict(payload["config"])
     method = payload["method"]
     scenario_seed = payload["scenario_seed"]
@@ -84,7 +88,17 @@ def _tune_worker(payload: dict) -> list[dict]:
         optimizer = make_optimizer(method, dim=env.action_dim)
         episode = run_tuning(optimizer, env, seed=scenario_seed)
     names = [v.name for v in env.space.actions]
-    return trial_rows(config.name, method, scenario_seed, episode, names)
+    rows = trial_rows(config.name, method, scenario_seed, episode, names)
+    return rows, time.perf_counter() - start
+
+
+def _report_progress(index: int, total: int, rows: list[dict], seconds: float):
+    """One stderr line per finished scenario: reference and best score."""
+    r0 = float(rows[0]["score"])
+    best = max(float(row["score"]) for row in rows[1:])
+    print(f"[{index}/{total}] scenario {rows[0]['scenario_digest']}: "
+          f"r0 {r0:.4f} best {best:.4f} ({seconds:.2f} s)",
+          file=sys.stderr, flush=True)
 
 
 def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
@@ -101,15 +115,20 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         "scenario_seed": s,
         "checkpoint": None if checkpoint is None else str(checkpoint),
     } for s in scenario_seeds(seed, config.n_scenarios)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_rows = list(pool.map(_tune_worker, payloads))
-    else:
-        all_rows = [_tune_worker(p) for p in payloads]
+    all_rows = []
+    with ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_tune_worker, payloads)
+        else:
+            results = (_tune_worker(p) for p in payloads)
+        for index, (rows, seconds) in enumerate(results, start=1):
+            _report_progress(index, len(payloads), rows, seconds)
+            all_rows.extend(rows)
     env = make_env(config)
     names = [v.name for v in env.space.actions]
     path = out_dir / "trials.csv"
-    write_trials_csv(path, [row for rows in all_rows for row in rows], names)
+    write_trials_csv(path, all_rows, names)
     return path
 
 

@@ -130,7 +130,9 @@ class Cluster:
     (one row per store, top layer first).  ``images`` maps each image name
     that some node has pulled to a boolean array over the nodes, so scoring
     reads a whole candidate set's cache state with one fancy index; images
-    change through :meth:`add_image` alone.
+    change through :meth:`add_image` alone.  ``static_scores`` is the
+    scheduler's cache of the scoring columns that depend only on the nodes,
+    keyed by (function, scheduler options); clones share it.
     """
 
     spec: ClusterSpec
@@ -146,6 +148,7 @@ class Cluster:
     store_latency: np.ndarray = field(compare=False, repr=False)
     store_bw: np.ndarray = field(compare=False, repr=False)
     images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
+    static_scores: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -180,8 +183,8 @@ class Cluster:
         return float(self.registry_latency[node_id] + nbytes / self.registry_bw[node_id])
 
     def clone(self) -> "Cluster":
-        """Independent copy of the allocations and image caches; the nodes
-        and the read-only arrays stay shared."""
+        """Independent copy of the allocations and image caches; the nodes,
+        the read-only arrays and ``static_scores`` stay shared."""
         return replace(self, alloc_cpu=self.alloc_cpu.copy(),
                        alloc_mem=self.alloc_mem.copy(),
                        images={name: cached.copy() for name, cached in self.images.items()})

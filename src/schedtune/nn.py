@@ -17,22 +17,32 @@ class Mlp:
 
     ``forward`` caches activations; ``backward`` accumulates parameter
     gradients (scaled however the caller scaled ``grad_out``) and returns
-    the gradient with respect to the input batch.
+    the gradient with respect to the input batch.  With ``rng`` None the
+    weights and biases are allocated but not initialized, for a caller that
+    fills them (a checkpoint load).
     """
 
-    def __init__(self, sizes, rng: np.random.Generator):
+    def __init__(self, sizes, rng: np.random.Generator | None):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
         self.sizes = sizes
-        self.weights = [
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
-        ]
-        self.biases = [np.zeros(fan_out) for fan_out in sizes[1:]]
-        self.grad_weights = [np.zeros_like(w) for w in self.weights]
-        self.grad_biases = [np.zeros_like(b) for b in self.biases]
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        if rng is None:
+            self.weights = [np.empty(shape) for shape in shapes]
+            self.biases = [np.empty(fan_out) for _, fan_out in shapes]
+        else:
+            self.weights = [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+                            for fan_in, fan_out in shapes]
+            self.biases = [np.zeros(fan_out) for _, fan_out in shapes]
+        self._alloc_grads()
         self._cache = None
+
+    def _alloc_grads(self) -> None:
+        # np.zeros, unlike zeros_like, can take pre-zeroed pages from the
+        # allocator, so networks that never run backward never touch them.
+        self.grad_weights = [np.zeros(w.shape) for w in self.weights]
+        self.grad_biases = [np.zeros(b.shape) for b in self.biases]
 
     @property
     def n_layers(self) -> int:
@@ -93,8 +103,7 @@ class Mlp:
         twin.sizes = self.sizes
         twin.weights = [w.copy() for w in self.weights]
         twin.biases = [b.copy() for b in self.biases]
-        twin.grad_weights = [np.zeros_like(w) for w in self.weights]
-        twin.grad_biases = [np.zeros_like(b) for b in self.biases]
+        twin._alloc_grads()
         twin._cache = None
         return twin
 
@@ -128,8 +137,8 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:

@@ -60,15 +60,17 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (N_WEIGHTS,):
         raise ConfigError(f"weight vector must have shape ({N_WEIGHTS},), got {w.shape}")
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    # Written so that NaN fails too: every comparison with NaN is False.
+    if not (w.min() >= 0.0 and w.max() <= 1.0):
         raise ConfigError("weights must lie in [0, 1]")
     return w
 
 
 def piecewise_linear(u, points) -> np.ndarray:
-    """Linear interpolation through breakpoints, clamped at the endpoints."""
-    xs = np.array([x for x, _ in points])
-    ys = np.array([y for _, y in points])
+    """Linear interpolation through breakpoints, clamped at the endpoints.
+
+    ``points`` holds (x, y) pairs, as a sequence or an (m, 2) array."""
+    xs, ys = np.asarray(points, dtype=float).T
     return np.interp(u, xs, ys)
 
 
@@ -81,6 +83,46 @@ def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     return mask
 
 
+def _static_columns(fn: FunctionSpec, cluster: Cluster,
+                    options: SchedulerOptions) -> tuple[np.ndarray, np.ndarray]:
+    """The score columns that depend only on the function, the node and the
+    options, over all nodes: rows locality_type, data_locality, capability
+    and the image term of a node without the image; plus the rtc
+    breakpoints as an (m, 2) array.
+
+    Computed on first use and kept in ``cluster.static_scores``, which the
+    engine's clones share.  Each element is the same float a per-candidate
+    computation gives, so scores stay bit-identical.
+    """
+    key = (fn, options)
+    entry = cluster.static_scores.get(key)
+    if entry is not None:
+        return entry
+    n = cluster.n_nodes
+    if fn.preferred_locality == "any":
+        locality_type = np.ones(n)
+    else:
+        want = 0 if fn.preferred_locality == "cloud" else 1
+        locality_type = (cluster.locality_code == want).astype(float)
+
+    fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
+    data_locality = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
+
+    if fn.preferred_accelerator == "none":
+        capability = np.full(n, 0.5)
+    else:
+        want = ACCELERATORS.index(fn.preferred_accelerator)
+        capability = (cluster.accel_code == want).astype(float)
+
+    pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
+    uncached = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
+
+    entry = (np.vstack([locality_type, data_locality, capability, uncached]),
+             np.array(options.rtc_points, dtype=float))
+    cluster.static_scores[key] = entry
+    return entry
+
+
 def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
                 options: SchedulerOptions) -> np.ndarray:
     """Matrix of the eight scores, one row per node id.
@@ -89,36 +131,21 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
     utilizations then stay within [0, 1] by construction.
     """
     ids = np.asarray(node_ids, dtype=int)
+    static, rtc_points = _static_columns(fn, cluster, options)
+    locality_type, data_locality, capability, uncached = static[:, ids]
+
     u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
     u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
     u = (u_cpu + u_mem) / 2.0
 
     least_allocated = 1.0 - u
     most_allocated = u
-    rtc_ratio = piecewise_linear(u, options.rtc_points)
-
-    if fn.preferred_locality == "any":
-        locality_type = np.ones(len(ids))
-    else:
-        want = 0 if fn.preferred_locality == "cloud" else 1
-        locality_type = (cluster.locality_code[ids] == want).astype(float)
-
-    fetch = (cluster.store_latency[:, ids] + fn.dataset_bytes / cluster.store_bw[:, ids]).min(axis=0)
-    data_locality = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
-
-    if fn.preferred_accelerator == "none":
-        capability = np.full(len(ids), 0.5)
-    else:
-        want = ACCELERATORS.index(fn.preferred_accelerator)
-        capability = (cluster.accel_code[ids] == want).astype(float)
+    rtc_ratio = piecewise_linear(u, rtc_points)
 
     # Population stddev of two utilizations collapses to half their gap.
     balanced_resource = 1.0 - np.abs(u_cpu - u_mem) / 2.0
 
-    pull = cluster.registry_latency[ids] + fn.image_bytes / cluster.registry_bw[ids]
-    cached = cluster.image_mask(fn.image_name)[ids]
-    latency_aware = np.where(
-        cached, 1.0, 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0))
+    latency_aware = np.where(cluster.image_mask(fn.image_name)[ids], 1.0, uncached)
 
     return np.column_stack([
         least_allocated, most_allocated, rtc_ratio, locality_type,

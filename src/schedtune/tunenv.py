@@ -332,7 +332,8 @@ class TuningEnv:
         a = np.asarray(action, dtype=float).reshape(-1)
         if a.shape != (self.action_dim,):
             raise ConfigError(f"action must have dimension {self.action_dim}")
-        if np.any(a < -1e-9) or np.any(a > 1.0 + 1e-9):
+        # NaN fails both comparisons, so it is rejected here too.
+        if not (a.min() >= -1e-9 and a.max() <= 1.0 + 1e-9):
             raise ConfigError("action outside the unit box")
         a = np.clip(a, 0.0, 1.0)
         score = float(self._evaluate(a))

@@ -253,18 +253,6 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         SacAgent.load(bad_magic)
 
-    truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(bytes(raw[:-40]))
-    with pytest.raises(CheckpointError):
-        SacAgent.load(truncated)
-
-    flipped = bytearray(raw)
-    flipped[-1] ^= 0xFF
-    corrupt = tmp_path / "corrupt.ckpt"
-    corrupt.write_bytes(bytes(flipped))
-    with pytest.raises(CheckpointError):
-        SacAgent.load(corrupt)
-
     versioned = bytearray(raw)
     versioned[4] = 99
     future = tmp_path / "future.ckpt"
@@ -275,6 +263,48 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         SacAgent.load(tmp_path / "missing.ckpt")
     assert raw[:4] == CHECKPOINT_MAGIC
+
+
+def _flip(offset):
+    def mutate(raw):
+        raw[offset] ^= 0xFF
+        return raw
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda raw: raw[:-40], "payload is"),
+    (lambda raw: raw[:-1], "payload is"),
+    (lambda raw: raw + b"\0", "payload is"),
+    (lambda raw: raw[:30], "header"),
+    (_flip(-1), "digest"),        # last byte of the last array
+    (_flip(-9), "digest"),        # last byte of the array before it
+], ids=["short-40", "short-1", "trailing-1", "short-header", "flip-last",
+        "flip-second-last"])
+def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
+    agent = tiny_agent(seed=21)
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    path.write_bytes(bytes(mutate(bytearray(path.read_bytes()))))
+    with pytest.raises(CheckpointError, match=message):
+        SacAgent.load(path)
+
+
+def test_checkpoint_loads_arrays_in_header_order(tmp_path):
+    rng = np.random.default_rng(25)
+    agent = tiny_agent(seed=25)
+    batch = (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
+             rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4))
+    agent.update(batch)   # Adam moments and targets off their initial values
+    names = [name for name, _ in agent._named_arrays()]
+    path = _forge_checkpoint(tmp_path / "rev.ckpt", agent, names[::-1])
+    clone = SacAgent.load(path)
+    for (name_a, arr_a), (name_b, arr_b) in zip(agent._named_arrays(),
+                                                clone._named_arrays()):
+        assert name_a == name_b
+        assert np.array_equal(arr_a, arr_b), name_a
+    for obs in rng.uniform(-1, 1, (5, 3)):
+        assert np.array_equal(agent.act(obs), clone.act(obs))
 
 
 def _forge_checkpoint(path, agent, names=None, drop=()):

@@ -1,6 +1,7 @@
 """Command line behavior, driven through main()."""
 import csv
 import json
+import re
 
 import pytest
 
@@ -58,12 +59,25 @@ def test_tune_compare_report_round_trip(tmp_path, capsys):
     assert (tmp_path / "run" / "scores.svg").read_text().startswith("<svg")
 
 
-def test_trials_table_shape(tmp_path):
+def test_trials_table_shape(tmp_path, capsys):
     config = write_config(tmp_path, n_scenarios=2)
     out = tmp_path / "run"
     assert main(["tune", "--config", config, "--seed", "1",
                  "--out", str(out), "--method", "random"]) == 0
     rows = read_trials_csv(out / "trials.csv")
+    # one progress line per scenario, in scenario order
+    progress = capsys.readouterr().err.splitlines()
+    assert len(progress) == 2
+    for i, line in enumerate(progress):
+        match = re.fullmatch(r"\[(\d)/2\] scenario (\S+): r0 (\S+) best (\S+) "
+                             r"\((\d+\.\d\d) s\)", line)
+        assert match, line
+        index, digest, r0, best, _ = match.groups()
+        trials = rows[5 * i: 5 * i + 5]
+        assert int(index) == i + 1
+        assert digest == trials[0]["scenario_digest"]
+        assert r0 == f"{trials[0]['score']:.4f}"
+        assert best == f"{max(t['score'] for t in trials[1:]):.4f}"
     assert len(rows) == 2 * (1 + 4)  # per scenario: reference + 4 trials
     by_seed = {}
     for row in rows:

@@ -122,6 +122,27 @@ def test_data_locality_decreases_with_dataset_size(small_cluster):
     assert far == 0.0
 
 
+def test_cached_columns_follow_function_options_and_clones():
+    # One cluster scores every (function, options) pair in turn; each result
+    # must equal the same scoring on a freshly built cluster, clone included.
+    spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
+    shared = cl.build_cluster(spec)
+    ids = np.arange(0, 60, 3)
+    functions = [make_function(), make_function(name="g", accel="gpu", locality="cloud",
+                                                dataset_bytes=1e9, image_bytes=3e8)]
+    options = [sched.SchedulerOptions(),
+               sched.SchedulerOptions(rtc_points=((0.0, 1.0), (1.0, 0.0)),
+                                      data_time_cap_s=0.5, image_time_cap_s=0.5)]
+    for fn in functions:
+        for opts in options:
+            for target in (shared, shared.clone()):
+                fresh = cl.build_cluster(spec)
+                assert np.array_equal(sched.score_nodes(fn, ids, target, opts),
+                                      sched.score_nodes(fn, ids, fresh, opts))
+    assert len(shared.static_scores) == 4
+    assert shared.clone().static_scores is shared.static_scores
+
+
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
     opts = sched.SchedulerOptions()
     ids = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0]
@@ -188,6 +209,15 @@ def test_invalid_weights_rejected(small_cluster, probe_function):
         sched.SchedulerOptions(percent_nodes_to_score=0.0)
     with pytest.raises(ConfigError):
         sched.SchedulerOptions(rtc_points=((0.0, 0.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("bad", [np.full(8, np.nan),
+                                 np.array([0.5] * 7 + [np.nan]),
+                                 np.array([np.inf] + [0.5] * 7)])
+def test_validate_weights_rejects_nan_and_inf(bad):
+    # argmax over NaN totals silently picks the first candidate
+    with pytest.raises(ConfigError, match="weights"):
+        sched.validate_weights(bad)
 
 
 @settings(max_examples=60, deadline=None)

@@ -148,6 +148,10 @@ def test_action_validation():
         env.step(np.array([0.5, 1.5]))
     with pytest.raises(ConfigError):
         env.step(np.array([-0.5, 0.5]))
+    for bad in ([np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ConfigError, match="unit box"):
+            env.step(np.array(bad))
+    assert env.episode.trials == []
 
 
 def test_benchmark_calls_one_reset_plus_one_per_step():
