@@ -8,6 +8,7 @@ action inputs for the actor update, so no autodiff framework is needed.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -105,10 +106,6 @@ def env_action(tanh_action: np.ndarray) -> np.ndarray:
     return (np.asarray(tanh_action, dtype=float) + 1.0) / 2.0
 
 
-def tanh_action(env_act: np.ndarray) -> np.ndarray:
-    return 2.0 * np.asarray(env_act, dtype=float) - 1.0
-
-
 class SacAgent:
     def __init__(self, config: SacConfig, seed: int = 0):
         self._build(config, seed, fill=True)
@@ -128,9 +125,8 @@ class SacAgent:
         self.q1_target = self.q1.clone() if fill else Mlp(critic_sizes, None)
         self.q2_target = self.q2.clone() if fill else Mlp(critic_sizes, None)
         self.log_alpha = np.zeros(1)
-        self.opt_policy = Adam(self.policy.parameters, lr=config.lr)
-        self.opt_critic = Adam(self.q1.parameters + self.q2.parameters,
-                               lr=config.lr)
+        self.opt_policy = Adam([self.policy.flat], lr=config.lr)
+        self.opt_critic = Adam([self.q1.flat, self.q2.flat], lr=config.lr)
         self.opt_alpha = Adam([self.log_alpha], lr=config.lr)
         self.env_steps = 0
         self.grad_steps = 0
@@ -161,16 +157,6 @@ class SacAgent:
         logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
         logp -= np.log(1.0 - a**2 + SQUASH_EPS).sum(axis=1)
         return a, logp
-
-    def log_prob(self, obs: np.ndarray, tanh_actions: np.ndarray) -> np.ndarray:
-        """Log-density of given tanh-space actions under the current policy."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        a = np.atleast_2d(np.asarray(tanh_actions, dtype=float))
-        mean, _, log_std = self._heads(obs)
-        u = np.arctanh(np.clip(a, -1.0 + 1e-12, 1.0 - 1e-12))
-        eps = (u - mean) / np.exp(log_std)
-        logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
-        return logp - np.log(1.0 - a**2 + SQUASH_EPS).sum(axis=1)
 
     def act(self, obs: np.ndarray, deterministic: bool = True) -> np.ndarray:
         """Single-observation action in the environment's unit box."""
@@ -210,8 +196,8 @@ class SacAgent:
 
         ``eps`` is the fixed reparameterization noise.  Gradients reach the
         policy directly through the entropy terms and through the critics'
-        action inputs; critic weight gradients picked up along the way are
-        cleared before returning.
+        action inputs; the critics' backward passes are input-only, so their
+        gradient buffers are left as they were.
         """
         n = len(obs)
         alpha = self.alpha
@@ -227,14 +213,10 @@ class SacAgent:
         q2_new = self.q2.forward(actor_in)[:, 0]
         use_q1 = (q1_new <= q2_new).astype(float)
         q_min = np.where(use_q1 > 0, q1_new, q2_new)
-        self.q1.zero_grads()
-        self.q2.zero_grads()
-        gin1 = self.q1.backward((-use_q1 / n)[:, None])
-        gin2 = self.q2.backward((-(1.0 - use_q1) / n)[:, None])
+        gin1 = self.q1.backward((-use_q1 / n)[:, None], input_only=True)
+        gin2 = self.q2.backward((-(1.0 - use_q1) / n)[:, None], input_only=True)
         # d(loss)/d(action), already scaled by -1/n through the output grads.
         dq_da = (gin1 + gin2)[:, self.config.obs_dim:]
-        self.q1.zero_grads()
-        self.q2.zero_grads()
 
         one_minus_sq = 1.0 - a_new**2
         squash_grad = 2.0 * a_new * one_minus_sq / (one_minus_sq + SQUASH_EPS)
@@ -255,11 +237,11 @@ class SacAgent:
 
         target = self.critic_targets(rew, next_obs, done)
         critic_loss = self.critic_gradients(obs, act, target)
-        self.opt_critic.step(self.q1.gradients + self.q2.gradients)
+        self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat])
 
         eps = self.rng.standard_normal((len(obs), cfg.act_dim))
         actor_loss, logp = self.actor_gradients(obs, eps)
-        self.opt_policy.step(self.policy.gradients)
+        self.opt_policy.step([self.policy.grad_flat])
 
         # Temperature: loss -log_alpha * mean(logp + entropy_target).
         entropy_gap = float(np.mean(logp) + cfg.entropy_target)
@@ -287,13 +269,16 @@ class SacAgent:
                 out.append((f"{name}.w{i}", w))
                 out.append((f"{name}.b{i}", b))
         out.append(("log_alpha", self.log_alpha))
-        opts = (("opt_policy", self.opt_policy), ("opt_critic", self.opt_critic),
-                ("opt_alpha", self.opt_alpha))
-        for name, opt in opts:
-            for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-                out.append((f"{name}.m{i}", m))
-                out.append((f"{name}.v{i}", v))
-        return out
+        # A network's moments are named per array, like its parameters.
+        opts = (("opt_policy", self.opt_policy, [self.policy]),
+                ("opt_critic", self.opt_critic, [self.q1, self.q2]))
+        for name, opt, owners in opts:
+            m = [a for net, buf in zip(owners, opt.m) for a in net.split(buf)]
+            v = [a for net, buf in zip(owners, opt.v) for a in net.split(buf)]
+            for i, (mi, vi) in enumerate(zip(m, v)):
+                out += [(f"{name}.m{i}", mi), (f"{name}.v{i}", vi)]
+        return out + [("opt_alpha.m0", self.opt_alpha.m[0]),
+                      ("opt_alpha.v0", self.opt_alpha.v[0])]
 
     def save(self, path) -> None:
         """Write the header, then each array's little-endian float64 bytes
@@ -415,6 +400,16 @@ def evaluate_policy(agent: SacAgent, env: TuningEnv,
     return episodes
 
 
+LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",
+               "actor_loss", "alpha_loss", "alpha", "entropy")
+
+
+def _write_log_row(path, mode: str, row) -> None:
+    """Write one CSV row and close the file, so the row is on disk."""
+    with open(path, mode, newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(row)
+
+
 @dataclass
 class TrainResult:
     history: list[dict] = field(default_factory=list)
@@ -424,9 +419,11 @@ class TrainResult:
 def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                 seed: int, eval_env: TuningEnv | None = None,
                 eval_seeds=(), eval_every: int = 0,
-                checkpoint_path=None, log_every: int = 500) -> TrainResult:
+                checkpoint_path=None, log_every: int = 500,
+                log_path=None) -> TrainResult:
     """Standard off-policy loop: uniform warm-up actions until
-    ``start_steps``, then one gradient step per environment step."""
+    ``start_steps``, then one gradient step per environment step.  Log
+    entries go to ``result.history`` and, as they are made, to ``log_path``."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
@@ -439,6 +436,8 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
     stats: dict = {}
     next_log = log_every
     next_eval = eval_every
+    if log_path is not None:
+        _write_log_row(log_path, "w", LOG_COLUMNS)
 
     while agent.env_steps < total_env_steps:
         if agent.env_steps < cfg.start_steps:
@@ -467,6 +466,8 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                          float(np.mean(recent)) if recent else 0.0}
             entry.update(stats)
             result.history.append(entry)
+            if log_path is not None:
+                _write_log_row(log_path, "a", [entry.get(k, "") for k in LOG_COLUMNS])
 
         if eval_every and eval_env is not None and agent.env_steps >= next_eval:
             next_eval += eval_every

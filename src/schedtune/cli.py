@@ -205,21 +205,15 @@ def cmd_train_agent(args) -> int:
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
     eval_config = ExperimentConfig(**{**config.to_dict(), "mode": "test"})
     checkpoint = out_dir / "agent.ckpt"
-    result = train_agent(
+    train_agent(
         agent, vec, total_env_steps=config.total_env_steps, seed=args.seed,
         eval_env=make_env(eval_config) if config.eval_every else None,
         eval_seeds=scenario_seeds(args.seed + 1, config.n_eval_seeds),
         eval_every=config.eval_every,
         checkpoint_path=checkpoint,
         log_every=config.log_every,
+        log_path=out_dir / "train_log.csv",
     )
-    log_path = out_dir / "train_log.csv"
-    if result.history:
-        with open(log_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(result.history[-1]))
-            writer.writeheader()
-            for entry in result.history:
-                writer.writerow(entry)
     print(f"trained for {agent.env_steps} environment steps; "
           f"checkpoint at {checkpoint}")
     return 0

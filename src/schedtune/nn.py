@@ -3,23 +3,32 @@
 The networks here are small enough that hand-rolled float64 backprop is
 simpler and more portable than an autodiff dependency, and the actor update
 needs gradients with respect to *inputs* (to differentiate the critic with
-respect to the action), which ``Mlp.backward`` returns directly.
+respect to the action), which ``Mlp.backward`` returns directly; its
+input-only mode computes nothing else.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ConfigError
 
+# Elements per in-place Adam or Polyak pass: whole-array numpy calls, with
+# scratch small enough to stay in cache.
+CHUNK = 1 << 16
+
 
 class Mlp:
     """Fully connected ReLU network with a linear output layer.
 
-    ``forward`` caches activations; ``backward`` accumulates parameter
-    gradients (scaled however the caller scaled ``grad_out``) and returns
-    the gradient with respect to the input batch.  With ``rng`` None the
-    weights and biases are allocated but not initialized, for a caller that
-    fills them (a checkpoint load).
+    The parameters live in one buffer, ``flat`` (``w0, b0, w1, b1, ...``),
+    viewed as ``weights`` and ``biases``; the gradients in ``grad_flat``,
+    viewed as ``grad_weights`` and ``grad_biases``.  ``forward`` caches
+    activations; ``backward`` accumulates parameter gradients (scaled
+    however the caller scaled ``grad_out``) and returns the gradient with
+    respect to the input batch.  With ``rng`` None the parameters are not
+    initialized, for a caller that fills them (a checkpoint load).
     """
 
     def __init__(self, sizes, rng: np.random.Generator | None):
@@ -27,40 +36,24 @@ class Mlp:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
         self.sizes = sizes
-        shapes = list(zip(sizes[:-1], sizes[1:]))
-        if rng is None:
-            self.weights = [np.empty(shape) for shape in shapes]
-            self.biases = [np.empty(fan_out) for _, fan_out in shapes]
-        else:
-            self.weights = [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-                            for fan_in, fan_out in shapes]
-            self.biases = [np.zeros(fan_out) for _, fan_out in shapes]
-        self._alloc_grads()
-        self._cache = None
-
-    def _alloc_grads(self) -> None:
+        self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
+        self.flat = np.empty(sum(map(math.prod, self.shapes)))
         # np.zeros, unlike zeros_like, can take pre-zeroed pages from the
         # allocator, so networks that never run backward never touch them.
-        self.grad_weights = [np.zeros(w.shape) for w in self.weights]
-        self.grad_biases = [np.zeros(b.shape) for b in self.biases]
+        self.grad_flat = np.zeros(self.flat.size)
+        params, grads = self.split(self.flat), self.split(self.grad_flat)
+        self.weights, self.biases = params[0::2], params[1::2]
+        self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
+        self._cache = None
+        if rng is not None:
+            for w, b in zip(self.weights, self.biases):
+                w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+                b[:] = 0.0
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        out = []
-        for gw, gb in zip(self.grad_weights, self.grad_biases):
-            out.extend((gw, gb))
-        return out
+    def split(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Views ``w0, b0, w1, b1, ...`` of a buffer laid out like ``flat``."""
+        ends = np.cumsum([math.prod(s) for s in self.shapes])[:-1]
+        return [a.reshape(s) for a, s in zip(np.split(buffer, ends), self.shapes)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.atleast_2d(np.asarray(x, dtype=float))
@@ -68,70 +61,66 @@ class Mlp:
             raise ConfigError(
                 f"input width {h.shape[1]} does not match {self.sizes[0]}")
         activations = [h]
-        pre = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if i < self.n_layers - 1 else z
+            if i:   # ReLU on the hidden layer below, in place and in the cache
+                np.maximum(h, 0.0, out=h)
+            h = h @ w
+            h += b
             activations.append(h)
-        self._cache = (activations, pre)
+        self._cache = activations
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
+        """With ``input_only`` skip the parameter gradients, leaving
+        ``grad_flat`` as it was; the input gradient is the same."""
         if self._cache is None:
             raise ConfigError("backward requires a preceding forward pass")
-        activations, pre = self._cache
+        activations = self._cache
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        if g.shape != pre[-1].shape:
+        if g.shape != activations[-1].shape:
             raise ConfigError("grad_out shape does not match the last forward")
-        for i in reversed(range(self.n_layers)):
-            if i < self.n_layers - 1:
-                g = g * (pre[i] > 0.0)
-            self.grad_weights[i] += activations[i].T @ g
-            self.grad_biases[i] += g.sum(axis=0)
+        for i in reversed(range(len(self.weights))):
+            if not input_only:
+                self.grad_weights[i] += activations[i].T @ g
+                self.grad_biases[i] += g.sum(axis=0)
             g = g @ self.weights[i].T
+            if i:   # a ReLU output is > 0 exactly where its input is
+                g *= activations[i] > 0.0
         return g
 
     def zero_grads(self) -> None:
-        for g in self.grad_weights:
-            g[:] = 0.0
-        for g in self.grad_biases:
-            g[:] = 0.0
+        self.grad_flat.fill(0.0)
 
     def clone(self) -> "Mlp":
-        twin = Mlp.__new__(Mlp)
-        twin.sizes = self.sizes
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
-        twin._alloc_grads()
-        twin._cache = None
+        twin = Mlp(self.sizes, None)
+        twin.flat[:] = self.flat
         return twin
-
-    def copy_from(self, other: "Mlp") -> None:
-        if other.sizes != self.sizes:
-            raise ConfigError("cannot copy between differently sized networks")
-        for dst, src in zip(self.weights, other.weights):
-            dst[:] = src
-        for dst, src in zip(self.biases, other.biases):
-            dst[:] = src
 
 
 def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
     """In-place soft update: target <- tau * source + (1 - tau) * target."""
     if not 0.0 <= tau <= 1.0:
         raise ConfigError("tau must lie in [0, 1]")
-    for dst, src in zip(target.parameters, source.parameters):
+    if target.sizes != source.sizes:
+        raise ConfigError(f"polyak_update from sizes {source.sizes} to {target.sizes}")
+    scratch = np.empty(min(CHUNK, target.flat.size))
+    for lo in range(0, target.flat.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        dst = target.flat[part]
         dst *= 1.0 - tau
-        dst += tau * src
+        dst += np.multiply(source.flat[part], tau, out=scratch[:dst.size])
 
 
 class Adam:
-    """Adam over a fixed list of parameter arrays, updated in place."""
+    """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
+    say), updated in place; ``m`` and ``v`` hold one array per parameter."""
 
     def __init__(self, params: list[np.ndarray], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0.0:
             raise ConfigError("learning rate must be positive")
+        if any(p.ndim != 1 for p in params):
+            raise ConfigError("Adam takes 1-D parameter arrays")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -140,16 +129,31 @@ class Adam:
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
+        self._scratch = np.empty((2, min(CHUNK, max((p.size for p in params), default=0))))
 
     def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ConfigError("gradient list does not match parameter list")
+        """Per element, in this order: ``m = m * b1 + g * (1 - b1)``,
+        ``v = v * b2 + (g * (1 - b2)) * g`` and
+        ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``."""
+        if len(grads) != len(self.params) or any(
+                g.shape != p.shape for g, p in zip(grads, self.params)):
+            raise ConfigError("gradients do not match the parameters")
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            for lo in range(0, p.size, CHUNK):
+                part = slice(lo, lo + CHUNK)
+                pc, gc, mc, vc = p[part], g[part], m[part], v[part]
+                num, den = (s[:pc.size] for s in self._scratch)
+                mc *= b1
+                mc += np.multiply(gc, 1.0 - b1, out=num)
+                vc *= b2
+                np.multiply(gc, 1.0 - b2, out=num)
+                vc += np.multiply(num, gc, out=num)
+                np.sqrt(np.divide(vc, bias2, out=den), out=den)
+                den += self.eps
+                np.divide(mc, bias1, out=num)
+                num *= self.lr
+                pc -= np.divide(num, den, out=num)

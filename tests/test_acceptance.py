@@ -311,9 +311,8 @@ def test_06_agent_numerics(capsys, tmp_path):
                          + np.mean((q2 - target) ** 2))
 
         agent.critic_gradients(obs, act, target)
-        analytic = [g.copy() for g in agent.q1.gradients + agent.q2.gradients]
-        numeric = _fd_gradients(critic_loss,
-                                agent.q1.parameters + agent.q2.parameters)
+        analytic = [agent.q1.grad_flat.copy(), agent.q2.grad_flat.copy()]
+        numeric = _fd_gradients(critic_loss, [agent.q1.flat, agent.q2.flat])
         critic_err = _worst_relative(analytic, numeric)
         assert critic_err < 1e-4
 
@@ -333,8 +332,8 @@ def test_06_agent_numerics(capsys, tmp_path):
             return float(np.mean(alpha * logp - q_min))
 
         agent.actor_gradients(obs, eps)
-        analytic = [g.copy() for g in agent.policy.gradients]
-        numeric = _fd_gradients(actor_loss, agent.policy.parameters)
+        analytic = [agent.policy.grad_flat.copy()]
+        numeric = _fd_gradients(actor_loss, [agent.policy.flat])
         actor_err = _worst_relative(analytic, numeric)
         assert actor_err < 1e-4
 

@@ -1,4 +1,5 @@
 """Policy distribution math, update gradients, checkpoints, training loop."""
+import csv
 import hashlib
 import json
 import struct
@@ -9,12 +10,12 @@ import pytest
 
 from schedtune.agent import (
     CHECKPOINT_MAGIC,
+    LOG_COLUMNS,
     ReplayBuffer,
     SacAgent,
     SacConfig,
     env_action,
     evaluate_policy,
-    tanh_action,
     train_agent,
 )
 from schedtune.errors import CheckpointError, ConfigError
@@ -33,9 +34,14 @@ def tiny_agent(seed=0, obs_dim=3, act_dim=2, **overrides):
     for net in (agent.policy, agent.q1, agent.q2):
         for b in net.biases:
             b += jitter.normal(0.0, 0.05, size=b.shape)
-    agent.q1_target.copy_from(agent.q1)
-    agent.q2_target.copy_from(agent.q2)
+    agent.q1_target.flat[:] = agent.q1.flat
+    agent.q2_target.flat[:] = agent.q2.flat
     return agent
+
+
+def per_array(buffers, *nets):
+    """Each network's per-layer views of its buffer (``flat``, say)."""
+    return [a for net in nets for a in net.split(getattr(net, buffers))]
 
 
 def fd_check(loss_fn, params, grads, rng, h=1e-5, samples=8):
@@ -65,9 +71,9 @@ def test_critic_gradients_match_finite_differences():
     target = rng.normal(size=5)
 
     agent.critic_gradients(obs, act, target)
-    g_all = [g.copy() for g in agent.q1.gradients + agent.q2.gradients]
+    g_all = [g.copy() for g in per_array("grad_flat", agent.q1, agent.q2)]
     worst = fd_check(lambda: agent.critic_gradients(obs, act, target),
-                     agent.q1.parameters + agent.q2.parameters, g_all, rng)
+                     per_array("flat", agent.q1, agent.q2), g_all, rng)
     assert worst < 1e-4
 
 
@@ -78,9 +84,9 @@ def test_actor_gradients_match_finite_differences():
     eps = rng.standard_normal((5, 2))
 
     agent.actor_gradients(obs, eps)
-    grads = [g.copy() for g in agent.policy.gradients]
+    grads = [g.copy() for g in per_array("grad_flat", agent.policy)]
     worst = fd_check(lambda: agent.actor_gradients(obs, eps)[0],
-                     agent.policy.parameters, grads, rng)
+                     per_array("flat", agent.policy), grads, rng)
     assert worst < 1e-4
 
 
@@ -88,12 +94,14 @@ def test_actor_pass_leaves_critics_untouched():
     rng = np.random.default_rng(4)
     agent = tiny_agent(seed=5)
     obs = rng.uniform(-1, 1, (4, 3))
-    before = [w.copy() for w in agent.q1.parameters + agent.q2.parameters]
+    critics = (agent.q1, agent.q2)
+    before = [net.flat.copy() for net in critics]
+    for net in critics:
+        net.grad_flat.fill(7.0)
     agent.actor_gradients(obs, rng.standard_normal((4, 2)))
-    after = agent.q1.parameters + agent.q2.parameters
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    assert all(np.all(g == 0.0)
-               for g in agent.q1.gradients + agent.q2.gradients)
+    assert all(np.array_equal(net.flat, b) for net, b in zip(critics, before))
+    assert all(np.all(net.grad_flat == 7.0) for net in critics)
+    assert np.any(agent.policy.grad_flat != 0.0)
 
 
 def test_actions_stay_inside_bounds():
@@ -113,7 +121,7 @@ def test_actions_stay_inside_bounds():
 def test_env_action_mapping_roundtrip():
     assert np.allclose(env_action(np.array([-1.0, 0.0, 1.0])), [0.0, 0.5, 1.0])
     a = np.linspace(-0.99, 0.99, 11)
-    assert np.allclose(tanh_action(env_action(a)), a)
+    assert np.allclose(2.0 * env_action(a) - 1.0, a)
 
 
 def test_deterministic_act_is_repeatable():
@@ -122,12 +130,27 @@ def test_deterministic_act_is_repeatable():
     assert np.array_equal(agent.act(obs), agent.act(obs))
 
 
-def test_sampled_logp_matches_log_prob():
+class FixedNoise:
+    """Stands in for the rng of ``sample_action``: returns given noise."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.eps, shape)
+
+
+def test_sampled_logp_matches_longhand_density():
     rng = np.random.default_rng(9)
     agent = tiny_agent(seed=10)
     obs = rng.uniform(-1, 1, (20, 3))
     tanh_a, logp = agent.sample_action(obs, rng=np.random.default_rng(11))
-    recomputed = agent.log_prob(obs, tanh_a)
+    # Density of u = arctanh(a) under the Gaussian head, over the tanh Jacobian.
+    out = agent.policy.forward(obs)
+    mean, log_std = out[:, :2], np.clip(out[:, 2:], -20.0, 2.0)
+    u = np.arctanh(np.clip(tanh_a, -1.0 + 1e-12, 1.0 - 1e-12))
+    gauss = -0.5 * ((u - mean) / np.exp(log_std))**2 - log_std - 0.5 * np.log(2 * np.pi)
+    recomputed = (gauss - np.log(1.0 - tanh_a**2 + 1e-6)).sum(axis=1)
     assert np.max(np.abs(logp - recomputed)) < 1e-9
 
 
@@ -137,9 +160,12 @@ def test_policy_density_integrates_to_one():
                     replay_capacity=16)
     agent = SacAgent(cfg, seed=12)
     obs = np.array([[0.4, -0.7]])
-    grid = np.linspace(-1.0 + 1e-7, 1.0 - 1e-7, 200001)
-    logp = agent.log_prob(np.repeat(obs, len(grid), axis=0), grid[:, None])
-    mass = np.trapezoid(np.exp(logp), grid)
+    # Noise on a fine grid gives actions on a monotone grid over (-1, 1).
+    eps = np.linspace(-9.0, 9.0, 200001)[:, None]
+    grid, logp = agent.sample_action(np.repeat(obs, len(eps), axis=0),
+                                     rng=FixedNoise(eps))
+    assert np.all(np.diff(grid[:, 0]) >= 0.0)
+    mass = np.trapezoid(np.exp(logp), grid[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
@@ -181,10 +207,10 @@ def test_update_changes_parameters_and_reports_losses():
     batch = (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
              rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)),
              np.zeros(4))
-    before = [p.copy() for p in agent.policy.parameters + agent.q1.parameters]
+    before = [net.flat.copy() for net in (agent.policy, agent.q1)]
     stats = agent.update(batch)
-    after = agent.policy.parameters + agent.q1.parameters
-    assert any(not np.array_equal(a, b) for a, b in zip(before, after))
+    after = [agent.policy.flat, agent.q1.flat]
+    assert all(not np.array_equal(a, b) for a, b in zip(before, after))
     for key in ("critic_loss", "actor_loss", "alpha_loss", "alpha", "entropy"):
         assert np.isfinite(stats[key])
     assert agent.grad_steps == 1
@@ -197,11 +223,11 @@ def test_critic_descends_on_fixed_regression_target():
     act = np.tanh(rng.normal(size=(16, 2)))
     target = rng.normal(size=16)
     first = agent.critic_gradients(obs, act, target)
-    agent.opt_critic.step(agent.q1.gradients + agent.q2.gradients)
+    agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat])
     last = first
     for _ in range(300):
         last = agent.critic_gradients(obs, act, target)
-        agent.opt_critic.step(agent.q1.gradients + agent.q2.gradients)
+        agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat])
     assert last < 0.1 * first
 
 
@@ -213,8 +239,8 @@ def test_target_networks_track_with_tau_one():
     batch = (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
              rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4))
     agent.update(batch)
-    for dst, src in zip(agent.q1_target.parameters, agent.q1.parameters):
-        assert np.array_equal(dst, src)
+    assert np.array_equal(agent.q1_target.flat, agent.q1.flat)
+    assert np.array_equal(agent.q2_target.flat, agent.q2.flat)
 
 
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
@@ -240,6 +266,52 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     second = tmp_path / "again.ckpt"
     clone.save(second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_arrays_are_views_of_their_network_buffers():
+    agent = tiny_agent(seed=22)
+    owners = {"policy": (agent.policy, agent.opt_policy, 0),
+              "q1": (agent.q1, agent.opt_critic, 0),
+              "q2": (agent.q2, agent.opt_critic, 1)}
+    for net, opt, k in owners.values():
+        for views, buffer in ((net.weights + net.biases, net.flat),
+                              (net.grad_weights + net.grad_biases, net.grad_flat),
+                              (net.split(opt.m[k]), opt.m[k]),
+                              (net.split(opt.v[k]), opt.v[k])):
+            assert all(np.shares_memory(a, buffer) for a in views)
+        assert opt.params[k] is net.flat
+    named = dict(agent._named_arrays())
+    for name, (net, opt, k) in owners.items():
+        assert np.shares_memory(named[f"{name}.w0"], net.flat)
+    # opt_critic numbers q1's arrays first, then q2's.
+    n_arrays = len(agent.q1.split(agent.q1.flat))
+    assert np.shares_memory(named["opt_critic.m0"], agent.opt_critic.m[0])
+    assert np.shares_memory(named[f"opt_critic.v{n_arrays}"], agent.opt_critic.v[1])
+    assert named[f"opt_critic.m{n_arrays}"].shape == agent.q2.weights[0].shape
+    assert np.shares_memory(named["q1_target.b1"], agent.q1_target.flat)
+
+
+def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):
+    rng = np.random.default_rng(23)
+
+    def batch():
+        return (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
+                rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4))
+
+    agent = tiny_agent(seed=24)
+    for _ in range(3):
+        agent.update(batch())
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    loaded = SacAgent.load(path)
+    obs = rng.uniform(-1, 1, (5, 3))
+    assert all(np.array_equal(agent.act(o), loaded.act(o)) for o in obs)
+    agent.rng, loaded.rng = np.random.default_rng(25), np.random.default_rng(25)
+    step = batch()
+    assert repr(agent.update(step)) == repr(loaded.update(step))
+    for (name, a), (_, b) in zip(agent._named_arrays(), loaded._named_arrays()):
+        assert np.array_equal(a, b), name
+    assert loaded.opt_critic.t == agent.opt_critic.t == 4
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -389,6 +461,36 @@ def test_train_agent_smoke(tmp_path):
     assert path.exists()
     reloaded = SacAgent.load(path)
     assert reloaded.env_steps == agent.env_steps
+
+
+def test_train_log_rows_are_on_disk_when_training_crashes(tmp_path):
+    env = SyntheticTuningEnv("himmelblau")
+    cfg = SacConfig(obs_dim=env.observation_dim, act_dim=2, hidden=(8,),
+                    batch_size=16, replay_capacity=256, start_steps=16)
+    agent = SacAgent(cfg, seed=26)
+    real_update, calls = agent.update, []
+
+    def update(batch):
+        calls.append(agent.env_steps)
+        if len(calls) == 21:
+            raise RuntimeError("crash inside update")
+        return real_update(batch)
+
+    agent.update = update
+    vec = VectorEnv([SyntheticTuningEnv("himmelblau") for _ in range(2)])
+    path = tmp_path / "train_log.csv"
+    with pytest.raises(RuntimeError, match="crash"):
+        train_agent(agent, vec, total_env_steps=200, seed=27, log_every=8,
+                    log_path=path)
+    # Two updates per vector step from 16 env steps on: the 21st is at 36.
+    assert calls[-1] == 36
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == LOG_COLUMNS and len(LOG_COLUMNS) == 8
+    assert [int(row["env_steps"]) for row in rows] == [8, 16, 24, 32]
+    assert all(row[key] == "" for key in LOG_COLUMNS[3:] for row in rows[:1])
+    assert all(float(row["alpha"]) > 0.0 for row in rows[1:])
 
 
 def test_train_agent_rejects_dimension_mismatch():

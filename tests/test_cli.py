@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from schedtune.agent import LOG_COLUMNS
 from schedtune.cli import main, scenario_seeds
 from schedtune.data import data_dir
 from schedtune.report import read_trials_csv
@@ -110,7 +111,7 @@ def test_train_agent_then_eval(tmp_path, capsys):
                  "--out", str(agent_dir)]) == 0
     assert (agent_dir / "agent.ckpt").exists()
     log_rows = list(csv.DictReader(open(agent_dir / "train_log.csv")))
-    assert log_rows and "mean_terminal_reward" in log_rows[0]
+    assert log_rows and tuple(log_rows[0]) == LOG_COLUMNS
 
     eval_config = write_config(tmp_path, n_scenarios=2)
     out = tmp_path / "run"

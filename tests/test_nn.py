@@ -70,7 +70,7 @@ def test_weight_gradients_match_finite_differences():
     net.zero_grads()
     net.backward(np.ones((6, 1)))
     worst = 0.0
-    for param, grad in zip(net.parameters, net.gradients):
+    for param, grad in zip(net.split(net.flat), net.split(net.grad_flat)):
         idx = rng.choice(param.size, size=min(8, param.size), replace=False)
         for i, fd in fd_gradient(loss, param, idx).items():
             worst = max(worst, relative_error(fd, grad.ravel()[i]))
@@ -102,13 +102,40 @@ def test_backward_accumulates_until_zeroed():
     x = rng.uniform(-1, 1, (2, 2))
     net.forward(x)
     net.backward(np.ones((2, 1)))
-    once = [g.copy() for g in net.gradients]
+    once = net.grad_flat.copy()
     net.forward(x)
     net.backward(np.ones((2, 1)))
-    for g1, g2 in zip(once, net.gradients):
-        assert np.allclose(g2, 2.0 * g1)
+    assert np.allclose(net.grad_flat, 2.0 * once)
     net.zero_grads()
-    assert all(np.all(g == 0.0) for g in net.gradients)
+    assert np.all(net.grad_flat == 0.0)
+
+
+def test_input_only_backward_returns_the_same_input_gradient():
+    rng = np.random.default_rng(10)
+    net = Mlp((3, 6, 6, 2), rng)
+    jitter_biases(net, rng)
+    x = rng.uniform(-1, 1, (5, 3))
+    coeff = rng.uniform(-1, 1, (5, 2))
+    net.forward(x)
+    full = net.backward(coeff)
+    net.grad_flat.fill(7.0)
+    net.forward(x)
+    assert np.array_equal(net.backward(coeff, input_only=True), full)
+    assert np.all(net.grad_flat == 7.0)
+
+
+def test_parameters_and_gradients_are_views_of_the_flat_buffers():
+    net = Mlp((3, 5, 4, 2), np.random.default_rng(11))
+    assert net.flat.size == net.grad_flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+    for buffer, views in ((net.flat, net.weights + net.biases),
+                          (net.grad_flat, net.grad_weights + net.grad_biases)):
+        assert all(np.shares_memory(a, buffer) for a in views)
+    assert not np.shares_memory(net.flat, net.grad_flat)
+    assert [a.shape for a in net.split(net.flat)] == [
+        (3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    net.flat[:] = np.arange(net.flat.size)
+    assert net.weights[0][0, 1] == 1.0 and net.biases[0][0] == 15.0
+    assert net.weights[1][0, 0] == 20.0
 
 
 def test_he_initialization_scale_and_zero_bias():
@@ -118,17 +145,18 @@ def test_he_initialization_scale_and_zero_bias():
     assert np.all(net.biases[0] == 0.0)
 
 
-def test_clone_is_independent_and_copy_from_matches():
+def test_clone_is_independent_and_equal():
     rng = np.random.default_rng(5)
     net = Mlp((2, 3, 1), rng)
+    net.grad_flat.fill(1.0)
     twin = net.clone()
+    assert twin.sizes == net.sizes
+    assert np.array_equal(twin.flat, net.flat)
+    assert np.all(twin.grad_flat == 0.0)
     net.weights[0][0, 0] += 1.0
     assert twin.weights[0][0, 0] != net.weights[0][0, 0]
-    twin.copy_from(net)
-    for a, b in zip(twin.parameters, net.parameters):
-        assert np.array_equal(a, b)
-    with pytest.raises(ConfigError):
-        twin.copy_from(Mlp((2, 4, 1), rng))
+    assert not np.shares_memory(twin.flat, net.flat)
+    assert np.shares_memory(twin.weights[0], twin.flat)
 
 
 def test_validation_errors():
@@ -190,19 +218,29 @@ def test_polyak_endpoints_and_blend():
     src = Mlp((2, 3, 1), rng)
     dst = src.clone()
     dst.weights[0][:] += 1.0
-    frozen = [p.copy() for p in dst.parameters]
+    frozen = dst.flat.copy()
 
     polyak_update(dst, src, tau=0.0)
-    for p, f in zip(dst.parameters, frozen):
-        assert np.array_equal(p, f)
+    assert np.array_equal(dst.flat, frozen)
 
     polyak_update(dst, src, tau=0.5)
-    for p, f, s in zip(dst.parameters, frozen, src.parameters):
-        assert np.allclose(p, 0.5 * f + 0.5 * s)
+    assert np.allclose(dst.flat, 0.5 * frozen + 0.5 * src.flat)
 
     polyak_update(dst, src, tau=1.0)
-    for p, s in zip(dst.parameters, src.parameters):
-        assert np.allclose(p, s)
+    assert np.allclose(dst.flat, src.flat)
 
     with pytest.raises(ConfigError):
         polyak_update(dst, src, tau=1.5)
+
+
+def test_polyak_rejects_mismatched_networks():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ConfigError):
+        polyak_update(Mlp((2, 3, 1), rng), Mlp((2, 3, 1, 1), rng), tau=0.5)
+
+
+def test_adam_rejects_mismatched_gradient_shape():
+    opt = Adam([np.zeros(3)])
+    with pytest.raises(ConfigError):
+        opt.step([np.zeros(1)])
+    assert opt.t == 0

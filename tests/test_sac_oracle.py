@@ -8,6 +8,7 @@ Adam step counts, rng states and ``repr``-equal statistics.
 import numpy as np
 import pytest
 
+from schedtune import nn
 from schedtune.agent import SacAgent, SacConfig
 from tests.sac_oracle import OracleSac
 
@@ -25,11 +26,16 @@ def assert_same_state(agent, oracle, step):
     assert agent.grad_steps == oracle.grad_steps
 
 
-@pytest.mark.parametrize("hidden, obs_dim, act_dim, seed", [
-    ((32, 32, 32), 5, 3, 0),
-    ((24,), 4, 8, 1),
+# The last case shrinks Adam's and Polyak's chunk so that every buffer
+# spans several chunks and a partial last one, as default-size ones do.
+@pytest.mark.parametrize("hidden, obs_dim, act_dim, seed, chunk", [
+    ((32, 32, 32), 5, 3, 0, nn.CHUNK),
+    ((24,), 4, 8, 1, nn.CHUNK),
+    ((32, 32, 32), 5, 3, 2, 97),
 ])
-def test_updates_match_the_oracle_bit_for_bit(hidden, obs_dim, act_dim, seed):
+def test_updates_match_the_oracle_bit_for_bit(hidden, obs_dim, act_dim, seed,
+                                             chunk, monkeypatch):
+    monkeypatch.setattr(nn, "CHUNK", chunk)
     cfg = SacConfig(obs_dim=obs_dim, act_dim=act_dim, hidden=hidden,
                     batch_size=16, replay_capacity=64, start_steps=0)
     agent, oracle = SacAgent(cfg, seed=seed), OracleSac(cfg, seed=seed)
