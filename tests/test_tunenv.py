@@ -1,4 +1,6 @@
 """Episode protocol, reward shape, observation layout, scenario sampling."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from schedtune.tunenv import (
     EPS_REWARD,
     FAAS_COARSE_INDICES,
     FAAS_STATIC_NAMES,
+    MASK_LEVELS,
+    MODES,
     FaasTuningEnv,
     SpaceSet,
     SpaceVar,
@@ -362,3 +366,30 @@ def test_faas_env_rejects_bad_configuration():
         FaasTuningEnv(mask_level="blurry")
     with pytest.raises(ConfigError):
         ScriptedEnv(0.5, [0.6], n_steps=0)
+
+
+# SHA-256 over every observation and reward below; any change to the static
+# features, their normalization ranges, masking, frames or scores moves it.
+OBSERVATION_DIGEST = "c9d4a84a1250f412ab7ba4fc81aa151d24e51a5ffb0e59cce9abebb770f4f6ae"
+
+
+def test_observation_and_reward_digest_is_pinned():
+    from schedtune.synthfuncs import LANDSCAPES, SyntheticTuningEnv
+
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    for mode in MODES:
+        for level in MASK_LEVELS:
+            envs = [FaasTuningEnv(mode=mode, mask_level=level, duration_s=20)]
+            envs += [SyntheticTuningEnv(name, mode=mode, mask_level=level)
+                     for name in sorted(LANDSCAPES)]
+            for env in envs:
+                for seed in (1, 2):
+                    digest.update(env.reset(seed).tobytes())
+                    done = False
+                    while not done:
+                        action = rng.uniform(0.0, 1.0, env.action_dim)
+                        obs, reward, done, _ = env.step(action)
+                        digest.update(obs.tobytes())
+                        digest.update(np.float64(reward).tobytes())
+    assert digest.hexdigest() == OBSERVATION_DIGEST
