@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -87,8 +86,8 @@ def _tune_worker(payload: dict) -> tuple[list[dict], float]:
     else:
         optimizer = make_optimizer(method, dim=env.action_dim)
         episode = run_tuning(optimizer, env, seed=scenario_seed)
-    names = [v.name for v in env.space.actions]
-    rows = trial_rows(config.name, method, scenario_seed, episode, names)
+    rows = trial_rows(config.name, method, scenario_seed, episode,
+                      env.space.action_names)
     return rows, time.perf_counter() - start
 
 
@@ -108,6 +107,8 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
             f"unknown method {method!r}, expected one of {list(TUNE_METHODS)}")
     if method == "agent" and checkpoint is None:
         raise ConfigError("evaluating the agent requires --checkpoint")
+    if jobs < 1:
+        raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [{
         "config": config.to_dict(),
@@ -125,10 +126,8 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         for index, (rows, seconds) in enumerate(results, start=1):
             _report_progress(index, len(payloads), rows, seconds)
             all_rows.extend(rows)
-    env = make_env(config)
-    names = [v.name for v in env.space.actions]
     path = out_dir / "trials.csv"
-    write_trials_csv(path, all_rows, names)
+    write_trials_csv(path, all_rows, make_env(config).space.action_names)
     return path
 
 

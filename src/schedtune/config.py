@@ -105,31 +105,16 @@ def _parse_hidden(value, path):
     return tuple(out)
 
 
-_PARSERS = {
-    "name": _parse_str,
-    "env_kind": _parse_str,
-    "synth_function": _parse_str,
-    "mode": _parse_str,
-    "mask_level": _parse_str,
-    "n_scenarios": _parse_int,
-    "n_steps": _parse_int,
-    "duration_s": _parse_float,
-    "total_env_steps": _parse_int,
-    "num_envs": _parse_int,
-    "hidden": _parse_hidden,
-    "lr": _parse_float,
-    "batch_size": _parse_int,
-    "replay_capacity": _parse_int,
-    "start_steps": _parse_int,
-    "gamma": _parse_float,
-    "tau": _parse_float,
-    "eval_every": _parse_int,
-    "n_eval_seeds": _parse_int,
-    "log_every": _parse_int,
-    "data_dir": lambda v, p: None if v is None else _parse_str(v, p),
+# One parser per annotation in ExperimentConfig; a field of any other type
+# fails at import.
+_PARSERS_BY_TYPE = {
+    "str": _parse_str,
+    "int": _parse_int,
+    "float": _parse_float,
+    "tuple[int, ...]": _parse_hidden,
+    "str | None": lambda v, p: None if v is None else _parse_str(v, p),
 }
-
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:

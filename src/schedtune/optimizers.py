@@ -276,15 +276,13 @@ def make_optimizer(method: str, dim: int = 8) -> Optimizer:
         ) from None
 
 
-def run_tuning(optimizer: Optimizer, env: TuningEnv, seed: int,
-               rng: np.random.Generator | None = None) -> TuningEpisode:
+def run_tuning(optimizer: Optimizer, env: TuningEnv, seed: int) -> TuningEpisode:
     """One full episode: reset (evaluates the fixed initial weights), then
     one suggestion per environment step.  Total benchmark runs: n_steps + 1.
     """
     if optimizer.dim != env.action_dim:
         raise ConfigError("optimizer and environment dimensions differ")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     env.reset(seed)
     optimizer.observe(env.initial_action, env.episode.r0)
     done = False

@@ -159,14 +159,14 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
 
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
     scored (at least one node).  Ties on the total score go to the lowest
-    node id.  The cluster is left untouched.
+    node id.  The cluster is left untouched.  ``weights`` must have passed
+    ``validate_weights``; the engine checks them once per run.
     """
-    w = validate_weights(weights)
     ids = np.nonzero(feasible_mask(fn, cluster))[0]
     if len(ids) == 0:
         return None
     k = max(1, int(math.floor(options.percent_nodes_to_score * len(ids))))
     if k < len(ids):
         ids = np.sort(rng.choice(ids, size=k, replace=False))
-    totals = score_nodes(fn, ids, cluster, options) @ w
+    totals = score_nodes(fn, ids, cluster, options) @ weights
     return int(ids[int(np.argmax(totals))])

@@ -13,17 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .tunenv import MODES, SpaceSet, SpaceVar, TuningEnv
+from .tunenv import SpaceSet, SpaceVar, TuningEnv
 
-# Global normalization ranges for the episode parameters; train and test
-# domains occupy disjoint halves so test episodes are genuinely held out.
-SHIFT_FRAC_RANGE = (-0.05, 0.05)
-SCALE_RANGE = (0.9, 1.1)
+# Train and test domains occupy disjoint halves of the episode parameters'
+# ranges, so test episodes are genuinely held out.
 TRAIN_SHIFT = (-0.05, 0.0)
 TEST_SHIFT = (0.0, 0.05)
 TRAIN_SCALE = (0.9, 1.0)
@@ -45,6 +44,7 @@ class Landscape:
     def width(self) -> float:
         return self.hi - self.lo
 
+    @cached_property
     def corner_cap(self) -> float:
         corners = [(self.lo, self.lo), (self.lo, self.hi),
                    (self.hi, self.lo), (self.hi, self.hi)]
@@ -102,17 +102,12 @@ SYNTH_STATIC_NAMES = ("shift_x", "shift_y", "scale")
 
 def landscape_score(lscape: Landscape, f_value: np.ndarray) -> np.ndarray:
     """Map function values into [0, 1]; lower values score higher."""
-    cap = lscape.corner_cap()
-    return 1.0 - np.clip(np.asarray(f_value, dtype=float) / cap, 0.0, 1.0)
+    return 1.0 - np.clip(np.asarray(f_value, dtype=float) / lscape.corner_cap,
+                         0.0, 1.0)
 
 
 def synth_space_set() -> SpaceSet:
     return SpaceSet(
-        static=(
-            SpaceVar("shift_x", *SHIFT_FRAC_RANGE),
-            SpaceVar("shift_y", *SHIFT_FRAC_RANGE),
-            SpaceVar("scale", *SCALE_RANGE),
-        ),
         domain_train=(
             SpaceVar("shift_x", *TRAIN_SHIFT),
             SpaceVar("shift_y", *TRAIN_SHIFT),
@@ -123,9 +118,8 @@ def synth_space_set() -> SpaceSet:
             SpaceVar("shift_y", *TEST_SHIFT),
             SpaceVar("scale", *TEST_SCALE),
         ),
+        action_names=("z_x", "z_y"),
         initial_action=np.array([0.5, 0.5]),
-        reward=SpaceVar("score", 0.0, 1.0),
-        actions=(SpaceVar("z_x", 0.0, 1.0), SpaceVar("z_y", 0.0, 1.0)),
     )
 
 
@@ -138,13 +132,10 @@ class SyntheticTuningEnv(TuningEnv):
             raise ConfigError(
                 f"unknown landscape {function!r}, expected one of "
                 f"{sorted(LANDSCAPES)}")
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         self.landscape = LANDSCAPES[function]
-        self.mode = mode
         self.space = synth_space_set()
+        self.domain = self.space.domain(mode)
         super().__init__(
-            action_dim=2,
             static_dim=len(SYNTH_STATIC_NAMES),
             coarse_indices=(),
             initial_action=self.space.initial_action,
@@ -153,12 +144,10 @@ class SyntheticTuningEnv(TuningEnv):
         )
 
     def _begin_episode(self, rng: np.random.Generator):
-        dom = self.space.domain(self.mode)
-        shift_x = dom["shift_x"].sample(rng)
-        shift_y = dom["shift_y"].sample(rng)
-        scale = dom["scale"].sample(rng)
+        shift_x = self.domain["shift_x"].sample(rng)
+        shift_y = self.domain["shift_y"].sample(rng)
+        scale = self.domain["scale"].sample(rng)
         lscape = self.landscape
-        cap = lscape.corner_cap()
         shift = np.array([shift_x, shift_y]) * lscape.width
 
         def evaluate(action: np.ndarray) -> float:
@@ -166,11 +155,11 @@ class SyntheticTuningEnv(TuningEnv):
             native = lscape.lo + z * lscape.width
             u = scale * (native - shift)
             f = lscape.fn(np.array([u[0]]), np.array([u[1]]))[0]
-            return float(1.0 - np.clip(f / cap, 0.0, 1.0))
+            return float(landscape_score(lscape, f))
 
         static = np.array([
-            v.normalize(raw) for v, raw in zip(self.space.static,
-                                               (shift_x, shift_y, scale))
+            self.space.normalize_static(name, raw)
+            for name, raw in zip(SYNTH_STATIC_NAMES, (shift_x, shift_y, scale))
         ])
         blob = json.dumps({"function": lscape.name, "shift_x": shift_x,
                            "shift_y": shift_y, "scale": scale},

@@ -12,26 +12,32 @@ reserved for the initial (fixed weights, r0) pair -- and the normalized step
 index.  Reset returns all-zero frames; trial history appears from the first
 step onward.  Static features come in fine and coarse variants so that
 masking can hide exact scenario parameters during training.
+
+A ``SpaceSet``'s train and test domains are the only source of scenario
+ranges: scenarios are drawn from the mode's domain, and each numeric static
+feature is normalized over the union of both, so a value means the same in
+either mode.  ``docs/formats.md`` gives the full layout.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_cluster
 from .errors import ConfigError, ProtocolError, UnschedulableError
-from .scheduler import FIXED_WEIGHTS, N_WEIGHTS, SCORING_FUNCTIONS, SchedulerOptions
-from .simengine import ScoreNorm, SimOptions, run_benchmark
+from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS, SchedulerOptions
+from .simengine import SimOptions, run_benchmark
 from .workload import WorkloadSpec, catalog, train_catalog
 
 EPS_REWARD = 1e-6
 DEFAULT_N_STEPS = 4
 MASK_LEVELS = ("full", "coarse", "none")
 MODES = ("train", "test")
+# Resets draw again when the fixed weights cannot schedule a scenario.
+MAX_RESET_RETRIES = 10
 
 TRAIN_PRESETS = ("cloud_cpu", "cloud_gpu", "edge_cloudlet")
 
@@ -67,31 +73,27 @@ class SpaceVar:
 
 @dataclass
 class SpaceSet:
-    """The six spaces describing one tuning problem."""
+    """The train and test domains of one tuning problem, plus its actions."""
 
-    static: tuple[SpaceVar, ...]
     domain_train: tuple[SpaceVar, ...]
     domain_test: tuple[SpaceVar, ...]
+    action_names: tuple[str, ...]
     initial_action: np.ndarray
-    reward: SpaceVar
-    actions: tuple[SpaceVar, ...]
-
-    def __post_init__(self):
-        self.initial_action = np.asarray(self.initial_action, dtype=float)
-        if self.initial_action.shape != (len(self.actions),):
-            raise ConfigError("initial_action length must match the action space")
-        for var in self.actions + (self.reward,) + self.static:
-            if var.min == var.max:
-                raise ConfigError(f"{var.name}: normalization range must not collapse")
-        for a, var in zip(self.initial_action, self.actions):
-            if not var.min <= a <= var.max:
-                raise ConfigError(f"initial action outside bounds for {var.name}")
 
     def domain(self, mode: str) -> dict[str, SpaceVar]:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         space = self.domain_train if mode == "train" else self.domain_test
         return {v.name: v for v in space}
+
+    def static_range(self, name: str) -> SpaceVar:
+        """The union of ``name``'s train and test ranges."""
+        train, test = self.domain("train")[name], self.domain("test")[name]
+        return SpaceVar(name, min(train.min, test.min), max(train.max, test.max))
+
+    def normalize_static(self, name: str, value: float) -> float:
+        """``value`` as a static feature in [0, 1] over ``static_range(name)``."""
+        return self.static_range(name).normalize(value)
 
 
 def default_space_set() -> SpaceSet:
@@ -101,16 +103,6 @@ def default_space_set() -> SpaceSet:
     presets, a fixed request rate and small-to-medium clusters, while test
     scenarios span all presets, larger clusters and wider knob ranges.
     """
-    actions = tuple(SpaceVar(f"w_{name}", 0.0, 1.0) for name in SCORING_FUNCTIONS)
-    static = (
-        SpaceVar("num_nodes", 30, 400),
-        SpaceVar("num_functions", 1, 8),
-        SpaceVar("requests_per_second", 5, 30),
-        SpaceVar("percent_nodes_to_score", 0.1, 1.0),
-        SpaceVar("min_replicas", 1, 10),
-        SpaceVar("max_replicas", 50, 100),
-        SpaceVar("scale_factor", 1, 5),
-    )
     domain_train = (
         SpaceVar("cluster_preset", 0, len(TRAIN_PRESETS) - 1),
         SpaceVar("topology", 0, 1),
@@ -134,12 +126,10 @@ def default_space_set() -> SpaceSet:
         SpaceVar("scale_factor", 1, 5),
     )
     return SpaceSet(
-        static=static,
         domain_train=domain_train,
         domain_test=domain_test,
+        action_names=tuple(f"w_{name}" for name in SCORING_FUNCTIONS),
         initial_action=FIXED_WEIGHTS.copy(),
-        reward=SpaceVar("score", 0.0, 1.0),
-        actions=actions,
     )
 
 
@@ -174,30 +164,22 @@ class Scenario:
 
 
 def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
-                    duration_s: float = 100.0, norm: ScoreNorm = ScoreNorm(),
-                    data_dir=None) -> Scenario:
+                    duration_s: float = 100.0, data_dir=None) -> Scenario:
     """Draw one scenario uniformly from the mode's domain space."""
     dom = space.domain(mode)
-
-    def var(name: str) -> SpaceVar:
-        try:
-            return dom[name]
-        except KeyError as exc:
-            raise ConfigError(f"domain space lacks variable {name!r}") from exc
-
     presets = TRAIN_PRESETS if mode == "train" else PRESETS
-    preset = presets[var("cluster_preset").sample_int(rng)]
-    topology = TOPOLOGY_KINDS[var("topology").sample_int(rng)]
-    num_nodes = var("num_nodes").sample_int(rng)
+    preset = presets[dom["cluster_preset"].sample_int(rng)]
+    topology = TOPOLOGY_KINDS[dom["topology"].sample_int(rng)]
+    num_nodes = dom["num_nodes"].sample_int(rng)
     pool = train_catalog(data_dir) if mode == "train" else catalog(data_dir)
-    num_functions = min(var("num_functions").sample_int(rng), len(pool))
+    num_functions = min(dom["num_functions"].sample_int(rng), len(pool))
     chosen = sorted(rng.choice(len(pool), size=num_functions, replace=False))
-    rps_total = var("requests_per_second").sample(rng)
+    rps_total = dom["requests_per_second"].sample(rng)
     rps_each = rps_total / num_functions
-    percent = var("percent_nodes_to_score").sample(rng)
-    min_replicas = var("min_replicas").sample_int(rng)
-    max_replicas = var("max_replicas").sample_int(rng)
-    scale_factor = var("scale_factor").sample_int(rng)
+    percent = dom["percent_nodes_to_score"].sample(rng)
+    min_replicas = dom["min_replicas"].sample_int(rng)
+    max_replicas = dom["max_replicas"].sample_int(rng)
+    scale_factor = dom["scale_factor"].sample_int(rng)
     cluster_seed = int(rng.integers(2**63 - 1))
     workload_seed = int(rng.integers(2**63 - 1))
     sim_seed = int(rng.integers(2**63 - 1))
@@ -215,7 +197,6 @@ def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
             max_replicas=max_replicas,
             scale_factor=scale_factor,
             scheduler=SchedulerOptions(percent_nodes_to_score=percent),
-            norm=norm,
             seed=sim_seed,
         ),
     )
@@ -246,8 +227,6 @@ class TuningEpisode:
 def mask_static(features: np.ndarray, level: str,
                 coarse_indices: tuple[int, ...]) -> np.ndarray:
     """Zero out static entries the given masking level hides."""
-    if level not in MASK_LEVELS:
-        raise ConfigError(f"unknown mask level {level!r}, expected one of {MASK_LEVELS}")
     out = np.array(features, dtype=float)
     if level == "none":
         out[:] = 0.0
@@ -266,25 +245,22 @@ class TuningEnv:
     unreset episode raises ProtocolError.
     """
 
-    def __init__(self, action_dim: int, static_dim: int,
-                 coarse_indices: tuple[int, ...], initial_action: np.ndarray,
-                 n_steps: int = DEFAULT_N_STEPS, mask_level: str = "full",
-                 max_reset_retries: int = 10):
+    def __init__(self, static_dim: int, coarse_indices: tuple[int, ...],
+                 initial_action: np.ndarray, n_steps: int = DEFAULT_N_STEPS,
+                 mask_level: str = "full"):
         if n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if mask_level not in MASK_LEVELS:
-            raise ConfigError(f"unknown mask level {mask_level!r}")
-        self.action_dim = action_dim
+            raise ConfigError(
+                f"unknown mask level {mask_level!r}, expected one of {MASK_LEVELS}")
+        self.initial_action = np.asarray(initial_action, dtype=float)
+        self.action_dim = len(self.initial_action)
         self.static_dim = static_dim
         self.coarse_indices = coarse_indices
-        self.initial_action = np.asarray(initial_action, dtype=float)
-        if self.initial_action.shape != (action_dim,):
-            raise ConfigError("initial action has the wrong dimension")
         self.n_steps = n_steps
         self.n_frames = n_steps + 1
-        self.frame_width = action_dim + 2
+        self.frame_width = self.action_dim + 2
         self.mask_level = mask_level
-        self.max_reset_retries = max_reset_retries
         self.benchmark_calls = 0
         self.episode: TuningEpisode | None = None
         self._static: np.ndarray | None = None
@@ -304,7 +280,7 @@ class TuningEnv:
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         last_error = None
-        for _ in range(self.max_reset_retries):
+        for _ in range(MAX_RESET_RETRIES):
             static, evaluate, digest = self._begin_episode(rng)
             try:
                 r0 = float(evaluate(self.initial_action))
@@ -315,7 +291,7 @@ class TuningEnv:
         else:
             raise ConfigError(
                 f"could not find a schedulable scenario in "
-                f"{self.max_reset_retries} attempts: {last_error}")
+                f"{MAX_RESET_RETRIES} attempts: {last_error}")
         self.benchmark_calls += 1
         if static.shape != (self.static_dim,):
             raise ConfigError("static features have the wrong dimension")
@@ -390,32 +366,25 @@ FAAS_COARSE_INDICES = tuple(
 class FaasTuningEnv(TuningEnv):
     """Weight tuning over full cluster benchmark runs."""
 
-    def __init__(self, space: SpaceSet | None = None, mode: str = "train",
-                 mask_level: str = "full", n_steps: int = DEFAULT_N_STEPS,
-                 duration_s: float = 100.0, norm: ScoreNorm = ScoreNorm(),
-                 max_reset_retries: int = 10, data_dir=None):
+    def __init__(self, mode: str = "train", mask_level: str = "full",
+                 n_steps: int = DEFAULT_N_STEPS, duration_s: float = 100.0,
+                 data_dir=None):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-        self.space = space if space is not None else default_space_set()
-        if len(self.space.actions) != N_WEIGHTS:
-            raise ConfigError("action space must cover the eight scoring weights")
+        self.space = default_space_set()
         self.mode = mode
         self.duration_s = duration_s
-        self.norm = norm
         self.data_dir = data_dir
         self.scenario: Scenario | None = None
         super().__init__(
-            action_dim=N_WEIGHTS,
             static_dim=len(FAAS_STATIC_NAMES),
             coarse_indices=FAAS_COARSE_INDICES,
             initial_action=self.space.initial_action,
             n_steps=n_steps,
             mask_level=mask_level,
-            max_reset_retries=max_reset_retries,
         )
 
     def _static_features(self, scenario: Scenario) -> np.ndarray:
-        by_name = {v.name: v for v in self.space.static}
         spec = scenario.cluster_spec
         feats = np.zeros(len(FAAS_STATIC_NAMES))
         feats[PRESETS.index(spec.preset)] = 1.0
@@ -423,29 +392,24 @@ class FaasTuningEnv(TuningEnv):
         feats[FAAS_STATIC_NAMES.index(f"class_{cls}")] = 1.0
         feats[FAAS_STATIC_NAMES.index("topology_urban")] = \
             1.0 if spec.topology_kind == "urban" else 0.0
-        feats[FAAS_STATIC_NAMES.index("num_nodes")] = \
-            by_name["num_nodes"].normalize(spec.total_nodes)
         bucket = sum(spec.total_nodes >= b for b in NODE_BUCKETS)
         feats[FAAS_STATIC_NAMES.index("num_nodes_bucket")] = bucket / len(NODE_BUCKETS)
-        feats[FAAS_STATIC_NAMES.index("num_functions")] = \
-            by_name["num_functions"].normalize(len(scenario.workload.functions))
-        rps_total = sum(rps for _, rps in scenario.workload.functions)
-        feats[FAAS_STATIC_NAMES.index("requests_per_second")] = \
-            by_name["requests_per_second"].normalize(rps_total)
-        feats[FAAS_STATIC_NAMES.index("percent_nodes_to_score")] = \
-            by_name["percent_nodes_to_score"].normalize(
-                scenario.options.scheduler.percent_nodes_to_score)
-        feats[FAAS_STATIC_NAMES.index("min_replicas")] = \
-            by_name["min_replicas"].normalize(scenario.options.min_replicas)
-        feats[FAAS_STATIC_NAMES.index("max_replicas")] = \
-            by_name["max_replicas"].normalize(scenario.options.max_replicas)
-        feats[FAAS_STATIC_NAMES.index("scale_factor")] = \
-            by_name["scale_factor"].normalize(scenario.options.scale_factor)
+        raw = {
+            "num_nodes": spec.total_nodes,
+            "num_functions": len(scenario.workload.functions),
+            "requests_per_second": sum(rps for _, rps in scenario.workload.functions),
+            "percent_nodes_to_score": scenario.options.scheduler.percent_nodes_to_score,
+            "min_replicas": scenario.options.min_replicas,
+            "max_replicas": scenario.options.max_replicas,
+            "scale_factor": scenario.options.scale_factor,
+        }
+        for name, value in raw.items():
+            feats[FAAS_STATIC_NAMES.index(name)] = self.space.normalize_static(name, value)
         return feats
 
     def _begin_episode(self, rng: np.random.Generator):
         scenario = sample_scenario(self.space, self.mode, rng,
-                                   duration_s=self.duration_s, norm=self.norm,
+                                   duration_s=self.duration_s,
                                    data_dir=self.data_dir)
         cluster = build_cluster(scenario.cluster_spec, self.data_dir)
         self.scenario = scenario

@@ -158,6 +158,21 @@ def test_agent_method_requires_checkpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, jobs, extra", [
+    ("tune", "0", []),
+    ("eval", "-1", ["--checkpoint", "agent.ckpt"]),
+])
+def test_nonpositive_jobs_fail_with_one_error_line(tmp_path, capsys, command,
+                                                   jobs, extra):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out),
+                 "--jobs", jobs] + extra) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs: expected a positive integer, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_bad_config_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n_scenarios": 0}')

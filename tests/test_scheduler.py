@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from schedtune import cluster as cl
 from schedtune import scheduler as sched
+from schedtune import simengine as se
+from schedtune import workload as wl
 from schedtune.errors import ConfigError
 from tests.conftest import make_function
 
@@ -198,13 +200,12 @@ def test_tie_break_lowest_node_id():
 
 
 def test_invalid_weights_rejected(small_cluster, probe_function):
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        sched.place(probe_function, small_cluster, np.ones(7),
-                    sched.SchedulerOptions(), rng)
-    with pytest.raises(ConfigError):
-        sched.place(probe_function, small_cluster, np.full(8, 1.5),
-                    sched.SchedulerOptions(), rng)
+    # place trusts its weights; the engine checks them once per run
+    requests = [wl.Request(probe_function, 0.0)]
+    for bad in (np.ones(7), np.full(8, 1.5)):
+        with pytest.raises(ConfigError):
+            se.simulate_requests(small_cluster, [probe_function], requests,
+                                 bad, se.SimOptions())
     with pytest.raises(ConfigError):
         sched.SchedulerOptions(percent_nodes_to_score=0.0)
     with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import pytest
 from schedtune.errors import ConfigError
 from schedtune.synthfuncs import (
     LANDSCAPES,
+    SYNTH_STATIC_NAMES,
     SyntheticTuningEnv,
     landscape_score,
     synth_space_set,
@@ -46,7 +47,7 @@ def test_grid_argmin_lands_on_known_minimum(name):
 @pytest.mark.parametrize("name", sorted(LANDSCAPES))
 def test_corner_cap_dominates_minimum(name):
     lscape = LANDSCAPES[name]
-    cap = lscape.corner_cap()
+    cap = lscape.corner_cap
     assert cap > lscape.f_min
     corners = [(lscape.lo, lscape.lo), (lscape.lo, lscape.hi),
                (lscape.hi, lscape.lo), (lscape.hi, lscape.hi)]
@@ -56,7 +57,7 @@ def test_corner_cap_dominates_minimum(name):
 
 def test_score_mapping_endpoints_and_clipping():
     lscape = LANDSCAPES["himmelblau"]
-    cap = lscape.corner_cap()
+    cap = lscape.corner_cap
     assert landscape_score(lscape, 0.0) == 1.0
     assert landscape_score(lscape, cap) == 0.0
     assert landscape_score(lscape, 2.0 * cap) == 0.0
@@ -65,7 +66,7 @@ def test_score_mapping_endpoints_and_clipping():
 
 def test_score_monotone_decreasing_in_function_value():
     lscape = LANDSCAPES["rastrigin"]
-    values = np.linspace(0.0, lscape.corner_cap(), 50)
+    values = np.linspace(0.0, lscape.corner_cap, 50)
     scores = landscape_score(lscape, values)
     assert np.all(np.diff(scores) <= 0.0)
 
@@ -81,7 +82,7 @@ def test_env_observation_layout():
 
 def _episode_params(env: SyntheticTuningEnv, obs: np.ndarray):
     """Recover shift fractions and scale from the static features."""
-    stat = {v.name: o for v, o in zip(env.space.static, obs[:3])}
+    stat = dict(zip(SYNTH_STATIC_NAMES, obs[:3]))
     shift = np.array([stat["shift_x"], stat["shift_y"]]) * 0.1 - 0.05
     scale = stat["scale"] * 0.2 + 0.9
     return shift, scale
@@ -163,6 +164,8 @@ def test_unknown_landscape_and_mode_raise():
 
 def test_synth_space_set_shapes():
     space = synth_space_set()
-    assert len(space.actions) == 2
+    assert space.action_names == ("z_x", "z_y")
     assert np.array_equal(space.initial_action, [0.5, 0.5])
-    assert {v.name for v in space.static} == {"shift_x", "shift_y", "scale"}
+    ranges = [space.static_range(name) for name in SYNTH_STATIC_NAMES]
+    assert [(v.min, v.max) for v in ranges] == [(-0.05, 0.05), (-0.05, 0.05),
+                                                (0.9, 1.1)]

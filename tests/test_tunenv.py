@@ -16,7 +16,6 @@ from schedtune.tunenv import (
     MASK_LEVELS,
     MODES,
     FaasTuningEnv,
-    SpaceSet,
     SpaceVar,
     TRAIN_PRESETS,
     TuningEnv,
@@ -35,7 +34,7 @@ class ScriptedEnv(TuningEnv):
                  coarse=()):
         self._script = [float(r0)] + [float(s) for s in scores]
         self._static_raw = np.asarray(static, dtype=float)
-        super().__init__(action_dim=2, static_dim=len(self._static_raw),
+        super().__init__(static_dim=len(self._static_raw),
                          coarse_indices=coarse,
                          initial_action=np.array([0.5, 0.5]),
                          n_steps=n_steps, mask_level=mask_level)
@@ -175,8 +174,6 @@ def test_mask_static_levels():
     assert np.array_equal(mask_static(feats, "full", (1, 3)), feats)
     assert np.array_equal(mask_static(feats, "coarse", (1, 3)), [0, 2, 0, 4, 0])
     assert np.array_equal(mask_static(feats, "none", (1, 3)), np.zeros(5))
-    with pytest.raises(ConfigError):
-        mask_static(feats, "partial", ())
 
 
 def test_mask_static_does_not_mutate_input():
@@ -204,19 +201,20 @@ def test_space_var_degenerate_sampling():
     assert v.sample_int(rng) == 10
 
 
-def test_space_set_rejects_initial_action_outside_bounds():
+def test_static_ranges_are_the_union_of_train_and_test():
     space = default_space_set()
-    bad = space.initial_action.copy()
-    bad[0] = 2.0
-    with pytest.raises(ConfigError, match="initial action outside bounds"):
-        SpaceSet(space.static, space.domain_train, space.domain_test, bad,
-                 space.reward, space.actions)
+    nodes = space.static_range("num_nodes")
+    assert (nodes.name, nodes.min, nodes.max) == ("num_nodes", 30, 400)
+    train, test = space.domain("train"), space.domain("test")
+    for name in train:
+        union = space.static_range(name)
+        assert (union.min, union.max) == (min(train[name].min, test[name].min),
+                                          max(train[name].max, test[name].max))
 
 
 def test_default_space_actions_match_scoring_functions():
     space = default_space_set()
-    assert tuple(v.name for v in space.actions) == tuple(
-        f"w_{n}" for n in SCORING_FUNCTIONS)
+    assert space.action_names == tuple(f"w_{n}" for n in SCORING_FUNCTIONS)
     assert np.array_equal(space.initial_action, FIXED_WEIGHTS)
     train = space.domain("train")
     assert train["requests_per_second"].min == train["requests_per_second"].max == 10
@@ -366,6 +364,8 @@ def test_faas_env_rejects_bad_configuration():
         FaasTuningEnv(mask_level="blurry")
     with pytest.raises(ConfigError):
         ScriptedEnv(0.5, [0.6], n_steps=0)
+    with pytest.raises(ConfigError, match="unknown mask level 'partial'"):
+        ScriptedEnv(0.5, [0.6], mask_level="partial")
 
 
 # SHA-256 over every observation and reward below; any change to the static
