@@ -3,8 +3,8 @@
 The networks here are small enough that hand-rolled float64 backprop is
 simpler and more portable than an autodiff dependency, and the actor update
 needs gradients with respect to *inputs* (to differentiate the critic with
-respect to the action), which ``Mlp.backward`` returns directly; its
-input-only mode computes nothing else.
+respect to the action), which ``Mlp.backward``'s input-only mode returns
+directly and computes nothing else.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ class Mlp:
     The parameters live in one buffer, ``flat`` (``w0, b0, w1, b1, ...``),
     viewed as ``weights`` and ``biases``; the gradients in ``grad_flat``,
     viewed as ``grad_weights`` and ``grad_biases``.  ``forward`` caches
-    activations; ``backward`` accumulates parameter gradients (scaled
-    however the caller scaled ``grad_out``) and returns the gradient with
+    activations; ``backward`` either accumulates parameter gradients (scaled
+    however the caller scaled ``grad_out``) or returns the gradient with
     respect to the input batch.  With ``rng`` None the parameters are not
     initialized, for a caller that fills them (a checkpoint load).
     """
@@ -70,9 +70,9 @@ class Mlp:
         self._cache = activations
         return h
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
-        """With ``input_only`` skip the parameter gradients, leaving
-        ``grad_flat`` as it was; the input gradient is the same."""
+    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray | None:
+        """Accumulate parameter gradients and return None; with ``input_only``
+        return the input gradient instead, leaving ``grad_flat`` as it was."""
         if self._cache is None:
             raise ConfigError("backward requires a preceding forward pass")
         activations = self._cache
@@ -83,10 +83,10 @@ class Mlp:
             if not input_only:
                 self.grad_weights[i] += activations[i].T @ g
                 self.grad_biases[i] += g.sum(axis=0)
+            if i == 0:
+                return g @ self.weights[0].T if input_only else None
             g = g @ self.weights[i].T
-            if i:   # a ReLU output is > 0 exactly where its input is
-                g *= activations[i] > 0.0
-        return g
+            g *= activations[i] > 0.0   # a ReLU output is > 0 exactly where its input is
 
     def zero_grads(self) -> None:
         self.grad_flat.fill(0.0)

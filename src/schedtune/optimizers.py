@@ -20,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .scheduler import FIXED_WEIGHTS
 from .tunenv import TuningEnv, TuningEpisode
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def suggest_fixed(dim: int = 8) -> np.ndarray:
-    """The hand-tuned default weights, independent of history."""
-    if dim == FIXED_WEIGHTS.shape[0]:
-        return FIXED_WEIGHTS.copy()
-    return np.full(dim, 0.5)
 
 
 def suggest_random(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
@@ -230,8 +222,12 @@ class Optimizer:
 
 
 class FixedOptimizer(Optimizer):
+    """Repeats the first observed action, which ``run_tuning`` sets to r0's."""
+
     def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        return suggest_fixed(self.dim)
+        if not self._x:
+            raise ProtocolError("the fixed method suggests only after an observation")
+        return self._x[0].copy()
 
 
 class RandomSearchOptimizer(Optimizer):

@@ -17,16 +17,17 @@ One benchmark run plays a request trace against a cluster copy:
   feasibility.
 * A request is successful iff it completes strictly before ``duration_s``.
 
-The event loop merges two streams: the trace, which must be sorted by
-arrival time and is read by index, and a heap that holds only pending
-completions.  At equal times an arrival goes before a completion, and
-completions go in the order they were scheduled.  Per-event work does not
-grow with the trace or the replica count: each function keeps a list of
-replica loads (queued plus in-service requests) and a count of waiting
-requests, both updated as requests arrive, start and complete, and each
-replica's compute, pull and fetch times are computed once, when it is
-placed.  Because allocations are never released, a function whose scale-up
-found no feasible node skips ``place`` for the rest of the run.
+The event loop merges two streams: the trace of ``(arrival_s,
+function_index)`` pairs, which must be sorted by time and is read by
+position, and a heap that holds only pending completions.  At equal times
+an arrival goes before a completion, and completions go in the order they
+were scheduled.  Per-event work does not grow with the trace or the replica
+count: each function keeps a list of replica loads (queued plus in-service
+requests) and a count of waiting requests, both updated as requests arrive,
+start and complete, and each replica's compute, pull and fetch times are
+computed once, when it is placed.  Because allocations are never released,
+a function whose scale-up found no feasible node skips ``place`` for the
+rest of the run.
 
 The resulting per-function metrics feed a score in [0, 1]: the mean over
 functions of the mean of three terms -- capped-and-flipped mean execution
@@ -43,8 +44,7 @@ import numpy as np
 from .cluster import Cluster
 from .errors import ConfigError, UnschedulableError
 from .scheduler import SchedulerOptions, place, validate_weights
-from .workload import (FunctionSpec, Request, WorkloadSpec, execution_seconds,
-                       generate_arrivals)
+from .workload import FunctionSpec, WorkloadSpec, execution_seconds, generate_arrivals
 
 QUEUE_SCALE_FACTOR = 5.0
 
@@ -119,7 +119,7 @@ def compute_score(metrics: BenchmarkMetrics, norm: ScoreNorm = ScoreNorm()) -> f
 
 
 class _Replica:
-    """One pod: its FIFO queue and its service-time parts on its node."""
+    """One pod: its FIFO queue of arrival times and its service-time parts."""
 
     __slots__ = ("index", "node_id", "queue", "exec_s", "pull_s", "fetch_s")
 
@@ -127,7 +127,7 @@ class _Replica:
                  pull_s: float | None, fetch_s: float):
         self.index = index
         self.node_id = node_id
-        self.queue: deque[Request] = deque()
+        self.queue: deque[float] = deque()
         self.exec_s = exec_s
         self.pull_s = pull_s  # None when the function has no image
         self.fetch_s = fetch_s
@@ -163,7 +163,9 @@ class _Engine:
         self.weights = validate_weights(weights)
         self.options = options
         self.rng = np.random.default_rng(options.seed)
-        self.functions = {fn.name: _Function(fn) for fn in functions}
+        if len({fn.name for fn in functions}) < len(functions):
+            raise ConfigError("functions must have distinct names")
+        self.functions = [_Function(fn) for fn in functions]
         self.placements: list[Placement] = []
         self.completions: list[tuple] = []
         self.seq = 0
@@ -188,13 +190,13 @@ class _Engine:
         return True
 
     def warm_up(self):
-        for fs in self.functions.values():
+        for fs in self.functions:
             for _ in range(self.options.min_replicas):
                 if not self.add_replica(fs, 0.0):
                     raise UnschedulableError(fs.spec.name)
 
     def start_service(self, fs: _Function, rep: _Replica, now: float):
-        req = rep.queue.popleft()
+        arrival_s = rep.queue.popleft()
         fs.waiting -= 1
         # Added in the order exec, pull, fetch, like the per-request sum
         # this replaces, so service times stay bit-identical.
@@ -207,7 +209,7 @@ class _Engine:
         service += rep.fetch_s
         self.seq += 1
         heapq.heappush(self.completions,
-                       (now + service, self.seq, fs, rep, req.arrival_s, now, service))
+                       (now + service, self.seq, fs, rep, arrival_s, now, service))
 
     def maybe_scale(self, fs: _Function, now: float):
         # Waiting = queued but not in service; the trigger is a strict >.
@@ -219,15 +221,14 @@ class _Engine:
             if not self.add_replica(fs, now):
                 break
 
-    def on_arrival(self, req: Request, now: float):
-        fs = self.functions[req.function.name]
+    def on_arrival(self, fs: _Function, now: float):
         fs.n_total += 1
         loads = fs.loads
         # index() finds the first minimum: ties go to the oldest replica.
         i = loads.index(min(loads))
         loads[i] += 1
         target = fs.replicas[i]
-        target.queue.append(req)
+        target.queue.append(now)
         fs.waiting += 1
         if loads[i] == 1:
             self.start_service(fs, target, now)
@@ -241,27 +242,29 @@ class _Engine:
         if rep.queue:
             self.start_service(fs, rep, now)
 
-    def run(self, requests: list[Request]) -> SimResult:
+    def run(self, trace: list[tuple[float, int]]) -> SimResult:
         self.warm_up()
         horizon = self.options.duration_s
+        functions, n_functions = self.functions, len(self.functions)
         prev = 0.0
-        for req in requests:
-            if req.arrival_s >= horizon:
+        for arrival_s, f in trace:
+            if arrival_s >= horizon:
                 raise ConfigError("request trace extends past the horizon")
-            if req.arrival_s < prev:
+            if arrival_s < prev:
                 raise ConfigError("request trace must be sorted by arrival time, from 0")
-            prev = req.arrival_s
+            if type(f) is not int or not 0 <= f < n_functions:
+                raise ConfigError(f"trace function index {f!r} is not in range({n_functions})")
+            prev = arrival_s
         completions = self.completions
-        n, i, last = len(requests), 0, 0.0
+        n, i, last = len(trace), 0, 0.0
         while True:
             # Arrivals win ties, so at equal times they go first.
-            if i < n and (not completions or requests[i].arrival_s <= completions[0][0]):
-                req = requests[i]
+            if i < n and (not completions or trace[i][0] <= completions[0][0]):
+                now, f = trace[i]
                 i += 1
-                now = req.arrival_s
                 assert now >= last, "event times must be nondecreasing"
                 last = now
-                self.on_arrival(req, now)
+                self.on_arrival(functions[f], now)
             elif completions and completions[0][0] < horizon:
                 now, _, *done = heapq.heappop(completions)
                 assert now >= last, "event times must be nondecreasing"
@@ -271,8 +274,8 @@ class _Engine:
                 break
 
         per = {}
-        for name, fs in self.functions.items():
-            per[name] = FunctionMetrics(
+        for fs in self.functions:
+            per[fs.spec.name] = FunctionMetrics(
                 mu_fet_s=sum(fs.fet) / len(fs.fet) if fs.fet else 0.0,
                 mu_wait_s=sum(fs.wait) / len(fs.wait) if fs.wait else 0.0,
                 n_success=len(fs.fet),
@@ -283,11 +286,10 @@ class _Engine:
 
 
 def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
-                      requests: list[Request], weights: np.ndarray,
+                      trace: list[tuple[float, int]], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
-    """Run an explicit request trace, sorted by arrival time.  The input
-    cluster is not mutated."""
-    return _Engine(cluster, functions, weights, options).run(requests)
+    """Run a sorted ``(arrival_s, function_index)`` trace; the cluster is not mutated."""
+    return _Engine(cluster, functions, weights, options).run(trace)
 
 
 def run_benchmark(cluster: Cluster, workload: WorkloadSpec, weights: np.ndarray,

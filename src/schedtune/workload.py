@@ -21,6 +21,9 @@ LOCALITY_PREFERENCES = ("any", "cloud", "edge")
 # Exec-time discount when a node carries the function's preferred accelerator.
 ACCELERATOR_SPEEDUP = 0.2
 
+# Gaps in a function's first draw; one that ends too soon is redrawn doubled.
+ARRIVAL_BLOCK = 1024
+
 TRAIN_FUNCTION_NAMES = (
     "resnet50_training",
     "resnet50_preprocessing",
@@ -83,12 +86,6 @@ class WorkloadSpec:
             raise ConfigError("duration_s must be positive")
 
 
-@dataclass(frozen=True)
-class Request:
-    function: FunctionSpec
-    arrival_s: float
-
-
 def catalog(data_dir=None) -> list[FunctionSpec]:
     """All eight functions, training ones first in file order."""
     payload = _data.load_json("functions.json", data_dir)
@@ -120,21 +117,26 @@ def execution_seconds(fn: FunctionSpec, device: DeviceClass) -> float:
     return t
 
 
-def generate_arrivals(spec: WorkloadSpec) -> list[Request]:
-    """Merged Poisson trace over [0, duration_s), sorted by arrival time.
+def generate_arrivals(spec: WorkloadSpec) -> list[tuple[float, int]]:
+    """Merged Poisson trace over [0, duration_s) as ``(arrival_s, index into
+    spec.functions)`` pairs, sorted by time; ties keep function order.
 
-    Each function gets its own stream of exponential gaps; the generator is
-    seeded from the spec so identical specs replay identical traces.
+    Each function gets its own stream of exponential gaps from one generator
+    seeded from the spec, so identical specs replay identical traces.
     """
     rng = np.random.default_rng(spec.seed)
-    requests = []
-    for fn, rps in spec.functions:
-        t = 0.0
-        scale = 1.0 / rps
-        while True:
-            t += float(rng.exponential(scale))
-            if t >= spec.duration_s:
-                break
-            requests.append(Request(fn, t))
-    requests.sort(key=lambda r: r.arrival_s)
-    return requests
+    times, owners = [], []
+    for k, (_, rps) in enumerate(spec.functions):
+        scale, size, state = 1.0 / rps, ARRIVAL_BLOCK, rng.bit_generator.state
+        while (t := np.cumsum(rng.exponential(scale, size)))[-1] < spec.duration_s:
+            rng.bit_generator.state = state
+            size *= 2
+        n = int(np.searchsorted(t, spec.duration_s))
+        # Leave the generator as a one-gap-at-a-time loop would: n + 1 drawn.
+        rng.bit_generator.state = state
+        rng.exponential(scale, n + 1)
+        times.append(t[:n])
+        owners.append(np.full(n, k))
+    t, f = np.concatenate(times), np.concatenate(owners)
+    order = np.argsort(t, kind="stable")
+    return list(zip(t[order].tolist(), f[order].tolist()))

@@ -3,7 +3,9 @@ oracle.
 
 ``_Engine`` and ``_Replica`` below are the pre-rewrite engine verbatim: one
 heap for arrivals and completions, a shortest-queue scan per arrival, a
-waiting-count sum per autoscale check and per-request service times.  The
+waiting-count sum per autoscale check and per-request service times.
+``simulate_requests`` converts the production ``(arrival_s,
+function_index)`` trace to the ``Request`` objects the engine reads.  The
 differential test in ``test_engine_oracle.py`` requires the production
 engine to give bit-identical ``SimResult``s.  Do not optimise this file.
 """
@@ -20,7 +22,8 @@ from schedtune.scheduler import place, validate_weights
 from schedtune.simengine import (QUEUE_SCALE_FACTOR, BenchmarkMetrics,
                                  FunctionMetrics, Placement, SimOptions,
                                  SimResult, compute_score)
-from schedtune.workload import FunctionSpec, Request, execution_seconds
+from schedtune.workload import FunctionSpec, execution_seconds
+from tests.arrivals_oracle import Request
 
 
 class _Replica:
@@ -143,6 +146,7 @@ class _Engine:
 
 
 def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
-                      requests: list[Request], weights: np.ndarray,
+                      trace: list[tuple[float, int]], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
+    requests = [Request(functions[f], t) for t, f in trace]
     return _Engine(cluster, functions, weights, options).run(requests)

@@ -152,8 +152,8 @@ def test_03_benchmark_determinism_and_conservation(capsys):
                         other.n_total)
 
             arrivals = Counter(
-                r.function.name
-                for r in wl.generate_arrivals(scenario.workload))
+                scenario.workload.functions[f][0].name
+                for _, f in wl.generate_arrivals(scenario.workload))
             for name, fm in first.metrics.per_function.items():
                 assert fm.n_total == arrivals.get(name, 0)
                 assert 0 <= fm.n_success <= fm.n_total
@@ -165,8 +165,7 @@ def test_03_benchmark_determinism_and_conservation(capsys):
         cluster = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2, "internet"))
         fn = make_function(name="f", cpu=1.0, mem=1024.0, image_bytes=1.25e8,
                            dataset_bytes=6.25e7, base_exec_s=1.0)
-        requests = [wl.Request(fn, 0.0), wl.Request(fn, 0.1),
-                    wl.Request(fn, 5.0)]
+        requests = [(0.0, 0), (0.1, 0), (5.0, 0)]
         result = se.simulate_requests(
             cluster, [fn], requests, sched.FIXED_WEIGHTS,
             se.SimOptions(min_replicas=1, max_replicas=1))

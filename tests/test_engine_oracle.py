@@ -68,7 +68,7 @@ def scenarios(draw):
     trace = np.random.default_rng(draw(st.integers(0, 2**16)))
     ticks = np.sort(trace.integers(0, span, n_requests))
     owners = trace.integers(0, len(functions), n_requests)
-    requests = [wl.Request(functions[f], t * TICK_S) for f, t in zip(owners, ticks)]
+    arrivals = [(t * TICK_S, f) for t, f in zip(ticks.tolist(), owners.tolist())]
 
     min_replicas = draw(st.integers(1, 3))
     options = se.SimOptions(
@@ -82,7 +82,7 @@ def scenarios(draw):
     weights = np.array(draw(st.lists(
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
         min_size=sched.N_WEIGHTS, max_size=sched.N_WEIGHTS)))
-    return cluster, functions, requests, weights, options
+    return cluster, functions, arrivals, weights, options
 
 
 def _outcome(simulate, args):

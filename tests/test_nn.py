@@ -6,6 +6,7 @@ import pytest
 
 from schedtune.errors import ConfigError
 from schedtune.nn import Adam, Mlp, polyak_update
+from tests.sac_oracle import Mlp as OracleMlp
 
 FD_H = 1e-5
 
@@ -88,8 +89,7 @@ def test_input_gradients_match_finite_differences():
         return float((net.forward(x) * coeff).sum())
 
     net.forward(x)
-    net.zero_grads()
-    grad_in = net.backward(coeff)
+    grad_in = net.backward(coeff, input_only=True)
     worst = 0.0
     for i, fd in fd_gradient(loss, x, range(x.size)).items():
         worst = max(worst, relative_error(fd, grad_in.ravel()[i]))
@@ -116,12 +116,16 @@ def test_input_only_backward_returns_the_same_input_gradient():
     jitter_biases(net, rng)
     x = rng.uniform(-1, 1, (5, 3))
     coeff = rng.uniform(-1, 1, (5, 2))
-    net.forward(x)
-    full = net.backward(coeff)
+    full = OracleMlp((3, 6, 6, 2), np.random.default_rng(0))
+    full.weights = [w.copy() for w in net.weights]
+    full.biases = [b.copy() for b in net.biases]
+    full.forward(x)
     net.grad_flat.fill(7.0)
     net.forward(x)
-    assert np.array_equal(net.backward(coeff, input_only=True), full)
+    assert np.array_equal(net.backward(coeff, input_only=True), full.backward(coeff))
     assert np.all(net.grad_flat == 7.0)
+    net.forward(x)
+    assert net.backward(coeff) is None
 
 
 def test_parameters_and_gradients_are_views_of_the_flat_buffers():

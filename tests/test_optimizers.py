@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedtune.errors import ConfigError
+from schedtune.errors import ConfigError, ProtocolError
 from schedtune.optimizers import (
     BoOptimizer,
     FixedOptimizer,
@@ -23,11 +23,12 @@ from schedtune.optimizers import (
     run_tuning,
     se_kernel,
     suggest_bo,
-    suggest_fixed,
     suggest_random,
     suggest_tpe,
 )
 from schedtune.scheduler import FIXED_WEIGHTS
+from schedtune.synthfuncs import synth_space_set
+from schedtune.tunenv import default_space_set
 
 from test_tunenv import ScriptedEnv
 
@@ -110,8 +111,18 @@ def test_se_kernel_values():
 
 
 def test_suggest_fixed_matches_default_weights():
-    assert np.array_equal(suggest_fixed(8), FIXED_WEIGHTS)
-    assert np.array_equal(suggest_fixed(2), [0.5, 0.5])
+    rng = np.random.default_rng(0)
+    for space, expected in ((default_space_set(), FIXED_WEIGHTS),
+                            (synth_space_set(), [0.5, 0.5])):
+        opt = FixedOptimizer(dim=len(expected))
+        opt.observe(space.initial_action, 0.3)
+        opt.observe(np.full(len(expected), 0.9), 0.8)
+        got = opt.suggest(rng)
+        assert np.array_equal(got, expected)
+        got[:] = -1.0   # a copy, not the history itself
+        assert np.array_equal(opt.suggest(rng), expected)
+    with pytest.raises(ProtocolError):
+        FixedOptimizer(dim=2).suggest(rng)
 
 
 def test_suggest_random_seeded_and_bounded():
@@ -284,6 +295,13 @@ def test_fixed_optimizer_repeats_initial_weights():
     episode = run_tuning(FixedOptimizer(dim=2), env, seed=0)
     assert episode.improvement == 0.0
     assert all(score == episode.r0 for _, score in episode.trials)
+
+
+def test_fixed_optimizer_tunes_with_the_environment_initial_action():
+    env = ScriptedEnv(0.5, [0.4] * 4, initial_action=[0.2, 0.9])
+    episode = run_tuning(FixedOptimizer(dim=2), env, seed=0)
+    assert len(episode.trials) == 4
+    assert all(np.array_equal(action, [0.2, 0.9]) for action, _ in episode.trials)
 
 
 def test_bo_optimizer_locates_smooth_optimum():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import simengine as se
-from schedtune import workload as wl
 from schedtune.errors import ConfigError
 from tests.conftest import make_function
 
@@ -201,7 +200,7 @@ def test_tie_break_lowest_node_id():
 
 def test_invalid_weights_rejected(small_cluster, probe_function):
     # place trusts its weights; the engine checks them once per run
-    requests = [wl.Request(probe_function, 0.0)]
+    requests = [(0.0, 0)]
     for bad in (np.ones(7), np.full(8, 1.5)):
         with pytest.raises(ConfigError):
             se.simulate_requests(small_cluster, [probe_function], requests,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_three_request_golden_trace():
     c = _two_xeon_cluster()
     fn = make_function(name="f", cpu=1.0, mem=1024.0,
                        image_bytes=1.25e8, dataset_bytes=6.25e7, base_exec_s=1.0)
-    reqs = [wl.Request(fn, 0.0), wl.Request(fn, 0.1), wl.Request(fn, 5.0)]
+    reqs = [(0.0, 0), (0.1, 0), (5.0, 0)]
     opts = se.SimOptions(min_replicas=1, max_replicas=1)
     res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
 
@@ -83,7 +84,7 @@ def test_three_request_golden_trace():
 def test_requests_after_horizon_do_not_complete():
     c = _two_xeon_cluster()
     fn = make_function(name="f", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=10.0)
-    reqs = [wl.Request(fn, 95.0)]
+    reqs = [(95.0, 0)]
     res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS,
                                se.SimOptions(min_replicas=1, max_replicas=1))
     fm = res.metrics.per_function["f"]
@@ -93,16 +94,26 @@ def test_requests_after_horizon_do_not_complete():
 
 
 @pytest.mark.parametrize("times, message", [
-    ([1.0, 100.0], "past the horizon"),
-    ([2.0, 1.0], "sorted by arrival time"),
-    ([-1.0, 1.0], "sorted by arrival time"),
+    ([(1.0, 0), (100.0, 0)], "past the horizon"),
+    ([(2.0, 0), (1.0, 0)], "sorted by arrival time"),
+    ([(-1.0, 0), (1.0, 0)], "sorted by arrival time"),
+    ([(1.0, 0), (2.0, 1)], r"function index 1 is not in range\(1\)$"),
+    ([(1.0, -1)], "function index -1 is"),
+    ([(1.0, 0.0)], "function index 0.0 is"),
 ])
 def test_trace_must_be_sorted_and_inside_the_horizon(times, message):
     c = _two_xeon_cluster()
     fn = make_function(name="f")
-    reqs = [wl.Request(fn, t) for t in times]
     with pytest.raises(ConfigError, match=message):
-        se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, se.SimOptions())
+        se.simulate_requests(c, [fn], times, sched.FIXED_WEIGHTS, se.SimOptions())
+
+
+def test_duplicate_function_names_are_rejected():
+    # Metrics are keyed by name, so a second entry would hide the first.
+    fn = make_function(name="f")
+    with pytest.raises(ConfigError, match="distinct names"):
+        se.simulate_requests(_two_xeon_cluster(), [fn, fn], [(1.0, 0), (2.0, 1)],
+                             sched.FIXED_WEIGHTS, se.SimOptions())
 
 
 def test_warmup_places_min_replicas_and_commits():
@@ -131,12 +142,38 @@ def test_conservation_success_plus_failed_equals_arrivals():
     arrivals = wl.generate_arrivals(spec)
     res = se.run_benchmark(c, spec, sched.FIXED_WEIGHTS, se.SimOptions(seed=1))
     per_fn_arrivals = {}
-    for r in arrivals:
-        per_fn_arrivals[r.function.name] = per_fn_arrivals.get(r.function.name, 0) + 1
+    for _, f in arrivals:
+        name = spec.functions[f][0].name
+        per_fn_arrivals[name] = per_fn_arrivals.get(name, 0) + 1
     for name, fm in res.metrics.per_function.items():
         assert fm.n_total == per_fn_arrivals.get(name, 0)
         assert 0 <= fm.n_success <= fm.n_total
     assert sum(f.n_total for f in res.metrics.per_function.values()) == len(arrivals)
+
+
+def test_run_benchmark_keeps_the_trace_contract_perfbench_reads(monkeypatch):
+    # perfbench wraps simengine.generate_arrivals and simulate_requests: it
+    # counts len(args[2]) as a run's requests, and requires the runs' n_total
+    # to sum to len(generate_arrivals(spec)).
+    seen = {}
+    real_generate, real_simulate = se.generate_arrivals, se.simulate_requests
+
+    def generate(spec):
+        seen["trace"] = real_generate(spec)
+        return seen["trace"]
+
+    def simulate(*args, **kwargs):
+        seen["args"] = args
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(se, "generate_arrivals", generate)
+    monkeypatch.setattr(se, "simulate_requests", simulate)
+    spec = _mini_workload(seed=4)
+    res = se.run_benchmark(_two_xeon_cluster(), spec, sched.FIXED_WEIGHTS, se.SimOptions())
+    assert list(inspect.signature(real_simulate).parameters)[2] == "trace"
+    assert seen["args"][2] is seen["trace"]
+    assert sum(fm.n_total for fm in res.metrics.per_function.values()) \
+        == len(wl.generate_arrivals(spec)) > 0
 
 
 def test_benchmark_replays_bit_identically():
@@ -158,7 +195,7 @@ def test_autoscaler_adds_replicas_under_backlog():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 10))
     fn = make_function(name="slow", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=30.0)
     # a burst of arrivals forces queue > 5x replicas quickly
-    reqs = [wl.Request(fn, 0.01 * i) for i in range(1, 30)]
+    reqs = [(0.01 * i, 0) for i in range(1, 30)]
     opts = se.SimOptions(min_replicas=1, max_replicas=8, scale_factor=2)
     res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
     scaled = [p for p in res.placements if p.time_s > 0.0]
@@ -169,7 +206,7 @@ def test_autoscaler_adds_replicas_under_backlog():
 def test_autoscaler_respects_max_replicas():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 10))
     fn = make_function(name="slow", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=1000.0)
-    reqs = [wl.Request(fn, 0.001 * i) for i in range(1, 500)]
+    reqs = [(0.001 * i, 0) for i in range(1, 500)]
     opts = se.SimOptions(min_replicas=1, max_replicas=3, scale_factor=5)
     res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
     assert len(res.placements) == 3
@@ -265,7 +302,7 @@ def test_scale_up_stops_calling_place_after_the_feasibility_wall(monkeypatch):
     c = _two_xeon_cluster()
     fn = make_function(name="wide", cpu=16.0, image_bytes=0.0,
                        dataset_bytes=0.0, base_exec_s=50.0)
-    reqs = [wl.Request(fn, 0.01 * i) for i in range(1, 200)]
+    reqs = [(0.01 * i, 0) for i in range(1, 200)]
     outcomes = []
 
     def recording_place(*args, **kwargs):

@@ -31,12 +31,12 @@ class ScriptedEnv(TuningEnv):
     """Returns a fixed r0 followed by scripted per-step scores."""
 
     def __init__(self, r0, scores, n_steps=4, static=(0.5,), mask_level="full",
-                 coarse=()):
+                 coarse=(), initial_action=(0.5, 0.5)):
         self._script = [float(r0)] + [float(s) for s in scores]
         self._static_raw = np.asarray(static, dtype=float)
         super().__init__(static_dim=len(self._static_raw),
                          coarse_indices=coarse,
-                         initial_action=np.array([0.5, 0.5]),
+                         initial_action=np.array(initial_action),
                          n_steps=n_steps, mask_level=mask_level)
 
     def _begin_episode(self, rng):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from schedtune import workload as wl
 from schedtune.errors import ConfigError
+from tests import arrivals_oracle
 from tests.conftest import make_function
 
 
@@ -51,7 +54,7 @@ def _workload(rps=4.0, n=2, duration=100.0, seed=0):
 
 def test_arrivals_sorted_and_within_horizon():
     reqs = wl.generate_arrivals(_workload(seed=3))
-    times = [r.arrival_s for r in reqs]
+    times = [t for t, _ in reqs]
     assert times == sorted(times)
     assert all(0.0 < t < 100.0 for t in times)
 
@@ -60,10 +63,8 @@ def test_arrivals_deterministic_per_seed():
     a = wl.generate_arrivals(_workload(seed=11))
     b = wl.generate_arrivals(_workload(seed=11))
     c = wl.generate_arrivals(_workload(seed=12))
-    assert [(r.function.name, r.arrival_s) for r in a] == \
-           [(r.function.name, r.arrival_s) for r in b]
-    assert [(r.function.name, r.arrival_s) for r in a] != \
-           [(r.function.name, r.arrival_s) for r in c]
+    assert a == b
+    assert a != c
 
 
 def test_arrival_counts_match_poisson_moments():
@@ -84,7 +85,7 @@ def test_interarrival_gaps_are_exponential():
     rate = 100.0
     spec = wl.WorkloadSpec(functions=((make_function(), rate),),
                            duration_s=100.0, seed=21)
-    times = [r.arrival_s for r in wl.generate_arrivals(spec)]
+    times = [t for t, _ in wl.generate_arrivals(spec)]
     gaps = np.diff(np.array(times))
     assert len(gaps) > 8000
     result = stats.kstest(gaps, "expon", args=(0.0, 1.0 / rate))
@@ -95,13 +96,45 @@ def test_multi_function_traces_are_independent_streams():
     spec = _workload(rps=50.0, n=2, seed=5)
     reqs = wl.generate_arrivals(spec)
     per = {}
-    for r in reqs:
-        per.setdefault(r.function.name, []).append(r.arrival_s)
+    for t, f in reqs:
+        per.setdefault(spec.functions[f][0].name, []).append(t)
     assert set(per) == {"f0", "f1"}
     for times in per.values():
         gaps = np.diff(np.array(times))
         result = stats.kstest(gaps, "expon", args=(0.0, 1.0 / 50.0))
         assert result.pvalue > 0.01
+
+
+def _oracle_spec(log_rates, duration, seed):
+    fns = tuple((make_function(name=f"f{i}"), 10.0**r) for i, r in enumerate(log_rates))
+    return wl.WorkloadSpec(functions=fns, duration_s=duration, seed=seed)
+
+
+# Rates from 1e-3 to 1e3 rps over horizons down to a microsecond.
+ORACLE_SPECS = st.builds(
+    _oracle_spec,
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    st.floats(1e-6, 1e-2) | st.floats(1e-2, 8.0),
+    st.integers(0, 2**32 - 1))
+# A stream whose first gap passes the horizon, and one that outgrows its
+# first block of gaps; test_oracle_examples_cover_the_edge_streams pins both.
+EMPTY_STREAM = ([-3.0, 0.0], 0.5, 1)
+REGROWN_STREAM = ([0.0, 3.0, 1.0], 3.0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORACLE_SPECS)
+@example(_oracle_spec(*EMPTY_STREAM))
+@example(_oracle_spec(*REGROWN_STREAM))
+def test_arrivals_match_scalar_oracle(spec):
+    assert wl.generate_arrivals(spec) == arrivals_oracle.arrival_pairs(spec)
+
+
+def test_oracle_examples_cover_the_edge_streams():
+    empty = wl.generate_arrivals(_oracle_spec(*EMPTY_STREAM))
+    assert empty and all(f == 1 for _, f in empty)
+    regrown = wl.generate_arrivals(_oracle_spec(*REGROWN_STREAM))
+    assert sum(f == 1 for _, f in regrown) > wl.ARRIVAL_BLOCK
 
 
 def test_workload_validation():
