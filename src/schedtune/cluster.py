@@ -131,8 +131,10 @@ class Cluster:
     that some node has pulled to a boolean array over the nodes, so scoring
     reads a whole candidate set's cache state with one fancy index; images
     change through :meth:`add_image` alone.  ``static_scores`` is the
-    scheduler's cache of the scoring columns that depend only on the nodes,
-    keyed by (function, scheduler options); clones share it.
+    scheduler's cache of the score templates, which depend only on the
+    nodes and their paths, keyed by (function, scheduler options).
+    :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
+    the replaced fields may be the very paths it was computed from.
     """
 
     spec: ClusterSpec
@@ -148,7 +150,7 @@ class Cluster:
     store_latency: np.ndarray = field(compare=False, repr=False)
     store_bw: np.ndarray = field(compare=False, repr=False)
     images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
-    static_scores: dict = field(default_factory=dict, compare=False, repr=False)
+    static_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -163,10 +165,6 @@ class Cluster:
         if image_name not in self.images:
             self.images[image_name] = np.zeros(self.n_nodes, dtype=bool)
         self.images[image_name][node_id] = True
-
-    def has_image(self, node_id: int, image_name: str) -> bool:
-        cached = self.images.get(image_name)
-        return cached is not None and bool(cached[node_id])
 
     def image_mask(self, image_name: str) -> np.ndarray:
         """Boolean array over the nodes: which ones hold the image."""
@@ -185,9 +183,11 @@ class Cluster:
     def clone(self) -> "Cluster":
         """Independent copy of the allocations and image caches; the nodes,
         the read-only arrays and ``static_scores`` stay shared."""
-        return replace(self, alloc_cpu=self.alloc_cpu.copy(),
+        twin = replace(self, alloc_cpu=self.alloc_cpu.copy(),
                        alloc_mem=self.alloc_mem.copy(),
                        images={name: cached.copy() for name, cached in self.images.items()})
+        twin.static_scores = self.static_scores
+        return twin
 
 
 def load_device_catalog(data_dir=None) -> dict[str, DeviceClass]:

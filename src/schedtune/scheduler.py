@@ -85,11 +85,13 @@ def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
 
 def _static_columns(fn: FunctionSpec, cluster: Cluster,
                     options: SchedulerOptions) -> tuple[np.ndarray, np.ndarray]:
-    """The score columns that depend only on the function, the node and the
-    options, over all nodes: rows locality_type, data_locality, capability
-    and the image term of a node without the image; plus the rtc
-    breakpoints as an (m, 2) array.
+    """A C-contiguous (n_nodes, 8) score template over all nodes, plus the
+    rtc breakpoints as an (m, 2) array.
 
+    The template holds the columns that depend only on the function, the
+    node and the options: locality_type, data_locality and capability in
+    their own columns, and in column 7 the image term of a node without the
+    image.  Columns 0, 1, 2 and 6 are left for ``score_nodes`` to fill.
     Computed on first use and kept in ``cluster.static_scores``, which the
     engine's clones share.  Each element is the same float a per-candidate
     computation gives, so scores stay bit-identical.
@@ -98,59 +100,55 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster,
     entry = cluster.static_scores.get(key)
     if entry is not None:
         return entry
-    n = cluster.n_nodes
+    template = np.zeros((cluster.n_nodes, N_WEIGHTS))
     if fn.preferred_locality == "any":
-        locality_type = np.ones(n)
+        template[:, 3] = 1.0
     else:
         want = 0 if fn.preferred_locality == "cloud" else 1
-        locality_type = (cluster.locality_code == want).astype(float)
+        template[:, 3] = cluster.locality_code == want
 
     fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
-    data_locality = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
+    template[:, 4] = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
 
     if fn.preferred_accelerator == "none":
-        capability = np.full(n, 0.5)
+        template[:, 5] = 0.5
     else:
-        want = ACCELERATORS.index(fn.preferred_accelerator)
-        capability = (cluster.accel_code == want).astype(float)
+        template[:, 5] = cluster.accel_code == ACCELERATORS.index(fn.preferred_accelerator)
 
     pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
-    uncached = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
+    template[:, 7] = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
 
-    entry = (np.vstack([locality_type, data_locality, capability, uncached]),
-             np.array(options.rtc_points, dtype=float))
+    entry = (template, np.array(options.rtc_points, dtype=float))
     cluster.static_scores[key] = entry
     return entry
 
 
 def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
                 options: SchedulerOptions) -> np.ndarray:
-    """Matrix of the eight scores, one row per node id.
+    """C-contiguous matrix of the eight scores, one row per node id.
 
-    Rows follow SCORING_FUNCTIONS order.  Callers must pass feasible ids;
-    utilizations then stay within [0, 1] by construction.
+    Columns follow SCORING_FUNCTIONS order.  The rows start as a copy of the
+    function's template; this call writes the allocation-dependent columns
+    0, 1, 2 and 6, and sets column 7 to 1.0 on nodes that hold the image.
+    Callers must pass feasible ids; utilizations then stay within [0, 1] by
+    construction.
     """
     ids = np.asarray(node_ids, dtype=int)
-    static, rtc_points = _static_columns(fn, cluster, options)
-    locality_type, data_locality, capability, uncached = static[:, ids]
+    template, rtc_points = _static_columns(fn, cluster, options)
+    scores = template[ids]
 
     u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
     u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
     u = (u_cpu + u_mem) / 2.0
 
-    least_allocated = 1.0 - u
-    most_allocated = u
-    rtc_ratio = piecewise_linear(u, rtc_points)
-
-    # Population stddev of two utilizations collapses to half their gap.
-    balanced_resource = 1.0 - np.abs(u_cpu - u_mem) / 2.0
-
-    latency_aware = np.where(cluster.image_mask(fn.image_name)[ids], 1.0, uncached)
-
-    return np.column_stack([
-        least_allocated, most_allocated, rtc_ratio, locality_type,
-        data_locality, capability, balanced_resource, latency_aware,
-    ])
+    scores[:, 0] = 1.0 - u                          # least_allocated
+    scores[:, 1] = u                                # most_allocated
+    scores[:, 2] = piecewise_linear(u, rtc_points)  # rtc_ratio
+    # balanced_resource: the population stddev of two utilizations
+    # collapses to half their gap.
+    scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
+    scores[cluster.image_mask(fn.image_name)[ids], 7] = 1.0
+    return scores
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,

@@ -25,7 +25,10 @@ were scheduled.  Per-event work does not grow with the trace or the replica
 count: each function keeps a list of replica loads (queued plus in-service
 requests) and a count of waiting requests, both updated as requests arrive,
 start and complete, and each replica's compute, pull and fetch times are
-computed once, when it is placed.  Because allocations are never released,
+computed once, when it is placed.  Arrivals, the autoscale check and
+completions are handled inline in the loop, which calls out only to start
+a service (one heap push, plus one image-cache lookup for a function with an
+image) and to place a new replica.  Because allocations are never released,
 a function whose scale-up found no feasible node skips ``place`` for the
 rest of the run.
 
@@ -167,8 +170,6 @@ class _Engine:
             raise ConfigError("functions must have distinct names")
         self.functions = [_Function(fn) for fn in functions]
         self.placements: list[Placement] = []
-        self.completions: list[tuple] = []
-        self.seq = 0
 
     def add_replica(self, fs: _Function, time_s: float) -> bool:
         if fs.unplaceable:
@@ -195,67 +196,44 @@ class _Engine:
                 if not self.add_replica(fs, 0.0):
                     raise UnschedulableError(fs.spec.name)
 
-    def start_service(self, fs: _Function, rep: _Replica, now: float):
-        arrival_s = rep.queue.popleft()
-        fs.waiting -= 1
-        # Added in the order exec, pull, fetch, like the per-request sum
-        # this replaces, so service times stay bit-identical.
-        service = rep.exec_s
-        if rep.pull_s is not None:
-            image = fs.spec.image_name
-            if not self.cluster.has_image(rep.node_id, image):
-                service += rep.pull_s
-                self.cluster.add_image(rep.node_id, image)
-        service += rep.fetch_s
-        self.seq += 1
-        heapq.heappush(self.completions,
-                       (now + service, self.seq, fs, rep, arrival_s, now, service))
-
-    def maybe_scale(self, fs: _Function, now: float):
-        # Waiting = queued but not in service; the trigger is a strict >.
-        if fs.waiting <= QUEUE_SCALE_FACTOR * len(fs.replicas):
-            return
-        for _ in range(self.options.scale_factor):
-            if len(fs.replicas) >= self.options.max_replicas:
-                break
-            if not self.add_replica(fs, now):
-                break
-
-    def on_arrival(self, fs: _Function, now: float):
-        fs.n_total += 1
-        loads = fs.loads
-        # index() finds the first minimum: ties go to the oldest replica.
-        i = loads.index(min(loads))
-        loads[i] += 1
-        target = fs.replicas[i]
-        target.queue.append(now)
-        fs.waiting += 1
-        if loads[i] == 1:
-            self.start_service(fs, target, now)
-        self.maybe_scale(fs, now)
-
-    def on_completion(self, fs: _Function, rep: _Replica, arrival_s: float,
-                      start_s: float, service_s: float, now: float):
-        fs.loads[rep.index] -= 1
-        fs.fet.append(service_s)
-        fs.wait.append(start_s - arrival_s)
-        if rep.queue:
-            self.start_service(fs, rep, now)
-
     def run(self, trace: list[tuple[float, int]]) -> SimResult:
         self.warm_up()
         horizon = self.options.duration_s
         functions, n_functions = self.functions, len(self.functions)
         prev = 0.0
         for arrival_s, f in trace:
-            if arrival_s >= horizon:
-                raise ConfigError("request trace extends past the horizon")
-            if arrival_s < prev:
+            # Written so that NaN fails too: every comparison with NaN is False.
+            if not prev <= arrival_s < horizon:
+                if arrival_s >= horizon:
+                    raise ConfigError("request trace extends past the horizon")
                 raise ConfigError("request trace must be sorted by arrival time, from 0")
             if type(f) is not int or not 0 <= f < n_functions:
                 raise ConfigError(f"trace function index {f!r} is not in range({n_functions})")
             prev = arrival_s
-        completions = self.completions
+
+        cluster, images = self.cluster, self.cluster.images
+        max_replicas, scale_factor = self.options.max_replicas, self.options.scale_factor
+        completions: list[tuple] = []
+        seq = 0
+
+        def start_service(fs: _Function, rep: _Replica, now: float):
+            nonlocal seq
+            arrival_s = rep.queue.popleft()
+            fs.waiting -= 1
+            # Added in the order exec, pull, fetch, like the per-request sum
+            # this replaces, so service times stay bit-identical.
+            service = rep.exec_s
+            if rep.pull_s is not None:
+                image = fs.spec.image_name
+                cached = images.get(image)
+                if cached is None or not cached[rep.node_id]:
+                    service += rep.pull_s
+                    cluster.add_image(rep.node_id, image)
+            service += rep.fetch_s
+            seq += 1
+            heapq.heappush(completions,
+                           (now + service, seq, fs, rep, arrival_s, now, service))
+
         n, i, last = len(trace), 0, 0.0
         while True:
             # Arrivals win ties, so at equal times they go first.
@@ -264,12 +242,31 @@ class _Engine:
                 i += 1
                 assert now >= last, "event times must be nondecreasing"
                 last = now
-                self.on_arrival(functions[f], now)
+                fs = functions[f]
+                fs.n_total += 1
+                loads = fs.loads
+                # index() finds the first minimum: ties go to the oldest replica.
+                k = loads.index(min(loads))
+                loads[k] += 1
+                rep = fs.replicas[k]
+                rep.queue.append(now)
+                fs.waiting += 1
+                if loads[k] == 1:
+                    start_service(fs, rep, now)
+                # Waiting = queued but not in service; the trigger is a strict >.
+                if fs.waiting > QUEUE_SCALE_FACTOR * len(fs.replicas):
+                    for _ in range(scale_factor):
+                        if len(fs.replicas) >= max_replicas or not self.add_replica(fs, now):
+                            break
             elif completions and completions[0][0] < horizon:
-                now, _, *done = heapq.heappop(completions)
+                now, _, fs, rep, arrival_s, start_s, service_s = heapq.heappop(completions)
                 assert now >= last, "event times must be nondecreasing"
                 last = now
-                self.on_completion(*done, now)
+                fs.loads[rep.index] -= 1
+                fs.fet.append(service_s)
+                fs.wait.append(start_s - arrival_s)
+                if rep.queue:
+                    start_service(fs, rep, now)
             else:
                 break
 

@@ -3,11 +3,15 @@ oracle.
 
 ``_Engine`` and ``_Replica`` below are the pre-rewrite engine verbatim: one
 heap for arrivals and completions, a shortest-queue scan per arrival, a
-waiting-count sum per autoscale check and per-request service times.
+waiting-count sum per autoscale check and per-request service times.  The
+one edit: the image-cache check reads ``Cluster.image_mask``, which
+replaced ``has_image``.
 ``simulate_requests`` converts the production ``(arrival_s,
-function_index)`` trace to the ``Request`` objects the engine reads.  The
+function_index)`` trace to the ``Request`` objects the engine reads, and
+pods are placed by the pre-template scorer of ``scoring_oracle``.  The
 differential test in ``test_engine_oracle.py`` requires the production
-engine to give bit-identical ``SimResult``s.  Do not optimise this file.
+engine and scorer to give bit-identical ``SimResult``s.  Do not optimise
+this file.
 """
 from __future__ import annotations
 
@@ -18,12 +22,13 @@ import numpy as np
 
 from schedtune.cluster import Cluster
 from schedtune.errors import ConfigError, UnschedulableError
-from schedtune.scheduler import place, validate_weights
+from schedtune.scheduler import validate_weights
 from schedtune.simengine import (QUEUE_SCALE_FACTOR, BenchmarkMetrics,
                                  FunctionMetrics, Placement, SimOptions,
                                  SimResult, compute_score)
 from schedtune.workload import FunctionSpec, execution_seconds
 from tests.arrivals_oracle import Request
+from tests.scoring_oracle import place
 
 
 class _Replica:
@@ -84,7 +89,7 @@ class _Engine:
         fn = req.function
         node = self.cluster.nodes[rep.node_id]
         service = execution_seconds(fn, node.device)
-        if fn.image_name and not self.cluster.has_image(rep.node_id, fn.image_name):
+        if fn.image_name and not self.cluster.image_mask(fn.image_name)[rep.node_id]:
             service += self.cluster.image_pull_time(rep.node_id, fn.image_bytes)
             self.cluster.add_image(rep.node_id, fn.image_name)
         service += self.cluster.data_fetch_time(rep.node_id, fn.dataset_bytes)

@@ -1,0 +1,83 @@
+"""The node scorer as it stood before the (n, 8) template, kept as a test
+oracle.
+
+``score_nodes`` and ``place`` below are the pre-template scheduler verbatim:
+four static score rows gathered per call and all eight columns joined with
+``np.column_stack``.  One thing differs: ``_static_columns`` recomputes its
+rows on every call instead of caching them in ``cluster.static_scores``, so
+the oracle shares no state with the code under test and a stale cache there
+shows up as a difference.  ``test_scoring_oracle.py`` requires the
+production scorer to give the same arrays and picks, and ``engine_oracle``
+places its pods with this ``place``.  Do not optimise this file.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from schedtune.cluster import ACCELERATORS, Cluster
+from schedtune.scheduler import SchedulerOptions, feasible_mask, piecewise_linear
+from schedtune.workload import FunctionSpec
+
+
+def _static_columns(fn: FunctionSpec, cluster: Cluster,
+                    options: SchedulerOptions) -> tuple[np.ndarray, np.ndarray]:
+    n = cluster.n_nodes
+    if fn.preferred_locality == "any":
+        locality_type = np.ones(n)
+    else:
+        want = 0 if fn.preferred_locality == "cloud" else 1
+        locality_type = (cluster.locality_code == want).astype(float)
+
+    fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
+    data_locality = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
+
+    if fn.preferred_accelerator == "none":
+        capability = np.full(n, 0.5)
+    else:
+        want = ACCELERATORS.index(fn.preferred_accelerator)
+        capability = (cluster.accel_code == want).astype(float)
+
+    pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
+    uncached = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
+
+    return (np.vstack([locality_type, data_locality, capability, uncached]),
+            np.array(options.rtc_points, dtype=float))
+
+
+def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
+                options: SchedulerOptions) -> np.ndarray:
+    ids = np.asarray(node_ids, dtype=int)
+    static, rtc_points = _static_columns(fn, cluster, options)
+    locality_type, data_locality, capability, uncached = static[:, ids]
+
+    u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
+    u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
+    u = (u_cpu + u_mem) / 2.0
+
+    least_allocated = 1.0 - u
+    most_allocated = u
+    rtc_ratio = piecewise_linear(u, rtc_points)
+
+    # Population stddev of two utilizations collapses to half their gap.
+    balanced_resource = 1.0 - np.abs(u_cpu - u_mem) / 2.0
+
+    latency_aware = np.where(cluster.image_mask(fn.image_name)[ids], 1.0, uncached)
+
+    return np.column_stack([
+        least_allocated, most_allocated, rtc_ratio, locality_type,
+        data_locality, capability, balanced_resource, latency_aware,
+    ])
+
+
+def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
+          options: SchedulerOptions, rng: np.random.Generator) -> int | None:
+    ids = np.nonzero(feasible_mask(fn, cluster))[0]
+    if len(ids) == 0:
+        return None
+    k = max(1, int(math.floor(options.percent_nodes_to_score * len(ids))))
+    if k < len(ids):
+        ids = np.sort(rng.choice(ids, size=k, replace=False))
+    totals = score_nodes(fn, ids, cluster, options) @ weights
+    return int(ids[int(np.argmax(totals))])

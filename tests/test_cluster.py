@@ -199,8 +199,8 @@ def test_clone_is_independent(small_cluster):
     other.add_image(1, "img")
     assert small_cluster.alloc_cpu[0] == 1.0
     assert other.alloc_cpu[0] == 2.0
-    assert not small_cluster.has_image(1, "img")
-    assert other.has_image(0, "img")
+    assert small_cluster.image_mask("img").tolist() == [True] + [False] * 39
+    assert other.image_mask("img")[:2].tolist() == [True, True]
 
 
 def test_invalid_specs_rejected():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,28 @@ def test_cached_columns_follow_function_options_and_clones():
                                       sched.score_nodes(fn, ids, fresh, opts))
     assert len(shared.static_scores) == 4
     assert shared.clone().static_scores is shared.static_scores
+
+
+def test_replaced_paths_do_not_reuse_cached_columns():
+    # dataclasses.replace builds a new cluster from the fields; the columns
+    # cached for the old paths must not follow it, or a slower network
+    # still scores like the old one.
+    spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
+    fn = make_function(dataset_bytes=1e8, image_bytes=3e8)
+    opts = sched.SchedulerOptions()
+    ids = np.arange(60)
+
+    def slowed(cluster):
+        return replace(cluster, registry_bw=cluster.registry_bw / 100,
+                       store_bw=cluster.store_bw / 100)
+
+    scored = cl.build_cluster(spec)
+    before = sched.score_nodes(fn, ids, scored, opts)
+    slow = slowed(scored)
+    expected = sched.score_nodes(fn, ids, slowed(cl.build_cluster(spec)), opts)
+    assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
+    assert np.array_equal(sched.score_nodes(fn, ids, slow, opts), expected)
+    assert slow.static_scores is not scored.static_scores
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
