@@ -115,29 +115,30 @@ def _parzen_components(locs: np.ndarray, floor: float) -> tuple[np.ndarray, np.n
     if mus.size == 1:
         sigmas = np.array([1.0])
     else:
-        gaps = np.diff(mus)
-        left = np.concatenate([[gaps[0]], gaps])
-        right = np.concatenate([gaps, [gaps[-1]]])
-        sigmas = np.maximum(left, right)
-    return mus, np.clip(sigmas, floor, 1.0)
+        gaps = mus[1:] - mus[:-1]
+        sigmas = np.empty(mus.size)
+        sigmas[0] = gaps[0]
+        sigmas[-1] = gaps[-1]
+        np.maximum(gaps[:-1], gaps[1:], out=sigmas[1:-1])
+    return mus, np.minimum(np.maximum(sigmas, floor), 1.0)
 
 
 def _truncnorm_z(mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Probability mass each component keeps inside [0, 1]."""
-    z = np.empty(len(mus))
-    for i, (mu, sigma) in enumerate(zip(mus, sigmas)):
-        upper = 0.5 * (1.0 + math.erf((1.0 - mu) / (sigma * _SQRT2)))
-        lower = 0.5 * (1.0 + math.erf((0.0 - mu) / (sigma * _SQRT2)))
-        z[i] = max(upper - lower, 1e-12)
-    return z
+    scale = sigmas * _SQRT2
+    args = np.concatenate([(1.0 - mus) / scale, (0.0 - mus) / scale])
+    # numpy has no erf; one pass over Python floats keeps math.erf cheap.
+    upper, lower = 0.5 * (1.0 + np.array([math.erf(v) for v in args.tolist()])
+                          .reshape(2, -1))
+    return np.maximum(upper - lower, 1e-12)
 
 
 def _parzen_pdf(x: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """Mixture density of truncated normals, evaluated inside [0, 1]."""
-    diff = (x[:, None] - mus[None, :]) / sigmas[None, :]
-    dens = np.exp(-0.5 * diff**2) / (sigmas[None, :] * math.sqrt(2.0 * math.pi))
-    return (dens / z[None, :]).mean(axis=1)
+    diff = (x[:, None] - mus) / sigmas
+    dens = np.exp(-0.5 * diff**2) / (sigmas * math.sqrt(2.0 * math.pi))
+    return (dens / z).sum(axis=1) / len(mus)
 
 
 def _parzen_sample(rng: np.random.Generator, mus: np.ndarray, sigmas: np.ndarray,
