@@ -169,10 +169,9 @@ class SacAgent:
         return a
 
     # -- gradient computations ---------------------------------------------
-    def critic_targets(self, rew, next_obs, done,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
+    def critic_targets(self, rew, next_obs, done) -> np.ndarray:
         """Entropy-regularized TD targets from the frozen twin critics."""
-        next_a, next_logp = self.sample_action(next_obs, rng=rng)
+        next_a, next_logp = self.sample_action(next_obs)
         next_in = np.concatenate([next_obs, next_a], axis=1)
         qt = np.minimum(self.q1_target.forward(next_in)[:, 0],
                         self.q2_target.forward(next_in)[:, 0])
@@ -420,10 +419,12 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                 seed: int, eval_env: TuningEnv | None = None,
                 eval_seeds=(), eval_every: int = 0,
                 checkpoint_path=None, log_every: int = 500,
-                log_path=None) -> TrainResult:
+                log_path=None, on_eval=None) -> TrainResult:
     """Standard off-policy loop: uniform warm-up actions until
     ``start_steps``, then one gradient step per environment step.  Log
-    entries go to ``result.history`` and, as they are made, to ``log_path``."""
+    entries go to ``result.history`` and, as they are made, to ``log_path``;
+    each evaluation entry goes to ``result.eval_history`` and, as it is
+    made, to ``on_eval``."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
@@ -472,13 +473,14 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
         if eval_every and eval_env is not None and agent.env_steps >= next_eval:
             next_eval += eval_every
             episodes = evaluate_policy(agent, eval_env, eval_seeds)
-            result.eval_history.append({
-                "env_steps": agent.env_steps,
-                "mean_best_score":
-                    float(np.mean([e.best_score for e in episodes])),
-                "mean_improvement":
-                    float(np.mean([e.improvement for e in episodes])),
-            })
+            entry = {"env_steps": agent.env_steps,
+                     "mean_best_score":
+                         float(np.mean([e.best_score for e in episodes])),
+                     "mean_improvement":
+                         float(np.mean([e.improvement for e in episodes]))}
+            result.eval_history.append(entry)
+            if on_eval is not None:
+                on_eval(entry)
             if checkpoint_path is not None:
                 agent.save(checkpoint_path)
 

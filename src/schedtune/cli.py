@@ -29,13 +29,16 @@ from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, SchedTuneError
 from .optimizers import OPTIMIZERS, make_optimizer, run_tuning
 from .report import (
+    CHART_FILENAME,
     CSV_SCHEMA_VERSION,
     read_trials_csv,
     render_report_md,
     render_score_chart,
     require_paired,
+    starts_new_table,
     summarize_trials,
     trial_rows,
+    trials_header,
     write_summary_csv,
     write_trials_csv,
 )
@@ -109,6 +112,10 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         raise ConfigError("evaluating the agent requires --checkpoint")
     if jobs < 1:
         raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
+    path = out_dir / "trials.csv"
+    action_names = make_env(config).space.action_names
+    # A table with other columns fails here, before any scenario is tuned.
+    starts_new_table(path, trials_header(action_names))
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [{
         "config": config.to_dict(),
@@ -126,8 +133,7 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         for index, (rows, seconds) in enumerate(results, start=1):
             _report_progress(index, len(payloads), rows, seconds)
             all_rows.extend(rows)
-    path = out_dir / "trials.csv"
-    write_trials_csv(path, all_rows, make_env(config).space.action_names)
+    write_trials_csv(path, all_rows, action_names)
     return path
 
 
@@ -145,7 +151,7 @@ def cmd_simulate(args) -> int:
     result = run_benchmark(cluster, scenario.workload, FIXED_WEIGHTS,
                            scenario.options)
     path = out_dir / "runrecords.csv"
-    new_file = not path.exists() or path.stat().st_size == 0
+    new_file = starts_new_table(path, RUNRECORD_FIELDS)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RUNRECORD_FIELDS)
         if new_file:
@@ -204,6 +210,14 @@ def cmd_train_agent(args) -> int:
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
     eval_config = ExperimentConfig(**{**config.to_dict(), "mode": "test"})
     checkpoint = out_dir / "agent.ckpt"
+
+    def report_eval(entry: dict):
+        """One stderr line per finished evaluation, like tune's progress."""
+        print(f"[eval] {entry['env_steps']}/{config.total_env_steps} env steps: "
+              f"mean best {entry['mean_best_score']:.4f} "
+              f"improvement {entry['mean_improvement']:+.4f}",
+              file=sys.stderr, flush=True)
+
     train_agent(
         agent, vec, total_env_steps=config.total_env_steps, seed=args.seed,
         eval_env=make_env(eval_config) if config.eval_every else None,
@@ -212,6 +226,7 @@ def cmd_train_agent(args) -> int:
         checkpoint_path=checkpoint,
         log_every=config.log_every,
         log_path=out_dir / "train_log.csv",
+        on_eval=report_eval,
     )
     print(f"trained for {agent.env_steps} environment steps; "
           f"checkpoint at {checkpoint}")
@@ -255,11 +270,10 @@ def cmd_report(args) -> int:
     config = _config_of(args) if args.config else None
     out_dir = Path(args.out)
     summaries = _summarize_table(out_dir)
-    (out_dir / "scores.svg").write_text(render_score_chart(summaries),
-                                        encoding="utf-8")
+    (out_dir / CHART_FILENAME).write_text(render_score_chart(summaries),
+                                          encoding="utf-8")
     markdown = render_report_md(
-        summaries, chart_filename="scores.svg",
-        config_echo=None if config is None else config.to_dict())
+        summaries, config_echo=None if config is None else config.to_dict())
     (out_dir / "report.md").write_text(markdown, encoding="utf-8")
     print(f"report written to {out_dir / 'report.md'}")
     return 0

@@ -132,7 +132,7 @@ class Cluster:
     reads a whole candidate set's cache state with one fancy index; images
     change through :meth:`add_image` alone.  ``static_scores`` is the
     scheduler's cache of the score templates, which depend only on the
-    nodes and their paths, keyed by (function, scheduler options).
+    nodes and their paths, keyed by function.
     :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
     the replaced fields may be the very paths it was computed from.
     """

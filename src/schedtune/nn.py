@@ -111,21 +111,21 @@ def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
         dst += np.multiply(source.flat[part], tau, out=scratch[:dst.size])
 
 
+# Moment decay rates and denominator guard: Kingma and Ba's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
     say), updated in place; ``m`` and ``v`` hold one array per parameter."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 3e-4):
         if lr <= 0.0:
             raise ConfigError("learning rate must be positive")
         if any(p.ndim != 1 for p in params):
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
@@ -139,7 +139,7 @@ class Adam:
                 g.shape != p.shape for g, p in zip(grads, self.params)):
             raise ConfigError("gradients do not match the parameters")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
@@ -153,7 +153,7 @@ class Adam:
                 np.multiply(gc, 1.0 - b2, out=num)
                 vc += np.multiply(num, gc, out=num)
                 np.sqrt(np.divide(vc, bias2, out=den), out=den)
-                den += self.eps
+                den += ADAM_EPS
                 np.divide(mc, bias1, out=num)
                 num *= self.lr
                 pc -= np.divide(num, den, out=num)

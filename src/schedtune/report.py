@@ -23,6 +23,8 @@ TRIAL_FIELDS = ("schema_version", "experiment", "method", "scenario_seed",
 SUMMARY_FIELDS = ("schema_version", "experiment", "method", "n_scenarios",
                   "mean_reference", "mean_best", "mean_improvement",
                   "win_rate")
+# The report's chart, next to report.md in the output directory.
+CHART_FILENAME = "scores.svg"
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,13 @@ def trial_rows(experiment: str, method: str, scenario_seed: int, episode,
     return rows
 
 
+def trials_header(action_names) -> list[str]:
+    return list(TRIAL_FIELDS) + list(action_names)
+
+
 def write_trials_csv(path, rows, action_names) -> None:
-    header = list(TRIAL_FIELDS) + list(action_names)
-    new_file = not _nonempty(path)
+    header = trials_header(action_names)
+    new_file = starts_new_table(path, header)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         if new_file:
@@ -70,12 +76,24 @@ def write_trials_csv(path, rows, action_names) -> None:
             writer.writerow(row)
 
 
-def _nonempty(path) -> bool:
+def starts_new_table(path, header) -> bool:
+    """Whether appending to the CSV file ``path`` must write ``header``
+    first: True when the file is missing or empty, False when its header is
+    ``header``.  Any other header fails, since appended rows would land
+    under columns that do not name them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return bool(fh.readline())
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            existing = next(csv.reader(fh), None)
     except OSError:
-        return False
+        return True
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ProtocolError(f"{path}: not a CSV table ({exc})") from exc
+    if existing is None:
+        return True
+    if existing != list(header):
+        raise ProtocolError(f"{path} has the columns {existing}, "
+                            f"but this run writes {list(header)}")
+    return False
 
 
 def read_trials_csv(path) -> list[dict]:
@@ -194,7 +212,7 @@ def write_summary_csv(path, summaries) -> None:
 _BAR_COLORS = ("#9aa5b1", "#3472b8")
 
 
-def render_score_chart(summaries, title="Tuned score by method") -> str:
+def render_score_chart(summaries) -> str:
     """Grouped bar chart (reference vs best score) as a standalone SVG."""
     if not summaries:
         raise ConfigError("nothing to plot")
@@ -214,7 +232,7 @@ def render_score_chart(summaries, title="Tuned score by method") -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">Tuned score by method</text>',
     ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_of(tick)
@@ -254,8 +272,7 @@ def render_score_chart(summaries, title="Tuned score by method") -> str:
     return "\n".join(parts)
 
 
-def render_report_md(summaries, chart_filename="scores.svg",
-                     config_echo: dict | None = None) -> str:
+def render_report_md(summaries, config_echo: dict | None = None) -> str:
     lines = ["# Tuning results", ""]
     experiment = summaries[0].experiment if summaries else ""
     lines.append(f"Experiment: `{experiment}`")
@@ -269,7 +286,7 @@ def render_report_md(summaries, chart_filename="scores.svg",
             f"| {s.mean_best:.4f} | {s.mean_improvement:+.4f} "
             f"| {s.win_rate:.0%} |")
     lines.append("")
-    lines.append(f"![score chart]({chart_filename})")
+    lines.append(f"![score chart]({CHART_FILENAME})")
     lines.append("")
     lines.append("Improvement is relative to the score of the fixed initial "
                  "weights on the same scenario; the win rate counts scenarios "

@@ -9,7 +9,6 @@ allocations is the simulation engine's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +33,10 @@ N_WEIGHTS = len(SCORING_FUNCTIONS)
 # side and the requested-to-capacity curve.
 FIXED_WEIGHTS = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
-DEFAULT_RTC_POINTS = ((0.0, 0.0), (1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class SchedulerOptions:
-    percent_nodes_to_score: float = 1.0
-    rtc_points: tuple[tuple[float, float], ...] = DEFAULT_RTC_POINTS
-    data_time_cap_s: float = 60.0
-    image_time_cap_s: float = 60.0
-
-    def __post_init__(self):
-        if not 0.0 < self.percent_nodes_to_score <= 1.0:
-            raise ConfigError("percent_nodes_to_score must lie in (0, 1]")
-        if len(self.rtc_points) < 2:
-            raise ConfigError("rtc_points needs at least two breakpoints")
-        xs = [x for x, _ in self.rtc_points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ConfigError("rtc_points x-coordinates must be strictly increasing")
-        if self.data_time_cap_s <= 0 or self.image_time_cap_s <= 0:
-            raise ConfigError("time caps must be positive")
+# Fetch and pull times at or beyond these score 0 in data_locality and in
+# the uncached image term of latency_aware_image_locality.
+DATA_TIME_CAP_S = 60.0
+IMAGE_TIME_CAP_S = 60.0
 
 
 def validate_weights(weights: np.ndarray) -> np.ndarray:
@@ -66,40 +49,26 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def piecewise_linear(u, points) -> np.ndarray:
-    """Linear interpolation through breakpoints, clamped at the endpoints.
-
-    ``points`` holds (x, y) pairs, as a sequence or an (m, 2) array."""
-    xs, ys = np.asarray(points, dtype=float).T
-    return np.interp(u, xs, ys)
-
-
 def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     free_cpu = cluster.capacity_cpu - cluster.alloc_cpu
     free_mem = cluster.capacity_mem - cluster.alloc_mem
-    mask = (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem)
-    if fn.accelerator_required:
-        mask &= cluster.accel_code == ACCELERATORS.index(fn.preferred_accelerator)
-    return mask
+    return (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem)
 
 
-def _static_columns(fn: FunctionSpec, cluster: Cluster,
-                    options: SchedulerOptions) -> tuple[np.ndarray, np.ndarray]:
-    """A C-contiguous (n_nodes, 8) score template over all nodes, plus the
-    rtc breakpoints as an (m, 2) array.
+def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
+    """A C-contiguous (n_nodes, 8) score template over all nodes.
 
-    The template holds the columns that depend only on the function, the
-    node and the options: locality_type, data_locality and capability in
-    their own columns, and in column 7 the image term of a node without the
-    image.  Columns 0, 1, 2 and 6 are left for ``score_nodes`` to fill.
-    Computed on first use and kept in ``cluster.static_scores``, which the
-    engine's clones share.  Each element is the same float a per-candidate
-    computation gives, so scores stay bit-identical.
+    The template holds the columns that depend only on the function and the
+    node: locality_type, data_locality and capability in their own columns,
+    and in column 7 the image term of a node without the image.  Columns 0,
+    1, 2 and 6 are left for ``score_nodes`` to fill.  Computed on first use
+    and kept in ``cluster.static_scores``, which the engine's clones share.
+    Each element is the same float a per-candidate computation gives, so
+    scores stay bit-identical.
     """
-    key = (fn, options)
-    entry = cluster.static_scores.get(key)
-    if entry is not None:
-        return entry
+    template = cluster.static_scores.get(fn)
+    if template is not None:
+        return template
     template = np.zeros((cluster.n_nodes, N_WEIGHTS))
     if fn.preferred_locality == "any":
         template[:, 3] = 1.0
@@ -108,7 +77,7 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster,
         template[:, 3] = cluster.locality_code == want
 
     fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
-    template[:, 4] = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
+    template[:, 4] = 1.0 - np.clip(fetch / DATA_TIME_CAP_S, 0.0, 1.0)
 
     if fn.preferred_accelerator == "none":
         template[:, 5] = 0.5
@@ -116,15 +85,13 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster,
         template[:, 5] = cluster.accel_code == ACCELERATORS.index(fn.preferred_accelerator)
 
     pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
-    template[:, 7] = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
+    template[:, 7] = 1.0 - np.clip(pull / IMAGE_TIME_CAP_S, 0.0, 1.0)
 
-    entry = (template, np.array(options.rtc_points, dtype=float))
-    cluster.static_scores[key] = entry
-    return entry
+    cluster.static_scores[fn] = template
+    return template
 
 
-def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
-                options: SchedulerOptions) -> np.ndarray:
+def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.ndarray:
     """C-contiguous matrix of the eight scores, one row per node id.
 
     Columns follow SCORING_FUNCTIONS order.  The rows start as a copy of the
@@ -134,16 +101,17 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
     construction.
     """
     ids = np.asarray(node_ids, dtype=int)
-    template, rtc_points = _static_columns(fn, cluster, options)
-    scores = template[ids]
+    scores = _static_columns(fn, cluster)[ids]
 
     u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
     u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
     u = (u_cpu + u_mem) / 2.0
 
-    scores[:, 0] = 1.0 - u                          # least_allocated
-    scores[:, 1] = u                                # most_allocated
-    scores[:, 2] = piecewise_linear(u, rtc_points)  # rtc_ratio
+    scores[:, 0] = 1.0 - u  # least_allocated
+    scores[:, 1] = u        # most_allocated
+    # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1), clamped
+    # at 1 as np.interp clamps; on feasible ids it equals most_allocated.
+    scores[:, 2] = np.minimum(u, 1.0)
     # balanced_resource: the population stddev of two utilizations
     # collapses to half their gap.
     scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
@@ -152,7 +120,7 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
-          options: SchedulerOptions, rng: np.random.Generator) -> int | None:
+          percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     """Pick the best node for the pod, or None when nothing is feasible.
 
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
@@ -163,8 +131,8 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     ids = np.nonzero(feasible_mask(fn, cluster))[0]
     if len(ids) == 0:
         return None
-    k = max(1, int(math.floor(options.percent_nodes_to_score * len(ids))))
+    k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
     if k < len(ids):
         ids = np.sort(rng.choice(ids, size=k, replace=False))
-    totals = score_nodes(fn, ids, cluster, options) @ weights
+    totals = score_nodes(fn, ids, cluster) @ weights
     return int(ids[int(np.argmax(totals))])

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .errors import ConfigError, UnschedulableError
-from .scheduler import SchedulerOptions, place, validate_weights
+from .scheduler import place, validate_weights
 from .workload import FunctionSpec, WorkloadSpec, execution_seconds, generate_arrivals
 
 QUEUE_SCALE_FACTOR = 5.0
@@ -68,7 +68,7 @@ class SimOptions:
     min_replicas: int = 1
     max_replicas: int = 100
     scale_factor: int = 1
-    scheduler: SchedulerOptions = field(default_factory=SchedulerOptions)
+    percent_nodes_to_score: float = 1.0
     norm: ScoreNorm = field(default_factory=ScoreNorm)
     seed: int = 0
 
@@ -79,6 +79,8 @@ class SimOptions:
             raise ConfigError("need 1 <= min_replicas <= max_replicas")
         if self.scale_factor < 1:
             raise ConfigError("scale_factor must be >= 1")
+        if not 0.0 < self.percent_nodes_to_score <= 1.0:
+            raise ConfigError("percent_nodes_to_score must lie in (0, 1]")
 
 
 @dataclass
@@ -175,7 +177,8 @@ class _Engine:
         if fs.unplaceable:
             return False
         fn = fs.spec
-        nid = place(fn, self.cluster, self.weights, self.options.scheduler, self.rng)
+        nid = place(fn, self.cluster, self.weights,
+                    self.options.percent_nodes_to_score, self.rng)
         if nid is None:
             fs.unplaceable = True
             return False

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cluster import PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_cluster
 from .errors import ConfigError, ProtocolError, UnschedulableError
-from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS, SchedulerOptions
+from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
 from .simengine import SimOptions, run_benchmark
 from .workload import WorkloadSpec, catalog, train_catalog
 
@@ -151,7 +151,7 @@ class Scenario:
             "rps": [rps for _, rps in self.workload.functions],
             "workload_seed": self.workload.seed,
             "duration_s": self.workload.duration_s,
-            "percent_nodes_to_score": self.options.scheduler.percent_nodes_to_score,
+            "percent_nodes_to_score": self.options.percent_nodes_to_score,
             "min_replicas": self.options.min_replicas,
             "max_replicas": self.options.max_replicas,
             "scale_factor": self.options.scale_factor,
@@ -196,7 +196,7 @@ def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
             min_replicas=min_replicas,
             max_replicas=max_replicas,
             scale_factor=scale_factor,
-            scheduler=SchedulerOptions(percent_nodes_to_score=percent),
+            percent_nodes_to_score=percent,
             seed=sim_seed,
         ),
     )
@@ -398,7 +398,7 @@ class FaasTuningEnv(TuningEnv):
             "num_nodes": spec.total_nodes,
             "num_functions": len(scenario.workload.functions),
             "requests_per_second": sum(rps for _, rps in scenario.workload.functions),
-            "percent_nodes_to_score": scenario.options.scheduler.percent_nodes_to_score,
+            "percent_nodes_to_score": scenario.options.percent_nodes_to_score,
             "min_replicas": scenario.options.min_replicas,
             "max_replicas": scenario.options.max_replicas,
             "scale_factor": scenario.options.scale_factor,

@@ -46,9 +46,6 @@ class FunctionSpec:
     image_bytes: float = 0.0
     dataset_bytes: float = 0.0
     base_exec_s: float = 1.0
-    # Set when the function cannot run at all without its accelerator; the
-    # catalog ships with preferences only so every preset stays schedulable.
-    accelerator_required: bool = False
 
     def __post_init__(self):
         if self.req_cpu <= 0 or self.req_mem <= 0:
@@ -61,8 +58,6 @@ class FunctionSpec:
             raise ConfigError(f"{self.name}: byte sizes must be nonnegative")
         if self.base_exec_s <= 0:
             raise ConfigError(f"{self.name}: base_exec_s must be positive")
-        if self.accelerator_required and self.preferred_accelerator == "none":
-            raise ConfigError(f"{self.name}: cannot require accelerator 'none'")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,8 @@ class _Engine:
         self.n_total: dict[str, int] = {fn.name: 0 for fn in functions}
 
     def add_replica(self, fn: FunctionSpec, time_s: float) -> bool:
-        nid = place(fn, self.cluster, self.weights, self.options.scheduler, self.rng)
+        nid = place(fn, self.cluster, self.weights,
+                    self.options.percent_nodes_to_score, self.rng)
         if nid is None:
             return False
         self.cluster.commit(nid, fn.req_cpu, fn.req_mem)

@@ -6,7 +6,9 @@ four static score rows gathered per call and all eight columns joined with
 ``np.column_stack``.  One thing differs: ``_static_columns`` recomputes its
 rows on every call instead of caching them in ``cluster.static_scores``, so
 the oracle shares no state with the code under test and a stale cache there
-shows up as a difference.  ``test_scoring_oracle.py`` requires the
+shows up as a difference.  The rtc breakpoints and the time caps are the
+oracle's own copies of the scorer's fixed configuration, and the rtc column
+still goes through ``np.interp``.  ``test_scoring_oracle.py`` requires the
 production scorer to give the same arrays and picks, and ``engine_oracle``
 places its pods with this ``place``.  Do not optimise this file.
 """
@@ -17,12 +19,15 @@ import math
 import numpy as np
 
 from schedtune.cluster import ACCELERATORS, Cluster
-from schedtune.scheduler import SchedulerOptions, feasible_mask, piecewise_linear
+from schedtune.scheduler import feasible_mask
 from schedtune.workload import FunctionSpec
 
+RTC_POINTS = ((0.0, 0.0), (1.0, 1.0))
+DATA_TIME_CAP_S = 60.0
+IMAGE_TIME_CAP_S = 60.0
 
-def _static_columns(fn: FunctionSpec, cluster: Cluster,
-                    options: SchedulerOptions) -> tuple[np.ndarray, np.ndarray]:
+
+def _static_columns(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
     n = cluster.n_nodes
     if fn.preferred_locality == "any":
         locality_type = np.ones(n)
@@ -31,7 +36,7 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster,
         locality_type = (cluster.locality_code == want).astype(float)
 
     fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
-    data_locality = 1.0 - np.clip(fetch / options.data_time_cap_s, 0.0, 1.0)
+    data_locality = 1.0 - np.clip(fetch / DATA_TIME_CAP_S, 0.0, 1.0)
 
     if fn.preferred_accelerator == "none":
         capability = np.full(n, 0.5)
@@ -40,16 +45,15 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster,
         capability = (cluster.accel_code == want).astype(float)
 
     pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
-    uncached = 1.0 - np.clip(pull / options.image_time_cap_s, 0.0, 1.0)
+    uncached = 1.0 - np.clip(pull / IMAGE_TIME_CAP_S, 0.0, 1.0)
 
     return (np.vstack([locality_type, data_locality, capability, uncached]),
-            np.array(options.rtc_points, dtype=float))
+            np.array(RTC_POINTS, dtype=float))
 
 
-def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
-                options: SchedulerOptions) -> np.ndarray:
+def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.ndarray:
     ids = np.asarray(node_ids, dtype=int)
-    static, rtc_points = _static_columns(fn, cluster, options)
+    static, rtc_points = _static_columns(fn, cluster)
     locality_type, data_locality, capability, uncached = static[:, ids]
 
     u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
@@ -58,7 +62,8 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
 
     least_allocated = 1.0 - u
     most_allocated = u
-    rtc_ratio = piecewise_linear(u, rtc_points)
+    xs, ys = rtc_points.T
+    rtc_ratio = np.interp(u, xs, ys)
 
     # Population stddev of two utilizations collapses to half their gap.
     balanced_resource = 1.0 - np.abs(u_cpu - u_mem) / 2.0
@@ -72,12 +77,12 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
-          options: SchedulerOptions, rng: np.random.Generator) -> int | None:
+          percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     ids = np.nonzero(feasible_mask(fn, cluster))[0]
     if len(ids) == 0:
         return None
-    k = max(1, int(math.floor(options.percent_nodes_to_score * len(ids))))
+    k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
     if k < len(ids):
         ids = np.sort(rng.choice(ids, size=k, replace=False))
-    totals = score_nodes(fn, ids, cluster, options) @ weights
+    totals = score_nodes(fn, ids, cluster) @ weights
     return int(ids[int(np.argmax(totals))])

@@ -87,7 +87,6 @@ def test_01_reward_arithmetic_and_sparsity(capsys):
 def test_02_scheduler_scoring_invariants(capsys):
     def body():
         rng = np.random.default_rng(7)
-        options = sched.SchedulerOptions()
         checked = 0
         for _ in range(1000):
             spec = cl.ClusterSpec(
@@ -109,7 +108,7 @@ def test_02_scheduler_scoring_invariants(capsys):
                 dataset_bytes=float(rng.uniform(0.0, 1e9)))
             ids = np.nonzero(sched.feasible_mask(fn, cluster))[0]
             assert len(ids) > 0
-            scores = sched.score_nodes(fn, ids, cluster, options)
+            scores = sched.score_nodes(fn, ids, cluster)
 
             for i in range(sched.N_WEIGHTS):
                 one_hot = np.zeros(sched.N_WEIGHTS)
@@ -120,8 +119,8 @@ def test_02_scheduler_scoring_invariants(capsys):
             totals = scores @ w
             for lam in (0.5, 4.0):  # exact powers of two
                 assert np.argmax(scores @ (lam * w)) == np.argmax(totals)
-            pick = sched.place(fn, cluster, w, options, rng)
-            assert pick == sched.place(fn, cluster, 0.5 * w, options, rng)
+            pick = sched.place(fn, cluster, w, 1.0, rng)
+            assert pick == sched.place(fn, cluster, 0.5 * w, 1.0, rng)
 
             assert np.max(np.abs(scores[:, 0] + scores[:, 1] - 1.0)) < 1e-12
             assert np.max(np.abs(scores[:, 2] - scores[:, 1])) < 1e-12

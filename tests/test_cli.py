@@ -124,6 +124,39 @@ def test_train_agent_then_eval(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_agent_prints_one_line_per_evaluation(tmp_path, capsys):
+    config = write_config(
+        tmp_path, mode="train", total_env_steps=120, start_steps=40,
+        num_envs=2, hidden=[8], batch_size=16, eval_every=40,
+        n_eval_seeds=2, log_every=0)
+    assert main(["train-agent", "--config", config, "--seed", "2",
+                 "--out", str(tmp_path / "agent")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines, start=1):
+        match = re.fullmatch(r"\[eval\] (\d+)/120 env steps: mean best "
+                             r"(-?\d+\.\d{4}) improvement ([+-]\d+\.\d{4})", line)
+        assert match, line
+        assert int(match[1]) == 40 * i
+
+
+def test_trials_table_with_other_columns_fails_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    faas = write_config(tmp_path, env_kind="faas", mode="train",
+                        duration_s=20.0, n_scenarios=1)
+    assert main(["tune", "--config", faas, "--seed", "1",
+                 "--out", str(out), "--method", "random"]) == 0
+    before = (out / "trials.csv").read_text()
+    synthetic = write_config(tmp_path, n_scenarios=1)
+    capsys.readouterr()
+    assert main(["tune", "--config", synthetic, "--seed", "1",
+                 "--out", str(out), "--method", "random"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'w_least_allocated'" in err and "'z_x'" in err
+    assert (out / "trials.csv").read_text() == before
+
+
 def test_simulate_appends_run_records(tmp_path, capsys):
     config = write_config(tmp_path, env_kind="faas", mode="train",
                           duration_s=20.0)

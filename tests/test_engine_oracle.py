@@ -45,17 +45,15 @@ def scenarios(draw):
 
     functions = []
     for k in range(draw(st.integers(1, 3))):
-        accel = draw(st.sampled_from(cl.ACCELERATORS))
         fn = make_function(
             name=f"f{k}",
             cpu=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
             mem=draw(st.sampled_from([256.0, 512.0, 1024.0, 2048.0])),
-            accel=accel,
+            accel=draw(st.sampled_from(cl.ACCELERATORS)),
             locality=draw(st.sampled_from(wl.LOCALITY_PREFERENCES)),
             image_bytes=draw(st.integers(0, 8)) * 2.0**17,
             dataset_bytes=draw(st.integers(0, 8)) * 2.0**17,
-            base_exec_s=draw(st.integers(1, 16)) * TICK_S,
-            required=accel != "none" and draw(st.integers(0, 3)) == 0)
+            base_exec_s=draw(st.integers(1, 16)) * TICK_S)
         # Shared image names exercise the per-node cache across functions;
         # an empty name never pays a pull.
         image = draw(st.sampled_from(["", "shared", fn.image_name]))
@@ -76,8 +74,7 @@ def scenarios(draw):
         min_replicas=min_replicas,
         max_replicas=draw(st.integers(min_replicas, 100)),
         scale_factor=draw(st.integers(1, 4)),
-        scheduler=sched.SchedulerOptions(percent_nodes_to_score=draw(
-            st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01]))),
+        percent_nodes_to_score=draw(st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01])),
         seed=draw(st.integers(0, 1000)))
     weights = np.array(draw(st.lists(
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),

@@ -62,6 +62,16 @@ def test_append_writes_header_once(tmp_path):
     assert len(read_trials_csv(path)) == 4
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe garbage\n", b"x" * 200_000])
+def test_append_to_a_file_that_is_not_csv_fails(tmp_path, content):
+    path = tmp_path / "trials.csv"
+    path.write_bytes(content)
+    rows = trial_rows("exp", "bo", 1, episode_of(0.1, [0.2]), NAMES)
+    with pytest.raises(ProtocolError, match="not a CSV table"):
+        write_trials_csv(path, rows, NAMES)
+    assert path.read_bytes() == content
+
+
 def test_unknown_schema_version_rejected_with_line(tmp_path):
     path = tmp_path / "trials.csv"
     rows = trial_rows("exp", "bo", 1, episode_of(0.1, [0.2, 0.3]), NAMES)

@@ -21,15 +21,6 @@ def test_weight_order_and_fixed_vector():
     assert sched.FIXED_WEIGHTS.tolist() == [0, 1, 0, 1, 1, 1, 1, 1]
 
 
-def test_piecewise_linear_interpolates_and_clamps():
-    pts = ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))
-    assert sched.piecewise_linear(0.25, pts) == 0.5
-    assert sched.piecewise_linear(0.5, pts) == 1.0
-    # np.interp clamps outside the breakpoint range
-    assert sched.piecewise_linear(-1.0, pts) == 0.0
-    assert sched.piecewise_linear(2.0, pts) == 0.0
-
-
 def test_filter_excludes_overfull_nodes(small_cluster, probe_function):
     small_cluster.commit(0, small_cluster.capacity_cpu[0], small_cluster.capacity_mem[0])
     mask = sched.feasible_mask(probe_function, small_cluster)
@@ -37,50 +28,33 @@ def test_filter_excludes_overfull_nodes(small_cluster, probe_function):
     assert mask[1:].all()
 
 
-def test_filter_requires_accelerator():
-    c = cl.build_cluster(cl.ClusterSpec("edge_sbc", 20))
-    fn = make_function(accel="gpu", required=True)
-    ids = np.nonzero(sched.feasible_mask(fn, c))[0]
-    assert len(ids) > 0
-    for i in ids:
-        assert c.nodes[i].device.accelerator == "gpu"
-    # a cluster without gpus yields an empty feasible set
-    rpi_only = [n for n in c.nodes if n.device.accelerator == "none"]
-    assert rpi_only, "preset should contain plain nodes"
-    mask = sched.feasible_mask(fn, c)
-    assert not mask[rpi_only[0].id]
-
-
 def test_unschedulable_returns_none(small_cluster):
     fn = make_function(cpu=1e9)
     rng = np.random.default_rng(0)
     assert sched.place(fn, small_cluster, sched.FIXED_WEIGHTS,
-                       sched.SchedulerOptions(), rng) is None
+                       1.0, rng) is None
 
 
 def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     rng = np.random.default_rng(1)
-    opts = sched.SchedulerOptions()
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
         if sched.feasible_mask(probe_function, small_cluster)[nid]:
-            s = sched.score_nodes(probe_function, [nid], small_cluster, opts)[0]
+            s = sched.score_nodes(probe_function, [nid], small_cluster)[0]
             assert s.shape == (8,)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             small_cluster.commit(nid, 1.0, 1024.0)
 
 
 def test_least_plus_most_allocated_is_one(small_cluster, probe_function):
-    opts = sched.SchedulerOptions()
     s = sched.score_nodes(probe_function,
-                          np.arange(small_cluster.n_nodes), small_cluster, opts)
+                          np.arange(small_cluster.n_nodes), small_cluster)
     np.testing.assert_allclose(s[:, 0] + s[:, 1], 1.0, atol=1e-12)
 
 
 def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
-    opts = sched.SchedulerOptions()
     s = sched.score_nodes(probe_function,
-                          np.arange(small_cluster.n_nodes), small_cluster, opts)
+                          np.arange(small_cluster.n_nodes), small_cluster)
     assert np.array_equal(s[:, 2], s[:, 1])
 
 
@@ -88,13 +62,12 @@ def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
     fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
-    s = sched.score_nodes(fn, [0], c, sched.SchedulerOptions())[0]
+    s = sched.score_nodes(fn, [0], c)[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
 def test_locality_and_capability_scores():
     c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 60, seed=2))
-    opts = sched.SchedulerOptions()
     cloud_pref = make_function(locality="cloud")
     any_pref = make_function(locality="any")
     gpu_pref = make_function(accel="gpu")
@@ -102,47 +75,41 @@ def test_locality_and_capability_scores():
     ids = np.arange(c.n_nodes)
     is_cloud = [float(n.device.locality == "cloud") for n in c.nodes]
     is_gpu = [float(n.device.accelerator == "gpu") for n in c.nodes]
-    assert sched.score_nodes(cloud_pref, ids, c, opts)[:, 3].tolist() == is_cloud
-    assert (sched.score_nodes(any_pref, ids, c, opts)[:, 3] == 1.0).all()
-    assert sched.score_nodes(gpu_pref, ids, c, opts)[:, 5].tolist() == is_gpu
-    assert (sched.score_nodes(none_pref, ids, c, opts)[:, 5] == 0.5).all()
+    assert sched.score_nodes(cloud_pref, ids, c)[:, 3].tolist() == is_cloud
+    assert (sched.score_nodes(any_pref, ids, c)[:, 3] == 1.0).all()
+    assert sched.score_nodes(gpu_pref, ids, c)[:, 5].tolist() == is_gpu
+    assert (sched.score_nodes(none_pref, ids, c)[:, 5] == 0.5).all()
     assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
-    opts = sched.SchedulerOptions()
     huge = make_function(image_bytes=1e12)
-    assert sched.score_nodes(huge, [0], small_cluster, opts)[0, 7] == 0.0
+    assert sched.score_nodes(huge, [0], small_cluster)[0, 7] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert sched.score_nodes(huge, [0], small_cluster, opts)[0, 7] == 1.0
+    assert sched.score_nodes(huge, [0], small_cluster)[0, 7] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
-    opts = sched.SchedulerOptions()
-    near = sched.score_nodes(make_function(dataset_bytes=1e6), [0], small_cluster, opts)[0, 4]
-    far = sched.score_nodes(make_function(dataset_bytes=1e10), [0], small_cluster, opts)[0, 4]
+    near = sched.score_nodes(make_function(dataset_bytes=1e6), [0], small_cluster)[0, 4]
+    far = sched.score_nodes(make_function(dataset_bytes=1e10), [0], small_cluster)[0, 4]
     assert near > far
     assert far == 0.0
 
 
-def test_cached_columns_follow_function_options_and_clones():
-    # One cluster scores every (function, options) pair in turn; each result
+def test_cached_columns_follow_function_and_clones():
+    # One cluster scores every function in turn; each result
     # must equal the same scoring on a freshly built cluster, clone included.
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     shared = cl.build_cluster(spec)
     ids = np.arange(0, 60, 3)
     functions = [make_function(), make_function(name="g", accel="gpu", locality="cloud",
                                                 dataset_bytes=1e9, image_bytes=3e8)]
-    options = [sched.SchedulerOptions(),
-               sched.SchedulerOptions(rtc_points=((0.0, 1.0), (1.0, 0.0)),
-                                      data_time_cap_s=0.5, image_time_cap_s=0.5)]
     for fn in functions:
-        for opts in options:
-            for target in (shared, shared.clone()):
-                fresh = cl.build_cluster(spec)
-                assert np.array_equal(sched.score_nodes(fn, ids, target, opts),
-                                      sched.score_nodes(fn, ids, fresh, opts))
-    assert len(shared.static_scores) == 4
+        for target in (shared, shared.clone()):
+            fresh = cl.build_cluster(spec)
+            assert np.array_equal(sched.score_nodes(fn, ids, target),
+                                  sched.score_nodes(fn, ids, fresh))
+    assert len(shared.static_scores) == 2
     assert shared.clone().static_scores is shared.static_scores
 
 
@@ -152,7 +119,6 @@ def test_replaced_paths_do_not_reuse_cached_columns():
     # still scores like the old one.
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     fn = make_function(dataset_bytes=1e8, image_bytes=3e8)
-    opts = sched.SchedulerOptions()
     ids = np.arange(60)
 
     def slowed(cluster):
@@ -160,22 +126,21 @@ def test_replaced_paths_do_not_reuse_cached_columns():
                        store_bw=cluster.store_bw / 100)
 
     scored = cl.build_cluster(spec)
-    before = sched.score_nodes(fn, ids, scored, opts)
+    before = sched.score_nodes(fn, ids, scored)
     slow = slowed(scored)
-    expected = sched.score_nodes(fn, ids, slowed(cl.build_cluster(spec)), opts)
+    expected = sched.score_nodes(fn, ids, slowed(cl.build_cluster(spec)))
     assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
-    assert np.array_equal(sched.score_nodes(fn, ids, slow, opts), expected)
+    assert np.array_equal(sched.score_nodes(fn, ids, slow), expected)
     assert slow.static_scores is not scored.static_scores
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
-    opts = sched.SchedulerOptions()
     ids = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0]
-    scores = sched.score_nodes(probe_function, ids, small_cluster, opts)
+    scores = sched.score_nodes(probe_function, ids, small_cluster)
     for j in range(8):
         w = np.zeros(8)
         w[j] = 1.0
-        chosen = sched.place(probe_function, small_cluster, w, opts,
+        chosen = sched.place(probe_function, small_cluster, w, 1.0,
                              np.random.default_rng(0))
         best = scores[:, j].max()
         expected = int(ids[np.nonzero(scores[:, j] == best)[0][0]])
@@ -184,12 +149,12 @@ def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
 
 def test_scale_invariance_of_argmax(small_cluster, probe_function):
     # base weights kept within [0, 0.1] so that a x10 scaling stays in bounds
-    opts = sched.SchedulerOptions(percent_nodes_to_score=0.5)
+    pct = 0.5
     w = np.array([0.03, 0.01, 0.02, 0.07, 0.04, 0.09, 0.05, 0.06])
-    base = sched.place(probe_function, small_cluster, w, opts,
+    base = sched.place(probe_function, small_cluster, w, pct,
                        np.random.default_rng(77))
     for c in (0.1, 10.0):
-        scaled = sched.place(probe_function, small_cluster, w * c, opts,
+        scaled = sched.place(probe_function, small_cluster, w * c, pct,
                              np.random.default_rng(77))
         assert scaled == base
 
@@ -197,10 +162,10 @@ def test_scale_invariance_of_argmax(small_cluster, probe_function):
 def test_subsample_size_floor(small_cluster, probe_function):
     feasible = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0].tolist()
     n = len(feasible)
-    opts = sched.SchedulerOptions(percent_nodes_to_score=1.0 / (n + 1))
+    pct = 1.0 / (n + 1)
     # floor gives zero, the floor of one node still applies
     chosen = sched.place(probe_function, small_cluster, sched.FIXED_WEIGHTS,
-                         opts, np.random.default_rng(3))
+                         pct, np.random.default_rng(3))
     assert chosen in feasible
 
 
@@ -208,7 +173,7 @@ def test_place_does_not_mutate_cluster(small_cluster, probe_function):
     small_cluster.commit(2, 1.0, 256.0)
     before = (small_cluster.alloc_cpu.copy(), small_cluster.alloc_mem.copy())
     sched.place(probe_function, small_cluster, sched.FIXED_WEIGHTS,
-                sched.SchedulerOptions(), np.random.default_rng(0))
+                1.0, np.random.default_rng(0))
     assert np.array_equal(small_cluster.alloc_cpu, before[0])
     assert np.array_equal(small_cluster.alloc_mem, before[1])
 
@@ -217,7 +182,7 @@ def test_tie_break_lowest_node_id():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 3))
     # identical empty xeon nodes: every score ties, lowest id must win
     fn = make_function()
-    nid = sched.place(fn, c, sched.FIXED_WEIGHTS, sched.SchedulerOptions(),
+    nid = sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0,
                       np.random.default_rng(0))
     assert nid == 0
 
@@ -229,10 +194,9 @@ def test_invalid_weights_rejected(small_cluster, probe_function):
         with pytest.raises(ConfigError):
             se.simulate_requests(small_cluster, [probe_function], requests,
                                  bad, se.SimOptions())
-    with pytest.raises(ConfigError):
-        sched.SchedulerOptions(percent_nodes_to_score=0.0)
-    with pytest.raises(ConfigError):
-        sched.SchedulerOptions(rtc_points=((0.0, 0.0), (0.0, 1.0)))
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ConfigError, match="percent_nodes_to_score"):
+            se.SimOptions(percent_nodes_to_score=bad)
 
 
 @pytest.mark.parametrize("bad", [np.full(8, np.nan),
@@ -254,9 +218,8 @@ def test_placement_feasible_and_deterministic(seed, pct):
     fn = make_function(cpu=float(rng.integers(1, 4)),
                        mem=float(rng.integers(256, 2048)))
     w = rng.uniform(0, 1, 8)
-    opts = sched.SchedulerOptions(percent_nodes_to_score=pct)
-    a = sched.place(fn, c, w, opts, np.random.default_rng(seed))
-    b = sched.place(fn, c, w, opts, np.random.default_rng(seed))
+    a = sched.place(fn, c, w, pct, np.random.default_rng(seed))
+    b = sched.place(fn, c, w, pct, np.random.default_rng(seed))
     assert a == b
     if a is not None:
         assert sched.feasible_mask(fn, c)[a]

@@ -22,21 +22,6 @@ BYTES = st.sampled_from([0.0, 1e6, 1e8, 3e9, 1e12]) | st.floats(0.0, 1e10)
 
 
 @st.composite
-def rtc_points(draw):
-    xs = sorted(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=4, unique=True)))
-    return tuple((x, draw(st.floats(0.0, 1.0))) for x in xs)
-
-
-@st.composite
-def scheduler_options(draw):
-    return sched.SchedulerOptions(
-        percent_nodes_to_score=draw(st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01])),
-        rtc_points=draw(st.just(sched.DEFAULT_RTC_POINTS) | rtc_points()),
-        data_time_cap_s=draw(st.sampled_from([60.0, 5.0, 0.5])),
-        image_time_cap_s=draw(st.sampled_from([60.0, 5.0, 0.5])))
-
-
-@st.composite
 def sessions(draw):
     spec = cl.ClusterSpec(draw(st.sampled_from(cl.PRESETS)), draw(st.integers(1, 40)),
                           draw(st.sampled_from(cl.TOPOLOGY_KINDS)),
@@ -44,41 +29,37 @@ def sessions(draw):
     n = spec.total_nodes
     functions = []
     for k in range(draw(st.integers(1, 3))):
-        accel = draw(st.sampled_from(cl.ACCELERATORS))
         fn = make_function(
             name=f"f{k}",
             cpu=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
             mem=draw(st.sampled_from([256.0, 512.0, 1024.0, 2048.0])),
-            accel=accel,
+            accel=draw(st.sampled_from(cl.ACCELERATORS)),
             locality=draw(st.sampled_from(wl.LOCALITY_PREFERENCES)),
-            image_bytes=draw(BYTES), dataset_bytes=draw(BYTES),
-            required=accel != "none" and draw(st.booleans()))
+            image_bytes=draw(BYTES), dataset_bytes=draw(BYTES))
         functions.append(replace(fn, image_name=draw(
             st.sampled_from(["", "shared", fn.image_name]))))
-    options = draw(st.lists(scheduler_options(), min_size=1, max_size=2))
 
     node = st.integers(0, n - 1)
     which_fn = st.integers(0, len(functions) - 1)
-    which_opts = st.integers(0, len(options) - 1)
     ops = draw(st.lists(st.one_of(
         st.tuples(st.just("commit"), which_fn, node),
         st.tuples(st.just("image"), which_fn, node),
         st.tuples(st.just("clone")),
         st.tuples(st.just("reroute"), st.sampled_from([0.01, 0.5, 4.0])),
-        st.tuples(st.just("score"), which_fn, which_opts,
-                  st.lists(node, max_size=2 * n)),
-        st.tuples(st.just("place"), which_fn, which_opts,
+        st.tuples(st.just("score"), which_fn, st.lists(node, max_size=2 * n)),
+        st.tuples(st.just("place"), which_fn,
+                  st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01]),
                   st.lists(st.floats(0.0, 1.0), min_size=sched.N_WEIGHTS,
                            max_size=sched.N_WEIGHTS),
                   st.integers(0, 2**16)),
     ), min_size=1, max_size=40))
-    return spec, functions, options, ops
+    return spec, functions, ops
 
 
 @settings(max_examples=200, deadline=None)
 @given(sessions())
 def test_scorer_matches_oracle(session):
-    spec, functions, options, ops = session
+    spec, functions, ops = session
     cluster = cl.build_cluster(spec)
     for op, *args in ops:
         if op == "commit":
@@ -94,16 +75,16 @@ def test_scorer_matches_oracle(session):
             cluster = replace(cluster, registry_bw=cluster.registry_bw * args[0],
                               store_bw=cluster.store_bw * args[0])
         elif op == "score":
-            fn, opts, ids = functions[args[0]], options[args[1]], args[2]
-            got = sched.score_nodes(fn, ids, cluster, opts)
-            want = scoring_oracle.score_nodes(fn, ids, cluster, opts)
+            fn, ids = functions[args[0]], args[1]
+            got = sched.score_nodes(fn, ids, cluster)
+            want = scoring_oracle.score_nodes(fn, ids, cluster)
             assert got.shape == want.shape == (len(ids), sched.N_WEIGHTS)
             assert got.dtype == want.dtype
             assert got.flags.c_contiguous and want.flags.c_contiguous
             assert np.array_equal(got, want)
         else:
-            fn, opts, weights, seed = functions[args[0]], options[args[1]], args[2], args[3]
+            fn, pct, weights, seed = functions[args[0]], args[1], args[2], args[3]
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sched.place(fn, cluster, np.array(weights), opts, rng) \
-                == scoring_oracle.place(fn, cluster, np.array(weights), opts, oracle_rng)
+            assert sched.place(fn, cluster, np.array(weights), pct, rng) \
+                == scoring_oracle.place(fn, cluster, np.array(weights), pct, oracle_rng)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -241,7 +241,7 @@ def test_sampled_scenarios_respect_domain_bounds():
             assert dom["min_replicas"].min <= sc.options.min_replicas \
                 <= dom["min_replicas"].max
             assert sc.options.min_replicas <= sc.options.max_replicas
-            pct = sc.options.scheduler.percent_nodes_to_score
+            pct = sc.options.percent_nodes_to_score
             assert dom["percent_nodes_to_score"].min - 1e-9 <= pct \
                 <= dom["percent_nodes_to_score"].max + 1e-9
 

@@ -22,7 +22,6 @@ def test_catalog_fields_are_sane(function_catalog):
         assert fn.req_cpu > 0 and fn.req_mem > 0
         assert fn.base_exec_s > 0
         assert fn.image_bytes >= 0 and fn.dataset_bytes >= 0
-        assert not fn.accelerator_required
 
 
 def test_train_catalog_subset(function_catalog):
@@ -147,5 +146,3 @@ def test_workload_validation():
         wl.WorkloadSpec(functions=((fn, 1.0), (fn, 2.0)))
     with pytest.raises(ConfigError):
         make_function(cpu=-1.0)
-    with pytest.raises(ConfigError):
-        wl.FunctionSpec(name="x", req_cpu=1, req_mem=1, accelerator_required=True)
