@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import nn
 from .errors import CheckpointError, ConfigError
 from .nn import Adam, Mlp, polyak_update
 from .tunenv import TuningEnv, TuningEpisode, VectorEnv
@@ -28,7 +29,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,17 +67,17 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions."""
+    """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         if capacity < 1:
             raise ConfigError("replay capacity must be positive")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
+        self.act = np.zeros((capacity, act_dim), nn.DTYPE)
+        self.rew = np.zeros(capacity, nn.DTYPE)
+        self.next_obs = np.zeros((capacity, obs_dim), nn.DTYPE)
+        self.done = np.zeros(capacity, nn.DTYPE)
         self.idx = 0
         self.size = 0
 
@@ -106,6 +107,11 @@ def env_action(tanh_action: np.ndarray) -> np.ndarray:
     return (np.asarray(tanh_action, dtype=float) + 1.0) / 2.0
 
 
+def tanh_slope(u: np.ndarray) -> np.ndarray:
+    """1 - tanh(u)**2 in u's dtype, via float64: float32 cancels past |u| ~ 4."""
+    return (1.0 - np.tanh(u.astype(np.float64))**2).astype(u.dtype)
+
+
 class SacAgent:
     def __init__(self, config: SacConfig, seed: int = 0):
         self._build(config, seed, fill=True)
@@ -119,12 +125,13 @@ class SacAgent:
         init = self.rng if fill else None
         sizes = (config.obs_dim,) + config.hidden
         self.policy = Mlp(sizes + (2 * config.act_dim,), init)
+        self.dtype = self.policy.flat.dtype   # nn.DTYPE when built
         critic_sizes = (config.obs_dim + config.act_dim,) + config.hidden + (1,)
         self.q1 = Mlp(critic_sizes, init)
         self.q2 = Mlp(critic_sizes, init)
         self.q1_target = self.q1.clone() if fill else Mlp(critic_sizes, None)
         self.q2_target = self.q2.clone() if fill else Mlp(critic_sizes, None)
-        self.log_alpha = np.zeros(1)
+        self.log_alpha = np.zeros(1, self.dtype)
         self.opt_policy = Adam([self.policy.flat], lr=config.lr)
         self.opt_critic = Adam([self.q1.flat, self.q2.flat], lr=config.lr)
         self.opt_alpha = Adam([self.log_alpha], lr=config.lr)
@@ -147,15 +154,15 @@ class SacAgent:
                       rng: np.random.Generator | None = None):
         """Tanh-space actions and their log-probabilities for a batch."""
         rng = self.rng if rng is None else rng
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
+        obs = np.atleast_2d(np.asarray(obs, dtype=self.dtype))
         mean, _, log_std = self._heads(obs)
         std = np.exp(log_std)
         eps = (np.zeros_like(mean) if deterministic
-               else rng.standard_normal(mean.shape))
+               else rng.standard_normal(mean.shape, dtype=self.dtype))
         u = mean + std * eps
         a = np.tanh(u)
         logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
-        logp -= np.log(1.0 - a**2 + SQUASH_EPS).sum(axis=1)
+        logp -= np.log(tanh_slope(u) + SQUASH_EPS).sum(axis=1)
         return a, logp
 
     def act(self, obs: np.ndarray, deterministic: bool = True) -> np.ndarray:
@@ -203,21 +210,20 @@ class SacAgent:
         mean, raw, log_std = self._heads(obs)
         std = np.exp(log_std)
         u = mean + std * eps
-        a_new = np.tanh(u)
+        a_new, one_minus_sq = np.tanh(u), tanh_slope(u)
         logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
-        logp -= np.log(1.0 - a_new**2 + SQUASH_EPS).sum(axis=1)
+        logp -= np.log(one_minus_sq + SQUASH_EPS).sum(axis=1)
 
         actor_in = np.concatenate([obs, a_new], axis=1)
         q1_new = self.q1.forward(actor_in)[:, 0]
         q2_new = self.q2.forward(actor_in)[:, 0]
-        use_q1 = (q1_new <= q2_new).astype(float)
+        use_q1 = (q1_new <= q2_new).astype(self.dtype)
         q_min = np.where(use_q1 > 0, q1_new, q2_new)
         gin1 = self.q1.backward((-use_q1 / n)[:, None], input_only=True)
         gin2 = self.q2.backward((-(1.0 - use_q1) / n)[:, None], input_only=True)
         # d(loss)/d(action), already scaled by -1/n through the output grads.
         dq_da = (gin1 + gin2)[:, self.config.obs_dim:]
 
-        one_minus_sq = 1.0 - a_new**2
         squash_grad = 2.0 * a_new * one_minus_sq / (one_minus_sq + SQUASH_EPS)
         d_u = (alpha / n) * squash_grad + dq_da * one_minus_sq
         d_mean = d_u
@@ -231,20 +237,20 @@ class SacAgent:
 
     # -- one gradient step -----------------------------------------------
     def update(self, batch) -> dict:
-        obs, act, rew, next_obs, done = batch
+        obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
 
         target = self.critic_targets(rew, next_obs, done)
         critic_loss = self.critic_gradients(obs, act, target)
         self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat])
 
-        eps = self.rng.standard_normal((len(obs), cfg.act_dim))
+        eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
         actor_loss, logp = self.actor_gradients(obs, eps)
         self.opt_policy.step([self.policy.grad_flat])
 
         # Temperature: loss -log_alpha * mean(logp + entropy_target).
         entropy_gap = float(np.mean(logp) + cfg.entropy_target)
-        self.opt_alpha.step([np.array([-entropy_gap])])
+        self.opt_alpha.step([np.array([-entropy_gap], self.dtype)])
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
 
         polyak_update(self.q1_target, self.q1, cfg.tau)
@@ -280,11 +286,12 @@ class SacAgent:
                       ("opt_alpha.v0", self.opt_alpha.v[0])]
 
     def save(self, path) -> None:
-        """Write the header, then each array's little-endian float64 bytes
-        in ``_named_arrays`` order.  The header carries the payload digest,
-        so one pass hashes the arrays before a second writes them; neither
-        copies them on a little-endian host."""
-        arrays = [(name, np.ascontiguousarray(a, dtype="<f8"))
+        """Write the header, then each array's little-endian bytes in the
+        networks' dtype, in ``_named_arrays`` order.  The header carries the
+        payload digest, so one pass hashes the arrays before a second writes
+        them; neither copies them on a little-endian host."""
+        dtype = self.dtype.newbyteorder("<")
+        arrays = [(name, np.ascontiguousarray(a, dtype=dtype))
                   for name, a in self._named_arrays()]
         hasher = hashlib.sha256()
         for _, a in arrays:
@@ -298,12 +305,12 @@ class SacAgent:
                            "opt_critic": self.opt_critic.t,
                            "opt_alpha": self.opt_alpha.t},
             "payload_sha256": hasher.hexdigest(),
+            "dtype": dtype.str,
         }
         blob = json.dumps(header, sort_keys=True).encode()
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
             fh.write(blob)
             for _, a in arrays:
                 fh.write(a)
@@ -312,12 +319,12 @@ class SacAgent:
     def load(cls, path, seed: int = 0) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
-        The header is checked in full first: its keys, the arrays the
-        config implies (each once, with its shape) and the payload length
-        against the file size.  Then each array is read from the file
-        straight into the agent's own storage, in header order, and hashed
-        as it arrives; the digest is compared before the agent is returned.
-        The agent's rng starts fresh from ``seed``.
+        The header is checked in full first: its keys, the payload dtype
+        against ``nn.DTYPE``, the arrays the config implies (each once, with
+        its shape) and the payload length against the file size.  Then each
+        array is read straight into the agent's storage in header order and
+        hashed as it arrives; the digest is compared before the agent is
+        returned.  The agent's rng starts fresh from ``seed``.
         """
         try:
             fh = open(path, "rb")
@@ -347,10 +354,12 @@ class SacAgent:
                 counters = [int(header[key]) for key in ("env_steps", "grad_steps")]
                 counters += [int(header["adam_steps"][key])
                              for key in ("opt_policy", "opt_critic", "opt_alpha")]
-                digest = header["payload_sha256"]
+                digest, dtype = header["payload_sha256"], header["dtype"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
+            if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
+                raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
             agent = cls.__new__(cls)
             agent._build(config, seed, fill=False)

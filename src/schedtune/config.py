@@ -7,6 +7,7 @@ its own problem instead of a traceback.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -55,6 +56,8 @@ class ExperimentConfig:
         for name in ("start_steps", "eval_every", "n_eval_seeds", "log_every"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must not be negative")
+        if self.eval_every and not self.n_eval_seeds:
+            raise ConfigError("n_eval_seeds: must be positive when eval_every is")
         if self.duration_s <= 0 or self.lr <= 0:
             raise ConfigError("duration_s and lr must be positive")
         if not 0.0 <= self.gamma <= 1.0:
@@ -85,6 +88,8 @@ def _parse_int(value, path):
 def _parse_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # NaN, infinite or past float range
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -1,10 +1,11 @@
 """Dense networks with explicit forward/backward passes in numpy.
 
-The networks here are small enough that hand-rolled float64 backprop is
-simpler and more portable than an autodiff dependency, and the actor update
-needs gradients with respect to *inputs* (to differentiate the critic with
-respect to the action), which ``Mlp.backward``'s input-only mode returns
-directly and computes nothing else.
+Hand-rolled backprop is simpler and more portable than an autodiff
+dependency for networks this small, and the actor update needs gradients
+with respect to *inputs* (to differentiate the critic with respect to the
+action), which ``Mlp.backward``'s input-only mode returns directly.
+Parameters, gradients and Adam moments hold ``DTYPE``, float32 as in common
+SAC implementations; inputs of any float type are cast to it.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Read when a network is built; Adam and Polyak follow the arrays they get.
+DTYPE = np.float32
 # Elements per in-place Adam or Polyak pass: whole-array numpy calls, with
 # scratch small enough to stay in cache.
 CHUNK = 1 << 16
@@ -37,10 +40,10 @@ class Mlp:
             raise ConfigError(f"invalid layer sizes {sizes}")
         self.sizes = sizes
         self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
-        self.flat = np.empty(sum(map(math.prod, self.shapes)))
+        self.flat = np.empty(sum(map(math.prod, self.shapes)), DTYPE)
         # np.zeros, unlike zeros_like, can take pre-zeroed pages from the
         # allocator, so networks that never run backward never touch them.
-        self.grad_flat = np.zeros(self.flat.size)
+        self.grad_flat = np.zeros(self.flat.size, self.flat.dtype)
         params, grads = self.split(self.flat), self.split(self.grad_flat)
         self.weights, self.biases = params[0::2], params[1::2]
         self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
@@ -56,7 +59,7 @@ class Mlp:
         return [a.reshape(s) for a, s in zip(np.split(buffer, ends), self.shapes)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.atleast_2d(np.asarray(x, dtype=self.flat.dtype))
         if h.shape[1] != self.sizes[0]:
             raise ConfigError(
                 f"input width {h.shape[1]} does not match {self.sizes[0]}")
@@ -76,7 +79,7 @@ class Mlp:
         if self._cache is None:
             raise ConfigError("backward requires a preceding forward pass")
         activations = self._cache
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        g = np.atleast_2d(np.asarray(grad_out, dtype=self.flat.dtype))
         if g.shape != activations[-1].shape:
             raise ConfigError("grad_out shape does not match the last forward")
         for i in reversed(range(len(self.weights))):
@@ -103,7 +106,7 @@ def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
         raise ConfigError("tau must lie in [0, 1]")
     if target.sizes != source.sizes:
         raise ConfigError(f"polyak_update from sizes {source.sizes} to {target.sizes}")
-    scratch = np.empty(min(CHUNK, target.flat.size))
+    scratch = np.empty(min(CHUNK, target.flat.size), target.flat.dtype)
     for lo in range(0, target.flat.size, CHUNK):
         part = slice(lo, lo + CHUNK)
         dst = target.flat[part]
@@ -126,10 +129,11 @@ class Adam:
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params = list(params)
         self.lr = lr
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
+        self.m = [np.zeros(p.shape, p.dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, p.dtype) for p in self.params]
         self.t = 0
-        self._scratch = np.empty((2, min(CHUNK, max((p.size for p in params), default=0))))
+        width = min(CHUNK, max((p.size for p in params), default=0))
+        self._scratch = np.empty((2, width), self.m[0].dtype if params else DTYPE)
 
     def step(self, grads: list[np.ndarray]) -> None:
         """Per element, in this order: ``m = m * b1 + g * (1 - b1)``,

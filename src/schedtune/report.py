@@ -103,6 +103,8 @@ def read_trials_csv(path) -> list[dict]:
             raw = list(reader)
     except OSError as exc:
         raise ConfigError(f"cannot read trials table {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ProtocolError(f"{path}: not a CSV table ({exc})") from exc
     rows = []
     for line_no, row in enumerate(raw, start=2):
         version = row.get("schema_version")
@@ -122,6 +124,8 @@ def read_trials_csv(path) -> list[dict]:
         except (KeyError, ValueError) as exc:
             raise ProtocolError(
                 f"{path} line {line_no}: malformed trial row ({exc})") from exc
+        if not np.isfinite(rows[-1]["score"]):
+            raise ProtocolError(f"{path} line {line_no}: score {row['score']} is not finite")
     return rows
 
 

@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from schedtune import cluster as cl
+from schedtune import nn
 from schedtune import workload as wl
 
 
@@ -37,3 +40,18 @@ def probe_function():
 
 def random_weights(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, 1.0, 8)
+
+
+@contextlib.contextmanager
+def float64_networks():
+    """Inside the block, networks, optimizers and replay buffers are built in
+    float64: finite differences and bit-for-bit oracles need its rounding."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "DTYPE", np.float64)
+        yield
+
+
+@pytest.fixture()
+def float64_nets():
+    with float64_networks():
+        yield

@@ -10,6 +10,7 @@ import pytest
 
 from schedtune.agent import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     LOG_COLUMNS,
     ReplayBuffer,
     SacAgent,
@@ -19,8 +20,10 @@ from schedtune.agent import (
     train_agent,
 )
 from schedtune.errors import CheckpointError, ConfigError
+from schedtune.nn import Mlp
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import VectorEnv
+from tests.conftest import float64_networks
 
 
 def tiny_agent(seed=0, obs_dim=3, act_dim=2, **overrides):
@@ -63,6 +66,7 @@ def fd_check(loss_fn, params, grads, rng, h=1e-5, samples=8):
     return worst
 
 
+@pytest.mark.usefixtures("float64_nets")
 def test_critic_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     agent = tiny_agent(seed=1)
@@ -77,6 +81,7 @@ def test_critic_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+@pytest.mark.usefixtures("float64_nets")
 def test_actor_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     agent = tiny_agent(seed=3)
@@ -136,10 +141,11 @@ class FixedNoise:
     def __init__(self, eps):
         self.eps = eps
 
-    def standard_normal(self, shape):
-        return np.broadcast_to(self.eps, shape)
+    def standard_normal(self, shape, dtype=np.float64):
+        return np.broadcast_to(self.eps.astype(dtype), shape)
 
 
+@pytest.mark.usefixtures("float64_nets")
 def test_sampled_logp_matches_longhand_density():
     rng = np.random.default_rng(9)
     agent = tiny_agent(seed=10)
@@ -152,6 +158,31 @@ def test_sampled_logp_matches_longhand_density():
     gauss = -0.5 * ((u - mean) / np.exp(log_std))**2 - log_std - 0.5 * np.log(2 * np.pi)
     recomputed = (gauss - np.log(1.0 - tanh_a**2 + 1e-6)).sum(axis=1)
     assert np.max(np.abs(logp - recomputed)) < 1e-9
+
+
+def test_float32_logp_matches_a_float64_longhand():
+    # The draws above at float32, with observations widened to +-8 so that
+    # |u| reaches 8.2, where a float32 tanh rounds to within a few ulps of
+    # +-1.  So the density is worked out from the noise, in float64 on the
+    # float32 weights.  Measured worst gaps (numpy 2.4, OpenBLAS, x86-64):
+    # logp 2.0e-6, actions 2.2e-7; the bounds are twice that.  The float32
+    # form log(1 - a**2 + 1e-6) on the actions misses logp by 0.059.
+    rng = np.random.default_rng(9)
+    agent = tiny_agent(seed=10)
+    obs = rng.uniform(-8, 8, (20, 3))
+    tanh_a, logp = agent.sample_action(obs, rng=np.random.default_rng(11))
+    assert tanh_a.dtype == logp.dtype == np.float32
+    eps = np.random.default_rng(11).standard_normal(tanh_a.shape, dtype=np.float32)
+    with float64_networks():
+        wide = Mlp(agent.policy.sizes, None)
+    wide.flat[:] = agent.policy.flat
+    out = wide.forward(obs.astype(np.float32))
+    mean, log_std = out[:, :2], np.clip(out[:, 2:], -20.0, 2.0)
+    u = mean + np.exp(log_std) * eps
+    gauss = -0.5 * eps.astype(float)**2 - log_std - 0.5 * np.log(2 * np.pi)
+    recomputed = (gauss - np.log(1.0 - np.tanh(u)**2 + 1e-6)).sum(axis=1)
+    assert np.max(np.abs(logp - recomputed)) < 4e-6
+    assert np.max(np.abs(tanh_a - np.tanh(u))) < 4.5e-7
 
 
 def test_policy_density_integrates_to_one():
@@ -350,7 +381,7 @@ def _flip(offset):
     (lambda raw: raw + b"\0", "payload is"),
     (lambda raw: raw[:30], "header"),
     (_flip(-1), "digest"),        # last byte of the last array
-    (_flip(-9), "digest"),        # last byte of the array before it
+    (_flip(-5), "digest"),        # last byte of the (float32) array before it
 ], ids=["short-40", "short-1", "trailing-1", "short-header", "flip-last",
         "flip-second-last"])
 def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
@@ -379,14 +410,17 @@ def test_checkpoint_loads_arrays_in_header_order(tmp_path):
         assert np.array_equal(agent.act(obs), clone.act(obs))
 
 
-def _forge_checkpoint(path, agent, names=None, drop=()):
+def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
+                      version=CHECKPOINT_VERSION):
     """Write a checkpoint of ``agent`` holding the arrays ``names`` (in that
-    order, duplicates allowed) and a header without the keys in ``drop``;
-    the payload length and digest stay consistent."""
+    order, duplicates allowed) in ``dtype`` (the agent's own by default) and
+    a header without the keys in ``drop``; the payload length and digest
+    stay consistent."""
     arrays = dict(agent._named_arrays())
     if names is None:
         names = [name for name, _ in agent._named_arrays()]
-    payload = b"".join(arrays[n].astype("<f8").tobytes() for n in names)
+    dtype = np.dtype(dtype or agent.dtype).newbyteorder("<")
+    payload = b"".join(arrays[n].astype(dtype).tobytes() for n in names)
     header = {
         "config": asdict(agent.config),
         "arrays": [[n, list(arrays[n].shape)] for n in names],
@@ -394,17 +428,18 @@ def _forge_checkpoint(path, agent, names=None, drop=()):
         "grad_steps": 0,
         "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "dtype": dtype.str,
     }
     for key in drop:
         del header[key]
     blob = json.dumps(header).encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", version)
                      + struct.pack("<Q", len(blob)) + blob + payload)
     return path
 
 
 @pytest.mark.parametrize("key", ["config", "arrays", "env_steps", "grad_steps",
-                                 "adam_steps", "payload_sha256"])
+                                 "adam_steps", "payload_sha256", "dtype"])
 def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
     path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), drop=[key])
     with pytest.raises(CheckpointError, match=key):
@@ -414,7 +449,7 @@ def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
 def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
     blob = b"[1, 2]"
     path = tmp_path / "list.ckpt"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
                      + struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(CheckpointError, match="header"):
         SacAgent.load(path)

@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from schedtune.agent import LOG_COLUMNS
+from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig
 from schedtune.cli import main, scenario_seeds
 from schedtune.data import data_dir
 from schedtune.report import read_trials_csv
+from tests.test_agent import _forge_checkpoint
 
 
 def write_config(tmp_path, **overrides):
@@ -140,6 +141,44 @@ def test_train_agent_prints_one_line_per_evaluation(tmp_path, capsys):
         assert int(match[1]) == 40 * i
 
 
+def test_train_agent_with_evaluation_but_no_seeds_fails(tmp_path, capsys):
+    config = write_config(tmp_path, mode="train", total_env_steps=40,
+                          hidden=[8], batch_size=16, eval_every=20,
+                          n_eval_seeds=0)
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_eval_seeds") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _oversized_field(text):
+    return text.replace("random", "r" * 200_000, 1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.encode() + b"\xff\xfe\n", "not a CSV table"),
+    (lambda text: _oversized_field(text).encode(), "not a CSV table"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1nan", text).encode(),
+     "line 2: score nan is not finite"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1-inf", text).encode(),
+     "line 2: score -inf is not finite"),
+], ids=["non-utf8", "csv-error", "nan-score", "inf-score"])
+def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
+                                                              edit, message):
+    out = tmp_path / "run"
+    assert main(["tune", "--config", write_config(tmp_path, n_scenarios=1),
+                 "--out", str(out), "--method", "random"]) == 0
+    table = out / "trials.csv"
+    table.write_bytes(edit(table.read_text()))
+    capsys.readouterr()
+    assert main(["compare", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "summary.csv").exists()
+
+
 def test_trials_table_with_other_columns_fails_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "run"
     faas = write_config(tmp_path, env_kind="faas", mode="train",
@@ -204,6 +243,42 @@ def test_nonpositive_jobs_fail_with_one_error_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err == f"error: --jobs: expected a positive integer, got {jobs}\n"
     assert not out.exists()
+
+
+def _damage_checkpoint(path, damage):
+    agent = SacAgent(SacConfig(obs_dim=24, act_dim=2, hidden=(8,),
+                               batch_size=4, replay_capacity=16), seed=1)
+    if damage == "version-1":   # the float64 layout with no dtype field
+        _forge_checkpoint(path, agent, dtype="<f8", drop=["dtype"], version=1)
+    elif damage == "f8-payload":
+        _forge_checkpoint(path, agent, dtype="<f8")
+    else:
+        agent.save(path)
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del raw[-10:]
+        else:
+            raw[-3] ^= 0x01
+        path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("version-1", "unsupported checkpoint version 1, expected 2"),
+    ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
+    ("truncated", "payload is"),
+    ("flipped-byte", "payload does not match its digest"),
+])
+def test_bad_checkpoint_fails_eval_with_one_error_line(tmp_path, capsys,
+                                                        damage, message):
+    checkpoint = tmp_path / "agent.ckpt"
+    _damage_checkpoint(checkpoint, damage)
+    out = tmp_path / "run"
+    assert main(["eval", "--config", write_config(tmp_path, n_scenarios=1),
+                 "--out", str(out), "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "trials.csv").exists()
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Experiment config parsing and validation."""
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,30 @@ def test_invalid_values_name_the_field(payload, fragment):
 def test_type_errors_name_the_field_path(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config_from_dict(payload)
+
+
+@pytest.mark.parametrize("field", ["duration_s", "lr", "gamma", "tau"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "int-1e400"])
+def test_non_finite_numbers_are_rejected(field, value):
+    # Only parsed, never simulated: an infinite horizon allocates without end.
+    with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
+        config_from_dict({field: value})
+
+
+def test_json_infinity_and_nan_are_rejected(tmp_path):
+    for text, field in (('{"duration_s": Infinity}', "duration_s"),
+                        ('{"lr": NaN}', "lr")):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{field}: expected a finite"):
+            load_config(path)
+
+
+def test_evaluation_during_training_needs_seeds():
+    with pytest.raises(ConfigError, match="n_eval_seeds"):
+        config_from_dict({"eval_every": 100, "n_eval_seeds": 0})
+    assert config_from_dict({"eval_every": 0, "n_eval_seeds": 0}).n_eval_seeds == 0
 
 
 def test_data_dir_accepts_null():
