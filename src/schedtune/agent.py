@@ -185,20 +185,18 @@ class SacAgent:
         return rew + self.config.gamma * (1.0 - done) * (qt - self.alpha * next_logp)
 
     def critic_gradients(self, obs, act, target) -> float:
-        """Accumulate gradients of the summed twin MSE losses; return loss."""
+        """Write gradients of the summed twin MSE losses; return loss."""
         n = len(obs)
         critic_in = np.concatenate([obs, act], axis=1)
         q1_pred = self.q1.forward(critic_in)[:, 0]
-        self.q1.zero_grads()
         self.q1.backward((2.0 * (q1_pred - target) / n)[:, None])
         q2_pred = self.q2.forward(critic_in)[:, 0]
-        self.q2.zero_grads()
         self.q2.backward((2.0 * (q2_pred - target) / n)[:, None])
         return float(np.mean((q1_pred - target) ** 2)
                      + np.mean((q2_pred - target) ** 2))
 
     def actor_gradients(self, obs, eps) -> tuple[float, np.ndarray]:
-        """Accumulate policy gradients of mean(alpha * logp - min_q).
+        """Write policy gradients of mean(alpha * logp - min_q).
 
         ``eps`` is the fixed reparameterization noise.  Gradients reach the
         policy directly through the entropy terms and through the critics'
@@ -230,7 +228,6 @@ class SacAgent:
         d_log_std = -(alpha / n) * np.ones_like(log_std) + d_u * std * eps
         clamp_mask = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
         d_raw = d_log_std * clamp_mask
-        self.policy.zero_grads()
         self.policy.backward(np.concatenate([d_mean, d_raw], axis=1))
         loss = float(np.mean(alpha * logp - q_min))
         return loss, logp

@@ -135,6 +135,12 @@ class Cluster:
     nodes and their paths, keyed by function.
     :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
     the replaced fields may be the very paths it was computed from.
+    ``score_tables`` maps each function scored on this copy to its (n_nodes,
+    8) scores, its feasibility mask and the set of stale node ids, whose
+    rows the scheduler recomputes when it next scores the function.
+    :meth:`commit` marks its node stale in every table, :meth:`add_image` in
+    the tables of the functions that use the image.  :meth:`clone` and
+    ``dataclasses.replace`` start it empty.
     """
 
     spec: ClusterSpec
@@ -151,6 +157,7 @@ class Cluster:
     store_bw: np.ndarray = field(compare=False, repr=False)
     images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
     static_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    score_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -160,11 +167,16 @@ class Cluster:
         """Reserve resources on a node (warm-up and autoscale placements)."""
         self.alloc_cpu[node_id] += cpu
         self.alloc_mem[node_id] += mem
+        for _, _, stale in self.score_tables.values():
+            stale.add(node_id)
 
     def add_image(self, node_id: int, image_name: str) -> None:
         if image_name not in self.images:
             self.images[image_name] = np.zeros(self.n_nodes, dtype=bool)
         self.images[image_name][node_id] = True
+        for fn, (_, _, stale) in self.score_tables.items():
+            if fn.image_name == image_name:
+                stale.add(node_id)
 
     def image_mask(self, image_name: str) -> np.ndarray:
         """Boolean array over the nodes: which ones hold the image."""
@@ -181,8 +193,9 @@ class Cluster:
         return float(self.registry_latency[node_id] + nbytes / self.registry_bw[node_id])
 
     def clone(self) -> "Cluster":
-        """Independent copy of the allocations and image caches; the nodes,
-        the read-only arrays and ``static_scores`` stay shared."""
+        """Independent copy of the allocations and image caches, with an
+        empty score table; the nodes, the read-only arrays and
+        ``static_scores`` stay shared."""
         twin = replace(self, alloc_cpu=self.alloc_cpu.copy(),
                        alloc_mem=self.alloc_mem.copy(),
                        images={name: cached.copy() for name, cached in self.images.items()})

@@ -28,9 +28,9 @@ class Mlp:
     The parameters live in one buffer, ``flat`` (``w0, b0, w1, b1, ...``),
     viewed as ``weights`` and ``biases``; the gradients in ``grad_flat``,
     viewed as ``grad_weights`` and ``grad_biases``.  ``forward`` caches
-    activations; ``backward`` either accumulates parameter gradients (scaled
-    however the caller scaled ``grad_out``) or returns the gradient with
-    respect to the input batch.  With ``rng`` None the parameters are not
+    activations; ``backward`` either writes the parameter gradients (scaled
+    however the caller scaled ``grad_out``) over the previous ones or
+    returns the gradient with respect to the input batch.  With ``rng`` None the parameters are not
     initialized, for a caller that fills them (a checkpoint load).
     """
 
@@ -74,8 +74,9 @@ class Mlp:
         return h
 
     def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray | None:
-        """Accumulate parameter gradients and return None; with ``input_only``
-        return the input gradient instead, leaving ``grad_flat`` as it was."""
+        """Write the parameter gradients into ``grad_flat`` and return None;
+        with ``input_only`` return the input gradient instead, leaving
+        ``grad_flat`` as it was."""
         if self._cache is None:
             raise ConfigError("backward requires a preceding forward pass")
         activations = self._cache
@@ -84,15 +85,12 @@ class Mlp:
             raise ConfigError("grad_out shape does not match the last forward")
         for i in reversed(range(len(self.weights))):
             if not input_only:
-                self.grad_weights[i] += activations[i].T @ g
-                self.grad_biases[i] += g.sum(axis=0)
+                np.matmul(activations[i].T, g, out=self.grad_weights[i])
+                np.sum(g, axis=0, out=self.grad_biases[i])
             if i == 0:
                 return g @ self.weights[0].T if input_only else None
             g = g @ self.weights[i].T
             g *= activations[i] > 0.0   # a ReLU output is > 0 exactly where its input is
-
-    def zero_grads(self) -> None:
-        self.grad_flat.fill(0.0)
 
     def clone(self) -> "Mlp":
         twin = Mlp(self.sizes, None)

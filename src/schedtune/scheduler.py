@@ -3,8 +3,9 @@
 Every scoring function maps a (pod, node) pair into [0, 1]; the placement
 score of a node is the dot product of the eight scores with a weight vector
 in [0, 1]^8.  Utilization-style scores are computed *as if* the pod were
-already placed, but placement itself never mutates the cluster: committing
-allocations is the simulation engine's job.
+already placed.  Placement fills the cluster copy's score caches but never
+changes its allocations or images: committing allocations is the simulation
+engine's job.
 """
 from __future__ import annotations
 
@@ -50,9 +51,9 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
-    free_cpu = cluster.capacity_cpu - cluster.alloc_cpu
-    free_mem = cluster.capacity_mem - cluster.alloc_mem
-    return (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem)
+    """Boolean array over the nodes: which ones have the free cpu and
+    memory for the pod."""
+    return _score_table(fn, cluster)[1].copy()
 
 
 def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
@@ -61,7 +62,7 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     The template holds the columns that depend only on the function and the
     node: locality_type, data_locality and capability in their own columns,
     and in column 7 the image term of a node without the image.  Columns 0,
-    1, 2 and 6 are left for ``score_nodes`` to fill.  Computed on first use
+    1, 2 and 6 are left for ``_score_table`` to fill.  Computed on first use
     and kept in ``cluster.static_scores``, which the engine's clones share.
     Each element is the same float a per-candidate computation gives, so
     scores stay bit-identical.
@@ -91,32 +92,67 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     return template
 
 
+def _score_table(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
+    """The function's current scores and feasibility mask over all nodes.
+
+    Built in full the first time the function is scored on this cluster
+    copy, from its template, and kept in ``cluster.score_tables``.  Later
+    calls recompute only the rows that ``commit`` and ``add_image`` marked
+    stale, from Python floats with the same operations in the same order:
+    Python float arithmetic rounds as numpy's elementwise loops do, so every
+    element is the float the full computation gives.  Images are never
+    evicted, so a refreshed row's column 7 only ever turns to 1.0.
+    """
+    entry = cluster.score_tables.get(fn)
+    if entry is None:
+        scores = _static_columns(fn, cluster).copy()
+        u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
+        u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
+        u = (u_cpu + u_mem) / 2.0
+        scores[:, 0] = 1.0 - u  # least_allocated
+        scores[:, 1] = u        # most_allocated
+        # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1),
+        # clamped at 1 as np.interp clamps; on feasible nodes it equals
+        # most_allocated.
+        scores[:, 2] = np.minimum(u, 1.0)
+        # balanced_resource: the population stddev of two utilizations
+        # collapses to half their gap.
+        scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
+        scores[cluster.image_mask(fn.image_name), 7] = 1.0
+        feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
+                    & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
+        cluster.score_tables[fn] = (scores, feasible, set())
+        return scores, feasible
+    scores, feasible, stale = entry
+    if stale:
+        req_cpu, req_mem = fn.req_cpu, fn.req_mem
+        cached = cluster.images.get(fn.image_name)
+        for j in stale:
+            a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
+            c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
+            feasible[j] = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
+            u_cpu = (a_cpu + req_cpu) / c_cpu
+            u_mem = (a_mem + req_mem) / c_mem
+            u = (u_cpu + u_mem) / 2.0
+            row = scores[j]
+            row[0] = 1.0 - u
+            row[1] = u
+            row[2] = min(u, 1.0)
+            row[6] = 1.0 - abs(u_cpu - u_mem) / 2.0
+            if cached is not None and cached[j]:
+                row[7] = 1.0
+        stale.clear()
+    return scores, feasible
+
+
 def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.ndarray:
     """C-contiguous matrix of the eight scores, one row per node id.
 
-    Columns follow SCORING_FUNCTIONS order.  The rows start as a copy of the
-    function's template; this call writes the allocation-dependent columns
-    0, 1, 2 and 6, and sets column 7 to 1.0 on nodes that hold the image.
-    Callers must pass feasible ids; utilizations then stay within [0, 1] by
-    construction.
+    Columns follow SCORING_FUNCTIONS order.  The rows are gathered from the
+    function's score table on this cluster copy.  Callers must pass
+    feasible ids; utilizations then stay within [0, 1] by construction.
     """
-    ids = np.asarray(node_ids, dtype=int)
-    scores = _static_columns(fn, cluster)[ids]
-
-    u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
-    u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
-    u = (u_cpu + u_mem) / 2.0
-
-    scores[:, 0] = 1.0 - u  # least_allocated
-    scores[:, 1] = u        # most_allocated
-    # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1), clamped
-    # at 1 as np.interp clamps; on feasible ids it equals most_allocated.
-    scores[:, 2] = np.minimum(u, 1.0)
-    # balanced_resource: the population stddev of two utilizations
-    # collapses to half their gap.
-    scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
-    scores[cluster.image_mask(fn.image_name)[ids], 7] = 1.0
-    return scores
+    return _score_table(fn, cluster)[0][np.asarray(node_ids, dtype=int)]
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
@@ -125,10 +161,11 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
 
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
     scored (at least one node).  Ties on the total score go to the lowest
-    node id.  The cluster is left untouched.  ``weights`` must have passed
+    node id.  Allocations and images are left untouched; only the score
+    table is brought up to date.  ``weights`` must have passed
     ``validate_weights``; the engine checks them once per run.
     """
-    ids = np.nonzero(feasible_mask(fn, cluster))[0]
+    ids = np.flatnonzero(feasible_mask(fn, cluster))
     if len(ids) == 0:
         return None
     k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))

@@ -41,6 +41,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -120,7 +122,8 @@ def compute_score(metrics: BenchmarkMetrics, norm: ScoreNorm = ScoreNorm()) -> f
         m_wait = 1.0 - min(max(fm.mu_wait_s / norm.wait_cap_s, 0.0), 1.0)
         m_success = fm.n_success / max(fm.n_total, 1)
         per.append((m_fet + m_wait + m_success) / 3.0)
-    return sum(per) / len(per)
+    # A left fold, not sum(), which compensates rounding from Python 3.12 on.
+    return reduce(add, per, 0.0) / len(per)
 
 
 class _Replica:
@@ -144,11 +147,12 @@ class _Function:
     ``loads[i]`` is replica i's queued plus in-service request count, and
     ``waiting`` the function's queued requests that are not yet in service.
     ``unplaceable`` is set once ``place`` finds no feasible node: allocations
-    are never released, so no later scale-up can succeed either.
+    are never released, so no later scale-up can succeed either.  The
+    totals add completed requests' times in completion order.
     """
 
     __slots__ = ("spec", "replicas", "loads", "waiting", "unplaceable",
-                 "fet", "wait", "n_total")
+                 "fet_total", "wait_total", "n_success", "n_total")
 
     def __init__(self, spec: FunctionSpec):
         self.spec = spec
@@ -156,8 +160,9 @@ class _Function:
         self.loads: list[int] = []
         self.waiting = 0
         self.unplaceable = False
-        self.fet: list[float] = []
-        self.wait: list[float] = []
+        self.fet_total = 0.0
+        self.wait_total = 0.0
+        self.n_success = 0
         self.n_total = 0
 
 
@@ -266,8 +271,9 @@ class _Engine:
                 assert now >= last, "event times must be nondecreasing"
                 last = now
                 fs.loads[rep.index] -= 1
-                fs.fet.append(service_s)
-                fs.wait.append(start_s - arrival_s)
+                fs.fet_total += service_s
+                fs.wait_total += start_s - arrival_s
+                fs.n_success += 1
                 if rep.queue:
                     start_service(fs, rep, now)
             else:
@@ -275,10 +281,11 @@ class _Engine:
 
         per = {}
         for fs in self.functions:
+            done = fs.n_success
             per[fs.spec.name] = FunctionMetrics(
-                mu_fet_s=sum(fs.fet) / len(fs.fet) if fs.fet else 0.0,
-                mu_wait_s=sum(fs.wait) / len(fs.wait) if fs.wait else 0.0,
-                n_success=len(fs.fet),
+                mu_fet_s=fs.fet_total / done if done else 0.0,
+                mu_wait_s=fs.wait_total / done if done else 0.0,
+                n_success=done,
                 n_total=fs.n_total,
             )
         metrics = BenchmarkMetrics(per)

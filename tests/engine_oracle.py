@@ -3,9 +3,10 @@ oracle.
 
 ``_Engine`` and ``_Replica`` below are the pre-rewrite engine verbatim: one
 heap for arrivals and completions, a shortest-queue scan per arrival, a
-waiting-count sum per autoscale check and per-request service times.  The
-one edit: the image-cache check reads ``Cluster.image_mask``, which
-replaced ``has_image``.
+waiting-count sum per autoscale check and per-request service times.  Two
+edits: the image-cache check reads ``Cluster.image_mask``, which replaced
+``has_image``, and the two averages total their lists with a left fold
+instead of ``sum``, which compensates rounding from Python 3.12 on.
 ``simulate_requests`` converts the production ``(arrival_s,
 function_index)`` trace to the ``Request`` objects the engine reads, and
 pods are placed by the pre-template scorer of ``scoring_oracle``.  The
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -142,8 +145,8 @@ class _Engine:
         for fn in self.functions:
             fets, waits = self.fet[fn.name], self.wait[fn.name]
             per[fn.name] = FunctionMetrics(
-                mu_fet_s=sum(fets) / len(fets) if fets else 0.0,
-                mu_wait_s=sum(waits) / len(waits) if waits else 0.0,
+                mu_fet_s=reduce(add, fets, 0.0) / len(fets) if fets else 0.0,
+                mu_wait_s=reduce(add, waits, 0.0) / len(waits) if waits else 0.0,
                 n_success=len(fets),
                 n_total=self.n_total[fn.name],
             )

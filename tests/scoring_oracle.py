@@ -1,8 +1,9 @@
 """The node scorer as it stood before the (n, 8) template, kept as a test
 oracle.
 
-``score_nodes`` and ``place`` below are the pre-template scheduler verbatim:
-four static score rows gathered per call and all eight columns joined with
+``feasible_mask``, ``score_nodes`` and ``place`` below are the pre-template
+scheduler verbatim: the filter over all nodes' free resources, four static
+score rows gathered per call and all eight columns joined with
 ``np.column_stack``.  One thing differs: ``_static_columns`` recomputes its
 rows on every call instead of caching them in ``cluster.static_scores``, so
 the oracle shares no state with the code under test and a stale cache there
@@ -19,12 +20,17 @@ import math
 import numpy as np
 
 from schedtune.cluster import ACCELERATORS, Cluster
-from schedtune.scheduler import feasible_mask
 from schedtune.workload import FunctionSpec
 
 RTC_POINTS = ((0.0, 0.0), (1.0, 1.0))
 DATA_TIME_CAP_S = 60.0
 IMAGE_TIME_CAP_S = 60.0
+
+
+def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
+    free_cpu = cluster.capacity_cpu - cluster.alloc_cpu
+    free_mem = cluster.capacity_mem - cluster.alloc_mem
+    return (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem)
 
 
 def _static_columns(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:

@@ -73,7 +73,6 @@ def test_weight_gradients_match_finite_differences():
         return float(net.forward(x).sum())
 
     net.forward(x)
-    net.zero_grads()
     net.backward(np.ones((6, 1)))
     worst = 0.0
     for param, grad in zip(net.split(net.flat), net.split(net.grad_flat)):
@@ -102,18 +101,18 @@ def test_input_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
-def test_backward_accumulates_until_zeroed():
+def test_backward_overwrites_the_previous_gradients():
     rng = np.random.default_rng(3)
     net = Mlp((2, 3, 1), rng)
     x = rng.uniform(-1, 1, (2, 2))
     net.forward(x)
     net.backward(np.ones((2, 1)))
     once = net.grad_flat.copy()
+    assert np.any(once != 0.0)
+    net.grad_flat.fill(7.0)
     net.forward(x)
     net.backward(np.ones((2, 1)))
-    assert np.allclose(net.grad_flat, 2.0 * once)
-    net.zero_grads()
-    assert np.all(net.grad_flat == 0.0)
+    assert np.array_equal(net.grad_flat, once)
 
 
 def input_only_and_full_backward():

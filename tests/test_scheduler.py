@@ -109,8 +109,10 @@ def test_cached_columns_follow_function_and_clones():
             fresh = cl.build_cluster(spec)
             assert np.array_equal(sched.score_nodes(fn, ids, target),
                                   sched.score_nodes(fn, ids, fresh))
-    assert len(shared.static_scores) == 2
-    assert shared.clone().static_scores is shared.static_scores
+    assert len(shared.static_scores) == len(shared.score_tables) == 2
+    twin = shared.clone()
+    assert twin.static_scores is shared.static_scores
+    assert twin.score_tables == {}
 
 
 def test_replaced_paths_do_not_reuse_cached_columns():
@@ -128,10 +130,39 @@ def test_replaced_paths_do_not_reuse_cached_columns():
     scored = cl.build_cluster(spec)
     before = sched.score_nodes(fn, ids, scored)
     slow = slowed(scored)
+    assert slow.score_tables == {}
     expected = sched.score_nodes(fn, ids, slowed(cl.build_cluster(spec)))
     assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
     assert np.array_equal(sched.score_nodes(fn, ids, slow), expected)
     assert slow.static_scores is not scored.static_scores
+
+
+def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
+    spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
+    a, b = make_function(name="a"), make_function(name="b", cpu=2.0, mem=512.0)
+    c, ids = cl.build_cluster(spec), np.arange(60)
+    before = sched.score_nodes(b, ids, c)
+    sched.score_nodes(a, ids, c)
+    c.commit(7, a.req_cpu, a.req_mem)
+    assert c.score_tables[a][2] == c.score_tables[b][2] == {7}
+    after = sched.score_nodes(b, ids, c)
+    assert c.score_tables[b][2] == set()
+    fresh = cl.build_cluster(spec)
+    fresh.commit(7, a.req_cpu, a.req_mem)
+    assert np.array_equal(after, sched.score_nodes(b, ids, fresh))
+    assert [j for j in ids if not np.array_equal(after[j], before[j])] == [7]
+
+
+def test_an_image_pull_marks_only_the_functions_that_use_the_image():
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2))
+    a, b = make_function(name="a"), make_function(name="b")
+    shared = replace(make_function(name="c"), image_name=a.image_name)
+    for fn in (a, b, shared):
+        sched.score_nodes(fn, [0], c)
+    c.add_image(4, a.image_name)
+    assert [c.score_tables[fn][2] for fn in (a, b, shared)] == [{4}, set(), {4}]
+    assert sched.score_nodes(a, [4], c)[0, 7] == sched.score_nodes(shared, [4], c)[0, 7] == 1.0
+    assert sched.score_nodes(b, [4], c)[0, 7] < 1.0
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):

@@ -5,6 +5,10 @@ pulls, clones, path changes, scoring calls on arbitrary node subsets and
 placements.  Every ``score_nodes`` result must equal the oracle's element
 for element, with the same shape, dtype and memory layout, and every
 ``place`` must pick the same node and leave its generator in the same state.
+After every operation, each function's score table on the current copy must
+equal the oracle's scores and feasibility over all nodes on every row that
+is not marked stale, so a commit or image pull that fails to mark a row it
+changed shows up.
 """
 from dataclasses import replace
 
@@ -28,7 +32,7 @@ def sessions(draw):
                           seed=draw(st.integers(0, 1000)))
     n = spec.total_nodes
     functions = []
-    for k in range(draw(st.integers(1, 3))):
+    for k in range(draw(st.integers(1, 8))):
         fn = make_function(
             name=f"f{k}",
             cpu=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
@@ -54,6 +58,16 @@ def sessions(draw):
                   st.integers(0, 2**16)),
     ), min_size=1, max_size=40))
     return spec, functions, ops
+
+
+def assert_tables_current(cluster):
+    every = np.arange(cluster.n_nodes)
+    for fn, (scores, feasible, stale) in cluster.score_tables.items():
+        current = np.ones(cluster.n_nodes, dtype=bool)
+        current[list(stale)] = False
+        assert np.array_equal(scores[current],
+                              scoring_oracle.score_nodes(fn, every, cluster)[current])
+        assert np.array_equal(feasible[current], scoring_oracle.feasible_mask(fn, cluster)[current])
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,3 +102,4 @@ def test_scorer_matches_oracle(session):
             assert sched.place(fn, cluster, np.array(weights), pct, rng) \
                 == scoring_oracle.place(fn, cluster, np.array(weights), pct, oracle_rng)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert_tables_current(cluster)
