@@ -30,8 +30,9 @@ class Mlp:
     viewed as ``grad_weights`` and ``grad_biases``.  ``forward`` caches
     activations; ``backward`` either writes the parameter gradients (scaled
     however the caller scaled ``grad_out``) over the previous ones or
-    returns the gradient with respect to the input batch.  With ``rng`` None the parameters are not
-    initialized, for a caller that fills them (a checkpoint load).
+    returns the gradient with respect to the input batch.  With ``rng`` None
+    the parameters are not initialized, for a caller that fills them (a
+    checkpoint load).
     """
 
     def __init__(self, sizes, rng: np.random.Generator | None):

@@ -155,15 +155,26 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.
     return _score_table(fn, cluster)[0][np.asarray(node_ids, dtype=int)]
 
 
+def weighted_totals(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's weighted score sum, added in the same order on every row.
+
+    ``scores @ weights`` leaves the order to BLAS, whose kernels round a row
+    differently by where it sits in the matrix, so bit-identical rows could
+    get different totals and escape the lowest-id tie rule.
+    """
+    return (scores * weights).sum(axis=1)
+
+
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
           percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     """Pick the best node for the pod, or None when nothing is feasible.
 
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
-    scored (at least one node).  Ties on the total score go to the lowest
-    node id.  Allocations and images are left untouched; only the score
-    table is brought up to date.  ``weights`` must have passed
-    ``validate_weights``; the engine checks them once per run.
+    scored (at least one node).  Ties on the total score, which
+    ``weighted_totals`` adds in a fixed order, go to the lowest node id.
+    Allocations and images are left untouched; only the score table is
+    brought up to date.  ``weights`` must have passed ``validate_weights``;
+    the engine checks them once per run.
     """
     ids = np.flatnonzero(feasible_mask(fn, cluster))
     if len(ids) == 0:
@@ -171,5 +182,4 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
     if k < len(ids):
         ids = np.sort(rng.choice(ids, size=k, replace=False))
-    totals = score_nodes(fn, ids, cluster) @ weights
-    return int(ids[int(np.argmax(totals))])
+    return int(ids[weighted_totals(score_nodes(fn, ids, cluster), weights).argmax()])

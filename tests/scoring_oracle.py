@@ -9,7 +9,9 @@ rows on every call instead of caching them in ``cluster.static_scores``, so
 the oracle shares no state with the code under test and a stale cache there
 shows up as a difference.  The rtc breakpoints and the time caps are the
 oracle's own copies of the scorer's fixed configuration, and the rtc column
-still goes through ``np.interp``.  ``test_scoring_oracle.py`` requires the
+still goes through ``np.interp``.  ``place`` adds each row's weighted
+scores in a fixed order, not with ``@``, whose BLAS rounding depends on the
+row's position.  ``test_scoring_oracle.py`` requires the
 production scorer to give the same arrays and picks, and ``engine_oracle``
 places its pods with this ``place``.  Do not optimise this file.
 """
@@ -90,5 +92,5 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
     if k < len(ids):
         ids = np.sort(rng.choice(ids, size=k, replace=False))
-    totals = score_nodes(fn, ids, cluster) @ weights
+    totals = (score_nodes(fn, ids, cluster) * weights).sum(axis=1)
     return int(ids[int(np.argmax(totals))])

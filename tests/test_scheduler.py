@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from schedtune import cluster as cl
 from schedtune import scheduler as sched
@@ -216,6 +217,32 @@ def test_tie_break_lowest_node_id():
     nid = sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0,
                       np.random.default_rng(0))
     assert nid == 0
+
+
+def test_bit_identical_rows_tie_to_the_lowest_node_id():
+    # Nodes 58, 59 and 66 get bit-identical score rows.  A BLAS
+    # matrix-vector product rounds a row by where it sits in the matrix
+    # (seen with OpenBLAS 0.3.31), which gave node 66 a total one ulp above
+    # node 58's; a fixed-order row sum cannot.
+    c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 67, "internet", seed=0))
+    fn = make_function(name="f", cpu=0.5, mem=256.0, image_bytes=4e7, dataset_bytes=3e7)
+    weights = np.array([0.801, 0.691, 0.6, 0.015, 0.423, 0.552, 0.764, 0.341])
+    scores = sched.score_nodes(fn, np.arange(67), c)
+    assert np.array_equal(scores[58], scores[66])
+    assert sched.place(fn, c, weights, 1.0, np.random.default_rng(0)) == 58
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400))
+def test_bit_identical_rows_get_identical_totals(data, n):
+    unit = st.floats(0.0, 1.0)
+    scores = data.draw(arrays(np.float64, (n, sched.N_WEIGHTS), elements=unit))
+    weights = data.draw(arrays(np.float64, sched.N_WEIGHTS, elements=unit))
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+    scores[rows] = scores[rows[0]]
+    totals = sched.weighted_totals(scores, weights)
+    assert len({totals[j].hex() for j in rows}) == 1
+    assert totals[rows[0]] == sched.weighted_totals(scores[rows[:1]], weights)[0]
 
 
 def test_invalid_weights_rejected(small_cluster, probe_function):

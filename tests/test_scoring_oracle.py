@@ -67,7 +67,8 @@ def assert_tables_current(cluster):
         current[list(stale)] = False
         assert np.array_equal(scores[current],
                               scoring_oracle.score_nodes(fn, every, cluster)[current])
-        assert np.array_equal(feasible[current], scoring_oracle.feasible_mask(fn, cluster)[current])
+        assert np.array_equal(feasible[current],
+                              scoring_oracle.feasible_mask(fn, cluster)[current])
 
 
 @settings(max_examples=200, deadline=None)

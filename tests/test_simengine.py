@@ -267,7 +267,7 @@ PINNED_PLACEMENTS = {
         "1fb1fc566d47dd285b2667f3552d328567bc5c85fbde292f4561bf82416f29e6"),
     ("train", 2): (
         "76ec264eb8ece14e019235317a0f8ed6568849f7aa590f18564d30f15494bffd",
-        "73ed2bd5622d3594b595b8af51c9f48765407cd1192cd7cbf41db01c40fa9e2c"),
+        "73cde24a184cf2273e92a7031794028ce4a3a476818b8d72b26bf5559419a463"),
     ("train", 11): (
         "ac649d1564cdcad46f6bf419d410ab79f2f3459ef492b6bf8a878f3f3f299a0e",
         "1277d0607de2d4db2302a78f82ce7fa52f79ee8750a1cb4f6ac488fa20b3570f"),

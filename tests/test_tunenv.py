@@ -370,7 +370,7 @@ def test_faas_env_rejects_bad_configuration():
 
 # SHA-256 over every observation and reward below; any change to the static
 # features, their normalization ranges, masking, frames or scores moves it.
-OBSERVATION_DIGEST = "c9d4a84a1250f412ab7ba4fc81aa151d24e51a5ffb0e59cce9abebb770f4f6ae"
+OBSERVATION_DIGEST = "accc75f6fe0a4077b9b4eeb2053df0304e4079f209d499c66f44100831898009"
 
 
 def test_observation_and_reward_digest_is_pinned():
