@@ -299,6 +299,28 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+# SHA-256 of the checkpoint `trained_tiny_agent` saves: the format, the array
+# order and every float32 bit of three updates (numpy 2.4, OpenBLAS, x86-64).
+PINNED_CHECKPOINT_SHA256 = "9bc821c751003b1a68f2996452c49f124b2ba15c4382ac8f9a2d0c33ecd1139a"
+
+
+def trained_tiny_agent():
+    rng = np.random.default_rng(31)
+    agent = tiny_agent(seed=30)
+    for _ in range(3):
+        agent.update((rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
+                      rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)),
+                      np.zeros(4)))
+    agent.env_steps = 12
+    return agent
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    trained_tiny_agent().save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+
+
 def test_arrays_are_views_of_their_network_buffers():
     agent = tiny_agent(seed=22)
     owners = {"policy": (agent.policy, agent.opt_policy, 0),
