@@ -8,6 +8,7 @@ action inputs for the actor update, so no autodiff framework is needed.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -113,28 +114,42 @@ def tanh_slope(u: np.ndarray) -> np.ndarray:
 
 
 class SacAgent:
+    """Every float the agent keeps (the five networks' parameters and
+    gradients, ``log_alpha`` and the Adam moments) is a view of one
+    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``."""
+
     def __init__(self, config: SacConfig, seed: int = 0):
         self._build(config, seed, fill=True)
 
     def _build(self, config: SacConfig, seed: int, fill: bool) -> None:
-        """Allocate every array.  With ``fill`` False the network weights
-        are left uninitialized and the rng draws nothing: :meth:`load`
+        """Carve every array from a fresh arena.  With ``fill`` False the
+        weights stay zero and the rng draws nothing: :meth:`load`
         overwrites them, and the Adam moments, from the checkpoint."""
         self.config = config
         self.rng = np.random.default_rng(seed)
         init = self.rng if fill else None
-        sizes = (config.obs_dim,) + config.hidden
-        self.policy = Mlp(sizes + (2 * config.act_dim,), init)
-        self.dtype = self.policy.flat.dtype   # nn.DTYPE when built
+        policy_sizes = (config.obs_dim,) + config.hidden + (2 * config.act_dim,)
         critic_sizes = (config.obs_dim + config.act_dim,) + config.hidden + (1,)
-        self.q1 = Mlp(critic_sizes, init)
-        self.q2 = Mlp(critic_sizes, init)
-        self.q1_target = self.q1.clone() if fill else Mlp(critic_sizes, None)
-        self.q2_target = self.q2.clone() if fill else Mlp(critic_sizes, None)
-        self.log_alpha = np.zeros(1, self.dtype)
-        self.opt_policy = Adam([self.policy.flat], lr=config.lr)
-        self.opt_critic = Adam([self.q1.flat, self.q2.flat], lr=config.lr)
-        self.opt_alpha = Adam([self.log_alpha], lr=config.lr)
+        n_pi, n_q = Mlp.param_count(policy_sizes), Mlp.param_count(critic_sizes)
+        # What a checkpoint holds comes first and the gradients last, so an
+        # agent that only acts leaves the tail of the arena untouched.
+        self.arena, pieces = nn.arena(
+            [n_pi] + [n_q] * 4 + [1]           # parameters, log_alpha
+            + [n_pi] * 2 + [n_q] * 4 + [1, 1]  # Adam moments
+            + [n_pi] + [n_q] * 4)              # gradients
+        params, moments, grads = pieces[:6], pieces[6:14], pieces[14:]
+        self.dtype = self.arena.dtype
+        self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
+            Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
+                                       [init] * 3 + [None] * 2, params, grads))
+        if fill:
+            self.q1_target.flat[:] = self.q1.flat
+            self.q2_target.flat[:] = self.q2.flat
+        self.log_alpha = params[5]
+        self.opt_policy = Adam([self.policy.flat], moments[0:1], moments[1:2], config.lr)
+        self.opt_critic = Adam([self.q1.flat, self.q2.flat], moments[2:4], moments[4:6],
+                               config.lr)
+        self.opt_alpha = Adam([self.log_alpha], moments[6:7], moments[7:8], config.lr)
         self.env_steps = 0
         self.grad_steps = 0
 
@@ -286,7 +301,9 @@ class SacAgent:
         """Write the header, then each array's little-endian bytes in the
         networks' dtype, in ``_named_arrays`` order.  The header carries the
         payload digest, so one pass hashes the arrays before a second writes
-        them; neither copies them on a little-endian host."""
+        them; neither copies them on a little-endian host.  The bytes go to
+        a temporary file beside ``path`` that then replaces it, so a write
+        that fails leaves the previous checkpoint as it was."""
         dtype = self.dtype.newbyteorder("<")
         arrays = [(name, np.ascontiguousarray(a, dtype=dtype))
                   for name, a in self._named_arrays()]
@@ -305,12 +322,19 @@ class SacAgent:
             "dtype": dtype.str,
         }
         blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(a)
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(CHECKPOINT_MAGIC)
+                fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+                fh.write(blob)
+                for _, a in arrays:
+                    fh.write(a)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "SacAgent":
@@ -319,9 +343,9 @@ class SacAgent:
         The header is checked in full first: its keys, the payload dtype
         against ``nn.DTYPE``, the arrays the config implies (each once, with
         its shape) and the payload length against the file size.  Then each
-        array is read straight into the agent's storage in header order and
-        hashed as it arrives; the digest is compared before the agent is
-        returned.  The agent's rng starts fresh from ``seed``.
+        array is read straight into its view of a fresh arena, in header
+        order, and hashed as it arrives; the digest is compared before the
+        agent is returned.  The agent's rng starts fresh from ``seed``.
         """
         try:
             fh = open(path, "rb")

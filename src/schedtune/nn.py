@@ -5,46 +5,72 @@ dependency for networks this small, and the actor update needs gradients
 with respect to *inputs* (to differentiate the critic with respect to the
 action), which ``Mlp.backward``'s input-only mode returns directly.
 Parameters, gradients and Adam moments hold ``DTYPE``, float32 as in common
-SAC implementations; inputs of any float type are cast to it.
+SAC implementations; inputs of any float type are cast to it.  ``Mlp`` and
+``Adam`` keep them in zero-filled buffers the caller hands in, such as the
+pieces of one :func:`arena`.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 
 import numpy as np
 
 from .errors import ConfigError
 
-# Read when a network is built; Adam and Polyak follow the arrays they get.
+# Read when an arena is built; networks, Adam and Polyak follow their arrays.
 DTYPE = np.float32
 # Elements per in-place Adam or Polyak pass: whole-array numpy calls, with
 # scratch small enough to stay in cache.
 CHUNK = 1 << 16
 
 
+def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces of the
+    given lengths, each on a 64-byte boundary.  The buffer is a private
+    anonymous mapping advised ``MADV_HUGEPAGE``, which the kernel faults in
+    2 MB at a time where transparent huge pages allow, and unmaps once no
+    piece is left; it is ``np.zeros`` where ``mmap`` lacks either flag."""
+    dtype = np.dtype(DTYPE)
+    step = 64 // dtype.itemsize
+    starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
+    if starts[-1] and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE"):
+        memory = mmap.mmap(-1, starts[-1] * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(OSError):   # a kernel built without huge pages
+            memory.madvise(mmap.MADV_HUGEPAGE)
+        buffer = np.frombuffer(memory, dtype)
+    else:
+        buffer = np.zeros(starts[-1], dtype)
+    return buffer, [buffer[lo:lo + n] for lo, n in zip(starts, lengths)]
+
+
 class Mlp:
     """Fully connected ReLU network with a linear output layer.
 
-    The parameters live in one buffer, ``flat`` (``w0, b0, w1, b1, ...``),
-    viewed as ``weights`` and ``biases``; the gradients in ``grad_flat``,
-    viewed as ``grad_weights`` and ``grad_biases``.  ``forward`` caches
-    activations; ``backward`` either writes the parameter gradients (scaled
-    however the caller scaled ``grad_out``) over the previous ones or
-    returns the gradient with respect to the input batch.  With ``rng`` None
-    the parameters are not initialized, for a caller that fills them (a
-    checkpoint load).
+    The parameters live in the caller's 1-D buffer ``flat``
+    (``w0, b0, w1, b1, ...``, :meth:`param_count` elements), viewed as
+    ``weights`` and ``biases``; the gradients in ``grad_flat``, of the same
+    size and dtype, viewed as ``grad_weights`` and ``grad_biases``.
+    ``forward`` caches activations; ``backward`` either writes the parameter
+    gradients (scaled however the caller scaled ``grad_out``) over the
+    previous ones or returns the gradient with respect to the input batch.
+    With ``rng`` None the parameters keep what ``flat`` holds, for a caller
+    that fills them (a checkpoint load, a target network).
     """
 
-    def __init__(self, sizes, rng: np.random.Generator | None):
+    def __init__(self, sizes, rng: np.random.Generator | None,
+                 flat: np.ndarray, grad_flat: np.ndarray):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
+        n = self.param_count(sizes)
+        if flat.shape != (n,) or grad_flat.shape != (n,) or flat.dtype != grad_flat.dtype:
+            raise ConfigError(f"layer sizes {sizes} need two 1-D buffers of {n} "
+                              "elements and one dtype")
         self.sizes = sizes
         self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
-        self.flat = np.empty(sum(map(math.prod, self.shapes)), DTYPE)
-        # np.zeros, unlike zeros_like, can take pre-zeroed pages from the
-        # allocator, so networks that never run backward never touch them.
-        self.grad_flat = np.zeros(self.flat.size, self.flat.dtype)
+        self.flat, self.grad_flat = flat, grad_flat
         params, grads = self.split(self.flat), self.split(self.grad_flat)
         self.weights, self.biases = params[0::2], params[1::2]
         self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
@@ -53,6 +79,11 @@ class Mlp:
             for w, b in zip(self.weights, self.biases):
                 w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
                 b[:] = 0.0
+
+    @staticmethod
+    def param_count(sizes) -> int:
+        """Weights and biases of a network with these layer sizes."""
+        return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
 
     def split(self, buffer: np.ndarray) -> list[np.ndarray]:
         """Views ``w0, b0, w1, b1, ...`` of a buffer laid out like ``flat``."""
@@ -93,11 +124,6 @@ class Mlp:
             g = g @ self.weights[i].T
             g *= activations[i] > 0.0   # a ReLU output is > 0 exactly where its input is
 
-    def clone(self) -> "Mlp":
-        twin = Mlp(self.sizes, None)
-        twin.flat[:] = self.flat
-        return twin
-
 
 def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
     """In-place soft update: target <- tau * source + (1 - tau) * target."""
@@ -119,17 +145,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
-    say), updated in place; ``m`` and ``v`` hold one array per parameter."""
+    say), updated in place.  The moments ``m`` and ``v`` are the caller's
+    zero-filled arrays, one per parameter with its shape and dtype."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 3e-4):
+    def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
+                 v: list[np.ndarray], lr: float = 3e-4):
         if lr <= 0.0:
             raise ConfigError("learning rate must be positive")
         if any(p.ndim != 1 for p in params):
             raise ConfigError("Adam takes 1-D parameter arrays")
-        self.params = list(params)
+        self.params, self.m, self.v = list(params), list(m), list(v)
         self.lr = lr
-        self.m = [np.zeros(p.shape, p.dtype) for p in self.params]
-        self.v = [np.zeros(p.shape, p.dtype) for p in self.params]
         self.t = 0
         width = min(CHUNK, max((p.size for p in params), default=0))
         self._scratch = np.empty((2, width), self.m[0].dtype if params else DTYPE)

@@ -55,3 +55,9 @@ def float64_networks():
 def float64_nets():
     with float64_networks():
         yield
+
+
+def make_mlp(sizes, rng):
+    """A network over an arena of its own, in ``nn.DTYPE`` as it is now."""
+    _, (flat, grad_flat) = nn.arena([nn.Mlp.param_count(sizes)] * 2)
+    return nn.Mlp(sizes, rng, flat, grad_flat)

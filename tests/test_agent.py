@@ -1,13 +1,16 @@
 """Policy distribution math, update gradients, checkpoints, training loop."""
 import csv
 import hashlib
+import io
 import json
+import mmap
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from schedtune import agent as agent_module
 from schedtune.agent import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -20,10 +23,9 @@ from schedtune.agent import (
     train_agent,
 )
 from schedtune.errors import CheckpointError, ConfigError
-from schedtune.nn import Mlp
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import VectorEnv
-from tests.conftest import float64_networks
+from tests.conftest import float64_networks, make_mlp
 
 
 def tiny_agent(seed=0, obs_dim=3, act_dim=2, **overrides):
@@ -174,7 +176,7 @@ def test_float32_logp_matches_a_float64_longhand():
     assert tanh_a.dtype == logp.dtype == np.float32
     eps = np.random.default_rng(11).standard_normal(tanh_a.shape, dtype=np.float32)
     with float64_networks():
-        wide = Mlp(agent.policy.sizes, None)
+        wide = make_mlp(agent.policy.sizes, None)
     wide.flat[:] = agent.policy.flat
     out = wide.forward(obs.astype(np.float32))
     mean, log_std = out[:, :2], np.clip(out[:, 2:], -20.0, 2.0)
@@ -321,7 +323,46 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
 
 
-def test_arrays_are_views_of_their_network_buffers():
+def test_a_save_that_fails_halfway_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "agent.ckpt"
+    first = tiny_agent(seed=32)
+    first.save(path)
+    good = path.read_bytes()
+    real_open = open
+
+    class DiskFull(io.FileIO):
+        def write(self, data):
+            if self.tell() + memoryview(data).nbytes > len(good) // 2:
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return DiskFull(file, mode) if "w" in mode else real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(agent_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        trained_tiny_agent().save(path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["agent.ckpt"]
+    assert path.read_bytes() == good
+    loaded = SacAgent.load(path)
+    for (name, a), (_, b) in zip(first._named_arrays(), loaded._named_arrays()):
+        assert np.array_equal(a, b), name
+
+
+def assert_views_of_one_arena(agent):
+    """Every named array and gradient buffer is a view of ``agent.arena``,
+    and no two of them overlap."""
+    nets = (agent.policy, agent.q1, agent.q2, agent.q1_target, agent.q2_target)
+    arrays = [a for _, a in agent._named_arrays()] + [net.grad_flat for net in nets]
+    assert all(np.shares_memory(a, agent.arena) for a in arrays)
+    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+    lo, hi = agent.arena.ctypes.data, agent.arena.ctypes.data + agent.arena.nbytes
+    assert lo <= spans[0][0] and spans[-1][1] <= hi
+    assert all(end <= begin for (_, end), (begin, _) in zip(spans, spans[1:]))
+
+
+def test_arrays_are_views_of_their_network_buffers(tmp_path):
     agent = tiny_agent(seed=22)
     owners = {"policy": (agent.policy, agent.opt_policy, 0),
               "q1": (agent.q1, agent.opt_critic, 0),
@@ -342,6 +383,52 @@ def test_arrays_are_views_of_their_network_buffers():
     assert np.shares_memory(named[f"opt_critic.v{n_arrays}"], agent.opt_critic.v[1])
     assert named[f"opt_critic.m{n_arrays}"].shape == agent.q2.weights[0].shape
     assert np.shares_memory(named["q1_target.b1"], agent.q1_target.flat)
+    assert agent.opt_alpha.params[0] is agent.log_alpha
+    assert_views_of_one_arena(agent)
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    loaded = SacAgent.load(path)
+    assert_views_of_one_arena(loaded)
+    assert not np.shares_memory(agent.arena, loaded.arena)
+    assert not np.shares_memory(agent.arena, tiny_agent(seed=22).arena)
+
+
+def test_the_arena_is_a_huge_page_mapping_where_mmap_offers_one():
+    if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
+        pytest.skip("mmap has no private mappings or huge-page advice here")
+    arena = tiny_agent().arena
+    assert isinstance(arena.base, memoryview) and isinstance(arena.base.obj, mmap.mmap)
+
+
+@pytest.mark.parametrize("flag", ["MAP_PRIVATE", "MADV_HUGEPAGE"])
+def test_an_agent_without_mmap_flags_trains_to_the_same_bits(tmp_path, monkeypatch, flag):
+    reference = trained_tiny_agent()
+    monkeypatch.delattr(mmap, flag, raising=False)
+    agent = trained_tiny_agent()
+    assert agent.arena.flags.owndata   # np.zeros, not a mapping
+    assert_views_of_one_arena(agent)
+    for (name, a), (_, b) in zip(reference._named_arrays(), agent._named_arrays()):
+        assert np.array_equal(a, b), name
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+    loaded = SacAgent.load(path)
+    assert loaded.arena.flags.owndata
+    assert_views_of_one_arena(loaded)
+
+
+def test_target_critics_start_as_independent_copies():
+    cfg = SacConfig(obs_dim=3, act_dim=2, hidden=(8, 8), batch_size=4,
+                    replay_capacity=64)
+    agent = SacAgent(cfg, seed=33)
+    assert not np.array_equal(agent.q1.flat, agent.q2.flat)
+    for net, target in ((agent.q1, agent.q1_target), (agent.q2, agent.q2_target)):
+        assert target.sizes == net.sizes
+        assert np.array_equal(target.flat, net.flat)
+        assert np.all(target.grad_flat == 0.0)
+        assert not np.shares_memory(target.flat, net.flat)
+        net.weights[0][0, 0] += 1.0
+        assert target.weights[0][0, 0] != net.weights[0][0, 0]
 
 
 def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):

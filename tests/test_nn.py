@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from schedtune.errors import ConfigError
+from schedtune import nn
 from schedtune.nn import Adam, Mlp, polyak_update
+from tests.conftest import make_mlp
 from tests.sac_oracle import Mlp as OracleMlp
 
 FD_H = 1e-5
@@ -34,7 +36,7 @@ def relative_error(a, b):
 
 
 def test_forward_matches_hand_computation():
-    net = Mlp((2, 3, 1), np.random.default_rng(0))
+    net = make_mlp((2, 3, 1), np.random.default_rng(0))
     net.weights[0][:] = [[1.0, -1.0, 0.5], [0.0, 2.0, -0.5]]
     net.biases[0][:] = [0.1, -0.2, 0.0]
     net.weights[1][:] = [[1.0], [2.0], [3.0]]
@@ -46,7 +48,7 @@ def test_forward_matches_hand_computation():
 
 
 def test_relu_zeroes_negative_preactivations():
-    net = Mlp((1, 2, 1), np.random.default_rng(0))
+    net = make_mlp((1, 2, 1), np.random.default_rng(0))
     net.weights[0][:] = [[1.0, -1.0]]
     net.biases[0][:] = 0.0
     net.weights[1][:] = [[1.0], [1.0]]
@@ -65,7 +67,7 @@ def jitter_biases(net, rng):
 @pytest.mark.usefixtures("float64_nets")
 def test_weight_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    net = Mlp((4, 4, 4, 1), rng)
+    net = make_mlp((4, 4, 4, 1), rng)
     jitter_biases(net, rng)
     x = rng.uniform(-1, 1, (6, 4))
 
@@ -85,7 +87,7 @@ def test_weight_gradients_match_finite_differences():
 @pytest.mark.usefixtures("float64_nets")
 def test_input_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    net = Mlp((3, 5, 2), rng)
+    net = make_mlp((3, 5, 2), rng)
     jitter_biases(net, rng)
     x = rng.uniform(-1, 1, (4, 3))
     coeff = rng.uniform(-1, 1, (4, 2))
@@ -103,7 +105,7 @@ def test_input_gradients_match_finite_differences():
 
 def test_backward_overwrites_the_previous_gradients():
     rng = np.random.default_rng(3)
-    net = Mlp((2, 3, 1), rng)
+    net = make_mlp((2, 3, 1), rng)
     x = rng.uniform(-1, 1, (2, 2))
     net.forward(x)
     net.backward(np.ones((2, 1)))
@@ -121,7 +123,7 @@ def input_only_and_full_backward():
     checks that input-only mode leaves the gradients and full mode returns
     None."""
     rng = np.random.default_rng(10)
-    net = Mlp((3, 6, 6, 2), rng)
+    net = make_mlp((3, 6, 6, 2), rng)
     jitter_biases(net, rng)
     x = rng.uniform(-1, 1, (5, 3)).astype(net.flat.dtype)
     coeff = rng.uniform(-1, 1, (5, 2)).astype(net.flat.dtype)
@@ -154,7 +156,7 @@ def test_float32_input_only_backward_matches_the_full_one():
 
 
 def test_parameters_and_gradients_are_views_of_the_flat_buffers():
-    net = Mlp((3, 5, 4, 2), np.random.default_rng(11))
+    net = make_mlp((3, 5, 4, 2), np.random.default_rng(11))
     assert net.flat.size == net.grad_flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
     for buffer, views in ((net.flat, net.weights + net.biases),
                           (net.grad_flat, net.grad_weights + net.grad_biases)):
@@ -168,33 +170,23 @@ def test_parameters_and_gradients_are_views_of_the_flat_buffers():
 
 
 def test_he_initialization_scale_and_zero_bias():
-    net = Mlp((256, 128), np.random.default_rng(4))
+    net = make_mlp((256, 128), np.random.default_rng(4))
     std = float(net.weights[0].std())
     assert std == pytest.approx(math.sqrt(2.0 / 256), rel=0.1)
     assert np.all(net.biases[0] == 0.0)
 
 
-def test_clone_is_independent_and_equal():
-    rng = np.random.default_rng(5)
-    net = Mlp((2, 3, 1), rng)
-    net.grad_flat.fill(1.0)
-    twin = net.clone()
-    assert twin.sizes == net.sizes
-    assert np.array_equal(twin.flat, net.flat)
-    assert np.all(twin.grad_flat == 0.0)
-    net.weights[0][0, 0] += 1.0
-    assert twin.weights[0][0, 0] != net.weights[0][0, 0]
-    assert not np.shares_memory(twin.flat, net.flat)
-    assert np.shares_memory(twin.weights[0], twin.flat)
-
-
 def test_validation_errors():
     rng = np.random.default_rng(6)
     with pytest.raises(ConfigError):
-        Mlp((3,), rng)
+        make_mlp((3,), rng)
     with pytest.raises(ConfigError):
-        Mlp((3, 0, 1), rng)
-    net = Mlp((3, 2), rng)
+        make_mlp((3, 0, 1), rng)
+    _, (flat, grad, short) = nn.arena([8, 8, 7])
+    for buffers in ((flat, short), (short, grad), (flat, grad.astype(np.float64))):
+        with pytest.raises(ConfigError, match="buffers"):
+            Mlp((3, 2), rng, *buffers)
+    net = Mlp((3, 2), rng, flat, grad)
     with pytest.raises(ConfigError):
         net.forward(np.zeros((1, 4)))
     with pytest.raises(ConfigError):
@@ -202,6 +194,11 @@ def test_validation_errors():
     net.forward(np.zeros((1, 3)))
     with pytest.raises(ConfigError):
         net.backward(np.zeros((2, 2)))
+
+
+def adam(params, **kwargs):
+    return Adam(params, [np.zeros_like(p) for p in params],
+                [np.zeros_like(p) for p in params], **kwargs)
 
 
 def reference_adam(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -220,7 +217,7 @@ def test_adam_matches_scalar_reference():
     rng = np.random.default_rng(7)
     grads = rng.normal(size=25)
     param = np.array([2.5])
-    opt = Adam([param], lr=0.01)
+    opt = adam([param], lr=0.01)
     for g in grads:
         opt.step([np.array([g])])
     assert param[0] == pytest.approx(reference_adam(2.5, grads, 0.01), abs=1e-12)
@@ -228,7 +225,7 @@ def test_adam_matches_scalar_reference():
 
 def test_adam_minimizes_quadratic():
     param = np.array([10.0])
-    opt = Adam([param], lr=0.1)
+    opt = adam([param], lr=0.1)
     for _ in range(500):
         opt.step([2.0 * (param - 3.0)])
     assert param[0] == pytest.approx(3.0, abs=0.05)
@@ -236,16 +233,17 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_validation():
     with pytest.raises(ConfigError):
-        Adam([np.zeros(2)], lr=0.0)
-    opt = Adam([np.zeros(2)])
+        adam([np.zeros(2)], lr=0.0)
+    opt = adam([np.zeros(2)])
     with pytest.raises(ConfigError):
         opt.step([])
 
 
 def test_polyak_endpoints_and_blend():
     rng = np.random.default_rng(8)
-    src = Mlp((2, 3, 1), rng)
-    dst = src.clone()
+    src = make_mlp((2, 3, 1), rng)
+    dst = make_mlp((2, 3, 1), None)
+    dst.flat[:] = src.flat
     dst.weights[0][:] += 1.0
     frozen = dst.flat.copy()
 
@@ -265,11 +263,11 @@ def test_polyak_endpoints_and_blend():
 def test_polyak_rejects_mismatched_networks():
     rng = np.random.default_rng(9)
     with pytest.raises(ConfigError):
-        polyak_update(Mlp((2, 3, 1), rng), Mlp((2, 3, 1, 1), rng), tau=0.5)
+        polyak_update(make_mlp((2, 3, 1), rng), make_mlp((2, 3, 1, 1), rng), tau=0.5)
 
 
 def test_adam_rejects_mismatched_gradient_shape():
-    opt = Adam([np.zeros(3)])
+    opt = adam([np.zeros(3)])
     with pytest.raises(ConfigError):
         opt.step([np.zeros(1)])
     assert opt.t == 0
