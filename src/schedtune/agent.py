@@ -131,12 +131,13 @@ class SacAgent:
         policy_sizes = (config.obs_dim,) + config.hidden + (2 * config.act_dim,)
         critic_sizes = (config.obs_dim + config.act_dim,) + config.hidden + (1,)
         n_pi, n_q = Mlp.param_count(policy_sizes), Mlp.param_count(critic_sizes)
-        # What a checkpoint holds comes first and the gradients last, so an
-        # agent that only acts leaves the tail of the arena untouched.
+        # Three groups: what a checkpoint holds (parameters, log_alpha, Adam
+        # moments), the gradients that updates write, and the target
+        # networks' gradients, which nothing writes.  An agent that only
+        # acts never faults in a page of the last two.
         self.arena, pieces = nn.arena(
-            [n_pi] + [n_q] * 4 + [1]           # parameters, log_alpha
-            + [n_pi] * 2 + [n_q] * 4 + [1, 1]  # Adam moments
-            + [n_pi] + [n_q] * 4)              # gradients
+            [n_pi] + [n_q] * 4 + [1] + [n_pi] * 2 + [n_q] * 4 + [1, 1],
+            [n_pi, n_q, n_q], [n_q, n_q])
         params, moments, grads = pieces[:6], pieces[6:14], pieces[14:]
         self.dtype = self.arena.dtype
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (

@@ -24,22 +24,36 @@ DTYPE = np.float32
 # Elements per in-place Adam or Polyak pass: whole-array numpy calls, with
 # scratch small enough to stay in cache.
 CHUNK = 1 << 16
+HUGE_PAGE = 2 << 20   # bytes in an x86-64 or arm64 transparent huge page
 
 
-def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces of the
-    given lengths, each on a 64-byte boundary.  The buffer is a private
-    anonymous mapping advised ``MADV_HUGEPAGE``, which the kernel faults in
-    2 MB at a time where transparent huge pages allow, and unmaps once no
-    piece is left; it is ``np.zeros`` where ``mmap`` lacks either flag."""
+def arena(*groups) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces, one per
+    length in ``groups`` (lists of lengths), each on a 64-byte boundary.
+
+    The buffer is a private anonymous mapping, which the kernel unmaps once
+    no piece is left.  Each group is advised ``MADV_HUGEPAGE`` over the 2 MB
+    pages that lie wholly inside it: where transparent huge pages allow, the
+    kernel faults those in 2 MB at a time, and a group that is never written
+    stays unmapped.  Where ``mmap`` lacks ``MAP_PRIVATE`` or
+    ``MADV_HUGEPAGE`` the buffer is ``np.zeros``.
+    """
     dtype = np.dtype(DTYPE)
     step = 64 // dtype.itemsize
+    lengths = [n for group in groups for n in group]
     starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
     if starts[-1] and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE"):
         memory = mmap.mmap(-1, starts[-1] * dtype.itemsize, flags=mmap.MAP_PRIVATE)
-        with contextlib.suppress(OSError):   # a kernel built without huge pages
-            memory.madvise(mmap.MADV_HUGEPAGE)
         buffer = np.frombuffer(memory, dtype)
+        base, first = buffer.ctypes.data, 0
+        for group in groups:   # advise the whole huge pages inside each group
+            lo, hi = (base + starts[i] * dtype.itemsize for i in (first, first + len(group)))
+            lo = -(-lo // HUGE_PAGE) * HUGE_PAGE - base
+            hi = hi // HUGE_PAGE * HUGE_PAGE - base
+            if hi > lo:
+                with contextlib.suppress(OSError):   # a kernel without huge pages
+                    memory.madvise(mmap.MADV_HUGEPAGE, lo, hi - lo)
+            first += len(group)
     else:
         buffer = np.zeros(starts[-1], dtype)
     return buffer, [buffer[lo:lo + n] for lo, n in zip(starts, lengths)]
@@ -64,10 +78,6 @@ class Mlp:
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
-        n = self.param_count(sizes)
-        if flat.shape != (n,) or grad_flat.shape != (n,) or flat.dtype != grad_flat.dtype:
-            raise ConfigError(f"layer sizes {sizes} need two 1-D buffers of {n} "
-                              "elements and one dtype")
         self.sizes = sizes
         self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
         self.flat, self.grad_flat = flat, grad_flat

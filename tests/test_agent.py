@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import mmap
+import os
 import struct
 from dataclasses import asdict
 
@@ -415,6 +416,39 @@ def test_an_agent_without_mmap_flags_trains_to_the_same_bits(tmp_path, monkeypat
     loaded = SacAgent.load(path)
     assert loaded.arena.flags.owndata
     assert_views_of_one_arena(loaded)
+
+
+def huge_page_mappings():
+    """(start, end, resident bytes) of each of this process's mappings that
+    carries the huge-page advice, from /proc/self/smaps."""
+    out, current = [], None
+    with open("/proc/self/smaps", encoding="ascii", errors="replace") as fh:
+        for line in fh:
+            key, *rest = line.split()
+            if "-" in key and not key.endswith(":"):
+                current = [int(x, 16) for x in key.split("-")] + [0]
+            elif key == "Rss:":
+                current[2] = int(rest[0]) * 1024
+            elif key == "VmFlags:" and "hg" in rest:
+                out.append(tuple(current))
+    return out
+
+
+@pytest.mark.skipif(not os.path.exists("/sys/kernel/mm/transparent_hugepage")
+                    or not hasattr(mmap, "MADV_HUGEPAGE"),
+                    reason="needs Linux transparent huge pages")
+def test_a_loaded_agent_faults_in_none_of_its_gradients(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    SacAgent(SacConfig(obs_dim=71, act_dim=8), seed=0).save(path)   # default size
+    agent = SacAgent.load(path)
+    base, grads = agent.arena.ctypes.data, agent.policy.grad_flat.ctypes.data
+    end = base + agent.arena.nbytes
+    mappings = huge_page_mappings()
+    stored = [m for m in mappings if base <= m[0] and m[1] <= grads]
+    unwritten = [m for m in mappings if grads <= m[0] and m[1] <= end]
+    # A checkpoint's 25 MB span whole 2 MB pages, and so do the gradients.
+    assert stored and all(rss > 0 for _, _, rss in stored)
+    assert unwritten and all(rss == 0 for _, _, rss in unwritten)
 
 
 def test_target_critics_start_as_independent_copies():

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from schedtune.errors import ConfigError
-from schedtune import nn
-from schedtune.nn import Adam, Mlp, polyak_update
+from schedtune.nn import Adam, polyak_update
 from tests.conftest import make_mlp
 from tests.sac_oracle import Mlp as OracleMlp
 
@@ -182,11 +181,7 @@ def test_validation_errors():
         make_mlp((3,), rng)
     with pytest.raises(ConfigError):
         make_mlp((3, 0, 1), rng)
-    _, (flat, grad, short) = nn.arena([8, 8, 7])
-    for buffers in ((flat, short), (short, grad), (flat, grad.astype(np.float64))):
-        with pytest.raises(ConfigError, match="buffers"):
-            Mlp((3, 2), rng, *buffers)
-    net = Mlp((3, 2), rng, flat, grad)
+    net = make_mlp((3, 2), rng)
     with pytest.raises(ConfigError):
         net.forward(np.zeros((1, 4)))
     with pytest.raises(ConfigError):
