@@ -12,6 +12,8 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
+import operator
 import os
 import struct
 import sys
@@ -48,8 +50,12 @@ class SacConfig:
     target_entropy: float | None = None
 
     def __post_init__(self):
-        if self.obs_dim < 1 or self.act_dim < 1:
-            raise ConfigError("observation and action dimensions must be positive")
+        # Integers, not floats that equal them: the sizes shape arrays.
+        for name in ("obs_dim", "act_dim"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(operator.index(h) for h in self.hidden))
+        if self.obs_dim < 1 or self.act_dim < 1 or any(h < 1 for h in self.hidden):
+            raise ConfigError("observation, action and hidden sizes must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
         if not 0.0 <= self.tau <= 1.0:
@@ -58,13 +64,42 @@ class SacConfig:
             raise ConfigError("replay capacity must hold at least one batch")
         if self.lr <= 0.0 or self.updates_per_step < 0 or self.start_steps < 0:
             raise ConfigError("invalid training hyperparameters")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
     def entropy_target(self) -> float:
         if self.target_entropy is not None:
             return float(self.target_entropy)
         return -float(self.act_dim)
+
+    @property
+    def policy_sizes(self) -> tuple[int, ...]:
+        return (self.obs_dim,) + self.hidden + (2 * self.act_dim,)
+
+    @property
+    def critic_sizes(self) -> tuple[int, ...]:
+        return (self.obs_dim + self.act_dim,) + self.hidden + (1,)
+
+
+def checkpoint_layout(config: SacConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of every array a checkpoint of an agent with
+    ``config`` holds, in the order :meth:`SacAgent.save` writes them: the
+    policy's arrays first, then the critics', the target critics',
+    ``log_alpha`` and the Adam moments."""
+    policy = Mlp.layer_shapes(config.policy_sizes)
+    critic = Mlp.layer_shapes(config.critic_sizes)
+    nets = (("policy", policy), ("q1", critic), ("q2", critic),
+            ("q1_target", critic), ("q2_target", critic))
+    out = [(f"{name}.{'wb'[i % 2]}{i // 2}", shape)
+           for name, shapes in nets for i, shape in enumerate(shapes)]
+    out.append(("log_alpha", (1,)))
+    # A network's moments are named per array, like its parameters;
+    # opt_critic numbers q1's arrays first, then q2's.
+    opts = (("opt_policy", policy), ("opt_critic", critic + critic),
+            ("opt_alpha", [(1,)]))
+    for name, shapes in opts:
+        for i, shape in enumerate(shapes):
+            out += [(f"{name}.m{i}", shape), (f"{name}.v{i}", shape)]
+    return out
 
 
 class ReplayBuffer:
@@ -116,21 +151,32 @@ def tanh_slope(u: np.ndarray) -> np.ndarray:
 class SacAgent:
     """Every float the agent keeps (the five networks' parameters and
     gradients, ``log_alpha`` and the Adam moments) is a view of one
-    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``."""
+    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  An agent
+    loaded ``acting_only`` keeps the policy's parameters alone."""
 
     def __init__(self, config: SacConfig, seed: int = 0):
         self._build(config, seed, fill=True)
 
-    def _build(self, config: SacConfig, seed: int, fill: bool) -> None:
+    def _build(self, config: SacConfig, seed: int, fill: bool,
+               acting_only: bool = False) -> None:
         """Carve every array from a fresh arena.  With ``fill`` False the
         weights stay zero and the rng draws nothing: :meth:`load`
-        overwrites them, and the Adam moments, from the checkpoint."""
+        overwrites them, and the Adam moments, from the checkpoint.  With
+        ``acting_only`` the arena holds the policy's parameters and nothing
+        else: no gradients, critics, targets or optimizers."""
         self.config = config
         self.rng = np.random.default_rng(seed)
+        self.acting_only = acting_only
+        self.env_steps = 0
+        self.grad_steps = 0
         init = self.rng if fill else None
-        policy_sizes = (config.obs_dim,) + config.hidden + (2 * config.act_dim,)
-        critic_sizes = (config.obs_dim + config.act_dim,) + config.hidden + (1,)
+        policy_sizes, critic_sizes = config.policy_sizes, config.critic_sizes
         n_pi, n_q = Mlp.param_count(policy_sizes), Mlp.param_count(critic_sizes)
+        if acting_only:
+            self.arena, (flat,) = nn.arena([n_pi])
+            self.dtype = self.arena.dtype
+            self.policy = Mlp(policy_sizes, init, flat, None)
+            return
         # Three groups: what a checkpoint holds (parameters, log_alpha, Adam
         # moments), the gradients that updates write, and the target
         # networks' gradients, which nothing writes.  An agent that only
@@ -151,8 +197,11 @@ class SacAgent:
         self.opt_critic = Adam([self.q1.flat, self.q2.flat], moments[2:4], moments[4:6],
                                config.lr)
         self.opt_alpha = Adam([self.log_alpha], moments[6:7], moments[7:8], config.lr)
-        self.env_steps = 0
-        self.grad_steps = 0
+
+    def _require_full(self, what: str) -> None:
+        if self.acting_only:
+            raise CheckpointError(
+                f"cannot {what} an agent loaded acting-only: it keeps only its policy")
 
     @property
     def alpha(self) -> float:
@@ -250,6 +299,7 @@ class SacAgent:
 
     # -- one gradient step -----------------------------------------------
     def update(self, batch) -> dict:
+        self._require_full("update")
         obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
 
@@ -279,24 +329,20 @@ class SacAgent:
 
     # -- persistence -------------------------------------------------------
     def _named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        nets = (("policy", self.policy), ("q1", self.q1), ("q2", self.q2),
-                ("q1_target", self.q1_target), ("q2_target", self.q2_target))
-        for name, net in nets:
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out.append((f"{name}.w{i}", w))
-                out.append((f"{name}.b{i}", b))
-        out.append(("log_alpha", self.log_alpha))
-        # A network's moments are named per array, like its parameters.
-        opts = (("opt_policy", self.opt_policy, [self.policy]),
-                ("opt_critic", self.opt_critic, [self.q1, self.q2]))
-        for name, opt, owners in opts:
-            m = [a for net, buf in zip(owners, opt.m) for a in net.split(buf)]
-            v = [a for net, buf in zip(owners, opt.v) for a in net.split(buf)]
-            for i, (mi, vi) in enumerate(zip(m, v)):
-                out += [(f"{name}.m{i}", mi), (f"{name}.v{i}", vi)]
-        return out + [("opt_alpha.m0", self.opt_alpha.m[0]),
-                      ("opt_alpha.v0", self.opt_alpha.v[0])]
+        """The agent's arrays, named and ordered by :func:`checkpoint_layout`;
+        an acting-only agent's are the policy's, which come first there."""
+        arrays = self.policy.split(self.policy.flat)
+        if not self.acting_only:
+            for net in (self.q1, self.q2, self.q1_target, self.q2_target):
+                arrays += net.split(net.flat)
+            arrays.append(self.log_alpha)
+            for opt, owners in ((self.opt_policy, [self.policy]),
+                                (self.opt_critic, [self.q1, self.q2])):
+                m = [a for net, buf in zip(owners, opt.m) for a in net.split(buf)]
+                v = [a for net, buf in zip(owners, opt.v) for a in net.split(buf)]
+                arrays += [a for pair in zip(m, v) for a in pair]
+            arrays += [self.opt_alpha.m[0], self.opt_alpha.v[0]]
+        return [(name, a) for (name, _), a in zip(checkpoint_layout(self.config), arrays)]
 
     def save(self, path) -> None:
         """Write the header, then each array's little-endian bytes in the
@@ -305,6 +351,7 @@ class SacAgent:
         them; neither copies them on a little-endian host.  The bytes go to
         a temporary file beside ``path`` that then replaces it, so a write
         that fails leaves the previous checkpoint as it was."""
+        self._require_full("save")
         dtype = self.dtype.newbyteorder("<")
         arrays = [(name, np.ascontiguousarray(a, dtype=dtype))
                   for name, a in self._named_arrays()]
@@ -338,15 +385,21 @@ class SacAgent:
             raise
 
     @classmethod
-    def load(cls, path, seed: int = 0) -> "SacAgent":
+    def load(cls, path, seed: int = 0, *, acting_only: bool = False) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
-        The header is checked in full first: its keys, the payload dtype
-        against ``nn.DTYPE``, the arrays the config implies (each once, with
-        its shape) and the payload length against the file size.  Then each
-        array is read straight into its view of a fresh arena, in header
-        order, and hashed as it arrives; the digest is compared before the
-        agent is returned.  The agent's rng starts fresh from ``seed``.
+        The header is checked in full before anything is allocated: its
+        keys, the payload dtype against ``nn.DTYPE``, the arrays the config
+        implies (each once, with its shape, worked out from the config
+        alone) and the payload length against the file size.  Then every
+        payload byte is read in header order and hashed as it arrives, and
+        the digest is compared before the agent is returned.  A full load
+        reads each array straight into its view of a fresh arena.  With
+        ``acting_only`` only the policy's arrays are kept, in an arena of
+        their own; every other array passes through one scratch buffer the
+        size of the largest, so it is hashed but not kept.  The agent then
+        acts as a full load does but cannot ``update`` or ``save``.  Either
+        way its rng starts fresh from ``seed``.
         """
         try:
             fh = open(path, "rb")
@@ -366,45 +419,49 @@ class SacAgent:
                 raise CheckpointError(f"{path} is truncated inside the header")
             try:
                 header = json.loads(fh.read(header_len).decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # Not UTF-8, not JSON, or an integer past Python's digit limit.
+            except ValueError as exc:
                 raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
             try:
                 config_dict = dict(header["config"])
                 config_dict["hidden"] = tuple(config_dict["hidden"])
                 config = SacConfig(**config_dict)
                 arrays = [(str(name), list(shape)) for name, shape in header["arrays"]]
-                counters = [int(header[key]) for key in ("env_steps", "grad_steps")]
-                counters += [int(header["adam_steps"][key])
+                counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
+                counters += [operator.index(header["adam_steps"][key])
                              for key in ("opt_policy", "opt_critic", "opt_alpha")]
                 digest, dtype = header["payload_sha256"], header["dtype"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise CheckpointError(
                     f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
             if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
                 raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
-            agent = cls.__new__(cls)
-            agent._build(config, seed, fill=False)
-            targets = dict(agent._named_arrays())
+            shapes = dict(checkpoint_layout(config))
             names = [name for name, _ in arrays]
-            if sorted(names) != sorted(targets):
-                odd = set(names) ^ set(targets) | {n for n in names if names.count(n) > 1}
+            if sorted(names) != sorted(shapes):
+                odd = set(names) ^ set(shapes) | {n for n in names if names.count(n) > 1}
                 raise CheckpointError(
                     f"{path}: arrays missing, unknown or repeated: {sorted(odd)}")
             for name, shape in arrays:
-                if list(targets[name].shape) != shape:
+                if list(shapes[name]) != shape:
                     raise CheckpointError(
                         f"{path}: array {name!r} has shape {shape}, "
-                        f"expected {list(targets[name].shape)}")
+                        f"expected {list(shapes[name])}")
             payload = size - 16 - header_len
-            expected = sum(a.nbytes for a in targets.values())
+            expected = np.dtype(nn.DTYPE).itemsize * sum(map(math.prod, shapes.values()))
             if payload != expected:
                 raise CheckpointError(
                     f"{path} payload is {payload} bytes, expected {expected}")
 
+            agent = cls.__new__(cls)
+            agent._build(config, seed, fill=False, acting_only=acting_only)
+            kept = dict(agent._named_arrays())
+            scratch = np.empty(max((math.prod(s) for n, s in shapes.items() if n not in kept),
+                                   default=0), agent.dtype)
             hasher = hashlib.sha256()
             for name in names:
-                dst = targets[name]
+                dst = kept[name] if name in kept else scratch[:math.prod(shapes[name])]
                 if fh.readinto(dst) != dst.nbytes:
                     raise CheckpointError(f"{path} is truncated inside the payload")
                 hasher.update(dst)
@@ -412,8 +469,9 @@ class SacAgent:
                     dst.byteswap(inplace=True)
         if hasher.hexdigest() != digest:
             raise CheckpointError(f"{path} payload does not match its digest")
-        (agent.env_steps, agent.grad_steps, agent.opt_policy.t,
-         agent.opt_critic.t, agent.opt_alpha.t) = counters
+        agent.env_steps, agent.grad_steps = counters[:2]
+        if not acting_only:
+            agent.opt_policy.t, agent.opt_critic.t, agent.opt_alpha.t = counters[2:]
         return agent
 
 

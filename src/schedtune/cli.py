@@ -84,7 +84,7 @@ def _tune_worker(payload: dict) -> tuple[list[dict], float]:
     scenario_seed = payload["scenario_seed"]
     env = make_env(config)
     if method == "agent":
-        agent = SacAgent.load(payload["checkpoint"])
+        agent = SacAgent.load(payload["checkpoint"], acting_only=True)
         episode = evaluate_policy(agent, env, [scenario_seed])[0]
     else:
         optimizer = make_optimizer(method, dim=env.action_dim)

@@ -70,25 +70,33 @@ class Mlp:
     gradients (scaled however the caller scaled ``grad_out``) over the
     previous ones or returns the gradient with respect to the input batch.
     With ``rng`` None the parameters keep what ``flat`` holds, for a caller
-    that fills them (a checkpoint load, a target network).
+    that fills them (a checkpoint load, a target network).  With
+    ``grad_flat`` None the network keeps no gradients and only runs forward.
     """
 
     def __init__(self, sizes, rng: np.random.Generator | None,
-                 flat: np.ndarray, grad_flat: np.ndarray):
+                 flat: np.ndarray, grad_flat: np.ndarray | None):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
         self.sizes = sizes
-        self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
+        self.shapes = self.layer_shapes(sizes)
         self.flat, self.grad_flat = flat, grad_flat
-        params, grads = self.split(self.flat), self.split(self.grad_flat)
+        params = self.split(self.flat)
         self.weights, self.biases = params[0::2], params[1::2]
-        self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
+        if grad_flat is not None:
+            grads = self.split(grad_flat)
+            self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
         self._cache = None
         if rng is not None:
             for w, b in zip(self.weights, self.biases):
                 w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
                 b[:] = 0.0
+
+    @staticmethod
+    def layer_shapes(sizes) -> list[tuple[int, ...]]:
+        """Shapes of ``w0, b0, w1, b1, ...`` for these layer sizes."""
+        return [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
 
     @staticmethod
     def param_count(sizes) -> int:

@@ -19,6 +19,7 @@ from schedtune.agent import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
+    checkpoint_layout,
     env_action,
     evaluate_policy,
     train_agent,
@@ -488,6 +489,55 @@ def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):
     assert loaded.opt_critic.t == agent.opt_critic.t == 4
 
 
+def test_an_acting_only_load_acts_like_a_full_load(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    trained_tiny_agent().save(path)
+    full = SacAgent.load(path, seed=4)
+    policy = SacAgent.load(path, seed=4, acting_only=True)
+    obs = np.random.default_rng(26).uniform(-3, 3, (20, 3))
+    for o in obs:
+        assert np.array_equal(full.act(o), policy.act(o))
+    # Stochastic: each agent draws its noise from its own rng, seeded alike.
+    for a, b in zip(full.sample_action(obs), policy.sample_action(obs)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(full.act_batch(obs), policy.act_batch(obs))
+    assert (policy.env_steps, policy.grad_steps) == (full.env_steps, full.grad_steps) == (12, 3)
+
+
+def test_an_acting_only_load_keeps_only_the_policy(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    agent = trained_tiny_agent()
+    agent.save(path)
+    loaded = SacAgent.load(path, acting_only=True)
+    assert sorted(vars(loaded)) == ["acting_only", "arena", "config", "dtype",
+                                    "env_steps", "grad_steps", "policy", "rng"]
+    assert loaded.policy.grad_flat is None
+    assert loaded.arena.nbytes == -(-agent.policy.flat.nbytes // 64) * 64
+    assert np.shares_memory(loaded.policy.flat, loaded.arena)
+    saved = dict(agent._named_arrays())
+    named = loaded._named_arrays()
+    assert [n for n, _ in named] == [n for n in saved if n.startswith("policy.")]
+    for name, a in named:
+        assert np.array_equal(a, saved[name]), name
+
+
+@pytest.mark.parametrize("call", ["update", "save"])
+def test_an_acting_only_agent_cannot_update_or_save(tmp_path, call):
+    path = tmp_path / "agent.ckpt"
+    tiny_agent(seed=27).save(path)
+    loaded = SacAgent.load(path, acting_only=True)
+    argument = tmp_path / "copy.ckpt" if call == "save" else None
+    with pytest.raises(CheckpointError, match=f"cannot {call} an agent loaded acting-only"):
+        getattr(loaded, call)(argument)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["agent.ckpt"]
+
+
+def test_checkpoint_layout_names_every_saved_array_in_order():
+    agent = tiny_agent(seed=28)
+    assert checkpoint_layout(agent.config) == [
+        (name, a.shape) for name, a in agent._named_arrays()]
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     agent = tiny_agent(seed=21)
     path = tmp_path / "agent.ckpt"
@@ -575,7 +625,11 @@ def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
     }
     for key in drop:
         del header[key]
-    blob = json.dumps(header).encode()
+    return _write_checkpoint(path, json.dumps(header).encode(), payload, version)
+
+
+def _write_checkpoint(path, blob, payload=b"", version=CHECKPOINT_VERSION):
+    """Write the magic, ``version``, the header bytes ``blob`` and ``payload``."""
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", version)
                      + struct.pack("<Q", len(blob)) + blob + payload)
     return path
@@ -590,10 +644,7 @@ def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
 
 
 def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
-    blob = b"[1, 2]"
-    path = tmp_path / "list.ckpt"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-                     + struct.pack("<Q", len(blob)) + blob)
+    path = _write_checkpoint(tmp_path / "list.ckpt", b"[1, 2]")
     with pytest.raises(CheckpointError, match="header"):
         SacAgent.load(path)
 

@@ -1,15 +1,19 @@
 """Command line behavior, driven through main()."""
 import csv
+import hashlib
 import json
+import math
 import re
+import struct
+from dataclasses import asdict
 
 import pytest
 
-from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig
+from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig, checkpoint_layout
 from schedtune.cli import main, scenario_seeds
 from schedtune.data import data_dir
 from schedtune.report import read_trials_csv
-from tests.test_agent import _forge_checkpoint
+from tests.test_agent import _forge_checkpoint, _write_checkpoint
 
 
 def write_config(tmp_path, **overrides):
@@ -245,6 +249,17 @@ def test_nonpositive_jobs_fail_with_one_error_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def _array_offset(raw, name):
+    """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
+    header_len = struct.unpack("<Q", raw[8:16])[0]
+    offset = 16 + header_len
+    for array, shape in json.loads(raw[16:offset])["arrays"]:
+        if array == name:
+            return offset
+        offset += 4 * math.prod(shape)
+    raise KeyError(name)
+
+
 def _damage_checkpoint(path, damage):
     agent = SacAgent(SacConfig(obs_dim=24, act_dim=2, hidden=(8,),
                                batch_size=4, replay_capacity=16), seed=1)
@@ -252,13 +267,30 @@ def _damage_checkpoint(path, damage):
         _forge_checkpoint(path, agent, dtype="<f8", drop=["dtype"], version=1)
     elif damage == "f8-payload":
         _forge_checkpoint(path, agent, dtype="<f8")
+    elif damage == "negative-hidden":
+        agent.save(path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        blob = raw[16:16 + header_len].replace(b'"hidden": [8]', b'"hidden": [-8]')
+        _write_checkpoint(path, blob, raw[16 + header_len:])
+    elif damage == "oversized-hidden":
+        # A consistent header for 4.4 PB of arrays, and no payload.
+        config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
+        header = {"config": asdict(config),
+                  "arrays": [[n, list(s)] for n, s in checkpoint_layout(config)],
+                  "env_steps": 0, "grad_steps": 0,
+                  "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
+                  "payload_sha256": hashlib.sha256(b"").hexdigest(), "dtype": "<f4"}
+        _write_checkpoint(path, json.dumps(header).encode())
     else:
         agent.save(path)
         raw = bytearray(path.read_bytes())
         if damage == "truncated":
             del raw[-10:]
-        else:
+        elif damage == "flipped-byte":
             raw[-3] ^= 0x01
+        else:   # flip a byte inside the named array
+            raw[_array_offset(raw, damage.split(":")[1]) + 5] ^= 0x01
         path.write_bytes(bytes(raw))
 
 
@@ -267,6 +299,11 @@ def _damage_checkpoint(path, damage):
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
     ("truncated", "payload is"),
     ("flipped-byte", "payload does not match its digest"),
+    ("flipped:policy.w0", "payload does not match its digest"),
+    ("flipped:q2.w0", "payload does not match its digest"),
+    ("flipped:opt_critic.v1", "payload does not match its digest"),
+    ("oversized-hidden", "payload is 0 bytes, expected 4400012880000092"),
+    ("negative-hidden", "malformed header: ConfigError"),
 ])
 def test_bad_checkpoint_fails_eval_with_one_error_line(tmp_path, capsys,
                                                         damage, message):
