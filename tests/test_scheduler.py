@@ -10,6 +10,7 @@ from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import simengine as se
 from schedtune.errors import ConfigError
+from tests import scoring_oracle
 from tests.conftest import make_function
 
 
@@ -281,3 +282,36 @@ def test_placement_feasible_and_deterministic(seed, pct):
     assert a == b
     if a is not None:
         assert sched.feasible_mask(fn, c)[a]
+
+
+def test_a_refresh_that_makes_a_node_infeasible_drops_it_from_placement():
+    # The function's table exists before the commit, so the node leaves the
+    # candidates through a stale-row refresh.  Sampling must then draw from
+    # the remaining feasible nodes exactly as the oracle does.
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2))
+    fn = make_function(name="f", cpu=2.0, mem=512.0)
+    best = sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0, np.random.default_rng(0))
+    c.commit(best, c.capacity_cpu[best] - 1.0, 0.0)
+    assert not sched.feasible_mask(fn, c)[best]
+    weights = np.random.default_rng(1).uniform(0.0, 1.0, sched.N_WEIGHTS)
+    for seed in range(20):
+        for pct in (1.0, 0.5, 0.1):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            chosen = sched.place(fn, c, weights, pct, rng)
+            assert chosen == scoring_oracle.place(fn, c, weights, pct, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert chosen != best
+
+
+def test_place_returns_none_once_no_node_fits():
+    # Three 32-core nodes hold twelve 8-core pods.
+    c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 3))
+    fn = make_function(cpu=8.0)
+    rng = np.random.default_rng(0)
+    placed = []
+    while (nid := sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0, rng)) is not None:
+        c.commit(nid, fn.req_cpu, fn.req_mem)
+        placed.append(nid)
+    assert sorted(placed) == [0] * 4 + [1] * 4 + [2] * 4
+    assert not sched.feasible_mask(fn, c).any()
+    assert sched.place(fn, c, sched.FIXED_WEIGHTS, 0.5, rng) is None

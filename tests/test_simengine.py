@@ -318,3 +318,55 @@ def test_scale_up_stops_calling_place_after_the_feasibility_wall(monkeypatch):
     assert len(res.placements) == 4
     assert outcomes.count(None) == 1
     assert outcomes[-1] is None
+
+
+def test_an_arrival_that_starts_service_at_once_still_runs_the_scale_check(monkeypatch):
+    # While every check may add a replica, waiting rises by at most one per
+    # arrival and the threshold by five per replica, so at the default factor
+    # an arrival that finds an idle replica never has a backlog to answer.
+    # Below a factor of 1 it does: the third arrival goes straight into
+    # service on the replica the second one added, with one request still
+    # waiting, and 1 > 0.4 * 2 must add a third replica at once.
+    monkeypatch.setattr(se, "QUEUE_SCALE_FACTOR", 0.4)
+    c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 10))
+    fn = make_function(name="slow", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=50.0)
+    reqs = [(0.01 * i, 0) for i in range(1, 8)]
+    opts = se.SimOptions(min_replicas=1, max_replicas=5, scale_factor=1)
+    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
+    # Replicas 1-4 come after arrivals 2, 3, 5 and 6; arrivals 3 and 6
+    # each start at once on the replica the arrival before them added.
+    assert [p.time_s for p in res.placements] == [0.0, 0.02, 0.03, 0.05, 0.06]
+    assert [p.pod for p in res.placements] == [f"slow-{k}" for k in range(5)]
+
+
+MD1_SEEDS = range(8)
+MD1_ARRIVALS = 20_000
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.6, 0.8])
+def test_single_replica_queue_matches_pollaczek_khinchine(rho):
+    # One replica serving a deterministic time s under Poisson arrivals is an
+    # M/D/1 queue, whose mean wait is rho * s / (2 * (1 - rho)).  The horizon
+    # leaves room for the backlog to drain, so every request completes.
+    c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 1, "internet"))
+    fn = wl.FunctionSpec(name="md1", req_cpu=1.0, req_mem=1024.0,
+                         dataset_bytes=1e7, base_exec_s=0.5)
+    fetch_s = (c.store_latency[:, 0] + fn.dataset_bytes / c.store_bw[:, 0]).min()
+    s = wl.execution_seconds(fn, c.nodes[0].device) + float(fetch_s)
+    expected = rho * s / (2.0 * (1.0 - rho))
+    waits = []
+    for seed in MD1_SEEDS:
+        times = np.cumsum(np.random.default_rng(seed).exponential(s / rho, MD1_ARRIVALS))
+        opts = se.SimOptions(duration_s=float(times[-1]) + 1000.0 * s,
+                             min_replicas=1, max_replicas=1)
+        res = se.simulate_requests(c, [fn], [(t, 0) for t in times.tolist()],
+                                   sched.FIXED_WEIGHTS, opts)
+        fm = res.metrics.per_function["md1"]
+        assert fm.n_success == fm.n_total == MD1_ARRIVALS
+        assert fm.mu_fet_s == pytest.approx(s, rel=1e-12)
+        waits.append(fm.mu_wait_s)
+    mean = float(np.mean(waits))
+    stderr = float(np.std(waits, ddof=1)) / len(waits) ** 0.5
+    # The seeds resolve the mean to a few percent, so the check has power.
+    assert stderr < 0.05 * expected
+    assert abs(mean - expected) < 4.0 * stderr
