@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import mmap
 import os
 import struct
@@ -218,6 +219,19 @@ def test_config_validation():
         SacConfig(obs_dim=3, act_dim=2, gamma=1.5)
     with pytest.raises(ConfigError):
         SacConfig(obs_dim=3, act_dim=2, batch_size=512, replay_capacity=10)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf),
+    pytest.param("lr", 10**400, id="lr-past-float-range"),
+    ("target_entropy", "x"), ("target_entropy", math.nan),
+    ("target_entropy", math.inf), ("target_entropy", -math.inf),
+    ("target_entropy", True),
+])
+def test_config_rejects_a_learning_rate_or_entropy_target_that_is_not_finite(key, value):
+    # A comparison with NaN is False, so "lr <= 0" alone lets NaN through.
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        SacConfig(obs_dim=3, act_dim=2, **{key: value})
 
 
 def test_replay_buffer_wraparound_and_sampling():

@@ -273,6 +273,15 @@ def _damage_checkpoint(path, damage):
         header_len = struct.unpack("<Q", raw[8:16])[0]
         blob = raw[16:16 + header_len].replace(b'"hidden": [8]', b'"hidden": [-8]')
         _write_checkpoint(path, blob, raw[16 + header_len:])
+    elif damage.startswith("header:"):   # header:<key>=<raw JSON token>
+        key, token = damage[len("header:"):].split("=")
+        agent.save(path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        blob, n = re.subn(rf'"{key}": [^,}}]+'.encode(), f'"{key}": {token}'.encode(),
+                          raw[16:16 + header_len])
+        assert n == 1
+        _write_checkpoint(path, blob, raw[16 + header_len:])
     elif damage == "oversized-hidden":
         # A consistent header for 4.4 PB of arrays, and no payload.
         config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
@@ -304,6 +313,13 @@ def _damage_checkpoint(path, damage):
     ("flipped:opt_critic.v1", "payload does not match its digest"),
     ("oversized-hidden", "payload is 0 bytes, expected 4400012880000092"),
     ("negative-hidden", "malformed header: ConfigError"),
+    # The payload digest does not cover the header, so its config is checked.
+    ("header:lr=NaN", "malformed header: ConfigError lr"),
+    ("header:lr=Infinity", "malformed header: ConfigError lr"),
+    ("header:lr=-Infinity", "malformed header: ConfigError lr"),
+    ('header:target_entropy="x"', "malformed header: ConfigError target_entropy"),
+    ("header:target_entropy=NaN", "malformed header: ConfigError target_entropy"),
+    ("header:target_entropy=Infinity", "malformed header: ConfigError target_entropy"),
 ])
 def test_bad_checkpoint_fails_eval_with_one_error_line(tmp_path, capsys,
                                                         damage, message):

@@ -229,6 +229,9 @@ def test_adam_minimizes_quadratic():
 def test_adam_validation():
     with pytest.raises(ConfigError):
         adam([np.zeros(2)], lr=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="learning rate"):
+            adam([np.zeros(2)], lr=bad)
     opt = adam([np.zeros(2)])
     with pytest.raises(ConfigError):
         opt.step([])
