@@ -62,8 +62,15 @@ class SacConfig:
             raise ConfigError("tau must lie in [0, 1]")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ConfigError("replay capacity must hold at least one batch")
-        if self.lr <= 0.0 or self.updates_per_step < 0 or self.start_steps < 0:
+        # Written so that NaN fails too; the bound also stops an int past float range.
+        if not 0.0 < self.lr <= sys.float_info.max:
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
+        if self.updates_per_step < 0 or self.start_steps < 0:
             raise ConfigError("invalid training hyperparameters")
+        te = self.target_entropy
+        if te is not None and (isinstance(te, bool) or not isinstance(te, (int, float))
+                               or not abs(te) <= sys.float_info.max):
+            raise ConfigError(f"target_entropy must be a finite number or None, got {te!r}")
 
     @property
     def entropy_target(self) -> float:

@@ -168,8 +168,8 @@ class Adam:
 
     def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
                  v: list[np.ndarray], lr: float = 3e-4):
-        if lr <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        if not 0.0 < lr < math.inf:   # written so that NaN fails too
+            raise ConfigError("learning rate must be positive and finite")
         if any(p.ndim != 1 for p in params):
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params, self.m, self.v = list(params), list(m), list(v)
