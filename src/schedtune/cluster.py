@@ -127,7 +127,9 @@ class Cluster:
     Capacities and allocations live only in these arrays, and allocations
     change through :meth:`commit` alone.  The path arrays hold, per node, the
     latency and bottleneck bandwidth to the registry and to each data store
-    (one row per store, top layer first).  ``images`` maps each image name
+    (one row per store, top layer first); :meth:`fetch_times` and
+    :meth:`pull_times` turn them into every node's transfer time, for
+    scoring and the engine alike.  ``images`` maps each image name
     that some node has pulled to a boolean array over the nodes, so scoring
     reads a whole candidate set's cache state with one fancy index; images
     change through :meth:`add_image` alone.  ``static_scores`` is the
@@ -135,9 +137,10 @@ class Cluster:
     nodes and their paths, keyed by function.
     :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
     the replaced fields may be the very paths it was computed from.
-    ``score_tables`` maps each function scored on this copy to its (n_nodes,
-    8) scores, its feasibility mask and the set of stale node ids, whose
-    rows the scheduler recomputes when it next scores the function.
+    ``score_tables`` maps each function scored on this copy to its
+    ``scheduler.ScoreTable``: the (n_nodes, 8) scores, the feasibility mask,
+    the feasible node ids and the set of stale node ids, whose rows the
+    scheduler recomputes when it next scores the function.
     :meth:`commit` marks its node stale in every table, :meth:`add_image` in
     the tables of the functions that use the image.  :meth:`clone` and
     ``dataclasses.replace`` start it empty.
@@ -167,30 +170,29 @@ class Cluster:
         """Reserve resources on a node (warm-up and autoscale placements)."""
         self.alloc_cpu[node_id] += cpu
         self.alloc_mem[node_id] += mem
-        for _, _, stale in self.score_tables.values():
-            stale.add(node_id)
+        for table in self.score_tables.values():
+            table.stale.add(node_id)
 
     def add_image(self, node_id: int, image_name: str) -> None:
         if image_name not in self.images:
             self.images[image_name] = np.zeros(self.n_nodes, dtype=bool)
         self.images[image_name][node_id] = True
-        for fn, (_, _, stale) in self.score_tables.items():
+        for fn, table in self.score_tables.items():
             if fn.image_name == image_name:
-                stale.add(node_id)
+                table.stale.add(node_id)
 
     def image_mask(self, image_name: str) -> np.ndarray:
         """Boolean array over the nodes: which ones hold the image."""
         cached = self.images.get(image_name)
         return np.zeros(self.n_nodes, dtype=bool) if cached is None else cached
 
-    def data_fetch_time(self, node_id: int, nbytes: float) -> float:
-        """Transfer time from the nearest data store to a node."""
-        times = self.store_latency[:, node_id] + nbytes / self.store_bw[:, node_id]
-        return float(times.min())
+    def fetch_times(self, nbytes: float) -> np.ndarray:
+        """Per node, the transfer time of ``nbytes`` from the nearest data store."""
+        return (self.store_latency + nbytes / self.store_bw).min(axis=0)
 
-    def image_pull_time(self, node_id: int, nbytes: float) -> float:
-        """Transfer time from the registry to a node."""
-        return float(self.registry_latency[node_id] + nbytes / self.registry_bw[node_id])
+    def pull_times(self, nbytes: float) -> np.ndarray:
+        """Per node, the transfer time of ``nbytes`` from the registry."""
+        return self.registry_latency + nbytes / self.registry_bw
 
     def clone(self) -> "Cluster":
         """Independent copy of the allocations and image caches, with an

@@ -10,6 +10,7 @@ engine's job.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
 def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     """Boolean array over the nodes: which ones have the free cpu and
     memory for the pod."""
-    return _score_table(fn, cluster)[1].copy()
+    return _score_table(fn, cluster).feasible.copy()
 
 
 def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
@@ -76,35 +77,44 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     else:
         want = 0 if fn.preferred_locality == "cloud" else 1
         template[:, 3] = cluster.locality_code == want
-
-    fetch = (cluster.store_latency + fn.dataset_bytes / cluster.store_bw).min(axis=0)
-    template[:, 4] = 1.0 - np.clip(fetch / DATA_TIME_CAP_S, 0.0, 1.0)
-
+    template[:, 4] = 1.0 - np.clip(cluster.fetch_times(fn.dataset_bytes) / DATA_TIME_CAP_S,
+                                   0.0, 1.0)
     if fn.preferred_accelerator == "none":
         template[:, 5] = 0.5
     else:
         template[:, 5] = cluster.accel_code == ACCELERATORS.index(fn.preferred_accelerator)
-
-    pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
-    template[:, 7] = 1.0 - np.clip(pull / IMAGE_TIME_CAP_S, 0.0, 1.0)
-
+    template[:, 7] = 1.0 - np.clip(cluster.pull_times(fn.image_bytes) / IMAGE_TIME_CAP_S,
+                                   0.0, 1.0)
     cluster.static_scores[fn] = template
     return template
 
 
-def _score_table(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
-    """The function's current scores and feasibility mask over all nodes.
+@dataclass(slots=True, eq=False)
+class ScoreTable:
+    """One function's scores on one cluster copy: the (n_nodes, 8) scores,
+    the feasibility mask, the feasible node ids in ascending order, and the
+    stale node ids, whose rows ``_score_table`` recomputes before a read."""
 
-    Built in full the first time the function is scored on this cluster
-    copy, from its template, and kept in ``cluster.score_tables``.  Later
-    calls recompute only the rows that ``commit`` and ``add_image`` marked
-    stale, from Python floats with the same operations in the same order:
-    Python float arithmetic rounds as numpy's elementwise loops do, so every
-    element is the float the full computation gives.  Images are never
-    evicted, so a refreshed row's column 7 only ever turns to 1.0.
+    scores: np.ndarray
+    feasible: np.ndarray
+    ids: np.ndarray
+    stale: set[int] = field(default_factory=set)
+
+
+def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
+    """The function's score table on this cluster copy, brought up to date.
+
+    Built in full the first time the function is scored on this copy, from
+    its template, and kept in ``cluster.score_tables``.  Later calls
+    recompute only the rows that ``commit`` and ``add_image`` marked stale,
+    from Python floats with the same operations in the same order: Python
+    float arithmetic rounds as numpy's elementwise loops do, so every element
+    is the float the full computation gives.  Images are never evicted, so a
+    refreshed row's column 7 only ever turns to 1.0; the feasible ids are
+    rebuilt only when a refreshed node's feasibility changed.
     """
-    entry = cluster.score_tables.get(fn)
-    if entry is None:
+    table = cluster.score_tables.get(fn)
+    if table is None:
         scores = _static_columns(fn, cluster).copy()
         u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
         u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
@@ -121,16 +131,17 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.nda
         scores[cluster.image_mask(fn.image_name), 7] = 1.0
         feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
                     & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
-        cluster.score_tables[fn] = (scores, feasible, set())
-        return scores, feasible
-    scores, feasible, stale = entry
-    if stale:
+        table = cluster.score_tables[fn] = ScoreTable(scores, feasible, np.flatnonzero(feasible))
+    elif table.stale:
+        scores, feasible, changed = table.scores, table.feasible, False
         req_cpu, req_mem = fn.req_cpu, fn.req_mem
         cached = cluster.images.get(fn.image_name)
-        for j in stale:
+        for j in table.stale:
             a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
             c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
-            feasible[j] = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
+            fits = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
+            if fits != feasible[j]:
+                feasible[j], changed = fits, True
             u_cpu = (a_cpu + req_cpu) / c_cpu
             u_mem = (a_mem + req_mem) / c_mem
             u = (u_cpu + u_mem) / 2.0
@@ -141,18 +152,24 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.nda
             row[6] = 1.0 - abs(u_cpu - u_mem) / 2.0
             if cached is not None and cached[j]:
                 row[7] = 1.0
-        stale.clear()
-    return scores, feasible
+        if changed:
+            table.ids = np.flatnonzero(feasible)
+        table.stale.clear()
+    return table
 
 
-def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.ndarray:
+def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
+                scores: np.ndarray | None = None) -> np.ndarray:
     """C-contiguous matrix of the eight scores, one row per node id.
 
     Columns follow SCORING_FUNCTIONS order.  The rows are gathered from the
-    function's score table on this cluster copy.  Callers must pass
-    feasible ids; utilizations then stay within [0, 1] by construction.
+    function's score table on this cluster copy, or from ``scores``, a table
+    ``place`` has just brought up to date.  Callers must pass feasible ids;
+    utilizations then stay within [0, 1] by construction.
     """
-    return _score_table(fn, cluster)[0][np.asarray(node_ids, dtype=int)]
+    if scores is None:
+        scores = _score_table(fn, cluster).scores
+    return scores.take(node_ids, axis=0)
 
 
 def weighted_totals(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -170,16 +187,18 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     """Pick the best node for the pod, or None when nothing is feasible.
 
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
-    scored (at least one node).  Ties on the total score, which
-    ``weighted_totals`` adds in a fixed order, go to the lowest node id.
-    Allocations and images are left untouched; only the score table is
-    brought up to date.  ``weights`` must have passed ``validate_weights``;
-    the engine checks them once per run.
+    scored (at least one node): positions into the table's feasible ids are
+    drawn, which leaves the generator as drawing the ids themselves would.
+    Ties on the total score, which ``weighted_totals`` adds in a fixed
+    order, go to the lowest node id.  The score table is looked up once;
+    allocations and images are left untouched.  ``weights`` must have passed
+    ``validate_weights``; the engine checks them once per run.
     """
-    ids = np.flatnonzero(feasible_mask(fn, cluster))
-    if len(ids) == 0:
+    table = _score_table(fn, cluster)
+    ids, n = table.ids, len(table.ids)
+    if n == 0:
         return None
-    k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
-    if k < len(ids):
-        ids = np.sort(rng.choice(ids, size=k, replace=False))
-    return int(ids[weighted_totals(score_nodes(fn, ids, cluster), weights).argmax()])
+    k = max(1, math.floor(percent_nodes_to_score * n))
+    if k < n:
+        ids = ids[np.sort(rng.choice(n, size=k, replace=False))]
+    return int(ids[weighted_totals(score_nodes(fn, ids, cluster, table.scores), weights).argmax()])

@@ -17,20 +17,20 @@ One benchmark run plays a request trace against a cluster copy:
   feasibility.
 * A request is successful iff it completes strictly before ``duration_s``.
 
-The event loop merges two streams: the trace of ``(arrival_s,
-function_index)`` pairs, which must be sorted by time and is read by
-position, and a heap that holds only pending completions.  At equal times
-an arrival goes before a completion, and completions go in the order they
-were scheduled.  Per-event work does not grow with the trace or the replica
-count: each function keeps a list of replica loads (queued plus in-service
-requests) and a count of waiting requests, both updated as requests arrive,
-start and complete, and each replica's compute, pull and fetch times are
-computed once, when it is placed.  Arrivals, the autoscale check and
-completions are handled inline in the loop, which calls out only to start
-a service (one heap push, plus one image-cache lookup for a function with an
-image) and to place a new replica.  Because allocations are never released,
-a function whose scale-up found no feasible node skips ``place`` for the
-rest of the run.
+The event loop makes one pass over the trace of ``(arrival_s,
+function_index)`` pairs, which must be sorted by time, and validates each
+arrival as it reads it.  A heap holds only pending completions; before each
+arrival it is drained of the completions strictly earlier, so an arrival
+goes before a completion at the same time, and completions go in the order
+they were scheduled.  After the last arrival the drain runs on to the
+horizon.  Each function keeps a list of replica loads (queued plus
+in-service requests) and a count of waiting requests, updated as requests
+arrive, start and complete; the shortest-queue scan is skipped for a
+function with one replica.  A replica's service times are summed once, when
+it is placed, from per-node fetch and pull times computed once per function
+per run.  The loop calls out only to place a new replica.  Because
+allocations are never released, a function whose scale-up found no feasible
+node skips ``place`` for the rest of the run.
 
 The resulting per-function metrics feed a score in [0, 1]: the mean over
 functions of the mean of three terms -- capped-and-flipped mean execution
@@ -42,6 +42,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -52,6 +53,8 @@ from .scheduler import place, validate_weights
 from .workload import FunctionSpec, WorkloadSpec, execution_seconds, generate_arrivals
 
 QUEUE_SCALE_FACTOR = 5.0
+
+_TRACE_END = object()   # function index of the sentinel event at the horizon
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,18 @@ def compute_score(metrics: BenchmarkMetrics, norm: ScoreNorm = ScoreNorm()) -> f
 
 
 class _Replica:
-    """One pod: its FIFO queue of arrival times and its service-time parts."""
+    """One pod: its FIFO queue of arrival times and its service times,
+    ``service_s`` (exec plus fetch) and ``cold_s`` (exec, pull, fetch), which
+    is None without an image and once the first request has started."""
 
-    __slots__ = ("index", "node_id", "queue", "exec_s", "pull_s", "fetch_s")
+    __slots__ = ("index", "node_id", "queue", "service_s", "cold_s")
 
-    def __init__(self, index: int, node_id: int, exec_s: float,
-                 pull_s: float | None, fetch_s: float):
+    def __init__(self, index: int, node_id: int, service_s: float, cold_s: float | None):
         self.index = index
         self.node_id = node_id
         self.queue: deque[float] = deque()
-        self.exec_s = exec_s
-        self.pull_s = pull_s  # None when the function has no image
-        self.fetch_s = fetch_s
+        self.service_s = service_s
+        self.cold_s = cold_s
 
 
 class _Function:
@@ -147,156 +150,125 @@ class _Function:
     ``loads[i]`` is replica i's queued plus in-service request count, and
     ``waiting`` the function's queued requests that are not yet in service.
     ``unplaceable`` is set once ``place`` finds no feasible node: allocations
-    are never released, so no later scale-up can succeed either.  The
-    totals add completed requests' times in completion order.
+    are never released, so no later scale-up can succeed either.  ``fetch_s``
+    and ``pull_s`` (None without an image) hold every node's transfer times.
+    The totals add completed requests' times in completion order.
     """
 
-    __slots__ = ("spec", "replicas", "loads", "waiting", "unplaceable",
-                 "fet_total", "wait_total", "n_success", "n_total")
+    __slots__ = ("spec", "replicas", "loads", "waiting", "unplaceable", "fetch_s",
+                 "pull_s", "fet_total", "wait_total", "n_success", "n_total")
 
-    def __init__(self, spec: FunctionSpec):
+    def __init__(self, spec: FunctionSpec, cluster: Cluster):
         self.spec = spec
         self.replicas: list[_Replica] = []
         self.loads: list[int] = []
         self.waiting = 0
         self.unplaceable = False
+        self.fetch_s = cluster.fetch_times(spec.dataset_bytes)
+        self.pull_s = cluster.pull_times(spec.image_bytes) if spec.image_name else None
         self.fet_total = 0.0
         self.wait_total = 0.0
         self.n_success = 0
         self.n_total = 0
 
 
-class _Engine:
-    def __init__(self, cluster: Cluster, functions: list[FunctionSpec],
-                 weights: np.ndarray, options: SimOptions):
-        self.cluster = cluster.clone()
-        self.weights = validate_weights(weights)
-        self.options = options
-        self.rng = np.random.default_rng(options.seed)
-        if len({fn.name for fn in functions}) < len(functions):
-            raise ConfigError("functions must have distinct names")
-        self.functions = [_Function(fn) for fn in functions]
-        self.placements: list[Placement] = []
-
-    def add_replica(self, fs: _Function, time_s: float) -> bool:
-        if fs.unplaceable:
-            return False
-        fn = fs.spec
-        nid = place(fn, self.cluster, self.weights,
-                    self.options.percent_nodes_to_score, self.rng)
-        if nid is None:
-            fs.unplaceable = True
-            return False
-        cluster = self.cluster
-        cluster.commit(nid, fn.req_cpu, fn.req_mem)
-        pull_s = cluster.image_pull_time(nid, fn.image_bytes) if fn.image_name else None
-        rep = _Replica(len(fs.replicas), nid,
-                       execution_seconds(fn, cluster.nodes[nid].device), pull_s,
-                       cluster.data_fetch_time(nid, fn.dataset_bytes))
-        fs.replicas.append(rep)
-        fs.loads.append(0)
-        self.placements.append(Placement(f"{fn.name}-{rep.index}", nid, time_s))
-        return True
-
-    def warm_up(self):
-        for fs in self.functions:
-            for _ in range(self.options.min_replicas):
-                if not self.add_replica(fs, 0.0):
-                    raise UnschedulableError(fs.spec.name)
-
-    def run(self, trace: list[tuple[float, int]]) -> SimResult:
-        self.warm_up()
-        horizon = self.options.duration_s
-        functions, n_functions = self.functions, len(self.functions)
-        prev = 0.0
-        for arrival_s, f in trace:
-            # Written so that NaN fails too: every comparison with NaN is False.
-            if not prev <= arrival_s < horizon:
-                if arrival_s >= horizon:
-                    raise ConfigError("request trace extends past the horizon")
-                raise ConfigError("request trace must be sorted by arrival time, from 0")
-            if type(f) is not int or not 0 <= f < n_functions:
-                raise ConfigError(f"trace function index {f!r} is not in range({n_functions})")
-            prev = arrival_s
-
-        cluster, images = self.cluster, self.cluster.images
-        max_replicas, scale_factor = self.options.max_replicas, self.options.scale_factor
-        completions: list[tuple] = []
-        seq = 0
-
-        def start_service(fs: _Function, rep: _Replica, now: float):
-            nonlocal seq
-            arrival_s = rep.queue.popleft()
-            fs.waiting -= 1
-            # Added in the order exec, pull, fetch, like the per-request sum
-            # this replaces, so service times stay bit-identical.
-            service = rep.exec_s
-            if rep.pull_s is not None:
-                image = fs.spec.image_name
-                cached = images.get(image)
-                if cached is None or not cached[rep.node_id]:
-                    service += rep.pull_s
-                    cluster.add_image(rep.node_id, image)
-            service += rep.fetch_s
-            seq += 1
-            heapq.heappush(completions,
-                           (now + service, seq, fs, rep, arrival_s, now, service))
-
-        n, i, last = len(trace), 0, 0.0
-        while True:
-            # Arrivals win ties, so at equal times they go first.
-            if i < n and (not completions or trace[i][0] <= completions[0][0]):
-                now, f = trace[i]
-                i += 1
-                assert now >= last, "event times must be nondecreasing"
-                last = now
-                fs = functions[f]
-                fs.n_total += 1
-                loads = fs.loads
-                # index() finds the first minimum: ties go to the oldest replica.
-                k = loads.index(min(loads))
-                loads[k] += 1
-                rep = fs.replicas[k]
-                rep.queue.append(now)
-                fs.waiting += 1
-                if loads[k] == 1:
-                    start_service(fs, rep, now)
-                # Waiting = queued but not in service; the trigger is a strict >.
-                if fs.waiting > QUEUE_SCALE_FACTOR * len(fs.replicas):
-                    for _ in range(scale_factor):
-                        if len(fs.replicas) >= max_replicas or not self.add_replica(fs, now):
-                            break
-            elif completions and completions[0][0] < horizon:
-                now, _, fs, rep, arrival_s, start_s, service_s = heapq.heappop(completions)
-                assert now >= last, "event times must be nondecreasing"
-                last = now
-                fs.loads[rep.index] -= 1
-                fs.fet_total += service_s
-                fs.wait_total += start_s - arrival_s
-                fs.n_success += 1
-                if rep.queue:
-                    start_service(fs, rep, now)
-            else:
-                break
-
-        per = {}
-        for fs in self.functions:
-            done = fs.n_success
-            per[fs.spec.name] = FunctionMetrics(
-                mu_fet_s=fs.fet_total / done if done else 0.0,
-                mu_wait_s=fs.wait_total / done if done else 0.0,
-                n_success=done,
-                n_total=fs.n_total,
-            )
-        metrics = BenchmarkMetrics(per)
-        return SimResult(metrics, compute_score(metrics, self.options.norm), self.placements)
-
-
 def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
                       trace: list[tuple[float, int]], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
     """Run a sorted ``(arrival_s, function_index)`` trace; the cluster is not mutated."""
-    return _Engine(cluster, functions, weights, options).run(trace)
+    cluster, weights = cluster.clone(), validate_weights(weights)
+    if len({fn.name for fn in functions}) < len(functions):
+        raise ConfigError("functions must have distinct names")
+    rng, images = np.random.default_rng(options.seed), cluster.images
+    states = [_Function(fn, cluster) for fn in functions]
+    placements: list[Placement] = []
+
+    def add_replica(fs: _Function, time_s: float) -> bool:
+        if fs.unplaceable:
+            return False
+        fn = fs.spec
+        nid = place(fn, cluster, weights, options.percent_nodes_to_score, rng)
+        if nid is None:
+            fs.unplaceable = True
+            return False
+        cluster.commit(nid, fn.req_cpu, fn.req_mem)
+        exec_s, fetch_s = execution_seconds(fn, cluster.nodes[nid].device), fs.fetch_s.item(nid)
+        # Added in the order exec, pull, fetch, like the per-request sum
+        # these replace, so service times stay bit-identical.
+        cold_s = None if fs.pull_s is None else exec_s + fs.pull_s.item(nid) + fetch_s
+        rep = _Replica(len(fs.replicas), nid, exec_s + fetch_s, cold_s)
+        fs.replicas.append(rep)
+        fs.loads.append(0)
+        placements.append(Placement(f"{fn.name}-{rep.index}", nid, time_s))
+        return True
+
+    for fs in states:   # warm-up
+        for _ in range(options.min_replicas):
+            if not add_replica(fs, 0.0):
+                raise UnschedulableError(fs.spec.name)
+
+    horizon, n_functions = options.duration_s, len(states)
+    max_replicas, scale_factor = options.max_replicas, options.scale_factor
+    heappush, heappop = heapq.heappush, heapq.heappop
+    completions: list[tuple] = []
+    seq, prev = 0, 0.0
+    for now, f in chain(trace, ((horizon, _TRACE_END),)):
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not prev <= now < horizon:
+            if f is not _TRACE_END:
+                raise ConfigError("request trace extends past the horizon" if now >= horizon
+                                  else "request trace must be sorted by arrival time, from 0")
+        elif type(f) is not int or not 0 <= f < n_functions:
+            raise ConfigError(f"trace function index {f!r} is not in range({n_functions})")
+        prev = now
+        # Strictly earlier completions only: arrivals win ties.
+        while completions and completions[0][0] < now:
+            done, _, fs, rep, wait_s, service_s = heappop(completions)
+            fs.loads[rep.index] -= 1
+            fs.fet_total += service_s
+            fs.wait_total += wait_s
+            fs.n_success += 1
+            if rep.queue:
+                # Not the replica's first request, which started on arrival.
+                fs.waiting -= 1
+                seq += 1
+                heappush(completions, (done + rep.service_s, seq, fs, rep,
+                                       done - rep.queue.popleft(), rep.service_s))
+        if f is _TRACE_END:
+            break
+        fs = states[f]
+        fs.n_total += 1
+        loads = fs.loads
+        # index() finds the first minimum: ties go to the oldest replica.
+        k = loads.index(min(loads)) if len(loads) > 1 else 0
+        loads[k] += 1
+        rep = fs.replicas[k]
+        if loads[k] == 1:
+            service_s = rep.service_s
+            if rep.cold_s is not None:
+                # The first request pulls the image unless the node holds
+                # it; images are never evicted, so later ones never do.
+                cached = images.get(fs.spec.image_name)
+                if cached is None or not cached[rep.node_id]:
+                    service_s = rep.cold_s
+                    cluster.add_image(rep.node_id, fs.spec.image_name)
+                rep.cold_s = None
+            seq += 1
+            heappush(completions, (now + service_s, seq, fs, rep, 0.0, service_s))
+        else:
+            rep.queue.append(now)
+            fs.waiting += 1
+        # Waiting = queued but not in service; the trigger is a strict >.
+        if fs.waiting > QUEUE_SCALE_FACTOR * len(fs.replicas):
+            for _ in range(scale_factor):
+                if len(fs.replicas) >= max_replicas or not add_replica(fs, now):
+                    break
+
+    metrics = BenchmarkMetrics({fs.spec.name: FunctionMetrics(
+        mu_fet_s=fs.fet_total / fs.n_success if fs.n_success else 0.0,
+        mu_wait_s=fs.wait_total / fs.n_success if fs.n_success else 0.0,
+        n_success=fs.n_success, n_total=fs.n_total) for fs in states})
+    return SimResult(metrics, compute_score(metrics, options.norm), placements)
 
 
 def run_benchmark(cluster: Cluster, workload: WorkloadSpec, weights: np.ndarray,

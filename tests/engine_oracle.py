@@ -3,10 +3,12 @@ oracle.
 
 ``_Engine`` and ``_Replica`` below are the pre-rewrite engine verbatim: one
 heap for arrivals and completions, a shortest-queue scan per arrival, a
-waiting-count sum per autoscale check and per-request service times.  Two
+waiting-count sum per autoscale check and per-request service times.  Three
 edits: the image-cache check reads ``Cluster.image_mask``, which replaced
-``has_image``, and the two averages total their lists with a left fold
-instead of ``sum``, which compensates rounding from Python 3.12 on.
+``has_image``, the two averages total their lists with a left fold
+instead of ``sum``, which compensates rounding from Python 3.12 on, and the
+pull and fetch times come from ``_pull_time`` and ``_fetch_time`` below, the
+scalar formulas that ``Cluster`` has since replaced with per-node arrays.
 ``simulate_requests`` converts the production ``(arrival_s,
 function_index)`` trace to the ``Request`` objects the engine reads, and
 pods are placed by the pre-template scorer of ``scoring_oracle``.  The
@@ -32,6 +34,17 @@ from schedtune.simengine import (QUEUE_SCALE_FACTOR, BenchmarkMetrics,
 from schedtune.workload import FunctionSpec, execution_seconds
 from tests.arrivals_oracle import Request
 from tests.scoring_oracle import place
+
+
+def _fetch_time(cluster: Cluster, node_id: int, nbytes: float) -> float:
+    """Transfer time from the nearest data store to a node."""
+    times = cluster.store_latency[:, node_id] + nbytes / cluster.store_bw[:, node_id]
+    return float(times.min())
+
+
+def _pull_time(cluster: Cluster, node_id: int, nbytes: float) -> float:
+    """Transfer time from the registry to a node."""
+    return float(cluster.registry_latency[node_id] + nbytes / cluster.registry_bw[node_id])
 
 
 class _Replica:
@@ -94,9 +107,9 @@ class _Engine:
         node = self.cluster.nodes[rep.node_id]
         service = execution_seconds(fn, node.device)
         if fn.image_name and not self.cluster.image_mask(fn.image_name)[rep.node_id]:
-            service += self.cluster.image_pull_time(rep.node_id, fn.image_bytes)
+            service += _pull_time(self.cluster, rep.node_id, fn.image_bytes)
             self.cluster.add_image(rep.node_id, fn.image_name)
-        service += self.cluster.data_fetch_time(rep.node_id, fn.dataset_bytes)
+        service += _fetch_time(self.cluster, rep.node_id, fn.dataset_bytes)
         self.push(now + service, "complete", (rep, req.arrival_s, now, service))
 
     def maybe_scale(self, fn: FunctionSpec, now: float):

@@ -94,9 +94,10 @@ def test_internet_path_hand_value():
     # two hops through the core switch at uniform bandwidth
     expected = (0.001 + 0.001) + 2.5e8 / 1.25e8
     assert c.store_latency.shape == (1, 4)
+    assert c.pull_times(2.5e8).shape == c.fetch_times(2.5e8).shape == (4,)
     for node in range(4):
-        assert c.image_pull_time(node, 2.5e8) == expected
-        assert c.data_fetch_time(node, 2.5e8) == expected
+        assert c.pull_times(2.5e8)[node] == expected
+        assert c.fetch_times(2.5e8)[node] == expected
 
 
 # Per urban layer: registry (latency, bandwidth), then the latencies and
@@ -161,7 +162,7 @@ def test_urban_cross_layer_hand_value():
             assert (layer == "cloud") == (c.nodes[node].device.locality == "cloud")
     edge_a = by_layer["edge"][0]
     nbytes = 1e8
-    assert c.image_pull_time(edge_a, nbytes) == 0.026000000000000002 + nbytes / 1.25e7
+    assert c.pull_times(nbytes)[edge_a] == 0.026000000000000002 + nbytes / 1.25e7
 
 
 def test_urban_has_one_store_per_layer_and_registry():
@@ -169,8 +170,8 @@ def test_urban_has_one_store_per_layer_and_registry():
     assert c.store_latency.shape == c.store_bw.shape == (3, c.n_nodes)
     # registry sits in the cloud layer: pulling to a cloud node is fastest
     by_layer = _nodes_by_layer(c)
-    t_cloud = c.image_pull_time(by_layer["cloud"][0], 1e8)
-    t_edge = c.image_pull_time(by_layer["edge"][0], 1e8)
+    t_cloud = c.pull_times(1e8)[by_layer["cloud"][0]]
+    t_edge = c.pull_times(1e8)[by_layer["edge"][0]]
     assert t_cloud < t_edge
 
 
@@ -181,7 +182,7 @@ def test_data_fetch_uses_nearest_store():
     for node in c.nodes:
         _, _, store_lat, store_bw = URBAN_PATHS[layer_by_node[node.id]]
         direct = min(lat + nbytes / bw for lat, bw in zip(store_lat, store_bw))
-        assert c.data_fetch_time(node.id, nbytes) == direct
+        assert c.fetch_times(nbytes)[node.id] == direct
 
 
 def test_commit_updates_node_and_arrays(small_cluster):

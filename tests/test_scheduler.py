@@ -146,9 +146,9 @@ def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     before = sched.score_nodes(b, ids, c)
     sched.score_nodes(a, ids, c)
     c.commit(7, a.req_cpu, a.req_mem)
-    assert c.score_tables[a][2] == c.score_tables[b][2] == {7}
+    assert c.score_tables[a].stale == c.score_tables[b].stale == {7}
     after = sched.score_nodes(b, ids, c)
-    assert c.score_tables[b][2] == set()
+    assert c.score_tables[b].stale == set()
     fresh = cl.build_cluster(spec)
     fresh.commit(7, a.req_cpu, a.req_mem)
     assert np.array_equal(after, sched.score_nodes(b, ids, fresh))
@@ -162,7 +162,7 @@ def test_an_image_pull_marks_only_the_functions_that_use_the_image():
     for fn in (a, b, shared):
         sched.score_nodes(fn, [0], c)
     c.add_image(4, a.image_name)
-    assert [c.score_tables[fn][2] for fn in (a, b, shared)] == [{4}, set(), {4}]
+    assert [c.score_tables[fn].stale for fn in (a, b, shared)] == [{4}, set(), {4}]
     assert sched.score_nodes(a, [4], c)[0, 7] == sched.score_nodes(shared, [4], c)[0, 7] == 1.0
     assert sched.score_nodes(b, [4], c)[0, 7] < 1.0
 

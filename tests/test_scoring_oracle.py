@@ -8,7 +8,7 @@ for element, with the same shape, dtype and memory layout, and every
 After every operation, each function's score table on the current copy must
 equal the oracle's scores and feasibility over all nodes on every row that
 is not marked stale, so a commit or image pull that fails to mark a row it
-changed shows up.
+changed shows up, and its feasible ids must be those of its mask.
 """
 from dataclasses import replace
 
@@ -62,13 +62,14 @@ def sessions(draw):
 
 def assert_tables_current(cluster):
     every = np.arange(cluster.n_nodes)
-    for fn, (scores, feasible, stale) in cluster.score_tables.items():
+    for fn, table in cluster.score_tables.items():
         current = np.ones(cluster.n_nodes, dtype=bool)
-        current[list(stale)] = False
-        assert np.array_equal(scores[current],
+        current[list(table.stale)] = False
+        assert np.array_equal(table.scores[current],
                               scoring_oracle.score_nodes(fn, every, cluster)[current])
-        assert np.array_equal(feasible[current],
+        assert np.array_equal(table.feasible[current],
                               scoring_oracle.feasible_mask(fn, cluster)[current])
+        assert np.array_equal(table.ids, np.flatnonzero(table.feasible))
 
 
 @settings(max_examples=200, deadline=None)
