@@ -140,7 +140,7 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
             a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
             c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
             fits = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
-            if fits != feasible[j]:
+            if fits != feasible.item(j):   # a Python bool: comparing np.bool_ is slow
                 feasible[j], changed = fits, True
             u_cpu = (a_cpu + req_cpu) / c_cpu
             u_mem = (a_mem + req_mem) / c_mem
