@@ -28,9 +28,9 @@ in-service requests) and a count of waiting requests, updated as requests
 arrive, start and complete; the shortest-queue scan is skipped for a
 function with one replica.  A replica's service times are summed once, when
 it is placed, from per-node fetch and pull times computed once per function
-per run.  The loop calls out only to place a new replica.  Because
-allocations are never released, a function whose scale-up found no feasible
-node skips ``place`` for the rest of the run.
+per run.  The loop calls out only to place a replica and to record a pull.
+Because allocations are never released, a function whose scale-up found no
+feasible node skips ``place`` for the rest of the run.
 
 The resulting per-function metrics feed a score in [0, 1]: the mean over
 functions of the mean of three terms -- capped-and-flipped mean execution
