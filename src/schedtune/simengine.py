@@ -193,8 +193,8 @@ def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
             return False
         cluster.commit(nid, fn.req_cpu, fn.req_mem)
         exec_s, fetch_s = execution_seconds(fn, cluster.nodes[nid].device), fs.fetch_s.item(nid)
-        # Added in the order exec, pull, fetch, like the per-request sum
-        # these replace, so service times stay bit-identical.
+        # Summed in the order exec, pull, fetch, which the pinned scores
+        # and the engine oracle use, so service times stay bit-identical.
         cold_s = None if fs.pull_s is None else exec_s + fs.pull_s.item(nid) + fetch_s
         rep = _Replica(len(fs.replicas), nid, exec_s + fetch_s, cold_s)
         fs.replicas.append(rep)
