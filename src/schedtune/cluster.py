@@ -137,13 +137,11 @@ class Cluster:
     nodes and their paths, keyed by function.
     :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
     the replaced fields may be the very paths it was computed from.
-    ``score_tables`` maps each function scored on this copy to its
-    ``scheduler.ScoreTable``: the (n_nodes, 8) scores, the feasibility mask,
-    the feasible node ids and the set of stale node ids, whose rows the
-    scheduler recomputes when it next scores the function.
-    :meth:`commit` marks its node stale in every table, :meth:`add_image` in
-    the tables of the functions that use the image.  :meth:`clone` and
-    ``dataclasses.replace`` start it empty.
+    ``score_tables`` is the scheduler's cache of score tables, one per
+    function scored on this copy.  ``changes`` logs the node id of every
+    :meth:`commit` and :meth:`add_image`, in order; the scheduler reads it to
+    find the rows a table must recompute.  :meth:`clone` and
+    ``dataclasses.replace`` start both empty.
     """
 
     spec: ClusterSpec
@@ -161,6 +159,7 @@ class Cluster:
     images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
     static_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     score_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    changes: list[int] = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -170,16 +169,13 @@ class Cluster:
         """Reserve resources on a node (warm-up and autoscale placements)."""
         self.alloc_cpu[node_id] += cpu
         self.alloc_mem[node_id] += mem
-        for table in self.score_tables.values():
-            table.stale.add(node_id)
+        self.changes.append(node_id)
 
     def add_image(self, node_id: int, image_name: str) -> None:
         if image_name not in self.images:
             self.images[image_name] = np.zeros(self.n_nodes, dtype=bool)
         self.images[image_name][node_id] = True
-        for fn, table in self.score_tables.items():
-            if fn.image_name == image_name:
-                table.stale.add(node_id)
+        self.changes.append(node_id)
 
     def image_mask(self, image_name: str) -> np.ndarray:
         """Boolean array over the nodes: which ones hold the image."""
@@ -195,9 +191,9 @@ class Cluster:
         return self.registry_latency + nbytes / self.registry_bw
 
     def clone(self) -> "Cluster":
-        """Independent copy of the allocations and image caches, with an
-        empty score table; the nodes, the read-only arrays and
-        ``static_scores`` stay shared."""
+        """Independent copy of the allocations and image caches, with no
+        score tables and an empty change log; the nodes, the read-only
+        arrays and ``static_scores`` stay shared."""
         twin = replace(self, alloc_cpu=self.alloc_cpu.copy(),
                        alloc_mem=self.alloc_mem.copy(),
                        images={name: cached.copy() for name, cached in self.images.items()})

@@ -5,13 +5,16 @@ package under ``schedtune/data``.  An alternative directory can be selected
 with the ``SCHEDTUNE_DATA_DIR`` environment variable or an explicit path,
 which makes it easy to run experiments against modified calibrations without
 touching the installed package.  Loading checks the type of every field the
-loaders read, so a malformed file fails with one error naming the file and
-the field path (``functions.json: functions[0].image_name: missing``).
+loaders read, and that every number is finite as a float (JSON parsing
+accepts ``NaN`` and ``Infinity``), so a malformed file fails with one error
+naming the file and the field path (``functions.json:
+functions[0].image_name: missing``).
 """
 from __future__ import annotations
 
 import json
 import os
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -82,10 +85,13 @@ def load_json(name: str, override: str | os.PathLike | None = None) -> dict:
 
 
 def _check(value, kind, where: str):
-    """``value`` if it has type ``kind`` (a bool is never a number)."""
+    """``value`` if it has type ``kind`` (a bool is never a number, and a
+    number must be finite as a float)."""
     if value is _MISSING:
         raise ConfigError(f"{where}: missing")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(
             f"{where}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    if isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value

@@ -10,7 +10,7 @@ engine's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,6 @@ def validate_weights(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
-    """Boolean array over the nodes: which ones have the free cpu and
-    memory for the pod."""
-    return _score_table(fn, cluster).feasible.copy()
-
-
 def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     """A C-contiguous (n_nodes, 8) score template over all nodes.
 
@@ -92,13 +86,15 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
 @dataclass(slots=True, eq=False)
 class ScoreTable:
     """One function's scores on one cluster copy: the (n_nodes, 8) scores,
-    the feasibility mask, the feasible node ids in ascending order, and the
-    stale node ids, whose rows ``_score_table`` recomputes before a read."""
+    the feasibility mask, the feasible node ids in ascending order, and
+    ``seen``, the length of ``cluster.changes`` when the table was last
+    brought up to date: the nodes logged after it are the rows
+    ``_score_table`` recomputes before a read."""
 
     scores: np.ndarray
     feasible: np.ndarray
     ids: np.ndarray
-    stale: set[int] = field(default_factory=set)
+    seen: int
 
 
 def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
@@ -106,10 +102,10 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
 
     Built in full the first time the function is scored on this copy, from
     its template, and kept in ``cluster.score_tables``.  Later calls
-    recompute only the rows that ``commit`` and ``add_image`` marked stale,
-    from Python floats with the same operations in the same order: Python
-    float arithmetic rounds as numpy's elementwise loops do, so every element
-    is the float the full computation gives.  Images are never evicted, so a
+    recompute only the rows of the nodes that ``cluster.changes`` logged
+    since, from Python floats with the same operations in the same order:
+    Python float arithmetic rounds as numpy's elementwise loops do, so every
+    element is the float the full computation gives.  Images are never evicted, so a
     refreshed row's column 7 only ever turns to 1.0; the feasible ids are
     rebuilt only when a refreshed node's feasibility changed.
     """
@@ -131,12 +127,13 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
         scores[cluster.image_mask(fn.image_name), 7] = 1.0
         feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
                     & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
-        table = cluster.score_tables[fn] = ScoreTable(scores, feasible, np.flatnonzero(feasible))
-    elif table.stale:
+        table = cluster.score_tables[fn] = ScoreTable(scores, feasible, np.flatnonzero(feasible),
+                                                      len(cluster.changes))
+    elif table.seen < len(cluster.changes):
         scores, feasible, changed = table.scores, table.feasible, False
         req_cpu, req_mem = fn.req_cpu, fn.req_mem
         cached = cluster.images.get(fn.image_name)
-        for j in table.stale:
+        for j in set(cluster.changes[table.seen:]):
             a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
             c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
             fits = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
@@ -154,21 +151,18 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
                 row[7] = 1.0
         if changed:
             table.ids = np.flatnonzero(feasible)
-        table.stale.clear()
+        table.seen = len(cluster.changes)
     return table
 
 
-def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster,
-                scores: np.ndarray | None = None) -> np.ndarray:
+def score_nodes(scores: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
     """C-contiguous matrix of the eight scores, one row per node id.
 
-    Columns follow SCORING_FUNCTIONS order.  The rows are gathered from the
-    function's score table on this cluster copy, or from ``scores``, a table
-    ``place`` has just brought up to date.  Callers must pass feasible ids;
-    utilizations then stay within [0, 1] by construction.
+    Columns follow SCORING_FUNCTIONS order.  The rows are gathered from
+    ``scores``, a score table ``place`` has just brought up to date.
+    Callers must pass feasible ids; utilizations then stay within [0, 1] by
+    construction.
     """
-    if scores is None:
-        scores = _score_table(fn, cluster).scores
     return scores.take(node_ids, axis=0)
 
 
@@ -201,4 +195,4 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     k = max(1, math.floor(percent_nodes_to_score * n))
     if k < n:
         ids = ids[np.sort(rng.choice(n, size=k, replace=False))]
-    return int(ids[weighted_totals(score_nodes(fn, ids, cluster, table.scores), weights).argmax()])
+    return int(ids[weighted_totals(score_nodes(table.scores, ids), weights).argmax()])

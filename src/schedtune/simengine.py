@@ -15,7 +15,8 @@ One benchmark run plays a request trace against a cluster copy:
   for a function whenever its waiting requests (excluding those in service)
   exceed five times its replica count, capped by ``max_replicas`` and by
   feasibility.
-* A request is successful iff it completes strictly before ``duration_s``.
+* A request is successful iff it completes strictly before the workload's
+  ``duration_s``.
 
 The event loop makes one pass over the trace of ``(arrival_s,
 function_index)`` pairs, which must be sorted by time, and validates each
@@ -69,7 +70,6 @@ class ScoreNorm:
 
 @dataclass(frozen=True)
 class SimOptions:
-    duration_s: float = 100.0
     min_replicas: int = 1
     max_replicas: int = 100
     scale_factor: int = 1
@@ -78,8 +78,6 @@ class SimOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ConfigError("need 1 <= min_replicas <= max_replicas")
         if self.scale_factor < 1:
@@ -172,15 +170,14 @@ class _Function:
         self.n_total = 0
 
 
-def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
+def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
                       trace: list[tuple[float, int]], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
-    """Run a sorted ``(arrival_s, function_index)`` trace; the cluster is not mutated."""
+    """Run a sorted ``(arrival_s, index into workload.functions)`` trace up
+    to the workload's horizon; the cluster is not mutated."""
     cluster, weights = cluster.clone(), validate_weights(weights)
-    if len({fn.name for fn in functions}) < len(functions):
-        raise ConfigError("functions must have distinct names")
     rng, images = np.random.default_rng(options.seed), cluster.images
-    states = [_Function(fn, cluster) for fn in functions]
+    states = [_Function(fn, cluster) for fn, _ in workload.functions]
     placements: list[Placement] = []
 
     def add_replica(fs: _Function, time_s: float) -> bool:
@@ -207,7 +204,7 @@ def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
             if not add_replica(fs, 0.0):
                 raise UnschedulableError(fs.spec.name)
 
-    horizon, n_functions = options.duration_s, len(states)
+    horizon, n_functions = workload.duration_s, len(states)
     max_replicas, scale_factor = options.max_replicas, options.scale_factor
     heappush, heappop = heapq.heappush, heapq.heappop
     completions: list[tuple] = []
@@ -274,7 +271,4 @@ def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
 def run_benchmark(cluster: Cluster, workload: WorkloadSpec, weights: np.ndarray,
                   options: SimOptions) -> SimResult:
     """Generate the workload's trace and simulate it."""
-    if abs(workload.duration_s - options.duration_s) > 1e-12:
-        raise ConfigError("workload and simulation horizons disagree")
-    functions = [fn for fn, _ in workload.functions]
-    return simulate_requests(cluster, functions, generate_arrivals(workload), weights, options)
+    return simulate_requests(cluster, workload, generate_arrivals(workload), weights, options)

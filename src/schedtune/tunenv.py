@@ -194,7 +194,6 @@ def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
             seed=workload_seed,
         ),
         options=SimOptions(
-            duration_s=duration_s,
             min_replicas=min_replicas,
             max_replicas=max_replicas,
             scale_factor=scale_factor,

@@ -48,21 +48,23 @@ class FunctionSpec:
     base_exec_s: float = 1.0
 
     def __post_init__(self):
-        if self.req_cpu <= 0 or self.req_mem <= 0:
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not (self.req_cpu > 0 and self.req_mem > 0):
             raise ConfigError(f"{self.name}: resource requests must be positive")
         if self.preferred_accelerator not in ACCELERATORS:
             raise ConfigError(f"{self.name}: unknown accelerator {self.preferred_accelerator!r}")
         if self.preferred_locality not in LOCALITY_PREFERENCES:
             raise ConfigError(f"{self.name}: unknown locality {self.preferred_locality!r}")
-        if self.image_bytes < 0 or self.dataset_bytes < 0:
+        if not (self.image_bytes >= 0 and self.dataset_bytes >= 0):
             raise ConfigError(f"{self.name}: byte sizes must be nonnegative")
-        if self.base_exec_s <= 0:
+        if not self.base_exec_s > 0:
             raise ConfigError(f"{self.name}: base_exec_s must be positive")
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Mix of functions with per-function arrival rates and a trace seed."""
+    """Mix of functions with per-function arrival rates, a trace seed and
+    the horizon ``duration_s``, which trace generation and the engine read."""
 
     functions: tuple[tuple[FunctionSpec, float], ...]
     duration_s: float = 100.0

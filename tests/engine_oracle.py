@@ -11,10 +11,11 @@ pull and fetch times come from ``_pull_time`` and ``_fetch_time`` below, the
 scalar formulas that ``Cluster`` has since replaced with per-node arrays.
 ``simulate_requests`` converts the production ``(arrival_s,
 function_index)`` trace to the ``Request`` objects the engine reads, and
-pods are placed by the pre-template scorer of ``scoring_oracle``.  The
-differential test in ``test_engine_oracle.py`` requires the production
-engine and scorer to give bit-identical ``SimResult``s.  Do not optimise
-this file.
+hands the engine the workload's horizon as ``options.duration_s``, where
+``SimOptions`` once held it; pods are placed by the pre-template scorer of
+``scoring_oracle``.  The differential test in ``test_engine_oracle.py``
+requires the production engine and scorer to give bit-identical
+``SimResult``s.  Do not optimise this file.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import heapq
 from collections import deque
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from schedtune.scheduler import validate_weights
 from schedtune.simengine import (QUEUE_SCALE_FACTOR, BenchmarkMetrics,
                                  FunctionMetrics, Placement, SimOptions,
                                  SimResult, compute_score)
-from schedtune.workload import FunctionSpec, execution_seconds
+from schedtune.workload import FunctionSpec, WorkloadSpec, execution_seconds
 from tests.arrivals_oracle import Request
 from tests.scoring_oracle import place
 
@@ -167,8 +169,10 @@ class _Engine:
         return SimResult(metrics, compute_score(metrics, self.options.norm), self.placements)
 
 
-def simulate_requests(cluster: Cluster, functions: list[FunctionSpec],
+def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
                       trace: list[tuple[float, int]], weights: np.ndarray,
                       options: SimOptions) -> SimResult:
+    functions = [fn for fn, _ in workload.functions]
     requests = [Request(functions[f], t) for t, f in trace]
+    options = SimpleNamespace(**vars(options), duration_s=workload.duration_s)
     return _Engine(cluster, functions, weights, options).run(requests)

@@ -106,9 +106,10 @@ def test_02_scheduler_scoring_invariants(capsys):
                 locality=("any", "cloud", "edge")[rng.integers(3)],
                 image_bytes=float(rng.uniform(1e7, 2e9)),
                 dataset_bytes=float(rng.uniform(0.0, 1e9)))
-            ids = np.nonzero(sched.feasible_mask(fn, cluster))[0]
+            table = sched._score_table(fn, cluster)
+            ids = table.ids
             assert len(ids) > 0
-            scores = sched.score_nodes(fn, ids, cluster)
+            scores = sched.score_nodes(table.scores, ids)
 
             for i in range(sched.N_WEIGHTS):
                 one_hot = np.zeros(sched.N_WEIGHTS)
@@ -166,7 +167,7 @@ def test_03_benchmark_determinism_and_conservation(capsys):
                            dataset_bytes=6.25e7, base_exec_s=1.0)
         requests = [(0.0, 0), (0.1, 0), (5.0, 0)]
         result = se.simulate_requests(
-            cluster, [fn], requests, sched.FIXED_WEIGHTS,
+            cluster, wl.WorkloadSpec(((fn, 1.0),)), requests, sched.FIXED_WEIGHTS,
             se.SimOptions(min_replicas=1, max_replicas=1))
         pull = 0.002 + 1.25e8 / 1.25e8
         fetch = 0.002 + 6.25e7 / 1.25e8

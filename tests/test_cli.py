@@ -381,6 +381,11 @@ def _drop(entry, field):
     del entry[field]
 
 
+def _set_all(entries, field, value):
+    for entry in entries:
+        entry[field] = value
+
+
 @pytest.mark.parametrize("file_name, edit, where", [
     ("functions.json", lambda p: _drop(p["functions"][0], "image_name"),
      "functions[0].image_name: missing"),
@@ -396,6 +401,23 @@ def _drop(entry, field):
      "presets.edge_sbc.rpi3: expected a number"),
     ("presets.json", lambda p: _drop(p, "presets"), "presets: missing"),
     ("presets.json", lambda p: [p], "top level: expected an object"),
+    # JSON parsing accepts NaN and Infinity; every number must be finite.
+    ("functions.json", lambda p: _set_all(p["functions"], "base_exec_s", math.nan),
+     "functions[0].base_exec_s: expected a finite number, got nan"),
+    ("functions.json", lambda p: p["functions"][1].update(req_cpu=math.nan),
+     "functions[1].req_cpu: expected a finite number"),
+    ("functions.json", lambda p: p["functions"][2].update(req_mem_mb=math.inf),
+     "functions[2].req_mem_mb: expected a finite number, got inf"),
+    ("functions.json", lambda p: p["functions"][0].update(image_bytes=math.inf),
+     "functions[0].image_bytes: expected a finite number"),
+    ("functions.json", lambda p: p["functions"][3].update(dataset_bytes=-math.inf),
+     "functions[3].dataset_bytes: expected a finite number, got -inf"),
+    ("devices.json", lambda p: p["devices"][2].update(speed_factor=math.nan),
+     "devices[2].speed_factor: expected a finite number"),
+    ("presets.json", lambda p: p["presets"]["edge_sbc"].update(rpi3=math.inf),
+     "presets.edge_sbc.rpi3: expected a finite number"),
+    ("devices.json", lambda p: p["devices"][0].update(memory_mb=10**400),
+     "devices[0].memory_mb: expected a finite number"),
 ])
 def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
                                                         file_name, edit, where):

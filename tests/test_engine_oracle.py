@@ -70,7 +70,6 @@ def scenarios(draw):
 
     min_replicas = draw(st.integers(1, 3))
     options = se.SimOptions(
-        duration_s=HORIZON_S,
         min_replicas=min_replicas,
         max_replicas=draw(st.integers(min_replicas, 100)),
         scale_factor=draw(st.integers(1, 4)),
@@ -79,7 +78,8 @@ def scenarios(draw):
     weights = np.array(draw(st.lists(
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
         min_size=sched.N_WEIGHTS, max_size=sched.N_WEIGHTS)))
-    return cluster, functions, arrivals, weights, options
+    workload = wl.WorkloadSpec(tuple((fn, 1.0) for fn in functions), duration_s=HORIZON_S)
+    return cluster, workload, arrivals, weights, options
 
 
 def _outcome(simulate, args):

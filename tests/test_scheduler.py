@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import simengine as se
+from schedtune import workload as wl
 from schedtune.errors import ConfigError
 from tests import scoring_oracle
 from tests.conftest import make_function
@@ -25,7 +26,7 @@ def test_weight_order_and_fixed_vector():
 
 def test_filter_excludes_overfull_nodes(small_cluster, probe_function):
     small_cluster.commit(0, small_cluster.capacity_cpu[0], small_cluster.capacity_mem[0])
-    mask = sched.feasible_mask(probe_function, small_cluster)
+    mask = sched._score_table(probe_function, small_cluster).feasible
     assert not mask[0]
     assert mask[1:].all()
 
@@ -41,22 +42,21 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     rng = np.random.default_rng(1)
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
-        if sched.feasible_mask(probe_function, small_cluster)[nid]:
-            s = sched.score_nodes(probe_function, [nid], small_cluster)[0]
+        table = sched._score_table(probe_function, small_cluster)
+        if table.feasible[nid]:
+            s = table.scores[nid]
             assert s.shape == (8,)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             small_cluster.commit(nid, 1.0, 1024.0)
 
 
 def test_least_plus_most_allocated_is_one(small_cluster, probe_function):
-    s = sched.score_nodes(probe_function,
-                          np.arange(small_cluster.n_nodes), small_cluster)
+    s = sched._score_table(probe_function, small_cluster).scores
     np.testing.assert_allclose(s[:, 0] + s[:, 1], 1.0, atol=1e-12)
 
 
 def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
-    s = sched.score_nodes(probe_function,
-                          np.arange(small_cluster.n_nodes), small_cluster)
+    s = sched._score_table(probe_function, small_cluster).scores
     assert np.array_equal(s[:, 2], s[:, 1])
 
 
@@ -64,7 +64,7 @@ def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
     fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
-    s = sched.score_nodes(fn, [0], c)[0]
+    s = sched._score_table(fn, c).scores[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
@@ -74,26 +74,25 @@ def test_locality_and_capability_scores():
     any_pref = make_function(locality="any")
     gpu_pref = make_function(accel="gpu")
     none_pref = make_function(accel="none")
-    ids = np.arange(c.n_nodes)
     is_cloud = [float(n.device.locality == "cloud") for n in c.nodes]
     is_gpu = [float(n.device.accelerator == "gpu") for n in c.nodes]
-    assert sched.score_nodes(cloud_pref, ids, c)[:, 3].tolist() == is_cloud
-    assert (sched.score_nodes(any_pref, ids, c)[:, 3] == 1.0).all()
-    assert sched.score_nodes(gpu_pref, ids, c)[:, 5].tolist() == is_gpu
-    assert (sched.score_nodes(none_pref, ids, c)[:, 5] == 0.5).all()
+    assert sched._score_table(cloud_pref, c).scores[:, 3].tolist() == is_cloud
+    assert (sched._score_table(any_pref, c).scores[:, 3] == 1.0).all()
+    assert sched._score_table(gpu_pref, c).scores[:, 5].tolist() == is_gpu
+    assert (sched._score_table(none_pref, c).scores[:, 5] == 0.5).all()
     assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
     huge = make_function(image_bytes=1e12)
-    assert sched.score_nodes(huge, [0], small_cluster)[0, 7] == 0.0
+    assert sched._score_table(huge, small_cluster).scores[0, 7] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert sched.score_nodes(huge, [0], small_cluster)[0, 7] == 1.0
+    assert sched._score_table(huge, small_cluster).scores[0, 7] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
-    near = sched.score_nodes(make_function(dataset_bytes=1e6), [0], small_cluster)[0, 4]
-    far = sched.score_nodes(make_function(dataset_bytes=1e10), [0], small_cluster)[0, 4]
+    near = sched._score_table(make_function(dataset_bytes=1e6), small_cluster).scores[0, 4]
+    far = sched._score_table(make_function(dataset_bytes=1e10), small_cluster).scores[0, 4]
     assert near > far
     assert far == 0.0
 
@@ -109,8 +108,8 @@ def test_cached_columns_follow_function_and_clones():
     for fn in functions:
         for target in (shared, shared.clone()):
             fresh = cl.build_cluster(spec)
-            assert np.array_equal(sched.score_nodes(fn, ids, target),
-                                  sched.score_nodes(fn, ids, fresh))
+            assert np.array_equal(sched._score_table(fn, target).scores[ids],
+                                  sched._score_table(fn, fresh).scores[ids])
     assert len(shared.static_scores) == len(shared.score_tables) == 2
     twin = shared.clone()
     assert twin.static_scores is shared.static_scores
@@ -123,53 +122,59 @@ def test_replaced_paths_do_not_reuse_cached_columns():
     # still scores like the old one.
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     fn = make_function(dataset_bytes=1e8, image_bytes=3e8)
-    ids = np.arange(60)
 
     def slowed(cluster):
         return replace(cluster, registry_bw=cluster.registry_bw / 100,
                        store_bw=cluster.store_bw / 100)
 
     scored = cl.build_cluster(spec)
-    before = sched.score_nodes(fn, ids, scored)
+    before = sched._score_table(fn, scored).scores
     slow = slowed(scored)
     assert slow.score_tables == {}
-    expected = sched.score_nodes(fn, ids, slowed(cl.build_cluster(spec)))
+    expected = sched._score_table(fn, slowed(cl.build_cluster(spec))).scores
     assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
-    assert np.array_equal(sched.score_nodes(fn, ids, slow), expected)
+    assert np.array_equal(sched._score_table(fn, slow).scores, expected)
     assert slow.static_scores is not scored.static_scores
 
 
 def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     a, b = make_function(name="a"), make_function(name="b", cpu=2.0, mem=512.0)
-    c, ids = cl.build_cluster(spec), np.arange(60)
-    before = sched.score_nodes(b, ids, c)
-    sched.score_nodes(a, ids, c)
+    c = cl.build_cluster(spec)
+    before = sched._score_table(b, c).scores.copy()
+    sched._score_table(a, c)
     c.commit(7, a.req_cpu, a.req_mem)
-    assert c.score_tables[a].stale == c.score_tables[b].stale == {7}
-    after = sched.score_nodes(b, ids, c)
-    assert c.score_tables[b].stale == set()
+    assert c.changes == [7]
+    assert c.score_tables[a].seen == c.score_tables[b].seen == 0
+    after = sched._score_table(b, c).scores
+    assert c.score_tables[b].seen == 1
     fresh = cl.build_cluster(spec)
     fresh.commit(7, a.req_cpu, a.req_mem)
-    assert np.array_equal(after, sched.score_nodes(b, ids, fresh))
-    assert [j for j in ids if not np.array_equal(after[j], before[j])] == [7]
+    assert np.array_equal(after, sched._score_table(b, fresh).scores)
+    assert [j for j in range(60) if not np.array_equal(after[j], before[j])] == [7]
 
 
 def test_an_image_pull_marks_only_the_functions_that_use_the_image():
+    # The pull is logged once for the node; every table refreshes that row,
+    # and only the image's users see column 7 turn to 1.0.
     c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2))
     a, b = make_function(name="a"), make_function(name="b")
     shared = replace(make_function(name="c"), image_name=a.image_name)
     for fn in (a, b, shared):
-        sched.score_nodes(fn, [0], c)
+        sched._score_table(fn, c)
     c.add_image(4, a.image_name)
-    assert [c.score_tables[fn].stale for fn in (a, b, shared)] == [{4}, set(), {4}]
-    assert sched.score_nodes(a, [4], c)[0, 7] == sched.score_nodes(shared, [4], c)[0, 7] == 1.0
-    assert sched.score_nodes(b, [4], c)[0, 7] < 1.0
+    assert c.changes == [4]
+    assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [0, 0, 0]
+    assert sched._score_table(a, c).scores[4, 7] \
+        == sched._score_table(shared, c).scores[4, 7] == 1.0
+    assert sched._score_table(b, c).scores[4, 7] < 1.0
+    assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [1, 1, 1]
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
-    ids = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0]
-    scores = sched.score_nodes(probe_function, ids, small_cluster)
+    table = sched._score_table(probe_function, small_cluster)
+    ids = table.ids
+    scores = table.scores[ids]
     for j in range(8):
         w = np.zeros(8)
         w[j] = 1.0
@@ -193,7 +198,7 @@ def test_scale_invariance_of_argmax(small_cluster, probe_function):
 
 
 def test_subsample_size_floor(small_cluster, probe_function):
-    feasible = np.nonzero(sched.feasible_mask(probe_function, small_cluster))[0].tolist()
+    feasible = sched._score_table(probe_function, small_cluster).ids.tolist()
     n = len(feasible)
     pct = 1.0 / (n + 1)
     # floor gives zero, the floor of one node still applies
@@ -228,7 +233,7 @@ def test_bit_identical_rows_tie_to_the_lowest_node_id():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 67, "internet", seed=0))
     fn = make_function(name="f", cpu=0.5, mem=256.0, image_bytes=4e7, dataset_bytes=3e7)
     weights = np.array([0.801, 0.691, 0.6, 0.015, 0.423, 0.552, 0.764, 0.341])
-    scores = sched.score_nodes(fn, np.arange(67), c)
+    scores = sched._score_table(fn, c).scores
     assert np.array_equal(scores[58], scores[66])
     assert sched.place(fn, c, weights, 1.0, np.random.default_rng(0)) == 58
 
@@ -251,8 +256,8 @@ def test_invalid_weights_rejected(small_cluster, probe_function):
     requests = [(0.0, 0)]
     for bad in (np.ones(7), np.full(8, 1.5)):
         with pytest.raises(ConfigError):
-            se.simulate_requests(small_cluster, [probe_function], requests,
-                                 bad, se.SimOptions())
+            se.simulate_requests(small_cluster, wl.WorkloadSpec(((probe_function, 1.0),)),
+                                 requests, bad, se.SimOptions())
     for bad in (0.0, 1.5, np.nan):
         with pytest.raises(ConfigError, match="percent_nodes_to_score"):
             se.SimOptions(percent_nodes_to_score=bad)
@@ -281,7 +286,7 @@ def test_placement_feasible_and_deterministic(seed, pct):
     b = sched.place(fn, c, w, pct, np.random.default_rng(seed))
     assert a == b
     if a is not None:
-        assert sched.feasible_mask(fn, c)[a]
+        assert sched._score_table(fn, c).feasible[a]
 
 
 def test_a_refresh_that_makes_a_node_infeasible_drops_it_from_placement():
@@ -292,7 +297,7 @@ def test_a_refresh_that_makes_a_node_infeasible_drops_it_from_placement():
     fn = make_function(name="f", cpu=2.0, mem=512.0)
     best = sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0, np.random.default_rng(0))
     c.commit(best, c.capacity_cpu[best] - 1.0, 0.0)
-    assert not sched.feasible_mask(fn, c)[best]
+    assert not sched._score_table(fn, c).feasible[best]
     weights = np.random.default_rng(1).uniform(0.0, 1.0, sched.N_WEIGHTS)
     for seed in range(20):
         for pct in (1.0, 0.5, 0.1):
@@ -313,5 +318,5 @@ def test_place_returns_none_once_no_node_fits():
         c.commit(nid, fn.req_cpu, fn.req_mem)
         placed.append(nid)
     assert sorted(placed) == [0] * 4 + [1] * 4 + [2] * 4
-    assert not sched.feasible_mask(fn, c).any()
+    assert not sched._score_table(fn, c).feasible.any()
     assert sched.place(fn, c, sched.FIXED_WEIGHTS, 0.5, rng) is None

@@ -6,9 +6,10 @@ placements.  Every ``score_nodes`` result must equal the oracle's element
 for element, with the same shape, dtype and memory layout, and every
 ``place`` must pick the same node and leave its generator in the same state.
 After every operation, each function's score table on the current copy must
-equal the oracle's scores and feasibility over all nodes on every row that
-is not marked stale, so a commit or image pull that fails to mark a row it
-changed shows up, and its feasible ids must be those of its mask.
+equal the oracle's scores and feasibility over all nodes on every row whose
+node the cluster's change log has not named since the table's last refresh,
+so a commit or image pull that fails to log a row it changed shows up, and
+its feasible ids must be those of its mask.
 """
 from dataclasses import replace
 
@@ -64,7 +65,7 @@ def assert_tables_current(cluster):
     every = np.arange(cluster.n_nodes)
     for fn, table in cluster.score_tables.items():
         current = np.ones(cluster.n_nodes, dtype=bool)
-        current[list(table.stale)] = False
+        current[cluster.changes[table.seen:]] = False
         assert np.array_equal(table.scores[current],
                               scoring_oracle.score_nodes(fn, every, cluster)[current])
         assert np.array_equal(table.feasible[current],
@@ -92,7 +93,7 @@ def test_scorer_matches_oracle(session):
                               store_bw=cluster.store_bw * args[0])
         elif op == "score":
             fn, ids = functions[args[0]], args[1]
-            got = sched.score_nodes(fn, ids, cluster)
+            got = sched.score_nodes(sched._score_table(fn, cluster).scores, ids)
             want = scoring_oracle.score_nodes(fn, ids, cluster)
             assert got.shape == want.shape == (len(ids), sched.N_WEIGHTS)
             assert got.dtype == want.dtype

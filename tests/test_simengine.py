@@ -20,11 +20,15 @@ def _two_xeon_cluster():
     return c
 
 
-def _mini_workload(seed=0, rps=3.0, duration=100.0):
+def _only(fn, duration=100.0):
+    """A one-function workload for a hand-made trace; its rate goes unused."""
+    return wl.WorkloadSpec(functions=((fn, 1.0),), duration_s=duration)
+
+
+def _mini_workload(seed=0, rps=3.0):
     fns = (make_function(name="alpha", base_exec_s=0.5),
            make_function(name="beta", base_exec_s=0.2))
-    return wl.WorkloadSpec(functions=tuple((f, rps) for f in fns),
-                           duration_s=duration, seed=seed)
+    return wl.WorkloadSpec(functions=tuple((f, rps) for f in fns), seed=seed)
 
 
 def test_compute_score_midpoint_example():
@@ -59,7 +63,7 @@ def test_three_request_golden_trace():
                        image_bytes=1.25e8, dataset_bytes=6.25e7, base_exec_s=1.0)
     reqs = [(0.0, 0), (0.1, 0), (5.0, 0)]
     opts = se.SimOptions(min_replicas=1, max_replicas=1)
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS, opts)
 
     pull = (0.001 + 0.001) + 1.25e8 / 1.25e8
     fetch = (0.001 + 0.001) + 6.25e7 / 1.25e8
@@ -85,7 +89,7 @@ def test_requests_after_horizon_do_not_complete():
     c = _two_xeon_cluster()
     fn = make_function(name="f", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=10.0)
     reqs = [(95.0, 0)]
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS,
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS,
                                se.SimOptions(min_replicas=1, max_replicas=1))
     fm = res.metrics.per_function["f"]
     assert fm.n_total == 1
@@ -108,15 +112,15 @@ def test_trace_must_be_sorted_and_inside_the_horizon(times, message):
     c = _two_xeon_cluster()
     fn = make_function(name="f")
     with pytest.raises(ConfigError, match=message):
-        se.simulate_requests(c, [fn], times, sched.FIXED_WEIGHTS, se.SimOptions())
+        se.simulate_requests(c, _only(fn), times, sched.FIXED_WEIGHTS, se.SimOptions())
 
 
 def test_duplicate_function_names_are_rejected():
-    # Metrics are keyed by name, so a second entry would hide the first.
+    # Metrics are keyed by name, so a second entry would hide the first; the
+    # engine takes its functions from a WorkloadSpec, which refuses it.
     fn = make_function(name="f")
-    with pytest.raises(ConfigError, match="distinct names"):
-        se.simulate_requests(_two_xeon_cluster(), [fn, fn], [(1.0, 0), (2.0, 1)],
-                             sched.FIXED_WEIGHTS, se.SimOptions())
+    with pytest.raises(ConfigError, match="duplicate function"):
+        wl.WorkloadSpec(functions=((fn, 1.0), (fn, 2.0)))
 
 
 def test_warmup_places_min_replicas_and_commits():
@@ -126,8 +130,10 @@ def test_warmup_places_min_replicas_and_commits():
                            se.SimOptions(min_replicas=3, max_replicas=3))
     warm = [p for p in res.placements if p.time_s == 0.0]
     assert len(warm) == 6
-    # the input cluster is never mutated
+    # the input cluster is never mutated: the run's commits, image pulls and
+    # score tables all stay on its copy
     assert not c.alloc_cpu.any() and not c.alloc_mem.any()
+    assert c.images == {} and c.changes == [] and c.score_tables == {}
 
 
 def test_warmup_unschedulable_raises_with_function_name():
@@ -200,7 +206,7 @@ def test_autoscaler_adds_replicas_under_backlog():
     # a burst of arrivals forces queue > 5x replicas quickly
     reqs = [(0.01 * i, 0) for i in range(1, 30)]
     opts = se.SimOptions(min_replicas=1, max_replicas=8, scale_factor=2)
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS, opts)
     scaled = [p for p in res.placements if p.time_s > 0.0]
     assert scaled, "backlog must trigger the autoscaler"
     assert len(res.placements) <= 8
@@ -211,7 +217,7 @@ def test_autoscaler_respects_max_replicas():
     fn = make_function(name="slow", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=1000.0)
     reqs = [(0.001 * i, 0) for i in range(1, 500)]
     opts = se.SimOptions(min_replicas=1, max_replicas=3, scale_factor=5)
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS, opts)
     assert len(res.placements) == 3
 
 
@@ -232,16 +238,7 @@ def test_sim_options_validation():
     with pytest.raises(ConfigError):
         se.SimOptions(scale_factor=0)
     with pytest.raises(ConfigError):
-        se.SimOptions(duration_s=0.0)
-    with pytest.raises(ConfigError):
         se.ScoreNorm(fet_cap_s=0.0)
-
-
-def test_mismatched_horizons_rejected():
-    c = _two_xeon_cluster()
-    spec = _mini_workload(duration=50.0)
-    with pytest.raises(ConfigError):
-        se.run_benchmark(c, spec, sched.FIXED_WEIGHTS, se.SimOptions(duration_s=100.0))
 
 
 # Scores of six sampled scenarios (50 s horizon) under the fixed weights and
@@ -313,7 +310,7 @@ def test_scale_up_stops_calling_place_after_the_feasibility_wall(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(se, "place", recording_place)
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS,
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS,
                                se.SimOptions(min_replicas=1, max_replicas=100))
     assert len(res.placements) == 4
     assert outcomes.count(None) == 1
@@ -332,7 +329,7 @@ def test_an_arrival_that_starts_service_at_once_still_runs_the_scale_check(monke
     fn = make_function(name="slow", image_bytes=0.0, dataset_bytes=0.0, base_exec_s=50.0)
     reqs = [(0.01 * i, 0) for i in range(1, 8)]
     opts = se.SimOptions(min_replicas=1, max_replicas=5, scale_factor=1)
-    res = se.simulate_requests(c, [fn], reqs, sched.FIXED_WEIGHTS, opts)
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS, opts)
     # Replicas 1-4 come after arrivals 2, 3, 5 and 6; arrivals 3 and 6
     # each start at once on the replica the arrival before them added.
     assert [p.time_s for p in res.placements] == [0.0, 0.02, 0.03, 0.05, 0.06]
@@ -357,9 +354,9 @@ def test_single_replica_queue_matches_pollaczek_khinchine(rho):
     waits = []
     for seed in MD1_SEEDS:
         times = np.cumsum(np.random.default_rng(seed).exponential(s / rho, MD1_ARRIVALS))
-        opts = se.SimOptions(duration_s=float(times[-1]) + 1000.0 * s,
-                             min_replicas=1, max_replicas=1)
-        res = se.simulate_requests(c, [fn], [(t, 0) for t in times.tolist()],
+        opts = se.SimOptions(min_replicas=1, max_replicas=1)
+        res = se.simulate_requests(c, _only(fn, float(times[-1]) + 1000.0 * s),
+                                   [(t, 0) for t in times.tolist()],
                                    sched.FIXED_WEIGHTS, opts)
         fm = res.metrics.per_function["md1"]
         assert fm.n_success == fm.n_total == MD1_ARRIVALS

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -146,3 +148,11 @@ def test_workload_validation():
         wl.WorkloadSpec(functions=((fn, 1.0), (fn, 2.0)))
     with pytest.raises(ConfigError):
         make_function(cpu=-1.0)
+
+
+@pytest.mark.parametrize("field", ["req_cpu", "req_mem", "image_bytes",
+                                   "dataset_bytes", "base_exec_s"])
+def test_function_spec_rejects_nan(field):
+    # Every comparison with NaN is False, so the checks must be written to fail.
+    with pytest.raises(ConfigError, match="probe: "):
+        replace(make_function(), **{field: float("nan")})
