@@ -17,7 +17,7 @@ import operator
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,23 +54,27 @@ class SacConfig:
         for name in ("obs_dim", "act_dim"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "hidden", tuple(operator.index(h) for h in self.hidden))
-        if self.obs_dim < 1 or self.act_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ConfigError("observation, action and hidden sizes must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError("tau must lie in [0, 1]")
-        if self.batch_size < 1 or self.replay_capacity < self.batch_size:
-            raise ConfigError("replay capacity must hold at least one batch")
+        for name in ("obs_dim", "act_dim", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be a positive integer")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"hidden: layer widths must be positive, got {list(self.hidden)}")
+        for name in ("gamma", "tau"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name}: must lie in [0, 1]")
+        if self.replay_capacity < self.batch_size:
+            raise ConfigError(f"replay_capacity: must hold at least one batch of "
+                              f"{self.batch_size}, got {self.replay_capacity}")
         # Written so that NaN fails too; the bound also stops an int past float range.
         if not 0.0 < self.lr <= sys.float_info.max:
-            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
-        if self.updates_per_step < 0 or self.start_steps < 0:
-            raise ConfigError("invalid training hyperparameters")
+            raise ConfigError(f"lr: must be a positive finite number, got {self.lr!r}")
+        for name in ("updates_per_step", "start_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must not be negative")
         te = self.target_entropy
         if te is not None and (isinstance(te, bool) or not isinstance(te, (int, float))
                                or not abs(te) <= sys.float_info.max):
-            raise ConfigError(f"target_entropy must be a finite number or None, got {te!r}")
+            raise ConfigError(f"target_entropy: must be a finite number or None, got {te!r}")
 
     @property
     def entropy_target(self) -> float:
@@ -505,28 +509,21 @@ def _write_log_row(path, mode: str, row) -> None:
         csv.writer(fh).writerow(row)
 
 
-@dataclass
-class TrainResult:
-    history: list[dict] = field(default_factory=list)
-    eval_history: list[dict] = field(default_factory=list)
-
-
 def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                 seed: int, eval_env: TuningEnv | None = None,
                 eval_seeds=(), eval_every: int = 0,
                 checkpoint_path=None, log_every: int = 500,
-                log_path=None, on_eval=None) -> TrainResult:
+                log_path=None, on_eval=None) -> None:
     """Standard off-policy loop: uniform warm-up actions until
-    ``start_steps``, then one gradient step per environment step.  Log
-    entries go to ``result.history`` and, as they are made, to ``log_path``;
-    each evaluation entry goes to ``result.eval_history`` and, as it is
-    made, to ``on_eval``."""
+    ``start_steps``, then one gradient step per environment step.  Every
+    ``log_every`` environment steps a row goes to ``log_path``; every
+    ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env`` and
+    the evaluation entry goes to ``on_eval``."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
     rng = np.random.default_rng(seed)
     buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
-    result = TrainResult()
     k = vec_env.num_envs
     obs = vec_env.reset([int(rng.integers(2**63 - 1)) for _ in range(k)])
     terminal_rewards: list[float] = []
@@ -554,7 +551,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
             for _ in range(cfg.updates_per_step * k):
                 stats = agent.update(buffer.sample(agent.rng, cfg.batch_size))
 
-        if log_every and agent.env_steps >= next_log:
+        if log_path is not None and log_every and agent.env_steps >= next_log:
             next_log += log_every
             recent = terminal_rewards[-50:]
             entry = {"env_steps": agent.env_steps,
@@ -562,11 +559,9 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                      "mean_terminal_reward":
                          float(np.mean(recent)) if recent else 0.0}
             entry.update(stats)
-            result.history.append(entry)
-            if log_path is not None:
-                _write_log_row(log_path, "a", [entry.get(k, "") for k in LOG_COLUMNS])
+            _write_log_row(log_path, "a", [entry.get(c, "") for c in LOG_COLUMNS])
 
-        if eval_every and eval_env is not None and agent.env_steps >= next_eval:
+        if eval_every and agent.env_steps >= next_eval:
             next_eval += eval_every
             episodes = evaluate_policy(agent, eval_env, eval_seeds)
             entry = {"env_steps": agent.env_steps,
@@ -574,7 +569,6 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                          float(np.mean([e.best_score for e in episodes])),
                      "mean_improvement":
                          float(np.mean([e.improvement for e in episodes]))}
-            result.eval_history.append(entry)
             if on_eval is not None:
                 on_eval(entry)
             if checkpoint_path is not None:
@@ -582,4 +576,3 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
 
     if checkpoint_path is not None:
         agent.save(checkpoint_path)
-    return result

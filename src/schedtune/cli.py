@@ -19,11 +19,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .agent import SacAgent, SacConfig, evaluate_policy, train_agent
+from .agent import SacAgent, evaluate_policy, train_agent
 from .cluster import build_cluster
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, SchedTuneError
@@ -141,6 +142,9 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
 
 def cmd_simulate(args) -> int:
     config = _config_of(args)
+    if config.env_kind != "faas":
+        raise ConfigError(f"env_kind: simulate runs the FaaS cluster, got "
+                          f"{config.env_kind!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -194,21 +198,9 @@ def cmd_train_agent(args) -> int:
     config = _config_of(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe = make_env(config)
-    sac_config = SacConfig(
-        obs_dim=probe.observation_dim,
-        act_dim=probe.action_dim,
-        hidden=config.hidden,
-        gamma=config.gamma,
-        tau=config.tau,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        replay_capacity=config.replay_capacity,
-        start_steps=config.start_steps,
-    )
-    agent = SacAgent(sac_config, seed=args.seed)
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
-    eval_config = ExperimentConfig(**{**config.to_dict(), "mode": "test"})
+    agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),
+                     seed=args.seed)
     checkpoint = out_dir / "agent.ckpt"
 
     def report_eval(entry: dict):
@@ -220,7 +212,7 @@ def cmd_train_agent(args) -> int:
 
     train_agent(
         agent, vec, total_env_steps=config.total_env_steps, seed=args.seed,
-        eval_env=make_env(eval_config) if config.eval_every else None,
+        eval_env=make_env(replace(config, mode="test")),
         eval_seeds=scenario_seeds(args.seed + 1, config.n_eval_seeds),
         eval_every=config.eval_every,
         checkpoint_path=checkpoint,

@@ -6,15 +6,18 @@ its own problem instead of a traceback.
 """
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
+from .agent import SacConfig
+from .data import read_json
 from .errors import ConfigError
 from .synthfuncs import LANDSCAPES
 from .tunenv import MASK_LEVELS, MODES
 
 ENV_KINDS = ("faas", "synthetic")
+_AGENT_FIELDS = ("hidden", "lr", "batch_size", "replay_capacity", "start_steps",
+                 "gamma", "tau")
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,16 @@ class ExperimentConfig:
     n_scenarios: int = 20
     n_steps: int = 4
     duration_s: float = 100.0
-    # agent training
+    # agent training; SacConfig holds the agent settings' defaults and checks
     total_env_steps: int = 200_000
     num_envs: int = 4
-    hidden: tuple[int, ...] = (512, 512, 512)
-    lr: float = 3e-4
-    batch_size: int = 256
-    replay_capacity: int = 100_000
-    start_steps: int = 1000
-    gamma: float = 0.99
-    tau: float = 0.005
+    hidden: tuple[int, ...] = SacConfig.hidden
+    lr: float = SacConfig.lr
+    batch_size: int = SacConfig.batch_size
+    replay_capacity: int = SacConfig.replay_capacity
+    start_steps: int = SacConfig.start_steps
+    gamma: float = SacConfig.gamma
+    tau: float = SacConfig.tau
     eval_every: int = 0
     n_eval_seeds: int = 20
     log_every: int = 500
@@ -49,24 +52,26 @@ class ExperimentConfig:
         _check_choice(self.synth_function, "synth_function", tuple(sorted(LANDSCAPES)))
         _check_choice(self.mode, "mode", MODES)
         _check_choice(self.mask_level, "mask_level", MASK_LEVELS)
-        for name in ("n_scenarios", "n_steps", "total_env_steps", "num_envs",
-                     "batch_size", "replay_capacity"):
+        for name in ("n_scenarios", "n_steps", "total_env_steps", "num_envs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be a positive integer")
-        for name in ("start_steps", "eval_every", "n_eval_seeds", "log_every"):
+        for name in ("eval_every", "n_eval_seeds", "log_every"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must not be negative")
         if self.eval_every and not self.n_eval_seeds:
             raise ConfigError("n_eval_seeds: must be positive when eval_every is")
-        if self.duration_s <= 0 or self.lr <= 0:
-            raise ConfigError("duration_s and lr must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma: must lie in [0, 1]")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError("tau: must lie in [0, 1]")
+        if self.duration_s <= 0:
+            raise ConfigError("duration_s: must be positive")
         if not self.name:
             raise ConfigError("name: must not be empty")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        # The agent's own rules check its settings, at load for every command.
+        object.__setattr__(self, "hidden", self.agent_config(1, 1).hidden)
+
+    def agent_config(self, obs_dim: int, act_dim: int) -> SacConfig:
+        """The agent settings of this experiment, for an environment with
+        these observation and action dimensions."""
+        return SacConfig(obs_dim, act_dim,
+                         **{name: getattr(self, name) for name in _AGENT_FIELDS})
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -134,13 +139,4 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
-        ) from exc
-    return config_from_dict(payload)
+    return config_from_dict(read_json(path, "config"))

@@ -53,17 +53,28 @@ def data_dir(override: str | os.PathLike | None = None) -> Path:
     return Path(str(resources.files("schedtune") / "data"))
 
 
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``.  A file that cannot be
+    read, decoded or parsed fails with one error naming it; ``what`` says
+    what kind of file it is (``config``, ``data file``)."""
+    try:
+        with open(path, "rb") as fh:   # decoded whole, so a bad byte's offset is the file's
+            return json.loads(fh.read().decode("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg})") from exc
+
+
 def load_json(name: str, override: str | os.PathLike | None = None) -> dict:
     if name not in _FILES:
         raise ConfigError(f"unknown data file {name!r}, expected one of {tuple(_FILES)}")
     path = data_dir(override) / name
-    if not path.is_file():
-        raise ConfigError(f"data file not found: {path}")
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    payload = read_json(path, "data file")
     _check(payload, dict, f"{path}: top level")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:

@@ -100,13 +100,18 @@ def read_trials_csv(path) -> list[dict]:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            raw = list(reader)
+            # line_num counts the blank lines DictReader skips.
+            raw = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read trials table {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ProtocolError(f"{path}: not a CSV table ({exc})") from exc
     rows = []
-    for line_no, row in enumerate(raw, start=2):
+    for line_no, row in raw:
+        # DictReader files surplus fields under None and fills missing ones with None.
+        if None in row or None in row.values():
+            raise ProtocolError(f"{path} line {line_no}: row does not have the "
+                                f"header's {len(reader.fieldnames)} fields")
         version = row.get("schema_version")
         if version != str(CSV_SCHEMA_VERSION):
             raise ProtocolError(

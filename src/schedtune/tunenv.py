@@ -242,8 +242,9 @@ class TuningEnv:
     """Shared episode mechanics; subclasses supply scenarios and evaluation.
 
     Protocol: ``reset(seed) -> obs`` then exactly ``n_steps`` calls of
-    ``step(action) -> (obs, reward, done, info)``.  Stepping a finished or
-    unreset episode raises ProtocolError.
+    ``step(action) -> (obs, reward, done, info)``, where ``info`` is
+    ``{"score": score}``; ``episode`` records the rest.  Stepping a finished
+    or unreset episode raises ProtocolError.
     """
 
     def __init__(self, static_dim: int, coarse_indices: tuple[int, ...],
@@ -316,19 +317,9 @@ class TuningEnv:
         score = float(self._evaluate(a))
         self.benchmark_calls += 1
         self.episode.trials.append((a.copy(), score))
-        k = len(self.episode.trials)
-        self._done = k >= self.n_steps
+        self._done = len(self.episode.trials) >= self.n_steps
         reward = float(self.episode.improvement) if self._done else 0.0
-        info = {
-            "score": score,
-            "r0": self.episode.r0,
-            "trial_index": k,
-            "scenario_digest": self.episode.scenario_digest,
-        }
-        if self._done:
-            info["best_score"] = self.episode.best_score
-            info["improvement"] = self.episode.improvement
-        return self._observation(zero_frames=False), reward, self._done, info
+        return self._observation(zero_frames=False), reward, self._done, {"score": score}
 
     def _observation(self, zero_frames: bool) -> np.ndarray:
         frames = np.zeros((self.n_frames, self.frame_width))

@@ -230,7 +230,7 @@ def test_config_validation():
 ])
 def test_config_rejects_a_learning_rate_or_entropy_target_that_is_not_finite(key, value):
     # A comparison with NaN is False, so "lr <= 0" alone lets NaN through.
-    with pytest.raises(ConfigError, match=f"^{key} must be"):
+    with pytest.raises(ConfigError, match=f"^{key}: must be"):
         SacConfig(obs_dim=3, act_dim=2, **{key: value})
 
 
@@ -693,17 +693,25 @@ def test_train_agent_smoke(tmp_path):
                     batch_size=16, replay_capacity=512, start_steps=32)
     agent = SacAgent(cfg, seed=22)
     vec = VectorEnv([SyntheticTuningEnv("himmelblau") for _ in range(2)])
-    path = tmp_path / "train.ckpt"
-    result = train_agent(agent, vec, total_env_steps=120, seed=23,
-                         eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
-                         eval_seeds=[5], eval_every=60,
-                         checkpoint_path=path, log_every=40)
+    path, log_path = tmp_path / "train.ckpt", tmp_path / "train_log.csv"
+    evaluations = []
+    assert train_agent(agent, vec, total_env_steps=120, seed=23,
+                       eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
+                       eval_seeds=[5], eval_every=60,
+                       checkpoint_path=path, log_every=40, log_path=log_path,
+                       on_eval=evaluations.append) is None
     assert agent.env_steps >= 120
     assert agent.grad_steps > 0
-    assert result.history and result.eval_history
-    assert path.exists()
+    with open(log_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["env_steps"]) for row in rows] == [40, 80, 120]
+    assert all(float(row["alpha"]) > 0.0 for row in rows)
+    assert [entry["env_steps"] for entry in evaluations] == [60, 120]
+    for entry in evaluations:
+        assert 0.0 <= entry["mean_best_score"] <= 1.0
+        assert math.isfinite(entry["mean_improvement"])
     reloaded = SacAgent.load(path)
-    assert reloaded.env_steps == agent.env_steps
+    assert (reloaded.env_steps, reloaded.grad_steps) == (agent.env_steps, agent.grad_steps)
 
 
 def test_train_log_rows_are_on_disk_when_training_crashes(tmp_path):

@@ -167,7 +167,12 @@ def _oversized_field(text):
      "line 2: score nan is not finite"),
     (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1-inf", text).encode(),
      "line 2: score -inf is not finite"),
-], ids=["non-utf8", "csv-error", "nan-score", "inf-score"])
+    (lambda text: re.sub(r"\n((?:[^,\n]*,){3}[^,\n]*)[^\n]*", r"\n\1", text,
+                         count=1).encode(),
+     "line 2: row does not have the header's"),
+    (lambda text: re.sub(r"\n([^\n]+)", r"\n\1,x", text, count=1).encode(),
+     "line 2: row does not have the header's"),
+], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "short-row", "long-row"])
 def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
                                                               edit, message):
     out = tmp_path / "run"
@@ -181,6 +186,33 @@ def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "caf\xe9"}', "not UTF-8 text"),
+    (b'{"batch_size": 64, "replay_capacity": 32}',
+     "replay_capacity: must hold at least one batch of 64, got 32"),
+], ids=["non-utf8", "replay-below-batch"])
+def test_tune_with_a_bad_config_fails_with_one_error_line(tmp_path, capsys,
+                                                          content, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_simulate_with_a_synthetic_config_fails_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: env_kind: ") and err.count("\n") == 1
+    assert "'synthetic'" in err
+    assert not out.exists()
 
 
 def test_trials_table_with_other_columns_fails_with_one_error_line(tmp_path, capsys):
@@ -418,6 +450,9 @@ def _set_all(entries, field, value):
      "presets.edge_sbc.rpi3: expected a finite number"),
     ("devices.json", lambda p: p["devices"][0].update(memory_mb=10**400),
      "devices[0].memory_mb: expected a finite number"),
+    # A file that is not UTF-8 fails as one error, not a decoding traceback.
+    ("devices.json", lambda p: b"\xff" + json.dumps(p).encode(), "not UTF-8 text (byte 0"),
+    ("functions.json", lambda p: json.dumps(p).encode("utf-16"), "not UTF-8 text (byte 0"),
 ])
 def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
                                                         file_name, edit, where):
@@ -427,7 +462,9 @@ def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
         payload = json.loads((data_dir() / name).read_text())
         if name == file_name:
             payload = edit(payload) or payload
-        (data / name).write_text(json.dumps(payload))
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode()
+        (data / name).write_bytes(payload)
     config = write_config(tmp_path, env_kind="faas", mode="train",
                           duration_s=20.0, data_dir=str(data))
     assert main(["simulate", "--config", config, "--out",

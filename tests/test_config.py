@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from schedtune.agent import SacConfig
 from schedtune.config import ExperimentConfig, config_from_dict, load_config
 from schedtune.errors import ConfigError
 
@@ -119,6 +120,19 @@ def test_load_config_reads_json(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "nope.json")
+
+
+def test_load_config_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ConfigError, match=r"latin1.json: not UTF-8 text \(byte 13"):
+        load_config(path)
+
+
+def test_agent_settings_default_to_the_agent_defaults():
+    # Every command builds its agent from these, so the defaults are one network.
+    for obs_dim, act_dim in ((71, 8), (3, 2)):
+        assert ExperimentConfig().agent_config(obs_dim, act_dim) == SacConfig(obs_dim, act_dim)
 
 
 def test_load_config_reports_json_position(tmp_path):

@@ -90,6 +90,16 @@ def test_malformed_row_rejected(tmp_path):
         read_trials_csv(path)
 
 
+def test_errors_name_the_line_in_the_file_past_blank_lines(tmp_path):
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, trial_rows("exp", "bo", 1, episode_of(0.1, [0.2]), NAMES),
+                     NAMES)
+    header, first, second = path.read_text().splitlines()
+    path.write_text(f"{header}\n\n{first}\n\n{second.rsplit(',', 3)[0]}\n")
+    with pytest.raises(ProtocolError, match="line 5: row does not have the header's"):
+        read_trials_csv(path)
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read trials table"):
         read_trials_csv(tmp_path / "missing.csv")

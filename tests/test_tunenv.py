@@ -344,6 +344,22 @@ def test_vector_env_auto_resets_finished_instances():
     vec.step(actions)
 
 
+def test_step_info_holds_only_the_score():
+    from schedtune.synthfuncs import SyntheticTuningEnv
+
+    env = SyntheticTuningEnv("ackley", n_steps=2)
+    env.reset(4)
+    for _ in range(2):
+        _, _, _, info = env.step(np.array([0.3, 0.6]))
+        assert info == {"score": env.episode.trials[-1][1]}
+    vec = VectorEnv([SyntheticTuningEnv("ackley", n_steps=2)])
+    vec.reset([4])
+    _, _, _, infos = vec.step(np.array([[0.3, 0.6]]))
+    assert set(infos[0]) == {"score"}
+    _, _, dones, infos = vec.step(np.array([[0.3, 0.6]]))
+    assert dones[0] and set(infos[0]) == {"score", "terminal_observation"}
+
+
 def test_vector_env_validation():
     from schedtune.synthfuncs import SyntheticTuningEnv
 
