@@ -106,6 +106,23 @@ def test_parallel_jobs_match_serial(tmp_path):
         (parallel / "trials.csv").read_text()
 
 
+# The trials table of a small FaaS tuning run, byte for byte.  Every trial
+# replays the cluster under its own weights, so a change to scoring,
+# placement or the engine that moves any score changes this digest.
+PINNED_TUNE_TRIALS_SHA256 = "8d2ad0da0cc32ff058fb2f84e27caad76ff336791996d36f71b1529c3b0078d8"
+
+
+def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
+    config = write_config(tmp_path, env_kind="faas", mask_level="full",
+                          n_scenarios=4, duration_s=50.0)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", config, "--seed", "3", "--out", str(out),
+                 "--method", "random", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_TUNE_TRIALS_SHA256
+
+
 def test_train_agent_then_eval(tmp_path, capsys):
     train_config = write_config(
         tmp_path, mode="train", total_env_steps=150, start_steps=50,
