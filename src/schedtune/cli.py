@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand takes --seed; numpy refuses a negative one late.
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         return args.handler(args)
     except SchedTuneError as exc:
         print(f"error: {exc}", file=sys.stderr)

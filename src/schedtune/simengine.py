@@ -64,7 +64,8 @@ class ScoreNorm:
     wait_cap_s: float = 30.0
 
     def __post_init__(self):
-        if self.fet_cap_s <= 0 or self.wait_cap_s <= 0:
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not (self.fet_cap_s > 0 and self.wait_cap_s > 0):
             raise ConfigError("score caps must be positive")
 
 

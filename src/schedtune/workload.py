@@ -76,11 +76,12 @@ class WorkloadSpec:
         names = [fn.name for fn, _ in self.functions]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate function in workload")
+        # Written so that NaN fails too: every comparison with NaN is False.
         for fn, rps in self.functions:
-            if rps <= 0:
+            if not rps > 0:
                 raise ConfigError(f"{fn.name}: rps must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        if not 0 < self.duration_s < np.inf:
+            raise ConfigError("duration_s must be positive and finite")
 
 
 def catalog(data_dir=None) -> list[FunctionSpec]:

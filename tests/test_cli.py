@@ -298,6 +298,24 @@ def test_nonpositive_jobs_fail_with_one_error_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("tune", []),
+    ("train-agent", []),
+    ("eval", ["--checkpoint", "agent.ckpt"]),
+])
+def test_negative_seed_fails_with_one_error_line(tmp_path, capsys, command, extra):
+    # numpy's SeedSequence refuses it only after --out exists, with a traceback
+    config = write_config(tmp_path, env_kind="faas", n_scenarios=1, duration_s=5.0,
+                          total_env_steps=8, num_envs=1, hidden=[8], batch_size=4)
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out),
+                 "--seed", "-1"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed: expected a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def _array_offset(raw, name):
     """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
     header_len = struct.unpack("<Q", raw[8:16])[0]

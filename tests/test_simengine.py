@@ -237,8 +237,10 @@ def test_sim_options_validation():
         se.SimOptions(min_replicas=5, max_replicas=4)
     with pytest.raises(ConfigError):
         se.SimOptions(scale_factor=0)
-    with pytest.raises(ConfigError):
-        se.ScoreNorm(fet_cap_s=0.0)
+    # A NaN cap would make every score NaN without a word.
+    for bad in ({"fet_cap_s": 0.0}, {"fet_cap_s": np.nan}, {"wait_cap_s": np.nan}):
+        with pytest.raises(ConfigError):
+            se.ScoreNorm(**bad)
 
 
 # Scores of six sampled scenarios (50 s horizon) under the fixed weights and

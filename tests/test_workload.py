@@ -148,6 +148,10 @@ def test_workload_validation():
         wl.WorkloadSpec(functions=((fn, 1.0), (fn, 2.0)))
     with pytest.raises(ConfigError):
         make_function(cpu=-1.0)
+    # Constructed only: generating arrivals up to an infinite horizon never ends.
+    for rps, duration_s in ((np.nan, 10.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ConfigError):
+            wl.WorkloadSpec(functions=((fn, rps),), duration_s=duration_s)
 
 
 @pytest.mark.parametrize("field", ["req_cpu", "req_mem", "image_bytes",
