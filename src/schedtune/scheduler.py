@@ -86,28 +86,34 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
 @dataclass(slots=True, eq=False)
 class ScoreTable:
     """One function's scores on one cluster copy: the (n_nodes, 8) scores,
-    the feasibility mask, the feasible node ids in ascending order, and
+    the feasibility mask, the feasible node ids in ascending order,
     ``seen``, the length of ``cluster.changes`` when the table was last
-    brought up to date: the nodes logged after it are the rows
-    ``_score_table`` recomputes before a read."""
+    brought up to date (the nodes logged after it are the rows
+    ``_score_table`` recomputes before a read), and ``totals``, every
+    node's weighted score for the weights whose bytes are ``weights``."""
 
     scores: np.ndarray
     feasible: np.ndarray
     ids: np.ndarray
     seen: int
+    totals: np.ndarray | None = None
+    weights: bytes = b""
 
 
-def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
-    """The function's score table on this cluster copy, brought up to date.
+def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> ScoreTable:
+    """The function's score table on this cluster copy, up to date for ``weights``.
 
     Built in full the first time the function is scored on this copy, from
     its template, and kept in ``cluster.score_tables``.  Later calls
     recompute only the rows of the nodes that ``cluster.changes`` logged
-    since, from Python floats with the same operations in the same order:
-    Python float arithmetic rounds as numpy's elementwise loops do, so every
-    element is the float the full computation gives.  Images are never evicted, so a
-    refreshed row's column 7 only ever turns to 1.0; the feasible ids are
-    rebuilt only when a refreshed node's feasibility changed.
+    since, and their totals, from Python floats with the same operations in
+    the same order: Python float arithmetic rounds as numpy's elementwise
+    loops do, so every element is the float the full computation gives.
+    Images are never evicted, so a refreshed row's column 7 only ever turns
+    to 1.0; the feasible ids are rebuilt only when a refreshed node's
+    feasibility changed.  All totals are computed on the first read and when
+    the weights' bytes change: another array, or one changed in place, gets
+    fresh totals.
     """
     table = cluster.score_tables.get(fn)
     if table is None:
@@ -130,9 +136,10 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
         table = cluster.score_tables[fn] = ScoreTable(scores, feasible, np.flatnonzero(feasible),
                                                       len(cluster.changes))
     elif table.seen < len(cluster.changes):
-        scores, feasible, changed = table.scores, table.feasible, False
+        scores, feasible, totals, changed = table.scores, table.feasible, table.totals, False
         req_cpu, req_mem = fn.req_cpu, fn.req_mem
         cached = cluster.images.get(fn.image_name)
+        w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
         for j in set(cluster.changes[table.seen:]):
             a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
             c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
@@ -149,31 +156,36 @@ def _score_table(fn: FunctionSpec, cluster: Cluster) -> ScoreTable:
             row[6] = 1.0 - abs(u_cpu - u_mem) / 2.0
             if cached is not None and cached[j]:
                 row[7] = 1.0
+            s0, s1, s2, s3, s4, s5, s6, s7 = row.tolist()
+            totals[j] = ((s0 * w0 + s1 * w1) + (s2 * w2 + s3 * w3)) \
+                + ((s4 * w4 + s5 * w5) + (s6 * w6 + s7 * w7))
         if changed:
             table.ids = np.flatnonzero(feasible)
         table.seen = len(cluster.changes)
+    if table.weights != weights.tobytes():
+        table.totals, table.weights = weighted_totals(table.scores, weights), weights.tobytes()
     return table
 
 
-def score_nodes(scores: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """C-contiguous matrix of the eight scores, one row per node id.
-
-    Columns follow SCORING_FUNCTIONS order.  The rows are gathered from
-    ``scores``, a score table ``place`` has just brought up to date.
-    Callers must pass feasible ids; utilizations then stay within [0, 1] by
-    construction.
-    """
-    return scores.take(node_ids, axis=0)
+def score_nodes(table: ScoreTable, node_ids: np.ndarray) -> np.ndarray:
+    """The weighted scores of the nodes ``node_ids``, gathered from the
+    totals of ``table``, which ``place`` has just brought up to date for its
+    weights.  Callers must pass feasible ids."""
+    return table.totals.take(node_ids)
 
 
 def weighted_totals(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each row's weighted score sum, added in the same order on every row.
+    """Each row's weighted score sum, added in the same order on every row,
+    the one numpy's row sum uses, spelled out so that ``_score_table`` can
+    add a refreshed row's Python floats in it too.
 
     ``scores @ weights`` leaves the order to BLAS, whose kernels round a row
     differently by where it sits in the matrix, so bit-identical rows could
     get different totals and escape the lowest-id tie rule.
     """
-    return (scores * weights).sum(axis=1)
+    p = scores * weights
+    return (((p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3]))
+            + ((p[:, 4] + p[:, 5]) + (p[:, 6] + p[:, 7])))
 
 
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
@@ -183,16 +195,18 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     When percent_nodes_to_score < 1, a uniform subset of the feasible set is
     scored (at least one node): positions into the table's feasible ids are
     drawn, which leaves the generator as drawing the ids themselves would.
-    Ties on the total score, which ``weighted_totals`` adds in a fixed
-    order, go to the lowest node id.  The score table is looked up once;
-    allocations and images are left untouched.  ``weights`` must have passed
-    ``validate_weights``; the engine checks them once per run.
+    The candidates' weighted scores are one gather from the score table's
+    totals; ties on them go to the lowest node id.  Allocations and images
+    are left untouched.  ``weights`` must have passed ``validate_weights``;
+    the engine checks them once per run.
     """
-    table = _score_table(fn, cluster)
+    table = _score_table(fn, cluster, weights)
     ids, n = table.ids, len(table.ids)
     if n == 0:
         return None
     k = max(1, math.floor(percent_nodes_to_score * n))
     if k < n:
-        ids = ids[np.sort(rng.choice(n, size=k, replace=False))]
-    return int(ids[weighted_totals(score_nodes(table.scores, ids), weights).argmax()])
+        positions = rng.choice(n, size=k, replace=False)
+        positions.sort()
+        ids = ids[positions]
+    return int(ids[score_nodes(table, ids).argmax()])

@@ -25,11 +25,12 @@ arrival it is drained of the completions strictly earlier, so an arrival
 goes before a completion at the same time, and completions go in the order
 they were scheduled.  After the last arrival the drain runs on to the
 horizon.  Each function keeps a list of replica loads (queued plus
-in-service requests) and a count of waiting requests, updated as requests
-arrive, start and complete; the shortest-queue scan is skipped for a
-function with one replica.  A replica's service times are summed once, when
-it is placed, from per-node fetch and pull times computed once per function
-per run.  The loop calls out only to place a replica and to record a pull.
+in-service requests), the lowest load and how many replicas carry it, and a
+count of waiting requests, all updated as requests arrive, start and
+complete; the loads are counted only when an arrival takes the last replica
+at the lowest load.  A replica's service times are summed once, when it is
+placed, from per-node fetch and pull times computed once per function per
+run.  The loop calls out only to place a replica and to record a pull.
 Because allocations are never released, a function whose scale-up found no
 feasible node skips ``place`` for the rest of the run.
 
@@ -146,7 +147,8 @@ class _Replica:
 class _Function:
     """Per-function engine state.
 
-    ``loads[i]`` is replica i's queued plus in-service request count, and
+    ``loads[i]`` is replica i's queued plus in-service request count,
+    ``low`` the lowest of them and ``n_low`` how many replicas carry it, and
     ``waiting`` the function's queued requests that are not yet in service.
     ``unplaceable`` is set once ``place`` finds no feasible node: allocations
     are never released, so no later scale-up can succeed either.  ``fetch_s``
@@ -154,13 +156,14 @@ class _Function:
     The totals add completed requests' times in completion order.
     """
 
-    __slots__ = ("spec", "replicas", "loads", "waiting", "unplaceable", "fetch_s",
-                 "pull_s", "fet_total", "wait_total", "n_success", "n_total")
+    __slots__ = ("spec", "replicas", "loads", "low", "n_low", "waiting", "unplaceable",
+                 "fetch_s", "pull_s", "fet_total", "wait_total", "n_success", "n_total")
 
     def __init__(self, spec: FunctionSpec, cluster: Cluster):
         self.spec = spec
         self.replicas: list[_Replica] = []
         self.loads: list[int] = []
+        self.low, self.n_low = 0, 0
         self.waiting = 0
         self.unplaceable = False
         self.fetch_s = cluster.fetch_times(spec.dataset_bytes)
@@ -197,6 +200,8 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
         rep = _Replica(len(fs.replicas), nid, exec_s + fetch_s, cold_s)
         fs.replicas.append(rep)
         fs.loads.append(0)
+        # With every replica busy, the new one is the only idle one.
+        fs.low, fs.n_low = 0, (1 if fs.low else fs.n_low + 1)
         placements.append(Placement(f"{fn.name}-{rep.index}", nid, time_s))
         return True
 
@@ -222,7 +227,9 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
         # Strictly earlier completions only: arrivals win ties.
         while completions and completions[0][0] < now:
             done, _, fs, rep, wait_s, service_s = heappop(completions)
-            fs.loads[rep.index] -= 1
+            load = fs.loads[rep.index] = fs.loads[rep.index] - 1
+            if load <= fs.low:
+                fs.low, fs.n_low = load, (fs.n_low + 1 if load == fs.low else 1)
             fs.fet_total += service_s
             fs.wait_total += wait_s
             fs.n_success += 1
@@ -236,12 +243,16 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
             break
         fs = states[f]
         fs.n_total += 1
-        loads = fs.loads
+        loads, low = fs.loads, fs.low
         # index() finds the first minimum: ties go to the oldest replica.
-        k = loads.index(min(loads)) if len(loads) > 1 else 0
-        loads[k] += 1
+        k = loads.index(low)
+        loads[k] = low + 1
+        if fs.n_low > 1:
+            fs.n_low -= 1
+        else:   # the last replica at the lowest load took it
+            fs.low, fs.n_low = low + 1, loads.count(low + 1)
         rep = fs.replicas[k]
-        if loads[k] == 1:
+        if not low:
             service_s = rep.service_s
             if rep.cold_s is not None:
                 # The first request pulls the image unless the node holds

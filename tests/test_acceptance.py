@@ -106,10 +106,10 @@ def test_02_scheduler_scoring_invariants(capsys):
                 locality=("any", "cloud", "edge")[rng.integers(3)],
                 image_bytes=float(rng.uniform(1e7, 2e9)),
                 dataset_bytes=float(rng.uniform(0.0, 1e9)))
-            table = sched._score_table(fn, cluster)
+            table = sched._score_table(fn, cluster, sched.FIXED_WEIGHTS)
             ids = table.ids
             assert len(ids) > 0
-            scores = sched.score_nodes(table.scores, ids)
+            scores = table.scores.take(ids, axis=0)
 
             for i in range(sched.N_WEIGHTS):
                 one_hot = np.zeros(sched.N_WEIGHTS)

@@ -15,6 +15,11 @@ from tests import scoring_oracle
 from tests.conftest import make_function
 
 
+def _table(fn, cluster):
+    """The function's score table on the cluster, totals for the fixed weights."""
+    return sched._score_table(fn, cluster, sched.FIXED_WEIGHTS)
+
+
 def test_weight_order_and_fixed_vector():
     assert sched.SCORING_FUNCTIONS == (
         "least_allocated", "most_allocated", "rtc_ratio", "locality_type",
@@ -26,7 +31,7 @@ def test_weight_order_and_fixed_vector():
 
 def test_filter_excludes_overfull_nodes(small_cluster, probe_function):
     small_cluster.commit(0, small_cluster.capacity_cpu[0], small_cluster.capacity_mem[0])
-    mask = sched._score_table(probe_function, small_cluster).feasible
+    mask = _table(probe_function, small_cluster).feasible
     assert not mask[0]
     assert mask[1:].all()
 
@@ -42,7 +47,7 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     rng = np.random.default_rng(1)
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
-        table = sched._score_table(probe_function, small_cluster)
+        table = _table(probe_function, small_cluster)
         if table.feasible[nid]:
             s = table.scores[nid]
             assert s.shape == (8,)
@@ -51,12 +56,12 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
 
 
 def test_least_plus_most_allocated_is_one(small_cluster, probe_function):
-    s = sched._score_table(probe_function, small_cluster).scores
+    s = _table(probe_function, small_cluster).scores
     np.testing.assert_allclose(s[:, 0] + s[:, 1], 1.0, atol=1e-12)
 
 
 def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
-    s = sched._score_table(probe_function, small_cluster).scores
+    s = _table(probe_function, small_cluster).scores
     assert np.array_equal(s[:, 2], s[:, 1])
 
 
@@ -64,7 +69,7 @@ def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
     fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
-    s = sched._score_table(fn, c).scores[0]
+    s = _table(fn, c).scores[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
@@ -76,23 +81,23 @@ def test_locality_and_capability_scores():
     none_pref = make_function(accel="none")
     is_cloud = [float(n.device.locality == "cloud") for n in c.nodes]
     is_gpu = [float(n.device.accelerator == "gpu") for n in c.nodes]
-    assert sched._score_table(cloud_pref, c).scores[:, 3].tolist() == is_cloud
-    assert (sched._score_table(any_pref, c).scores[:, 3] == 1.0).all()
-    assert sched._score_table(gpu_pref, c).scores[:, 5].tolist() == is_gpu
-    assert (sched._score_table(none_pref, c).scores[:, 5] == 0.5).all()
+    assert _table(cloud_pref, c).scores[:, 3].tolist() == is_cloud
+    assert (_table(any_pref, c).scores[:, 3] == 1.0).all()
+    assert _table(gpu_pref, c).scores[:, 5].tolist() == is_gpu
+    assert (_table(none_pref, c).scores[:, 5] == 0.5).all()
     assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
     huge = make_function(image_bytes=1e12)
-    assert sched._score_table(huge, small_cluster).scores[0, 7] == 0.0
+    assert _table(huge, small_cluster).scores[0, 7] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert sched._score_table(huge, small_cluster).scores[0, 7] == 1.0
+    assert _table(huge, small_cluster).scores[0, 7] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
-    near = sched._score_table(make_function(dataset_bytes=1e6), small_cluster).scores[0, 4]
-    far = sched._score_table(make_function(dataset_bytes=1e10), small_cluster).scores[0, 4]
+    near = _table(make_function(dataset_bytes=1e6), small_cluster).scores[0, 4]
+    far = _table(make_function(dataset_bytes=1e10), small_cluster).scores[0, 4]
     assert near > far
     assert far == 0.0
 
@@ -108,8 +113,8 @@ def test_cached_columns_follow_function_and_clones():
     for fn in functions:
         for target in (shared, shared.clone()):
             fresh = cl.build_cluster(spec)
-            assert np.array_equal(sched._score_table(fn, target).scores[ids],
-                                  sched._score_table(fn, fresh).scores[ids])
+            assert np.array_equal(_table(fn, target).scores[ids],
+                                  _table(fn, fresh).scores[ids])
     assert len(shared.static_scores) == len(shared.score_tables) == 2
     twin = shared.clone()
     assert twin.static_scores is shared.static_scores
@@ -128,12 +133,12 @@ def test_replaced_paths_do_not_reuse_cached_columns():
                        store_bw=cluster.store_bw / 100)
 
     scored = cl.build_cluster(spec)
-    before = sched._score_table(fn, scored).scores
+    before = _table(fn, scored).scores
     slow = slowed(scored)
     assert slow.score_tables == {}
-    expected = sched._score_table(fn, slowed(cl.build_cluster(spec))).scores
+    expected = _table(fn, slowed(cl.build_cluster(spec))).scores
     assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
-    assert np.array_equal(sched._score_table(fn, slow).scores, expected)
+    assert np.array_equal(_table(fn, slow).scores, expected)
     assert slow.static_scores is not scored.static_scores
 
 
@@ -141,16 +146,16 @@ def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     a, b = make_function(name="a"), make_function(name="b", cpu=2.0, mem=512.0)
     c = cl.build_cluster(spec)
-    before = sched._score_table(b, c).scores.copy()
-    sched._score_table(a, c)
+    before = _table(b, c).scores.copy()
+    _table(a, c)
     c.commit(7, a.req_cpu, a.req_mem)
     assert c.changes == [7]
     assert c.score_tables[a].seen == c.score_tables[b].seen == 0
-    after = sched._score_table(b, c).scores
+    after = _table(b, c).scores
     assert c.score_tables[b].seen == 1
     fresh = cl.build_cluster(spec)
     fresh.commit(7, a.req_cpu, a.req_mem)
-    assert np.array_equal(after, sched._score_table(b, fresh).scores)
+    assert np.array_equal(after, _table(b, fresh).scores)
     assert [j for j in range(60) if not np.array_equal(after[j], before[j])] == [7]
 
 
@@ -161,18 +166,18 @@ def test_an_image_pull_marks_only_the_functions_that_use_the_image():
     a, b = make_function(name="a"), make_function(name="b")
     shared = replace(make_function(name="c"), image_name=a.image_name)
     for fn in (a, b, shared):
-        sched._score_table(fn, c)
+        _table(fn, c)
     c.add_image(4, a.image_name)
     assert c.changes == [4]
     assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [0, 0, 0]
-    assert sched._score_table(a, c).scores[4, 7] \
-        == sched._score_table(shared, c).scores[4, 7] == 1.0
-    assert sched._score_table(b, c).scores[4, 7] < 1.0
+    assert _table(a, c).scores[4, 7] \
+        == _table(shared, c).scores[4, 7] == 1.0
+    assert _table(b, c).scores[4, 7] < 1.0
     assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [1, 1, 1]
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
-    table = sched._score_table(probe_function, small_cluster)
+    table = _table(probe_function, small_cluster)
     ids = table.ids
     scores = table.scores[ids]
     for j in range(8):
@@ -198,7 +203,7 @@ def test_scale_invariance_of_argmax(small_cluster, probe_function):
 
 
 def test_subsample_size_floor(small_cluster, probe_function):
-    feasible = sched._score_table(probe_function, small_cluster).ids.tolist()
+    feasible = _table(probe_function, small_cluster).ids.tolist()
     n = len(feasible)
     pct = 1.0 / (n + 1)
     # floor gives zero, the floor of one node still applies
@@ -233,7 +238,7 @@ def test_bit_identical_rows_tie_to_the_lowest_node_id():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 67, "internet", seed=0))
     fn = make_function(name="f", cpu=0.5, mem=256.0, image_bytes=4e7, dataset_bytes=3e7)
     weights = np.array([0.801, 0.691, 0.6, 0.015, 0.423, 0.552, 0.764, 0.341])
-    scores = sched._score_table(fn, c).scores
+    scores = _table(fn, c).scores
     assert np.array_equal(scores[58], scores[66])
     assert sched.place(fn, c, weights, 1.0, np.random.default_rng(0)) == 58
 
@@ -249,6 +254,30 @@ def test_bit_identical_rows_get_identical_totals(data, n):
     totals = sched.weighted_totals(scores, weights)
     assert len({totals[j].hex() for j in rows}) == 1
     assert totals[rows[0]] == sched.weighted_totals(scores[rows[:1]], weights)[0]
+
+
+WIDE = st.floats(-1e200, 1e200)
+WEIGHT = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_refreshed_row_totals_equal_weighted_totals(data):
+    # A refreshed row's total is added from Python floats in weighted_totals'
+    # order, so it is the same float however far apart the terms' exponents
+    # are.  The rows get wide static columns and wide utilizations from
+    # wide allocations; every node is then logged, so every row is refreshed.
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 9))
+    fn = make_function()
+    weights = np.array(data.draw(st.lists(WEIGHT, min_size=sched.N_WEIGHTS,
+                                          max_size=sched.N_WEIGHTS)))
+    table = sched._score_table(fn, c, weights)
+    table.scores[:, [3, 4, 5, 7]] = data.draw(arrays(np.float64, (c.n_nodes, 4), elements=WIDE))
+    for j in range(c.n_nodes):
+        c.commit(j, data.draw(WIDE), data.draw(WIDE))
+    assert sched._score_table(fn, c, weights) is table
+    assert table.seen == len(c.changes)
+    assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
 
 
 def test_invalid_weights_rejected(small_cluster, probe_function):
@@ -286,7 +315,7 @@ def test_placement_feasible_and_deterministic(seed, pct):
     b = sched.place(fn, c, w, pct, np.random.default_rng(seed))
     assert a == b
     if a is not None:
-        assert sched._score_table(fn, c).feasible[a]
+        assert _table(fn, c).feasible[a]
 
 
 def test_a_refresh_that_makes_a_node_infeasible_drops_it_from_placement():
@@ -297,7 +326,7 @@ def test_a_refresh_that_makes_a_node_infeasible_drops_it_from_placement():
     fn = make_function(name="f", cpu=2.0, mem=512.0)
     best = sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0, np.random.default_rng(0))
     c.commit(best, c.capacity_cpu[best] - 1.0, 0.0)
-    assert not sched._score_table(fn, c).feasible[best]
+    assert not _table(fn, c).feasible[best]
     weights = np.random.default_rng(1).uniform(0.0, 1.0, sched.N_WEIGHTS)
     for seed in range(20):
         for pct in (1.0, 0.5, 0.1):
@@ -318,5 +347,5 @@ def test_place_returns_none_once_no_node_fits():
         c.commit(nid, fn.req_cpu, fn.req_mem)
         placed.append(nid)
     assert sorted(placed) == [0] * 4 + [1] * 4 + [2] * 4
-    assert not sched._score_table(fn, c).feasible.any()
+    assert not _table(fn, c).feasible.any()
     assert sched.place(fn, c, sched.FIXED_WEIGHTS, 0.5, rng) is None

@@ -2,14 +2,16 @@
 
 A random cluster goes through an interleaved sequence of allocations, image
 pulls, clones, path changes, scoring calls on arbitrary node subsets and
-placements.  Every ``score_nodes`` result must equal the oracle's element
-for element, with the same shape, dtype and memory layout, and every
-``place`` must pick the same node and leave its generator in the same state.
-After every operation, each function's score table on the current copy must
-equal the oracle's scores and feasibility over all nodes on every row whose
-node the cluster's change log has not named since the table's last refresh,
-so a commit or image pull that fails to log a row it changed shows up, and
-its feasible ids must be those of its mask.
+placements.  The score rows of every scored subset must equal the oracle's
+element for element, with the same shape, dtype and memory layout, and their
+``score_nodes`` totals must be ``weighted_totals`` of them; every ``place``
+must pick the same node and leave its generator in the same state.  After
+every operation, each function's score table on the current copy must equal
+the oracle's scores and feasibility over all nodes on every row whose node
+the cluster's change log has not named since the table's last refresh, so a
+commit or image pull that fails to log a row it changed shows up; its
+feasible ids must be those of its mask, and its totals, bit for bit,
+``weighted_totals`` of its scores under the weights they were computed for.
 """
 from dataclasses import replace
 
@@ -24,6 +26,7 @@ from tests import scoring_oracle
 from tests.conftest import make_function
 
 BYTES = st.sampled_from([0.0, 1e6, 1e8, 3e9, 1e12]) | st.floats(0.0, 1e10)
+WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=sched.N_WEIGHTS, max_size=sched.N_WEIGHTS)
 
 
 @st.composite
@@ -51,11 +54,9 @@ def sessions(draw):
         st.tuples(st.just("image"), which_fn, node),
         st.tuples(st.just("clone")),
         st.tuples(st.just("reroute"), st.sampled_from([0.01, 0.5, 4.0])),
-        st.tuples(st.just("score"), which_fn, st.lists(node, max_size=2 * n)),
+        st.tuples(st.just("score"), which_fn, st.lists(node, max_size=2 * n), WEIGHTS),
         st.tuples(st.just("place"), which_fn,
-                  st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01]),
-                  st.lists(st.floats(0.0, 1.0), min_size=sched.N_WEIGHTS,
-                           max_size=sched.N_WEIGHTS),
+                  st.sampled_from([1.0, 0.75, 0.5, 0.2, 0.01]), WEIGHTS,
                   st.integers(0, 2**16)),
     ), min_size=1, max_size=40))
     return spec, functions, ops
@@ -71,6 +72,8 @@ def assert_tables_current(cluster):
         assert np.array_equal(table.feasible[current],
                               scoring_oracle.feasible_mask(fn, cluster)[current])
         assert np.array_equal(table.ids, np.flatnonzero(table.feasible))
+        weights = np.frombuffer(table.weights)
+        assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,17 +95,24 @@ def test_scorer_matches_oracle(session):
             cluster = replace(cluster, registry_bw=cluster.registry_bw * args[0],
                               store_bw=cluster.store_bw * args[0])
         elif op == "score":
-            fn, ids = functions[args[0]], args[1]
-            got = sched.score_nodes(sched._score_table(fn, cluster).scores, ids)
+            fn, ids, weights = functions[args[0]], np.array(args[1], dtype=int), np.array(args[2])
+            table = sched._score_table(fn, cluster, weights)
+            got = table.scores.take(ids, axis=0)
             want = scoring_oracle.score_nodes(fn, ids, cluster)
             assert got.shape == want.shape == (len(ids), sched.N_WEIGHTS)
             assert got.dtype == want.dtype
             assert got.flags.c_contiguous and want.flags.c_contiguous
             assert np.array_equal(got, want)
+            assert sched.score_nodes(table, ids).tobytes() \
+                == sched.weighted_totals(want, weights).tobytes()
         else:
-            fn, pct, weights, seed = functions[args[0]], args[1], args[2], args[3]
+            fn, pct, weights, seed = functions[args[0]], args[1], np.array(args[2]), args[3]
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sched.place(fn, cluster, np.array(weights), pct, rng) \
-                == scoring_oracle.place(fn, cluster, np.array(weights), pct, oracle_rng)
+            assert sched.place(fn, cluster, weights, pct, rng) \
+                == scoring_oracle.place(fn, cluster, weights, pct, oracle_rng)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # The same array changed in place is a second weight vector.
+            weights[:] = 1.0 - weights
+            table = sched._score_table(fn, cluster, weights)
+            assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
         assert_tables_current(cluster)

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +337,26 @@ def test_an_arrival_that_starts_service_at_once_still_runs_the_scale_check(monke
     # each start at once on the replica the arrival before them added.
     assert [p.time_s for p in res.placements] == [0.0, 0.02, 0.03, 0.05, 0.06]
     assert [p.pod for p in res.placements] == [f"slow-{k}" for k in range(5)]
+
+
+def test_an_arrival_takes_the_lowest_index_idle_replica(monkeypatch):
+    # Replicas 0, 1 and 2 sit on an rpi3, an rpi4 and a xeon (speed factors
+    # 12, 8 and 1), so after one request each they go idle in the order 2,
+    # 1, 0.  A request at 10 s, with 1 and 2 idle, must join replica 1 (the
+    # lowest index), not replica 2, the one that went idle first.
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 9))
+    assert [c.nodes[n].device.name for n in (3, 4, 0)] == ["rpi3", "rpi4", "xeon_cpu"]
+    nodes = iter([3, 4, 0])
+    monkeypatch.setattr(se, "place", lambda *args: next(nodes))
+    fn = replace(make_function(name="f", image_bytes=0.0, dataset_bytes=0.0), image_name="")
+    reqs = [(0.0, 0), (0.0, 0), (0.0, 0), (10.0, 0)]
+    opts = se.SimOptions(min_replicas=3, max_replicas=3)
+    res = se.simulate_requests(c, _only(fn), reqs, sched.FIXED_WEIGHTS, opts)
+    s0, s1, s2 = (12.0 + 0.002, 8.0 + 0.002, 1.0 + 0.002)
+    fm = res.metrics.per_function["f"]
+    assert (fm.n_success, fm.mu_wait_s) == (4, 0.0)
+    # Completions at s2, s1, s0, then 10 + s1.
+    assert fm.mu_fet_s == (((s2 + s1) + s0) + s1) / 4
 
 
 MD1_SEEDS = range(8)
