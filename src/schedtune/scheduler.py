@@ -112,8 +112,7 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
     Images are never evicted, so a refreshed row's column 7 only ever turns
     to 1.0; the feasible ids are rebuilt only when a refreshed node's
     feasibility changed.  All totals are computed on the first read and when
-    the weights' bytes change: another array, or one changed in place, gets
-    fresh totals.
+    the weights' bytes change, so an array changed in place gets fresh ones.
     """
     table = cluster.score_tables.get(fn)
     if table is None:

@@ -252,7 +252,7 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
         else:   # the last replica at the lowest load took it
             fs.low, fs.n_low = low + 1, loads.count(low + 1)
         rep = fs.replicas[k]
-        if not low:
+        if low == 0:   # the replica was idle: the request starts now
             service_s = rep.service_s
             if rep.cold_s is not None:
                 # The first request pulls the image unless the node holds
