@@ -453,6 +453,25 @@ def _set_all(entries, field, value):
         entry[field] = value
 
 
+def _edge_tpu_sums_to_0_9(payload):
+    payload["presets"]["edge_tpu"]["coral_devboard"] = 0.25
+
+
+def write_data_dir(tmp_path, file_name=None, edit=None):
+    """A copy of the packaged data files, with ``edit`` applied to
+    ``file_name``'s payload (its return value, if any, replaces it)."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("devices.json", "presets.json", "functions.json"):
+        payload = json.loads((data_dir() / name).read_text())
+        if name == file_name:
+            payload = edit(payload) or payload
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode()
+        (data / name).write_bytes(payload)
+    return data
+
+
 @pytest.mark.parametrize("file_name, edit, where", [
     ("functions.json", lambda p: _drop(p["functions"][0], "image_name"),
      "functions[0].image_name: missing"),
@@ -488,18 +507,24 @@ def _set_all(entries, field, value):
     # A file that is not UTF-8 fails as one error, not a decoding traceback.
     ("devices.json", lambda p: b"\xff" + json.dumps(p).encode(), "not UTF-8 text (byte 0"),
     ("functions.json", lambda p: json.dumps(p).encode("utf-16"), "not UTF-8 text (byte 0"),
+    # Every preset is checked when the data is loaded, not when a scenario
+    # draws it: a train-mode run never draws edge_tpu.
+    ("presets.json", _edge_tpu_sums_to_0_9, "presets.edge_tpu: fractions sum to 0.9, expected 1"),
+    ("presets.json", lambda p: p["presets"]["edge_tpu"].update(coral_devboard=1.5),
+     "presets.edge_tpu.coral_devboard: expected a fraction in [0, 1], got 1.5"),
+    ("presets.json", lambda p: p["presets"]["edge_tpu"].update(
+        tpu_pod=p["presets"]["edge_tpu"].pop("coral_devboard")),
+     "presets.edge_tpu.tpu_pod: unknown device"),
+    ("presets.json", lambda p: _drop(p["presets"], "edge_tpu"), "presets.edge_tpu: missing"),
+    # Names are unique per file.
+    ("devices.json", lambda p: p["devices"].append(dict(p["devices"][0])),
+     "devices[9].name: duplicate name 'xeon_cpu'"),
+    ("functions.json", lambda p: p["functions"].append(dict(p["functions"][0])),
+     "functions[8].name: duplicate name 'resnet50_training'"),
 ])
 def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
                                                         file_name, edit, where):
-    data = tmp_path / "data"
-    data.mkdir()
-    for name in ("devices.json", "presets.json", "functions.json"):
-        payload = json.loads((data_dir() / name).read_text())
-        if name == file_name:
-            payload = edit(payload) or payload
-        if not isinstance(payload, bytes):
-            payload = json.dumps(payload).encode()
-        (data / name).write_bytes(payload)
+    data = write_data_dir(tmp_path, file_name, edit)
     config = write_config(tmp_path, env_kind="faas", mode="train",
                           duration_s=20.0, data_dir=str(data))
     assert main(["simulate", "--config", config, "--out",
@@ -507,3 +532,21 @@ def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{file_name}: {where}" in err
+
+
+@pytest.mark.parametrize("command, settings", [
+    (["tune", "--method", "random"], {"mode": "test", "n_scenarios": 12}),
+    (["train-agent"], {"mode": "train", "total_env_steps": 8, "num_envs": 1,
+                       "hidden": [8], "batch_size": 4, "start_steps": 4,
+                       "eval_every": 4, "n_eval_seeds": 1}),
+])
+def test_a_broken_preset_fails_before_any_work(tmp_path, capsys, command, settings):
+    data = write_data_dir(tmp_path, "presets.json", _edge_tpu_sums_to_0_9)
+    config = write_config(tmp_path, env_kind="faas", duration_s=20.0,
+                          data_dir=str(data), **settings)
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'presets.json'}: presets.edge_tpu: fractions sum to 0.9, "
+        f"expected 1\n")
+    assert not out.exists()

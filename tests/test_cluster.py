@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,37 @@ def test_build_is_pure_function_of_spec():
         for name in ("alloc_cpu", "registry_latency", "registry_bw",
                      "store_latency", "store_bw"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+# SHA-256 over every built array and each node's device name, per preset, for
+# both topologies at 1, 37 and 400 nodes with the seed 1000 + nodes.
+PINNED_CLUSTER_SHA256 = {
+    "cloud_cpu": "8937fcde45c982ec6bd385ab9544eb384e06b67f7d31b815595da2789e5b967b",
+    "cloud_gpu": "c27aaa57d2b168db367e4da1fc70d24c424faa29556a1789dcb8dd108d29a39c",
+    "edge_cloudlet": "b41d81bae0ab104326575017d22e3e4d06f0f3331fde3cd3576a6b7acfb6acca",
+    "edge_gpu": "045fcec148c6a30711d6ea09a0548037a1e18aa1daf4d54c8f4809a1b3e40fa4",
+    "edge_sbc": "32b7943f1dde9bcbe02438beffd4ca08be19dd904b8a77d1bc226743e6a90976",
+    "edge_tpu": "df5af63c9ab78e239ec7accd932f999cfb50cde5df8993b512a82ccf790157a5",
+    "hybrid_balanced": "8d8ac012e653ec3d8f83fda5e39d9e62998641fdb593517952f073895f8a7237",
+    "hybrid_balanced_jetson":
+        "9796dcc07ed64d3d059e76db1c3d26b4f3264e9f21aa3482115fb87433e28e57",
+}
+
+
+@pytest.mark.parametrize("preset", cl.PRESETS)
+def test_built_clusters_are_pinned(preset):
+    digest = hashlib.sha256()
+    for topology in cl.TOPOLOGY_KINDS:
+        for n in (1, 37, 400):
+            c = cl.build_cluster(cl.ClusterSpec(preset, n, topology, seed=1000 + n))
+            for name in ("capacity_cpu", "capacity_mem", "alloc_cpu", "alloc_mem",
+                         "locality_code", "accel_code", "registry_latency",
+                         "registry_bw", "store_latency", "store_bw"):
+                arr = getattr(c, name)
+                digest.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            digest.update(" ".join(nd.device.name for nd in c.nodes).encode())
+    assert digest.hexdigest() == PINNED_CLUSTER_SHA256[preset]
 
 
 def test_node_capacity_matches_device_class(small_cluster):

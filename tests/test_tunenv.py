@@ -1,11 +1,14 @@
 """Episode protocol, reward shape, observation layout, scenario sampling."""
 import hashlib
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schedtune import data
 from schedtune.cluster import PRESETS
 from schedtune.errors import ConfigError, ProtocolError
 from schedtune.scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
@@ -382,6 +385,45 @@ def test_faas_env_rejects_bad_configuration():
         ScriptedEnv(0.5, [0.6], n_steps=0)
     with pytest.raises(ConfigError, match="unknown mask level 'partial'"):
         ScriptedEnv(0.5, [0.6], mask_level="partial")
+
+
+def _record_reads(monkeypatch) -> list[Path]:
+    """Every path ``data.read_json`` opens from now on, in order."""
+    paths, real = [], data.read_json
+
+    def recording(path, what):
+        paths.append(Path(path))
+        return real(path, what)
+
+    monkeypatch.setattr(data, "read_json", recording)
+    return paths
+
+
+DATA_FILES = ("devices.json", "functions.json", "presets.json")
+
+
+def test_a_reset_reads_no_data_file(monkeypatch):
+    reads = _record_reads(monkeypatch)
+    env = FaasTuningEnv(mode="train", duration_s=20)
+    assert sorted(path.name for path in reads) == list(DATA_FILES)
+    reads.clear()
+    for seed in range(5):
+        env.reset(seed)
+    assert reads == []
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_the_data_dir_setting_wins_over_the_environment_variable(tmp_path, monkeypatch,
+                                                                 explicit):
+    from_env, configured = tmp_path / "from_env", tmp_path / "configured"
+    shutil.copytree(data.data_dir(), from_env)
+    shutil.copytree(data.data_dir(), configured)
+    monkeypatch.setenv(data.DATA_DIR_ENV, str(from_env))
+    reads = _record_reads(monkeypatch)
+    FaasTuningEnv(data_dir=str(configured) if explicit else None)
+    expected = configured if explicit else from_env
+    assert sorted(reads) == [expected / name for name in DATA_FILES]
+
 
 
 # SHA-256 over every observation and reward below; any change to the static
