@@ -46,12 +46,7 @@ from .report import (
 from .scheduler import FIXED_WEIGHTS
 from .simengine import run_benchmark
 from .synthfuncs import SyntheticTuningEnv
-from .tunenv import (
-    FaasTuningEnv,
-    VectorEnv,
-    default_space_set,
-    sample_scenario,
-)
+from .tunenv import FaasTuningEnv, VectorEnv, sample_scenario
 
 TUNE_METHODS = tuple(sorted(OPTIMIZERS)) + ("agent",)
 
@@ -145,13 +140,14 @@ def cmd_simulate(args) -> int:
     if config.env_kind != "faas":
         raise ConfigError(f"env_kind: simulate runs the FaaS cluster, got "
                           f"{config.env_kind!r}")
+    env = make_env(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    scenario = sample_scenario(default_space_set(), config.mode, rng,
+    scenario = sample_scenario(env.space, config.mode, rng,
                                duration_s=config.duration_s,
-                               data_dir=config.data_dir)
-    cluster = build_cluster(scenario.cluster_spec, config.data_dir)
+                               functions=env.functions)
+    cluster = build_cluster(scenario.cluster_spec, env.presets)
     result = run_benchmark(cluster, scenario.workload, FIXED_WEIGHTS,
                            scenario.options)
     path = out_dir / "runrecords.csv"
@@ -196,9 +192,10 @@ def cmd_tune(args) -> int:
 
 def cmd_train_agent(args) -> int:
     config = _config_of(args)
+    vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
+    eval_env = make_env(replace(config, mode="test"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
     agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),
                      seed=args.seed)
     checkpoint = out_dir / "agent.ckpt"
@@ -212,7 +209,7 @@ def cmd_train_agent(args) -> int:
 
     train_agent(
         agent, vec, total_env_steps=config.total_env_steps, seed=args.seed,
-        eval_env=make_env(replace(config, mode="test")),
+        eval_env=eval_env,
         eval_seeds=scenario_seeds(args.seed + 1, config.n_eval_seeds),
         eval_every=config.eval_every,
         checkpoint_path=checkpoint,

@@ -201,42 +201,35 @@ class Cluster:
         return twin
 
 
-def load_device_catalog(data_dir=None) -> dict[str, DeviceClass]:
-    payload = _data.load_json("devices.json", data_dir)
-    catalog = {}
-    for entry in payload["devices"]:
-        dev = DeviceClass(
-            name=entry["name"],
-            cpu_cores=entry["cpu_cores"],
-            speed_factor=entry["speed_factor"],
-            memory_mb=entry["memory_mb"],
-            accelerator=entry["accelerator"],
-            locality=entry["locality"],
-        )
-        catalog[dev.name] = dev
-    return catalog
-
-
-def preset_distribution(preset: str, data_dir=None) -> dict[str, float]:
-    """Fraction of each device class for a named preset; fractions sum to 1."""
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}, expected one of {PRESETS}")
-    payload = _data.load_json("presets.json", data_dir)
-    try:
-        dist = payload["presets"][preset]
-    except KeyError as exc:
-        raise ConfigError(f"preset {preset!r} missing from presets.json") from exc
-    devices = load_device_catalog(data_dir)
-    total = 0.0
-    for name, frac in dist.items():
-        if name not in devices:
-            raise ConfigError(f"preset {preset!r} references unknown device {name!r}")
-        if not 0.0 <= frac <= 1.0:
-            raise ConfigError(f"preset {preset!r}: fraction for {name!r} outside [0, 1]")
-        total += frac
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"preset {preset!r}: fractions sum to {total}, expected 1")
-    return dict(dist)
+def load_presets(data_dir=None) -> dict[str, tuple[tuple[DeviceClass, float], ...]]:
+    """Each preset's (device class, fraction) pairs in file order, from one
+    read of ``devices.json`` and ``presets.json``.  Every preset in PRESETS
+    is checked here, whether or not a scenario ever draws it: it must be
+    present, name known devices only, and have fractions in [0, 1] that sum
+    to 1."""
+    directory = _data.data_dir(data_dir)
+    devices = {entry["name"]: DeviceClass(
+        entry["name"], entry["cpu_cores"], entry["speed_factor"], entry["memory_mb"],
+        entry["accelerator"], entry["locality"])
+        for entry in _data.load_json("devices.json", directory)["devices"]}
+    table = _data.load_json("presets.json", directory)["presets"]
+    presets = {}
+    for preset in PRESETS:
+        where = f"{directory / 'presets.json'}: presets.{preset}"
+        if preset not in table:
+            raise ConfigError(f"{where}: missing")
+        dist = table[preset]
+        for name, frac in dist.items():
+            if name not in devices:
+                raise ConfigError(f"{where}.{name}: unknown device")
+            if not 0.0 <= frac <= 1.0:
+                raise ConfigError(
+                    f"{where}.{name}: expected a fraction in [0, 1], got {frac!r}")
+        total = math.fsum(dist.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"{where}: fractions sum to {total:.12g}, expected 1")
+        presets[preset] = tuple((devices[name], frac) for name, frac in dist.items())
+    return presets
 
 
 def largest_remainder_counts(fractions: list[float], total: int) -> list[int]:
@@ -273,17 +266,16 @@ def _layer_path(links, node_layer: int, store_layer: int) -> tuple[float, float]
     return latency, min(bw for _, bw in hops)
 
 
-def build_cluster(spec: ClusterSpec, data_dir=None) -> Cluster:
-    """Materialize a cluster from a spec.  Pure function of the spec."""
-    devices = load_device_catalog(data_dir)
-    dist = preset_distribution(spec.preset, data_dir)
-    names = list(dist.keys())
-    counts = largest_remainder_counts([dist[n] for n in names], spec.total_nodes)
+def build_cluster(spec: ClusterSpec, presets=None) -> Cluster:
+    """Materialize a cluster from a spec.  Pure function of the spec and
+    ``presets``, which defaults to a fresh :func:`load_presets`."""
+    pairs = (load_presets() if presets is None else presets)[spec.preset]
+    counts = largest_remainder_counts([frac for _, frac in pairs], spec.total_nodes)
 
     nodes = []
-    for name, count in zip(names, counts):
+    for (device, _), count in zip(pairs, counts):
         for _ in range(count):
-            nodes.append(Node(len(nodes), devices[name]))
+            nodes.append(Node(len(nodes), device))
 
     # Layer index per node: cloud devices and every internet node sit on the
     # top layer; each urban edge device draws metro (0) or edge (1), in node

@@ -5,10 +5,10 @@ package under ``schedtune/data``.  An alternative directory can be selected
 with the ``SCHEDTUNE_DATA_DIR`` environment variable or an explicit path,
 which makes it easy to run experiments against modified calibrations without
 touching the installed package.  Loading checks the type of every field the
-loaders read, and that every number is finite as a float (JSON parsing
-accepts ``NaN`` and ``Infinity``), so a malformed file fails with one error
-naming the file and the field path (``functions.json:
-functions[0].image_name: missing``).
+loaders read, that every number is finite as a float (JSON parsing
+accepts ``NaN`` and ``Infinity``) and that no two devices or functions share
+a name, so a malformed file fails with one error naming the file and the
+field path (``functions.json: functions[0].image_name: missing``).
 """
 from __future__ import annotations
 
@@ -88,10 +88,14 @@ def load_json(name: str, override: str | os.PathLike | None = None) -> dict:
             for device, frac in _check(dist, dict, f"{where}.{preset}").items():
                 _check(frac, _NUMBER, f"{where}.{preset}.{device}")
     else:
+        names = set()
         for i, entry in enumerate(_check(payload.get(key, _MISSING), list, where)):
             _check(entry, dict, f"{where}[{i}]")
             for field, kind in fields.items():
                 _check(entry.get(field, _MISSING), kind, f"{where}[{i}].{field}")
+            if entry["name"] in names:
+                raise ConfigError(f"{where}[{i}].name: duplicate name {entry['name']!r}")
+            names.add(entry["name"])
     return payload
 
 

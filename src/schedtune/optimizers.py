@@ -15,7 +15,6 @@ best good-to-bad density ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,38 +23,34 @@ from .tunenv import TuningEnv, TuningEpisode
 
 _SQRT2 = math.sqrt(2.0)
 
+# Surrogate and acquisition of the Bayesian optimizer.
+GP_LENGTHSCALE = 0.5
+GP_SIGNAL_VAR = 1.0
+GP_NOISE_VAR = 1e-6
+UCB_BETA = 0.5
+BO_CANDIDATES = 2048
+
+# Good-set fraction, candidates per suggestion and Parzen bandwidth floor of
+# the TPE optimizer.
+TPE_GAMMA = 0.25
+TPE_CANDIDATES = 24
+TPE_BANDWIDTH_FLOOR = 1e-3
+
 
 def suggest_random(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=dim)
 
 
-@dataclass(frozen=True)
-class GpParams:
-    """Surrogate and acquisition settings for the Bayesian optimizer."""
-
-    lengthscale: float = 0.5
-    signal_var: float = 1.0
-    noise_var: float = 1e-6
-    ucb_beta: float = 0.5
-    n_candidates: int = 2048
-
-    def __post_init__(self):
-        if self.lengthscale <= 0 or self.signal_var <= 0 or self.noise_var <= 0:
-            raise ConfigError("kernel parameters must be positive")
-        if self.n_candidates < 1:
-            raise ConfigError("need at least one acquisition candidate")
-
-
-def se_kernel(a: np.ndarray, b: np.ndarray, params: GpParams) -> np.ndarray:
+def se_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared-exponential Gram matrix between row sets a and b."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return params.signal_var * np.exp(-sq / (2.0 * params.lengthscale**2))
+    return GP_SIGNAL_VAR * np.exp(-sq / (2.0 * GP_LENGTHSCALE**2))
 
 
-def gp_posterior(x_obs: np.ndarray, y_obs: np.ndarray, x_query: np.ndarray,
-                 params: GpParams = GpParams()) -> tuple[np.ndarray, np.ndarray]:
+def gp_posterior(x_obs: np.ndarray, y_obs: np.ndarray,
+                 x_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at query points, via Cholesky solves.
 
     Scores are centered on their mean before conditioning, so the returned
@@ -66,46 +61,32 @@ def gp_posterior(x_obs: np.ndarray, y_obs: np.ndarray, x_query: np.ndarray,
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     if y_obs.size == 0:
-        return np.zeros(len(x_query)), np.full(len(x_query), params.signal_var)
+        return np.zeros(len(x_query)), np.full(len(x_query), GP_SIGNAL_VAR)
     x_obs = np.atleast_2d(np.asarray(x_obs, dtype=float))
     if x_obs.shape[0] != y_obs.shape[0]:
         raise ConfigError("x_obs and y_obs must have matching lengths")
-    gram = se_kernel(x_obs, x_obs, params)
-    gram[np.diag_indices_from(gram)] += params.noise_var
+    gram = se_kernel(x_obs, x_obs)
+    gram[np.diag_indices_from(gram)] += GP_NOISE_VAR
     chol = np.linalg.cholesky(gram)
     centered = y_obs - y_obs.mean()
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, centered))
-    cross = se_kernel(x_query, x_obs, params)
+    cross = se_kernel(x_query, x_obs)
     mean = cross @ alpha
     half = np.linalg.solve(chol, cross.T)
-    var = np.maximum(params.signal_var - (half**2).sum(axis=0), 0.0)
+    var = np.maximum(GP_SIGNAL_VAR - (half**2).sum(axis=0), 0.0)
     return mean, var
 
 
 def suggest_bo(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator,
-               dim: int = 8, params: GpParams = GpParams()) -> np.ndarray:
+               dim: int = 8) -> np.ndarray:
     """Maximize mean + beta * std over uniform candidates in the unit box."""
-    candidates = rng.uniform(0.0, 1.0, size=(params.n_candidates, dim))
-    mean, var = gp_posterior(x_obs, y_obs, candidates, params)
-    ucb = mean + params.ucb_beta * np.sqrt(var)
+    candidates = rng.uniform(0.0, 1.0, size=(BO_CANDIDATES, dim))
+    mean, var = gp_posterior(x_obs, y_obs, candidates)
+    ucb = mean + UCB_BETA * np.sqrt(var)
     return candidates[int(np.argmax(ucb))]
 
 
-@dataclass(frozen=True)
-class TpeParams:
-    gamma: float = 0.25
-    n_candidates: int = 24
-    n_startup: int = 1
-    bandwidth_floor: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("gamma must lie in (0, 1)")
-        if self.n_candidates < 1 or self.n_startup < 0:
-            raise ConfigError("candidate and startup counts must be sensible")
-
-
-def _parzen_components(locs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _parzen_components(locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Component centers and bandwidths for a 1-D Parzen window on [0, 1].
 
     Each component's bandwidth is the larger distance to its neighboring
@@ -120,7 +101,7 @@ def _parzen_components(locs: np.ndarray, floor: float) -> tuple[np.ndarray, np.n
         sigmas[0] = gaps[0]
         sigmas[-1] = gaps[-1]
         np.maximum(gaps[:-1], gaps[1:], out=sigmas[1:-1])
-    return mus, np.minimum(np.maximum(sigmas, floor), 1.0)
+    return mus, np.minimum(np.maximum(sigmas, TPE_BANDWIDTH_FLOOR), 1.0)
 
 
 def _truncnorm_z(mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -161,35 +142,36 @@ def _parzen_sample(rng: np.random.Generator, mus: np.ndarray, sigmas: np.ndarray
 
 
 def suggest_tpe(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator,
-                dim: int = 8, params: TpeParams = TpeParams()) -> np.ndarray:
+                dim: int = 8) -> np.ndarray:
     """Propose the candidate maximizing the good/bad density ratio.
 
-    The top ceil(gamma * n) observations by score form the good set.  With
-    no bad observations the bad density is uniform, so the ratio reduces to
-    the good density alone.
+    With no observations the suggestion is uniform.  Otherwise the top
+    ceil(gamma * n) observations by score form the good set.  With no bad
+    observations the bad density is uniform, so the ratio reduces to the
+    good density alone.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     n = y_obs.size
-    if n < max(params.n_startup, 1):
+    if n == 0:
         return suggest_random(rng, dim)
     x_obs = np.atleast_2d(np.asarray(x_obs, dtype=float))
     if x_obs.shape != (n, dim):
         raise ConfigError("x_obs must be an (n, dim) array matching y_obs")
-    n_good = math.ceil(params.gamma * n)
+    n_good = math.ceil(TPE_GAMMA * n)
     order = np.argsort(-y_obs, kind="stable")
     good = x_obs[order[:n_good]]
     bad = x_obs[order[n_good:]]
 
-    candidates = np.empty((params.n_candidates, dim))
-    log_ratio = np.zeros(params.n_candidates)
+    candidates = np.empty((TPE_CANDIDATES, dim))
+    log_ratio = np.zeros(TPE_CANDIDATES)
     for d in range(dim):
-        g_mus, g_sig = _parzen_components(good[:, d], params.bandwidth_floor)
+        g_mus, g_sig = _parzen_components(good[:, d])
         g_z = _truncnorm_z(g_mus, g_sig)
-        col = _parzen_sample(rng, g_mus, g_sig, params.n_candidates)
+        col = _parzen_sample(rng, g_mus, g_sig, TPE_CANDIDATES)
         candidates[:, d] = col
         log_ratio += np.log(np.maximum(_parzen_pdf(col, g_mus, g_sig, g_z), 1e-300))
         if len(bad) > 0:
-            b_mus, b_sig = _parzen_components(bad[:, d], params.bandwidth_floor)
+            b_mus, b_sig = _parzen_components(bad[:, d])
             b_z = _truncnorm_z(b_mus, b_sig)
             log_ratio -= np.log(np.maximum(_parzen_pdf(col, b_mus, b_sig, b_z), 1e-300))
     return candidates[int(np.argmax(log_ratio))]
@@ -237,23 +219,15 @@ class RandomSearchOptimizer(Optimizer):
 
 
 class BoOptimizer(Optimizer):
-    def __init__(self, dim: int = 8, params: GpParams = GpParams()):
-        super().__init__(dim)
-        self.params = params
-
     def suggest(self, rng: np.random.Generator) -> np.ndarray:
         x, y = self.history
-        return suggest_bo(x, y, rng, self.dim, self.params)
+        return suggest_bo(x, y, rng, self.dim)
 
 
 class TpeOptimizer(Optimizer):
-    def __init__(self, dim: int = 8, params: TpeParams = TpeParams()):
-        super().__init__(dim)
-        self.params = params
-
     def suggest(self, rng: np.random.Generator) -> np.ndarray:
         x, y = self.history
-        return suggest_tpe(x, y, rng, self.dim, self.params)
+        return suggest_tpe(x, y, rng, self.dim)
 
 
 OPTIMIZERS = {

@@ -28,11 +28,12 @@ from operator import add
 
 import numpy as np
 
-from .cluster import PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_cluster
+from .cluster import (PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_cluster,
+                      load_presets)
 from .errors import ConfigError, ProtocolError, UnschedulableError
 from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
 from .simengine import SimOptions, run_benchmark
-from .workload import WorkloadSpec, catalog, train_catalog
+from .workload import TRAIN_FUNCTION_NAMES, FunctionSpec, WorkloadSpec, catalog
 
 EPS_REWARD = 1e-6
 DEFAULT_N_STEPS = 4
@@ -166,14 +167,19 @@ class Scenario:
 
 
 def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
-                    duration_s: float = 100.0, data_dir=None) -> Scenario:
-    """Draw one scenario uniformly from the mode's domain space."""
+                    duration_s: float = 100.0,
+                    functions: list[FunctionSpec] | None = None) -> Scenario:
+    """Draw one scenario uniformly from the mode's domain space, over
+    ``functions`` (a fresh :func:`catalog` by default); train mode draws only
+    the training functions."""
     dom = space.domain(mode)
     presets = TRAIN_PRESETS if mode == "train" else PRESETS
     preset = presets[dom["cluster_preset"].sample_int(rng)]
     topology = TOPOLOGY_KINDS[dom["topology"].sample_int(rng)]
     num_nodes = dom["num_nodes"].sample_int(rng)
-    pool = train_catalog(data_dir) if mode == "train" else catalog(data_dir)
+    pool = catalog() if functions is None else functions
+    if mode == "train":
+        pool = [fn for fn in pool if fn.name in TRAIN_FUNCTION_NAMES]
     num_functions = min(dom["num_functions"].sample_int(rng), len(pool))
     chosen = sorted(rng.choice(len(pool), size=num_functions, replace=False))
     rps_total = dom["requests_per_second"].sample(rng)
@@ -356,7 +362,8 @@ FAAS_COARSE_INDICES = tuple(
 
 
 class FaasTuningEnv(TuningEnv):
-    """Weight tuning over full cluster benchmark runs."""
+    """Weight tuning over full cluster benchmark runs.  The presets and the
+    function catalog are read and checked once, here; resets read no file."""
 
     def __init__(self, mode: str = "train", mask_level: str = "full",
                  n_steps: int = DEFAULT_N_STEPS, duration_s: float = 100.0,
@@ -366,7 +373,6 @@ class FaasTuningEnv(TuningEnv):
         self.space = default_space_set()
         self.mode = mode
         self.duration_s = duration_s
-        self.data_dir = data_dir
         self.scenario: Scenario | None = None
         super().__init__(
             static_dim=len(FAAS_STATIC_NAMES),
@@ -375,6 +381,8 @@ class FaasTuningEnv(TuningEnv):
             n_steps=n_steps,
             mask_level=mask_level,
         )
+        self.presets = load_presets(data_dir)
+        self.functions = catalog(data_dir)
 
     def _static_features(self, scenario: Scenario) -> np.ndarray:
         spec = scenario.cluster_spec
@@ -404,8 +412,8 @@ class FaasTuningEnv(TuningEnv):
     def _begin_episode(self, rng: np.random.Generator):
         scenario = sample_scenario(self.space, self.mode, rng,
                                    duration_s=self.duration_s,
-                                   data_dir=self.data_dir)
-        cluster = build_cluster(scenario.cluster_spec, self.data_dir)
+                                   functions=self.functions)
+        cluster = build_cluster(scenario.cluster_spec, self.presets)
         self.scenario = scenario
 
         def evaluate(weights: np.ndarray) -> float:

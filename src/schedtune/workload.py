@@ -103,10 +103,6 @@ def catalog(data_dir=None) -> list[FunctionSpec]:
     return out
 
 
-def train_catalog(data_dir=None) -> list[FunctionSpec]:
-    return [fn for fn in catalog(data_dir) if fn.name in TRAIN_FUNCTION_NAMES]
-
-
 def execution_seconds(fn: FunctionSpec, device: DeviceClass) -> float:
     """Pure compute time of one request on one device class."""
     t = fn.base_exec_s * device.speed_factor

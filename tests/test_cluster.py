@@ -21,17 +21,23 @@ def test_device_catalog_covers_nine_classes(device_catalog):
         assert dev.locality in cl.LOCALITIES
 
 
+def _fractions(preset):
+    return {device.name: frac for device, frac in cl.load_presets()[preset]}
+
+
 def test_preset_distributions_sum_to_one():
-    for preset in cl.PRESETS:
-        dist = cl.preset_distribution(preset)
-        assert abs(sum(dist.values()) - 1.0) < 1e-9
-        assert all(0.0 <= f <= 1.0 for f in dist.values())
+    presets = cl.load_presets()
+    assert tuple(presets) == cl.PRESETS
+    for pairs in presets.values():
+        fracs = [frac for _, frac in pairs]
+        assert abs(sum(fracs) - 1.0) < 1e-9
+        assert all(0.0 <= f <= 1.0 for f in fracs)
 
 
 def test_pinned_preset_fractions():
-    assert cl.preset_distribution("cloud_cpu")["xeon_cpu"] == 0.71
-    assert cl.preset_distribution("cloud_gpu")["xeon_gpu"] == 0.70
-    assert cl.preset_distribution("edge_sbc")["nvidia_tx2"] == 0.0
+    assert _fractions("cloud_cpu")["xeon_cpu"] == 0.71
+    assert _fractions("cloud_gpu")["xeon_gpu"] == 0.70
+    assert _fractions("edge_sbc")["nvidia_tx2"] == 0.0
 
 
 def test_cloud_cpu_hundred_nodes_gives_71_xeons():
@@ -44,7 +50,7 @@ def test_cloud_cpu_hundred_nodes_gives_71_xeons():
 def test_single_node_cluster_uses_largest_fraction_class():
     for preset in cl.PRESETS:
         c = cl.build_cluster(cl.ClusterSpec(preset, 1))
-        dist = cl.preset_distribution(preset)
+        dist = _fractions(preset)
         best = max(dist, key=lambda k: (dist[k], -list(dist).index(k)))
         assert c.n_nodes == 1
         assert c.nodes[0].device.name == best

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from schedtune.errors import ConfigError, ProtocolError
 from schedtune.optimizers import (
+    BO_CANDIDATES,
+    GP_LENGTHSCALE,
+    GP_NOISE_VAR,
+    GP_SIGNAL_VAR,
+    TPE_BANDWIDTH_FLOOR,
+    UCB_BETA,
     BoOptimizer,
     FixedOptimizer,
-    GpParams,
     RandomSearchOptimizer,
     TpeOptimizer,
-    TpeParams,
     _parzen_components,
     _parzen_pdf,
     _truncnorm_z,
@@ -35,29 +39,28 @@ from test_tunenv import ScriptedEnv
 
 # -- reference implementations, deliberately written differently -----------
 
-def oracle_posterior(x_obs, y_obs, x_query, params):
+def oracle_posterior(x_obs, y_obs, x_query):
     """Dense-solve GP posterior: no Cholesky, no centering shortcuts."""
     def kern(a, b):
         out = np.empty((len(a), len(b)))
         for i in range(len(a)):
             for j in range(len(b)):
                 d2 = float(np.sum((a[i] - b[j]) ** 2))
-                out[i, j] = params.signal_var * math.exp(
-                    -d2 / (2.0 * params.lengthscale**2))
+                out[i, j] = GP_SIGNAL_VAR * math.exp(-d2 / (2.0 * GP_LENGTHSCALE**2))
         return out
 
-    gram = kern(x_obs, x_obs) + params.noise_var * np.eye(len(x_obs))
+    gram = kern(x_obs, x_obs) + GP_NOISE_VAR * np.eye(len(x_obs))
     centered = y_obs - np.mean(y_obs)
     weights = np.linalg.solve(gram, centered)
     cross = kern(x_query, x_obs)
     mean = cross @ weights
-    cov = kern(x_query, x_query) - cross @ np.linalg.solve(gram, cross.T)
-    return mean, np.maximum(np.diag(cov), 0.0)
+    prior = np.array([kern(q[None], q[None])[0, 0] for q in x_query])
+    var = prior - np.einsum("qn,nq->q", cross, np.linalg.solve(gram, cross.T))
+    return mean, np.maximum(var, 0.0)
 
 
 def test_gp_posterior_matches_dense_oracle():
     rng = np.random.default_rng(0)
-    params = GpParams()
     worst_mean, worst_var = 0.0, 0.0
     for _ in range(50):
         n = int(rng.integers(1, 13))
@@ -65,49 +68,52 @@ def test_gp_posterior_matches_dense_oracle():
         x_obs = rng.uniform(0, 1, (n, d))
         y_obs = rng.uniform(0, 1, n)
         x_query = rng.uniform(0, 1, (20, d))
-        mean, var = gp_posterior(x_obs, y_obs, x_query, params)
-        ref_mean, ref_var = oracle_posterior(x_obs, y_obs, x_query, params)
+        mean, var = gp_posterior(x_obs, y_obs, x_query)
+        ref_mean, ref_var = oracle_posterior(x_obs, y_obs, x_query)
         worst_mean = max(worst_mean, float(np.max(np.abs(mean - ref_mean))))
         worst_var = max(worst_var, float(np.max(np.abs(var - ref_var))))
     assert worst_mean < 1e-8
     assert worst_var < 1e-8
 
 
-def test_gp_posterior_interpolates_with_tiny_noise():
+def test_gp_posterior_interpolates_up_to_the_noise():
+    # At the observed points the mean misses the centered scores by exactly
+    # noise * alpha, where alpha = (K + noise I)^-1 y, and the variance of the
+    # latent function stays below the noise.
     rng = np.random.default_rng(1)
-    params = GpParams(noise_var=1e-8)
     x_obs = rng.uniform(0, 1, (6, 2))
     y_obs = rng.uniform(0, 1, 6)
-    mean, var = gp_posterior(x_obs, y_obs, x_obs, params)
-    assert np.max(np.abs(mean - (y_obs - y_obs.mean()))) < 1e-6
-    assert np.max(var) < 1e-6
+    mean, var = gp_posterior(x_obs, y_obs, x_obs)
+    centered = y_obs - y_obs.mean()
+    alpha = np.linalg.solve(se_kernel(x_obs, x_obs) + GP_NOISE_VAR * np.eye(6), centered)
+    miss = GP_NOISE_VAR * np.abs(alpha)
+    assert np.all(np.abs(mean - centered) <= 1.001 * miss + 1e-12)
+    assert np.all(np.abs(mean - centered) >= 0.999 * miss - 1e-12)
+    assert np.max(var) <= GP_NOISE_VAR
 
 
 def test_gp_posterior_prior_with_no_observations():
-    params = GpParams()
     mean, var = gp_posterior(np.empty((0, 4)), np.empty(0),
-                             np.random.default_rng(0).uniform(0, 1, (7, 4)),
-                             params)
+                             np.random.default_rng(0).uniform(0, 1, (7, 4)))
     assert np.array_equal(mean, np.zeros(7))
-    assert np.array_equal(var, np.full(7, params.signal_var))
+    assert np.array_equal(var, np.full(7, GP_SIGNAL_VAR))
 
 
 def test_gp_variance_shrinks_near_observations():
-    params = GpParams()
     x_obs = np.array([[0.5, 0.5]])
     y_obs = np.array([0.7])
     queries = np.array([[0.5, 0.5], [0.0, 1.0]])
-    _, var = gp_posterior(x_obs, y_obs, queries, params)
-    assert var[0] < var[1] < params.signal_var + 1e-12
+    _, var = gp_posterior(x_obs, y_obs, queries)
+    assert var[0] < var[1] < GP_SIGNAL_VAR + 1e-12
 
 
 def test_se_kernel_values():
-    params = GpParams(lengthscale=0.5, signal_var=1.0)
     a = np.array([[0.0, 0.0]])
     b = np.array([[0.0, 0.0], [0.5, 0.0]])
-    gram = se_kernel(a, b, params)
-    assert gram[0, 0] == 1.0
-    assert gram[0, 1] == pytest.approx(math.exp(-0.25 / 0.5), rel=1e-12)
+    gram = se_kernel(a, b)
+    assert gram[0, 0] == GP_SIGNAL_VAR
+    assert gram[0, 1] == pytest.approx(
+        GP_SIGNAL_VAR * math.exp(-0.25 / (2.0 * GP_LENGTHSCALE**2)), rel=1e-12)
 
 
 def test_suggest_fixed_matches_default_weights():
@@ -136,26 +142,29 @@ def test_suggest_bo_without_history_is_uniform_candidate():
     rng = np.random.default_rng(5)
     got = suggest_bo(np.empty((0, 3)), np.empty(0), rng, dim=3)
     # All candidates tie on the prior UCB, so argmax picks the first.
-    expected = np.random.default_rng(5).uniform(0, 1, (GpParams().n_candidates, 3))[0]
+    expected = np.random.default_rng(5).uniform(0, 1, (BO_CANDIDATES, 3))[0]
     assert np.array_equal(got, expected)
 
 
-def test_suggest_bo_beta_zero_picks_posterior_mean_argmax():
-    params = GpParams(ucb_beta=0.0, n_candidates=512)
-    x_obs = np.array([[0.2, 0.2], [0.2, 0.2]])
-    y_obs = np.array([0.9, 0.9])
-    got = suggest_bo(x_obs, y_obs, np.random.default_rng(6), dim=2, params=params)
-    cands = np.random.default_rng(6).uniform(0, 1, (512, 2))
-    mean, _ = oracle_posterior(x_obs, y_obs, cands, params)
-    assert np.array_equal(got, cands[int(np.argmax(mean))])
+def test_suggest_bo_picks_the_oracle_ucb_argmax():
+    x_obs = np.array([[0.2, 0.2], [0.7, 0.4], [0.5, 0.9]])
+    y_obs = np.array([0.9, 0.3, 0.6])
+    got = suggest_bo(x_obs, y_obs, np.random.default_rng(6), dim=2)
+    cands = np.random.default_rng(6).uniform(0, 1, (BO_CANDIDATES, 2))
+    mean, var = oracle_posterior(x_obs, y_obs, cands)
+    ucb = np.sort(mean + UCB_BETA * np.sqrt(var))
+    assert ucb[-1] - ucb[-2] > 1e-9   # no near tie for rounding to break
+    assert np.array_equal(got, cands[int(np.argmax(mean + UCB_BETA * np.sqrt(var)))])
 
 
 def test_suggest_bo_prefers_region_around_best_observation():
-    params = GpParams(ucb_beta=0.0)
-    x_obs = np.array([[0.1, 0.1], [0.9, 0.9]])
-    y_obs = np.array([0.2, 0.9])
-    got = suggest_bo(x_obs, y_obs, np.random.default_rng(7), dim=2, params=params)
-    assert np.linalg.norm(got - x_obs[1]) < np.linalg.norm(got - x_obs[0])
+    # A grid of observations leaves little variance to explore, so the
+    # pick lands near the best-scoring corner.
+    grid = np.linspace(0.1, 0.9, 5)
+    x_obs = np.array([[a, b] for a in grid for b in grid])
+    y_obs = -np.linalg.norm(x_obs - 0.9, axis=1)
+    got = suggest_bo(x_obs, y_obs, np.random.default_rng(7), dim=2)
+    assert np.linalg.norm(got - 0.9) < np.linalg.norm(got - 0.1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,9 +174,8 @@ def test_suggestions_stay_in_unit_box(seed, n, dim):
     rng = np.random.default_rng(seed)
     x_obs = rng.uniform(0, 1, (n, dim))
     y_obs = rng.uniform(0, 1, n)
-    params = GpParams(n_candidates=64)
     for point in (
-        suggest_bo(x_obs, y_obs, rng, dim=dim, params=params),
+        suggest_bo(x_obs, y_obs, rng, dim=dim),
         suggest_tpe(x_obs, y_obs, rng, dim=dim),
         suggest_random(rng, dim=dim),
     ):
@@ -176,24 +184,24 @@ def test_suggestions_stay_in_unit_box(seed, n, dim):
 
 
 def test_parzen_bandwidths_use_larger_neighbor_gap():
-    mus, sigmas = _parzen_components(np.array([0.5, 0.1, 0.2]), 1e-3)
+    mus, sigmas = _parzen_components(np.array([0.5, 0.1, 0.2]))
     assert np.array_equal(mus, [0.1, 0.2, 0.5])
     assert np.allclose(sigmas, [0.1, 0.3, 0.3])
 
 
 def test_parzen_lone_component_spans_interval():
-    mus, sigmas = _parzen_components(np.array([0.3]), 1e-3)
+    mus, sigmas = _parzen_components(np.array([0.3]))
     assert np.array_equal(mus, [0.3])
     assert np.array_equal(sigmas, [1.0])
 
 
 def test_parzen_bandwidth_floor_applies_to_duplicates():
-    _, sigmas = _parzen_components(np.array([0.4, 0.4]), 1e-3)
-    assert np.all(sigmas == 1e-3)
+    _, sigmas = _parzen_components(np.array([0.4, 0.4]))
+    assert np.all(sigmas == TPE_BANDWIDTH_FLOOR)
 
 
 def test_parzen_pdf_integrates_to_one():
-    mus, sigmas = _parzen_components(np.array([0.2, 0.7]), 1e-3)
+    mus, sigmas = _parzen_components(np.array([0.2, 0.7]))
     z = _truncnorm_z(mus, sigmas)
     grid = np.linspace(0.0, 1.0, 20001)
     pdf = _parzen_pdf(grid, mus, sigmas, z)
@@ -228,17 +236,6 @@ def test_tpe_concentrates_near_good_observations():
 def test_tpe_suggestion_rejects_mismatched_history():
     with pytest.raises(ConfigError):
         suggest_tpe(np.zeros((3, 2)), np.zeros(4), np.random.default_rng(0), dim=2)
-
-
-def test_optimizer_params_validation():
-    with pytest.raises(ConfigError):
-        GpParams(lengthscale=0.0)
-    with pytest.raises(ConfigError):
-        GpParams(n_candidates=0)
-    with pytest.raises(ConfigError):
-        TpeParams(gamma=1.0)
-    with pytest.raises(ConfigError):
-        TpeParams(n_candidates=0)
 
 
 def test_make_optimizer_registry():
@@ -310,7 +307,7 @@ def test_bo_optimizer_locates_smooth_optimum():
     def score(a):
         return 1.0 - float(np.sum((a - target) ** 2))
 
-    opt = BoOptimizer(dim=2, params=GpParams(n_candidates=512))
+    opt = BoOptimizer(dim=2)
     rng = np.random.default_rng(10)
     best = -np.inf
     for _ in range(20):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from schedtune import workload as wl
 from schedtune.errors import ConfigError
+from schedtune.tunenv import default_space_set, sample_scenario
 from tests import arrivals_oracle
 from tests.conftest import make_function
 
@@ -26,9 +27,14 @@ def test_catalog_fields_are_sane(function_catalog):
         assert fn.image_bytes >= 0 and fn.dataset_bytes >= 0
 
 
-def test_train_catalog_subset(function_catalog):
-    train = wl.train_catalog()
-    assert [fn.name for fn in train] == list(wl.TRAIN_FUNCTION_NAMES)
+def test_train_scenarios_draw_the_training_functions_in_catalog_order(function_catalog):
+    space, rng = default_space_set(), np.random.default_rng(0)
+    draws = [[fn.name for fn, _ in sample_scenario(space, "train", rng,
+                                                   functions=function_catalog)
+              .workload.functions] for _ in range(50)]
+    assert {name for names in draws for name in names} == set(wl.TRAIN_FUNCTION_NAMES)
+    # A five-function draw takes the whole training pool, in catalog order.
+    assert list(wl.TRAIN_FUNCTION_NAMES) in draws
 
 
 def test_execution_seconds_speed_factor(device_catalog):
