@@ -521,6 +521,40 @@ def write_data_dir(tmp_path, file_name=None, edit=None):
      "devices[9].name: duplicate name 'xeon_cpu'"),
     ("functions.json", lambda p: p["functions"].append(dict(p["functions"][0])),
      "functions[8].name: duplicate name 'resnet50_training'"),
+    # A value the entry's own class refuses names the file and the entry.
+    ("devices.json", lambda p: p["devices"][0].update(cpu_cores=0),
+     "devices[0]: xeon_cpu: cpu_cores must be >= 1"),
+    ("devices.json", lambda p: p["devices"][1].update(memory_mb=0),
+     "devices[1]: xeon_gpu: memory_mb must be > 0"),
+    ("devices.json", lambda p: p["devices"][3].update(speed_factor=13),
+     "devices[3]: rpi3: speed_factor must lie in [1, 12]"),
+    ("devices.json", lambda p: p["devices"][4].update(accelerator="fpga"),
+     "devices[4]: rpi4: unknown accelerator 'fpga'"),
+    ("devices.json", lambda p: p["devices"][5].update(locality="orbit"),
+     "devices[5]: nvidia_nano: unknown locality 'orbit'"),
+    ("functions.json", lambda p: p["functions"][0].update(req_cpu=0),
+     "functions[0]: resnet50_training: resource requests must be positive"),
+    ("functions.json", lambda p: p["functions"][1].update(req_mem_mb=0),
+     "functions[1]: resnet50_preprocessing: resource requests must be positive"),
+    ("functions.json", lambda p: p["functions"][2].update(image_bytes=-1),
+     "functions[2]: resnet50_inference: byte sizes must be nonnegative"),
+    ("functions.json", lambda p: p["functions"][3].update(base_exec_s=0),
+     "functions[3]: mobilenet_inference: base_exec_s must be positive"),
+    ("functions.json", lambda p: p["functions"][5].update(preferred_accelerator="fpga"),
+     "functions[5]: mobilenet_training: unknown accelerator 'fpga'"),
+    ("functions.json", lambda p: p["functions"][6].update(preferred_locality="orbit"),
+     "functions[6]: speech_preprocessing: unknown locality 'orbit'"),
+    # The training flag defines the training set, so it is required and a
+    # boolean, and a catalog without a training function is refused.
+    ("functions.json", lambda p: _drop(p["functions"][6], "training"),
+     "functions[6].training: missing"),
+    ("functions.json", lambda p: p["functions"][0].update(training=1),
+     "functions[0].training: expected a boolean, got int"),
+    ("functions.json", lambda p: _set_all(p["functions"], "training", False),
+     "functions: no entry has \"training\": true"),
+    # An integer literal past Python's digit limit is refused by the parser.
+    ("devices.json", lambda p: json.dumps(p).replace(
+        '"cpu_cores": 32', '"cpu_cores": ' + "1" * 5000, 1).encode(), ""),
 ])
 def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
                                                         file_name, edit, where):
@@ -532,6 +566,14 @@ def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{file_name}: {where}" in err
+
+
+def test_a_config_past_the_integer_digit_limit_fails_with_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"n_scenarios": ' + "1" * 5000 + "}")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {config}: ")
 
 
 @pytest.mark.parametrize("command, settings", [

@@ -1,6 +1,7 @@
 """Experiment config parsing and validation."""
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -64,14 +65,16 @@ def test_invalid_values_name_the_field(payload, fragment):
 
 
 @pytest.mark.parametrize("payload, fragment", [
-    ({"n_scenarios": "ten"}, "n_scenarios: expected an integer"),
-    ({"n_scenarios": True}, "n_scenarios: expected an integer"),
-    ({"lr": "fast"}, "lr: expected a number"),
-    ({"name": 7}, "name: expected a string"),
+    ({"n_scenarios": "ten"}, "n_scenarios: expected an integer, got str"),
+    ({"n_scenarios": True}, "n_scenarios: expected an integer, got bool"),
+    ({"n_scenarios": 2.0}, "n_scenarios: expected an integer, got float"),
+    ({"lr": "fast"}, "lr: expected a number, got str"),
+    ({"gamma": False}, "gamma: expected a number, got bool"),
+    ({"name": 7}, "name: expected a string, got int"),
     ({"hidden": []}, "hidden: expected a non-empty list"),
     ({"hidden": [32, "x"]}, r"hidden\[1\]: expected a positive integer"),
     ({"hidden": [32, 0]}, r"hidden\[1\]: expected a positive integer"),
-    ({"data_dir": 3}, "data_dir: expected a string"),
+    ({"data_dir": 3}, "data_dir: expected a string, got int"),
 ])
 def test_type_errors_name_the_field_path(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -85,6 +88,18 @@ def test_non_finite_numbers_are_rejected(field, value):
     # Only parsed, never simulated: an infinite horizon allocates without end.
     with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
         config_from_dict({field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ExperimentConfig) if f.type == "int"])
+def test_int_fields_past_the_float_range_are_rejected(field):
+    with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
+        config_from_dict({field: 10**400})
+
+
+def test_an_int_is_read_as_a_float_field():
+    config = config_from_dict({"duration_s": 20, "lr": 1})
+    assert (config.duration_s, config.lr) == (20.0, 1.0)
+    assert type(config.duration_s) is float and type(config.lr) is float
 
 
 def test_json_infinity_and_nan_are_rejected(tmp_path):

@@ -11,13 +11,17 @@ from schedtune.errors import ConfigError
 from schedtune.tunenv import default_space_set, sample_scenario
 from tests import arrivals_oracle
 from tests.conftest import make_function
+from tests.test_cli import write_data_dir
+
+
+# The functions the packaged catalog flags as training ones, in file order.
+TRAINING_NAMES = ["resnet50_training", "resnet50_preprocessing", "resnet50_inference",
+                  "mobilenet_inference", "speech_inference"]
 
 
 def test_catalog_has_eight_functions(function_catalog):
     assert len(function_catalog) == 8
-    names = {fn.name for fn in function_catalog}
-    assert set(wl.TRAIN_FUNCTION_NAMES) <= names
-    assert len(wl.TRAIN_FUNCTION_NAMES) == 5
+    assert [fn.name for fn in function_catalog if fn.training] == TRAINING_NAMES
 
 
 def test_catalog_fields_are_sane(function_catalog):
@@ -32,9 +36,20 @@ def test_train_scenarios_draw_the_training_functions_in_catalog_order(function_c
     draws = [[fn.name for fn, _ in sample_scenario(space, "train", rng,
                                                    functions=function_catalog)
               .workload.functions] for _ in range(50)]
-    assert {name for names in draws for name in names} == set(wl.TRAIN_FUNCTION_NAMES)
+    assert {name for names in draws for name in names} == set(TRAINING_NAMES)
     # A five-function draw takes the whole training pool, in catalog order.
-    assert list(wl.TRAIN_FUNCTION_NAMES) in draws
+    assert TRAINING_NAMES in draws
+
+
+def test_the_training_flag_travels_with_a_renamed_function(tmp_path):
+    data = write_data_dir(tmp_path, "functions.json",
+                          lambda p: p["functions"][4].update(name="speech_v2"))
+    functions = wl.catalog(data)
+    space, rng = default_space_set(), np.random.default_rng(0)
+    drawn = {fn.name for _ in range(50)
+             for fn, _ in sample_scenario(space, "train", rng, functions=functions)
+             .workload.functions}
+    assert drawn == set(TRAINING_NAMES[:4]) | {"speech_v2"}
 
 
 def test_execution_seconds_speed_factor(device_catalog):
