@@ -94,6 +94,9 @@ class DeviceClass:
             raise ConfigError(f"{self.name}: unknown locality {self.locality!r}")
 
 
+_load_devices = _data.entry_loader("devices.json", DeviceClass)
+
+
 @dataclass
 class Node:
     """One schedulable machine."""
@@ -208,17 +211,18 @@ def load_presets(data_dir=None) -> dict[str, tuple[tuple[DeviceClass, float], ..
     present, name known devices only, and have fractions in [0, 1] that sum
     to 1."""
     directory = _data.data_dir(data_dir)
-    devices = {entry["name"]: DeviceClass(
-        entry["name"], entry["cpu_cores"], entry["speed_factor"], entry["memory_mb"],
-        entry["accelerator"], entry["locality"])
-        for entry in _data.load_json("devices.json", directory)["devices"]}
-    table = _data.load_json("presets.json", directory)["presets"]
+    devices = {device.name: device for device in _load_devices(directory)}
+    path, table = _data.load_json("presets.json", dict, directory)
+    dists = {preset: {name: _data.check(frac, float, f"{path}: presets.{preset}.{name}")
+                      for name, frac in _data.check(dist, dict, f"{path}: presets.{preset}")
+                      .items()}
+             for preset, dist in table.items()}
     presets = {}
     for preset in PRESETS:
-        where = f"{directory / 'presets.json'}: presets.{preset}"
-        if preset not in table:
+        where = f"{path}: presets.{preset}"
+        if preset not in dists:
             raise ConfigError(f"{where}: missing")
-        dist = table[preset]
+        dist = dists[preset]
         for name, frac in dist.items():
             if name not in devices:
                 raise ConfigError(f"{where}.{name}: unknown device")

@@ -6,11 +6,10 @@ its own problem instead of a traceback.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields
 
 from .agent import SacConfig
-from .data import read_json
+from .data import check, read_json
 from .errors import ConfigError
 from .synthfuncs import LANDSCAPES
 from .tunenv import MASK_LEVELS, MODES
@@ -84,26 +83,6 @@ def _check_choice(value, path, choices):
         raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
 
 
-def _parse_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_float(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:   # NaN, infinite or past float range
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _parse_str(value, path):
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
 def _parse_hidden(value, path):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of layer widths")
@@ -118,11 +97,11 @@ def _parse_hidden(value, path):
 # One parser per annotation in ExperimentConfig; a field of any other type
 # fails at import.
 _PARSERS_BY_TYPE = {
-    "str": _parse_str,
-    "int": _parse_int,
-    "float": _parse_float,
+    "str": lambda v, p: check(v, str, p),
+    "int": lambda v, p: check(v, int, p),
+    "float": lambda v, p: check(v, float, p),
     "tuple[int, ...]": _parse_hidden,
-    "str | None": lambda v, p: None if v is None else _parse_str(v, p),
+    "str | None": lambda v, p: None if v is None else check(v, str, p),
 }
 _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 

@@ -1,20 +1,25 @@
-"""Resolution and loading of the calibration data files.
+"""Resolution and loading of the calibration data files, and the one check
+that turns a JSON value into a typed field, for them and the config.
 
 Device classes, preset distributions and the function catalog ship with the
 package under ``schedtune/data``.  An alternative directory can be selected
 with the ``SCHEDTUNE_DATA_DIR`` environment variable or an explicit path,
 which makes it easy to run experiments against modified calibrations without
-touching the installed package.  Loading checks the type of every field the
-loaders read, that every number is finite as a float (JSON parsing
-accepts ``NaN`` and ``Infinity``) and that no two devices or functions share
-a name, so a malformed file fails with one error naming the file and the
-field path (``functions.json: functions[0].image_name: missing``).
+touching the installed package.  Each list entry of ``devices.json`` and
+``functions.json`` is built as its dataclass (:func:`entry_loader`), every
+field read from its own key and checked against the field's annotation.
+Every number must be finite as a float (JSON parsing accepts ``NaN`` and
+``Infinity``) and no two entries may share a name, so a malformed file fails
+with one error naming the file and the field path
+(``functions.json: functions[0].image_name: missing``), or the entry when
+its class refuses a value (``devices.json: devices[0]: xeon_cpu: ...``).
 """
 from __future__ import annotations
 
 import json
 import os
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,24 +28,12 @@ from .errors import ConfigError
 DATA_DIR_ENV = "SCHEDTUNE_DATA_DIR"
 SCHEMA_VERSION = 1
 
-_NUMBER = (int, float)
-_KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number",
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                list: "a list", dict: "an object"}
+# The kind a data-file entry field is read as, by its annotation; an entry
+# class with a field of any other annotation fails at import.
+_ENTRY_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
 _MISSING = object()
-
-# Per data file: the top-level key, and the type of each field of its list
-# entries (None for presets.json: {preset: {device: fraction}}).
-_FILES = {
-    "devices.json": ("devices", {
-        "name": str, "cpu_cores": int, "speed_factor": _NUMBER,
-        "memory_mb": int, "accelerator": str, "locality": str}),
-    "presets.json": ("presets", None),
-    "functions.json": ("functions", {
-        "name": str, "req_cpu": _NUMBER, "req_mem_mb": _NUMBER,
-        "preferred_accelerator": str, "preferred_locality": str,
-        "image_name": str, "image_bytes": _NUMBER, "dataset_bytes": _NUMBER,
-        "base_exec_s": _NUMBER}),
-}
 
 
 def data_dir(override: str | os.PathLike | None = None) -> Path:
@@ -68,45 +61,64 @@ def read_json(path, what: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg})") from exc
+    except ValueError as exc:   # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_json(name: str, override: str | os.PathLike | None = None) -> dict:
-    if name not in _FILES:
-        raise ConfigError(f"unknown data file {name!r}, expected one of {tuple(_FILES)}")
+def check(value, kind, where: str):
+    """``value`` if it is of ``kind`` (``str``, ``int``, ``float``, ``bool``,
+    ``list`` or ``dict``), as a float for ``float``, which also takes an
+    int.  A bool is never a number, and a number must be finite as a float."""
+    if value is _MISSING:
+        raise ConfigError(f"{where}: missing")
+    if (isinstance(value, bool) is not (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ConfigError(
+            f"{where}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    if kind in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def load_json(name: str, kind, override: str | os.PathLike | None = None):
+    """The path of the data file ``name`` and the value of ``kind`` under
+    its key (``devices`` for ``devices.json``), after checking its
+    ``schema_version``."""
     path = data_dir(override) / name
-    payload = read_json(path, "data file")
-    _check(payload, dict, f"{path}: top level")
+    payload = check(read_json(path, "data file"), dict, f"{path}: top level")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: schema_version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
-    key, fields = _FILES[name]
-    where = f"{path}: {key}"
-    if fields is None:
-        for preset, dist in _check(payload.get(key, _MISSING), dict, where).items():
-            for device, frac in _check(dist, dict, f"{where}.{preset}").items():
-                _check(frac, _NUMBER, f"{where}.{preset}.{device}")
-    else:
-        names = set()
-        for i, entry in enumerate(_check(payload.get(key, _MISSING), list, where)):
-            _check(entry, dict, f"{where}[{i}]")
-            for field, kind in fields.items():
-                _check(entry.get(field, _MISSING), kind, f"{where}[{i}].{field}")
-            if entry["name"] in names:
-                raise ConfigError(f"{where}[{i}].name: duplicate name {entry['name']!r}")
-            names.add(entry["name"])
-    return payload
+    key = name.removesuffix(".json")
+    return path, check(payload.get(key, _MISSING), kind, f"{path}: {key}")
 
 
-def _check(value, kind, where: str):
-    """``value`` if it has type ``kind`` (a bool is never a number, and a
-    number must be finite as a float)."""
-    if value is _MISSING:
-        raise ConfigError(f"{where}: missing")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(
-            f"{where}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
-    if isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return value
+def entry_loader(name: str, cls, **keys):
+    """A function of the data directory that reads the data file ``name``
+    and builds each entry of its list as the dataclass ``cls``.  Each field
+    is required and read from its own key, or from ``keys[field]``, as the
+    kind of its annotation; names must be unique.  A ``ConfigError`` from
+    ``cls`` itself comes back naming the file and the entry."""
+    table = [(f.name, keys.get(f.name, f.name), _ENTRY_KINDS[f.type]) for f in fields(cls)]
+    key = name.removesuffix(".json")
+
+    def load(override: str | os.PathLike | None = None) -> list:
+        path, entries = load_json(name, list, override)
+        built, names = [], set()
+        for i, entry in enumerate(entries):
+            where = f"{path}: {key}[{i}]"
+            check(entry, dict, where)
+            values = {field: check(entry.get(source, _MISSING), kind, f"{where}.{source}")
+                      for field, source, kind in table}
+            if values["name"] in names:
+                raise ConfigError(f"{where}.name: duplicate name {values['name']!r}")
+            names.add(values["name"])
+            try:
+                built.append(cls(**values))
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        return built
+
+    return load

@@ -33,7 +33,7 @@ from .cluster import (PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_
 from .errors import ConfigError, ProtocolError, UnschedulableError
 from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
 from .simengine import SimOptions, run_benchmark
-from .workload import TRAIN_FUNCTION_NAMES, FunctionSpec, WorkloadSpec, catalog
+from .workload import FunctionSpec, WorkloadSpec, catalog
 
 EPS_REWARD = 1e-6
 DEFAULT_N_STEPS = 4
@@ -179,7 +179,7 @@ def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
     num_nodes = dom["num_nodes"].sample_int(rng)
     pool = catalog() if functions is None else functions
     if mode == "train":
-        pool = [fn for fn in pool if fn.name in TRAIN_FUNCTION_NAMES]
+        pool = [fn for fn in pool if fn.training]
     num_functions = min(dom["num_functions"].sample_int(rng), len(pool))
     chosen = sorted(rng.choice(len(pool), size=num_functions, replace=False))
     rps_total = dom["requests_per_second"].sample(rng)

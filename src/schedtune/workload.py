@@ -1,7 +1,7 @@
 """Function catalog and Poisson request-trace generation.
 
-The catalog covers five training workloads used for agent training plus
-three extra functions reserved for held-out evaluation.  Arrival traces are
+The packaged catalog flags five functions as training workloads, the ones
+agent training draws, and holds three more out for evaluation.  Arrival traces are
 Poisson per function: exponential inter-arrival gaps drawn with the trace
 seed, then merged into one time-ordered stream.
 """
@@ -24,15 +24,6 @@ ACCELERATOR_SPEEDUP = 0.2
 # Gaps in a function's first draw; one that ends too soon is redrawn doubled.
 ARRIVAL_BLOCK = 1024
 
-TRAIN_FUNCTION_NAMES = (
-    "resnet50_training",
-    "resnet50_preprocessing",
-    "resnet50_inference",
-    "mobilenet_inference",
-    "speech_inference",
-)
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """Resource demands and data dependencies of one deployable function."""
@@ -46,6 +37,7 @@ class FunctionSpec:
     image_bytes: float = 0.0
     dataset_bytes: float = 0.0
     base_exec_s: float = 1.0
+    training: bool = False   # in the training set, which train mode draws from
 
     def __post_init__(self):
         # Written so that NaN fails too: every comparison with NaN is False.
@@ -84,23 +76,17 @@ class WorkloadSpec:
             raise ConfigError("duration_s must be positive and finite")
 
 
+_load_functions = _data.entry_loader("functions.json", FunctionSpec, req_mem="req_mem_mb")
+
+
 def catalog(data_dir=None) -> list[FunctionSpec]:
-    """All eight functions, training ones first in file order."""
-    payload = _data.load_json("functions.json", data_dir)
-    out = []
-    for entry in payload["functions"]:
-        out.append(FunctionSpec(
-            name=entry["name"],
-            req_cpu=entry["req_cpu"],
-            req_mem=float(entry["req_mem_mb"]),
-            preferred_accelerator=entry["preferred_accelerator"],
-            preferred_locality=entry["preferred_locality"],
-            image_name=entry["image_name"],
-            image_bytes=float(entry["image_bytes"]),
-            dataset_bytes=float(entry["dataset_bytes"]),
-            base_exec_s=entry["base_exec_s"],
-        ))
-    return out
+    """All functions of ``functions.json`` in file order; at least one must
+    be a training function."""
+    functions = _load_functions(data_dir)
+    if not any(fn.training for fn in functions):
+        raise ConfigError(f"{_data.data_dir(data_dir) / 'functions.json'}: functions: "
+                          f"no entry has \"training\": true")
+    return functions
 
 
 def execution_seconds(fn: FunctionSpec, device: DeviceClass) -> float:
