@@ -552,6 +552,12 @@ def write_data_dir(tmp_path, file_name=None, edit=None):
      "functions[0].training: expected a boolean, got int"),
     ("functions.json", lambda p: _set_all(p["functions"], "training", False),
      "functions: no entry has \"training\": true"),
+    # A line break in a name read from the file stays inside the one line.
+    ("devices.json", lambda p: p["devices"][0].update(name="xeon\ncpu", cpu_cores=0),
+     "devices[0]: xeon\\ncpu: cpu_cores must be >= 1"),
+    ("presets.json", lambda p: p["presets"]["edge_tpu"].update(
+        {"tpu\npod": p["presets"]["edge_tpu"].pop("coral_devboard")}),
+     "presets.edge_tpu.tpu\\npod: unknown device"),
     # An integer literal past Python's digit limit is refused by the parser.
     ("devices.json", lambda p: json.dumps(p).replace(
         '"cpu_cores": 32', '"cpu_cores": ' + "1" * 5000, 1).encode(), ""),
@@ -566,6 +572,13 @@ def test_malformed_data_file_fails_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{file_name}: {where}" in err
+
+
+def test_a_line_break_in_a_config_key_stays_inside_the_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"\\nv_kind": "faas"}')
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == "error: \\nv_kind: unknown field\n"
 
 
 def test_a_config_past_the_integer_digit_limit_fails_with_one_error_line(tmp_path, capsys):
