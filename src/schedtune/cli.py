@@ -332,7 +332,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         return args.handler(args)
     except SchedTuneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, whatever line breaks a name read from a file holds.
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 
