@@ -28,6 +28,7 @@ from schedtune.agent import (
 )
 from schedtune.cli import main
 from tests.test_cli import write_config
+from tests.test_file_fuzz import edited
 
 TINY = SacConfig(obs_dim=24, act_dim=2, hidden=(8,), batch_size=4, replay_capacity=16)
 FUZZ = settings(max_examples=100, deadline=None)
@@ -90,7 +91,6 @@ TOKENS = st.one_of(
     st.integers(-2**70, 2**70).map(str),
     st.floats().map(json.dumps),
 )
-PLACEHOLDER = "\x00value"   # stands in for the token until the header is text
 # Every value in the header an edit can replace, drop or repeat, as the keys
 # that lead to it.
 PATHS = ([(key,) for key in ("adam_steps", "arrays", "config", "dtype", "env_steps",
@@ -125,22 +125,8 @@ def test_an_edited_header_exits_0_or_fails_with_one_error_line(
         header["dtype"] = dtype
     if edit != "version":
         version = CHECKPOINT_VERSION
-    *parents, last = path
-    assume(edit != "repeat" or isinstance(last, str))
-    owner = header
-    for key in parents:
-        owner = owner[key]
-    body = json.dumps(owner)
-    if edit == "replace":
-        owner[last] = PLACEHOLDER
-    elif edit == "drop":
-        del owner[last]
-    text = json.dumps(header)
-    if edit == "repeat":   # the key again, first or last in its object
-        key = json.dumps(last) + ": " + json.dumps(PLACEHOLDER)
-        text = text.replace(body, "{" + key + ", " + body[1:] if first
-                            else body[:-1] + ", " + key + "}", 1)
-    blob = text.replace(json.dumps(PLACEHOLDER), token).encode()
+    assume(edit != "repeat" or isinstance(path[-1], str))
+    blob = edited(header, edit, path, token, first)
     status = run_eval(base, CHECKPOINT_MAGIC + struct.pack("<IQ", version, len(blob))
                       + blob + raw[payload_start:])
     if edit in ("dtype", "version"):

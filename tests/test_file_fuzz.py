@@ -63,7 +63,8 @@ CONFIG_PATHS = value_paths(CONFIG)
 def edited(payload, edit: str, path, token: str, first: bool) -> bytes:
     """``payload`` as JSON with the value at ``path`` replaced by the raw
     ``token``, dropped, its key renamed to ``token`` (a JSON string), or its
-    key repeated with ``token`` as the value, first or last in its object."""
+    key repeated with ``token`` as the value, first or last in its object;
+    any other ``edit`` leaves it as it is."""
     *parents, last = path
     owner = payload
     for key in parents:
