@@ -140,8 +140,17 @@ def test_deterministic_act_is_repeatable():
     assert np.array_equal(agent.act(obs), agent.act(obs))
 
 
+def test_act_is_the_mean_action_and_draws_no_noise():
+    agent = tiny_agent(seed=8)
+    state = agent.rng.bit_generator.state
+    for obs in np.random.default_rng(3).uniform(-3, 3, (6, 3)):
+        mean = agent.policy.forward(obs[None].astype(agent.dtype))[:, :2]
+        assert np.array_equal(agent.act(obs), env_action(np.tanh(mean)[0]))
+    assert agent.rng.bit_generator.state == state
+
+
 class FixedNoise:
-    """Stands in for the rng of ``sample_action``: returns given noise."""
+    """Stands in for an agent's rng in ``sample_action``: returns given noise."""
 
     def __init__(self, eps):
         self.eps = eps
@@ -155,7 +164,8 @@ def test_sampled_logp_matches_longhand_density():
     rng = np.random.default_rng(9)
     agent = tiny_agent(seed=10)
     obs = rng.uniform(-1, 1, (20, 3))
-    tanh_a, logp = agent.sample_action(obs, rng=np.random.default_rng(11))
+    agent.rng = np.random.default_rng(11)
+    tanh_a, logp = agent.sample_action(obs)
     # Density of u = arctanh(a) under the Gaussian head, over the tanh Jacobian.
     out = agent.policy.forward(obs)
     mean, log_std = out[:, :2], np.clip(out[:, 2:], -20.0, 2.0)
@@ -175,7 +185,8 @@ def test_float32_logp_matches_a_float64_longhand():
     rng = np.random.default_rng(9)
     agent = tiny_agent(seed=10)
     obs = rng.uniform(-8, 8, (20, 3))
-    tanh_a, logp = agent.sample_action(obs, rng=np.random.default_rng(11))
+    agent.rng = np.random.default_rng(11)
+    tanh_a, logp = agent.sample_action(obs)
     assert tanh_a.dtype == logp.dtype == np.float32
     eps = np.random.default_rng(11).standard_normal(tanh_a.shape, dtype=np.float32)
     with float64_networks():
@@ -198,8 +209,8 @@ def test_policy_density_integrates_to_one():
     obs = np.array([[0.4, -0.7]])
     # Noise on a fine grid gives actions on a monotone grid over (-1, 1).
     eps = np.linspace(-9.0, 9.0, 200001)[:, None]
-    grid, logp = agent.sample_action(np.repeat(obs, len(eps), axis=0),
-                                     rng=FixedNoise(eps))
+    agent.rng = FixedNoise(eps)
+    grid, logp = agent.sample_action(np.repeat(obs, len(eps), axis=0))
     assert np.all(np.diff(grid[:, 0]) >= 0.0)
     mass = np.trapezoid(np.exp(logp), grid[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-3)
@@ -506,8 +517,8 @@ def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):
 def test_an_acting_only_load_acts_like_a_full_load(tmp_path):
     path = tmp_path / "agent.ckpt"
     trained_tiny_agent().save(path)
-    full = SacAgent.load(path, seed=4)
-    policy = SacAgent.load(path, seed=4, acting_only=True)
+    full = SacAgent.load(path)
+    policy = SacAgent.load(path, acting_only=True)
     obs = np.random.default_rng(26).uniform(-3, 3, (20, 3))
     for o in obs:
         assert np.array_equal(full.act(o), policy.act(o))
@@ -600,21 +611,17 @@ def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
         SacAgent.load(path)
 
 
-def test_checkpoint_loads_arrays_in_header_order(tmp_path):
-    rng = np.random.default_rng(25)
+def test_a_checkpoint_with_its_arrays_out_of_order_fails_with_one_error_line(tmp_path):
+    # save writes checkpoint_layout's order; the loader reads only that.
     agent = tiny_agent(seed=25)
-    batch = (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
-             rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4))
-    agent.update(batch)   # Adam moments and targets off their initial values
     names = [name for name, _ in agent._named_arrays()]
     path = _forge_checkpoint(tmp_path / "rev.ckpt", agent, names[::-1])
-    clone = SacAgent.load(path)
-    for (name_a, arr_a), (name_b, arr_b) in zip(agent._named_arrays(),
-                                                clone._named_arrays()):
-        assert name_a == name_b
-        assert np.array_equal(arr_a, arr_b), name_a
-    for obs in rng.uniform(-1, 1, (5, 3)):
-        assert np.array_equal(agent.act(obs), clone.act(obs))
+    with pytest.raises(CheckpointError) as info:
+        SacAgent.load(path)
+    message = str(info.value)
+    assert len(message.splitlines()) == 1
+    assert (f'arrays[0] is ["opt_alpha.v0", [1]], expected ["policy.w0", [3, 8]]'
+            in message)
 
 
 def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,

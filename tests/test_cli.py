@@ -184,12 +184,18 @@ def _oversized_field(text):
      "line 2: score nan is not finite"),
     (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1-inf", text).encode(),
      "line 2: score -inf is not finite"),
+    # Scores lie in [0, 1]; -1e308 once overflowed the mean improvement.
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1-0.5", text).encode(),
+     "line 2: score -0.5 lies outside [0, 1]"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\1-1e308", text).encode(),
+     "line 2: score -1e308 lies outside [0, 1]"),
     (lambda text: re.sub(r"\n((?:[^,\n]*,){3}[^,\n]*)[^\n]*", r"\n\1", text,
                          count=1).encode(),
      "line 2: row does not have the header's"),
     (lambda text: re.sub(r"\n([^\n]+)", r"\n\1,x", text, count=1).encode(),
      "line 2: row does not have the header's"),
-], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "short-row", "long-row"])
+], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "negative-score", "huge-score",
+        "short-row", "long-row"])
 def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
                                                               edit, message):
     out = tmp_path / "run"
@@ -349,6 +355,13 @@ def _damage_checkpoint(path, damage):
                           raw[16:16 + header_len])
         assert n == 1
         _write_checkpoint(path, blob, raw[16 + header_len:])
+    elif damage == "repeated-key":
+        agent.save(path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        blob = raw[16:16 + header_len]
+        assert blob.startswith(b'{"adam_steps"')
+        _write_checkpoint(path, b'{"env_steps": 0, ' + blob[1:], raw[16 + header_len:])
     elif damage == "oversized-hidden":
         # A consistent header for 4.4 PB of arrays, and no payload.
         config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
@@ -387,6 +400,8 @@ def _damage_checkpoint(path, damage):
     ('header:target_entropy="x"', "malformed header: ConfigError target_entropy"),
     ("header:target_entropy=NaN", "malformed header: ConfigError target_entropy"),
     ("header:target_entropy=Infinity", "malformed header: ConfigError target_entropy"),
+    # Which of two values counts is not for the loader to guess.
+    ("repeated-key", "corrupt header: repeated key 'env_steps'"),
 ])
 def test_bad_checkpoint_fails_eval_with_one_error_line(tmp_path, capsys,
                                                         damage, message):
@@ -558,6 +573,10 @@ def write_data_dir(tmp_path, file_name=None, edit=None):
     ("presets.json", lambda p: p["presets"]["edge_tpu"].update(
         {"tpu\npod": p["presets"]["edge_tpu"].pop("coral_devboard")}),
      "presets.edge_tpu.tpu\\npod: unknown device"),
+    # A repeated key is refused, not read as its last value.
+    ("presets.json", lambda p: json.dumps(p).replace(
+        '"cloud_cpu": {', '"cloud_cpu": {"xeon_cpu": 0.5, ', 1).encode(),
+     "repeated key 'xeon_cpu'"),
     # An integer literal past Python's digit limit is refused by the parser.
     ("devices.json", lambda p: json.dumps(p).replace(
         '"cpu_cores": 32', '"cpu_cores": ' + "1" * 5000, 1).encode(), ""),
@@ -604,4 +623,51 @@ def test_a_broken_preset_fails_before_any_work(tmp_path, capsys, command, settin
     assert capsys.readouterr().err == (
         f"error: {data / 'presets.json'}: presets.edge_tpu: fractions sum to 0.9, "
         f"expected 1\n")
+    assert not out.exists()
+
+
+def test_a_repeated_config_key_fails_with_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"env_kind": "synthetic", "n_scenarios": 5, "n_scenarios": 7}')
+    out = tmp_path / "out"
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: repeated key 'n_scenarios'\n"
+    assert not out.exists()
+
+
+def test_tune_and_eval_read_each_data_file_once(tmp_path, monkeypatch, capsys):
+    from schedtune.cli import make_env
+    from schedtune.config import load_config
+    from tests.test_tunenv import DATA_FILES, _record_reads
+    config = write_config(tmp_path, env_kind="faas", duration_s=20.0, n_scenarios=3)
+    env = make_env(load_config(config))
+    checkpoint = tmp_path / "agent.ckpt"
+    SacAgent(SacConfig(obs_dim=env.observation_dim, act_dim=env.action_dim, hidden=(8,),
+                       batch_size=4, replay_capacity=16), seed=1).save(checkpoint)
+    reads = _record_reads(monkeypatch)
+    for command in (["tune", "--method", "random"], ["eval", "--checkpoint", str(checkpoint)]):
+        reads.clear()
+        assert main(command + ["--config", config, "--out", str(tmp_path / command[0])]) == 0
+        assert sorted(path.name for path in reads) == list(DATA_FILES)
+    capsys.readouterr()
+
+
+# 10**400 is past float range, so the config refuses it; the arena of the
+# other two cannot be mapped in any 64-bit Linux address space, so no test
+# touches real memory.
+@pytest.mark.parametrize("width, message", [
+    (10**400, "hidden[0]: expected a finite number"),
+    (10**30, "-byte arena"),
+    (2**50, "-byte arena"),
+], ids=["10**400", "10**30", "2**50"])
+def test_a_huge_layer_width_fails_train_agent_with_one_error_line(tmp_path, capsys,
+                                                                   width, message):
+    config = write_config(tmp_path, mode="train", total_env_steps=8, num_envs=1,
+                          hidden=[width], batch_size=4, replay_capacity=16,
+                          start_steps=4)
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()

@@ -1,4 +1,4 @@
-"""Fuzz the data-file and config boundaries.
+"""Fuzz the data-file, config and trials-table boundaries.
 
 Each data-file example damages one of the packaged files and runs a
 train-mode ``schedtune simulate`` of 20 s on the copy: the run must exit 0,
@@ -7,9 +7,12 @@ scenario's size comes from the config and the domain space, never from the
 data files, so no example can start a large run.  Each config example
 damages a full config and only loads it, so no mutation can start a run at
 all: it must load, or fail with a ``ConfigError`` (``main`` prints any
-``ConfigError`` as one line).
+``ConfigError`` as one line).  Each table example damages a small
+``trials.csv`` of two methods and runs ``compare`` and ``report`` on it:
+each must exit 0, or exit 2 with exactly one ``error:`` line.
 """
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -176,3 +179,71 @@ def test_an_edited_config_loads_or_fails_with_one_error(work, edit, path, token,
     assume(edit not in ("repeat", "rename") or isinstance(path[-1], str))
     load(work, edited(json.loads(json.dumps(CONFIG)), edit, path,
                       key if edit == "rename" else token, first))
+
+
+@pytest.fixture(scope="module")
+def table(tmp_path_factory):
+    """The bytes of a synthetic ``trials.csv``: two methods, two scenarios."""
+    work = tmp_path_factory.mktemp("table")
+    config = write_config(work, n_scenarios=2)
+    for method in ("random", "tpe"):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tune", "--method", method, "--config", config, "--out", str(work)]) == 0
+    return (work / "trials.csv").read_bytes()
+
+
+def cell_edited(raw: bytes, edit: str, row: int, column: int, token: str) -> bytes:
+    """The CSV table ``raw`` with one cell replaced by ``token`` or dropped,
+    or with one row repeated."""
+    rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+    cells = rows[row % len(rows)]
+    if edit == "replace":
+        cells[column % len(cells)] = token
+    elif edit == "drop":
+        del cells[column % len(cells)]
+    else:
+        rows.insert(row % len(rows), list(cells))
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+def run_table_commands(work, raw: bytes) -> None:
+    """``compare`` and ``report`` on the trials table ``raw``: each exits 0,
+    or exits 2 with one ``error:`` line."""
+    out = work / "table-run"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    (out / "trials.csv").write_bytes(raw)
+    for command in ("compare", "report"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main([command, "--out", str(out)])
+        assert status in (0, 2)
+        if status == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_the_undamaged_table_compares_and_reports(work, table):
+    run_table_commands(work, table)
+    assert (work / "table-run" / "report.md").exists()
+
+
+@FUZZ
+@given(edit=st.sampled_from(["truncate", "flip", "utf8"]), offset=st.integers(0, 2**16),
+       mask=st.integers(1, 255))
+def test_a_damaged_table_exits_0_or_fails_with_one_error_line(work, table, edit, offset,
+                                                              mask):
+    run_table_commands(work, damaged(table, edit, offset, mask))
+
+
+@FUZZ
+@given(edit=st.sampled_from(["replace", "drop", "repeat"]), row=st.integers(0, 2**16),
+       column=st.integers(0, 2**16),
+       token=TOKENS | st.sampled_from(["nan", "inf", "-inf", "1e-320", "2", "-0.0", "1_0",
+                                       " 0.5", "", "\n", '"']))
+# A score outside [0, 1] once overflowed the improvement into a RuntimeWarning.
+@example(edit="replace", row=1, column=6, token="-1e308")
+def test_an_edited_table_exits_0_or_fails_with_one_error_line(work, table, edit, row, column,
+                                                             token):
+    run_table_commands(work, cell_edited(table, edit, row, column, token))
