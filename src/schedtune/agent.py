@@ -220,36 +220,32 @@ class SacAgent:
 
     # -- policy heads ----------------------------------------------------
     def _heads(self, obs: np.ndarray):
+        """Mean, raw and clipped log-std heads; ``forward`` casts ``obs`` to 2-D ``dtype``."""
         out = self.policy.forward(obs)
         mean = out[:, : self.config.act_dim]
         raw = out[:, self.config.act_dim:]
         log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
         return mean, raw, log_std
 
-    def sample_action(self, obs: np.ndarray, deterministic: bool = False,
-                      rng: np.random.Generator | None = None):
-        """Tanh-space actions and their log-probabilities for a batch."""
-        rng = self.rng if rng is None else rng
-        obs = np.atleast_2d(np.asarray(obs, dtype=self.dtype))
+    def sample_action(self, obs: np.ndarray):
+        """Tanh-space actions and their log-probabilities for a batch; noise from ``self.rng``."""
         mean, _, log_std = self._heads(obs)
         std = np.exp(log_std)
-        eps = (np.zeros_like(mean) if deterministic
-               else rng.standard_normal(mean.shape, dtype=self.dtype))
+        eps = self.rng.standard_normal(mean.shape, dtype=self.dtype)
         u = mean + std * eps
         a = np.tanh(u)
         logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
         logp -= np.log(tanh_slope(u) + SQUASH_EPS).sum(axis=1)
         return a, logp
 
-    def act(self, obs: np.ndarray, deterministic: bool = True) -> np.ndarray:
-        """Single-observation action in the environment's unit box."""
-        a, _ = self.sample_action(np.atleast_2d(obs), deterministic=deterministic)
-        return env_action(a[0])
+    def act(self, obs: np.ndarray) -> np.ndarray:
+        """The policy's mean action for one observation, in the unit box; it draws no noise."""
+        mean, _, _ = self._heads(obs)
+        return env_action(np.tanh(mean)[0])
 
-    def act_batch(self, obs: np.ndarray, deterministic: bool = False) -> np.ndarray:
-        """Tanh-space actions for a batch of observations."""
-        a, _ = self.sample_action(obs, deterministic=deterministic)
-        return a
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """Sampled tanh-space actions for a batch of observations."""
+        return self.sample_action(obs)[0]
 
     # -- gradient computations ---------------------------------------------
     def critic_targets(self, rew, next_obs, done) -> np.ndarray:
@@ -396,21 +392,22 @@ class SacAgent:
             raise
 
     @classmethod
-    def load(cls, path, seed: int = 0, *, acting_only: bool = False) -> "SacAgent":
+    def load(cls, path, *, acting_only: bool = False) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
         The header is checked in full before anything is allocated: its
-        keys, the payload dtype against ``nn.DTYPE``, the arrays the config
-        implies (each once, with its shape, worked out from the config
-        alone) and the payload length against the file size.  Then every
-        payload byte is read in header order and hashed as it arrives, and
-        the digest is compared before the agent is returned.  A full load
-        reads each array straight into its view of a fresh arena.  With
-        ``acting_only`` only the policy's arrays are kept, in an arena of
-        their own; every other array passes through one scratch buffer the
-        size of the largest, so it is hashed but not kept.  The agent then
-        acts as a full load does but cannot ``update`` or ``save``.  Either
-        way its rng starts fresh from ``seed``.
+        keys, the payload dtype against ``nn.DTYPE``, its
+        ``arrays`` against :func:`checkpoint_layout` of its config, entry
+        for entry in that order (the only one ``save`` writes), and the
+        payload length against the file size.  Then every payload byte is
+        read in that order and hashed as it arrives, and the digest is
+        compared before the agent is returned.  A full load reads each
+        array straight into its view of a fresh arena.  With
+        ``acting_only`` only the policy's arrays, which come first, are
+        kept, in an arena of their own; every other array passes through
+        one scratch buffer the size of the largest, so it is hashed but not
+        kept.  The agent then acts as a full load does but cannot
+        ``update`` or ``save``.  Either way its rng starts from seed 0.
         """
         try:
             fh = open(path, "rb")
@@ -437,7 +434,7 @@ class SacAgent:
                 config_dict = dict(header["config"])
                 config_dict["hidden"] = tuple(config_dict["hidden"])
                 config = SacConfig(**config_dict)
-                arrays = [(str(name), list(shape)) for name, shape in header["arrays"]]
+                arrays = list(header["arrays"])
                 counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
                 counters += [operator.index(header["adam_steps"][key])
                              for key in ("opt_policy", "opt_critic", "opt_alpha")]
@@ -448,31 +445,27 @@ class SacAgent:
             if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
                 raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
-            shapes = dict(checkpoint_layout(config))
-            names = [name for name, _ in arrays]
-            if sorted(names) != sorted(shapes):
-                odd = set(names) ^ set(shapes) | {n for n in names if names.count(n) > 1}
-                raise CheckpointError(
-                    f"{path}: arrays missing, unknown or repeated: {sorted(odd)}")
-            for name, shape in arrays:
-                if list(shapes[name]) != shape:
-                    raise CheckpointError(
-                        f"{path}: array {name!r} has shape {shape}, "
-                        f"expected {list(shapes[name])}")
+            layout = [[name, list(shape)] for name, shape in checkpoint_layout(config)]
+            if arrays != layout:
+                i = next((i for i, (a, b) in enumerate(zip(arrays, layout)) if a != b),
+                         min(len(arrays), len(layout)))
+                got, want = (json.dumps(x[i]) if i < len(x) else "absent"
+                             for x in (arrays, layout))
+                raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
             payload = size - 16 - header_len
-            expected = np.dtype(nn.DTYPE).itemsize * sum(map(math.prod, shapes.values()))
+            lengths = [math.prod(shape) for _, shape in layout]
+            expected = np.dtype(nn.DTYPE).itemsize * sum(lengths)
             if payload != expected:
                 raise CheckpointError(
                     f"{path} payload is {payload} bytes, expected {expected}")
 
             agent = cls.__new__(cls)
-            agent._build(config, seed, fill=False, acting_only=acting_only)
-            kept = dict(agent._named_arrays())
-            scratch = np.empty(max((math.prod(s) for n, s in shapes.items() if n not in kept),
-                                   default=0), agent.dtype)
+            agent._build(config, 0, fill=False, acting_only=acting_only)
+            kept = [a for _, a in agent._named_arrays()]
+            scratch = np.empty(max(lengths[len(kept):], default=0), agent.dtype)
             hasher = hashlib.sha256()
-            for name in names:
-                dst = kept[name] if name in kept else scratch[:math.prod(shapes[name])]
+            for i, n in enumerate(lengths):
+                dst = kept[i] if i < len(kept) else scratch[:n]
                 if fh.readinto(dst) != dst.nbytes:
                     raise CheckpointError(f"{path} is truncated inside the payload")
                 hasher.update(dst)

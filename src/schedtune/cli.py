@@ -26,7 +26,7 @@ import numpy as np
 
 from .agent import SacAgent, evaluate_policy, train_agent
 from .cluster import build_cluster
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError
 from .optimizers import OPTIMIZERS, make_optimizer, run_tuning
 from .report import (
@@ -47,8 +47,6 @@ from .scheduler import FIXED_WEIGHTS
 from .simengine import run_benchmark
 from .synthfuncs import SyntheticTuningEnv
 from .tunenv import FaasTuningEnv, VectorEnv, sample_scenario
-
-TUNE_METHODS = tuple(sorted(OPTIMIZERS)) + ("agent",)
 
 RUNRECORD_FIELDS = ("schema_version", "experiment", "scenario_seed",
                     "scenario_digest", "preset", "topology", "num_nodes",
@@ -72,20 +70,18 @@ def scenario_seeds(seed: int, count: int) -> list[int]:
             for c in children]
 
 
-def _tune_worker(payload: dict) -> tuple[list[dict], float]:
-    """Tune one scenario; return its trial rows and its wall time in s."""
+def _tune_worker(task) -> tuple[list[dict], float]:
+    """Tune one scenario; ``task`` is (env, experiment name, method,
+    checkpoint, scenario seed).  Return its trial rows and wall time in s."""
     start = time.perf_counter()
-    config = config_from_dict(payload["config"])
-    method = payload["method"]
-    scenario_seed = payload["scenario_seed"]
-    env = make_env(config)
+    env, experiment, method, checkpoint, scenario_seed = task
     if method == "agent":
-        agent = SacAgent.load(payload["checkpoint"], acting_only=True)
+        agent = SacAgent.load(checkpoint, acting_only=True)
         episode = evaluate_policy(agent, env, [scenario_seed])[0]
     else:
         optimizer = make_optimizer(method, dim=env.action_dim)
         episode = run_tuning(optimizer, env, seed=scenario_seed)
-    rows = trial_rows(config.name, method, scenario_seed, episode,
+    rows = trial_rows(experiment, method, scenario_seed, episode,
                       env.space.action_names)
     return rows, time.perf_counter() - start
 
@@ -101,33 +97,29 @@ def _report_progress(index: int, total: int, rows: list[dict], seconds: float):
 
 def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
              checkpoint=None, jobs: int = 1) -> Path:
-    if method not in TUNE_METHODS:
-        raise ConfigError(
-            f"unknown method {method!r}, expected one of {list(TUNE_METHODS)}")
     if method == "agent" and checkpoint is None:
         raise ConfigError("evaluating the agent requires --checkpoint")
     if jobs < 1:
         raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
     path = out_dir / "trials.csv"
-    action_names = make_env(config).space.action_names
+    env = make_env(config)
+    action_names = env.space.action_names
     # A table with other columns fails here, before any scenario is tuned.
     starts_new_table(path, trials_header(action_names))
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [{
-        "config": config.to_dict(),
-        "method": method,
-        "scenario_seed": s,
-        "checkpoint": None if checkpoint is None else str(checkpoint),
-    } for s in scenario_seeds(seed, config.n_scenarios)]
+    # Every scenario runs in this one environment.  A pool pickles it into
+    # each task before any reset, so it carries no episode.
+    tasks = [(env, config.name, method, checkpoint, s)
+             for s in scenario_seeds(seed, config.n_scenarios)]
     all_rows = []
     with ExitStack() as stack:
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_tune_worker, payloads)
+            results = pool.map(_tune_worker, tasks)
         else:
-            results = (_tune_worker(p) for p in payloads)
+            results = (_tune_worker(t) for t in tasks)
         for index, (rows, seconds) in enumerate(results, start=1):
-            _report_progress(index, len(payloads), rows, seconds)
+            _report_progress(index, len(tasks), rows, seconds)
             all_rows.extend(rows)
     write_trials_csv(path, all_rows, action_names)
     return path
@@ -269,9 +261,7 @@ def cmd_report(args) -> int:
 
 
 def _config_of(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return ExperimentConfig()
+    return load_config(args.config) if args.config else ExperimentConfig()
 
 
 def build_parser() -> argparse.ArgumentParser:
