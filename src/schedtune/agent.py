@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
+from .data import unique_keys
 from .errors import CheckpointError, ConfigError
 from .nn import Adam, Mlp, polyak_update
 from .tunenv import TuningEnv, TuningEpisode, VectorEnv
@@ -57,8 +58,9 @@ class SacConfig:
         for name in ("obs_dim", "act_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be a positive integer")
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError(f"hidden: layer widths must be positive, got {list(self.hidden)}")
+        for i, h in enumerate(self.hidden):
+            if h < 1:
+                raise ConfigError(f"hidden[{i}]: expected a positive integer")
         for name in ("gamma", "tau"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name}: must lie in [0, 1]")
@@ -117,8 +119,6 @@ class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
-        if capacity < 1:
-            raise ConfigError("replay capacity must be positive")
         self.capacity = capacity
         self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
         self.act = np.zeros((capacity, act_dim), nn.DTYPE)
@@ -396,7 +396,7 @@ class SacAgent:
         """Read a checkpoint written by :meth:`save`.
 
         The header is checked in full before anything is allocated: its
-        keys, the payload dtype against ``nn.DTYPE``, its
+        keys (each once), the payload dtype against ``nn.DTYPE``, its
         ``arrays`` against :func:`checkpoint_layout` of its config, entry
         for entry in that order (the only one ``save`` writes), and the
         payload length against the file size.  Then every payload byte is
@@ -426,8 +426,10 @@ class SacAgent:
             if size < 16 + header_len:
                 raise CheckpointError(f"{path} is truncated inside the header")
             try:
-                header = json.loads(fh.read(header_len).decode())
-            # Not UTF-8, not JSON, or an integer past Python's digit limit.
+                header = json.loads(fh.read(header_len).decode(),
+                                    object_pairs_hook=unique_keys)
+            # Not UTF-8, not JSON, a repeated key, or an integer past
+            # Python's digit limit.
             except ValueError as exc:
                 raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
             try:

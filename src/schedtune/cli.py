@@ -186,10 +186,11 @@ def cmd_train_agent(args) -> int:
     config = _config_of(args)
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
     eval_env = make_env(replace(config, mode="test"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Built before --out exists: an arena too large to map fails first.
     agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),
                      seed=args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / "agent.ckpt"
 
     def report_eval(entry: dict):

@@ -86,12 +86,8 @@ def _check_choice(value, path, choices):
 def _parse_hidden(value, path):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of layer widths")
-    out = []
-    for i, layer in enumerate(value):
-        if isinstance(layer, bool) or not isinstance(layer, int) or layer < 1:
-            raise ConfigError(f"{path}[{i}]: expected a positive integer")
-        out.append(layer)
-    return tuple(out)
+    # SacConfig refuses a width below 1.
+    return tuple(check(layer, int, f"{path}[{i}]") for i, layer in enumerate(value))
 
 
 # One parser per annotation in ExperimentConfig; a field of any other type

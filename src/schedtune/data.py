@@ -46,13 +46,25 @@ def data_dir(override: str | os.PathLike | None = None) -> Path:
     return Path(str(resources.files("schedtune") / "data"))
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a repeated key is a
+    ``ValueError``, not its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json(path, what: str):
     """The JSON value in the UTF-8 file ``path``.  A file that cannot be
-    read, decoded or parsed fails with one error naming it; ``what`` says
-    what kind of file it is (``config``, ``data file``)."""
+    read, decoded or parsed, or that repeats a key in an object, fails with
+    one error naming it; ``what`` says what kind of file it is (``config``,
+    ``data file``)."""
     try:
         with open(path, "rb") as fh:   # decoded whole, so a bad byte's offset is the file's
-            return json.loads(fh.read().decode("utf-8"))
+            return json.loads(fh.read().decode("utf-8"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -61,7 +73,7 @@ def read_json(path, what: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg})") from exc
-    except ValueError as exc:   # an integer literal past Python's digit limit
+    except ValueError as exc:   # a repeated key, or an integer past Python's digit limit
         raise ConfigError(f"{path}: {exc}") from exc
 
 

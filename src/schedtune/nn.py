@@ -36,14 +36,19 @@ def arena(*groups) -> tuple[np.ndarray, list[np.ndarray]]:
     pages that lie wholly inside it: where transparent huge pages allow, the
     kernel faults those in 2 MB at a time, and a group that is never written
     stays unmapped.  Where ``mmap`` lacks ``MAP_PRIVATE`` or
-    ``MADV_HUGEPAGE`` the buffer is ``np.zeros``.
+    ``MADV_HUGEPAGE`` the buffer is ``np.zeros``.  A mapping too large to
+    make is a ``ConfigError`` naming its size.
     """
     dtype = np.dtype(DTYPE)
     step = 64 // dtype.itemsize
     lengths = [n for group in groups for n in group]
     starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
     if starts[-1] and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE"):
-        memory = mmap.mmap(-1, starts[-1] * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+        nbytes = starts[-1] * dtype.itemsize
+        try:
+            memory = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        except (OverflowError, OSError) as exc:   # past ssize_t, or past the address space
+            raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena ({exc})") from exc
         buffer = np.frombuffer(memory, dtype)
         base, first = buffer.ctypes.data, 0
         for group in groups:   # advise the whole huge pages inside each group

@@ -129,8 +129,11 @@ def read_trials_csv(path) -> list[dict]:
         except (KeyError, ValueError) as exc:
             raise ProtocolError(
                 f"{path} line {line_no}: malformed trial row ({exc})") from exc
-        if not np.isfinite(rows[-1]["score"]):
+        score = rows[-1]["score"]
+        if not np.isfinite(score):
             raise ProtocolError(f"{path} line {line_no}: score {row['score']} is not finite")
+        if not 0.0 <= score <= 1.0:
+            raise ProtocolError(f"{path} line {line_no}: score {row['score']} lies outside [0, 1]")
     return rows
 
 

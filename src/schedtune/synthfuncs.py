@@ -158,7 +158,7 @@ class SyntheticTuningEnv(TuningEnv):
             return float(landscape_score(lscape, f))
 
         static = np.array([
-            self.space.normalize_static(name, raw)
+            self.space.static_range(name).normalize(raw)
             for name, raw in zip(SYNTH_STATIC_NAMES, (shift_x, shift_y, scale))
         ])
         blob = json.dumps({"function": lscape.name, "shift_x": shift_x,

@@ -94,10 +94,6 @@ class SpaceSet:
         train, test = self.domain("train")[name], self.domain("test")[name]
         return SpaceVar(name, min(train.min, test.min), max(train.max, test.max))
 
-    def normalize_static(self, name: str, value: float) -> float:
-        """``value`` as a static feature in [0, 1] over ``static_range(name)``."""
-        return self.static_range(name).normalize(value)
-
 
 def default_space_set() -> SpaceSet:
     """Spaces for the cluster-scheduling problem.
@@ -406,7 +402,7 @@ class FaasTuningEnv(TuningEnv):
             "scale_factor": scenario.options.scale_factor,
         }
         for name, value in raw.items():
-            feats[FAAS_STATIC_NAMES.index(name)] = self.space.normalize_static(name, value)
+            feats[FAAS_STATIC_NAMES.index(name)] = self.space.static_range(name).normalize(value)
         return feats
 
     def _begin_episode(self, rng: np.random.Generator):

@@ -72,7 +72,9 @@ def test_invalid_values_name_the_field(payload, fragment):
     ({"gamma": False}, "gamma: expected a number, got bool"),
     ({"name": 7}, "name: expected a string, got int"),
     ({"hidden": []}, "hidden: expected a non-empty list"),
-    ({"hidden": [32, "x"]}, r"hidden\[1\]: expected a positive integer"),
+    ({"hidden": [32, "x"]}, r"hidden\[1\]: expected an integer, got str"),
+    ({"hidden": [32, True]}, r"hidden\[1\]: expected an integer, got bool"),
+    ({"hidden": [10**400]}, r"hidden\[0\]: expected a finite number"),
     ({"hidden": [32, 0]}, r"hidden\[1\]: expected a positive integer"),
     ({"data_dir": 3}, "data_dir: expected a string, got int"),
 ])
