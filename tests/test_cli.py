@@ -10,10 +10,12 @@ from dataclasses import asdict
 import pytest
 
 from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig, checkpoint_layout
-from schedtune.cli import main, scenario_seeds
+from schedtune.cli import main, make_env, scenario_seeds
+from schedtune.config import load_config
 from schedtune.data import data_dir
 from schedtune.report import read_trials_csv
 from tests.test_agent import _forge_checkpoint, _write_checkpoint
+from tests.test_tunenv import DATA_FILES, _record_reads
 
 
 def write_config(tmp_path, **overrides):
@@ -636,9 +638,6 @@ def test_a_repeated_config_key_fails_with_one_error_line(tmp_path, capsys):
 
 
 def test_tune_and_eval_read_each_data_file_once(tmp_path, monkeypatch, capsys):
-    from schedtune.cli import make_env
-    from schedtune.config import load_config
-    from tests.test_tunenv import DATA_FILES, _record_reads
     config = write_config(tmp_path, env_kind="faas", duration_s=20.0, n_scenarios=3)
     env = make_env(load_config(config))
     checkpoint = tmp_path / "agent.ckpt"
