@@ -125,6 +125,33 @@ def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
     assert digest == PINNED_TUNE_TRIALS_SHA256
 
 
+# Every method's table on the FaaS config above, and TPE's on the synthetic
+# landscape.  BO and TPE condition on the reference pair and every trial, so
+# a change to how a method reads the episode's history moves its digest.
+PINNED_METHOD_TRIALS_SHA256 = {
+    ("faas", "fixed"): "9341bb37ac66c8893f292521dca76091d32324128cdde6c4121219bba0343413",
+    ("faas", "random"): PINNED_TUNE_TRIALS_SHA256,
+    ("faas", "bo"): "e20548e77a06931d730c26925fda8694e2b87a726e5e52d2897e50e70e96f714",
+    ("faas", "tpe"): "13e6fd469a0e8df6ed3edcdbda4f23691effc4705c8369063d0d9ff2dcb33c91",
+    ("synthetic", "tpe"): "760c8ac2382cbb4ce5667cc96979ce0ec69d44ebb206d3e4505e1d272bec9713",
+}
+
+
+@pytest.mark.parametrize("env_kind, method", list(PINNED_METHOD_TRIALS_SHA256),
+                         ids=[f"{k}-{m}" for k, m in PINNED_METHOD_TRIALS_SHA256])
+def test_every_method_trials_table_is_pinned(tmp_path, capsys, env_kind, method):
+    if env_kind == "faas":
+        config = write_config(tmp_path, env_kind="faas", n_scenarios=4, duration_s=50.0)
+    else:
+        config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", config, "--seed", "3", "--out", str(out),
+                 "--method", method, "--jobs", "1"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_METHOD_TRIALS_SHA256[env_kind, method]
+
+
 def test_train_agent_then_eval(tmp_path, capsys):
     train_config = write_config(
         tmp_path, mode="train", total_env_steps=150, start_steps=50,
