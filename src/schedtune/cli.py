@@ -28,7 +28,7 @@ from .agent import SacAgent, evaluate_policy, train_agent
 from .cluster import build_cluster
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError
-from .optimizers import OPTIMIZERS, make_optimizer, run_tuning
+from .optimizers import OPTIMIZERS, run_tuning
 from .report import (
     CHART_FILENAME,
     CSV_SCHEMA_VERSION,
@@ -79,8 +79,7 @@ def _tune_worker(task) -> tuple[list[dict], float]:
         agent = SacAgent.load(checkpoint, acting_only=True)
         episode = evaluate_policy(agent, env, [scenario_seed])[0]
     else:
-        optimizer = make_optimizer(method, dim=env.action_dim)
-        episode = run_tuning(optimizer, env, seed=scenario_seed)
+        episode = run_tuning(OPTIMIZERS[method](), env, seed=scenario_seed)
     rows = trial_rows(experiment, method, scenario_seed, episode,
                       env.space.action_names)
     return rows, time.perf_counter() - start

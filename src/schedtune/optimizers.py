@@ -5,6 +5,12 @@ same evaluation budget: the environment's reset evaluates the fixed initial
 weights (giving r0), then the optimizer supplies one suggestion per step.
 ``run_tuning`` drives a full episode and returns its TuningEpisode record.
 
+The episode is the only history.  An optimizer keeps no state:
+``suggest(episode, rng)`` reads the points and scores evaluated so far from
+``episode.evaluations()``, the reference pair first, and draws only from
+``rng``.  Each method is still a class of its own in ``OPTIMIZERS``, so that
+a tracer can wrap ``suggest`` on each class and count the suggestions.
+
 The Bayesian optimizer keeps a Gaussian-process surrogate with a squared
 exponential kernel over centered scores and suggests the maximizer of an
 upper confidence bound over uniform candidates.  The TPE optimizer splits
@@ -18,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .tunenv import TuningEnv, TuningEpisode
 
 _SQRT2 = math.sqrt(2.0)
@@ -177,57 +183,28 @@ def suggest_tpe(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator,
     return candidates[int(np.argmax(log_ratio))]
 
 
-class Optimizer:
-    """History-tracking wrapper with a common suggest/observe interface."""
+class FixedOptimizer:
+    """Repeats the episode's initial weights, the reference point."""
 
-    def __init__(self, dim: int = 8):
-        if dim < 1:
-            raise ConfigError("dimension must be positive")
-        self.dim = dim
-        self._x: list[np.ndarray] = []
-        self._y: list[float] = []
-
-    @property
-    def history(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._y:
-            return np.empty((0, self.dim)), np.empty(0)
-        return np.stack(self._x), np.array(self._y)
-
-    def observe(self, action: np.ndarray, score: float) -> None:
-        a = np.asarray(action, dtype=float).reshape(-1)
-        if a.shape != (self.dim,):
-            raise ConfigError(f"observed action must have dimension {self.dim}")
-        self._x.append(a.copy())
-        self._y.append(float(score))
-
-    def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+    def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
+        return episode.initial_action.copy()
 
 
-class FixedOptimizer(Optimizer):
-    """Repeats the first observed action, which ``run_tuning`` sets to r0's."""
-
-    def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        if not self._x:
-            raise ProtocolError("the fixed method suggests only after an observation")
-        return self._x[0].copy()
+class RandomSearchOptimizer:
+    def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
+        return suggest_random(rng, len(episode.initial_action))
 
 
-class RandomSearchOptimizer(Optimizer):
-    def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        return suggest_random(rng, self.dim)
+class BoOptimizer:
+    def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
+        x, y = episode.evaluations()
+        return suggest_bo(x, y, rng, x.shape[1])
 
 
-class BoOptimizer(Optimizer):
-    def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        x, y = self.history
-        return suggest_bo(x, y, rng, self.dim)
-
-
-class TpeOptimizer(Optimizer):
-    def suggest(self, rng: np.random.Generator) -> np.ndarray:
-        x, y = self.history
-        return suggest_tpe(x, y, rng, self.dim)
+class TpeOptimizer:
+    def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
+        x, y = episode.evaluations()
+        return suggest_tpe(x, y, rng, x.shape[1])
 
 
 OPTIMIZERS = {
@@ -238,29 +215,12 @@ OPTIMIZERS = {
 }
 
 
-def make_optimizer(method: str, dim: int = 8) -> Optimizer:
-    try:
-        return OPTIMIZERS[method](dim)
-    except KeyError:
-        raise ConfigError(
-            f"unknown method {method!r}, expected one of {sorted(OPTIMIZERS)}"
-        ) from None
-
-
-def run_tuning(optimizer: Optimizer, env: TuningEnv, seed: int) -> TuningEpisode:
+def run_tuning(optimizer, env: TuningEnv, seed: int) -> TuningEpisode:
     """One full episode: reset (evaluates the fixed initial weights), then
     one suggestion per environment step.  Total benchmark runs: n_steps + 1.
     """
-    if optimizer.dim != env.action_dim:
-        raise ConfigError("optimizer and environment dimensions differ")
     rng = np.random.default_rng(seed)
     env.reset(seed)
-    optimizer.observe(env.initial_action, env.episode.r0)
-    done = False
     for _ in range(env.n_steps):
-        action = optimizer.suggest(rng)
-        _, _, done, info = env.step(action)
-        optimizer.observe(action, info["score"])
-    if not done:
-        raise ProtocolError("episode did not finish in n_steps steps")
+        env.step(optimizer.suggest(env.episode, rng))
     return env.episode

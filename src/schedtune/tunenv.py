@@ -9,9 +9,11 @@ which pays the relative improvement of the best trial over r0.
 Observations concatenate a normalized static description of the scenario,
 ``n_steps + 1`` frames of (action, raw score, valid) triples -- frame 0 is
 reserved for the initial (fixed weights, r0) pair -- and the normalized step
-index.  Reset returns all-zero frames; trial history appears from the first
-step onward.  Static features come in fine and coarse variants so that
-masking can hide exact scenario parameters during training.
+index.  The frames and the done flag follow from the episode record
+(:class:`TuningEpisode`), the only state of a session: while it holds no
+trial, as at reset, every frame is zero, and it is done at ``n_steps``
+trials.  Static features come in fine and coarse variants so that masking
+can hide exact scenario parameters during training.
 
 A ``SpaceSet``'s train and test domains are the only source of scenario
 ranges: scenarios are drawn from the mode's domain, and each numeric static
@@ -226,6 +228,13 @@ class TuningEpisode:
             return 0.0
         return (self.best_score - self.r0) / max(self.r0, EPS_REWARD)
 
+    def evaluations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every evaluated point as a row and its score, the reference
+        pair (initial action, r0) first, then the trials in order."""
+        points = np.stack([self.initial_action] + [a for a, _ in self.trials])
+        scores = np.array([self.r0] + [s for _, s in self.trials])
+        return points, scores
+
 
 def mask_static(features: np.ndarray, level: str,
                 coarse_indices: tuple[int, ...]) -> np.ndarray:
@@ -265,11 +274,9 @@ class TuningEnv:
         self.n_frames = n_steps + 1
         self.frame_width = self.action_dim + 2
         self.mask_level = mask_level
-        self.benchmark_calls = 0
         self.episode: TuningEpisode | None = None
         self._static: np.ndarray | None = None
         self._evaluate = None
-        self._done = True
 
     @property
     def observation_dim(self) -> int:
@@ -296,18 +303,16 @@ class TuningEnv:
             raise ConfigError(
                 f"could not find a schedulable scenario in "
                 f"{MAX_RESET_RETRIES} attempts: {last_error}")
-        self.benchmark_calls += 1
         if static.shape != (self.static_dim,):
             raise ConfigError("static features have the wrong dimension")
         self._static = mask_static(static, self.mask_level, self.coarse_indices)
         self._evaluate = evaluate
         self.episode = TuningEpisode(r0=r0, initial_action=self.initial_action.copy(),
                                      scenario_digest=digest)
-        self._done = False
-        return self._observation(zero_frames=True)
+        return self._observation()
 
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
-        if self.episode is None or self._done:
+        if self.episode is None or len(self.episode.trials) >= self.n_steps:
             raise ProtocolError("step called on a finished or unreset episode")
         a = np.asarray(action, dtype=float).reshape(-1)
         if a.shape != (self.action_dim,):
@@ -317,25 +322,19 @@ class TuningEnv:
             raise ConfigError("action outside the unit box")
         a = np.clip(a, 0.0, 1.0)
         score = float(self._evaluate(a))
-        self.benchmark_calls += 1
         self.episode.trials.append((a.copy(), score))
-        self._done = len(self.episode.trials) >= self.n_steps
-        reward = float(self.episode.improvement) if self._done else 0.0
-        return self._observation(zero_frames=False), reward, self._done, {"score": score}
+        done = len(self.episode.trials) >= self.n_steps
+        reward = float(self.episode.improvement) if done else 0.0
+        return self._observation(), reward, done, {"score": score}
 
-    def _observation(self, zero_frames: bool) -> np.ndarray:
+    def _observation(self) -> np.ndarray:
         frames = np.zeros((self.n_frames, self.frame_width))
-        k = 0
-        if not zero_frames:
-            ep = self.episode
-            frames[0, :self.action_dim] = ep.initial_action
-            frames[0, self.action_dim] = ep.r0
-            frames[0, self.action_dim + 1] = 1.0
-            k = len(ep.trials)
-            for i, (a, s) in enumerate(ep.trials, start=1):
-                frames[i, :self.action_dim] = a
-                frames[i, self.action_dim] = s
-                frames[i, self.action_dim + 1] = 1.0
+        k = len(self.episode.trials)
+        if k:
+            points, scores = self.episode.evaluations()
+            frames[:k + 1, :self.action_dim] = points
+            frames[:k + 1, self.action_dim] = scores
+            frames[:k + 1, self.action_dim + 1] = 1.0
         step_index = np.array([k / self.n_steps])
         return np.concatenate([self._static, frames.reshape(-1), step_index])
 

@@ -21,15 +21,14 @@ from schedtune import simengine as se
 from schedtune import workload as wl
 from schedtune.agent import (SacAgent, SacConfig, env_action, evaluate_policy,
                              train_agent)
-from schedtune.optimizers import (GP_NOISE_VAR, GP_SIGNAL_VAR, FixedOptimizer,
-                                  RandomSearchOptimizer, gp_posterior,
-                                  make_optimizer, run_tuning, se_kernel,
-                                  suggest_tpe)
+from schedtune.optimizers import (GP_NOISE_VAR, GP_SIGNAL_VAR, OPTIMIZERS, FixedOptimizer,
+                                  RandomSearchOptimizer, gp_posterior, run_tuning,
+                                  se_kernel, suggest_tpe)
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import (FAAS_STATIC_NAMES, FaasTuningEnv, VectorEnv,
                               default_space_set, sample_scenario)
 from tests.conftest import float64_networks, make_function, random_weights
-from tests.test_tunenv import run_scripted
+from tests.test_tunenv import count_evaluations, run_scripted
 
 
 def _criterion(capsys, num, name, budget_s, body):
@@ -400,7 +399,7 @@ def test_07_synthetic_learning_beats_random_search(capsys):
         agent_best = np.array([e.best_score for e in
                                evaluate_policy(agent, test_env, seeds)])
         random_best = np.array([
-            run_tuning(RandomSearchOptimizer(dim=2), test_env,
+            run_tuning(RandomSearchOptimizer(), test_env,
                        seed=s).best_score for s in seeds])
         outcome = scipy.stats.ttest_rel(agent_best, random_best,
                                         alternative="greater")
@@ -420,8 +419,7 @@ def test_08_model_based_tuners_beat_fixed_weights(capsys):
             env = FaasTuningEnv(mode="train")
             wins = 0
             for s in range(20):
-                episode = run_tuning(make_optimizer(method, dim=8), env,
-                                     seed=1000 + s)
+                episode = run_tuning(OPTIMIZERS[method](), env, seed=1000 + s)
                 wins += episode.best_score >= episode.r0
             counts[method] = wins
             assert wins >= 14, f"{method} matched fixed on only {wins}/20"
@@ -436,15 +434,17 @@ def test_09_evaluation_budget_and_observation_layout(capsys):
     def body():
         for method in ("fixed", "random", "bo", "tpe"):
             env = FaasTuningEnv(mode="train")
-            run_tuning(make_optimizer(method, dim=8), env, seed=5)
-            assert env.benchmark_calls == 5, method
+            scores = count_evaluations(env)
+            run_tuning(OPTIMIZERS[method](), env, seed=5)
+            assert len(scores) == 5, method
 
         env = FaasTuningEnv(mode="train")
+        scores = count_evaluations(env)
         scout = SacAgent(SacConfig(obs_dim=env.observation_dim,
                                    act_dim=env.action_dim, hidden=(16, 16)),
                          seed=0)
         evaluate_policy(scout, env, [5])
-        assert env.benchmark_calls == 5
+        assert len(scores) == 5
 
         expected = len(FAAS_STATIC_NAMES) + 5 * (env.action_dim + 2) + 1
         assert expected == 71
@@ -499,7 +499,7 @@ def test_10_cluster_agent_generalizes_across_presets(capsys):
             agent_best.append(test_env.episode.best_score)
         assert presets_seen == set(cl.PRESETS)
 
-        fixed_best = [run_tuning(FixedOptimizer(dim=8), test_env,
+        fixed_best = [run_tuning(FixedOptimizer(), test_env,
                                  seed=s).best_score for s in used_seeds]
         agent_mean = float(np.mean(agent_best))
         fixed_mean = float(np.mean(fixed_best))

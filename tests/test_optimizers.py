@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedtune.errors import ConfigError, ProtocolError
+from schedtune.errors import ConfigError
 from schedtune.optimizers import (
     BO_CANDIDATES,
     GP_LENGTHSCALE,
@@ -15,6 +15,7 @@ from schedtune.optimizers import (
     GP_SIGNAL_VAR,
     TPE_BANDWIDTH_FLOOR,
     UCB_BETA,
+    OPTIMIZERS,
     BoOptimizer,
     FixedOptimizer,
     RandomSearchOptimizer,
@@ -23,7 +24,6 @@ from schedtune.optimizers import (
     _parzen_pdf,
     _truncnorm_z,
     gp_posterior,
-    make_optimizer,
     run_tuning,
     se_kernel,
     suggest_bo,
@@ -32,9 +32,9 @@ from schedtune.optimizers import (
 )
 from schedtune.scheduler import FIXED_WEIGHTS
 from schedtune.synthfuncs import synth_space_set
-from schedtune.tunenv import default_space_set
+from schedtune.tunenv import TuningEpisode, default_space_set
 
-from test_tunenv import ScriptedEnv
+from test_tunenv import ScriptedEnv, count_evaluations
 
 
 # -- reference implementations, deliberately written differently -----------
@@ -120,15 +120,12 @@ def test_suggest_fixed_matches_default_weights():
     rng = np.random.default_rng(0)
     for space, expected in ((default_space_set(), FIXED_WEIGHTS),
                             (synth_space_set(), [0.5, 0.5])):
-        opt = FixedOptimizer(dim=len(expected))
-        opt.observe(space.initial_action, 0.3)
-        opt.observe(np.full(len(expected), 0.9), 0.8)
-        got = opt.suggest(rng)
+        episode = TuningEpisode(r0=0.3, initial_action=space.initial_action.copy(),
+                                trials=[(np.full(len(expected), 0.9), 0.8)])
+        got = FixedOptimizer().suggest(episode, rng)
         assert np.array_equal(got, expected)
-        got[:] = -1.0   # a copy, not the history itself
-        assert np.array_equal(opt.suggest(rng), expected)
-    with pytest.raises(ProtocolError):
-        FixedOptimizer(dim=2).suggest(rng)
+        got[:] = -1.0   # a copy, not the episode's own array
+        assert np.array_equal(FixedOptimizer().suggest(episode, rng), expected)
 
 
 def test_suggest_random_seeded_and_bounded():
@@ -238,28 +235,20 @@ def test_tpe_suggestion_rejects_mismatched_history():
         suggest_tpe(np.zeros((3, 2)), np.zeros(4), np.random.default_rng(0), dim=2)
 
 
-def test_make_optimizer_registry():
-    assert isinstance(make_optimizer("fixed"), FixedOptimizer)
-    assert isinstance(make_optimizer("random"), RandomSearchOptimizer)
-    assert isinstance(make_optimizer("bo"), BoOptimizer)
-    assert isinstance(make_optimizer("tpe"), TpeOptimizer)
-    with pytest.raises(ConfigError):
-        make_optimizer("grid")
-
-
-def test_optimizer_observe_validates_dimension():
-    opt = make_optimizer("random", dim=3)
-    with pytest.raises(ConfigError):
-        opt.observe(np.zeros(4), 0.5)
+def test_optimizers_registry():
+    assert OPTIMIZERS == {"fixed": FixedOptimizer, "random": RandomSearchOptimizer,
+                          "bo": BoOptimizer, "tpe": TpeOptimizer}
+    # A tracer wraps suggest on each class, so each defines its own.
+    assert all("suggest" in cls.__dict__ for cls in OPTIMIZERS.values())
 
 
 def test_run_tuning_spends_exactly_five_evaluations():
     env = ScriptedEnv(0.5, [0.4, 0.7, 0.6, 0.5])
-    opt = RandomSearchOptimizer(dim=2)
-    episode = run_tuning(opt, env, seed=0)
-    assert env.benchmark_calls == 5
+    scores = count_evaluations(env)
+    episode = run_tuning(RandomSearchOptimizer(), env, seed=0)
+    assert scores == [0.5, 0.4, 0.7, 0.6, 0.5]
     assert len(episode.trials) == 4
-    x_hist, y_hist = opt.history
+    x_hist, y_hist = episode.evaluations()
     assert x_hist.shape == (5, 2)
     assert y_hist[0] == 0.5
     assert episode.best_score == 0.7
@@ -267,18 +256,18 @@ def test_run_tuning_spends_exactly_five_evaluations():
 
 
 def test_run_tuning_optimizer_sees_reference_score_first():
+    class Recording(TpeOptimizer):
+        def suggest(self, episode, rng):
+            seen.append(episode.evaluations())
+            return super().suggest(episode, rng)
+
+    seen = []
     env = ScriptedEnv(0.5, [0.4, 0.7, 0.6, 0.5])
-    opt = TpeOptimizer(dim=2)
-    run_tuning(opt, env, seed=0)
-    x_hist, y_hist = opt.history
+    run_tuning(Recording(), env, seed=0)
+    assert [len(y) for _, y in seen] == [1, 2, 3, 4]
+    x_hist, y_hist = seen[0]
     assert np.array_equal(x_hist[0], env.initial_action)
     assert y_hist[0] == 0.5
-
-
-def test_run_tuning_dimension_mismatch_raises():
-    env = ScriptedEnv(0.5, [0.4] * 4)
-    with pytest.raises(ConfigError):
-        run_tuning(RandomSearchOptimizer(dim=8), env, seed=0)
 
 
 def test_fixed_optimizer_repeats_initial_weights():
@@ -289,14 +278,14 @@ def test_fixed_optimizer_repeats_initial_weights():
             return self._static_raw.copy(), evaluate, "value"
 
     env = ValueEnv(0.0, [0.0] * 4)
-    episode = run_tuning(FixedOptimizer(dim=2), env, seed=0)
+    episode = run_tuning(FixedOptimizer(), env, seed=0)
     assert episode.improvement == 0.0
     assert all(score == episode.r0 for _, score in episode.trials)
 
 
 def test_fixed_optimizer_tunes_with_the_environment_initial_action():
     env = ScriptedEnv(0.5, [0.4] * 4, initial_action=[0.2, 0.9])
-    episode = run_tuning(FixedOptimizer(dim=2), env, seed=0)
+    episode = run_tuning(FixedOptimizer(), env, seed=0)
     assert len(episode.trials) == 4
     assert all(np.array_equal(action, [0.2, 0.9]) for action, _ in episode.trials)
 
@@ -307,12 +296,10 @@ def test_bo_optimizer_locates_smooth_optimum():
     def score(a):
         return 1.0 - float(np.sum((a - target) ** 2))
 
-    opt = BoOptimizer(dim=2)
+    reference = np.array([0.5, 0.5])
+    episode = TuningEpisode(r0=score(reference), initial_action=reference)
     rng = np.random.default_rng(10)
-    best = -np.inf
     for _ in range(20):
-        a = opt.suggest(rng)
-        s = score(a)
-        opt.observe(a, s)
-        best = max(best, s)
-    assert best > 0.98
+        a = BoOptimizer().suggest(episode, rng)
+        episode.trials.append((a, score(a)))
+    assert episode.best_score > 0.98

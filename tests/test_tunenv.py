@@ -51,6 +51,25 @@ class ScriptedEnv(TuningEnv):
         return self._static_raw.copy(), evaluate, "scripted"
 
 
+def count_evaluations(env):
+    """Wrap the evaluator of every scenario ``env`` begins; the returned
+    list gains one score per finished benchmark evaluation."""
+    scores = []
+    begin = env._begin_episode
+
+    def counted_begin(rng):
+        static, evaluate, digest = begin(rng)
+
+        def counted(action):
+            scores.append(evaluate(action))
+            return scores[-1]
+
+        return static, counted, digest
+
+    env._begin_episode = counted_begin
+    return scores
+
+
 def run_scripted(r0, scores):
     env = ScriptedEnv(r0, scores, n_steps=len(scores))
     env.reset(0)
@@ -160,9 +179,14 @@ def test_action_validation():
     assert env.episode.trials == []
 
 
-def test_benchmark_calls_one_reset_plus_one_per_step():
-    env, _ = run_scripted(0.5, [0.6] * 4)
-    assert env.benchmark_calls == 5
+def test_one_evaluation_at_reset_plus_one_per_step():
+    env = ScriptedEnv(0.5, [0.6] * 4)
+    scores = count_evaluations(env)
+    env.reset(0)
+    assert scores == [0.5]
+    for _ in range(4):
+        env.step(np.array([0.5, 0.5]))
+    assert scores == [0.5, 0.6, 0.6, 0.6, 0.6]
 
 
 def test_episode_improvement_empty_trials_is_zero():
