@@ -116,15 +116,21 @@ def checkpoint_layout(config: SacConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``."""
+    """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``.
+    A capacity the system refuses to allocate is a ``ConfigError``."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
-        self.act = np.zeros((capacity, act_dim), nn.DTYPE)
-        self.rew = np.zeros(capacity, nn.DTYPE)
-        self.next_obs = np.zeros((capacity, obs_dim), nn.DTYPE)
-        self.done = np.zeros(capacity, nn.DTYPE)
+        try:
+            self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
+            self.act = np.zeros((capacity, act_dim), nn.DTYPE)
+            self.rew = np.zeros(capacity, nn.DTYPE)
+            self.next_obs = np.zeros((capacity, obs_dim), nn.DTYPE)
+            self.done = np.zeros(capacity, nn.DTYPE)
+        except (MemoryError, ValueError) as exc:   # refused, or past numpy's size limit
+            nbytes = capacity * (2 * obs_dim + act_dim + 2) * np.dtype(nn.DTYPE).itemsize
+            raise ConfigError(f"replay_capacity: cannot allocate a {nbytes}-byte "
+                              f"replay buffer") from exc
         self.idx = 0
         self.size = 0
 
@@ -508,17 +514,20 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                 seed: int, eval_env: TuningEnv | None = None,
                 eval_seeds=(), eval_every: int = 0,
                 checkpoint_path=None, log_every: int = 500,
-                log_path=None, on_eval=None) -> None:
+                log_path=None, on_eval=None,
+                buffer: ReplayBuffer | None = None) -> None:
     """Standard off-policy loop: uniform warm-up actions until
     ``start_steps``, then one gradient step per environment step.  Every
     ``log_every`` environment steps a row goes to ``log_path``; every
     ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env`` and
-    the evaluation entry goes to ``on_eval``."""
+    the evaluation entry goes to ``on_eval``.  Transitions go to ``buffer``,
+    by default a fresh one of the agent's ``replay_capacity``."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
     rng = np.random.default_rng(seed)
-    buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
+    if buffer is None:
+        buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
     k = vec_env.num_envs
     obs = vec_env.reset([int(rng.integers(2**63 - 1)) for _ in range(k)])
     terminal_rewards: list[float] = []

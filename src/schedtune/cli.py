@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import SacAgent, evaluate_policy, train_agent
+from .agent import ReplayBuffer, SacAgent, evaluate_policy, train_agent
 from .cluster import build_cluster
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError
@@ -185,9 +185,11 @@ def cmd_train_agent(args) -> int:
     config = _config_of(args)
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
     eval_env = make_env(replace(config, mode="test"))
-    # Built before --out exists: an arena too large to map fails first.
+    # Built before --out exists: an arena or a replay buffer too large to
+    # allocate fails first.
     agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),
                      seed=args.seed)
+    buffer = ReplayBuffer(config.replay_capacity, vec.observation_dim, vec.action_dim)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / "agent.ckpt"
@@ -208,6 +210,7 @@ def cmd_train_agent(args) -> int:
         log_every=config.log_every,
         log_path=out_dir / "train_log.csv",
         on_eval=report_eval,
+        buffer=buffer,
     )
     print(f"trained for {agent.env_steps} environment steps; "
           f"checkpoint at {checkpoint}")

@@ -117,6 +117,13 @@ def read_trials_csv(path) -> list[dict]:
             raise ProtocolError(
                 f"{path} line {line_no}: unknown schema version {version!r}, "
                 f"this build reads version {CSV_SCHEMA_VERSION}")
+        for name in ("scenario_seed", "trial", "score"):
+            # int() and float() take digit-group underscores and surrounding
+            # spaces, which the writer never puts in.
+            value = row.get(name, "")
+            if "_" in value or value != value.strip():
+                raise ProtocolError(f"{path} line {line_no}: {name} {value!r} "
+                                    f"is not a number as this program writes it")
         try:
             rows.append({
                 "experiment": row["experiment"],

@@ -223,8 +223,13 @@ def _oversized_field(text):
      "line 2: row does not have the header's"),
     (lambda text: re.sub(r"\n([^\n]+)", r"\n\1,x", text, count=1).encode(),
      "line 2: row does not have the header's"),
+    # int() and float() read these; the writer never puts them in.
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\g<1>0.8_0", text).encode(),
+     "line 2: score '0.8_0' is not a number as this program writes it"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){5})[^,\n]+", r"\1 1 ", text, count=1).encode(),
+     "line 2: trial ' 1 ' is not a number as this program writes it"),
 ], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "negative-score", "huge-score",
-        "short-row", "long-row"])
+        "short-row", "long-row", "underscore-score", "spaced-trial"])
 def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
                                                               edit, message):
     out = tmp_path / "run"
@@ -696,4 +701,19 @@ def test_a_huge_layer_width_fails_train_agent_with_one_error_line(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+# 10**13 transitions need petabytes, more than any 64-bit Linux address
+# space, so the system refuses the buffer outright and no test touches real
+# memory.
+def test_a_huge_replay_capacity_fails_train_agent_with_one_error_line(tmp_path, capsys):
+    config = write_config(tmp_path, mode="train", total_env_steps=8, num_envs=1,
+                          hidden=[8], batch_size=4, replay_capacity=10**13,
+                          start_steps=4)
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(r"replay_capacity: cannot allocate a \d+-byte replay buffer", err)
     assert not out.exists()
