@@ -13,9 +13,9 @@ from schedtune.optimizers import (
     GP_LENGTHSCALE,
     GP_NOISE_VAR,
     GP_SIGNAL_VAR,
+    OPTIMIZERS,
     TPE_BANDWIDTH_FLOOR,
     UCB_BETA,
-    OPTIMIZERS,
     BoOptimizer,
     FixedOptimizer,
     RandomSearchOptimizer,
