@@ -12,7 +12,8 @@ from .agent import SacConfig
 from .data import check, read_json
 from .errors import ConfigError
 from .synthfuncs import LANDSCAPES
-from .tunenv import MASK_LEVELS, MODES
+from .tunenv import DEFAULT_N_STEPS, MASK_LEVELS, MODES
+from .workload import DEFAULT_DURATION_S
 
 ENV_KINDS = ("faas", "synthetic")
 _AGENT_FIELDS = ("hidden", "lr", "batch_size", "replay_capacity", "start_steps",
@@ -29,8 +30,8 @@ class ExperimentConfig:
     mode: str = "test"
     mask_level: str = "coarse"
     n_scenarios: int = 20
-    n_steps: int = 4
-    duration_s: float = 100.0
+    n_steps: int = DEFAULT_N_STEPS
+    duration_s: float = DEFAULT_DURATION_S
     # agent training; SacConfig holds the agent settings' defaults and checks
     total_env_steps: int = 200_000
     num_envs: int = 4

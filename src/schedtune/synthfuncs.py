@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .tunenv import SpaceSet, SpaceVar, TuningEnv
+from .tunenv import DEFAULT_N_STEPS, SpaceSet, SpaceVar, TuningEnv
 
 # Train and test domains occupy disjoint halves of the episode parameters'
 # ranges, so test episodes are genuinely held out.
@@ -127,7 +127,7 @@ class SyntheticTuningEnv(TuningEnv):
     """Tuning episodes over one shifted and scaled landscape."""
 
     def __init__(self, function: str = "himmelblau", mode: str = "train",
-                 mask_level: str = "full", n_steps: int = 4):
+                 mask_level: str = "full", n_steps: int = DEFAULT_N_STEPS):
         if function not in LANDSCAPES:
             raise ConfigError(
                 f"unknown landscape {function!r}, expected one of "

@@ -35,7 +35,7 @@ from .cluster import (PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_
 from .errors import ConfigError, ProtocolError, UnschedulableError
 from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
 from .simengine import SimOptions, run_benchmark
-from .workload import FunctionSpec, WorkloadSpec, catalog
+from .workload import DEFAULT_DURATION_S, FunctionSpec, WorkloadSpec, catalog
 
 EPS_REWARD = 1e-6
 DEFAULT_N_STEPS = 4
@@ -165,7 +165,7 @@ class Scenario:
 
 
 def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
-                    duration_s: float = 100.0,
+                    duration_s: float = DEFAULT_DURATION_S,
                     functions: list[FunctionSpec] | None = None) -> Scenario:
     """Draw one scenario uniformly from the mode's domain space, over
     ``functions`` (a fresh :func:`catalog` by default); train mode draws only
@@ -361,7 +361,7 @@ class FaasTuningEnv(TuningEnv):
     function catalog are read and checked once, here; resets read no file."""
 
     def __init__(self, mode: str = "train", mask_level: str = "full",
-                 n_steps: int = DEFAULT_N_STEPS, duration_s: float = 100.0,
+                 n_steps: int = DEFAULT_N_STEPS, duration_s: float = DEFAULT_DURATION_S,
                  data_dir=None):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")

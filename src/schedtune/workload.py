@@ -21,6 +21,9 @@ LOCALITY_PREFERENCES = ("any", "cloud", "edge")
 # Exec-time discount when a node carries the function's preferred accelerator.
 ACCELERATOR_SPEEDUP = 0.2
 
+# The trace horizon of a workload unless a config sets another.
+DEFAULT_DURATION_S = 100.0
+
 # Gaps in a function's first draw; one that ends too soon is redrawn doubled.
 ARRIVAL_BLOCK = 1024
 
@@ -59,7 +62,7 @@ class WorkloadSpec:
     the horizon ``duration_s``, which trace generation and the engine read."""
 
     functions: tuple[tuple[FunctionSpec, float], ...]
-    duration_s: float = 100.0
+    duration_s: float = DEFAULT_DURATION_S
     seed: int = 0
 
     def __post_init__(self):
