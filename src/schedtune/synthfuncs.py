@@ -10,8 +10,6 @@ score higher and the global minimum of an unshifted landscape scores ~1.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -19,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .tunenv import DEFAULT_N_STEPS, SpaceSet, SpaceVar, TuningEnv
+from .tunenv import DEFAULT_N_STEPS, SpaceSet, SpaceVar, TuningEnv, short_digest
 
 # Train and test domains occupy disjoint halves of the episode parameters'
 # ranges, so test episodes are genuinely held out.
@@ -120,6 +118,7 @@ def synth_space_set() -> SpaceSet:
         ),
         action_names=("z_x", "z_y"),
         initial_action=np.array([0.5, 0.5]),
+        static_names=SYNTH_STATIC_NAMES,
     )
 
 
@@ -133,22 +132,12 @@ class SyntheticTuningEnv(TuningEnv):
                 f"unknown landscape {function!r}, expected one of "
                 f"{sorted(LANDSCAPES)}")
         self.landscape = LANDSCAPES[function]
-        self.space = synth_space_set()
-        self.domain = self.space.domain(mode)
-        super().__init__(
-            static_dim=len(SYNTH_STATIC_NAMES),
-            coarse_indices=(),
-            initial_action=self.space.initial_action,
-            n_steps=n_steps,
-            mask_level=mask_level,
-        )
+        super().__init__(synth_space_set(), mode, n_steps, mask_level)
 
     def _begin_episode(self, rng: np.random.Generator):
-        shift_x = self.domain["shift_x"].sample(rng)
-        shift_y = self.domain["shift_y"].sample(rng)
-        scale = self.domain["scale"].sample(rng)
-        lscape = self.landscape
-        shift = np.array([shift_x, shift_y]) * lscape.width
+        values = {name: self.domain[name].sample(rng) for name in SYNTH_STATIC_NAMES}
+        scale, lscape = values["scale"], self.landscape
+        shift = np.array([values["shift_x"], values["shift_y"]]) * lscape.width
 
         def evaluate(action: np.ndarray) -> float:
             z = np.asarray(action, dtype=float)
@@ -157,11 +146,4 @@ class SyntheticTuningEnv(TuningEnv):
             f = lscape.fn(np.array([u[0]]), np.array([u[1]]))[0]
             return float(landscape_score(lscape, f))
 
-        static = np.array([
-            self.space.static_range(name).normalize(raw)
-            for name, raw in zip(SYNTH_STATIC_NAMES, (shift_x, shift_y, scale))
-        ])
-        blob = json.dumps({"function": lscape.name, "shift_x": shift_x,
-                           "shift_y": shift_y, "scale": scale},
-                          sort_keys=True).encode()
-        return static, evaluate, hashlib.sha1(blob).hexdigest()[:12]
+        return values, evaluate, short_digest({"function": lscape.name, **values})

@@ -6,19 +6,20 @@ gets ``n_steps`` trials, each a full benchmark run with its proposed weight
 vector.  The reward is sparse: zero everywhere except the terminal step,
 which pays the relative improvement of the best trial over r0.
 
-Observations concatenate a normalized static description of the scenario,
+Observations concatenate a static description of the scenario,
 ``n_steps + 1`` frames of (action, raw score, valid) triples -- frame 0 is
 reserved for the initial (fixed weights, r0) pair -- and the normalized step
 index.  The frames and the done flag follow from the episode record
 (:class:`TuningEpisode`), the only state of a session: while it holds no
 trial, as at reset, every frame is zero, and it is done at ``n_steps``
-trials.  Static features come in fine and coarse variants so that masking
-can hide exact scenario parameters during training.
+trials.
 
-A ``SpaceSet``'s train and test domains are the only source of scenario
-ranges: scenarios are drawn from the mode's domain, and each numeric static
-feature is normalized over the union of both, so a value means the same in
-either mode.  ``docs/formats.md`` gives the full layout.
+A ``SpaceSet`` describes each tuning problem once: its actions, its static
+features and those that survive coarse masking, and its train and test
+domains, the only source of scenario ranges.  Scenarios are drawn from the
+mode's domain, and a static feature with a domain range is normalized over
+the union of both, so a value means the same in either mode.
+``docs/formats.md`` gives the full layout.
 """
 from __future__ import annotations
 
@@ -49,6 +50,24 @@ TRAIN_PRESETS = ("cloud_cpu", "cloud_gpu", "edge_cloudlet")
 # Node-count bucket edges for the coarse cluster-size descriptor.
 NODE_BUCKETS = (60, 120, 240)
 
+# Static feature layout of the cluster-scheduling environment: preset and
+# exact knobs are fine-grained; the broad cluster class, topology flag,
+# node-count bucket and function count survive coarse masking.
+FAAS_STATIC_NAMES = tuple(
+    [f"preset_{p}" for p in PRESETS]
+    + ["class_cloud", "class_edge", "class_hybrid", "topology_urban",
+       "num_nodes", "num_nodes_bucket", "num_functions",
+       "requests_per_second", "percent_nodes_to_score",
+       "min_replicas", "max_replicas", "scale_factor"]
+)
+FAAS_COARSE_NAMES = ("class_cloud", "class_edge", "class_hybrid", "topology_urban",
+                     "num_nodes_bucket", "num_functions")
+
+
+def short_digest(payload: dict) -> str:
+    """The first 12 hex digits of the SHA-1 of ``payload`` as sorted JSON."""
+    return hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
 
 @dataclass(frozen=True)
 class SpaceVar:
@@ -78,12 +97,16 @@ class SpaceVar:
 
 @dataclass
 class SpaceSet:
-    """The train and test domains of one tuning problem, plus its actions."""
+    """One tuning problem: its train and test domains, its actions, and the
+    static features of its observations, of which ``coarse_names`` survive
+    coarse masking."""
 
     domain_train: tuple[SpaceVar, ...]
     domain_test: tuple[SpaceVar, ...]
     action_names: tuple[str, ...]
     initial_action: np.ndarray
+    static_names: tuple[str, ...]
+    coarse_names: tuple[str, ...] = ()
 
     def domain(self, mode: str) -> dict[str, SpaceVar]:
         if mode not in MODES:
@@ -131,6 +154,8 @@ def default_space_set() -> SpaceSet:
         domain_test=domain_test,
         action_names=tuple(f"w_{name}" for name in SCORING_FUNCTIONS),
         initial_action=FIXED_WEIGHTS.copy(),
+        static_names=FAAS_STATIC_NAMES,
+        coarse_names=FAAS_COARSE_NAMES,
     )
 
 
@@ -160,8 +185,7 @@ class Scenario:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.describe(), sort_keys=True).encode()
-        return hashlib.sha1(blob).hexdigest()[:12]
+        return short_digest(self.describe())
 
 
 def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
@@ -236,21 +260,11 @@ class TuningEpisode:
         return points, scores
 
 
-def mask_static(features: np.ndarray, level: str,
-                coarse_indices: tuple[int, ...]) -> np.ndarray:
-    """Zero out static entries the given masking level hides."""
-    out = np.array(features, dtype=float)
-    if level == "none":
-        out[:] = 0.0
-    elif level == "coarse":
-        keep = np.zeros(len(out), dtype=bool)
-        keep[list(coarse_indices)] = True
-        out[~keep] = 0.0
-    return out
-
-
 class TuningEnv:
-    """Shared episode mechanics; subclasses supply scenarios and evaluation.
+    """Shared episode mechanics over one ``SpaceSet`` in one mode, whose
+    ``domain`` subclasses draw scenarios from.  The static features follow
+    ``space.static_names``; ``mask_level`` shows all of them, only
+    ``space.coarse_names`` or none.
 
     Protocol: ``reset(seed) -> obs`` then exactly ``n_steps`` calls of
     ``step(action) -> (obs, reward, done, info)``, where ``info`` is
@@ -258,22 +272,25 @@ class TuningEnv:
     or unreset episode raises ProtocolError.
     """
 
-    def __init__(self, static_dim: int, coarse_indices: tuple[int, ...],
-                 initial_action: np.ndarray, n_steps: int = DEFAULT_N_STEPS,
+    def __init__(self, space: SpaceSet, mode: str, n_steps: int = DEFAULT_N_STEPS,
                  mask_level: str = "full"):
+        self.space, self.mode = space, mode
+        self.domain = space.domain(mode)
         if n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if mask_level not in MASK_LEVELS:
             raise ConfigError(
                 f"unknown mask level {mask_level!r}, expected one of {MASK_LEVELS}")
-        self.initial_action = np.asarray(initial_action, dtype=float)
+        shown = {"full": space.static_names, "coarse": space.coarse_names}.get(mask_level, ())
+        self._shown = np.array([name in shown for name in space.static_names], dtype=float)
+        self._ranges = {name: space.static_range(name)
+                        for name in space.static_names if name in self.domain}
+        self.initial_action = np.asarray(space.initial_action, dtype=float)
         self.action_dim = len(self.initial_action)
-        self.static_dim = static_dim
-        self.coarse_indices = coarse_indices
+        self.static_dim = len(space.static_names)
         self.n_steps = n_steps
         self.n_frames = n_steps + 1
         self.frame_width = self.action_dim + 2
-        self.mask_level = mask_level
         self.episode: TuningEpisode | None = None
         self._static: np.ndarray | None = None
         self._evaluate = None
@@ -284,15 +301,24 @@ class TuningEnv:
 
     # -- subclass hook -------------------------------------------------
     def _begin_episode(self, rng: np.random.Generator):
-        """Return (static_features, evaluate, digest) for a fresh scenario."""
+        """Return (static values by name, evaluate, digest) for a fresh
+        scenario."""
         raise NotImplementedError
+
+    def _static_features(self, values: dict) -> np.ndarray:
+        """``values`` in ``space.static_names`` order, masked: a name with a
+        domain range is normalized over its union range, and any other (a
+        one-hot, the node bucket) is taken as given."""
+        feats = np.array([self._ranges[name].normalize(values[name]) if name in self._ranges
+                          else values[name] for name in self.space.static_names], dtype=float)
+        return feats * self._shown
 
     # -- protocol ------------------------------------------------------
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         last_error = None
         for _ in range(MAX_RESET_RETRIES):
-            static, evaluate, digest = self._begin_episode(rng)
+            values, evaluate, digest = self._begin_episode(rng)
             try:
                 r0 = float(evaluate(self.initial_action))
             except UnschedulableError as exc:
@@ -303,9 +329,7 @@ class TuningEnv:
             raise ConfigError(
                 f"could not find a schedulable scenario in "
                 f"{MAX_RESET_RETRIES} attempts: {last_error}")
-        if static.shape != (self.static_dim,):
-            raise ConfigError("static features have the wrong dimension")
-        self._static = mask_static(static, self.mask_level, self.coarse_indices)
+        self._static = self._static_features(values)
         self._evaluate = evaluate
         self.episode = TuningEpisode(r0=r0, initial_action=self.initial_action.copy(),
                                      scenario_digest=digest)
@@ -339,23 +363,6 @@ class TuningEnv:
         return np.concatenate([self._static, frames.reshape(-1), step_index])
 
 
-# Static feature layout of the cluster-scheduling environment: preset and
-# exact knobs are fine-grained; the broad cluster class, topology flag,
-# node-count bucket and function count survive coarse masking.
-FAAS_STATIC_NAMES = tuple(
-    [f"preset_{p}" for p in PRESETS]
-    + ["class_cloud", "class_edge", "class_hybrid", "topology_urban",
-       "num_nodes", "num_nodes_bucket", "num_functions",
-       "requests_per_second", "percent_nodes_to_score",
-       "min_replicas", "max_replicas", "scale_factor"]
-)
-FAAS_COARSE_INDICES = tuple(
-    FAAS_STATIC_NAMES.index(n) for n in
-    ("class_cloud", "class_edge", "class_hybrid", "topology_urban",
-     "num_nodes_bucket", "num_functions")
-)
-
-
 class FaasTuningEnv(TuningEnv):
     """Weight tuning over full cluster benchmark runs.  The presets and the
     function catalog are read and checked once, here; resets read no file."""
@@ -363,46 +370,11 @@ class FaasTuningEnv(TuningEnv):
     def __init__(self, mode: str = "train", mask_level: str = "full",
                  n_steps: int = DEFAULT_N_STEPS, duration_s: float = DEFAULT_DURATION_S,
                  data_dir=None):
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-        self.space = default_space_set()
-        self.mode = mode
+        super().__init__(default_space_set(), mode, n_steps, mask_level)
         self.duration_s = duration_s
         self.scenario: Scenario | None = None
-        super().__init__(
-            static_dim=len(FAAS_STATIC_NAMES),
-            coarse_indices=FAAS_COARSE_INDICES,
-            initial_action=self.space.initial_action,
-            n_steps=n_steps,
-            mask_level=mask_level,
-        )
         self.presets = load_presets(data_dir)
         self.functions = catalog(data_dir)
-
-    def _static_features(self, scenario: Scenario) -> np.ndarray:
-        spec = scenario.cluster_spec
-        feats = np.zeros(len(FAAS_STATIC_NAMES))
-        feats[PRESETS.index(spec.preset)] = 1.0
-        cls = PRESET_CLASS[spec.preset]
-        feats[FAAS_STATIC_NAMES.index(f"class_{cls}")] = 1.0
-        feats[FAAS_STATIC_NAMES.index("topology_urban")] = \
-            1.0 if spec.topology_kind == "urban" else 0.0
-        bucket = sum(spec.total_nodes >= b for b in NODE_BUCKETS)
-        feats[FAAS_STATIC_NAMES.index("num_nodes_bucket")] = bucket / len(NODE_BUCKETS)
-        raw = {
-            "num_nodes": spec.total_nodes,
-            "num_functions": len(scenario.workload.functions),
-            # A left fold, not sum(), which compensates rounding from 3.12 on.
-            "requests_per_second": reduce(add, (rps for _, rps in scenario.workload.functions),
-                                          0.0),
-            "percent_nodes_to_score": scenario.options.percent_nodes_to_score,
-            "min_replicas": scenario.options.min_replicas,
-            "max_replicas": scenario.options.max_replicas,
-            "scale_factor": scenario.options.scale_factor,
-        }
-        for name, value in raw.items():
-            feats[FAAS_STATIC_NAMES.index(name)] = self.space.static_range(name).normalize(value)
-        return feats
 
     def _begin_episode(self, rng: np.random.Generator):
         scenario = sample_scenario(self.space, self.mode, rng,
@@ -410,12 +382,29 @@ class FaasTuningEnv(TuningEnv):
                                    functions=self.functions)
         cluster = build_cluster(scenario.cluster_spec, self.presets)
         self.scenario = scenario
+        spec, options = scenario.cluster_spec, scenario.options
+        values = dict.fromkeys(FAAS_STATIC_NAMES, 0.0)
+        values[f"preset_{spec.preset}"] = 1.0
+        values[f"class_{PRESET_CLASS[spec.preset]}"] = 1.0
+        values.update(
+            topology_urban=1.0 if spec.topology_kind == "urban" else 0.0,
+            num_nodes=spec.total_nodes,
+            num_nodes_bucket=sum(spec.total_nodes >= b for b in NODE_BUCKETS) / len(NODE_BUCKETS),
+            num_functions=len(scenario.workload.functions),
+            # A left fold, not sum(), which compensates rounding from 3.12 on.
+            requests_per_second=reduce(add, (rps for _, rps in scenario.workload.functions),
+                                       0.0),
+            percent_nodes_to_score=options.percent_nodes_to_score,
+            min_replicas=options.min_replicas,
+            max_replicas=options.max_replicas,
+            scale_factor=options.scale_factor,
+        )
 
         def evaluate(weights: np.ndarray) -> float:
             return run_benchmark(cluster, scenario.workload, weights,
                                  scenario.options).score
 
-        return self._static_features(scenario), evaluate, scenario.digest()
+        return values, evaluate, scenario.digest()
 
 
 class VectorEnv:

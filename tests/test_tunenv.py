@@ -14,33 +14,36 @@ from schedtune.errors import ConfigError, ProtocolError
 from schedtune.scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
 from schedtune.tunenv import (
     EPS_REWARD,
-    FAAS_COARSE_INDICES,
+    FAAS_COARSE_NAMES,
     FAAS_STATIC_NAMES,
     MASK_LEVELS,
     MODES,
     FaasTuningEnv,
+    SpaceSet,
     SpaceVar,
     TRAIN_PRESETS,
     TuningEnv,
     TuningEpisode,
     VectorEnv,
     default_space_set,
-    mask_static,
     sample_scenario,
 )
 
 
 class ScriptedEnv(TuningEnv):
-    """Returns a fixed r0 followed by scripted per-step scores."""
+    """Returns a fixed r0 followed by scripted per-step scores.  Its static
+    features ``s0, s1, ...`` have no domain range, so they show as given;
+    ``coarse`` names those that survive coarse masking."""
 
     def __init__(self, r0, scores, n_steps=4, static=(0.5,), mask_level="full",
                  coarse=(), initial_action=(0.5, 0.5)):
         self._script = [float(r0)] + [float(s) for s in scores]
-        self._static_raw = np.asarray(static, dtype=float)
-        super().__init__(static_dim=len(self._static_raw),
-                         coarse_indices=coarse,
+        self.values = {f"s{i}": float(v) for i, v in enumerate(static)}
+        space = SpaceSet(domain_train=(), domain_test=(),
+                         action_names=tuple(f"a{i}" for i in range(len(initial_action))),
                          initial_action=np.array(initial_action),
-                         n_steps=n_steps, mask_level=mask_level)
+                         static_names=tuple(self.values), coarse_names=coarse)
+        super().__init__(space, "train", n_steps, mask_level)
 
     def _begin_episode(self, rng):
         it = iter(self._script)
@@ -48,7 +51,7 @@ class ScriptedEnv(TuningEnv):
         def evaluate(action):
             return next(it)
 
-        return self._static_raw.copy(), evaluate, "scripted"
+        return self.values, evaluate, "scripted"
 
 
 def count_evaluations(env):
@@ -58,13 +61,13 @@ def count_evaluations(env):
     begin = env._begin_episode
 
     def counted_begin(rng):
-        static, evaluate, digest = begin(rng)
+        values, evaluate, digest = begin(rng)
 
         def counted(action):
             scores.append(evaluate(action))
             return scores[-1]
 
-        return static, counted, digest
+        return values, counted, digest
 
     env._begin_episode = counted_begin
     return scores
@@ -196,17 +199,42 @@ def test_episode_improvement_empty_trials_is_zero():
         _ = ep.best_score
 
 
-def test_mask_static_levels():
-    feats = np.arange(1.0, 6.0)
-    assert np.array_equal(mask_static(feats, "full", (1, 3)), feats)
-    assert np.array_equal(mask_static(feats, "coarse", (1, 3)), [0, 2, 0, 4, 0])
-    assert np.array_equal(mask_static(feats, "none", (1, 3)), np.zeros(5))
+@pytest.mark.parametrize("level, shown", [("full", [1, 2, 3, 4, 5]),
+                                          ("coarse", [0, 2, 0, 4, 0]),
+                                          ("none", [0, 0, 0, 0, 0])])
+def test_mask_levels_show_the_named_static_features(level, shown):
+    env = ScriptedEnv(0.5, [0.6] * 4, static=(1, 2, 3, 4, 5), mask_level=level,
+                      coarse=("s1", "s3"))
+    obs = env.reset(0)
+    assert np.array_equal(obs[:5], shown)
+    # Every later observation carries the same static part.
+    assert np.array_equal(env.step(np.array([0.5, 0.5]))[0][:5], shown)
 
 
-def test_mask_static_does_not_mutate_input():
-    feats = np.arange(1.0, 6.0)
-    mask_static(feats, "none", ())
-    assert np.array_equal(feats, np.arange(1.0, 6.0))
+def test_masking_leaves_the_static_values_unchanged():
+    env = ScriptedEnv(0.5, [0.6] * 4, static=(1, 2, 3, 4, 5), mask_level="none")
+    env.reset(0)
+    assert env.values == {"s0": 1.0, "s1": 2.0, "s2": 3.0, "s3": 4.0, "s4": 5.0}
+
+
+def _faas_and_synthetic_envs(mode, level):
+    from schedtune.synthfuncs import SyntheticTuningEnv
+
+    return [FaasTuningEnv(mode=mode, mask_level=level, duration_s=20),
+            SyntheticTuningEnv("ackley", mode=mode, mask_level=level)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mask_level_shows_the_full_features_times_shown(mode):
+    full = [env.reset(5)[:env.static_dim] for env in _faas_and_synthetic_envs(mode, "full")]
+    faas_coarse = [FAAS_STATIC_NAMES.index(name) for name in FAAS_COARSE_NAMES]
+    assert faas_coarse == [8, 9, 10, 11, 13, 14]
+    for level in MASK_LEVELS:
+        for env, features in zip(_faas_and_synthetic_envs(mode, level), full):
+            coarse = faas_coarse if isinstance(env, FaasTuningEnv) else []
+            shown = np.zeros(env.static_dim)
+            shown[{"full": slice(None), "coarse": coarse, "none": []}[level]] = 1.0
+            assert np.array_equal(env.reset(5)[:env.static_dim], features * shown)
 
 
 def test_space_var_validation_and_normalize():
@@ -312,10 +340,11 @@ def test_faas_coarse_mask_hides_fine_features():
     env = FaasTuningEnv(mode="train", mask_level="coarse")
     obs = env.reset(9)
     static = obs[:20]
-    fine = [i for i in range(20) if i not in FAAS_COARSE_INDICES]
+    coarse = [FAAS_STATIC_NAMES.index(name) for name in FAAS_COARSE_NAMES]
+    fine = [i for i in range(20) if i not in coarse]
     assert np.all(static[fine] == 0.0)
-    assert static[list(FAAS_COARSE_INDICES)].sum() > 0.0
-    assert FAAS_COARSE_INDICES == (8, 9, 10, 11, 13, 14)
+    assert static[coarse].sum() > 0.0
+    assert coarse == [8, 9, 10, 11, 13, 14]
 
 
 def test_faas_reset_deterministic():
