@@ -117,13 +117,6 @@ def read_trials_csv(path) -> list[dict]:
             raise ProtocolError(
                 f"{path} line {line_no}: unknown schema version {version!r}, "
                 f"this build reads version {CSV_SCHEMA_VERSION}")
-        for name in ("scenario_seed", "trial", "score"):
-            # int() and float() take digit-group underscores and surrounding
-            # spaces, which the writer never puts in.
-            value = row.get(name, "")
-            if "_" in value or value != value.strip():
-                raise ProtocolError(f"{path} line {line_no}: {name} {value!r} "
-                                    f"is not a number as this program writes it")
         try:
             rows.append({
                 "experiment": row["experiment"],
@@ -141,6 +134,12 @@ def read_trials_csv(path) -> list[dict]:
             raise ProtocolError(f"{path} line {line_no}: score {row['score']} is not finite")
         if not 0.0 <= score <= 1.0:
             raise ProtocolError(f"{path} line {line_no}: score {row['score']} lies outside [0, 1]")
+        # int() and float() also read forms the writer never puts in, such as
+        # "+0", "0.50", "1_0", " 1 " or non-ASCII digits.
+        for name, written in (("scenario_seed", str), ("trial", str), ("score", repr)):
+            if written(rows[-1][name]) != row[name]:
+                raise ProtocolError(f"{path} line {line_no}: {name} {row[name]!r} "
+                                    f"is not a number as this program writes it")
     return rows
 
 

@@ -228,8 +228,18 @@ def _oversized_field(text):
      "line 2: score '0.8_0' is not a number as this program writes it"),
     (lambda text: re.sub(r"(\n(?:[^,\n]*,){5})[^,\n]+", r"\1 1 ", text, count=1).encode(),
      "line 2: trial ' 1 ' is not a number as this program writes it"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){5})[^,\n]+", r"\1+0", text, count=1).encode(),
+     "line 2: trial '+0' is not a number as this program writes it"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\g<1>+0.5", text).encode(),
+     "line 2: score '+0.5' is not a number as this program writes it"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){3})[^,\n]+", r"\1" + "\u0663", text,
+                         count=1).encode(),
+     "line 2: scenario_seed '\u0663' is not a number as this program writes it"),
+    (lambda text: re.sub(r"(\n(?:[^,\n]*,){6})[^,\n]+", r"\g<1>0.50", text).encode(),
+     "line 2: score '0.50' is not a number as this program writes it"),
 ], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "negative-score", "huge-score",
-        "short-row", "long-row", "underscore-score", "spaced-trial"])
+        "short-row", "long-row", "underscore-score", "spaced-trial", "plus-trial",
+        "plus-score", "non-ascii-seed", "padded-score"])
 def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
                                                               edit, message):
     out = tmp_path / "run"
