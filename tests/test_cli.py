@@ -152,6 +152,54 @@ def test_every_method_trials_table_is_pinned(tmp_path, capsys, env_kind, method)
     assert digest == PINNED_METHOD_TRIALS_SHA256[env_kind, method]
 
 
+# The trials table a fixed-seed tiny agent's checkpoint gives under eval, on
+# the FaaS config above and on the synthetic one, byte for byte.  Only the
+# policy acts, so a change to how a checkpoint stores or loads it that
+# moves any weight or action changes these digests.
+PINNED_EVAL_TRIALS_SHA256 = {
+    "faas": "155fea50f0f177d8a1c9d1bd67f3eb7c3050ebf4748fce9cdad198a94dc917d0",
+    "synthetic": "827f363f110b55901a1f72a5dbe0ce552da9f0b75c77d3ae5f239a518808c505",
+}
+
+
+@pytest.mark.parametrize("env_kind", list(PINNED_EVAL_TRIALS_SHA256))
+def test_eval_trials_table_is_pinned(tmp_path, capsys, env_kind):
+    if env_kind == "faas":
+        config = write_config(tmp_path, env_kind="faas", n_scenarios=4, duration_s=50.0)
+    else:
+        config = write_config(tmp_path)
+    env = make_env(load_config(config))
+    checkpoint = tmp_path / "agent.ckpt"
+    SacAgent(SacConfig(obs_dim=env.observation_dim, act_dim=env.action_dim,
+                       hidden=(16, 16), batch_size=4, replay_capacity=16),
+             seed=11).save(checkpoint)
+    out = tmp_path / "run"
+    assert main(["eval", "--config", config, "--seed", "3", "--out", str(out),
+                 "--checkpoint", str(checkpoint), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_EVAL_TRIALS_SHA256[env_kind]
+
+
+# A tiny synthetic train-agent's log, byte for byte: every loss, alpha and
+# entropy it records is a float of the updates, so a change that moves any
+# update's bits changes this digest.
+PINNED_TRAIN_LOG_SHA256 = "bd3df9a4bad6750b46e6e68d14ac8359024aa06e9bffd6af71f6a2997fc98af0"
+
+
+def test_train_agent_log_is_pinned(tmp_path, capsys):
+    config = write_config(
+        tmp_path, mode="train", total_env_steps=120, start_steps=40,
+        num_envs=2, hidden=[16, 16], batch_size=16, replay_capacity=256,
+        log_every=20)
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--seed", "4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "train_log.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_TRAIN_LOG_SHA256
+
+
 def test_train_agent_then_eval(tmp_path, capsys):
     train_config = write_config(
         tmp_path, mode="train", total_env_steps=150, start_steps=50,
