@@ -2,7 +2,8 @@
 
 The policy is a tanh-squashed diagonal Gaussian and the twin critics take
 tanh-space actions in (-1, 1); the environment boundary maps actions to the
-unit box via (a + 1) / 2.  Temperature is learned against a target entropy.
+unit box via (a + 1) / 2.  Temperature is learned against the target
+entropy -|A|, minus the action dimension (Haarnoja et al., arXiv:1812.05905).
 All learning math is explicit numpy; gradients flow through the critics'
 action inputs for the actor update, so no autodiff framework is needed.
 """
@@ -12,7 +13,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import operator
 import os
 import struct
@@ -33,7 +33,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ class SacConfig:
     batch_size: int = 256
     replay_capacity: int = 100_000
     start_steps: int = 1000
-    updates_per_step: int = 1
-    target_entropy: float | None = None
 
     def __post_init__(self):
         # Integers, not floats that equal them: the sizes shape arrays.
@@ -70,19 +68,8 @@ class SacConfig:
         # Written so that NaN fails too; the bound also stops an int past float range.
         if not 0.0 < self.lr <= sys.float_info.max:
             raise ConfigError(f"lr: must be a positive finite number, got {self.lr!r}")
-        for name in ("updates_per_step", "start_steps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must not be negative")
-        te = self.target_entropy
-        if te is not None and (isinstance(te, bool) or not isinstance(te, (int, float))
-                               or not abs(te) <= sys.float_info.max):
-            raise ConfigError(f"target_entropy: must be a finite number or None, got {te!r}")
-
-    @property
-    def entropy_target(self) -> float:
-        if self.target_entropy is not None:
-            return float(self.target_entropy)
-        return -float(self.act_dim)
+        if self.start_steps < 0:
+            raise ConfigError("start_steps: must not be negative")
 
     @property
     def policy_sizes(self) -> tuple[int, ...]:
@@ -93,26 +80,19 @@ class SacConfig:
         return (self.obs_dim + self.act_dim,) + self.hidden + (1,)
 
 
-def checkpoint_layout(config: SacConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """``(name, shape)`` of every array a checkpoint of an agent with
-    ``config`` holds, in the order :meth:`SacAgent.save` writes them: the
-    policy's arrays first, then the critics', the target critics',
-    ``log_alpha`` and the Adam moments."""
-    policy = Mlp.layer_shapes(config.policy_sizes)
-    critic = Mlp.layer_shapes(config.critic_sizes)
-    nets = (("policy", policy), ("q1", critic), ("q2", critic),
-            ("q1_target", critic), ("q2_target", critic))
-    out = [(f"{name}.{'wb'[i % 2]}{i // 2}", shape)
-           for name, shapes in nets for i, shape in enumerate(shapes)]
-    out.append(("log_alpha", (1,)))
-    # A network's moments are named per array, like its parameters;
-    # opt_critic numbers q1's arrays first, then q2's.
-    opts = (("opt_policy", policy), ("opt_critic", critic + critic),
-            ("opt_alpha", [(1,)]))
-    for name, shapes in opts:
-        for i, shape in enumerate(shapes):
-            out += [(f"{name}.m{i}", shape), (f"{name}.v{i}", shape)]
-    return out
+def checkpoint_layout(config: SacConfig) -> list[tuple[str, int]]:
+    """``(name, length)`` of each 1-D piece an agent with ``config`` stores,
+    in the order of its arena and of :meth:`SacAgent.save`: the five
+    networks' parameters, ``log_alpha``, then each optimizer's first
+    moments and its second moments, one per parameter buffer
+    (``opt_critic``'s 0 is q1, its 1 is q2)."""
+    n_pi = Mlp.param_count(config.policy_sizes)
+    n_q = Mlp.param_count(config.critic_sizes)
+    nets = [("policy", n_pi)] + [(name, n_q) for name in ("q1", "q2", "q1_target", "q2_target")]
+    opts = (("opt_policy", [n_pi]), ("opt_critic", [n_q, n_q]), ("opt_alpha", [1]))
+    return nets + [("log_alpha", 1)] + [
+        (f"{name}.{moment}{i}", n)
+        for name, lengths in opts for moment in "mv" for i, n in enumerate(lengths)]
 
 
 class ReplayBuffer:
@@ -168,8 +148,10 @@ def tanh_slope(u: np.ndarray) -> np.ndarray:
 class SacAgent:
     """Every float the agent keeps (the five networks' parameters and
     gradients, ``log_alpha`` and the Adam moments) is a view of one
-    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  An agent
-    loaded ``acting_only`` keeps the policy's parameters alone."""
+    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  The arena
+    opens with ``self.stored``, the pieces :func:`checkpoint_layout` names,
+    in its order.  An agent loaded ``acting_only`` keeps the policy's
+    parameters alone, its one stored piece."""
 
     def __init__(self, config: SacConfig, seed: int = 0):
         self._build(config, seed, fill=True)
@@ -188,20 +170,19 @@ class SacAgent:
         self.grad_steps = 0
         init = self.rng if fill else None
         policy_sizes, critic_sizes = config.policy_sizes, config.critic_sizes
-        n_pi, n_q = Mlp.param_count(policy_sizes), Mlp.param_count(critic_sizes)
+        layout = checkpoint_layout(config)
         if acting_only:
-            self.arena, (flat,) = nn.arena([n_pi])
+            self.arena, self.stored = nn.arena([layout[0][1]])
             self.dtype = self.arena.dtype
-            self.policy = Mlp(policy_sizes, init, flat, None)
+            self.policy = Mlp(policy_sizes, init, self.stored[0], None)
             return
-        # Three groups: what a checkpoint holds (parameters, log_alpha, Adam
-        # moments), the gradients that updates write, and the target
-        # networks' gradients, which nothing writes.  An agent that only
-        # acts never faults in a page of the last two.
-        self.arena, pieces = nn.arena(
-            [n_pi] + [n_q] * 4 + [1] + [n_pi] * 2 + [n_q] * 4 + [1, 1],
-            [n_pi, n_q, n_q], [n_q, n_q])
-        params, moments, grads = pieces[:6], pieces[6:14], pieces[14:]
+        # Three groups: the stored pieces, the gradients that updates write,
+        # and the target networks' gradients, which nothing writes.  An
+        # agent that only acts never faults in a page of the last two.
+        n_pi, n_q = layout[0][1], layout[1][1]
+        self.arena, pieces = nn.arena([n for _, n in layout], [n_pi, n_q, n_q], [n_q, n_q])
+        self.stored, grads = pieces[:len(layout)], pieces[len(layout):]
+        params, moments = self.stored[:6], self.stored[6:]
         self.dtype = self.arena.dtype
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
             Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
@@ -324,8 +305,9 @@ class SacAgent:
         actor_loss, logp = self.actor_gradients(obs, eps)
         self.opt_policy.step([self.policy.grad_flat])
 
-        # Temperature: loss -log_alpha * mean(logp + entropy_target).
-        entropy_gap = float(np.mean(logp) + cfg.entropy_target)
+        # Temperature: loss -log_alpha * mean(logp + target entropy), the
+        # target being -act_dim.
+        entropy_gap = float(np.mean(logp) - cfg.act_dim)
         self.opt_alpha.step([np.array([-entropy_gap], self.dtype)])
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
 
@@ -342,38 +324,26 @@ class SacAgent:
 
     # -- persistence -------------------------------------------------------
     def _named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """The agent's arrays, named and ordered by :func:`checkpoint_layout`;
-        an acting-only agent's are the policy's, which come first there."""
-        arrays = self.policy.split(self.policy.flat)
-        if not self.acting_only:
-            for net in (self.q1, self.q2, self.q1_target, self.q2_target):
-                arrays += net.split(net.flat)
-            arrays.append(self.log_alpha)
-            for opt, owners in ((self.opt_policy, [self.policy]),
-                                (self.opt_critic, [self.q1, self.q2])):
-                m = [a for net, buf in zip(owners, opt.m) for a in net.split(buf)]
-                v = [a for net, buf in zip(owners, opt.v) for a in net.split(buf)]
-                arrays += [a for pair in zip(m, v) for a in pair]
-            arrays += [self.opt_alpha.m[0], self.opt_alpha.v[0]]
-        return [(name, a) for (name, _), a in zip(checkpoint_layout(self.config), arrays)]
+        """The stored pieces, named by :func:`checkpoint_layout`; an
+        acting-only agent's one piece is the policy, which comes first there."""
+        return [(name, a) for (name, _), a in zip(checkpoint_layout(self.config), self.stored)]
 
     def save(self, path) -> None:
-        """Write the header, then each array's little-endian bytes in the
-        networks' dtype, in ``_named_arrays`` order.  The header carries the
-        payload digest, so one pass hashes the arrays before a second writes
+        """Write the header, then each stored piece's little-endian bytes in
+        the networks' dtype, in arena order.  The header carries the
+        payload digest, so one pass hashes the pieces before a second writes
         them; neither copies them on a little-endian host.  The bytes go to
         a temporary file beside ``path`` that then replaces it, so a write
         that fails leaves the previous checkpoint as it was."""
         self._require_full("save")
         dtype = self.dtype.newbyteorder("<")
-        arrays = [(name, np.ascontiguousarray(a, dtype=dtype))
-                  for name, a in self._named_arrays()]
+        arrays = [np.ascontiguousarray(a, dtype=dtype) for a in self.stored]
         hasher = hashlib.sha256()
-        for _, a in arrays:
+        for a in arrays:
             hasher.update(a)
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, list(a.shape)] for name, a in arrays],
+            "arrays": [[name, [n]] for name, n in checkpoint_layout(self.config)],
             "env_steps": self.env_steps,
             "grad_steps": self.grad_steps,
             "adam_steps": {"opt_policy": self.opt_policy.t,
@@ -389,7 +359,7 @@ class SacAgent:
                 fh.write(CHECKPOINT_MAGIC)
                 fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
                 fh.write(blob)
-                for _, a in arrays:
+                for a in arrays:
                     fh.write(a)
             os.replace(tmp, path)
         except BaseException:
@@ -403,17 +373,18 @@ class SacAgent:
 
         The header is checked in full before anything is allocated: its
         keys (each once), the payload dtype against ``nn.DTYPE``, its
-        ``arrays`` against :func:`checkpoint_layout` of its config, entry
-        for entry in that order (the only one ``save`` writes), and the
-        payload length against the file size.  Then every payload byte is
-        read in that order and hashed as it arrives, and the digest is
-        compared before the agent is returned.  A full load reads each
-        array straight into its view of a fresh arena.  With
-        ``acting_only`` only the policy's arrays, which come first, are
-        kept, in an arena of their own; every other array passes through
-        one scratch buffer the size of the largest, so it is hashed but not
-        kept.  The agent then acts as a full load does but cannot
-        ``update`` or ``save``.  Either way its rng starts from seed 0.
+        ``arrays`` (``[name, [length]]`` entries) against
+        :func:`checkpoint_layout` of its config, entry for entry in that
+        order (the only one ``save`` writes), and the payload length
+        against the file size.  Then every payload byte is read in that
+        order and hashed as it arrives, and the digest is compared before
+        the agent is returned.  A full load reads each piece straight into
+        its place in a fresh arena.  With ``acting_only`` only the policy,
+        which comes first, is kept, in an arena of its own; every other
+        piece passes through one scratch buffer the size of the largest (a
+        critic), so it is hashed but not kept.  The agent then acts as a
+        full load does but cannot ``update`` or ``save``.  Either way its
+        rng starts from seed 0.
         """
         try:
             fh = open(path, "rb")
@@ -453,7 +424,7 @@ class SacAgent:
             if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
                 raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
-            layout = [[name, list(shape)] for name, shape in checkpoint_layout(config)]
+            layout = [[name, [n]] for name, n in checkpoint_layout(config)]
             if arrays != layout:
                 i = next((i for i, (a, b) in enumerate(zip(arrays, layout)) if a != b),
                          min(len(arrays), len(layout)))
@@ -461,7 +432,7 @@ class SacAgent:
                              for x in (arrays, layout))
                 raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
             payload = size - 16 - header_len
-            lengths = [math.prod(shape) for _, shape in layout]
+            lengths = [n for _, (n,) in layout]
             expected = np.dtype(nn.DTYPE).itemsize * sum(lengths)
             if payload != expected:
                 raise CheckpointError(
@@ -469,7 +440,7 @@ class SacAgent:
 
             agent = cls.__new__(cls)
             agent._build(config, 0, fill=False, acting_only=acting_only)
-            kept = [a for _, a in agent._named_arrays()]
+            kept = agent.stored
             scratch = np.empty(max(lengths[len(kept):], default=0), agent.dtype)
             hasher = hashlib.sha256()
             for i, n in enumerate(lengths):
@@ -552,7 +523,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
         agent.env_steps += k
 
         if agent.env_steps >= cfg.start_steps and len(buffer) >= cfg.batch_size:
-            for _ in range(cfg.updates_per_step * k):
+            for _ in range(k):
                 stats = agent.update(buffer.sample(agent.rng, cfg.batch_size))
 
         if log_path is not None and log_every and agent.env_steps >= next_log:

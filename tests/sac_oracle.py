@@ -246,7 +246,7 @@ class OracleSac:
         actor_loss, logp = self.actor_gradients(obs, eps)
         self.opt_policy.step(self.policy.gradients)
 
-        entropy_gap = float(np.mean(logp) + cfg.entropy_target)
+        entropy_gap = float(np.mean(logp) + -cfg.act_dim)
         self.opt_alpha.step([np.array([-entropy_gap])])
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
 

@@ -216,13 +216,6 @@ def test_policy_density_integrates_to_one():
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
-def test_entropy_target_defaults_to_negative_action_dim():
-    assert tiny_agent().config.entropy_target == -2.0
-    cfg = SacConfig(obs_dim=3, act_dim=2, hidden=(8,), batch_size=4,
-                    replay_capacity=16, target_entropy=-0.5)
-    assert cfg.entropy_target == -0.5
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         SacConfig(obs_dim=0, act_dim=2)
@@ -235,11 +228,8 @@ def test_config_validation():
 @pytest.mark.parametrize("key, value", [
     ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf),
     pytest.param("lr", 10**400, id="lr-past-float-range"),
-    ("target_entropy", "x"), ("target_entropy", math.nan),
-    ("target_entropy", math.inf), ("target_entropy", -math.inf),
-    ("target_entropy", True),
 ])
-def test_config_rejects_a_learning_rate_or_entropy_target_that_is_not_finite(key, value):
+def test_config_rejects_a_learning_rate_that_is_not_finite(key, value):
     # A comparison with NaN is False, so "lr <= 0" alone lets NaN through.
     with pytest.raises(ConfigError, match=f"^{key}: must be"):
         SacConfig(obs_dim=3, act_dim=2, **{key: value})
@@ -330,7 +320,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
 
 # SHA-256 of the checkpoint `trained_tiny_agent` saves: the format, the array
 # order and every float32 bit of three updates (numpy 2.4, OpenBLAS, x86-64).
-PINNED_CHECKPOINT_SHA256 = "9bc821c751003b1a68f2996452c49f124b2ba15c4382ac8f9a2d0c33ecd1139a"
+PINNED_CHECKPOINT_SHA256 = "15525c8ee27185f7de9107a8ef6b89988d667df038f6b025895fb1e7ac3f7261"
 
 
 def trained_tiny_agent():
@@ -402,14 +392,16 @@ def test_arrays_are_views_of_their_network_buffers(tmp_path):
             assert all(np.shares_memory(a, buffer) for a in views)
         assert opt.params[k] is net.flat
     named = dict(agent._named_arrays())
+    opt_names = {agent.opt_policy: "opt_policy", agent.opt_critic: "opt_critic"}
     for name, (net, opt, k) in owners.items():
-        assert np.shares_memory(named[f"{name}.w0"], net.flat)
-    # opt_critic numbers q1's arrays first, then q2's.
-    n_arrays = len(agent.q1.split(agent.q1.flat))
-    assert np.shares_memory(named["opt_critic.m0"], agent.opt_critic.m[0])
-    assert np.shares_memory(named[f"opt_critic.v{n_arrays}"], agent.opt_critic.v[1])
-    assert named[f"opt_critic.m{n_arrays}"].shape == agent.q2.weights[0].shape
-    assert np.shares_memory(named["q1_target.b1"], agent.q1_target.flat)
+        assert named[name] is net.flat
+        # opt_critic's 0 is q1, its 1 is q2.
+        assert named[f"{opt_names[opt]}.m{k}"] is opt.m[k]
+        assert named[f"{opt_names[opt]}.v{k}"] is opt.v[k]
+    assert named["opt_critic.m1"].size == agent.q2.flat.size
+    assert named["q1_target"] is agent.q1_target.flat
+    assert named["log_alpha"] is agent.log_alpha
+    assert named["opt_alpha.m0"] is agent.opt_alpha.m[0]
     assert agent.opt_alpha.params[0] is agent.log_alpha
     assert_views_of_one_arena(agent)
     path = tmp_path / "agent.ckpt"
@@ -418,6 +410,19 @@ def test_arrays_are_views_of_their_network_buffers(tmp_path):
     assert_views_of_one_arena(loaded)
     assert not np.shares_memory(agent.arena, loaded.arena)
     assert not np.shares_memory(agent.arena, tiny_agent(seed=22).arena)
+
+
+def test_the_stored_pieces_open_the_arena_in_layout_order():
+    agent = tiny_agent(seed=29)
+    layout = checkpoint_layout(agent.config)
+    assert [a.size for a in agent.stored] == [n for _, n in layout]
+    starts = [a.ctypes.data for a in agent.stored]
+    ends = [a.ctypes.data + a.nbytes for a in agent.stored]
+    assert starts[0] == agent.arena.ctypes.data
+    # Each piece begins at the first 64-byte boundary after the one before.
+    assert all(0 <= start - end < 64 for end, start in zip(ends, starts[1:]))
+    nets = (agent.policy, agent.q1, agent.q2, agent.q1_target, agent.q2_target)
+    assert all(net.grad_flat.ctypes.data >= ends[-1] for net in nets)
 
 
 def test_the_arena_is_a_huge_page_mapping_where_mmap_offers_one():
@@ -535,13 +540,14 @@ def test_an_acting_only_load_keeps_only_the_policy(tmp_path):
     agent.save(path)
     loaded = SacAgent.load(path, acting_only=True)
     assert sorted(vars(loaded)) == ["acting_only", "arena", "config", "dtype",
-                                    "env_steps", "grad_steps", "policy", "rng"]
+                                    "env_steps", "grad_steps", "policy", "rng", "stored"]
     assert loaded.policy.grad_flat is None
     assert loaded.arena.nbytes == -(-agent.policy.flat.nbytes // 64) * 64
     assert np.shares_memory(loaded.policy.flat, loaded.arena)
+    assert len(loaded.stored) == 1 and loaded.stored[0] is loaded.policy.flat
     saved = dict(agent._named_arrays())
     named = loaded._named_arrays()
-    assert [n for n, _ in named] == [n for n in saved if n.startswith("policy.")]
+    assert [n for n, _ in named] == ["policy"]
     for name, a in named:
         assert np.array_equal(a, saved[name]), name
 
@@ -560,7 +566,12 @@ def test_an_acting_only_agent_cannot_update_or_save(tmp_path, call):
 def test_checkpoint_layout_names_every_saved_array_in_order():
     agent = tiny_agent(seed=28)
     assert checkpoint_layout(agent.config) == [
-        (name, a.shape) for name, a in agent._named_arrays()]
+        (name, a.size) for name, a in agent._named_arrays()]
+    assert all(a.ndim == 1 for a in agent.stored)
+    assert [name for name, _ in checkpoint_layout(agent.config)] == [
+        "policy", "q1", "q2", "q1_target", "q2_target", "log_alpha",
+        "opt_policy.m0", "opt_policy.v0", "opt_critic.m0", "opt_critic.m1",
+        "opt_critic.v0", "opt_critic.v1", "opt_alpha.m0", "opt_alpha.v0"]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -620,7 +631,8 @@ def test_a_checkpoint_with_its_arrays_out_of_order_fails_with_one_error_line(tmp
         SacAgent.load(path)
     message = str(info.value)
     assert len(message.splitlines()) == 1
-    assert (f'arrays[0] is ["opt_alpha.v0", [1]], expected ["policy.w0", [3, 8]]'
+    # policy: 3 * 8 + 8, 8 * 8 + 8 and 8 * 4 + 4 weights and biases.
+    assert (f'arrays[0] is ["opt_alpha.v0", [1]], expected ["policy", [140]]'
             in message)
 
 

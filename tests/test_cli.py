@@ -418,18 +418,18 @@ def _array_offset(raw, name):
     """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
     header_len = struct.unpack("<Q", raw[8:16])[0]
     offset = 16 + header_len
-    for array, shape in json.loads(raw[16:offset])["arrays"]:
+    for array, (length,) in json.loads(raw[16:offset])["arrays"]:
         if array == name:
             return offset
-        offset += 4 * math.prod(shape)
+        offset += 4 * length
     raise KeyError(name)
 
 
 def _damage_checkpoint(path, damage):
     agent = SacAgent(SacConfig(obs_dim=24, act_dim=2, hidden=(8,),
                                batch_size=4, replay_capacity=16), seed=1)
-    if damage == "version-1":   # the float64 layout with no dtype field
-        _forge_checkpoint(path, agent, dtype="<f8", drop=["dtype"], version=1)
+    if damage == "version-2":
+        _forge_checkpoint(path, agent, version=2)
     elif damage == "f8-payload":
         _forge_checkpoint(path, agent, dtype="<f8")
     elif damage == "negative-hidden":
@@ -447,6 +447,13 @@ def _damage_checkpoint(path, damage):
                           raw[16:16 + header_len])
         assert n == 1
         _write_checkpoint(path, blob, raw[16 + header_len:])
+    elif damage == "old-setting":   # a v2 config key this build does not take
+        agent.save(path)
+        raw = path.read_bytes()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        blob = raw[16:16 + header_len].replace(b'"config": {',
+                                               b'"config": {"target_entropy": -2.0, ')
+        _write_checkpoint(path, blob, raw[16 + header_len:])
     elif damage == "repeated-key":
         agent.save(path)
         raw = path.read_bytes()
@@ -458,7 +465,7 @@ def _damage_checkpoint(path, damage):
         # A consistent header for 4.4 PB of arrays, and no payload.
         config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
         header = {"config": asdict(config),
-                  "arrays": [[n, list(s)] for n, s in checkpoint_layout(config)],
+                  "arrays": [[n, [length]] for n, length in checkpoint_layout(config)],
                   "env_steps": 0, "grad_steps": 0,
                   "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
                   "payload_sha256": hashlib.sha256(b"").hexdigest(), "dtype": "<f4"}
@@ -476,12 +483,12 @@ def _damage_checkpoint(path, damage):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("version-1", "unsupported checkpoint version 1, expected 2"),
+    ("version-2", "unsupported checkpoint version 2, expected 3"),
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
     ("truncated", "payload is"),
     ("flipped-byte", "payload does not match its digest"),
-    ("flipped:policy.w0", "payload does not match its digest"),
-    ("flipped:q2.w0", "payload does not match its digest"),
+    ("flipped:policy", "payload does not match its digest"),
+    ("flipped:q2", "payload does not match its digest"),
     ("flipped:opt_critic.v1", "payload does not match its digest"),
     ("oversized-hidden", "payload is 0 bytes, expected 4400012880000092"),
     ("negative-hidden", "malformed header: ConfigError"),
@@ -489,9 +496,7 @@ def _damage_checkpoint(path, damage):
     ("header:lr=NaN", "malformed header: ConfigError lr"),
     ("header:lr=Infinity", "malformed header: ConfigError lr"),
     ("header:lr=-Infinity", "malformed header: ConfigError lr"),
-    ('header:target_entropy="x"', "malformed header: ConfigError target_entropy"),
-    ("header:target_entropy=NaN", "malformed header: ConfigError target_entropy"),
-    ("header:target_entropy=Infinity", "malformed header: ConfigError target_entropy"),
+    ("old-setting", "malformed header: TypeError"),
     # Which of two values counts is not for the loader to guess.
     ("repeated-key", "corrupt header: repeated key 'env_steps'"),
 ])

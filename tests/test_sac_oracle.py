@@ -4,7 +4,9 @@ oracle.
 With float64 networks (``float64_nets``), from the same config, seed and
 batches, both agents must hold bit-identical weights, target weights and
 Adam moments after every update, with equal Adam step counts, rng states and
-``repr``-equal statistics.  That leaves the dtype as the only numeric change
+``repr``-equal statistics.  The agent stores each network and moment buffer
+as one piece and the oracle per layer, so they are compared by group: a
+network, ``log_alpha``, or one optimizer's first or second moments.  That leaves the dtype as the only numeric change
 of float32 training, and the last test measures how far that moves it.
 """
 import numpy as np
@@ -17,10 +19,28 @@ from tests.sac_oracle import OracleSac
 UPDATES = 25
 
 
+def group_of(name):
+    """``policy`` for the agent's ``policy`` and the oracle's ``policy.w0``;
+    ``opt_critic.m`` for the agent's ``opt_critic.m1`` and the oracle's
+    ``opt_critic.m5``."""
+    head, _, tail = name.partition(".")
+    return f"{head}.{tail[0]}" if head.startswith("opt_") else head
+
+
+def grouped(arrays):
+    """Each group's arrays, in their order, by group in order of first
+    appearance."""
+    groups = {}
+    for name, a in arrays:
+        groups.setdefault(group_of(name), []).append(a)
+    return groups
+
+
 def assert_same_state(agent, oracle, step):
-    mine, theirs = agent._named_arrays(), oracle._named_arrays()
-    assert [name for name, _ in mine] == [name for name, _ in theirs]
-    for (name, a), (_, b) in zip(mine, theirs):
+    mine, theirs = grouped(agent._named_arrays()), grouped(oracle._named_arrays())
+    assert list(mine) == list(theirs)
+    for name in mine:
+        a, b = (np.concatenate([x.ravel() for x in g[name]]) for g in (mine, theirs))
         assert a.shape == b.shape and np.array_equal(a, b), (step, name)
     for name in ("opt_policy", "opt_critic", "opt_alpha"):
         assert getattr(agent, name).t == getattr(oracle, name).t, (step, name)
@@ -99,8 +119,15 @@ def test_float32_updates_track_the_float64_oracle(case, obs_scale):
                     batch_size=16, replay_capacity=64, start_steps=0)
     agent, oracle = SacAgent(cfg, seed=seed), OracleSac(cfg, seed=seed)
     assert agent.policy.flat.dtype == np.float32
-    for (_, a), (_, b) in zip(agent._named_arrays(), oracle._named_arrays()):
-        b[...] = a   # the oracle starts from the float32 weights, widened
+    # The oracle starts from the float32 weights, widened: each group's
+    # pieces are written back into its per-layer arrays in order.
+    theirs = grouped(oracle._named_arrays())
+    for name, pieces in grouped(agent._named_arrays()).items():
+        flat = np.concatenate(pieces)
+        for b in theirs[name]:
+            b[...] = flat[:b.size].reshape(b.shape)
+            flat = flat[b.size:]
+        assert flat.size == 0, name
     start = [(name, a.copy()) for name, a in oracle._named_arrays()]
     oracle.rng = Float32Noise(oracle.rng)
     data = batches(seed, obs_dim, act_dim, obs_scale=obs_scale)
