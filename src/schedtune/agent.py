@@ -145,6 +145,18 @@ def tanh_slope(u: np.ndarray) -> np.ndarray:
     return (1.0 - np.tanh(u.astype(np.float64))**2).astype(u.dtype)
 
 
+def _squash(mean: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
+    """The draw ``u = mean + std * eps`` through tanh: ``std``, the action
+    ``tanh(u)``, its slope ``1 - tanh(u)**2`` and its log-probability,
+    summed over the action dimensions."""
+    std = np.exp(log_std)
+    u = mean + std * eps
+    slope = tanh_slope(u)
+    logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
+    logp -= np.log(slope + SQUASH_EPS).sum(axis=1)
+    return std, np.tanh(u), slope, logp
+
+
 class SacAgent:
     """Every float the agent keeps (the five networks' parameters and
     gradients, ``log_alpha`` and the Adam moments) is a view of one
@@ -217,12 +229,8 @@ class SacAgent:
     def sample_action(self, obs: np.ndarray):
         """Tanh-space actions and their log-probabilities for a batch; noise from ``self.rng``."""
         mean, _, log_std = self._heads(obs)
-        std = np.exp(log_std)
         eps = self.rng.standard_normal(mean.shape, dtype=self.dtype)
-        u = mean + std * eps
-        a = np.tanh(u)
-        logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
-        logp -= np.log(tanh_slope(u) + SQUASH_EPS).sum(axis=1)
+        _, a, _, logp = _squash(mean, log_std, eps)
         return a, logp
 
     def act(self, obs: np.ndarray) -> np.ndarray:
@@ -265,11 +273,7 @@ class SacAgent:
         n = len(obs)
         alpha = self.alpha
         mean, raw, log_std = self._heads(obs)
-        std = np.exp(log_std)
-        u = mean + std * eps
-        a_new, one_minus_sq = np.tanh(u), tanh_slope(u)
-        logp = (-0.5 * eps**2 - log_std - 0.5 * LOG_2PI).sum(axis=1)
-        logp -= np.log(one_minus_sq + SQUASH_EPS).sum(axis=1)
+        std, a_new, one_minus_sq, logp = _squash(mean, log_std, eps)
 
         actor_in = np.concatenate([obs, a_new], axis=1)
         q1_new = self.q1.forward(actor_in)[:, 0]
