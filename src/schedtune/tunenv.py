@@ -372,7 +372,6 @@ class FaasTuningEnv(TuningEnv):
                  data_dir=None):
         super().__init__(default_space_set(), mode, n_steps, mask_level)
         self.duration_s = duration_s
-        self.scenario: Scenario | None = None
         self.presets = load_presets(data_dir)
         self.functions = catalog(data_dir)
 
@@ -381,7 +380,6 @@ class FaasTuningEnv(TuningEnv):
                                    duration_s=self.duration_s,
                                    functions=self.functions)
         cluster = build_cluster(scenario.cluster_spec, self.presets)
-        self.scenario = scenario
         spec, options = scenario.cluster_spec, scenario.options
         values = dict.fromkeys(FAAS_STATIC_NAMES, 0.0)
         values[f"preset_{spec.preset}"] = 1.0

@@ -484,7 +484,11 @@ def test_10_cluster_agent_generalizes_across_presets(capsys):
             if len(presets_seen) == len(cl.PRESETS) and len(used_seeds) >= 20:
                 break
             obs = test_env.reset(seed=seed)
-            scenario = test_env.scenario
+            # The reset's draw, redrawn from its seed and checked by digest.
+            scenario = sample_scenario(test_env.space, "test", np.random.default_rng(seed),
+                                       duration_s=test_env.duration_s,
+                                       functions=test_env.functions)
+            assert scenario.digest() == test_env.episode.scenario_digest
             presets_seen.add(scenario.cluster_spec.preset)
             assert 200 <= scenario.cluster_spec.total_nodes <= 400
             total_rps = sum(rate for _, rate in scenario.workload.functions)
