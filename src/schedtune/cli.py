@@ -184,7 +184,7 @@ def cmd_tune(args) -> int:
 def cmd_train_agent(args) -> int:
     config = _config_of(args)
     vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
-    eval_env = make_env(replace(config, mode="test"))
+    eval_env = make_env(replace(config, mode="test")) if config.eval_every else None
     # Built before --out exists: an arena or a replay buffer too large to
     # allocate fails first.
     agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),

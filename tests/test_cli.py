@@ -746,6 +746,18 @@ def test_tune_and_eval_read_each_data_file_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_train_agent_without_evaluations_reads_each_data_file_once(tmp_path, monkeypatch,
+                                                                    capsys):
+    # One training env and, with eval_every 0, no evaluation env.
+    config = write_config(tmp_path, env_kind="faas", mode="train", duration_s=20.0,
+                          total_env_steps=4, num_envs=1, hidden=[8], batch_size=4,
+                          replay_capacity=16, start_steps=4, eval_every=0)
+    reads = _record_reads(monkeypatch)
+    assert main(["train-agent", "--config", config, "--out", str(tmp_path / "agent")]) == 0
+    assert sorted(path.name for path in reads) == list(DATA_FILES)
+    capsys.readouterr()
+
+
 # 10**400 is past float range, so the config refuses it; the arena of the
 # other two cannot be mapped in any 64-bit Linux address space, so no test
 # touches real memory.
