@@ -85,7 +85,7 @@ class Mlp:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"invalid layer sizes {sizes}")
         self.sizes = sizes
-        self.shapes = self.layer_shapes(sizes)
+        self.shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
         self.flat, self.grad_flat = flat, grad_flat
         params = self.split(self.flat)
         self.weights, self.biases = params[0::2], params[1::2]
@@ -97,11 +97,6 @@ class Mlp:
             for w, b in zip(self.weights, self.biases):
                 w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
                 b[:] = 0.0
-
-    @staticmethod
-    def layer_shapes(sizes) -> list[tuple[int, ...]]:
-        """Shapes of ``w0, b0, w1, b1, ...`` for these layer sizes."""
-        return [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
 
     @staticmethod
     def param_count(sizes) -> int:
