@@ -86,8 +86,7 @@ def checkpoint_layout(config: SacConfig) -> list[tuple[str, int]]:
     networks' parameters, ``log_alpha``, then each optimizer's first
     moments and its second moments, one per parameter buffer
     (``opt_critic``'s 0 is q1, its 1 is q2)."""
-    n_pi = Mlp.param_count(config.policy_sizes)
-    n_q = Mlp.param_count(config.critic_sizes)
+    n_pi, n_q = Mlp.param_count(config.policy_sizes), Mlp.param_count(config.critic_sizes)
     nets = [("policy", n_pi)] + [(name, n_q) for name in ("q1", "q2", "q1_target", "q2_target")]
     opts = (("opt_policy", [n_pi]), ("opt_critic", [n_q, n_q]), ("opt_alpha", [1]))
     return nets + [("log_alpha", 1)] + [
@@ -444,11 +443,10 @@ class SacAgent:
 
             agent = cls.__new__(cls)
             agent._build(config, 0, fill=False, acting_only=acting_only)
-            kept = agent.stored
-            scratch = np.empty(max(lengths[len(kept):], default=0), agent.dtype)
+            skipped = lengths[len(agent.stored):]
+            scratch = np.empty(max(skipped, default=0), agent.dtype)
             hasher = hashlib.sha256()
-            for i, n in enumerate(lengths):
-                dst = kept[i] if i < len(kept) else scratch[:n]
+            for dst in agent.stored + [scratch[:n] for n in skipped]:
                 if fh.readinto(dst) != dst.nbytes:
                     raise CheckpointError(f"{path} is truncated inside the payload")
                 hasher.update(dst)
