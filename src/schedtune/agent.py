@@ -3,7 +3,7 @@
 The policy is a tanh-squashed diagonal Gaussian and the twin critics take
 tanh-space actions in (-1, 1); the environment boundary maps actions to the
 unit box via (a + 1) / 2.  Temperature is learned against the target
-entropy -|A|, minus the action dimension (Haarnoja et al., arXiv:1812.05905).
+entropy -|A|, the negated action dimension (Haarnoja et al., arXiv:1812.05905).
 All learning math is explicit numpy; gradients flow through the critics'
 action inputs for the actor update, so no autodiff framework is needed.
 """
@@ -308,8 +308,7 @@ class SacAgent:
         actor_loss, logp = self.actor_gradients(obs, eps)
         self.opt_policy.step([self.policy.grad_flat])
 
-        # Temperature: loss -log_alpha * mean(logp + target entropy), the
-        # target being -act_dim.
+        # Temperature: loss -log_alpha * mean(logp + target entropy -act_dim).
         entropy_gap = float(np.mean(logp) - cfg.act_dim)
         self.opt_alpha.step([np.array([-entropy_gap], self.dtype)])
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
