@@ -6,8 +6,9 @@ batches, both agents must hold bit-identical weights, target weights and
 Adam moments after every update, with equal Adam step counts, rng states and
 ``repr``-equal statistics.  The agent stores each network and moment buffer
 as one piece and the oracle per layer, so they are compared by group: a
-network, ``log_alpha``, or one optimizer's first or second moments.  That leaves the dtype as the only numeric change
-of float32 training, and the last test measures how far that moves it.
+network, ``log_alpha``, or one optimizer's first or second moments.  That
+leaves the dtype as the only numeric change of float32 training, and the
+last test measures how far that moves it.
 """
 import numpy as np
 import pytest
