@@ -235,6 +235,14 @@ def test_config_rejects_a_learning_rate_that_is_not_finite(key, value):
         SacConfig(obs_dim=3, act_dim=2, **{key: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("updates_per_step", 1), ("target_entropy", -2.0), ("entropy_target", -2.0),
+])
+def test_config_takes_no_removed_setting(name, value):
+    # One update per env step and a target entropy of -act_dim are fixed, not settings.
+    with pytest.raises(TypeError, match=name):
+        SacConfig(obs_dim=3, act_dim=2, **{name: value})
+
 def test_replay_buffer_wraparound_and_sampling():
     buf = ReplayBuffer(capacity=8, obs_dim=2, act_dim=1)
     with pytest.raises(ConfigError):

@@ -447,12 +447,13 @@ def _damage_checkpoint(path, damage):
                           raw[16:16 + header_len])
         assert n == 1
         _write_checkpoint(path, blob, raw[16 + header_len:])
-    elif damage == "old-setting":   # a v2 config key this build does not take
+    elif damage.startswith("old-setting:"):   # a v2 config key this build does not take
+        setting = {"target_entropy": b'"target_entropy": -2.0, ',
+                   "updates_per_step": b'"updates_per_step": 1, '}[damage.split(":")[1]]
         agent.save(path)
         raw = path.read_bytes()
         header_len = struct.unpack("<Q", raw[8:16])[0]
-        blob = raw[16:16 + header_len].replace(b'"config": {',
-                                               b'"config": {"target_entropy": -2.0, ')
+        blob = raw[16:16 + header_len].replace(b'"config": {', b'"config": {' + setting)
         _write_checkpoint(path, blob, raw[16 + header_len:])
     elif damage == "repeated-key":
         agent.save(path)
@@ -496,7 +497,8 @@ def _damage_checkpoint(path, damage):
     ("header:lr=NaN", "malformed header: ConfigError lr"),
     ("header:lr=Infinity", "malformed header: ConfigError lr"),
     ("header:lr=-Infinity", "malformed header: ConfigError lr"),
-    ("old-setting", "malformed header: TypeError"),
+    ("old-setting:target_entropy", "malformed header: TypeError"),
+    ("old-setting:updates_per_step", "malformed header: TypeError"),
     # Which of two values counts is not for the loader to guess.
     ("repeated-key", "corrupt header: repeated key 'env_steps'"),
 ])
