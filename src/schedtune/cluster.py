@@ -12,7 +12,8 @@ one of two fixed tree topologies, each a chain of layer switches:
 
 Every node, and one data store per layer, hangs off its layer's switch by a
 link with that layer's parameters; the image registry hangs off the top
-switch.  The link between two adjacent switches runs at the lower layer's
+switch by a top-layer link, exactly like store 0, so a pull travels store 0's
+path.  The link between two adjacent switches runs at the lower layer's
 parameters.  Scheduling only ever needs node-to-registry and node-to-store
 transfers, so the builder computes them in closed form per node layer: the
 summed link latency along the path plus the payload size divided by the
@@ -32,18 +33,7 @@ ACCELERATORS = ("none", "gpu", "tpu")
 LOCALITIES = ("cloud", "edge")
 TOPOLOGY_KINDS = ("internet", "urban")
 
-PRESETS = (
-    "cloud_cpu",
-    "cloud_gpu",
-    "edge_cloudlet",
-    "edge_gpu",
-    "edge_sbc",
-    "edge_tpu",
-    "hybrid_balanced",
-    "hybrid_balanced_jetson",
-)
-
-# Broad class of a preset, used as a coarse observation feature.
+# Broad class of each preset, used as a coarse observation feature.
 PRESET_CLASS = {
     "cloud_cpu": "cloud",
     "cloud_gpu": "cloud",
@@ -54,6 +44,7 @@ PRESET_CLASS = {
     "hybrid_balanced": "hybrid",
     "hybrid_balanced_jetson": "hybrid",
 }
+PRESETS = tuple(PRESET_CLASS)
 
 INTERNET_BANDWIDTH_BPS = 1.25e8
 INTERNET_LATENCY_S = 1e-3
@@ -97,14 +88,6 @@ class DeviceClass:
 _load_devices = _data.entry_loader("devices.json", DeviceClass)
 
 
-@dataclass
-class Node:
-    """One schedulable machine."""
-
-    id: int
-    device: DeviceClass
-
-
 @dataclass(frozen=True)
 class ClusterSpec:
     preset: str
@@ -125,14 +108,15 @@ class ClusterSpec:
 
 @dataclass
 class Cluster:
-    """A built inventory: nodes plus per-node arrays for vectorized scoring.
+    """A built inventory: node i's device class is ``devices[i]``, and
+    per-node arrays serve vectorized scoring.
 
     Capacities and allocations live only in these arrays, and allocations
     change through :meth:`commit` alone.  The path arrays hold, per node, the
-    latency and bottleneck bandwidth to the registry and to each data store
-    (one row per store, top layer first); :meth:`fetch_times` and
-    :meth:`pull_times` turn them into every node's transfer time, for
-    scoring and the engine alike.  ``images`` maps each image name
+    latency and bottleneck bandwidth to each data store (one row per store,
+    top layer first); the registry hangs off the top switch like store 0, so
+    pulls read row 0.  :meth:`fetch_times` and :meth:`pull_times` turn them
+    into every node's transfer time, for scoring and the engine alike.  ``images`` maps each image name
     that some node has pulled to a boolean array over the nodes, so scoring
     reads a whole candidate set's cache state with one fancy index; images
     change through :meth:`add_image` alone.  ``static_scores`` is the
@@ -148,15 +132,13 @@ class Cluster:
     """
 
     spec: ClusterSpec
-    nodes: list[Node]
+    devices: tuple[DeviceClass, ...]
     capacity_cpu: np.ndarray = field(compare=False, repr=False)
     capacity_mem: np.ndarray = field(compare=False, repr=False)
     alloc_cpu: np.ndarray = field(compare=False, repr=False)
     alloc_mem: np.ndarray = field(compare=False, repr=False)
     locality_code: np.ndarray = field(compare=False, repr=False)
     accel_code: np.ndarray = field(compare=False, repr=False)
-    registry_latency: np.ndarray = field(compare=False, repr=False)
-    registry_bw: np.ndarray = field(compare=False, repr=False)
     store_latency: np.ndarray = field(compare=False, repr=False)
     store_bw: np.ndarray = field(compare=False, repr=False)
     images: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
@@ -166,7 +148,7 @@ class Cluster:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.devices)
 
     def commit(self, node_id: int, cpu: float, mem: float) -> None:
         """Reserve resources on a node (warm-up and autoscale placements)."""
@@ -191,11 +173,11 @@ class Cluster:
 
     def pull_times(self, nbytes: float) -> np.ndarray:
         """Per node, the transfer time of ``nbytes`` from the registry."""
-        return self.registry_latency + nbytes / self.registry_bw
+        return self.store_latency[0] + nbytes / self.store_bw[0]
 
     def clone(self) -> "Cluster":
         """Independent copy of the allocations and image caches, with no
-        score tables and an empty change log; the nodes, the read-only
+        score tables and an empty change log; the devices, the read-only
         arrays and ``static_scores`` stay shared."""
         twin = replace(self, alloc_cpu=self.alloc_cpu.copy(),
                        alloc_mem=self.alloc_mem.copy(),
@@ -276,38 +258,32 @@ def build_cluster(spec: ClusterSpec, presets=None) -> Cluster:
     pairs = (load_presets() if presets is None else presets)[spec.preset]
     counts = largest_remainder_counts([frac for _, frac in pairs], spec.total_nodes)
 
-    nodes = []
-    for (device, _), count in zip(pairs, counts):
-        for _ in range(count):
-            nodes.append(Node(len(nodes), device))
+    devices = tuple(device for (device, _), count in zip(pairs, counts)
+                    for _ in range(count))
 
     # Layer index per node: cloud devices and every internet node sit on the
     # top layer; each urban edge device draws metro (0) or edge (1), in node
     # order.
     rng = np.random.default_rng(spec.seed)
     layer = np.array([
-        0 if spec.topology_kind == "internet" or nd.device.locality == "cloud"
+        0 if spec.topology_kind == "internet" or device.locality == "cloud"
         else 1 + int(rng.integers(2))
-        for nd in nodes])
+        for device in devices])
     # paths[s, l] = (latency, bandwidth) from a node on layer l to store s.
-    # The registry hangs off the top switch by a top-layer link, exactly
-    # like store 0, so it shares that row.
     links = _LAYER_LINKS[spec.topology_kind]
     paths = np.array([[_layer_path(links, lay, s) for lay in range(len(links))]
                       for s in range(len(links))])
 
-    n = len(nodes)
+    n = len(devices)
     return Cluster(
         spec=spec,
-        nodes=nodes,
-        capacity_cpu=np.array([float(nd.device.cpu_cores) for nd in nodes]),
-        capacity_mem=np.array([float(nd.device.memory_mb) for nd in nodes]),
+        devices=devices,
+        capacity_cpu=np.array([float(d.cpu_cores) for d in devices]),
+        capacity_mem=np.array([float(d.memory_mb) for d in devices]),
         alloc_cpu=np.zeros(n),
         alloc_mem=np.zeros(n),
-        locality_code=np.array([LOCALITIES.index(nd.device.locality) for nd in nodes]),
-        accel_code=np.array([ACCELERATORS.index(nd.device.accelerator) for nd in nodes]),
-        registry_latency=paths[0, layer, 0],
-        registry_bw=paths[0, layer, 1],
+        locality_code=np.array([LOCALITIES.index(d.locality) for d in devices]),
+        accel_code=np.array([ACCELERATORS.index(d.accelerator) for d in devices]),
         store_latency=paths[:, layer, 0],
         store_bw=paths[:, layer, 1],
     )

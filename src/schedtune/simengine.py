@@ -193,7 +193,7 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
             fs.unplaceable = True
             return False
         cluster.commit(nid, fn.req_cpu, fn.req_mem)
-        exec_s, fetch_s = execution_seconds(fn, cluster.nodes[nid].device), fs.fetch_s.item(nid)
+        exec_s, fetch_s = execution_seconds(fn, cluster.devices[nid]), fs.fetch_s.item(nid)
         # Summed in the order exec, pull, fetch, which the pinned scores
         # and the engine oracle use, so service times stay bit-identical.
         cold_s = None if fs.pull_s is None else exec_s + fs.pull_s.item(nid) + fetch_s

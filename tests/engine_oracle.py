@@ -45,8 +45,8 @@ def _fetch_time(cluster: Cluster, node_id: int, nbytes: float) -> float:
 
 
 def _pull_time(cluster: Cluster, node_id: int, nbytes: float) -> float:
-    """Transfer time from the registry to a node."""
-    return float(cluster.registry_latency[node_id] + nbytes / cluster.registry_bw[node_id])
+    """Transfer time from the registry, beside store 0, to a node."""
+    return float(cluster.store_latency[0, node_id] + nbytes / cluster.store_bw[0, node_id])
 
 
 class _Replica:
@@ -106,8 +106,7 @@ class _Engine:
         req = rep.queue.popleft()
         rep.serving = req
         fn = req.function
-        node = self.cluster.nodes[rep.node_id]
-        service = execution_seconds(fn, node.device)
+        service = execution_seconds(fn, self.cluster.devices[rep.node_id])
         if fn.image_name and not self.cluster.image_mask(fn.image_name)[rep.node_id]:
             service += _pull_time(self.cluster, rep.node_id, fn.image_bytes)
             self.cluster.add_image(rep.node_id, fn.image_name)

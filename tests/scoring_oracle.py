@@ -52,7 +52,7 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.
         want = ACCELERATORS.index(fn.preferred_accelerator)
         capability = (cluster.accel_code == want).astype(float)
 
-    pull = cluster.registry_latency + fn.image_bytes / cluster.registry_bw
+    pull = cluster.store_latency[0] + fn.image_bytes / cluster.store_bw[0]
     uncached = 1.0 - np.clip(pull / IMAGE_TIME_CAP_S, 0.0, 1.0)
 
     return (np.vstack([locality_type, data_locality, capability, uncached]),

@@ -42,7 +42,7 @@ def test_pinned_preset_fractions():
 
 def test_cloud_cpu_hundred_nodes_gives_71_xeons():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 100))
-    xeons = [n for n in c.nodes if n.device.name == "xeon_cpu"]
+    xeons = [d for d in c.devices if d.name == "xeon_cpu"]
     assert len(xeons) == 71
     assert c.n_nodes == 100
 
@@ -53,7 +53,7 @@ def test_single_node_cluster_uses_largest_fraction_class():
         dist = _fractions(preset)
         best = max(dist, key=lambda k: (dist[k], -list(dist).index(k)))
         assert c.n_nodes == 1
-        assert c.nodes[0].device.name == best
+        assert c.devices[0].name == best
 
 
 def test_largest_remainder_exact_total():
@@ -80,13 +80,14 @@ def test_build_is_pure_function_of_spec():
         )
         a, b = cl.build_cluster(spec), cl.build_cluster(spec)
         assert a == b
-        for name in ("alloc_cpu", "registry_latency", "registry_bw",
-                     "store_latency", "store_bw"):
+        for name in ("alloc_cpu", "store_latency", "store_bw"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 # SHA-256 over every built array and each node's device name, per preset, for
-# both topologies at 1, 37 and 400 nodes with the seed 1000 + nodes.
+# both topologies at 1, 37 and 400 nodes with the seed 1000 + nodes.  The
+# registry rows, once arrays of their own, are hashed under their old names
+# from store 0's row, which pulls read.
 PINNED_CLUSTER_SHA256 = {
     "cloud_cpu": "8937fcde45c982ec6bd385ab9544eb384e06b67f7d31b815595da2789e5b967b",
     "cloud_gpu": "c27aaa57d2b168db367e4da1fc70d24c424faa29556a1789dcb8dd108d29a39c",
@@ -106,26 +107,25 @@ def test_built_clusters_are_pinned(preset):
     for topology in cl.TOPOLOGY_KINDS:
         for n in (1, 37, 400):
             c = cl.build_cluster(cl.ClusterSpec(preset, n, topology, seed=1000 + n))
-            for name in ("capacity_cpu", "capacity_mem", "alloc_cpu", "alloc_mem",
-                         "locality_code", "accel_code", "registry_latency",
-                         "registry_bw", "store_latency", "store_bw"):
-                arr = getattr(c, name)
+            arrays = {name: getattr(c, name) for name in (
+                "capacity_cpu", "capacity_mem", "alloc_cpu", "alloc_mem",
+                "locality_code", "accel_code")}
+            arrays.update(registry_latency=c.store_latency[0], registry_bw=c.store_bw[0],
+                          store_latency=c.store_latency, store_bw=c.store_bw)
+            for name, arr in arrays.items():
                 digest.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
-            digest.update(" ".join(nd.device.name for nd in c.nodes).encode())
+            digest.update(" ".join(d.name for d in c.devices).encode())
     assert digest.hexdigest() == PINNED_CLUSTER_SHA256[preset]
 
 
 def test_node_capacity_matches_device_class(small_cluster):
-    for node in small_cluster.nodes:
-        assert small_cluster.capacity_cpu[node.id] == node.device.cpu_cores
-        assert small_cluster.capacity_mem[node.id] == node.device.memory_mb
+    assert small_cluster.n_nodes == len(small_cluster.devices)
+    for node, device in enumerate(small_cluster.devices):
+        assert small_cluster.capacity_cpu[node] == device.cpu_cores
+        assert small_cluster.capacity_mem[node] == device.memory_mb
     assert not small_cluster.alloc_cpu.any()
     assert not small_cluster.alloc_mem.any()
-
-
-def test_node_ids_dense_from_zero(small_cluster):
-    assert [n.id for n in small_cluster.nodes] == list(range(small_cluster.n_nodes))
 
 
 def test_internet_path_hand_value():
@@ -139,16 +139,14 @@ def test_internet_path_hand_value():
         assert c.fetch_times(2.5e8)[node] == expected
 
 
-# Per urban layer: registry (latency, bandwidth), then the latencies and
-# bandwidths to the cloud, metro and edge stores.  A path runs over the
-# node's link, the switch chain (each switch-to-switch link at the slower
-# layer's parameters), then the target's link.
+# Per urban layer: the latencies and bandwidths to the cloud, metro and edge
+# stores; the registry sits beside the cloud store, so pulls share its path.
+# A path runs over the node's link, the switch chain (each switch-to-switch
+# link at the slower layer's parameters), then the target's link.
 URBAN_PATHS = {
-    "cloud": (0.002, 1.25e8, (0.002, 0.011, 0.026000000000000002),
-              (1.25e8, 2.5e7, 1.25e7)),
-    "metro": (0.011, 2.5e7, (0.011, 0.01, 0.025), (2.5e7, 2.5e7, 1.25e7)),
-    "edge": (0.026000000000000002, 1.25e7, (0.026000000000000002, 0.025, 0.02),
-             (1.25e7, 1.25e7, 1.25e7)),
+    "cloud": ((0.002, 0.011, 0.026000000000000002), (1.25e8, 2.5e7, 1.25e7)),
+    "metro": ((0.011, 0.01, 0.025), (2.5e7, 2.5e7, 1.25e7)),
+    "edge": ((0.026000000000000002, 0.025, 0.02), (1.25e7, 1.25e7, 1.25e7)),
 }
 
 
@@ -158,12 +156,12 @@ def _urban_cluster():
 
 
 def _nodes_by_layer(c):
-    """Node ids per urban layer, told apart by their registry latency."""
-    layer_by_latency = {paths[0]: layer for layer, paths in URBAN_PATHS.items()}
+    """Node ids per urban layer, told apart by their cloud-store latency."""
+    layer_by_latency = {lats[0]: layer for layer, (lats, _) in URBAN_PATHS.items()}
     by_layer = {}
-    for node in c.nodes:
-        layer = layer_by_latency[c.registry_latency[node.id]]
-        by_layer.setdefault(layer, []).append(node.id)
+    for node in range(c.n_nodes):
+        layer = layer_by_latency[c.store_latency[0, node]]
+        by_layer.setdefault(layer, []).append(node)
     return by_layer
 
 
@@ -190,17 +188,16 @@ def test_urban_cross_layer_slower_than_intra_layer():
 def test_urban_cross_layer_hand_value():
     c = _urban_cluster()
     by_layer = _nodes_by_layer(c)
+    nbytes = 1e8
     for layer, ids in by_layer.items():
-        reg_lat, reg_bw, store_lat, store_bw = URBAN_PATHS[layer]
+        store_lat, store_bw = URBAN_PATHS[layer]
         for node in ids:
-            assert c.registry_latency[node] == reg_lat
-            assert c.registry_bw[node] == reg_bw
             assert tuple(c.store_latency[:, node]) == store_lat
             assert tuple(c.store_bw[:, node]) == store_bw
+            assert c.pull_times(nbytes)[node] == store_lat[0] + nbytes / store_bw[0]
             # cloud devices sit on the cloud layer, edge devices below it
-            assert (layer == "cloud") == (c.nodes[node].device.locality == "cloud")
+            assert (layer == "cloud") == (c.devices[node].locality == "cloud")
     edge_a = by_layer["edge"][0]
-    nbytes = 1e8
     assert c.pull_times(nbytes)[edge_a] == 0.026000000000000002 + nbytes / 1.25e7
 
 
@@ -218,10 +215,10 @@ def test_data_fetch_uses_nearest_store():
     c = _urban_cluster()
     nbytes = 5e7
     layer_by_node = {n: layer for layer, ids in _nodes_by_layer(c).items() for n in ids}
-    for node in c.nodes:
-        _, _, store_lat, store_bw = URBAN_PATHS[layer_by_node[node.id]]
+    for node in range(c.n_nodes):
+        store_lat, store_bw = URBAN_PATHS[layer_by_node[node]]
         direct = min(lat + nbytes / bw for lat, bw in zip(store_lat, store_bw))
-        assert c.fetch_times(nbytes)[node.id] == direct
+        assert c.fetch_times(nbytes)[node] == direct
 
 
 def test_commit_updates_node_and_arrays(small_cluster):

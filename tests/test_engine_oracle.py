@@ -27,9 +27,7 @@ def _dyadic_paths(cluster):
     execution times every service time is a multiple of ``TICK_S``, so
     completions land exactly on arrival ticks and on each other."""
     n, stores = cluster.n_nodes, cluster.store_latency.shape[0]
-    return replace(cluster, registry_latency=np.zeros(n),
-                   registry_bw=np.full(n, 2.0**20),
-                   store_latency=np.zeros((stores, n)),
+    return replace(cluster, store_latency=np.zeros((stores, n)),
                    store_bw=np.full((stores, n), 2.0**20))
 
 

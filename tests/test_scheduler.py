@@ -79,8 +79,8 @@ def test_locality_and_capability_scores():
     any_pref = make_function(locality="any")
     gpu_pref = make_function(accel="gpu")
     none_pref = make_function(accel="none")
-    is_cloud = [float(n.device.locality == "cloud") for n in c.nodes]
-    is_gpu = [float(n.device.accelerator == "gpu") for n in c.nodes]
+    is_cloud = [float(d.locality == "cloud") for d in c.devices]
+    is_gpu = [float(d.accelerator == "gpu") for d in c.devices]
     assert _table(cloud_pref, c).scores[:, 3].tolist() == is_cloud
     assert (_table(any_pref, c).scores[:, 3] == 1.0).all()
     assert _table(gpu_pref, c).scores[:, 5].tolist() == is_gpu
@@ -129,8 +129,7 @@ def test_replaced_paths_do_not_reuse_cached_columns():
     fn = make_function(dataset_bytes=1e8, image_bytes=3e8)
 
     def slowed(cluster):
-        return replace(cluster, registry_bw=cluster.registry_bw / 100,
-                       store_bw=cluster.store_bw / 100)
+        return replace(cluster, store_bw=cluster.store_bw / 100)
 
     scored = cl.build_cluster(spec)
     before = _table(fn, scored).scores

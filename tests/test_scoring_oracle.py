@@ -92,8 +92,7 @@ def test_scorer_matches_oracle(session):
         elif op == "clone":
             cluster = cluster.clone()
         elif op == "reroute":
-            cluster = replace(cluster, registry_bw=cluster.registry_bw * args[0],
-                              store_bw=cluster.store_bw * args[0])
+            cluster = replace(cluster, store_bw=cluster.store_bw * args[0])
         elif op == "score":
             fn, ids, weights = functions[args[0]], np.array(args[1], dtype=int), np.array(args[2])
             table = sched._score_table(fn, cluster, weights)

@@ -17,7 +17,7 @@ from tests.conftest import make_function
 def _two_xeon_cluster():
     # cloud_cpu at total=2 apportions both nodes to xeon_cpu
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2, "internet"))
-    assert all(n.device.name == "xeon_cpu" for n in c.nodes)
+    assert all(d.name == "xeon_cpu" for d in c.devices)
     return c
 
 
@@ -345,7 +345,7 @@ def test_an_arrival_takes_the_lowest_index_idle_replica(monkeypatch):
     # 1, 0.  A request at 10 s, with 1 and 2 idle, must join replica 1 (the
     # lowest index), not replica 2, the one that went idle first.
     c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 9))
-    assert [c.nodes[n].device.name for n in (3, 4, 0)] == ["rpi3", "rpi4", "xeon_cpu"]
+    assert [c.devices[n].name for n in (3, 4, 0)] == ["rpi3", "rpi4", "xeon_cpu"]
     nodes = iter([3, 4, 0])
     monkeypatch.setattr(se, "place", lambda *args: next(nodes))
     fn = replace(make_function(name="f", image_bytes=0.0, dataset_bytes=0.0), image_name="")
@@ -372,7 +372,7 @@ def test_single_replica_queue_matches_pollaczek_khinchine(rho):
     fn = wl.FunctionSpec(name="md1", req_cpu=1.0, req_mem=1024.0,
                          dataset_bytes=1e7, base_exec_s=0.5)
     fetch_s = (c.store_latency[:, 0] + fn.dataset_bytes / c.store_bw[:, 0]).min()
-    s = wl.execution_seconds(fn, c.nodes[0].device) + float(fetch_s)
+    s = wl.execution_seconds(fn, c.devices[0]) + float(fetch_s)
     expected = rho * s / (2.0 * (1.0 - rho))
     waits = []
     for seed in MD1_SEEDS:
