@@ -157,8 +157,8 @@ def _squash(mean: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
 
 
 class SacAgent:
-    """Every float the agent keeps (the five networks' parameters and
-    gradients, ``log_alpha`` and the Adam moments) is a view of one
+    """Every float the agent keeps (the five networks' parameters, the
+    trained three's gradients, ``log_alpha`` and the Adam moments) is a view of one
     zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  The arena
     opens with ``self.stored``, the pieces :func:`checkpoint_layout` names,
     in its order.  An agent loaded ``acting_only`` keeps the policy's
@@ -187,17 +187,16 @@ class SacAgent:
             self.dtype = self.arena.dtype
             self.policy = Mlp(policy_sizes, init, self.stored[0], None)
             return
-        # Three groups: the stored pieces, the gradients that updates write,
-        # and the target networks' gradients, which nothing writes.  An
-        # agent that only acts never faults in a page of the last two.
+        # Two groups: the stored pieces, and the gradients that updates
+        # write.  The target networks never run backward, so keep none.
         n_pi, n_q = layout[0][1], layout[1][1]
-        self.arena, pieces = nn.arena([n for _, n in layout], [n_pi, n_q, n_q], [n_q, n_q])
+        self.arena, pieces = nn.arena([n for _, n in layout], [n_pi, n_q, n_q])
         self.stored, grads = pieces[:len(layout)], pieces[len(layout):]
         params, moments = self.stored[:6], self.stored[6:]
         self.dtype = self.arena.dtype
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
             Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
-                                       [init] * 3 + [None] * 2, params, grads))
+                                       [init] * 3 + [None] * 2, params, grads + [None] * 2))
         if fill:
             self.q1_target.flat[:] = self.q1.flat
             self.q2_target.flat[:] = self.q2.flat

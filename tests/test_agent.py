@@ -376,9 +376,11 @@ def test_a_save_that_fails_halfway_keeps_the_previous_checkpoint(tmp_path, monke
 
 
 def assert_views_of_one_arena(agent):
-    """Every named array and gradient buffer is a view of ``agent.arena``,
-    and no two of them overlap."""
-    nets = (agent.policy, agent.q1, agent.q2, agent.q1_target, agent.q2_target)
+    """Every named array and the trained networks' gradient buffers are
+    views of ``agent.arena``, and no two of them overlap.  The target
+    networks keep no gradients."""
+    assert agent.q1_target.grad_flat is None and agent.q2_target.grad_flat is None
+    nets = (agent.policy, agent.q1, agent.q2)
     arrays = [a for _, a in agent._named_arrays()] + [net.grad_flat for net in nets]
     assert all(np.shares_memory(a, agent.arena) for a in arrays)
     spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
@@ -429,8 +431,9 @@ def test_the_stored_pieces_open_the_arena_in_layout_order():
     assert starts[0] == agent.arena.ctypes.data
     # Each piece begins at the first 64-byte boundary after the one before.
     assert all(0 <= start - end < 64 for end, start in zip(ends, starts[1:]))
-    nets = (agent.policy, agent.q1, agent.q2, agent.q1_target, agent.q2_target)
+    nets = (agent.policy, agent.q1, agent.q2)
     assert all(net.grad_flat.ctypes.data >= ends[-1] for net in nets)
+    assert agent.q1_target.grad_flat is None and agent.q2_target.grad_flat is None
 
 
 def test_the_arena_is_a_huge_page_mapping_where_mmap_offers_one():
@@ -498,7 +501,7 @@ def test_target_critics_start_as_independent_copies():
     for net, target in ((agent.q1, agent.q1_target), (agent.q2, agent.q2_target)):
         assert target.sizes == net.sizes
         assert np.array_equal(target.flat, net.flat)
-        assert np.all(target.grad_flat == 0.0)
+        assert target.grad_flat is None
         assert not np.shares_memory(target.flat, net.flat)
         net.weights[0][0, 0] += 1.0
         assert target.weights[0][0, 0] != net.weights[0][0, 0]
