@@ -14,6 +14,7 @@ the same seed tune exactly the same scenarios.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import sys
 import time
@@ -183,7 +184,10 @@ def cmd_tune(args) -> int:
 
 def cmd_train_agent(args) -> int:
     config = _config_of(args)
-    vec = VectorEnv([make_env(config) for _ in range(config.num_envs)])
+    # Shallow copies share one read of the data; each reset gives a copy its
+    # own episode.
+    env = make_env(config)
+    vec = VectorEnv([copy.copy(env) for _ in range(config.num_envs)])
     eval_env = make_env(replace(config, mode="test")) if config.eval_every else None
     # Built before --out exists: an arena or a replay buffer too large to
     # allocate fails first.

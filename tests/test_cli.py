@@ -748,11 +748,13 @@ def test_tune_and_eval_read_each_data_file_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("num_envs", [1, 4])
 def test_train_agent_without_evaluations_reads_each_data_file_once(tmp_path, monkeypatch,
-                                                                    capsys):
-    # One training env and, with eval_every 0, no evaluation env.
+                                                                    capsys, num_envs):
+    # The training envs share one read of the data and, with eval_every 0,
+    # no evaluation env reads it again.
     config = write_config(tmp_path, env_kind="faas", mode="train", duration_s=20.0,
-                          total_env_steps=4, num_envs=1, hidden=[8], batch_size=4,
+                          total_env_steps=4, num_envs=num_envs, hidden=[8], batch_size=4,
                           replay_capacity=16, start_steps=4, eval_every=0)
     reads = _record_reads(monkeypatch)
     assert main(["train-agent", "--config", config, "--out", str(tmp_path / "agent")]) == 0
