@@ -27,6 +27,10 @@ DEFAULT_DURATION_S = 100.0
 # Gaps in a function's first draw; one that ends too soon is redrawn doubled.
 ARRIVAL_BLOCK = 1024
 
+# The most requests a workload may expect over its horizon (sum of rates
+# times duration_s): a trace of that many is on the order of 100 MB.
+MAX_TRACE_REQUESTS = 10**6
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Resource demands and data dependencies of one deployable function."""
@@ -77,6 +81,12 @@ class WorkloadSpec:
                 raise ConfigError(f"{fn.name}: rps must be positive")
         if not 0 < self.duration_s < np.inf:
             raise ConfigError("duration_s must be positive and finite")
+        rate = sum(rps for _, rps in self.functions)
+        if rate * self.duration_s > MAX_TRACE_REQUESTS:
+            raise ConfigError(
+                f"duration_s {self.duration_s:g} at {rate:g} requests per second expects "
+                f"{rate * self.duration_s:.3g} requests, above the bound of "
+                f"{MAX_TRACE_REQUESTS}")
 
 
 _load_functions = _data.entry_loader("functions.json", FunctionSpec, req_mem="req_mem_mb")

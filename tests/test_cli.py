@@ -320,6 +320,17 @@ def test_tune_with_a_bad_config_fails_with_one_error_line(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_horizon_past_the_trace_bound_fails_tune_with_one_error_line(tmp_path, capsys):
+    # WorkloadSpec refuses the horizon before any arrival is drawn.
+    config = write_config(tmp_path, env_kind="faas", n_scenarios=1, duration_s=1e12)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_s 1e+12 at ") and err.count("\n") == 1
+    assert "above the bound of 1000000" in err
+    assert not (out / "trials.csv").exists()
+
+
 def test_simulate_with_a_synthetic_config_fails_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", write_config(tmp_path),

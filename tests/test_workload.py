@@ -175,6 +175,21 @@ def test_workload_validation():
             wl.WorkloadSpec(functions=((fn, rps),), duration_s=duration_s)
 
 
+def test_a_trace_past_the_request_bound_is_refused_before_any_draw():
+    # Constructed only: the specs refused here would each build a trace of
+    # more than MAX_TRACE_REQUESTS requests, 1e12 of them at 1e12 s.
+    a, b = make_function(name="a"), make_function(name="b")
+    bound = wl.MAX_TRACE_REQUESTS
+    wl.WorkloadSpec(functions=((a, 600.0), (b, 400.0)), duration_s=bound / 1000)
+    for functions, duration_s in ((((a, 600.0), (b, 400.0)), bound / 1000 * 1.001),
+                                  (((a, 1.0),), 1e12)):
+        with pytest.raises(ConfigError) as info:
+            wl.WorkloadSpec(functions=functions, duration_s=duration_s)
+        message = str(info.value)
+        assert f"duration_s {duration_s:g}" in message
+        assert f"above the bound of {bound}" in message
+
+
 @pytest.mark.parametrize("field", ["req_cpu", "req_mem", "image_bytes",
                                    "dataset_bytes", "base_exec_s"])
 def test_function_spec_rejects_nan(field):
