@@ -158,10 +158,10 @@ def _squash(mean: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
 
 class SacAgent:
     """Every float the agent keeps (the five networks' parameters, the
-    trained three's gradients, ``log_alpha`` and the Adam moments) is a view of one
-    zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  The arena
-    opens with ``self.stored``, the pieces :func:`checkpoint_layout` names,
-    in its order.  An agent loaded ``acting_only`` keeps the policy's
+    trained three's gradients, ``log_alpha`` and the Adam moments) is a view
+    of one zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  The
+    arena opens with ``self.stored``, the pieces :func:`checkpoint_layout`
+    names, in its order.  An agent loaded ``acting_only`` keeps the policy's
     parameters alone, its one stored piece."""
 
     def __init__(self, config: SacConfig, seed: int = 0):

@@ -184,8 +184,7 @@ def cmd_tune(args) -> int:
 
 def cmd_train_agent(args) -> int:
     config = _config_of(args)
-    # Shallow copies share one read of the data; each reset gives a copy its
-    # own episode.
+    # The copies share one read of the data; a reset gives each its own episode.
     env = make_env(config)
     vec = VectorEnv([copy.copy(env) for _ in range(config.num_envs)])
     eval_env = make_env(replace(config, mode="test")) if config.eval_every else None

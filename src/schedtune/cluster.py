@@ -116,14 +116,15 @@ class Cluster:
     latency and bottleneck bandwidth to each data store (one row per store,
     top layer first); the registry hangs off the top switch like store 0, so
     pulls read row 0.  :meth:`fetch_times` and :meth:`pull_times` turn them
-    into every node's transfer time, for scoring and the engine alike.  ``images`` maps each image name
-    that some node has pulled to a boolean array over the nodes, so scoring
-    reads a whole candidate set's cache state with one fancy index; images
-    change through :meth:`add_image` alone.  ``static_scores`` is the
-    scheduler's cache of the score templates, which depend only on the
-    nodes and their paths, keyed by function.
-    :meth:`clone` shares it; ``dataclasses.replace`` starts it empty, since
-    the replaced fields may be the very paths it was computed from.
+    into every node's transfer time, for scoring and the engine alike.
+    ``images`` maps each image name that some node has pulled to a boolean
+    array over the nodes, so scoring reads a whole candidate set's cache
+    state with one fancy index; images change through :meth:`add_image`
+    alone.  ``static_scores`` is the scheduler's cache of the score
+    templates, which depend only on the nodes and their paths, keyed by
+    function.  :meth:`clone` shares it; ``dataclasses.replace`` starts it
+    empty, since the replaced fields may be the very paths it was computed
+    from.
     ``score_tables`` is the scheduler's cache of score tables, one per
     function scored on this copy.  ``changes`` logs the node id of every
     :meth:`commit` and :meth:`add_image`, in order; the scheduler reads it to

@@ -31,6 +31,7 @@ ARRIVAL_BLOCK = 1024
 # times duration_s): a trace of that many is on the order of 100 MB.
 MAX_TRACE_REQUESTS = 10**6
 
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Resource demands and data dependencies of one deployable function."""
@@ -83,10 +84,9 @@ class WorkloadSpec:
             raise ConfigError("duration_s must be positive and finite")
         rate = sum(rps for _, rps in self.functions)
         if rate * self.duration_s > MAX_TRACE_REQUESTS:
-            raise ConfigError(
-                f"duration_s {self.duration_s:g} at {rate:g} requests per second expects "
-                f"{rate * self.duration_s:.3g} requests, above the bound of "
-                f"{MAX_TRACE_REQUESTS}")
+            raise ConfigError(f"duration_s {self.duration_s:g} at {rate:g} requests per "
+                              f"second expects {rate * self.duration_s:.3g} requests, "
+                              f"above the bound of {MAX_TRACE_REQUESTS}")
 
 
 _load_functions = _data.entry_loader("functions.json", FunctionSpec, req_mem="req_mem_mb")
