@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
+from scipy.special import comb
 
 from schedtune import cluster as cl
 from schedtune import scheduler as sched
@@ -209,6 +211,74 @@ def test_subsample_size_floor(small_cluster, probe_function):
     chosen = sched.place(probe_function, small_cluster, sched.FIXED_WEIGHTS,
                          pct, np.random.default_rng(3))
     assert chosen in feasible
+
+
+def _cluster_with_feasible(n, blocked):
+    """A cluster of n feasible nodes and the nodes ``blocked``, which are
+    full, so the feasible ids are not the first n positions."""
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", n + len(blocked), seed=4))
+    for nid in blocked:
+        c.commit(nid, c.capacity_cpu[nid], c.capacity_mem[nid])
+    return c
+
+
+BLOCKED = (0, 5, 9, 13)
+SUBSAMPLE_SEEDS = 4000
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_the_subsample_is_a_uniform_k_subset_of_the_feasible_ids(k):
+    # With every total equal, the winner is the subset's lowest id, so over
+    # many seeds its position r among the n feasible ids must follow
+    # P(min = r) = C(n - r - 1, k - 1) / C(n, k).  Cells expecting fewer
+    # than five are pooled into the last one.
+    n = 12
+    c = _cluster_with_feasible(n, BLOCKED)
+    fn = make_function()
+    feasible = _table(fn, c).ids
+    assert len(feasible) == n and not set(BLOCKED) & set(feasible.tolist())
+    pct = (k + 0.5) / n
+    counts = np.zeros(n - k + 1)
+    for seed in range(SUBSAMPLE_SEEDS):
+        nid = sched.place(fn, c, np.zeros(sched.N_WEIGHTS), pct,
+                          np.random.default_rng(seed))
+        counts[int(np.searchsorted(feasible, nid))] += 1
+    expected = np.array([comb(n - r - 1, k - 1) for r in range(n - k + 1)]) / comb(n, k)
+    expected *= SUBSAMPLE_SEEDS
+    cells = max(2, int(np.searchsorted(-expected, -5.0)))
+    observed = np.append(counts[:cells - 1], counts[cells - 1:].sum())
+    pooled = np.append(expected[:cells - 1], expected[cells - 1:].sum())
+    assert observed.sum() == SUBSAMPLE_SEEDS
+    assert stats.chisquare(observed, pooled).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_with_distinct_scores_the_subsample_winner_is_feasible(k):
+    n = 12
+    c = _cluster_with_feasible(n, BLOCKED)
+    fn = make_function()
+    for nid in range(c.n_nodes):
+        if nid not in BLOCKED:
+            c.commit(nid, 0.01 * nid, 0.0)
+    table = _table(fn, c)
+    feasible = set(table.ids.tolist())
+    weights = np.random.default_rng(2).uniform(0.0, 1.0, sched.N_WEIGHTS)
+    totals = sched.weighted_totals(table.scores, weights)[table.ids]
+    assert len(np.unique(totals)) == n
+    for seed in range(200):
+        assert sched.place(fn, c, weights, (k + 0.5) / n,
+                           np.random.default_rng(seed)) in feasible
+
+
+@pytest.mark.parametrize("n, pct", [(1, 1.0), (1, 0.5), (2, 1.0), (40, 1.0)])
+def test_a_full_scan_draws_nothing(n, pct):
+    # max(1, floor(p * n)) >= n leaves nothing to subsample.  Every
+    # train-domain placement runs at p = 1.0, so its stream must stay still.
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", n, seed=1))
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    assert sched.place(make_function(), c, sched.FIXED_WEIGHTS, pct, rng) is not None
+    assert rng.bit_generator.state == before
 
 
 def test_place_does_not_mutate_cluster(small_cluster, probe_function):
