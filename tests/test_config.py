@@ -119,6 +119,21 @@ def test_evaluation_during_training_needs_seeds():
     assert config_from_dict({"eval_every": 0, "n_eval_seeds": 0}).n_eval_seeds == 0
 
 
+def test_a_horizon_the_domain_could_push_past_the_trace_bound_is_refused():
+    # sample_scenario draws the total rate and splits it evenly, so the most
+    # a FaaS scenario can expect is duration_s times the mode domain's
+    # largest total rate: 30 requests per second in test mode, 10 in train.
+    with pytest.raises(ConfigError, match=r"^duration_s 50000 at .* 30 requests per "
+                                          r"second .*above the bound of 1000000$"):
+        config_from_dict({"duration_s": 50000})
+    assert config_from_dict({"mode": "train", "duration_s": 50000}).duration_s == 50000
+    assert config_from_dict({"duration_s": 10**6 / 30}).duration_s == 10**6 / 30
+    with pytest.raises(ConfigError, match="above the bound"):
+        config_from_dict({"mode": "train", "duration_s": 100001})
+    # A synthetic landscape draws no trace.
+    assert config_from_dict({"env_kind": "synthetic", "duration_s": 1e12})
+
+
 def test_data_dir_accepts_null():
     assert config_from_dict({"data_dir": None}).data_dir is None
 
