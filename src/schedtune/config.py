@@ -12,8 +12,8 @@ from .agent import SacConfig
 from .data import check, read_json
 from .errors import ConfigError
 from .synthfuncs import LANDSCAPES
-from .tunenv import DEFAULT_N_STEPS, MASK_LEVELS, MODES
-from .workload import DEFAULT_DURATION_S
+from .tunenv import DEFAULT_N_STEPS, MASK_LEVELS, MODES, default_space_set
+from .workload import DEFAULT_DURATION_S, MAX_TRACE_REQUESTS
 
 ENV_KINDS = ("faas", "synthetic")
 _AGENT_FIELDS = ("hidden", "lr", "batch_size", "replay_capacity", "start_steps",
@@ -62,6 +62,15 @@ class ExperimentConfig:
             raise ConfigError("n_eval_seeds: must be positive when eval_every is")
         if self.duration_s <= 0:
             raise ConfigError("duration_s: must be positive")
+        if self.env_kind == "faas":
+            # A scenario splits its drawn total rate over its functions, so the
+            # domain's top total rate bounds every trace this config can draw.
+            rps = default_space_set().domain(self.mode)["requests_per_second"].max
+            if rps * self.duration_s > MAX_TRACE_REQUESTS:
+                raise ConfigError(f"duration_s {self.duration_s:g} at the {self.mode} domain's "
+                                  f"top rate of {rps:g} requests per second expects "
+                                  f"{rps * self.duration_s:.3g} requests, above the bound "
+                                  f"of {MAX_TRACE_REQUESTS}")
         if not self.name:
             raise ConfigError("name: must not be empty")
         # The agent's own rules check its settings, at load for every command.

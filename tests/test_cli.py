@@ -331,6 +331,23 @@ def test_a_horizon_past_the_trace_bound_fails_tune_with_one_error_line(tmp_path,
     assert not (out / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("tune", {"n_scenarios": 5}),
+    ("train-agent", {"mode": "train", "eval_every": 8}),
+], ids=["tune", "train-agent-test-mode-eval"])
+def test_a_horizon_the_domain_could_push_past_the_trace_bound_fails_at_load(
+        tmp_path, capsys, command, overrides):
+    # 50 000 s at the test domain's 30 requests per second; train-agent
+    # evaluates in test mode, so its eval env is held to that rate too.
+    config = write_config(tmp_path, env_kind="faas", duration_s=50000, **overrides)
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_s 50000 at the test domain's top rate of 30 ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_with_a_synthetic_config_fails_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", write_config(tmp_path),
