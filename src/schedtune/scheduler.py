@@ -191,13 +191,13 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
           percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     """Pick the best node for the pod, or None when nothing is feasible.
 
-    When percent_nodes_to_score < 1, a uniform subset of the feasible set is
-    scored (at least one node): positions into the table's feasible ids are
-    drawn, which leaves the generator as drawing the ids themselves would.
-    The candidates' weighted scores are one gather from the score table's
-    totals; ties on them go to the lowest node id.  Allocations and images
-    are left untouched.  ``weights`` must have passed ``validate_weights``;
-    the engine checks them once per run.
+    Of the n feasible nodes, k = max(1, floor(percent_nodes_to_score * n))
+    are scored: a uniform k-subset, the first k positions of one
+    ``rng.permutation(n)`` into the table's feasible ids.  When k = n
+    nothing is drawn.  The candidates' weighted scores are one gather from
+    the score table's totals; ties on them go to the lowest node id.
+    Allocations and images are left untouched.  ``weights`` must have passed
+    ``validate_weights``; the engine checks them once per run.
     """
     table = _score_table(fn, cluster, weights)
     ids, n = table.ids, len(table.ids)
@@ -205,7 +205,9 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
         return None
     k = max(1, math.floor(percent_nodes_to_score * n))
     if k < n:
-        positions = rng.choice(n, size=k, replace=False)
+        # rng.choice(n, k, replace=False) draws the same kind of subset
+        # but shuffles it too, and took twice as long at n 230, k 123.
+        positions = rng.permutation(n)[:k]
         positions.sort()
         ids = ids[positions]
     return int(ids[score_nodes(table, ids).argmax()])

@@ -91,6 +91,6 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
         return None
     k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
     if k < len(ids):
-        ids = np.sort(rng.choice(ids, size=k, replace=False))
+        ids = np.sort(rng.permutation(ids)[:k])
     totals = (score_nodes(fn, ids, cluster) * weights).sum(axis=1)
     return int(ids[int(np.argmax(totals))])

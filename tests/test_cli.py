@@ -111,7 +111,7 @@ def test_parallel_jobs_match_serial(tmp_path):
 # The trials table of a small FaaS tuning run, byte for byte.  Every trial
 # replays the cluster under its own weights, so a change to scoring,
 # placement or the engine that moves any score changes this digest.
-PINNED_TUNE_TRIALS_SHA256 = "8d2ad0da0cc32ff058fb2f84e27caad76ff336791996d36f71b1529c3b0078d8"
+PINNED_TUNE_TRIALS_SHA256 = "a15be9c74032d7b4cbd58f2bb730fb13cf1c084fa7533ae34f36bc21d81c0802"
 
 
 def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
@@ -129,10 +129,10 @@ def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
 # landscape.  BO and TPE condition on the reference pair and every trial, so
 # a change to how a method reads the episode's history moves its digest.
 PINNED_METHOD_TRIALS_SHA256 = {
-    ("faas", "fixed"): "9341bb37ac66c8893f292521dca76091d32324128cdde6c4121219bba0343413",
+    ("faas", "fixed"): "aba373ee0cc8e46be23cc213749d1555a8944161b9d175ae8ab656279a9ff0ee",
     ("faas", "random"): PINNED_TUNE_TRIALS_SHA256,
-    ("faas", "bo"): "e20548e77a06931d730c26925fda8694e2b87a726e5e52d2897e50e70e96f714",
-    ("faas", "tpe"): "13e6fd469a0e8df6ed3edcdbda4f23691effc4705c8369063d0d9ff2dcb33c91",
+    ("faas", "bo"): "00238ab632565603ee4006c4f2af4132f8aca18429de779aaecbf645eeab167a",
+    ("faas", "tpe"): "71e9bc75ff56592eb04efac4224db57cbd99fd5d81e75ca77f2cc650c0487b41",
     ("synthetic", "tpe"): "760c8ac2382cbb4ce5667cc96979ce0ec69d44ebb206d3e4505e1d272bec9713",
 }
 
@@ -157,7 +157,7 @@ def test_every_method_trials_table_is_pinned(tmp_path, capsys, env_kind, method)
 # policy acts, so a change to how a checkpoint stores or loads it that
 # moves any weight or action changes these digests.
 PINNED_EVAL_TRIALS_SHA256 = {
-    "faas": "155fea50f0f177d8a1c9d1bd67f3eb7c3050ebf4748fce9cdad198a94dc917d0",
+    "faas": "83ebac75dd575c7c98e252ded45d61e133056edd12c2c6d037f6590d3ee9ce5d",
     "synthetic": "827f363f110b55901a1f72a5dbe0ce552da9f0b75c77d3ae5f239a518808c505",
 }
 

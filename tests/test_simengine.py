@@ -256,9 +256,9 @@ PINNED_SCORES = [
     ("train", 0, 0.5571078634226603, 0.5205456611664303),  # edge_cloudlet urban 107
     ("train", 2, 0.7236735136587528, 0.7119485027974675),  # edge_cloudlet internet 46
     ("train", 11, 0.7996091948396188, 0.7917092106284424),  # cloud_cpu internet 150
-    ("test", 0, 0.5716036753939256, 0.5574635260345219),  # hybrid_balanced urban 302
-    ("test", 1, 0.9027041253307555, 0.8136839030646894),  # edge_gpu urban 351
-    ("test", 2, 0.756033659009378, 0.7519420683185483),  # hybrid_balanced internet 221
+    ("test", 0, 0.5713335525072559, 0.5540042504720543),  # hybrid_balanced urban 302
+    ("test", 1, 0.9042132180993593, 0.8535235406025148),  # edge_gpu urban 351
+    ("test", 2, 0.8665781302795449, 0.8592038282495756),  # hybrid_balanced internet 221
 ]
 PINNED_PLACEMENTS = {
     # (mode, rng seed): (fixed weights, PINNED_WEIGHTS)
@@ -272,14 +272,14 @@ PINNED_PLACEMENTS = {
         "ac649d1564cdcad46f6bf419d410ab79f2f3459ef492b6bf8a878f3f3f299a0e",
         "1277d0607de2d4db2302a78f82ce7fa52f79ee8750a1cb4f6ac488fa20b3570f"),
     ("test", 0): (
-        "48af6bf745b60aa9c5fe47aaebb650e176d9bd1bfe57541aa5d7d31b668abb43",
-        "7eed9e88b93cd0fceca3d6939b508a1dcf3a3fe7d226932bc0f454f1082b7935"),
+        "9ac1d6e106060988cd5eb6a3f772de6b10c6d2ac554422cfdf337e0954dea5bb",
+        "01d09ae0a853860fc022f7a050b22e2a1d70beb34ed9c24b037e3a1177a917e2"),
     ("test", 1): (
-        "55583e13372f2eb4bfd17191138e11d2c87f515e1b4800edcce7329be4ce5b71",
-        "9ead377c5c41b360b470ef583c6868911a77cc25e3cdfc47db8aa827fb2c1d5f"),
+        "736eebc46ec7f1fbc1a509f9cbc5bfa82f73d5e9d097a932fe462de1869b0e8a",
+        "79b783899830e05c29495d6276afb52c72730dba7bdf087946ab736517bf1b94"),
     ("test", 2): (
-        "0e3da09c623694bb68d12f56272a81b279eb74ec00cacc6929680ecd4463511a",
-        "9f0850341da60ed59c940e50588a64666da022093dda5323dd075263052a315b"),
+        "44cea3f932aa3a8e0f15a6341607f48a6b472faf35e1a4705c026f6d82bf2a5c",
+        "5d2ec2af048172016f8e5ea43fbf2e58e5261931532b22ba8104a9778fff0740"),
 }
 
 

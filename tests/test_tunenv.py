@@ -481,7 +481,7 @@ def test_the_data_dir_setting_wins_over_the_environment_variable(tmp_path, monke
 
 # SHA-256 over every observation and reward below; any change to the static
 # features, their normalization ranges, masking, frames or scores moves it.
-OBSERVATION_DIGEST = "accc75f6fe0a4077b9b4eeb2053df0304e4079f209d499c66f44100831898009"
+OBSERVATION_DIGEST = "940d3819f90b7c20d27334bff9b8ec26757f55dbb6bc319eb11f616ca225b201"
 
 
 def test_observation_and_reward_digest_is_pinned():
