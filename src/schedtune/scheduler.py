@@ -205,8 +205,8 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
         return None
     k = max(1, math.floor(percent_nodes_to_score * n))
     if k < n:
-        # rng.choice(n, k, replace=False) draws the same kind of subset
-        # but shuffles it too, and took twice as long at n 230, k 123.
+        # Not rng.choice(n, k, replace=False): it also shuffles its picks,
+        # which the sort undoes, and took twice as long at n 230, k 123.
         positions = rng.permutation(n)[:k]
         positions.sort()
         ids = ids[positions]
