@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .agent import ReplayBuffer, SacAgent, evaluate_policy, train_agent
-from .cluster import build_cluster
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError
 from .optimizers import OPTIMIZERS, run_tuning
 from .report import (
     CHART_FILENAME,
     CSV_SCHEMA_VERSION,
+    append_rows,
     read_trials_csv,
     render_report_md,
     render_score_chart,
@@ -44,10 +43,8 @@ from .report import (
     write_summary_csv,
     write_trials_csv,
 )
-from .scheduler import FIXED_WEIGHTS
-from .simengine import run_benchmark
 from .synthfuncs import SyntheticTuningEnv
-from .tunenv import FaasTuningEnv, VectorEnv, sample_scenario
+from .tunenv import FaasTuningEnv, VectorEnv
 
 RUNRECORD_FIELDS = ("schema_version", "experiment", "scenario_seed",
                     "scenario_digest", "preset", "topology", "num_nodes",
@@ -133,42 +130,31 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"env_kind: simulate runs the FaaS cluster, got "
                           f"{config.env_kind!r}")
     env = make_env(config)
+    # Drawn before --out exists: a seed with no schedulable scenario fails first.
+    scenario, _, result = env.draw_scenario(np.random.default_rng(args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    scenario = sample_scenario(env.space, config.mode, rng,
-                               duration_s=config.duration_s,
-                               functions=env.functions)
-    cluster = build_cluster(scenario.cluster_spec, env.presets)
-    result = run_benchmark(cluster, scenario.workload, FIXED_WEIGHTS,
-                           scenario.options)
     path = out_dir / "runrecords.csv"
-    new_file = starts_new_table(path, RUNRECORD_FIELDS)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RUNRECORD_FIELDS)
-        if new_file:
-            writer.writeheader()
-        rps = dict((fn.name, r) for fn, r in scenario.workload.functions)
-        for name, metrics in sorted(result.metrics.per_function.items()):
-            writer.writerow({
-                "schema_version": CSV_SCHEMA_VERSION,
-                "experiment": config.name,
-                "scenario_seed": args.seed,
-                "scenario_digest": scenario.digest(),
-                "preset": scenario.cluster_spec.preset,
-                "topology": scenario.cluster_spec.topology_kind,
-                "num_nodes": scenario.cluster_spec.total_nodes,
-                "function": name,
-                "requests_per_second": f"{rps[name]:.6f}",
-                "n_total": metrics.n_total,
-                "n_success": metrics.n_success,
-                "fetch_mean_s": f"{metrics.mu_fet_s:.6f}",
-                "wait_mean_s": f"{metrics.mu_wait_s:.6f}",
-                "benchmark_score": f"{result.score:.6f}",
-            })
-    print(f"scenario {scenario.digest()} on {scenario.cluster_spec.preset} "
-          f"({scenario.cluster_spec.total_nodes} nodes, "
-          f"{scenario.cluster_spec.topology_kind}): score {result.score:.4f}")
+    spec, digest = scenario.cluster_spec, scenario.digest()
+    rps = dict((fn.name, r) for fn, r in scenario.workload.functions)
+    append_rows(path, RUNRECORD_FIELDS, [{
+        "schema_version": CSV_SCHEMA_VERSION,
+        "experiment": config.name,
+        "scenario_seed": args.seed,
+        "scenario_digest": digest,
+        "preset": spec.preset,
+        "topology": spec.topology_kind,
+        "num_nodes": spec.total_nodes,
+        "function": name,
+        "requests_per_second": f"{rps[name]:.6f}",
+        "n_total": metrics.n_total,
+        "n_success": metrics.n_success,
+        "fetch_mean_s": f"{metrics.mu_fet_s:.6f}",
+        "wait_mean_s": f"{metrics.mu_wait_s:.6f}",
+        "benchmark_score": f"{result.score:.6f}",
+    } for name, metrics in sorted(result.metrics.per_function.items())])
+    print(f"scenario {digest} on {spec.preset} ({spec.total_nodes} nodes, "
+          f"{spec.topology_kind}): score {result.score:.4f}")
     print(f"run records written to {path}")
     return 0
 

@@ -66,14 +66,18 @@ def trials_header(action_names) -> list[str]:
 
 
 def write_trials_csv(path, rows, action_names) -> None:
-    header = trials_header(action_names)
+    append_rows(path, trials_header(action_names), rows)
+
+
+def append_rows(path, header, rows) -> None:
+    """Append the dicts ``rows`` to the CSV table ``path`` under ``header``,
+    which a missing or empty file gets first (see :func:`starts_new_table`)."""
     new_file = starts_new_table(path, header)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         if new_file:
             writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def starts_new_table(path, header) -> bool:

@@ -146,4 +146,5 @@ class SyntheticTuningEnv(TuningEnv):
             f = lscape.fn(np.array([u[0]]), np.array([u[1]]))[0]
             return float(landscape_score(lscape, f))
 
-        return values, evaluate, short_digest({"function": lscape.name, **values})
+        return (values, evaluate(self.initial_action), evaluate,
+                short_digest({"function": lscape.name, **values}))

@@ -1,10 +1,12 @@
 """Multi-step tuning environments over benchmark runs.
 
-An episode is one tuning session on a frozen scenario: the reset evaluates
-the fixed initial weights to obtain the reference score r0, then the agent
-gets ``n_steps`` trials, each a full benchmark run with its proposed weight
-vector.  The reward is sparse: zero everywhere except the terminal step,
-which pays the relative improvement of the best trial over r0.
+An episode is one tuning session on a frozen scenario: the reset takes the
+scenario and r0, the score of the fixed initial weights on it, from the
+subclass hook ``_begin_episode``, then the agent gets ``n_steps`` trials,
+each a full benchmark run with its proposed weight vector.  The reward is
+sparse: zero everywhere except the terminal step, which pays the relative
+improvement of the best trial over r0.  ``simulate`` draws through the same
+:meth:`FaasTuningEnv.draw_scenario`, so a scenario seed has one r0.
 
 Observations concatenate a static description of the scenario,
 ``n_steps + 1`` frames of (action, raw score, valid) triples -- frame 0 is
@@ -31,18 +33,18 @@ from operator import add
 
 import numpy as np
 
-from .cluster import (PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, ClusterSpec, build_cluster,
-                      load_presets)
+from .cluster import (PRESET_CLASS, PRESETS, TOPOLOGY_KINDS, Cluster, ClusterSpec,
+                      build_cluster, load_presets)
 from .errors import ConfigError, ProtocolError, UnschedulableError
 from .scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
-from .simengine import SimOptions, run_benchmark
+from .simengine import SimOptions, SimResult, run_benchmark
 from .workload import DEFAULT_DURATION_S, FunctionSpec, WorkloadSpec, catalog
 
 EPS_REWARD = 1e-6
 DEFAULT_N_STEPS = 4
 MASK_LEVELS = ("full", "coarse", "none")
 MODES = ("train", "test")
-# Resets draw again when the fixed weights cannot schedule a scenario.
+# Draws per scenario seed while the fixed weights cannot schedule a scenario.
 MAX_RESET_RETRIES = 10
 
 TRAIN_PRESETS = ("cloud_cpu", "cloud_gpu", "edge_cloudlet")
@@ -301,8 +303,9 @@ class TuningEnv:
 
     # -- subclass hook -------------------------------------------------
     def _begin_episode(self, rng: np.random.Generator):
-        """Return (static values by name, evaluate, digest) for a fresh
-        scenario."""
+        """Return (static values by name, r0, evaluate, digest) for a fresh
+        scenario drawn from ``rng``, where r0 is the score of
+        ``initial_action`` on it and ``evaluate(action)`` scores a trial."""
         raise NotImplementedError
 
     def _static_features(self, values: dict) -> np.ndarray:
@@ -315,23 +318,10 @@ class TuningEnv:
 
     # -- protocol ------------------------------------------------------
     def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        last_error = None
-        for _ in range(MAX_RESET_RETRIES):
-            values, evaluate, digest = self._begin_episode(rng)
-            try:
-                r0 = float(evaluate(self.initial_action))
-            except UnschedulableError as exc:
-                last_error = exc
-                continue
-            break
-        else:
-            raise ConfigError(
-                f"could not find a schedulable scenario in "
-                f"{MAX_RESET_RETRIES} attempts: {last_error}")
+        values, r0, evaluate, digest = self._begin_episode(np.random.default_rng(seed))
         self._static = self._static_features(values)
         self._evaluate = evaluate
-        self.episode = TuningEpisode(r0=r0, initial_action=self.initial_action.copy(),
+        self.episode = TuningEpisode(r0=float(r0), initial_action=self.initial_action.copy(),
                                      scenario_digest=digest)
         return self._observation()
 
@@ -375,11 +365,25 @@ class FaasTuningEnv(TuningEnv):
         self.presets = load_presets(data_dir)
         self.functions = catalog(data_dir)
 
+    def draw_scenario(self, rng: np.random.Generator) -> tuple[Scenario, Cluster, SimResult]:
+        """Draw a scenario, build its cluster and run the initial weights on
+        it; draw again, up to ``MAX_RESET_RETRIES`` times in all, while they
+        cannot schedule it."""
+        for _ in range(MAX_RESET_RETRIES):
+            scenario = sample_scenario(self.space, self.mode, rng,
+                                       duration_s=self.duration_s,
+                                       functions=self.functions)
+            cluster = build_cluster(scenario.cluster_spec, self.presets)
+            try:
+                return scenario, cluster, run_benchmark(
+                    cluster, scenario.workload, self.initial_action, scenario.options)
+            except UnschedulableError as exc:
+                last_error = exc
+        raise ConfigError(f"could not find a schedulable scenario in "
+                          f"{MAX_RESET_RETRIES} attempts: {last_error}")
+
     def _begin_episode(self, rng: np.random.Generator):
-        scenario = sample_scenario(self.space, self.mode, rng,
-                                   duration_s=self.duration_s,
-                                   functions=self.functions)
-        cluster = build_cluster(scenario.cluster_spec, self.presets)
+        scenario, cluster, result = self.draw_scenario(rng)
         spec, options = scenario.cluster_spec, scenario.options
         values = dict.fromkeys(FAAS_STATIC_NAMES, 0.0)
         values[f"preset_{spec.preset}"] = 1.0
@@ -402,7 +406,7 @@ class FaasTuningEnv(TuningEnv):
             return run_benchmark(cluster, scenario.workload, weights,
                                  scenario.options).score
 
-        return values, evaluate, scenario.digest()
+        return values, result.score, evaluate, scenario.digest()
 
 
 class VectorEnv:

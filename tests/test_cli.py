@@ -396,6 +396,24 @@ def test_simulate_appends_run_records(tmp_path, capsys):
     assert text.count("schema_version,") == 1  # single header after append
 
 
+def test_simulate_reports_the_r0_that_tune_records(tmp_path, capsys):
+    config = write_config(tmp_path, env_kind="faas", mode="train",
+                          duration_s=20.0, n_scenarios=2)
+    assert main(["tune", "--config", config, "--seed", "0", "--method", "fixed",
+                 "--out", str(tmp_path / "tune")]) == 0
+    references = [row for row in read_trials_csv(tmp_path / "tune" / "trials.csv")
+                  if row["trial"] == 0]
+    assert len(references) == 2
+    for ref in references:
+        out = tmp_path / f"sim-{ref['scenario_seed']}"
+        assert main(["simulate", "--config", config, "--seed", str(ref["scenario_seed"]),
+                     "--out", str(out)]) == 0
+        with open(out / "runrecords.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["scenario_digest"] for row in rows} == {ref["scenario_digest"]}
+        assert {row["benchmark_score"] for row in rows} == {f"{ref['score']:.6f}"}
+
+
 def test_agent_method_requires_checkpoint(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["eval", "--config", config, "--out", str(tmp_path / "x")])
@@ -750,6 +768,21 @@ def test_a_broken_preset_fails_before_any_work(tmp_path, capsys, command, settin
     assert capsys.readouterr().err == (
         f"error: {data / 'presets.json'}: presets.edge_tpu: fractions sum to 0.9, "
         f"expected 1\n")
+    assert not out.exists()
+
+
+def test_an_unschedulable_scenario_fails_simulate_before_out_exists(tmp_path, capsys):
+    # No device has more than 32 cores, so every draw fails its warm-up.
+    data = write_data_dir(tmp_path, "functions.json",
+                          lambda p: _set_all(p["functions"], "req_cpu", 1000))
+    config = write_config(tmp_path, env_kind="faas", mode="train",
+                          duration_s=20.0, data_dir=str(data))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not find a schedulable scenario in 10 attempts: "
+                          "no feasible node for function ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

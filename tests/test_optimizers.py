@@ -275,7 +275,7 @@ def test_fixed_optimizer_repeats_initial_weights():
         def _begin_episode(self, rng):
             def evaluate(action):
                 return 1.0 - float(np.mean(np.abs(np.asarray(action) - 0.3)))
-            return self.values, evaluate, "value"
+            return self.values, evaluate(self.initial_action), evaluate, "value"
 
     env = ValueEnv(0.0, [0.0] * 4)
     episode = run_tuning(FixedOptimizer(), env, seed=0)

@@ -46,28 +46,30 @@ class ScriptedEnv(TuningEnv):
         super().__init__(space, "train", n_steps, mask_level)
 
     def _begin_episode(self, rng):
-        it = iter(self._script)
+        r0, *scores = self._script
+        it = iter(scores)
 
         def evaluate(action):
             return next(it)
 
-        return self.values, evaluate, "scripted"
+        return self.values, r0, evaluate, "scripted"
 
 
 def count_evaluations(env):
-    """Wrap the evaluator of every scenario ``env`` begins; the returned
-    list gains one score per finished benchmark evaluation."""
+    """Wrap every scenario ``env`` begins; the returned list gains its r0,
+    then one score per finished trial evaluation."""
     scores = []
     begin = env._begin_episode
 
     def counted_begin(rng):
-        values, evaluate, digest = begin(rng)
+        values, r0, evaluate, digest = begin(rng)
+        scores.append(r0)
 
         def counted(action):
             scores.append(evaluate(action))
             return scores[-1]
 
-        return values, counted, digest
+        return values, r0, counted, digest
 
     env._begin_episode = counted_begin
     return scores
