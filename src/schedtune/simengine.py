@@ -36,7 +36,10 @@ feasible node skips ``place`` for the rest of the run.
 
 The resulting per-function metrics feed a score in [0, 1]: the mean over
 functions of the mean of three terms -- capped-and-flipped mean execution
-time, capped-and-flipped mean queue wait, and the success ratio.
+time, capped-and-flipped mean queue wait, and the success ratio.  Both means
+cover completed requests only and read 0.0, the best time, for a function
+that completes none: it scores (1 + 1 + 0)/3 = 2/3, above the 1/3 of one
+that completes every request with both times at or past the 30 s caps.
 """
 from __future__ import annotations
 

@@ -49,6 +49,14 @@ def test_compute_score_caps_and_zero_requests():
         "f": se.FunctionMetrics(0.0, 0.0, 5, 5)})) == 1.0
 
 
+def test_a_function_that_completes_nothing_outscores_one_that_completes_slowly():
+    # No completion leaves both means at 0.0, which the time terms read as best.
+    starved = se.BenchmarkMetrics({"f": se.FunctionMetrics(0.0, 0.0, 0, 344)})
+    assert se.compute_score(starved) == pytest.approx((1.0 + 1.0 + 0.0) / 3.0, abs=1e-12)
+    slow = se.BenchmarkMetrics({"f": se.FunctionMetrics(30.0, 45.0, 10, 10)})
+    assert se.compute_score(slow) == pytest.approx((0.0 + 0.0 + 1.0) / 3.0, abs=1e-12)
+
+
 def test_compute_score_averages_over_functions():
     metrics = se.BenchmarkMetrics({
         "a": se.FunctionMetrics(0.0, 0.0, 1, 1),
