@@ -126,9 +126,10 @@ class Cluster:
     empty, since the replaced fields may be the very paths it was computed
     from.
     ``score_tables`` is the scheduler's cache of score tables, one per
-    function scored on this copy.  ``changes`` logs the node id of every
-    :meth:`commit` and :meth:`add_image`, in order; the scheduler reads it to
-    find the rows a table must recompute.  :meth:`clone` and
+    function scored on this copy, each holding every node's weighted total
+    and feasibility.  ``changes`` logs the node id of every :meth:`commit`
+    and :meth:`add_image`, in order; the scheduler reads it to find the
+    nodes whose totals a table must recompute.  :meth:`clone` and
     ``dataclasses.replace`` start both empty.
     """
 

@@ -57,7 +57,7 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     The template holds the columns that depend only on the function and the
     node: locality_type, data_locality and capability in their own columns,
     and in column 7 the image term of a node without the image.  Columns 0,
-    1, 2 and 6 are left for ``_score_table`` to fill.  Computed on first use
+    1, 2 and 6 are left for ``score_matrix`` to fill.  Computed on first use
     and kept in ``cluster.static_scores``, which the engine's clones share.
     Each element is the same float a per-candidate computation gives, so
     scores stay bit-identical.
@@ -83,59 +83,66 @@ def _static_columns(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     return template
 
 
+def score_matrix(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
+    """The function's (n_nodes, 8) scores on this cluster copy, computed in
+    full from its template and the current allocations and images."""
+    scores = _static_columns(fn, cluster).copy()
+    u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
+    u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
+    u = (u_cpu + u_mem) / 2.0
+    scores[:, 0] = 1.0 - u  # least_allocated
+    scores[:, 1] = u        # most_allocated
+    # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1), clamped
+    # at 1 as np.interp clamps; on feasible nodes it equals most_allocated.
+    scores[:, 2] = np.minimum(u, 1.0)
+    # balanced_resource: the population stddev of two utilizations collapses
+    # to half their gap.
+    scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
+    scores[cluster.image_mask(fn.image_name), 7] = 1.0
+    return scores
+
+
 @dataclass(slots=True, eq=False)
 class ScoreTable:
-    """One function's scores on one cluster copy: the (n_nodes, 8) scores,
-    the feasibility mask, the feasible node ids in ascending order,
-    ``seen``, the length of ``cluster.changes`` when the table was last
-    brought up to date (the nodes logged after it are the rows
-    ``_score_table`` recomputes before a read), and ``totals``, every
-    node's weighted score for the weights whose bytes are ``weights``."""
+    """One function's weighted scores on one cluster copy: ``totals``,
+    every node's weighted score for the weights whose bytes are
+    ``weights``, the feasibility mask, the feasible node ids in ascending
+    order, and ``seen``, the length of ``cluster.changes`` when the table
+    was last brought up to date (the nodes logged after it are the rows
+    ``_score_table`` recomputes before a read).  The (n_nodes, 8) scores
+    are not kept: ``score_matrix`` computes them."""
 
-    scores: np.ndarray
+    totals: np.ndarray
     feasible: np.ndarray
     ids: np.ndarray
     seen: int
-    totals: np.ndarray | None = None
-    weights: bytes = b""
+    weights: bytes
 
 
 def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> ScoreTable:
     """The function's score table on this cluster copy, up to date for ``weights``.
 
-    Built in full the first time the function is scored on this copy, from
-    its template, and kept in ``cluster.score_tables``.  Later calls
-    recompute only the rows of the nodes that ``cluster.changes`` logged
-    since, and their totals, from Python floats with the same operations in
-    the same order: Python float arithmetic rounds as numpy's elementwise
-    loops do, so every element is the float the full computation gives.
-    Images are never evicted, so a refreshed row's column 7 only ever turns
-    to 1.0; the feasible ids are rebuilt only when a refreshed node's
-    feasibility changed.  All totals are computed on the first read and when
-    the weights' bytes change, so an array changed in place gets fresh ones.
+    Built in full from ``score_matrix`` the first time the function is
+    scored on this copy, and again whenever the weights' bytes change, so an
+    array changed in place gets fresh totals; kept in
+    ``cluster.score_tables``.  Other calls recompute only the totals and
+    feasibility of the nodes that ``cluster.changes`` logged since, from
+    the node's allocations and its template row, as Python floats with the
+    same operations in ``weighted_totals``' order: Python float arithmetic
+    rounds as numpy's elementwise loops do, so every total is the float the
+    full computation gives.  The feasible ids are rebuilt only when a
+    refreshed node's feasibility changed.
     """
     table = cluster.score_tables.get(fn)
-    if table is None:
-        scores = _static_columns(fn, cluster).copy()
-        u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
-        u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
-        u = (u_cpu + u_mem) / 2.0
-        scores[:, 0] = 1.0 - u  # least_allocated
-        scores[:, 1] = u        # most_allocated
-        # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1),
-        # clamped at 1 as np.interp clamps; on feasible nodes it equals
-        # most_allocated.
-        scores[:, 2] = np.minimum(u, 1.0)
-        # balanced_resource: the population stddev of two utilizations
-        # collapses to half their gap.
-        scores[:, 6] = 1.0 - np.abs(u_cpu - u_mem) / 2.0
-        scores[cluster.image_mask(fn.image_name), 7] = 1.0
+    if table is None or table.weights != weights.tobytes():
         feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
                     & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
-        table = cluster.score_tables[fn] = ScoreTable(scores, feasible, np.flatnonzero(feasible),
-                                                      len(cluster.changes))
+        table = cluster.score_tables[fn] = ScoreTable(
+            weighted_totals(score_matrix(fn, cluster), weights), feasible,
+            np.flatnonzero(feasible), len(cluster.changes), weights.tobytes())
     elif table.seen < len(cluster.changes):
-        scores, feasible, totals, changed = table.scores, table.feasible, table.totals, False
+        template, feasible, totals, changed = \
+            _static_columns(fn, cluster), table.feasible, table.totals, False
         req_cpu, req_mem = fn.req_cpu, fn.req_mem
         cached = cluster.images.get(fn.image_name)
         w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
@@ -148,21 +155,15 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
             u_cpu = (a_cpu + req_cpu) / c_cpu
             u_mem = (a_mem + req_mem) / c_mem
             u = (u_cpu + u_mem) / 2.0
-            row = scores[j]
-            row[0] = 1.0 - u
-            row[1] = u
-            row[2] = min(u, 1.0)
-            row[6] = 1.0 - abs(u_cpu - u_mem) / 2.0
+            s0, s1, s2, s6 = 1.0 - u, u, min(u, 1.0), 1.0 - abs(u_cpu - u_mem) / 2.0
+            _, _, _, s3, s4, s5, _, s7 = template[j].tolist()
             if cached is not None and cached[j]:
-                row[7] = 1.0
-            s0, s1, s2, s3, s4, s5, s6, s7 = row.tolist()
+                s7 = 1.0
             totals[j] = ((s0 * w0 + s1 * w1) + (s2 * w2 + s3 * w3)) \
                 + ((s4 * w4 + s5 * w5) + (s6 * w6 + s7 * w7))
         if changed:
             table.ids = np.flatnonzero(feasible)
         table.seen = len(cluster.changes)
-    if table.weights != weights.tobytes():
-        table.totals, table.weights = weighted_totals(table.scores, weights), weights.tobytes()
     return table
 
 

@@ -108,7 +108,7 @@ def test_02_scheduler_scoring_invariants(capsys):
             table = sched._score_table(fn, cluster, sched.FIXED_WEIGHTS)
             ids = table.ids
             assert len(ids) > 0
-            scores = table.scores.take(ids, axis=0)
+            scores = sched.score_matrix(fn, cluster).take(ids, axis=0)
 
             for i in range(sched.N_WEIGHTS):
                 one_hot = np.zeros(sched.N_WEIGHTS)

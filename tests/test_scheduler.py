@@ -22,6 +22,12 @@ def _table(fn, cluster):
     return sched._score_table(fn, cluster, sched.FIXED_WEIGHTS)
 
 
+def _column(fn, cluster, j):
+    """Score column ``j`` as the table keeps it: the totals under the
+    one-hot weights of column ``j``, which add exact zeros to it."""
+    return sched._score_table(fn, cluster, np.eye(sched.N_WEIGHTS)[j]).totals
+
+
 def test_weight_order_and_fixed_vector():
     assert sched.SCORING_FUNCTIONS == (
         "least_allocated", "most_allocated", "rtc_ratio", "locality_type",
@@ -49,21 +55,20 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     rng = np.random.default_rng(1)
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
-        table = _table(probe_function, small_cluster)
-        if table.feasible[nid]:
-            s = table.scores[nid]
+        if _table(probe_function, small_cluster).feasible[nid]:
+            s = sched.score_matrix(probe_function, small_cluster)[nid]
             assert s.shape == (8,)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             small_cluster.commit(nid, 1.0, 1024.0)
 
 
 def test_least_plus_most_allocated_is_one(small_cluster, probe_function):
-    s = _table(probe_function, small_cluster).scores
+    s = sched.score_matrix(probe_function, small_cluster)
     np.testing.assert_allclose(s[:, 0] + s[:, 1], 1.0, atol=1e-12)
 
 
 def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
-    s = _table(probe_function, small_cluster).scores
+    s = sched.score_matrix(probe_function, small_cluster)
     assert np.array_equal(s[:, 2], s[:, 1])
 
 
@@ -71,7 +76,7 @@ def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
     fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
-    s = _table(fn, c).scores[0]
+    s = sched.score_matrix(fn, c)[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
@@ -83,23 +88,26 @@ def test_locality_and_capability_scores():
     none_pref = make_function(accel="none")
     is_cloud = [float(d.locality == "cloud") for d in c.devices]
     is_gpu = [float(d.accelerator == "gpu") for d in c.devices]
-    assert _table(cloud_pref, c).scores[:, 3].tolist() == is_cloud
-    assert (_table(any_pref, c).scores[:, 3] == 1.0).all()
-    assert _table(gpu_pref, c).scores[:, 5].tolist() == is_gpu
-    assert (_table(none_pref, c).scores[:, 5] == 0.5).all()
+    assert sched.score_matrix(cloud_pref, c)[:, 3].tolist() == is_cloud
+    assert (sched.score_matrix(any_pref, c)[:, 3] == 1.0).all()
+    assert sched.score_matrix(gpu_pref, c)[:, 5].tolist() == is_gpu
+    assert (sched.score_matrix(none_pref, c)[:, 5] == 0.5).all()
     assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
+    # The table's total refreshes from the pull, as the full matrix does.
     huge = make_function(image_bytes=1e12)
-    assert _table(huge, small_cluster).scores[0, 7] == 0.0
+    assert sched.score_matrix(huge, small_cluster)[0, 7] == 0.0
+    assert _column(huge, small_cluster, 7)[0] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert _table(huge, small_cluster).scores[0, 7] == 1.0
+    assert sched.score_matrix(huge, small_cluster)[0, 7] == 1.0
+    assert _column(huge, small_cluster, 7)[0] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
-    near = _table(make_function(dataset_bytes=1e6), small_cluster).scores[0, 4]
-    far = _table(make_function(dataset_bytes=1e10), small_cluster).scores[0, 4]
+    near = sched.score_matrix(make_function(dataset_bytes=1e6), small_cluster)[0, 4]
+    far = sched.score_matrix(make_function(dataset_bytes=1e10), small_cluster)[0, 4]
     assert near > far
     assert far == 0.0
 
@@ -115,8 +123,9 @@ def test_cached_columns_follow_function_and_clones():
     for fn in functions:
         for target in (shared, shared.clone()):
             fresh = cl.build_cluster(spec)
-            assert np.array_equal(_table(fn, target).scores[ids],
-                                  _table(fn, fresh).scores[ids])
+            assert np.array_equal(sched.score_matrix(fn, target)[ids],
+                                  sched.score_matrix(fn, fresh)[ids])
+            assert np.array_equal(_table(fn, target).totals, _table(fn, fresh).totals)
     assert len(shared.static_scores) == len(shared.score_tables) == 2
     twin = shared.clone()
     assert twin.static_scores is shared.static_scores
@@ -134,12 +143,15 @@ def test_replaced_paths_do_not_reuse_cached_columns():
         return replace(cluster, store_bw=cluster.store_bw / 100)
 
     scored = cl.build_cluster(spec)
-    before = _table(fn, scored).scores
+    before = _table(fn, scored).totals
     slow = slowed(scored)
     assert slow.score_tables == {}
-    expected = _table(fn, slowed(cl.build_cluster(spec))).scores
-    assert not np.array_equal(before[:, [4, 7]], expected[:, [4, 7]])
-    assert np.array_equal(_table(fn, slow).scores, expected)
+    fresh = slowed(cl.build_cluster(spec))
+    expected = sched.score_matrix(fn, fresh)
+    assert not np.array_equal(sched.score_matrix(fn, scored)[:, [4, 7]], expected[:, [4, 7]])
+    assert np.array_equal(sched.score_matrix(fn, slow), expected)
+    assert not np.array_equal(before, _table(fn, fresh).totals)
+    assert np.array_equal(_table(fn, slow).totals, _table(fn, fresh).totals)
     assert slow.static_scores is not scored.static_scores
 
 
@@ -147,17 +159,19 @@ def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     spec = cl.ClusterSpec("hybrid_balanced", 60, "urban", seed=2)
     a, b = make_function(name="a"), make_function(name="b", cpu=2.0, mem=512.0)
     c = cl.build_cluster(spec)
-    before = _table(b, c).scores.copy()
+    before = _table(b, c).totals.copy()
     _table(a, c)
     c.commit(7, a.req_cpu, a.req_mem)
     assert c.changes == [7]
     assert c.score_tables[a].seen == c.score_tables[b].seen == 0
-    after = _table(b, c).scores
+    after = _table(b, c).totals
     assert c.score_tables[b].seen == 1
     fresh = cl.build_cluster(spec)
     fresh.commit(7, a.req_cpu, a.req_mem)
-    assert np.array_equal(after, _table(b, fresh).scores)
-    assert [j for j in range(60) if not np.array_equal(after[j], before[j])] == [7]
+    assert np.array_equal(after, _table(b, fresh).totals)
+    assert np.array_equal(after, sched.weighted_totals(sched.score_matrix(b, c),
+                                                       sched.FIXED_WEIGHTS))
+    assert np.flatnonzero(after != before).tolist() == [7]
 
 
 def test_an_image_pull_marks_only_the_functions_that_use_the_image():
@@ -167,20 +181,19 @@ def test_an_image_pull_marks_only_the_functions_that_use_the_image():
     a, b = make_function(name="a"), make_function(name="b")
     shared = replace(make_function(name="c"), image_name=a.image_name)
     for fn in (a, b, shared):
-        _table(fn, c)
+        _column(fn, c, 7)
     c.add_image(4, a.image_name)
     assert c.changes == [4]
     assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [0, 0, 0]
-    assert _table(a, c).scores[4, 7] \
-        == _table(shared, c).scores[4, 7] == 1.0
-    assert _table(b, c).scores[4, 7] < 1.0
+    assert _column(a, c, 7)[4] == _column(shared, c, 7)[4] == 1.0
+    assert _column(b, c, 7)[4] < 1.0
     assert [c.score_tables[fn].seen for fn in (a, b, shared)] == [1, 1, 1]
 
 
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
     table = _table(probe_function, small_cluster)
     ids = table.ids
-    scores = table.scores[ids]
+    scores = sched.score_matrix(probe_function, small_cluster)[ids]
     for j in range(8):
         w = np.zeros(8)
         w[j] = 1.0
@@ -263,7 +276,7 @@ def test_with_distinct_scores_the_subsample_winner_is_feasible(k):
     table = _table(fn, c)
     feasible = set(table.ids.tolist())
     weights = np.random.default_rng(2).uniform(0.0, 1.0, sched.N_WEIGHTS)
-    totals = sched.weighted_totals(table.scores, weights)[table.ids]
+    totals = sched.weighted_totals(sched.score_matrix(fn, c), weights)[table.ids]
     assert len(np.unique(totals)) == n
     for seed in range(200):
         assert sched.place(fn, c, weights, (k + 0.5) / n,
@@ -307,7 +320,7 @@ def test_bit_identical_rows_tie_to_the_lowest_node_id():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 67, "internet", seed=0))
     fn = make_function(name="f", cpu=0.5, mem=256.0, image_bytes=4e7, dataset_bytes=3e7)
     weights = np.array([0.801, 0.691, 0.6, 0.015, 0.423, 0.552, 0.764, 0.341])
-    scores = _table(fn, c).scores
+    scores = sched.score_matrix(fn, c)
     assert np.array_equal(scores[58], scores[66])
     assert sched.place(fn, c, weights, 1.0, np.random.default_rng(0)) == 58
 
@@ -334,19 +347,22 @@ WEIGHT = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 def test_refreshed_row_totals_equal_weighted_totals(data):
     # A refreshed row's total is added from Python floats in weighted_totals'
     # order, so it is the same float however far apart the terms' exponents
-    # are.  The rows get wide static columns and wide utilizations from
-    # wide allocations; every node is then logged, so every row is refreshed.
+    # are.  The rows get wide static columns in the template they are
+    # refreshed from and wide utilizations from wide allocations; every node
+    # is then logged, so every row is refreshed.
     c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 9))
     fn = make_function()
     weights = np.array(data.draw(st.lists(WEIGHT, min_size=sched.N_WEIGHTS,
                                           max_size=sched.N_WEIGHTS)))
     table = sched._score_table(fn, c, weights)
-    table.scores[:, [3, 4, 5, 7]] = data.draw(arrays(np.float64, (c.n_nodes, 4), elements=WIDE))
+    c.static_scores[fn][:, [3, 4, 5, 7]] = data.draw(
+        arrays(np.float64, (c.n_nodes, 4), elements=WIDE))
     for j in range(c.n_nodes):
         c.commit(j, data.draw(WIDE), data.draw(WIDE))
     assert sched._score_table(fn, c, weights) is table
     assert table.seen == len(c.changes)
-    assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
+    assert table.totals.tobytes() \
+        == sched.weighted_totals(sched.score_matrix(fn, c), weights).tobytes()
 
 
 def test_invalid_weights_rejected(small_cluster, probe_function):

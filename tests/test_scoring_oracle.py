@@ -2,16 +2,17 @@
 
 A random cluster goes through an interleaved sequence of allocations, image
 pulls, clones, path changes, scoring calls on arbitrary node subsets and
-placements.  The score rows of every scored subset must equal the oracle's
-element for element, with the same shape, dtype and memory layout, and their
-``score_nodes`` totals must be ``weighted_totals`` of them; every ``place``
-must pick the same node and leave its generator in the same state.  After
-every operation, each function's score table on the current copy must equal
-the oracle's scores and feasibility over all nodes on every row whose node
-the cluster's change log has not named since the table's last refresh, so a
-commit or image pull that fails to log a row it changed shows up; its
-feasible ids must be those of its mask, and its totals, bit for bit,
-``weighted_totals`` of its scores under the weights they were computed for.
+placements.  The ``score_matrix`` rows of every scored subset must equal the
+oracle's element for element, with the same shape, dtype and memory layout,
+and their ``score_nodes`` totals must be ``weighted_totals`` of them; every
+``place`` must pick the same node and leave its generator in the same state.
+After every operation, ``score_matrix`` must equal the oracle's scores over
+all nodes, and each function's score table on the current copy must hold,
+bit for bit, ``weighted_totals`` of the oracle's scores under the weights
+the table was built for, and the oracle's feasibility, on every row whose
+node the cluster's change log has not named since the table's last refresh,
+so a commit or image pull that fails to log a row it changed shows up; its
+feasible ids must be those of its mask.
 """
 from dataclasses import replace
 
@@ -67,13 +68,13 @@ def assert_tables_current(cluster):
     for fn, table in cluster.score_tables.items():
         current = np.ones(cluster.n_nodes, dtype=bool)
         current[cluster.changes[table.seen:]] = False
-        assert np.array_equal(table.scores[current],
-                              scoring_oracle.score_nodes(fn, every, cluster)[current])
+        want = scoring_oracle.score_nodes(fn, every, cluster)
+        assert np.array_equal(sched.score_matrix(fn, cluster), want)
+        want = sched.weighted_totals(want, np.frombuffer(table.weights))
+        assert table.totals[current].tobytes() == want[current].tobytes()
         assert np.array_equal(table.feasible[current],
                               scoring_oracle.feasible_mask(fn, cluster)[current])
         assert np.array_equal(table.ids, np.flatnonzero(table.feasible))
-        weights = np.frombuffer(table.weights)
-        assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +97,7 @@ def test_scorer_matches_oracle(session):
         elif op == "score":
             fn, ids, weights = functions[args[0]], np.array(args[1], dtype=int), np.array(args[2])
             table = sched._score_table(fn, cluster, weights)
-            got = table.scores.take(ids, axis=0)
+            got = sched.score_matrix(fn, cluster).take(ids, axis=0)
             want = scoring_oracle.score_nodes(fn, ids, cluster)
             assert got.shape == want.shape == (len(ids), sched.N_WEIGHTS)
             assert got.dtype == want.dtype
@@ -113,5 +114,6 @@ def test_scorer_matches_oracle(session):
             # The same array changed in place is a second weight vector.
             weights[:] = 1.0 - weights
             table = sched._score_table(fn, cluster, weights)
-            assert table.totals.tobytes() == sched.weighted_totals(table.scores, weights).tobytes()
+            assert table.totals.tobytes() \
+                == sched.weighted_totals(sched.score_matrix(fn, cluster), weights).tobytes()
         assert_tables_current(cluster)
