@@ -193,10 +193,12 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     """Pick the best node for the pod, or None when nothing is feasible.
 
     Of the n feasible nodes, k = max(1, floor(percent_nodes_to_score * n))
-    are scored: a uniform k-subset, the first k positions of one
-    ``rng.permutation(n)`` into the table's feasible ids.  When k = n
-    nothing is drawn.  The candidates' weighted scores are one gather from
-    the score table's totals; ties on them go to the lowest node id.
+    are scored, and the best of a uniform k-subset wins, ties to the lowest
+    node id.  Only the winner is drawn: in the order (total descending, id
+    ascending), the subset's first member has rank r with P(r >= i) =
+    C(n - i, k) / C(n, k), read off one ``rng.random()`` by walking that
+    tail.  When k = n nothing is drawn and r = 0.  The weighted scores of
+    all n feasible nodes are one gather from the score table's totals.
     Allocations and images are left untouched.  ``weights`` must have passed
     ``validate_weights``; the engine checks them once per run.
     """
@@ -204,11 +206,15 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     ids, n = table.ids, len(table.ids)
     if n == 0:
         return None
+    totals = score_nodes(table, ids)
     k = max(1, math.floor(percent_nodes_to_score * n))
     if k < n:
-        # Not rng.choice(n, k, replace=False): it also shuffles its picks,
-        # which the sort undoes, and took twice as long at n 230, k 123.
-        positions = rng.permutation(n)[:k]
-        positions.sort()
-        ids = ids[positions]
-    return int(ids[score_nodes(table, ids).argmax()])
+        u, r, tail = rng.random(), 0, (n - k) / n
+        while u < tail:
+            r += 1
+            tail *= (n - k - r) / (n - r)
+        # Rank r is the argmax once the r ranks above it are masked; argmax
+        # takes the lowest position, hence the lowest id, among equal totals.
+        for _ in range(r):
+            totals[totals.argmax()] = -math.inf
+    return int(ids[totals.argmax()])

@@ -1,23 +1,28 @@
 """The node scorer as it stood before the (n, 8) template, kept as a test
 oracle.
 
-``feasible_mask``, ``score_nodes`` and ``place`` below are the pre-template
-scheduler verbatim: the filter over all nodes' free resources, four static
-score rows gathered per call and all eight columns joined with
-``np.column_stack``.  One thing differs: ``_static_columns`` recomputes its
+``feasible_mask`` and ``score_nodes`` below are the pre-template scheduler
+verbatim: the filter over all nodes' free resources, four static score rows
+gathered per call and all eight columns joined with ``np.column_stack``.
+One thing differs: ``_static_columns`` recomputes its
 rows on every call instead of caching them in ``cluster.static_scores``, so
 the oracle shares no state with the code under test and a stale cache there
 shows up as a difference.  The rtc breakpoints and the time caps are the
 oracle's own copies of the scorer's fixed configuration, and the rtc column
 still goes through ``np.interp``.  ``place`` adds each row's weighted
 scores in a fixed order, not with ``@``, whose BLAS rounding depends on the
-row's position.  ``test_scoring_oracle.py`` requires the
+row's position.  It draws the winner's rank from the same single uniform as
+the scheduler, but reads it off the exact cumulative pmf built from
+``math.comb``, and takes that rank from a full stable sort of the totals,
+where the scheduler walks a float tail and masks running maxima.
+``test_scoring_oracle.py`` requires the
 production scorer to give the same arrays and picks, and ``engine_oracle``
 places its pods with this ``place``.  Do not optimise this file.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,8 +94,19 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
     ids = np.nonzero(feasible_mask(fn, cluster))[0]
     if len(ids) == 0:
         return None
-    k = max(1, int(math.floor(percent_nodes_to_score * len(ids))))
-    if k < len(ids):
-        ids = np.sort(rng.permutation(ids)[:k])
+    n = len(ids)
+    k = max(1, int(math.floor(percent_nodes_to_score * n)))
     totals = (score_nodes(fn, ids, cluster) * weights).sum(axis=1)
-    return int(ids[int(np.argmax(totals))])
+    r = 0
+    if k < n:
+        # The best of a uniform k-subset has rank r with probability
+        # C(n - 1 - r, k - 1) / C(n, k).  One uniform picks r by the exact
+        # cumulative pmf: r is the first rank whose upper tail 1 - F(r)
+        # the uniform is not below, so small uniforms pick deep ranks.
+        u, cdf = rng.random(), Fraction(math.comb(n - 1, k - 1), math.comb(n, k))
+        while r < n - k and u < 1 - cdf:
+            r += 1
+            cdf += Fraction(math.comb(n - 1 - r, k - 1), math.comb(n, k))
+    # Rank order: total descending, lowest id first among equal totals.
+    order = np.argsort(-totals, kind="stable")
+    return int(ids[order[r]])

@@ -111,7 +111,7 @@ def test_parallel_jobs_match_serial(tmp_path):
 # The trials table of a small FaaS tuning run, byte for byte.  Every trial
 # replays the cluster under its own weights, so a change to scoring,
 # placement or the engine that moves any score changes this digest.
-PINNED_TUNE_TRIALS_SHA256 = "a15be9c74032d7b4cbd58f2bb730fb13cf1c084fa7533ae34f36bc21d81c0802"
+PINNED_TUNE_TRIALS_SHA256 = "4c87747f6eb6724f9f502f2160945c6b2ba1f9812b67a8f5fc676a2e595f4995"
 
 
 def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
@@ -129,10 +129,10 @@ def test_faas_tune_trials_table_is_pinned(tmp_path, capsys):
 # landscape.  BO and TPE condition on the reference pair and every trial, so
 # a change to how a method reads the episode's history moves its digest.
 PINNED_METHOD_TRIALS_SHA256 = {
-    ("faas", "fixed"): "aba373ee0cc8e46be23cc213749d1555a8944161b9d175ae8ab656279a9ff0ee",
+    ("faas", "fixed"): "7367c456088d77b3aed6849ea8fdc730eb76efa0db1919651e4b1c3a05b8a604",
     ("faas", "random"): PINNED_TUNE_TRIALS_SHA256,
-    ("faas", "bo"): "00238ab632565603ee4006c4f2af4132f8aca18429de779aaecbf645eeab167a",
-    ("faas", "tpe"): "71e9bc75ff56592eb04efac4224db57cbd99fd5d81e75ca77f2cc650c0487b41",
+    ("faas", "bo"): "4e40ca4444290271ac447eb80ba8c6b16a60acea84b3e4e3aafda312a37f2bef",
+    ("faas", "tpe"): "fef27640f07fe7533a419717891b93edda69ad63453b9ff39105f0458e3c265e",
     ("synthetic", "tpe"): "760c8ac2382cbb4ce5667cc96979ce0ec69d44ebb206d3e4505e1d272bec9713",
 }
 
@@ -157,7 +157,7 @@ def test_every_method_trials_table_is_pinned(tmp_path, capsys, env_kind, method)
 # policy acts, so a change to how a checkpoint stores or loads it that
 # moves any weight or action changes these digests.
 PINNED_EVAL_TRIALS_SHA256 = {
-    "faas": "83ebac75dd575c7c98e252ded45d61e133056edd12c2c6d037f6590d3ee9ce5d",
+    "faas": "a26798a50b16296fe32e1c9dd515033b35feb11fe1f06e123e23a22df3c2e5a8",
     "synthetic": "827f363f110b55901a1f72a5dbe0ce552da9f0b75c77d3ae5f239a518808c505",
 }
 

@@ -239,43 +239,85 @@ BLOCKED = (0, 5, 9, 13)
 SUBSAMPLE_SEEDS = 4000
 
 
+def _assert_lowest_rank_law(ranks, n, k):
+    """Chi-square of the winners' ranks against the law of a uniform
+    k-subset's lowest rank, P(r) = C(n - r - 1, k - 1) / C(n, k).  Cells
+    expecting fewer than five are pooled into the last one."""
+    counts = np.bincount(ranks, minlength=n - k + 1)
+    assert len(counts) == n - k + 1
+    expected = np.array([comb(n - r - 1, k - 1) for r in range(n - k + 1)]) / comb(n, k)
+    expected *= len(ranks)
+    cells = max(2, int(np.searchsorted(-expected, -5.0)))
+    observed = np.append(counts[:cells - 1], counts[cells - 1:].sum())
+    pooled = np.append(expected[:cells - 1], expected[cells - 1:].sum())
+    assert stats.chisquare(observed, pooled).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("k", [1, 5, 11])
-def test_the_subsample_is_a_uniform_k_subset_of_the_feasible_ids(k):
-    # With every total equal, the winner is the subset's lowest id, so over
-    # many seeds its position r among the n feasible ids must follow
-    # P(min = r) = C(n - r - 1, k - 1) / C(n, k).  Cells expecting fewer
-    # than five are pooled into the last one.
+def test_with_tied_totals_the_winner_is_the_lowest_id_of_a_uniform_k_subset(k):
+    # With every total equal, the rank order is the id order, so the
+    # winner's position among the n feasible ids is the lowest position of
+    # a uniform k-subset of them.
     n = 12
     c = _cluster_with_feasible(n, BLOCKED)
     fn = make_function()
     feasible = _table(fn, c).ids
     assert len(feasible) == n and not set(BLOCKED) & set(feasible.tolist())
     pct = (k + 0.5) / n
-    counts = np.zeros(n - k + 1)
-    for seed in range(SUBSAMPLE_SEEDS):
-        nid = sched.place(fn, c, np.zeros(sched.N_WEIGHTS), pct,
-                          np.random.default_rng(seed))
-        counts[int(np.searchsorted(feasible, nid))] += 1
-    expected = np.array([comb(n - r - 1, k - 1) for r in range(n - k + 1)]) / comb(n, k)
-    expected *= SUBSAMPLE_SEEDS
-    cells = max(2, int(np.searchsorted(-expected, -5.0)))
-    observed = np.append(counts[:cells - 1], counts[cells - 1:].sum())
-    pooled = np.append(expected[:cells - 1], expected[cells - 1:].sum())
-    assert observed.sum() == SUBSAMPLE_SEEDS
-    assert stats.chisquare(observed, pooled).pvalue > 1e-3
+    ranks = [int(np.searchsorted(feasible, sched.place(fn, c, np.zeros(sched.N_WEIGHTS), pct,
+                                                       np.random.default_rng(seed))))
+             for seed in range(SUBSAMPLE_SEEDS)]
+    _assert_lowest_rank_law(ranks, n, k)
+
+
+def _cluster_with_distinct_totals(n):
+    """A cluster of n feasible nodes among BLOCKED ones, each with its own
+    allocation, and weights under which every feasible total differs."""
+    c = _cluster_with_feasible(n, BLOCKED)
+    for nid in range(c.n_nodes):
+        if nid not in BLOCKED:
+            c.commit(nid, 0.01 * nid, 0.0)
+    weights = np.random.default_rng(2).uniform(0.0, 1.0, sched.N_WEIGHTS)
+    return c, weights
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_with_distinct_totals_the_winners_rank_is_the_lowest_of_a_uniform_k_subset(k):
+    # The best node of a uniform k-subset: in the order of totals, highest
+    # first, the winner's rank is the subset's lowest rank.
+    n = 12
+    c, weights = _cluster_with_distinct_totals(n)
+    fn = make_function()
+    ids = _table(fn, c).ids
+    totals = sched.weighted_totals(sched.score_matrix(fn, c), weights)[ids]
+    assert len(np.unique(totals)) == n
+    rank = {int(ids[i]): r for r, i in enumerate(np.argsort(-totals))}
+    pct = (k + 0.5) / n
+    ranks = [rank[sched.place(fn, c, weights, pct, np.random.default_rng(seed))]
+             for seed in range(SUBSAMPLE_SEEDS)]
+    _assert_lowest_rank_law(ranks, n, k)
+
+
+@pytest.mark.parametrize("n, pct", [(2, 0.5), (12, 0.1), (12, 0.95), (40, 0.3)])
+def test_a_subsampled_placement_draws_one_uniform(n, pct):
+    # Whatever rank it lands on, a placement with k < n advances the
+    # generator exactly as one rng.random() does.
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", n, seed=1))
+    weights = np.random.default_rng(3).uniform(0.0, 1.0, sched.N_WEIGHTS)
+    for seed in range(20):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sched.place(make_function(), c, weights, pct, rng) is not None
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("k", [1, 5, 11])
 def test_with_distinct_scores_the_subsample_winner_is_feasible(k):
     n = 12
-    c = _cluster_with_feasible(n, BLOCKED)
+    c, weights = _cluster_with_distinct_totals(n)
     fn = make_function()
-    for nid in range(c.n_nodes):
-        if nid not in BLOCKED:
-            c.commit(nid, 0.01 * nid, 0.0)
     table = _table(fn, c)
     feasible = set(table.ids.tolist())
-    weights = np.random.default_rng(2).uniform(0.0, 1.0, sched.N_WEIGHTS)
     totals = sched.weighted_totals(sched.score_matrix(fn, c), weights)[table.ids]
     assert len(np.unique(totals)) == n
     for seed in range(200):

@@ -264,9 +264,9 @@ PINNED_SCORES = [
     ("train", 0, 0.5571078634226603, 0.5205456611664303),  # edge_cloudlet urban 107
     ("train", 2, 0.7236735136587528, 0.7119485027974675),  # edge_cloudlet internet 46
     ("train", 11, 0.7996091948396188, 0.7917092106284424),  # cloud_cpu internet 150
-    ("test", 0, 0.5713335525072559, 0.5540042504720543),  # hybrid_balanced urban 302
-    ("test", 1, 0.9042132180993593, 0.8535235406025148),  # edge_gpu urban 351
-    ("test", 2, 0.8665781302795449, 0.8592038282495756),  # hybrid_balanced internet 221
+    ("test", 0, 0.5699950910061831, 0.5519265166023531),  # hybrid_balanced urban 302
+    ("test", 1, 0.9006704151311726, 0.8123962133258833),  # edge_gpu urban 351
+    ("test", 2, 0.7569715929062091, 0.7569715929062091),  # hybrid_balanced internet 221
 ]
 PINNED_PLACEMENTS = {
     # (mode, rng seed): (fixed weights, PINNED_WEIGHTS)
@@ -280,14 +280,14 @@ PINNED_PLACEMENTS = {
         "ac649d1564cdcad46f6bf419d410ab79f2f3459ef492b6bf8a878f3f3f299a0e",
         "1277d0607de2d4db2302a78f82ce7fa52f79ee8750a1cb4f6ac488fa20b3570f"),
     ("test", 0): (
-        "9ac1d6e106060988cd5eb6a3f772de6b10c6d2ac554422cfdf337e0954dea5bb",
-        "01d09ae0a853860fc022f7a050b22e2a1d70beb34ed9c24b037e3a1177a917e2"),
+        "59ae97a0569e1520666217fa670de00f60c68f2067fc9e05261724f64f4bcdb0",
+        "cd801416955c6507bf68acd0c1dff7fb5eb900cc92a6cd0875f7a2ebfa613aca"),
     ("test", 1): (
-        "736eebc46ec7f1fbc1a509f9cbc5bfa82f73d5e9d097a932fe462de1869b0e8a",
-        "79b783899830e05c29495d6276afb52c72730dba7bdf087946ab736517bf1b94"),
+        "2130c3560c57a35368e968016fbc4664f5d145c285a5e5385a669f2f95ea2d7f",
+        "5570dac60a35f5e54fab6e2b7be0ae820e5eae8ebe52e0857df69cb540842818"),
     ("test", 2): (
-        "44cea3f932aa3a8e0f15a6341607f48a6b472faf35e1a4705c026f6d82bf2a5c",
-        "5d2ec2af048172016f8e5ea43fbf2e58e5261931532b22ba8104a9778fff0740"),
+        "3d370b0475e5e1a391d9da341a51c17cebbbc778ee815aa35b5ea9a60155827c",
+        "be3f528387856efd02290b26c13fae809eade9fd7d7dc034b7377c5b4954a788"),
 }
 
 

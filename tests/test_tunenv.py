@@ -483,7 +483,7 @@ def test_the_data_dir_setting_wins_over_the_environment_variable(tmp_path, monke
 
 # SHA-256 over every observation and reward below; any change to the static
 # features, their normalization ranges, masking, frames or scores moves it.
-OBSERVATION_DIGEST = "940d3819f90b7c20d27334bff9b8ec26757f55dbb6bc319eb11f616ca225b201"
+OBSERVATION_DIGEST = "d958ea3b45528c26c70108787027981eb3e7c9dabf9ed0df6bdc4d95f46add41"
 
 
 def test_observation_and_reward_digest_is_pinned():
