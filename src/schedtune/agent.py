@@ -17,6 +17,7 @@ import operator
 import os
 import struct
 import sys
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -489,7 +490,9 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                 buffer: ReplayBuffer | None = None) -> None:
     """Standard off-policy loop: uniform warm-up actions until
     ``start_steps``, then one gradient step per environment step.  Every
-    ``log_every`` environment steps a row goes to ``log_path``; every
+    ``log_every`` environment steps a row goes to ``log_path`` and a
+    progress line to stderr (env steps, elapsed seconds, env steps per
+    second and the row's mean terminal reward); every
     ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env`` and
     the evaluation entry goes to ``on_eval``.  Transitions go to ``buffer``,
     by default a fresh one of the agent's ``replay_capacity``."""
@@ -507,6 +510,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
     next_eval = eval_every
     if log_path is not None:
         _write_log_row(log_path, "w", LOG_COLUMNS)
+    start, first_step = time.perf_counter(), agent.env_steps
 
     while agent.env_steps < total_env_steps:
         if agent.env_steps < cfg.start_steps:
@@ -535,6 +539,11 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
                          float(np.mean(recent)) if recent else 0.0}
             entry.update(stats)
             _write_log_row(log_path, "a", [entry.get(c, "") for c in LOG_COLUMNS])
+            elapsed = time.perf_counter() - start
+            print(f"[train] {agent.env_steps}/{total_env_steps} env steps: "
+                  f"{elapsed:.2f} s, {(agent.env_steps - first_step) / elapsed:.1f} "
+                  f"env steps/s, mean terminal reward "
+                  f"{entry['mean_terminal_reward']:+.4f}", file=sys.stderr, flush=True)
 
         if eval_every and agent.env_steps >= next_eval:
             next_eval += eval_every

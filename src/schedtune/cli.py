@@ -115,7 +115,13 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
             results = pool.map(_tune_worker, tasks)
         else:
             results = (_tune_worker(t) for t in tasks)
-        for index, (rows, seconds) in enumerate(results, start=1):
+        for index, task in enumerate(tasks, start=1):
+            # Results arrive in task order, so a failure is this task's.
+            try:
+                rows, seconds = next(results)
+            except SchedTuneError as exc:
+                raise SchedTuneError(f"scenario {index} of {len(tasks)} "
+                                     f"(seed {task[-1]}): {exc}") from exc
             _report_progress(index, len(tasks), rows, seconds)
             all_rows.extend(rows)
     write_trials_csv(path, all_rows, action_names)

@@ -13,7 +13,9 @@ from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig, checkpoint_layout
 from schedtune.cli import main, make_env, scenario_seeds
 from schedtune.config import load_config
 from schedtune.data import data_dir
+from schedtune.errors import ConfigError
 from schedtune.report import read_trials_csv
+from schedtune.tunenv import FaasTuningEnv
 from tests.test_agent import _forge_checkpoint, _write_checkpoint
 from tests.test_tunenv import DATA_FILES, _record_reads
 
@@ -237,6 +239,25 @@ def test_train_agent_prints_one_line_per_evaluation(tmp_path, capsys):
                              r"(-?\d+\.\d{4}) improvement ([+-]\d+\.\d{4})", line)
         assert match, line
         assert int(match[1]) == 40 * i
+
+
+def test_train_agent_prints_one_progress_line_per_log_row(tmp_path, capsys):
+    config = write_config(
+        tmp_path, mode="train", total_env_steps=120, start_steps=40,
+        num_envs=2, hidden=[8], batch_size=16, log_every=20)
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--seed", "2",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    rows = list(csv.DictReader(open(out / "train_log.csv", newline="")))
+    assert len(lines) == len(rows) == 6
+    for line, row in zip(lines, rows):
+        match = re.fullmatch(r"\[train\] (\d+)/120 env steps: (\d+\.\d{2}) s, "
+                             r"(\d+\.\d) env steps/s, mean terminal reward "
+                             r"([+-]\d+\.\d{4})", line)
+        assert match, line
+        assert match[1] == row["env_steps"]
+        assert float(match[4]) == round(float(row["mean_terminal_reward"]), 4)
 
 
 def test_train_agent_with_evaluation_but_no_seeds_fails(tmp_path, capsys):
@@ -784,6 +805,44 @@ def test_an_unschedulable_scenario_fails_simulate_before_out_exists(tmp_path, ca
                           "no feasible node for function ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_unschedulable_scenario_fails_tune_naming_its_position_and_seed(
+        tmp_path, capsys, jobs):
+    # A pool worker's error crosses back to the same one line.
+    data = write_data_dir(tmp_path, "functions.json",
+                          lambda p: _set_all(p["functions"], "req_cpu", 1000))
+    config = write_config(tmp_path, env_kind="faas", mode="train",
+                          duration_s=20.0, data_dir=str(data))
+    assert main(["tune", "--config", config, "--seed", "4", "--method", "fixed",
+                 "--jobs", jobs, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario 1 of 3 (seed {scenario_seeds(4, 3)[0]}): "
+                          f"could not find a schedulable scenario in 10 attempts: "
+                          f"no feasible node for function ")
+    assert err.count("\n") == 1
+
+
+def test_a_mid_run_failure_names_the_failing_scenario(tmp_path, monkeypatch, capsys):
+    # The second scenario's draw fails; the first one's finished.
+    config = write_config(tmp_path, env_kind="faas", duration_s=20.0)
+    real_draw, calls = FaasTuningEnv.draw_scenario, []
+
+    def draw(env, rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise ConfigError("injected")
+        return real_draw(env, rng)
+
+    monkeypatch.setattr(FaasTuningEnv, "draw_scenario", draw)
+    assert main(["tune", "--config", config, "--seed", "4", "--method", "fixed",
+                 "--out", str(tmp_path / "run")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    progress, error = err.splitlines()
+    assert progress.startswith("[1/3] scenario ")
+    assert error == f"error: scenario 2 of 3 (seed {scenario_seeds(4, 3)[1]}): injected"
 
 
 def test_a_repeated_config_key_fails_with_one_error_line(tmp_path, capsys):
