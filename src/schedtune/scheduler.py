@@ -192,13 +192,14 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
           percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     """Pick the best node for the pod, or None when nothing is feasible.
 
-    Of the n feasible nodes, k = max(1, floor(percent_nodes_to_score * n))
-    are scored, and the best of a uniform k-subset wins, ties to the lowest
-    node id.  Only the winner is drawn: in the order (total descending, id
-    ascending), the subset's first member has rank r with P(r >= i) =
-    C(n - i, k) / C(n, k), read off one ``rng.random()`` by walking that
-    tail.  When k = n nothing is drawn and r = 0.  The weighted scores of
-    all n feasible nodes are one gather from the score table's totals.
+    The pod goes to the best node of a uniform k-subset of the n feasible
+    nodes, k = max(1, floor(percent_nodes_to_score * n)), ties to the
+    lowest node id.  Only the winner is drawn: in the order (total
+    descending, id ascending), the subset's first member has rank r with
+    P(r >= i) = C(n - i, k) / C(n, k), read off one ``rng.random()`` by
+    walking that tail.  When k = n nothing is drawn and r = 0.  The
+    weighted scores of all n feasible nodes are one gather from the score
+    table's totals.
     Allocations and images are left untouched.  ``weights`` must have passed
     ``validate_weights``; the engine checks them once per run.
     """
