@@ -120,11 +120,11 @@ class Cluster:
     ``images`` maps each image name that some node has pulled to a boolean
     array over the nodes, so scoring reads a whole candidate set's cache
     state with one fancy index; images change through :meth:`add_image`
-    alone.  ``static_scores`` is the scheduler's cache of the score
-    templates, which depend only on the nodes and their paths, keyed by
-    function.  :meth:`clone` shares it; ``dataclasses.replace`` starts it
-    empty, since the replaced fields may be the very paths it was computed
-    from.
+    alone.  ``static_scores`` is the scheduler's cache, keyed by function,
+    of each function's (n_nodes, 4) block of the four scores that depend
+    only on the nodes and their paths.  :meth:`clone` shares it;
+    ``dataclasses.replace`` starts it empty, since the replaced fields may
+    be the very paths it was computed from.
     ``score_tables`` is the scheduler's cache of score tables, one per
     function scored on this copy, each holding every node's weighted total
     and feasibility.  ``changes`` logs the node id of every :meth:`commit`
@@ -264,13 +264,13 @@ def build_cluster(spec: ClusterSpec, presets=None) -> Cluster:
                     for _ in range(count))
 
     # Layer index per node: cloud devices and every internet node sit on the
-    # top layer; each urban edge device draws metro (0) or edge (1), in node
-    # order.
-    rng = np.random.default_rng(spec.seed)
-    layer = np.array([
-        0 if spec.topology_kind == "internet" or device.locality == "cloud"
-        else 1 + int(rng.integers(2))
-        for device in devices])
+    # top layer; the urban edge devices draw metro (1) or edge (2), in node
+    # order.  One call gives the values that a scalar draw per device does.
+    locality_code = np.array([LOCALITIES.index(d.locality) for d in devices])
+    layer = np.zeros(len(devices), dtype=int)
+    if spec.topology_kind == "urban":
+        edge = locality_code == LOCALITIES.index("edge")
+        layer[edge] = 1 + np.random.default_rng(spec.seed).integers(2, size=np.count_nonzero(edge))
     # paths[s, l] = (latency, bandwidth) from a node on layer l to store s.
     links = _LAYER_LINKS[spec.topology_kind]
     paths = np.array([[_layer_path(links, lay, s) for lay in range(len(links))]
@@ -284,7 +284,7 @@ def build_cluster(spec: ClusterSpec, presets=None) -> Cluster:
         capacity_mem=np.array([float(d.memory_mb) for d in devices]),
         alloc_cpu=np.zeros(n),
         alloc_mem=np.zeros(n),
-        locality_code=np.array([LOCALITIES.index(d.locality) for d in devices]),
+        locality_code=locality_code,
         accel_code=np.array([ACCELERATORS.index(d.accelerator) for d in devices]),
         store_latency=paths[:, layer, 0],
         store_bw=paths[:, layer, 1],

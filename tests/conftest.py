@@ -5,6 +5,7 @@ import pytest
 
 from schedtune import cluster as cl
 from schedtune import nn
+from schedtune import scheduler as sched
 from schedtune import workload as wl
 
 
@@ -33,6 +34,17 @@ def make_function(name="probe", cpu=1.0, mem=1024.0, accel="none", locality="any
         image_name=f"{name}-image", image_bytes=image_bytes,
         dataset_bytes=dataset_bytes, base_exec_s=base_exec_s,
     )
+
+
+def score_columns(fn, cluster):
+    """The function's (n_nodes, 8) scores, built on a clone so that the
+    cluster's own tables stay as they are: column j is a fresh table's
+    totals under the one-hot weights of column j.  Every other product is
+    +-0, so the column is exact up to the sign of a zero; compare with
+    ``==``, not bytes."""
+    twin = cluster.clone()
+    return np.column_stack([sched._score_table(fn, twin, one_hot).totals
+                            for one_hot in np.eye(sched.N_WEIGHTS)])
 
 
 @pytest.fixture()

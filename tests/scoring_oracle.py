@@ -9,12 +9,14 @@ rows on every call instead of caching them in ``cluster.static_scores``, so
 the oracle shares no state with the code under test and a stale cache there
 shows up as a difference.  The rtc breakpoints and the time caps are the
 oracle's own copies of the scorer's fixed configuration, and the rtc column
-still goes through ``np.interp``.  ``place`` adds each row's weighted
-scores in a fixed order, not with ``@``, whose BLAS rounding depends on the
-row's position.  It draws the winner's rank from the same single uniform as
-the scheduler, but reads it off the exact cumulative pmf built from
-``math.comb``, and takes that rank from a full stable sort of the totals,
-where the scheduler walks a float tail and masks running maxima.
+still goes through ``np.interp``.  ``weighted_totals`` adds each row's
+weighted scores with numpy's row sum, whose order over eight columns is
+fixed, not with ``@``, whose BLAS rounding depends on the row's position;
+the scheduler spells its order out instead.  ``place`` draws the winner's
+rank from the same single uniform as the scheduler, but reads it off the
+exact cumulative pmf built from ``math.comb``, and takes that rank from a
+full stable sort of the totals, where the scheduler walks a float tail and
+masks running maxima.
 ``test_scoring_oracle.py`` requires the
 production scorer to give the same arrays and picks, and ``engine_oracle``
 places its pods with this ``place``.  Do not optimise this file.
@@ -89,6 +91,10 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.
     ])
 
 
+def weighted_totals(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return (scores * weights).sum(axis=1)
+
+
 def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
           percent_nodes_to_score: float, rng: np.random.Generator) -> int | None:
     ids = np.nonzero(feasible_mask(fn, cluster))[0]
@@ -96,7 +102,7 @@ def place(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray,
         return None
     n = len(ids)
     k = max(1, int(math.floor(percent_nodes_to_score * n)))
-    totals = (score_nodes(fn, ids, cluster) * weights).sum(axis=1)
+    totals = weighted_totals(score_nodes(fn, ids, cluster), weights)
     r = 0
     if k < n:
         # The best of a uniform k-subset has rank r with probability

@@ -27,7 +27,7 @@ from schedtune.optimizers import (GP_NOISE_VAR, GP_SIGNAL_VAR, OPTIMIZERS, Fixed
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import (FAAS_STATIC_NAMES, FaasTuningEnv, VectorEnv,
                               default_space_set, sample_scenario)
-from tests.conftest import float64_networks, make_function, random_weights
+from tests.conftest import float64_networks, make_function, random_weights, score_columns
 from tests.test_tunenv import count_evaluations, run_scripted
 
 
@@ -108,7 +108,7 @@ def test_02_scheduler_scoring_invariants(capsys):
             table = sched._score_table(fn, cluster, sched.FIXED_WEIGHTS)
             ids = table.ids
             assert len(ids) > 0
-            scores = sched.score_matrix(fn, cluster).take(ids, axis=0)
+            scores = score_columns(fn, cluster).take(ids, axis=0)
 
             for i in range(sched.N_WEIGHTS):
                 one_hot = np.zeros(sched.N_WEIGHTS)

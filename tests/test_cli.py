@@ -211,7 +211,8 @@ def test_train_agent_then_eval(tmp_path, capsys):
     assert main(["train-agent", "--config", train_config, "--seed", "2",
                  "--out", str(agent_dir)]) == 0
     assert (agent_dir / "agent.ckpt").exists()
-    log_rows = list(csv.DictReader(open(agent_dir / "train_log.csv")))
+    with open(agent_dir / "train_log.csv", newline="") as f:
+        log_rows = list(csv.DictReader(f))
     assert log_rows and tuple(log_rows[0]) == LOG_COLUMNS
 
     eval_config = write_config(tmp_path, n_scenarios=2)
@@ -249,7 +250,8 @@ def test_train_agent_prints_one_progress_line_per_log_row(tmp_path, capsys):
     assert main(["train-agent", "--config", config, "--seed", "2",
                  "--out", str(out)]) == 0
     lines = capsys.readouterr().err.splitlines()
-    rows = list(csv.DictReader(open(out / "train_log.csv", newline="")))
+    with open(out / "train_log.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(lines) == len(rows) == 6
     for line, row in zip(lines, rows):
         match = re.fullmatch(r"\[train\] (\d+)/120 env steps: (\d+\.\d{2}) s, "

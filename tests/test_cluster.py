@@ -165,6 +165,27 @@ def _nodes_by_layer(c):
     return by_layer
 
 
+@pytest.mark.parametrize("topology", cl.TOPOLOGY_KINDS)
+@pytest.mark.parametrize("preset", ["cloud_cpu", "edge_sbc", "hybrid_balanced",
+                                    "hybrid_balanced_jetson"])
+def test_node_layers_are_one_scalar_draw_per_edge_device(preset, topology):
+    # The layers are those of a loop that draws rng.integers(2) once per
+    # urban edge device in node order, and nothing for any other node.
+    for seed in range(5):
+        c = cl.build_cluster(cl.ClusterSpec(preset, 97, topology, seed=seed))
+        rng = np.random.default_rng(seed)
+        want = [0 if topology == "internet" or device.locality == "cloud"
+                else 1 + int(rng.integers(2)) for device in c.devices]
+        got = [0] * c.n_nodes
+        if topology == "urban":
+            for layer, ids in _nodes_by_layer(c).items():
+                for node in ids:
+                    got[node] = cl.URBAN_LAYERS.index(layer)
+        else:
+            assert c.store_latency.shape == (1, c.n_nodes)
+        assert got == want
+
+
 def test_urban_cross_layer_slower_than_intra_layer():
     c = _urban_cluster()
     by_layer = _nodes_by_layer(c)

@@ -14,7 +14,7 @@ from schedtune import simengine as se
 from schedtune import workload as wl
 from schedtune.errors import ConfigError
 from tests import scoring_oracle
-from tests.conftest import make_function
+from tests.conftest import make_function, score_columns
 
 
 def _table(fn, cluster):
@@ -56,19 +56,19 @@ def test_scores_lie_in_unit_interval(small_cluster, probe_function):
     for _ in range(50):
         nid = int(rng.integers(small_cluster.n_nodes))
         if _table(probe_function, small_cluster).feasible[nid]:
-            s = sched.score_matrix(probe_function, small_cluster)[nid]
+            s = score_columns(probe_function, small_cluster)[nid]
             assert s.shape == (8,)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             small_cluster.commit(nid, 1.0, 1024.0)
 
 
 def test_least_plus_most_allocated_is_one(small_cluster, probe_function):
-    s = sched.score_matrix(probe_function, small_cluster)
+    s = score_columns(probe_function, small_cluster)
     np.testing.assert_allclose(s[:, 0] + s[:, 1], 1.0, atol=1e-12)
 
 
 def test_default_rtc_equals_most_allocated(small_cluster, probe_function):
-    s = sched.score_matrix(probe_function, small_cluster)
+    s = score_columns(probe_function, small_cluster)
     assert np.array_equal(s[:, 2], s[:, 1])
 
 
@@ -76,7 +76,7 @@ def test_balanced_resource_half_on_maximal_imbalance():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 2))
     # fill cpu completely, touch no memory, then score a zero-footprint-ish pod
     fn = make_function(cpu=c.capacity_cpu[0], mem=c.capacity_mem[0] * 1e-12)
-    s = sched.score_matrix(fn, c)[0]
+    s = score_columns(fn, c)[0]
     assert abs(s[6] - 0.5) < 1e-9
 
 
@@ -88,26 +88,26 @@ def test_locality_and_capability_scores():
     none_pref = make_function(accel="none")
     is_cloud = [float(d.locality == "cloud") for d in c.devices]
     is_gpu = [float(d.accelerator == "gpu") for d in c.devices]
-    assert sched.score_matrix(cloud_pref, c)[:, 3].tolist() == is_cloud
-    assert (sched.score_matrix(any_pref, c)[:, 3] == 1.0).all()
-    assert sched.score_matrix(gpu_pref, c)[:, 5].tolist() == is_gpu
-    assert (sched.score_matrix(none_pref, c)[:, 5] == 0.5).all()
+    assert score_columns(cloud_pref, c)[:, 3].tolist() == is_cloud
+    assert (score_columns(any_pref, c)[:, 3] == 1.0).all()
+    assert score_columns(gpu_pref, c)[:, 5].tolist() == is_gpu
+    assert (score_columns(none_pref, c)[:, 5] == 0.5).all()
     assert 0.0 in is_cloud and 1.0 in is_cloud and 0.0 in is_gpu and 1.0 in is_gpu
 
 
 def test_image_locality_saturates_and_prefers_cache(small_cluster):
     # The table's total refreshes from the pull, as the full matrix does.
     huge = make_function(image_bytes=1e12)
-    assert sched.score_matrix(huge, small_cluster)[0, 7] == 0.0
+    assert score_columns(huge, small_cluster)[0, 7] == 0.0
     assert _column(huge, small_cluster, 7)[0] == 0.0
     small_cluster.add_image(0, huge.image_name)
-    assert sched.score_matrix(huge, small_cluster)[0, 7] == 1.0
+    assert score_columns(huge, small_cluster)[0, 7] == 1.0
     assert _column(huge, small_cluster, 7)[0] == 1.0
 
 
 def test_data_locality_decreases_with_dataset_size(small_cluster):
-    near = sched.score_matrix(make_function(dataset_bytes=1e6), small_cluster)[0, 4]
-    far = sched.score_matrix(make_function(dataset_bytes=1e10), small_cluster)[0, 4]
+    near = score_columns(make_function(dataset_bytes=1e6), small_cluster)[0, 4]
+    far = score_columns(make_function(dataset_bytes=1e10), small_cluster)[0, 4]
     assert near > far
     assert far == 0.0
 
@@ -123,8 +123,8 @@ def test_cached_columns_follow_function_and_clones():
     for fn in functions:
         for target in (shared, shared.clone()):
             fresh = cl.build_cluster(spec)
-            assert np.array_equal(sched.score_matrix(fn, target)[ids],
-                                  sched.score_matrix(fn, fresh)[ids])
+            assert np.array_equal(score_columns(fn, target)[ids],
+                                  score_columns(fn, fresh)[ids])
             assert np.array_equal(_table(fn, target).totals, _table(fn, fresh).totals)
     assert len(shared.static_scores) == len(shared.score_tables) == 2
     twin = shared.clone()
@@ -147,9 +147,9 @@ def test_replaced_paths_do_not_reuse_cached_columns():
     slow = slowed(scored)
     assert slow.score_tables == {}
     fresh = slowed(cl.build_cluster(spec))
-    expected = sched.score_matrix(fn, fresh)
-    assert not np.array_equal(sched.score_matrix(fn, scored)[:, [4, 7]], expected[:, [4, 7]])
-    assert np.array_equal(sched.score_matrix(fn, slow), expected)
+    expected = score_columns(fn, fresh)
+    assert not np.array_equal(score_columns(fn, scored)[:, [4, 7]], expected[:, [4, 7]])
+    assert np.array_equal(score_columns(fn, slow), expected)
     assert not np.array_equal(before, _table(fn, fresh).totals)
     assert np.array_equal(_table(fn, slow).totals, _table(fn, fresh).totals)
     assert slow.static_scores is not scored.static_scores
@@ -169,8 +169,7 @@ def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     fresh = cl.build_cluster(spec)
     fresh.commit(7, a.req_cpu, a.req_mem)
     assert np.array_equal(after, _table(b, fresh).totals)
-    assert np.array_equal(after, sched.weighted_totals(sched.score_matrix(b, c),
-                                                       sched.FIXED_WEIGHTS))
+    assert np.array_equal(after, _table(b, c.clone()).totals)
     assert np.flatnonzero(after != before).tolist() == [7]
 
 
@@ -193,7 +192,7 @@ def test_an_image_pull_marks_only_the_functions_that_use_the_image():
 def test_one_hot_weights_pick_best_single_score(small_cluster, probe_function):
     table = _table(probe_function, small_cluster)
     ids = table.ids
-    scores = sched.score_matrix(probe_function, small_cluster)[ids]
+    scores = score_columns(probe_function, small_cluster)[ids]
     for j in range(8):
         w = np.zeros(8)
         w[j] = 1.0
@@ -289,7 +288,7 @@ def test_with_distinct_totals_the_winners_rank_is_the_lowest_of_a_uniform_k_subs
     c, weights = _cluster_with_distinct_totals(n)
     fn = make_function()
     ids = _table(fn, c).ids
-    totals = sched.weighted_totals(sched.score_matrix(fn, c), weights)[ids]
+    totals = sched._score_table(fn, c, weights).totals[ids]
     assert len(np.unique(totals)) == n
     rank = {int(ids[i]): r for r, i in enumerate(np.argsort(-totals))}
     pct = (k + 0.5) / n
@@ -318,7 +317,7 @@ def test_with_distinct_scores_the_subsample_winner_is_feasible(k):
     fn = make_function()
     table = _table(fn, c)
     feasible = set(table.ids.tolist())
-    totals = sched.weighted_totals(sched.score_matrix(fn, c), weights)[table.ids]
+    totals = sched._score_table(fn, c, weights).totals[table.ids]
     assert len(np.unique(totals)) == n
     for seed in range(200):
         assert sched.place(fn, c, weights, (k + 0.5) / n,
@@ -362,22 +361,42 @@ def test_bit_identical_rows_tie_to_the_lowest_node_id():
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 67, "internet", seed=0))
     fn = make_function(name="f", cpu=0.5, mem=256.0, image_bytes=4e7, dataset_bytes=3e7)
     weights = np.array([0.801, 0.691, 0.6, 0.015, 0.423, 0.552, 0.764, 0.341])
-    scores = sched.score_matrix(fn, c)
+    scores = score_columns(fn, c)
     assert np.array_equal(scores[58], scores[66])
     assert sched.place(fn, c, weights, 1.0, np.random.default_rng(0)) == 58
+
+
+NODE_ARRAYS = ("capacity_cpu", "capacity_mem", "alloc_cpu", "alloc_mem")
+
+
+def _copy_node(source, i, target, j, fn):
+    """Give node j of ``target`` node i's capacities, allocations and
+    static scores."""
+    for name in NODE_ARRAYS:
+        getattr(target, name)[j] = getattr(source, name)[i]
+    sched._static_columns(fn, target)[j] = sched._static_columns(fn, source)[i]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 400))
 def test_bit_identical_rows_get_identical_totals(data, n):
+    # Nodes with bit-identical inputs get bit-identical totals wherever they
+    # sit in the table, and the total a lone node with those inputs gets.
     unit = st.floats(0.0, 1.0)
-    scores = data.draw(arrays(np.float64, (n, sched.N_WEIGHTS), elements=unit))
+    c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", n))
+    fn = make_function()
+    sched._static_columns(fn, c)[:] = data.draw(arrays(np.float64, (n, 4), elements=unit))
+    c.alloc_cpu[:] = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 64.0)))
+    c.alloc_mem[:] = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e5)))
     weights = data.draw(arrays(np.float64, sched.N_WEIGHTS, elements=unit))
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
-    scores[rows] = scores[rows[0]]
-    totals = sched.weighted_totals(scores, weights)
+    for j in rows[1:]:
+        _copy_node(c, rows[0], c, j, fn)
+    totals = sched._score_table(fn, c, weights).totals
     assert len({totals[j].hex() for j in rows}) == 1
-    assert totals[rows[0]] == sched.weighted_totals(scores[rows[:1]], weights)[0]
+    lone = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 1))
+    _copy_node(c, rows[0], lone, 0, fn)
+    assert totals[rows[0]] == sched._score_table(fn, lone, weights).totals[0]
 
 
 WIDE = st.floats(-1e200, 1e200)
@@ -386,25 +405,24 @@ WEIGHT = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_refreshed_row_totals_equal_weighted_totals(data):
-    # A refreshed row's total is added from Python floats in weighted_totals'
-    # order, so it is the same float however far apart the terms' exponents
-    # are.  The rows get wide static columns in the template they are
+def test_refreshed_row_totals_equal_a_full_build(data):
+    # A refreshed row's total is added from Python floats in the full
+    # build's order, so it is the same float however far apart the terms'
+    # exponents are.  The rows get wide static scores in the block they are
     # refreshed from and wide utilizations from wide allocations; every node
-    # is then logged, so every row is refreshed.
+    # is then logged, so every row is refreshed.  A clone starts with no
+    # tables, so it builds its table in full.
     c = cl.build_cluster(cl.ClusterSpec("hybrid_balanced", 9))
     fn = make_function()
     weights = np.array(data.draw(st.lists(WEIGHT, min_size=sched.N_WEIGHTS,
                                           max_size=sched.N_WEIGHTS)))
     table = sched._score_table(fn, c, weights)
-    c.static_scores[fn][:, [3, 4, 5, 7]] = data.draw(
-        arrays(np.float64, (c.n_nodes, 4), elements=WIDE))
+    c.static_scores[fn][:] = data.draw(arrays(np.float64, (c.n_nodes, 4), elements=WIDE))
     for j in range(c.n_nodes):
         c.commit(j, data.draw(WIDE), data.draw(WIDE))
     assert sched._score_table(fn, c, weights) is table
     assert table.seen == len(c.changes)
-    assert table.totals.tobytes() \
-        == sched.weighted_totals(sched.score_matrix(fn, c), weights).tobytes()
+    assert table.totals.tobytes() == sched._score_table(fn, c.clone(), weights).totals.tobytes()
 
 
 def test_invalid_weights_rejected(small_cluster, probe_function):

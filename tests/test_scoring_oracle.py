@@ -2,13 +2,15 @@
 
 A random cluster goes through an interleaved sequence of allocations, image
 pulls, clones, path changes, scoring calls on arbitrary node subsets and
-placements.  The ``score_matrix`` rows of every scored subset must equal the
-oracle's element for element, with the same shape, dtype and memory layout,
-and their ``score_nodes`` totals must be ``weighted_totals`` of them; every
-``place`` must pick the same node and leave its generator in the same state.
-After every operation, ``score_matrix`` must equal the oracle's scores over
-all nodes, and each function's score table on the current copy must hold,
-bit for bit, ``weighted_totals`` of the oracle's scores under the weights
+placements.  The scores of every scored subset, read one column at a time
+as a table's totals under one-hot weights (``conftest.score_columns``), must
+equal the oracle's element for element, with the same shape, dtype and
+memory layout, and their ``score_nodes`` totals must be the oracle's
+``weighted_totals`` of them; every ``place`` must pick the same node and
+leave its generator in the same state, and the table rebuilt for weights
+changed in place must equal one built on a clone.  After every operation, the scores over all nodes must equal the
+oracle's, and each function's score table on the current copy must hold,
+bit for bit, the oracle's ``weighted_totals`` of its scores under the weights
 the table was built for, and the oracle's feasibility, on every row whose
 node the cluster's change log has not named since the table's last refresh,
 so a commit or image pull that fails to log a row it changed shows up; its
@@ -24,7 +26,7 @@ from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import workload as wl
 from tests import scoring_oracle
-from tests.conftest import make_function
+from tests.conftest import make_function, score_columns
 
 BYTES = st.sampled_from([0.0, 1e6, 1e8, 3e9, 1e12]) | st.floats(0.0, 1e10)
 WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=sched.N_WEIGHTS, max_size=sched.N_WEIGHTS)
@@ -69,8 +71,8 @@ def assert_tables_current(cluster):
         current = np.ones(cluster.n_nodes, dtype=bool)
         current[cluster.changes[table.seen:]] = False
         want = scoring_oracle.score_nodes(fn, every, cluster)
-        assert np.array_equal(sched.score_matrix(fn, cluster), want)
-        want = sched.weighted_totals(want, np.frombuffer(table.weights))
+        assert np.array_equal(score_columns(fn, cluster), want)
+        want = scoring_oracle.weighted_totals(want, np.frombuffer(table.weights))
         assert table.totals[current].tobytes() == want[current].tobytes()
         assert np.array_equal(table.feasible[current],
                               scoring_oracle.feasible_mask(fn, cluster)[current])
@@ -97,14 +99,14 @@ def test_scorer_matches_oracle(session):
         elif op == "score":
             fn, ids, weights = functions[args[0]], np.array(args[1], dtype=int), np.array(args[2])
             table = sched._score_table(fn, cluster, weights)
-            got = sched.score_matrix(fn, cluster).take(ids, axis=0)
+            got = score_columns(fn, cluster).take(ids, axis=0)
             want = scoring_oracle.score_nodes(fn, ids, cluster)
             assert got.shape == want.shape == (len(ids), sched.N_WEIGHTS)
             assert got.dtype == want.dtype
             assert got.flags.c_contiguous and want.flags.c_contiguous
             assert np.array_equal(got, want)
             assert sched.score_nodes(table, ids).tobytes() \
-                == sched.weighted_totals(want, weights).tobytes()
+                == scoring_oracle.weighted_totals(want, weights).tobytes()
         else:
             fn, pct, weights, seed = functions[args[0]], args[1], np.array(args[2]), args[3]
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -115,5 +117,5 @@ def test_scorer_matches_oracle(session):
             weights[:] = 1.0 - weights
             table = sched._score_table(fn, cluster, weights)
             assert table.totals.tobytes() \
-                == sched.weighted_totals(sched.score_matrix(fn, cluster), weights).tobytes()
+                == sched._score_table(fn, cluster.clone(), weights).totals.tobytes()
         assert_tables_current(cluster)
