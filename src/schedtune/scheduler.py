@@ -122,20 +122,19 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
     if table is None or table.weights != weights.tobytes():
         static = _static_columns(fn, cluster)
         w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
-        a_cpu, a_mem, c_cpu, c_mem = \
-            cluster.alloc_cpu, cluster.alloc_mem, cluster.capacity_cpu, cluster.capacity_mem
-        feasible = (c_cpu - a_cpu >= fn.req_cpu) & (c_mem - a_mem >= fn.req_mem)
-        u_cpu = (a_cpu + fn.req_cpu) / c_cpu
-        u_mem = (a_mem + fn.req_mem) / c_mem
+        feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
+                    & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
+        u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
+        u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
         u = (u_cpu + u_mem) / 2.0
+        s3, s4, s5, s7 = static.T
+        s7 = np.where(cluster.image_mask(fn.image_name), 1.0, s7)
         # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1),
         # clamped at 1 as np.interp clamps; on feasible nodes it equals
         # most_allocated.  balanced_resource: the population stddev of two
         # utilizations collapses to half their gap.
-        image = np.where(cluster.image_mask(fn.image_name), 1.0, static[:, 3])
-        totals = (((1.0 - u) * w0 + u * w1) + (np.minimum(u, 1.0) * w2 + static[:, 0] * w3)) \
-            + ((static[:, 1] * w4 + static[:, 2] * w5)
-               + ((1.0 - np.abs(u_cpu - u_mem) / 2.0) * w6 + image * w7))
+        totals = (((1.0 - u) * w0 + u * w1) + (np.minimum(u, 1.0) * w2 + s3 * w3)) \
+            + ((s4 * w4 + s5 * w5) + ((1.0 - np.abs(u_cpu - u_mem) / 2.0) * w6 + s7 * w7))
         table = cluster.score_tables[fn] = ScoreTable(
             totals, feasible, np.flatnonzero(feasible), static, len(cluster.changes),
             weights.tobytes())

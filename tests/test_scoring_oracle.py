@@ -8,10 +8,11 @@ equal the oracle's element for element, with the same shape, dtype and
 memory layout, and their ``score_nodes`` totals must be the oracle's
 ``weighted_totals`` of them; every ``place`` must pick the same node and
 leave its generator in the same state, and the table rebuilt for weights
-changed in place must equal one built on a clone.  After every operation, the scores over all nodes must equal the
-oracle's, and each function's score table on the current copy must hold,
-bit for bit, the oracle's ``weighted_totals`` of its scores under the weights
-the table was built for, and the oracle's feasibility, on every row whose
+changed in place must equal one built on a clone.  After every operation,
+the scores over all nodes must equal the oracle's, and each function's
+score table on the current copy must hold, bit for bit, the oracle's
+``weighted_totals`` of its scores under the weights the table was built
+for, and the oracle's feasibility, on every row whose
 node the cluster's change log has not named since the table's last refresh,
 so a commit or image pull that fails to log a row it changed shows up; its
 feasible ids must be those of its mask.
