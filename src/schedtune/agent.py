@@ -34,7 +34,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -299,23 +299,23 @@ class SacAgent:
         self._require_full("update")
         obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
+        self.grad_steps += 1   # the step number all three optimizers take
 
         target = self.critic_targets(rew, next_obs, done)
         critic_loss = self.critic_gradients(obs, act, target)
-        self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat])
+        self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat], self.grad_steps)
 
         eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
         actor_loss, logp = self.actor_gradients(obs, eps)
-        self.opt_policy.step([self.policy.grad_flat])
+        self.opt_policy.step([self.policy.grad_flat], self.grad_steps)
 
         # Temperature: loss -log_alpha * mean(logp + target entropy -act_dim).
         entropy_gap = float(np.mean(logp) - cfg.act_dim)
-        self.opt_alpha.step([np.array([-entropy_gap], self.dtype)])
+        self.opt_alpha.step([np.array([-entropy_gap], self.dtype)], self.grad_steps)
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
 
         polyak_update(self.q1_target, self.q1, cfg.tau)
         polyak_update(self.q2_target, self.q2, cfg.tau)
-        self.grad_steps += 1
         return {
             "critic_loss": critic_loss,
             "actor_loss": actor_loss,
@@ -348,9 +348,6 @@ class SacAgent:
             "arrays": [[name, [n]] for name, n in checkpoint_layout(self.config)],
             "env_steps": self.env_steps,
             "grad_steps": self.grad_steps,
-            "adam_steps": {"opt_policy": self.opt_policy.t,
-                           "opt_critic": self.opt_critic.t,
-                           "opt_alpha": self.opt_alpha.t},
             "payload_sha256": hasher.hexdigest(),
             "dtype": dtype.str,
         }
@@ -374,10 +371,10 @@ class SacAgent:
         """Read a checkpoint written by :meth:`save`.
 
         The header is checked in full before anything is allocated: its
-        keys (each once), the payload dtype against ``nn.DTYPE``, its
-        ``arrays`` (``[name, [length]]`` entries) against
-        :func:`checkpoint_layout` of its config, entry for entry in that
-        order (the only one ``save`` writes), and the payload length
+        keys (each once), its step counts (not negative), the payload dtype
+        against ``nn.DTYPE``, its ``arrays`` (``[name, [length]]`` entries)
+        against :func:`checkpoint_layout` of its config, entry for entry in
+        that order (the only one ``save`` writes), and the payload length
         against the file size.  Then every payload byte is read in that
         order and hashed as it arrives, and the digest is compared before
         the agent is returned.  A full load reads each piece straight into
@@ -417,8 +414,9 @@ class SacAgent:
                 config = SacConfig(**config_dict)
                 arrays = list(header["arrays"])
                 counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
-                counters += [operator.index(header["adam_steps"][key])
-                             for key in ("opt_policy", "opt_critic", "opt_alpha")]
+                if min(counters) < 0:
+                    raise ValueError("negative step count: env_steps {}, grad_steps {}"
+                                     .format(*counters))
                 digest, dtype = header["payload_sha256"], header["dtype"]
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise CheckpointError(
@@ -453,9 +451,7 @@ class SacAgent:
                     dst.byteswap(inplace=True)
         if hasher.hexdigest() != digest:
             raise CheckpointError(f"{path} payload does not match its digest")
-        agent.env_steps, agent.grad_steps = counters[:2]
-        if not acting_only:
-            agent.opt_policy.t, agent.opt_critic.t, agent.opt_alpha.t = counters[2:]
+        agent.env_steps, agent.grad_steps = counters
         return agent
 
 

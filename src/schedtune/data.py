@@ -2,12 +2,12 @@
 that turns a JSON value into a typed field, for them and the config.
 
 Device classes, preset distributions and the function catalog ship with the
-package under ``schedtune/data``.  An alternative directory can be selected
-with the ``SCHEDTUNE_DATA_DIR`` environment variable or an explicit path,
-which makes it easy to run experiments against modified calibrations without
-touching the installed package.  Each list entry of ``devices.json`` and
-``functions.json`` is built as its dataclass (:func:`entry_loader`), every
-field read from its own key and checked against the field's annotation.
+package under ``schedtune/data``.  An explicit path (the config's
+``data_dir``) selects an alternative directory, which makes it easy to run
+experiments against modified calibrations without touching the installed
+package.  Each list entry of ``devices.json`` and ``functions.json`` is
+built as its dataclass (:func:`entry_loader`), every field read from its
+own key and checked against the field's annotation.
 Every number must be finite as a float (JSON parsing accepts ``NaN`` and
 ``Infinity``) and no two entries may share a name, so a malformed file fails
 with one error naming the file and the field path
@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-DATA_DIR_ENV = "SCHEDTUNE_DATA_DIR"
 SCHEMA_VERSION = 1
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
@@ -37,12 +36,9 @@ _MISSING = object()
 
 
 def data_dir(override: str | os.PathLike | None = None) -> Path:
-    """Directory holding the calibration files, honoring the env override."""
+    """The calibration files' directory: ``override``, else the package's own."""
     if override is not None:
         return Path(override)
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
     return Path(str(resources.files("schedtune") / "data"))
 
 

@@ -164,7 +164,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
     say), updated in place.  The moments ``m`` and ``v`` are the caller's
-    zero-filled arrays, one per parameter with its shape and dtype."""
+    zero-filled arrays, one per parameter with its shape and dtype, and so
+    is the step count, which each :meth:`step` is given."""
 
     def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
                  v: list[np.ndarray], lr: float = 3e-4):
@@ -174,21 +175,21 @@ class Adam:
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params, self.m, self.v = list(params), list(m), list(v)
         self.lr = lr
-        self.t = 0
         width = min(CHUNK, max((p.size for p in params), default=0))
         self._scratch = np.empty((2, width), self.m[0].dtype if params else DTYPE)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        """Per element, in this order: ``m = m * b1 + g * (1 - b1)``,
+    def step(self, grads: list[np.ndarray], t: int) -> None:
+        """Take step number ``t``, counted from 1 by the caller.  Per
+        element, in this order: ``m = m * b1 + g * (1 - b1)``,
         ``v = v * b2 + (g * (1 - b2)) * g`` and
-        ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``."""
+        ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``, where
+        ``bias1 = 1 - b1**t`` and ``bias2 = 1 - b2**t``."""
         if len(grads) != len(self.params) or any(
                 g.shape != p.shape for g, p in zip(grads, self.params)):
             raise ConfigError("gradients do not match the parameters")
-        self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
+        bias1 = 1.0 - b1**t
+        bias2 = 1.0 - b2**t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             for lo in range(0, p.size, CHUNK):
                 part = slice(lo, lo + CHUNK)

@@ -281,11 +281,11 @@ def test_critic_descends_on_fixed_regression_target():
     act = np.tanh(rng.normal(size=(16, 2)))
     target = rng.normal(size=16)
     first = agent.critic_gradients(obs, act, target)
-    agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat])
+    agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat], 1)
     last = first
-    for _ in range(300):
+    for t in range(2, 302):
         last = agent.critic_gradients(obs, act, target)
-        agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat])
+        agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat], t)
     assert last < 0.1 * first
 
 
@@ -316,8 +316,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
         assert name_a == name_b
         assert np.array_equal(arr_a, arr_b), name_a
     assert clone.env_steps == 1234
-    assert clone.grad_steps == agent.grad_steps
-    assert clone.opt_policy.t == agent.opt_policy.t
+    assert clone.grad_steps == agent.grad_steps == 1
     assert clone.config == agent.config
     obs = rng.uniform(-1, 1, 3)
     assert np.array_equal(agent.act(obs), clone.act(obs))
@@ -328,7 +327,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
 
 # SHA-256 of the checkpoint `trained_tiny_agent` saves: the format, the array
 # order and every float32 bit of three updates (numpy 2.4, OpenBLAS, x86-64).
-PINNED_CHECKPOINT_SHA256 = "15525c8ee27185f7de9107a8ef6b89988d667df038f6b025895fb1e7ac3f7261"
+PINNED_CHECKPOINT_SHA256 = "1115d1ca42669fc3cc3ba9597b7ee194e7ff11080d4d27bb7cf641828b47c1a6"
 
 
 def trained_tiny_agent():
@@ -527,7 +526,7 @@ def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):
     assert repr(agent.update(step)) == repr(loaded.update(step))
     for (name, a), (_, b) in zip(agent._named_arrays(), loaded._named_arrays()):
         assert np.array_equal(a, b), name
-    assert loaded.opt_critic.t == agent.opt_critic.t == 4
+    assert loaded.grad_steps == agent.grad_steps == 4
 
 
 def test_an_acting_only_load_acts_like_a_full_load(tmp_path):
@@ -648,11 +647,11 @@ def test_a_checkpoint_with_its_arrays_out_of_order_fails_with_one_error_line(tmp
 
 
 def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
-                      version=CHECKPOINT_VERSION):
+                      version=CHECKPOINT_VERSION, **values):
     """Write a checkpoint of ``agent`` holding the arrays ``names`` (in that
     order, duplicates allowed) in ``dtype`` (the agent's own by default) and
-    a header without the keys in ``drop``; the payload length and digest
-    stay consistent."""
+    a header without the keys in ``drop`` and with ``values`` over its own;
+    the payload length and digest stay consistent."""
     arrays = dict(agent._named_arrays())
     if names is None:
         names = [name for name, _ in agent._named_arrays()]
@@ -663,10 +662,10 @@ def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
         "arrays": [[n, list(arrays[n].shape)] for n in names],
         "env_steps": 0,
         "grad_steps": 0,
-        "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "dtype": dtype.str,
     }
+    header.update(values)
     for key in drop:
         del header[key]
     return _write_checkpoint(path, json.dumps(header).encode(), payload, version)
@@ -680,10 +679,20 @@ def _write_checkpoint(path, blob, payload=b"", version=CHECKPOINT_VERSION):
 
 
 @pytest.mark.parametrize("key", ["config", "arrays", "env_steps", "grad_steps",
-                                 "adam_steps", "payload_sha256", "dtype"])
+                                 "payload_sha256", "dtype"])
 def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
     path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), drop=[key])
     with pytest.raises(CheckpointError, match=key):
+        SacAgent.load(path)
+
+
+@pytest.mark.parametrize("key", ["env_steps", "grad_steps"])
+def test_checkpoint_rejects_a_negative_step_count(tmp_path, key):
+    # Counts are never negative; at grad_steps -1 the next update's Adam
+    # bias correction would divide by 1 - beta**0 = 0.
+    path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), **{key: -1})
+    message = rf"malformed header: ValueError negative step count: .*{key} -1"
+    with pytest.raises(CheckpointError, match=message):
         SacAgent.load(path)
 
 

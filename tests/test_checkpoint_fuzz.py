@@ -93,10 +93,9 @@ TOKENS = st.one_of(
 )
 # Every value in the header an edit can replace, drop or repeat, as the keys
 # that lead to it.
-PATHS = ([(key,) for key in ("adam_steps", "arrays", "config", "dtype", "env_steps",
-                             "grad_steps", "payload_sha256")]
+PATHS = ([(key,) for key in ("arrays", "config", "dtype", "env_steps", "grad_steps",
+                             "payload_sha256")]
          + [("config", f.name) for f in fields(SacConfig)]
-         + [("adam_steps", key) for key in ("opt_alpha", "opt_critic", "opt_policy")]
          + [("arrays", i, 1, 0) for i in range(len(checkpoint_layout(TINY)))])
 
 

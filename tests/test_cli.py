@@ -398,6 +398,19 @@ def test_trials_table_with_other_columns_fails_with_one_error_line(tmp_path, cap
     assert (out / "trials.csv").read_text() == before
 
 
+def test_tune_into_an_empty_trials_table_writes_its_header_once(tmp_path):
+    config = write_config(tmp_path, n_scenarios=2)
+    fresh, empty = tmp_path / "fresh", tmp_path / "empty"
+    empty.mkdir()
+    (empty / "trials.csv").touch()
+    for out in (fresh, empty):
+        assert main(["tune", "--config", config, "--seed", "4",
+                     "--out", str(out), "--method", "random"]) == 0
+    text = (empty / "trials.csv").read_text()
+    assert text.count("scenario_seed") == 1
+    assert text == (fresh / "trials.csv").read_text()
+
+
 def test_simulate_appends_run_records(tmp_path, capsys):
     config = write_config(tmp_path, env_kind="faas", mode="train",
                           duration_s=20.0)
@@ -497,8 +510,8 @@ def _array_offset(raw, name):
 def _damage_checkpoint(path, damage):
     agent = SacAgent(SacConfig(obs_dim=24, act_dim=2, hidden=(8,),
                                batch_size=4, replay_capacity=16), seed=1)
-    if damage == "version-2":
-        _forge_checkpoint(path, agent, version=2)
+    if damage == "version-3":
+        _forge_checkpoint(path, agent, version=3)
     elif damage == "f8-payload":
         _forge_checkpoint(path, agent, dtype="<f8")
     elif damage == "negative-hidden":
@@ -529,7 +542,7 @@ def _damage_checkpoint(path, damage):
         raw = path.read_bytes()
         header_len = struct.unpack("<Q", raw[8:16])[0]
         blob = raw[16:16 + header_len]
-        assert blob.startswith(b'{"adam_steps"')
+        assert blob.startswith(b'{"arrays"')
         _write_checkpoint(path, b'{"env_steps": 0, ' + blob[1:], raw[16 + header_len:])
     elif damage == "oversized-hidden":
         # A consistent header for 4.4 PB of arrays, and no payload.
@@ -537,7 +550,6 @@ def _damage_checkpoint(path, damage):
         header = {"config": asdict(config),
                   "arrays": [[n, [length]] for n, length in checkpoint_layout(config)],
                   "env_steps": 0, "grad_steps": 0,
-                  "adam_steps": {"opt_policy": 0, "opt_critic": 0, "opt_alpha": 0},
                   "payload_sha256": hashlib.sha256(b"").hexdigest(), "dtype": "<f4"}
         _write_checkpoint(path, json.dumps(header).encode())
     else:
@@ -553,7 +565,7 @@ def _damage_checkpoint(path, damage):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("version-2", "unsupported checkpoint version 2, expected 3"),
+    ("version-3", "unsupported checkpoint version 3, expected 4"),
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
     ("truncated", "payload is"),
     ("flipped-byte", "payload does not match its digest"),
@@ -566,6 +578,9 @@ def _damage_checkpoint(path, damage):
     ("header:lr=NaN", "malformed header: ConfigError lr"),
     ("header:lr=Infinity", "malformed header: ConfigError lr"),
     ("header:lr=-Infinity", "malformed header: ConfigError lr"),
+    # Adam's bias correction at step grad_steps + 1 would be 1 - beta**0 = 0.
+    ("header:grad_steps=-1",
+     "malformed header: ValueError negative step count: env_steps 0, grad_steps -1"),
     ("old-setting:target_entropy", "malformed header: TypeError"),
     ("old-setting:updates_per_step", "malformed header: TypeError"),
     # Which of two values counts is not for the loader to guess.

@@ -58,6 +58,9 @@ def test_root_must_be_object():
     ({"gamma": 1.5}, "gamma"),
     ({"tau": -0.1}, "tau"),
     ({"name": ""}, "name"),
+    ({"eval_every": -1}, "eval_every: must not be negative"),
+    ({"n_eval_seeds": -1}, "n_eval_seeds: must not be negative"),
+    ({"log_every": -1}, "log_every: must not be negative"),
 ])
 def test_invalid_values_name_the_field(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):

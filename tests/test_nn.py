@@ -213,16 +213,16 @@ def test_adam_matches_scalar_reference():
     grads = rng.normal(size=25)
     param = np.array([2.5])
     opt = adam([param], lr=0.01)
-    for g in grads:
-        opt.step([np.array([g])])
+    for t, g in enumerate(grads, start=1):
+        opt.step([np.array([g])], t)
     assert param[0] == pytest.approx(reference_adam(2.5, grads, 0.01), abs=1e-12)
 
 
 def test_adam_minimizes_quadratic():
     param = np.array([10.0])
     opt = adam([param], lr=0.1)
-    for _ in range(500):
-        opt.step([2.0 * (param - 3.0)])
+    for t in range(1, 501):
+        opt.step([2.0 * (param - 3.0)], t)
     assert param[0] == pytest.approx(3.0, abs=0.05)
 
 
@@ -232,9 +232,11 @@ def test_adam_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="learning rate"):
             adam([np.zeros(2)], lr=bad)
+    with pytest.raises(ConfigError, match="1-D"):
+        adam([np.zeros(2), np.zeros((2, 2))])
     opt = adam([np.zeros(2)])
     with pytest.raises(ConfigError):
-        opt.step([])
+        opt.step([], 1)
 
 
 def test_polyak_endpoints_and_blend():
@@ -265,7 +267,10 @@ def test_polyak_rejects_mismatched_networks():
 
 
 def test_adam_rejects_mismatched_gradient_shape():
-    opt = adam([np.zeros(3)])
+    opt = adam([np.arange(3.0)])
+    opt.step([np.ones(3)], 1)
+    before = [a.copy() for a in (opt.params[0], opt.m[0], opt.v[0])]
     with pytest.raises(ConfigError):
-        opt.step([np.zeros(1)])
-    assert opt.t == 0
+        opt.step([np.zeros(1)], 2)
+    after = (opt.params[0], opt.m[0], opt.v[0])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))

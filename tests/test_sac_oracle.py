@@ -44,7 +44,7 @@ def assert_same_state(agent, oracle, step):
         a, b = (np.concatenate([x.ravel() for x in g[name]]) for g in (mine, theirs))
         assert a.shape == b.shape and np.array_equal(a, b), (step, name)
     for name in ("opt_policy", "opt_critic", "opt_alpha"):
-        assert getattr(agent, name).t == getattr(oracle, name).t, (step, name)
+        assert agent.grad_steps == getattr(oracle, name).t, (step, name)
     assert agent.rng.bit_generator.state == oracle.rng.bit_generator.state
     assert agent.grad_steps == oracle.grad_steps
 

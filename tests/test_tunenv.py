@@ -470,13 +470,15 @@ def test_a_reset_reads_no_data_file(monkeypatch):
 @pytest.mark.parametrize("explicit", [False, True])
 def test_the_data_dir_setting_wins_over_the_environment_variable(tmp_path, monkeypatch,
                                                                  explicit):
+    # SCHEDTUNE_DATA_DIR in the environment overrides nothing.
     from_env, configured = tmp_path / "from_env", tmp_path / "configured"
-    shutil.copytree(data.data_dir(), from_env)
-    shutil.copytree(data.data_dir(), configured)
-    monkeypatch.setenv(data.DATA_DIR_ENV, str(from_env))
+    packaged = data.data_dir()
+    shutil.copytree(packaged, from_env)
+    shutil.copytree(packaged, configured)
+    monkeypatch.setenv("SCHEDTUNE_DATA_DIR", str(from_env))
     reads = _record_reads(monkeypatch)
     FaasTuningEnv(data_dir=str(configured) if explicit else None)
-    expected = configured if explicit else from_env
+    expected = configured if explicit else packaged
     assert sorted(reads) == [expected / name for name in DATA_FILES]
 
 
