@@ -370,20 +370,21 @@ class SacAgent:
     def load(cls, path, *, acting_only: bool = False) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
-        The header is checked in full before anything is allocated: its
-        keys (each once), its step counts (not negative), the payload dtype
+        The header is checked in full before anything is allocated: its keys
+        (only the six ``save`` writes, each once: any other is state this
+        build would drop), its step counts (not negative), the payload dtype
         against ``nn.DTYPE``, its ``arrays`` (``[name, [length]]`` entries)
         against :func:`checkpoint_layout` of its config, entry for entry in
         that order (the only one ``save`` writes), and the payload length
-        against the file size.  Then every payload byte is read in that
-        order and hashed as it arrives, and the digest is compared before
-        the agent is returned.  A full load reads each piece straight into
-        its place in a fresh arena.  With ``acting_only`` only the policy,
-        which comes first, is kept, in an arena of its own; every other
-        piece passes through one scratch buffer the size of the largest (a
-        critic), so it is hashed but not kept.  The agent then acts as a
-        full load does but cannot ``update`` or ``save``.  Either way its
-        rng starts from seed 0.
+        against the file size.  Then every payload byte is read in that order
+        and hashed as it arrives, and the digest is compared before the
+        agent is returned.  A full load reads each piece straight into its
+        place in a fresh arena.  With ``acting_only`` only the policy, which
+        comes first, is kept, in an arena of its own; every other piece
+        passes through one scratch buffer the size of the largest (a
+        critic), so it is hashed but not kept.  The agent then acts as a full
+        load does but cannot ``update`` or ``save``.  Either way its rng
+        starts from seed 0.
         """
         try:
             fh = open(path, "rb")
@@ -418,6 +419,9 @@ class SacAgent:
                     raise ValueError("negative step count: env_steps {}, grad_steps {}"
                                      .format(*counters))
                 digest, dtype = header["payload_sha256"], header["dtype"]
+                if extra := sorted(header.keys() - {"config", "arrays", "env_steps", "grad_steps",
+                                                    "payload_sha256", "dtype"}):
+                    raise ValueError(f"unknown key {extra[0]!r}")
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise CheckpointError(
                     f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc

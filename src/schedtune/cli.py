@@ -5,8 +5,8 @@ Subcommands:
   tune         tune weights on sampled scenarios with a baseline method
   train-agent  train the soft actor-critic tuner and save a checkpoint
   eval         tune scenarios with a trained agent checkpoint
-  compare      aggregate a trials table into per-method summaries
-  report       render summary, SVG chart and markdown from a trials table
+  report       summarize a trials table per method: a stdout table,
+               summary.csv, an SVG chart and report.md
 
 All scenario seeds derive from ``--seed``, so different methods invoked with
 the same seed tune exactly the same scenarios.
@@ -92,6 +92,16 @@ def _report_progress(index: int, total: int, rows: list[dict], seconds: float):
           file=sys.stderr, flush=True)
 
 
+def make_out_dir(out) -> Path:
+    """Create the directory ``out``, or fail with one ``error:`` line."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchedTuneError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
              checkpoint=None, jobs: int = 1) -> Path:
     if method == "agent" and checkpoint is None:
@@ -103,7 +113,7 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
     action_names = env.space.action_names
     # A table with other columns fails here, before any scenario is tuned.
     starts_new_table(path, trials_header(action_names))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_dir)
     # Every scenario runs in this one environment.  A pool pickles it into
     # each task before any reset, so it carries no episode.
     tasks = [(env, config.name, method, checkpoint, s)
@@ -138,9 +148,7 @@ def cmd_simulate(args) -> int:
     env = make_env(config)
     # Drawn before --out exists: a seed with no schedulable scenario fails first.
     scenario, _, result = env.draw_scenario(np.random.default_rng(args.seed))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "runrecords.csv"
+    path = make_out_dir(args.out) / "runrecords.csv"
     spec, digest = scenario.cluster_spec, scenario.digest()
     rps = dict((fn.name, r) for fn, r in scenario.workload.functions)
     append_rows(path, RUNRECORD_FIELDS, [{
@@ -185,8 +193,7 @@ def cmd_train_agent(args) -> int:
     agent = SacAgent(config.agent_config(vec.observation_dim, vec.action_dim),
                      seed=args.seed)
     buffer = ReplayBuffer(config.replay_capacity, vec.observation_dim, vec.action_dim)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     checkpoint = out_dir / "agent.ckpt"
 
     def report_eval(entry: dict):
@@ -221,19 +228,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _summarize_table(out_dir: Path):
-    """Summarize ``trials.csv`` into ``summary.csv``; every method must
-    cover the same scenarios."""
+def cmd_report(args) -> int:
+    config = _config_of(args) if args.config else None
+    out_dir = Path(args.out)
     rows = read_trials_csv(out_dir / "trials.csv")
     summaries = summarize_trials(rows)
+    # Every method must cover the same scenarios, or no file is written.
     require_paired(rows)
     write_summary_csv(out_dir / "summary.csv", summaries)
-    return summaries
-
-
-def cmd_compare(args) -> int:
-    out_dir = Path(args.out)
-    summaries = _summarize_table(out_dir)
+    (out_dir / CHART_FILENAME).write_text(render_score_chart(summaries),
+                                          encoding="utf-8")
+    markdown = render_report_md(
+        summaries, config_echo=None if config is None else config.to_dict())
+    (out_dir / "report.md").write_text(markdown, encoding="utf-8")
     width = max(len(s.method) for s in summaries)
     print(f"{'method'.ljust(width)}  scenarios  mean initial  mean best  "
           f"improvement  win rate")
@@ -241,20 +248,7 @@ def cmd_compare(args) -> int:
         print(f"{s.method.ljust(width)}  {s.n_scenarios:9d}  "
               f"{s.mean_reference:12.4f}  {s.mean_best:9.4f}  "
               f"{s.mean_improvement:+11.4f}  {s.win_rate:8.0%}")
-    print(f"summary written to {out_dir / 'summary.csv'}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    config = _config_of(args) if args.config else None
-    out_dir = Path(args.out)
-    summaries = _summarize_table(out_dir)
-    (out_dir / CHART_FILENAME).write_text(render_score_chart(summaries),
-                                          encoding="utf-8")
-    markdown = render_report_md(
-        summaries, config_echo=None if config is None else config.to_dict())
-    (out_dir / "report.md").write_text(markdown, encoding="utf-8")
-    print(f"report written to {out_dir / 'report.md'}")
+    print(f"summary.csv, {CHART_FILENAME} and report.md written to {out_dir}")
     return 0
 
 
@@ -301,11 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, jobs=True, checkpoint=True)
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("compare", help="summarize a trials table")
-    common(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("report", help="render summary, chart and markdown")
+    p = sub.add_parser("report", help="summarize a trials table per method")
     common(p)
     p.set_defaults(handler=cmd_report)
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .tunenv import EPS_REWARD
+from .tunenv import improvement
 
 CSV_SCHEMA_VERSION = 1
 
@@ -197,16 +197,14 @@ def summarize_trials(rows) -> list[MethodSummary]:
 
     summaries = []
     for method in sorted(per_method):
-        pairs = np.array(per_method[method])
-        reference, best = pairs[:, 0], pairs[:, 1]
-        improvement = (best - reference) / np.maximum(reference, EPS_REWARD)
+        reference, best = np.array(per_method[method]).T
         summaries.append(MethodSummary(
             experiment=experiment,
             method=method,
-            n_scenarios=len(pairs),
+            n_scenarios=len(best),
             mean_reference=float(reference.mean()),
             mean_best=float(best.mean()),
-            mean_improvement=float(improvement.mean()),
+            mean_improvement=float(improvement(best, reference).mean()),
             win_rate=float(np.mean(best > reference)),
         ))
     return summaries

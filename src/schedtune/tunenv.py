@@ -233,6 +233,12 @@ def sample_scenario(space: SpaceSet, mode: str, rng: np.random.Generator,
     )
 
 
+def improvement(best, r0):
+    """Relative gain of ``best`` over ``r0``, floats or arrays, with r0 floored
+    at ``EPS_REWARD``: the terminal reward and the summary's statistic."""
+    return (best - r0) / np.maximum(r0, EPS_REWARD)
+
+
 @dataclass
 class TuningEpisode:
     """Outcome of one tuning session: reference score plus the trials."""
@@ -252,7 +258,7 @@ class TuningEpisode:
     def improvement(self) -> float:
         if not self.trials:
             return 0.0
-        return (self.best_score - self.r0) / max(self.r0, EPS_REWARD)
+        return float(improvement(self.best_score, self.r0))
 
     def evaluations(self) -> tuple[np.ndarray, np.ndarray]:
         """Every evaluated point as a row and its score, the reference

@@ -686,6 +686,21 @@ def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
         SacAgent.load(path)
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"bogus": "x"}, "bogus"),
+    ({"adam_steps": {"opt_policy": 1000, "opt_critic": 0, "opt_alpha": 7}}, "adam_steps"),
+    ({"bogus": "x", "adam_steps": {"opt_policy": 3}}, "adam_steps"),
+], ids=["bogus", "v3-adam-steps", "both"])
+def test_checkpoint_rejects_an_unknown_header_key(tmp_path, extra, key):
+    # The header lies outside the payload digest, so a key this build does
+    # not read would be state dropped without a word.
+    path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), **extra)
+    with pytest.raises(CheckpointError,
+                       match=rf"malformed header: ValueError unknown key '{key}'") as info:
+        SacAgent.load(path)
+    assert len(str(info.value).splitlines()) == 1
+
+
 @pytest.mark.parametrize("key", ["env_steps", "grad_steps"])
 def test_checkpoint_rejects_a_negative_step_count(tmp_path, key):
     # Counts are never negative; at grad_steps -1 the next update's Adam

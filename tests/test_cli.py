@@ -43,15 +43,18 @@ def test_scenario_seeds_deterministic_and_distinct():
     assert first != scenario_seeds(8, 50)
 
 
-def test_tune_compare_report_round_trip(tmp_path, capsys):
+def test_tune_report_round_trip(tmp_path, capsys):
     config = write_config(tmp_path)
     out = str(tmp_path / "run")
     for method in ("fixed", "random"):
         assert main(["tune", "--config", config, "--seed", "5",
                      "--out", out, "--method", method]) == 0
-    assert main(["compare", "--out", out]) == 0
-    table = capsys.readouterr().out
-    assert "fixed" in table and "random" in table
+    capsys.readouterr()
+    assert main(["report", "--config", config, "--out", out]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["method", "scenarios", "mean", "initial", "mean",
+                                "best", "improvement", "win", "rate"]
+    assert [line.split()[0] for line in table[1:3]] == ["fixed", "random"]
 
     with open(tmp_path / "run" / "summary.csv", newline="") as fh:
         summaries = list(csv.DictReader(fh))
@@ -62,7 +65,6 @@ def test_tune_compare_report_round_trip(tmp_path, capsys):
     assert fixed["n_scenarios"] == random["n_scenarios"] == "3"
     assert float(fixed["mean_improvement"]) == 0.0
 
-    assert main(["report", "--config", config, "--out", out]) == 0
     report = (tmp_path / "run" / "report.md").read_text()
     assert "![score chart](scores.svg)" in report
     assert '"name": "cli-test"' in report
@@ -311,19 +313,20 @@ def _oversized_field(text):
 ], ids=["non-utf8", "csv-error", "nan-score", "inf-score", "negative-score", "huge-score",
         "short-row", "long-row", "underscore-score", "spaced-trial", "plus-trial",
         "plus-score", "non-ascii-seed", "padded-score"])
-def test_compare_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
-                                                              edit, message):
+def test_report_on_a_damaged_table_fails_with_one_error_line(tmp_path, capsys,
+                                                             edit, message):
     out = tmp_path / "run"
     assert main(["tune", "--config", write_config(tmp_path, n_scenarios=1),
                  "--out", str(out), "--method", "random"]) == 0
     table = out / "trials.csv"
     table.write_bytes(edit(table.read_text()))
     capsys.readouterr()
-    assert main(["compare", "--out", str(out)]) == 2
+    assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-    assert not (out / "summary.csv").exists()
+    for name in ("summary.csv", "report.md", "scores.svg"):
+        assert not (out / name).exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -496,6 +499,25 @@ def test_negative_seed_fails_with_one_error_line(tmp_path, capsys, command, extr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"env_kind": "faas", "duration_s": 5.0}),
+    ("tune", {}),
+    ("train-agent", {"mode": "train", "total_env_steps": 8, "num_envs": 1,
+                     "hidden": [8], "batch_size": 4}),
+], ids=["simulate", "tune", "train-agent"])
+def test_an_out_below_a_file_fails_with_one_error_line(tmp_path, capsys, command,
+                                                        overrides):
+    # mkdir raises NotADirectoryError, an OSError, not a SchedTuneError.
+    config = write_config(tmp_path, **overrides)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    out = blocker / "x"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def _array_offset(raw, name):
     """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
     header_len = struct.unpack("<Q", raw[8:16])[0]
@@ -607,14 +629,13 @@ def test_bad_config_fails_cleanly(tmp_path, capsys):
     assert "n_scenarios" in capsys.readouterr().err
 
 
-def test_compare_without_trials_fails_cleanly(tmp_path, capsys):
-    code = main(["compare", "--out", str(tmp_path / "empty")])
+def test_report_without_trials_fails_cleanly(tmp_path, capsys):
+    code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["compare", "report"])
-def test_unpaired_methods_fail_with_one_error_line(tmp_path, capsys, command):
+def test_unpaired_methods_fail_with_one_error_line(tmp_path, capsys):
     config = write_config(tmp_path, n_scenarios=2)
     out = str(tmp_path / "run")
     assert main(["tune", "--config", config, "--seed", "1",
@@ -622,11 +643,20 @@ def test_unpaired_methods_fail_with_one_error_line(tmp_path, capsys, command):
     assert main(["tune", "--config", config, "--seed", "2",
                  "--out", out, "--method", "fixed"]) == 0
     capsys.readouterr()
-    assert main([command, "--out", out]) == 2
+    assert main(["report", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "fixed" in err and "random" in err
-    assert not (tmp_path / "run" / "summary.csv").exists()
+    for name in ("summary.csv", "report.md", "scores.svg"):
+        assert not (tmp_path / "run" / name).exists()
+
+
+def test_compare_is_not_a_command(tmp_path, capsys):
+    # report prints the per-method table; there is no second summary command.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected_by_parser(tmp_path, capsys):

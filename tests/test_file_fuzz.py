@@ -8,8 +8,8 @@ data files, so no example can start a large run.  Each config example
 damages a full config and only loads it, so no mutation can start a run at
 all: it must load, or fail with a ``ConfigError`` (``main`` prints any
 ``ConfigError`` as one line).  Each table example damages a small
-``trials.csv`` of two methods and runs ``compare`` and ``report`` on it:
-each must exit 0, or exit 2 with exactly one ``error:`` line.
+``trials.csv`` of two methods and runs ``report`` on it: it must exit 0, or
+exit 2 with exactly one ``error:`` line.
 """
 import contextlib
 import csv
@@ -214,24 +214,24 @@ def cell_edited(raw: bytes, edit: str, row: int, column: int, token: str) -> byt
     return out.getvalue().encode()
 
 
-def run_table_commands(work, raw: bytes) -> None:
-    """``compare`` and ``report`` on the trials table ``raw``: each exits 0,
-    or exits 2 with one ``error:`` line."""
+def run_report(work, raw: bytes) -> None:
+    """``report`` on the trials table ``raw``: it exits 0, or exits 2 with
+    one ``error:`` line and writes nothing."""
     out = work / "table-run"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
     (out / "trials.csv").write_bytes(raw)
-    for command in ("compare", "report"):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            status = main([command, "--out", str(out)])
-        assert status in (0, 2)
-        if status == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(["report", "--out", str(out)])
+    assert status in (0, 2)
+    if status == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["trials.csv"]
 
 
-def test_the_undamaged_table_compares_and_reports(work, table):
-    run_table_commands(work, table)
+def test_the_undamaged_table_reports(work, table):
+    run_report(work, table)
     assert (work / "table-run" / "report.md").exists()
 
 
@@ -240,7 +240,7 @@ def test_the_undamaged_table_compares_and_reports(work, table):
        mask=st.integers(1, 255))
 def test_a_damaged_table_exits_0_or_fails_with_one_error_line(work, table, edit, offset,
                                                               mask):
-    run_table_commands(work, damaged(table, edit, offset, mask))
+    run_report(work, damaged(table, edit, offset, mask))
 
 
 @FUZZ
@@ -252,4 +252,4 @@ def test_a_damaged_table_exits_0_or_fails_with_one_error_line(work, table, edit,
 @example(edit="replace", row=1, column=6, token="-1e308")
 def test_an_edited_table_exits_0_or_fails_with_one_error_line(work, table, edit, row, column,
                                                              token):
-    run_table_commands(work, cell_edited(table, edit, row, column, token))
+    run_report(work, cell_edited(table, edit, row, column, token))

@@ -182,6 +182,25 @@ def test_summarize_improvement_floors_tiny_reference():
     assert summary.mean_improvement == pytest.approx(1e-7 / 1e-6)
 
 
+@pytest.mark.parametrize("cases", [
+    [(0.0, [0.3, 0.1])],
+    [(0.8, [0.6, 0.7])],
+    [(0.5, [0.5, 0.2])],
+    [(0.0, [0.3]), (0.8, [0.6, 0.7]), (0.5, [0.5]), (0.25, [0.9, 0.4]),
+     (1e-7, [2e-7])],
+], ids=["zero-r0", "best-below-r0", "best-equals-r0", "mixed"])
+def test_summary_improvement_is_the_mean_terminal_reward(tmp_path, cases):
+    # The reward the agent trains on and the statistic summary.csv reports
+    # are one formula; through the written table they agree bit for bit.
+    episodes = [episode_of(r0, scores, digest=f"{i:012x}")
+                for i, (r0, scores) in enumerate(cases)]
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, [row for i, ep in enumerate(episodes)
+                            for row in trial_rows("exp", "bo", i, ep, NAMES)], NAMES)
+    (summary,) = summarize_trials(read_trials_csv(path))
+    assert summary.mean_improvement == np.mean([ep.improvement for ep in episodes])
+
+
 def test_summary_csv_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
     summaries = [MethodSummary("exp", "bo", 3, 0.45, 0.6, 0.333333, 2 / 3)]
