@@ -6,6 +6,11 @@ unit box via (a + 1) / 2.  Temperature is learned against the target
 entropy -|A|, the negated action dimension (Haarnoja et al., arXiv:1812.05905).
 All learning math is explicit numpy; gradients flow through the critics'
 action inputs for the actor update, so no autodiff framework is needed.
+The twin critics' work in an update comes in pairs that do not depend on
+each other; each pair goes through :func:`nn.both`, which runs its halves
+on two cores where BLAS runs one thread per call (:func:`nn.helper_thread`).
+Either way every float operation and every random draw is the same, in the
+same order.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ import numpy as np
 
 from . import nn
 from .data import unique_keys
-from .errors import CheckpointError, ConfigError
-from .nn import Adam, Mlp, polyak_update
+from .errors import CheckpointError, ConfigError, writing
+from .nn import Adam, Mlp, both, helper_thread, polyak_update
 from .tunenv import TuningEnv, TuningEpisode, VectorEnv
 
 LOG_STD_MIN = -20.0
@@ -246,28 +251,32 @@ class SacAgent:
         """Entropy-regularized TD targets from the frozen twin critics."""
         next_a, next_logp = self.sample_action(next_obs)
         next_in = np.concatenate([next_obs, next_a], axis=1)
-        qt = np.minimum(self.q1_target.forward(next_in)[:, 0],
-                        self.q2_target.forward(next_in)[:, 0])
+        qt = np.minimum(*both(lambda: self.q1_target.forward(next_in)[:, 0],
+                              lambda: self.q2_target.forward(next_in)[:, 0]))
         return rew + self.config.gamma * (1.0 - done) * (qt - self.alpha * next_logp)
 
     def critic_gradients(self, obs, act, target) -> float:
         """Write gradients of the summed twin MSE losses; return loss."""
         n = len(obs)
         critic_in = np.concatenate([obs, act], axis=1)
-        q1_pred = self.q1.forward(critic_in)[:, 0]
-        self.q1.backward((2.0 * (q1_pred - target) / n)[:, None])
-        q2_pred = self.q2.forward(critic_in)[:, 0]
-        self.q2.backward((2.0 * (q2_pred - target) / n)[:, None])
+
+        def fit(q: Mlp) -> np.ndarray:
+            pred = q.forward(critic_in)[:, 0]
+            q.backward((2.0 * (pred - target) / n)[:, None])
+            return pred
+
+        q1_pred, q2_pred = both(lambda: fit(self.q1), lambda: fit(self.q2))
         return float(np.mean((q1_pred - target) ** 2)
                      + np.mean((q2_pred - target) ** 2))
 
-    def actor_gradients(self, obs, eps) -> tuple[float, np.ndarray]:
+    def actor_gradients(self, obs, eps, alongside=lambda: None) -> tuple[float, np.ndarray]:
         """Write policy gradients of mean(alpha * logp - min_q).
 
         ``eps`` is the fixed reparameterization noise.  Gradients reach the
         policy directly through the entropy terms and through the critics'
         action inputs; the critics' backward passes are input-only, so their
-        gradient buffers are left as they were.
+        gradient buffers are left as they were.  ``alongside`` runs beside
+        the policy's backward pass, through :func:`nn.both`.
         """
         n = len(obs)
         alpha = self.alpha
@@ -275,12 +284,13 @@ class SacAgent:
         std, a_new, one_minus_sq, logp = _squash(mean, log_std, eps)
 
         actor_in = np.concatenate([obs, a_new], axis=1)
-        q1_new = self.q1.forward(actor_in)[:, 0]
-        q2_new = self.q2.forward(actor_in)[:, 0]
+        q1_new, q2_new = both(lambda: self.q1.forward(actor_in)[:, 0],
+                              lambda: self.q2.forward(actor_in)[:, 0])
         use_q1 = (q1_new <= q2_new).astype(self.dtype)
         q_min = np.where(use_q1 > 0, q1_new, q2_new)
-        gin1 = self.q1.backward((-use_q1 / n)[:, None], input_only=True)
-        gin2 = self.q2.backward((-(1.0 - use_q1) / n)[:, None], input_only=True)
+        gin1, gin2 = both(
+            lambda: self.q1.backward((-use_q1 / n)[:, None], input_only=True),
+            lambda: self.q2.backward((-(1.0 - use_q1) / n)[:, None], input_only=True))
         # d(loss)/d(action), already scaled by -1/n through the output grads.
         dq_da = (gin1 + gin2)[:, self.config.obs_dim:]
 
@@ -290,7 +300,8 @@ class SacAgent:
         d_log_std = -(alpha / n) * np.ones_like(log_std) + d_u * std * eps
         clamp_mask = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
         d_raw = d_log_std * clamp_mask
-        self.policy.backward(np.concatenate([d_mean, d_raw], axis=1))
+        grad_out = np.concatenate([d_mean, d_raw], axis=1)
+        both(alongside, lambda: self.policy.backward(grad_out))
         loss = float(np.mean(alpha * logp - q_min))
         return loss, logp
 
@@ -301,21 +312,25 @@ class SacAgent:
         cfg = self.config
         self.grad_steps += 1   # the step number all three optimizers take
 
-        target = self.critic_targets(rew, next_obs, done)
-        critic_loss = self.critic_gradients(obs, act, target)
-        self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat], self.grad_steps)
+        def track_critics():
+            polyak_update(self.q1_target, self.q1, cfg.tau)
+            polyak_update(self.q2_target, self.q2, cfg.tau)
 
-        eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
-        actor_loss, logp = self.actor_gradients(obs, eps)
+        with helper_thread():   # joined before the policy's Adam step
+            target = self.critic_targets(rew, next_obs, done)
+            critic_loss = self.critic_gradients(obs, act, target)
+            self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat], self.grad_steps)
+            # The next update is the first to read the targets, so they
+            # move beside the policy's backward pass, which touches no
+            # critic array.
+            eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
+            actor_loss, logp = self.actor_gradients(obs, eps, alongside=track_critics)
         self.opt_policy.step([self.policy.grad_flat], self.grad_steps)
 
         # Temperature: loss -log_alpha * mean(logp + target entropy -act_dim).
         entropy_gap = float(np.mean(logp) - cfg.act_dim)
         self.opt_alpha.step([np.array([-entropy_gap], self.dtype)], self.grad_steps)
         alpha_loss = float(-self.log_alpha[0] * entropy_gap)
-
-        polyak_update(self.q1_target, self.q1, cfg.tau)
-        polyak_update(self.q2_target, self.q2, cfg.tau)
         return {
             "critic_loss": critic_loss,
             "actor_loss": actor_loss,
@@ -478,7 +493,7 @@ LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",
 
 def _write_log_row(path, mode: str, row) -> None:
     """Write one CSV row and close the file, so the row is on disk."""
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+    with writing(path), open(path, mode, newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(row)
 
 
@@ -491,8 +506,8 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
     """Standard off-policy loop: uniform warm-up actions until
     ``start_steps``, then one gradient step per environment step.  Every
     ``log_every`` environment steps a row goes to ``log_path`` and a
-    progress line to stderr (env steps, elapsed seconds, env steps per
-    second and the row's mean terminal reward); every
+    progress line to stderr (env steps, elapsed seconds, env steps and
+    gradient steps per second, and the row's mean terminal reward); every
     ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env`` and
     the evaluation entry goes to ``on_eval``.  Transitions go to ``buffer``,
     by default a fresh one of the agent's ``replay_capacity``."""
@@ -510,7 +525,11 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
     next_eval = eval_every
     if log_path is not None:
         _write_log_row(log_path, "w", LOG_COLUMNS)
-    start, first_step = time.perf_counter(), agent.env_steps
+    start, first_step, first_update = time.perf_counter(), agent.env_steps, agent.grad_steps
+
+    def save():
+        with writing(checkpoint_path):
+            agent.save(checkpoint_path)
 
     while agent.env_steps < total_env_steps:
         if agent.env_steps < cfg.start_steps:
@@ -542,7 +561,8 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
             elapsed = time.perf_counter() - start
             print(f"[train] {agent.env_steps}/{total_env_steps} env steps: "
                   f"{elapsed:.2f} s, {(agent.env_steps - first_step) / elapsed:.1f} "
-                  f"env steps/s, mean terminal reward "
+                  f"env steps/s, {(agent.grad_steps - first_update) / elapsed:.1f} "
+                  f"updates/s, mean terminal reward "
                   f"{entry['mean_terminal_reward']:+.4f}", file=sys.stderr, flush=True)
 
         if eval_every and agent.env_steps >= next_eval:
@@ -556,7 +576,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
             if on_eval is not None:
                 on_eval(entry)
             if checkpoint_path is not None:
-                agent.save(checkpoint_path)
+                save()
 
     if checkpoint_path is not None:
-        agent.save(checkpoint_path)
+        save()

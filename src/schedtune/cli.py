@@ -18,6 +18,7 @@ import copy
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from .agent import ReplayBuffer, SacAgent, evaluate_policy, train_agent
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, SchedTuneError
+from .errors import ConfigError, SchedTuneError, writing
 from .optimizers import OPTIMIZERS, run_tuning
 from .report import (
     CHART_FILENAME,
@@ -95,10 +96,8 @@ def _report_progress(index: int, total: int, rows: list[dict], seconds: float):
 def make_out_dir(out) -> Path:
     """Create the directory ``out``, or fail with one ``error:`` line."""
     out_dir = Path(out)
-    try:
+    with writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SchedTuneError(f"cannot write {out_dir}: {exc}") from exc
     return out_dir
 
 
@@ -126,12 +125,14 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         else:
             results = (_tune_worker(t) for t in tasks)
         for index, task in enumerate(tasks, start=1):
-            # Results arrive in task order, so a failure is this task's.
+            # Results arrive in task order, so a failure is this task's.  A
+            # dead worker breaks the pool, failing this and every later task.
             try:
                 rows, seconds = next(results)
-            except SchedTuneError as exc:
+            except (SchedTuneError, BrokenProcessPool) as exc:
+                reason = "worker process died" if isinstance(exc, BrokenProcessPool) else exc
                 raise SchedTuneError(f"scenario {index} of {len(tasks)} "
-                                     f"(seed {task[-1]}): {exc}") from exc
+                                     f"(seed {task[-1]}): {reason}") from exc
             _report_progress(index, len(tasks), rows, seconds)
             all_rows.extend(rows)
     write_trials_csv(path, all_rows, action_names)
@@ -236,11 +237,12 @@ def cmd_report(args) -> int:
     # Every method must cover the same scenarios, or no file is written.
     require_paired(rows)
     write_summary_csv(out_dir / "summary.csv", summaries)
-    (out_dir / CHART_FILENAME).write_text(render_score_chart(summaries),
-                                          encoding="utf-8")
     markdown = render_report_md(
         summaries, config_echo=None if config is None else config.to_dict())
-    (out_dir / "report.md").write_text(markdown, encoding="utf-8")
+    for name, text in ((CHART_FILENAME, render_score_chart(summaries)),
+                       ("report.md", markdown)):
+        with writing(out_dir / name):
+            (out_dir / name).write_text(text, encoding="utf-8")
     width = max(len(s.method) for s in summaries)
     print(f"{'method'.ljust(width)}  scenarios  mean initial  mean best  "
           f"improvement  win rate")

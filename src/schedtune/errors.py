@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import contextlib
 
 
 class SchedTuneError(Exception):
@@ -23,3 +24,13 @@ class ProtocolError(SchedTuneError):
 
 class CheckpointError(SchedTuneError):
     """Corrupt, truncated or incompatible agent checkpoint."""
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Turn an ``OSError`` in the block, which writes ``path``, into the
+    one-line error ``cannot write <path>: …``."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchedTuneError(f"cannot write {path}: {exc}") from exc

@@ -7,13 +7,19 @@ action), which ``Mlp.backward``'s input-only mode returns directly.
 Parameters, gradients and Adam moments hold ``DTYPE``, float32 as in common
 SAC implementations; inputs of any float type are cast to it.  ``Mlp`` and
 ``Adam`` keep them in zero-filled buffers the caller hands in, such as the
-pieces of one :func:`arena`.
+pieces of one :func:`arena`.  :func:`both` runs two independent jobs, such
+as the twin critics' halves of an update, on two cores where that pays:
+inside a :func:`helper_thread` block, when ``TWO_THREADS`` holds.
 """
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import mmap
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -25,6 +31,85 @@ DTYPE = np.float32
 # scratch small enough to stay in cache.
 CHUNK = 1 << 16
 HUGE_PAGE = 2 << 20   # bytes in an x86-64 or arm64 transparent huge page
+
+
+def two_threads_help() -> bool:
+    """Whether :func:`helper_thread` should start a helper: when BLAS
+    runs one thread per call and the process may run on two CPUs or more.
+    BLAS counts as single-threaded when ``OPENBLAS_NUM_THREADS`` is 1 or,
+    if that is unset, ``OMP_NUM_THREADS`` is 1, OpenBLAS's own order of
+    precedence.  A BLAS free to spread each product over the cores is only
+    slowed by a second caller: the two oversubscribe the cores."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:   # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return threads.strip() == "1" and cpus >= 2
+
+
+# Decided once, as BLAS reads its thread count once when numpy loads it.
+TWO_THREADS = two_threads_help()
+
+
+# The job and result queues of the helper thread that ``both`` hands its
+# first job to, in the block of :func:`helper_thread` that started it.
+_HELPER: contextvars.ContextVar = contextvars.ContextVar("helper", default=None)
+
+
+@contextlib.contextmanager
+def helper_thread():
+    """A block in which :func:`both` runs its first job on one helper
+    thread, started here when ``TWO_THREADS`` holds.  Leaving the block,
+    normally or by an error, stops the helper and joins it, so no thread
+    outlives the block.  One thread serves every pair in the block: a
+    thread started per pair costs more, and glibc may give each new thread
+    a malloc arena of its own, which keeps its memory."""
+    if not TWO_THREADS:
+        yield
+        return
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        for job in iter(jobs.get, None):
+            try:
+                results.put((job(), None))
+            except BaseException as exc:   # handed to the caller by both()
+                results.put((None, exc))
+
+    helper = threading.Thread(target=serve, name="schedtune-helper")
+    helper.start()
+    token = _HELPER.set((jobs, results))
+    try:
+        yield
+    finally:
+        _HELPER.reset(token)
+        jobs.put(None)
+        helper.join()
+
+
+def both(f, g) -> tuple:
+    """``(f(), g())``.  Inside :func:`helper_thread` with the helper
+    running, ``f`` runs on the helper while ``g`` runs on the caller's
+    thread; numpy lets go of the GIL inside BLAS, so the two products share
+    out the cores.  ``f`` has finished before ``both`` returns or raises,
+    and an error from ``f`` is raised in preference to one from ``g``, as
+    it would be inline.  Otherwise, and for a ``both`` inside ``g``, ``f``
+    runs, then ``g``, on the caller's thread."""
+    pair = _HELPER.get()
+    if pair is None:
+        return f(), g()
+    jobs, results = pair
+    jobs.put(f)
+    token = _HELPER.set(None)
+    try:
+        second = g()
+    finally:
+        _HELPER.reset(token)
+        first, error = results.get()
+        if error is not None:
+            raise error
+    return first, second
 
 
 def arena(*groups) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -165,7 +250,9 @@ class Adam:
     """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
     say), updated in place.  The moments ``m`` and ``v`` are the caller's
     zero-filled arrays, one per parameter with its shape and dtype, and so
-    is the step count, which each :meth:`step` is given."""
+    is the step count, which each :meth:`step` is given.  Each parameter
+    has scratch of its own, so that the two of a pair step on two threads
+    (:func:`both`)."""
 
     def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
                  v: list[np.ndarray], lr: float = 3e-4):
@@ -175,8 +262,7 @@ class Adam:
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params, self.m, self.v = list(params), list(m), list(v)
         self.lr = lr
-        width = min(CHUNK, max((p.size for p in params), default=0))
-        self._scratch = np.empty((2, width), self.m[0].dtype if params else DTYPE)
+        self._scratch = [np.empty((2, min(CHUNK, m.size)), m.dtype) for m in self.m]
 
     def step(self, grads: list[np.ndarray], t: int) -> None:
         """Take step number ``t``, counted from 1 by the caller.  Per
@@ -187,21 +273,31 @@ class Adam:
         if len(grads) != len(self.params) or any(
                 g.shape != p.shape for g, p in zip(grads, self.params)):
             raise ConfigError("gradients do not match the parameters")
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
+        if len(grads) == 2:   # a pair, such as the twin critics
+            both(lambda: self._step_one(0, grads[0], bias1, bias2),
+                 lambda: self._step_one(1, grads[1], bias1, bias2))
+        else:
+            for k, g in enumerate(grads):
+                self._step_one(k, g, bias1, bias2)
+
+    def _step_one(self, k: int, g: np.ndarray, bias1: float, bias2: float) -> None:
+        """Step parameter ``k`` with gradient ``g``, in place, in ``CHUNK``
+        slices through its own scratch."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        bias1 = 1.0 - b1**t
-        bias2 = 1.0 - b2**t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            for lo in range(0, p.size, CHUNK):
-                part = slice(lo, lo + CHUNK)
-                pc, gc, mc, vc = p[part], g[part], m[part], v[part]
-                num, den = (s[:pc.size] for s in self._scratch)
-                mc *= b1
-                mc += np.multiply(gc, 1.0 - b1, out=num)
-                vc *= b2
-                np.multiply(gc, 1.0 - b2, out=num)
-                vc += np.multiply(num, gc, out=num)
-                np.sqrt(np.divide(vc, bias2, out=den), out=den)
-                den += ADAM_EPS
-                np.divide(mc, bias1, out=num)
-                num *= self.lr
-                pc -= np.divide(num, den, out=num)
+        p, m, v = self.params[k], self.m[k], self.v[k]
+        for lo in range(0, p.size, CHUNK):
+            part = slice(lo, lo + CHUNK)
+            pc, gc, mc, vc = p[part], g[part], m[part], v[part]
+            num, den = (s[:pc.size] for s in self._scratch[k])
+            mc *= b1
+            mc += np.multiply(gc, 1.0 - b1, out=num)
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=num)
+            vc += np.multiply(num, gc, out=num)
+            np.sqrt(np.divide(vc, bias2, out=den), out=den)
+            den += ADAM_EPS
+            np.divide(mc, bias1, out=num)
+            num *= self.lr
+            pc -= np.divide(num, den, out=num)

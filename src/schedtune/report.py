@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, writing
 from .tunenv import improvement
 
 CSV_SCHEMA_VERSION = 1
@@ -73,7 +73,7 @@ def append_rows(path, header, rows) -> None:
     """Append the dicts ``rows`` to the CSV table ``path`` under ``header``,
     which a missing or empty file gets first (see :func:`starts_new_table`)."""
     new_file = starts_new_table(path, header)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
+    with writing(path), open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         if new_file:
             writer.writeheader()
@@ -211,7 +211,7 @@ def summarize_trials(rows) -> list[MethodSummary]:
 
 
 def write_summary_csv(path, summaries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
         writer.writeheader()
         for s in summaries:

@@ -7,12 +7,15 @@ import math
 import mmap
 import os
 import struct
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from schedtune import agent as agent_module
+from schedtune import nn
 from schedtune.agent import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -287,6 +290,54 @@ def test_critic_descends_on_fixed_regression_target():
         last = agent.critic_gradients(obs, act, target)
         agent.opt_critic.step([agent.q1.grad_flat, agent.q2.grad_flat], t)
     assert last < 0.1 * first
+
+
+def _sac_batches(seed, cfg):
+    data = np.random.default_rng(seed)
+    n, obs_dim, act_dim = cfg.batch_size, cfg.obs_dim, cfg.act_dim
+    while True:
+        yield (data.normal(size=(n, obs_dim)), np.tanh(data.normal(size=(n, act_dim))),
+               data.uniform(size=n), data.normal(size=(n, obs_dim)),
+               (data.uniform(size=n) < 0.2).astype(float))
+
+
+@pytest.mark.parametrize("hidden, batch_size, steps", [
+    ((64, 64), 32, 6), (SacConfig(1, 1).hidden, 256, 1)], ids=["64x64", "default"])
+def test_threaded_and_inline_updates_are_bit_identical(monkeypatch, hidden, batch_size,
+                                                       steps):
+    cfg = SacConfig(obs_dim=20, act_dim=8, hidden=hidden, batch_size=batch_size,
+                    replay_capacity=batch_size, start_steps=0)
+    runs, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch often, so that a shared write would show
+    try:
+        for threaded in (False, True):
+            monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+            agent, data = SacAgent(cfg, seed=41), _sac_batches(42, cfg)
+            before = threading.active_count()
+            stats = [repr(agent.update(next(data))) for _ in range(steps)]
+            assert threading.active_count() == before
+            # The arena holds every stored piece and the gradients.
+            runs.append((agent.arena.tobytes(), stats, agent.rng.bit_generator.state))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("half", ["q1_target", "q2_target", "q1", "q2"])
+def test_an_error_in_a_critic_half_leaves_no_thread(monkeypatch, threaded, half):
+    # q1's half of each pair runs on the helper thread, q2's on the caller's.
+    monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+    agent = tiny_agent(seed=43)
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError(f"{half} failed")
+
+    monkeypatch.setattr(getattr(agent, half), "forward", fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"{half} failed"):
+        agent.update(next(_sac_batches(44, agent.config)))
+    assert threading.active_count() == before
 
 
 def test_target_networks_track_with_tau_one():

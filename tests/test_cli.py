@@ -1,14 +1,18 @@
 """Command line behavior, driven through main()."""
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import asdict
 
 import pytest
 
+from schedtune import agent as agent_module
+from schedtune import cli
 from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig, checkpoint_layout
 from schedtune.cli import main, make_env, scenario_seeds
 from schedtune.config import load_config
@@ -257,11 +261,15 @@ def test_train_agent_prints_one_progress_line_per_log_row(tmp_path, capsys):
     assert len(lines) == len(rows) == 6
     for line, row in zip(lines, rows):
         match = re.fullmatch(r"\[train\] (\d+)/120 env steps: (\d+\.\d{2}) s, "
-                             r"(\d+\.\d) env steps/s, mean terminal reward "
-                             r"([+-]\d+\.\d{4})", line)
+                             r"(\d+\.\d) env steps/s, (\d+\.\d) updates/s, "
+                             r"mean terminal reward ([+-]\d+\.\d{4})", line)
         assert match, line
         assert match[1] == row["env_steps"]
-        assert float(match[4]) == round(float(row["mean_terminal_reward"]), 4)
+        assert float(match[5]) == round(float(row["mean_terminal_reward"]), 4)
+        # One update per env step from the 40th on: 2 per vector step of 2 envs.
+        env_rate, update_rate = float(match[3]), float(match[4])
+        updates = max(int(match[1]) - 40 + 2, 0)
+        assert update_rate == pytest.approx(env_rate * updates / int(match[1]), abs=0.11)
 
 
 def test_train_agent_with_evaluation_but_no_seeds_fails(tmp_path, capsys):
@@ -516,6 +524,74 @@ def test_an_out_below_a_file_fails_with_one_error_line(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert blocker.read_text() == "not a directory\n"
+
+
+# A tiny synthetic run of each command that writes files into --out.
+_TRAIN = {"mode": "train", "total_env_steps": 16, "start_steps": 8, "num_envs": 2,
+          "hidden": [8], "batch_size": 4, "replay_capacity": 64, "log_every": 8}
+_SIMULATE = {"env_kind": "faas", "duration_s": 5.0}
+
+
+@pytest.mark.parametrize("command, overrides, name", [
+    ("simulate", _SIMULATE, "runrecords.csv"),
+    ("tune", {}, "trials.csv"),
+    ("train-agent", _TRAIN, "train_log.csv"),
+    ("train-agent", _TRAIN, "agent.ckpt"),
+    ("report", {}, "summary.csv"),
+    ("report", {}, "scores.svg"),
+    ("report", {}, "report.md"),
+])
+def test_an_output_that_cannot_be_written_fails_with_one_error_line(
+        tmp_path, capsys, command, overrides, name):
+    # A directory where the file goes: opening it, or replacing it with the
+    # checkpoint's temporary file, raises IsADirectoryError, an OSError.
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    if command == "report":
+        assert main(["tune", "--config", config, "--out", str(out)]) == 0
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"error: cannot write {out / name}: ")
+    assert (out / name).is_dir() and not list((out / name).iterdir())
+    assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+def test_a_disk_that_fills_during_the_checkpoint_fails_with_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    real_open = open
+
+    class DiskFull(io.FileIO):
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return DiskFull(file, mode) if "wb" in mode else real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(agent_module, "open", failing_open, raising=False)
+    config = write_config(tmp_path, **_TRAIN)
+    out = tmp_path / "run"
+    assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"error: cannot write {out / 'agent.ckpt'}: "
+                       f"[Errno 28] No space left on device")
+    assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
+
+
+def _die(task):
+    os._exit(1)   # as the kernel's out-of-memory killer would end a worker
+
+
+def test_a_dead_worker_fails_tune_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_tune_worker", _die)
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", config, "--seed", "4", "--jobs", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: scenario 1 of 3 (seed "
+                                       f"{scenario_seeds(4, 3)[0]}): worker process died\n")
+    assert not (out / "trials.csv").exists()
 
 
 def _array_offset(raw, name):

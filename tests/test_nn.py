@@ -4,12 +4,16 @@ The finite-difference and oracle checks build float64 networks
 (``float64_nets``); the rest run in the package's own dtype.
 """
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from schedtune import nn
 from schedtune.errors import ConfigError
-from schedtune.nn import Adam, polyak_update
+from schedtune.nn import Adam, both, polyak_update
 from tests.conftest import make_mlp
 from tests.sac_oracle import Mlp as OracleMlp
 
@@ -274,3 +278,123 @@ def test_adam_rejects_mismatched_gradient_shape():
         opt.step([np.zeros(1)], 2)
     after = (opt.params[0], opt.m[0], opt.v[0])
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_both_runs_f_on_the_helper_and_leaves_no_thread(monkeypatch, threaded):
+    monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+    before, me = threading.active_count(), threading.get_ident()
+    assert both(threading.get_ident, threading.get_ident) == (me, me)
+    with nn.helper_thread():
+        assert threading.active_count() == before + threaded
+        for _ in range(3):   # one helper serves every pair in the block
+            first, second = both(threading.get_ident, threading.get_ident)
+            assert (first != me) == threaded and second == me
+        # A pair inside g runs inline: the helper is busy with f.
+        _, inner = both(threading.get_ident,
+                        lambda: both(threading.get_ident, threading.get_ident))
+        assert inner == (me, me)
+    assert threading.active_count() == before
+
+
+class Boom(Exception):
+    pass
+
+
+def _boom():
+    raise Boom("half")
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("failing", ["f", "g", "both"])
+def test_an_error_in_either_half_reaches_the_caller_after_f_ends(
+        monkeypatch, threaded, failing):
+    monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+    before, finished = threading.active_count(), []
+
+    def slow():   # still running when the other half fails
+        time.sleep(0.05)
+        finished.append(threading.get_ident())
+
+    f = _boom if failing in ("f", "both") else slow
+    g = _boom if failing in ("g", "both") else slow
+    with nn.helper_thread():
+        with pytest.raises(Boom):
+            both(f, g)
+        # Inline, f's error stops g from starting; threaded, f has ended
+        # before g's error is raised.
+        assert len(finished) == (failing == "g" or (threaded and failing == "f"))
+        assert both(lambda: 1, lambda: 2) == (1, 2)   # the helper still serves
+    assert threading.active_count() == before
+
+
+def test_f_wins_when_both_halves_fail(monkeypatch):
+    monkeypatch.setattr(nn, "TWO_THREADS", True)
+
+    def g():
+        raise KeyError("g")
+
+    with nn.helper_thread(), pytest.raises(Boom) as info:
+        both(_boom, g)
+    assert isinstance(info.value.__context__, KeyError)
+
+
+def test_an_error_in_the_block_joins_the_helper(monkeypatch):
+    monkeypatch.setattr(nn, "TWO_THREADS", True)
+    before = threading.active_count()
+    with pytest.raises(Boom), nn.helper_thread():
+        assert threading.active_count() == before + 1
+        _boom()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    # OpenBLAS reads its own variable first.
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, False),
+    ({}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+], ids=["openblas", "openblas-8-cpus", "omp", "openblas-first", "omp-ignored",
+        "openblas-4", "unset", "one-cpu"])
+def test_two_threads_only_where_blas_runs_one_per_call_on_two_cpus(
+        monkeypatch, env, cpus, expected):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    # The affinity mask counts, not the machine's CPU count.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert nn.two_threads_help() is expected
+
+
+def test_two_threads_count_cpus_where_there_is_no_affinity_mask(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, expected in ((1, False), (None, False), (2, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert nn.two_threads_help() is expected
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_pair_of_parameters_steps_as_two_single_ones(monkeypatch, threaded):
+    monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+    monkeypatch.setattr(nn, "CHUNK", 7)   # several chunks and a partial last one
+    rng = np.random.default_rng(11)
+    start = [rng.normal(size=n) for n in (30, 17)]
+    grads = [[rng.normal(size=p.size) for p in start] for _ in range(3)]
+    pair = [p.copy() for p in start]
+    singles = [p.copy() for p in start]
+    opt_pair = adam(pair)
+    opt_singles = [adam([p]) for p in singles]
+    for t, g in enumerate(grads, start=1):
+        opt_pair.step(g, t)
+        for opt, gk in zip(opt_singles, g):
+            opt.step([gk], t)
+    for a, b in zip(pair + opt_pair.m + opt_pair.v,
+                    singles + [o.m[0] for o in opt_singles] + [o.v[0] for o in opt_singles]):
+        assert a.tobytes() == b.tobytes()
