@@ -7,10 +7,12 @@ entropy -|A|, the negated action dimension (Haarnoja et al., arXiv:1812.05905).
 All learning math is explicit numpy; gradients flow through the critics'
 action inputs for the actor update, so no autodiff framework is needed.
 The twin critics' work in an update comes in pairs that do not depend on
-each other; each pair goes through :func:`nn.both`, which runs its halves
-on two cores where BLAS runs one thread per call (:func:`nn.helper_thread`).
-Either way every float operation and every random draw is the same, in the
-same order.
+each other, from the target forwards to the Polyak updates; each pair goes
+through :func:`nn.both`, which runs its halves on two cores where BLAS runs
+one thread per call (:func:`nn.helper_thread`).  Either way every float
+operation and every random draw is the same, in the same order.
+:func:`train_agent` writes the training log and the checkpoint into one
+output directory.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import struct
 import sys
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -269,14 +272,13 @@ class SacAgent:
         return float(np.mean((q1_pred - target) ** 2)
                      + np.mean((q2_pred - target) ** 2))
 
-    def actor_gradients(self, obs, eps, alongside=lambda: None) -> tuple[float, np.ndarray]:
+    def actor_gradients(self, obs, eps) -> tuple[float, np.ndarray]:
         """Write policy gradients of mean(alpha * logp - min_q).
 
         ``eps`` is the fixed reparameterization noise.  Gradients reach the
         policy directly through the entropy terms and through the critics'
         action inputs; the critics' backward passes are input-only, so their
-        gradient buffers are left as they were.  ``alongside`` runs beside
-        the policy's backward pass, through :func:`nn.both`.
+        gradient buffers are left as they were.
         """
         n = len(obs)
         alpha = self.alpha
@@ -301,7 +303,7 @@ class SacAgent:
         clamp_mask = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
         d_raw = d_log_std * clamp_mask
         grad_out = np.concatenate([d_mean, d_raw], axis=1)
-        both(alongside, lambda: self.policy.backward(grad_out))
+        self.policy.backward(grad_out)
         loss = float(np.mean(alpha * logp - q_min))
         return loss, logp
 
@@ -311,20 +313,15 @@ class SacAgent:
         obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
         self.grad_steps += 1   # the step number all three optimizers take
-
-        def track_critics():
-            polyak_update(self.q1_target, self.q1, cfg.tau)
-            polyak_update(self.q2_target, self.q2, cfg.tau)
-
         with helper_thread():   # joined before the policy's Adam step
             target = self.critic_targets(rew, next_obs, done)
             critic_loss = self.critic_gradients(obs, act, target)
             self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat], self.grad_steps)
-            # The next update is the first to read the targets, so they
-            # move beside the policy's backward pass, which touches no
-            # critic array.
+            # The targets move now: the next update is the first to read them.
+            both(lambda: polyak_update(self.q1_target, self.q1, cfg.tau),
+                 lambda: polyak_update(self.q2_target, self.q2, cfg.tau))
             eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
-            actor_loss, logp = self.actor_gradients(obs, eps, alongside=track_critics)
+            actor_loss, logp = self.actor_gradients(obs, eps)
         self.opt_policy.step([self.policy.grad_flat], self.grad_steps)
 
         # Temperature: loss -log_alpha * mean(logp + target entropy -act_dim).
@@ -497,34 +494,31 @@ def _write_log_row(path, mode: str, row) -> None:
         csv.writer(fh).writerow(row)
 
 
-def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
-                seed: int, eval_env: TuningEnv | None = None,
-                eval_seeds=(), eval_every: int = 0,
-                checkpoint_path=None, log_every: int = 500,
-                log_path=None, on_eval=None,
-                buffer: ReplayBuffer | None = None) -> None:
+def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_dir: Path,
+                total_env_steps: int, seed: int, log_every: int = 500,
+                eval_env: TuningEnv | None = None, eval_seeds=(),
+                eval_every: int = 0) -> None:
     """Standard off-policy loop: uniform warm-up actions until
-    ``start_steps``, then one gradient step per environment step.  Every
-    ``log_every`` environment steps a row goes to ``log_path`` and a
-    progress line to stderr (env steps, elapsed seconds, env steps and
-    gradient steps per second, and the row's mean terminal reward); every
-    ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env`` and
-    the evaluation entry goes to ``on_eval``.  Transitions go to ``buffer``,
-    by default a fresh one of the agent's ``replay_capacity``."""
+    ``start_steps``, then one gradient step per environment step, with the
+    transitions in ``buffer``.  It writes ``out_dir/train_log.csv``, a
+    header and then a row every ``log_every`` environment steps, each with
+    a ``[train]`` stderr line (env steps, elapsed seconds, env steps and
+    gradient steps per second, and the row's mean terminal reward).  Every
+    ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env``,
+    prints an ``[eval]`` stderr line (mean best score and improvement) and
+    saves ``out_dir/agent.ckpt``, which it saves once more at the end."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
     rng = np.random.default_rng(seed)
-    if buffer is None:
-        buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
     k = vec_env.num_envs
     obs = vec_env.reset([int(rng.integers(2**63 - 1)) for _ in range(k)])
     terminal_rewards: list[float] = []
     stats: dict = {}
     next_log = log_every
     next_eval = eval_every
-    if log_path is not None:
-        _write_log_row(log_path, "w", LOG_COLUMNS)
+    log_path, checkpoint_path = out_dir / "train_log.csv", out_dir / "agent.ckpt"
+    _write_log_row(log_path, "w", LOG_COLUMNS)
     start, first_step, first_update = time.perf_counter(), agent.env_steps, agent.grad_steps
 
     def save():
@@ -549,7 +543,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
             for _ in range(k):
                 stats = agent.update(buffer.sample(agent.rng, cfg.batch_size))
 
-        if log_path is not None and log_every and agent.env_steps >= next_log:
+        if log_every and agent.env_steps >= next_log:
             next_log += log_every
             recent = terminal_rewards[-50:]
             entry = {"env_steps": agent.env_steps,
@@ -568,15 +562,10 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, total_env_steps: int,
         if eval_every and agent.env_steps >= next_eval:
             next_eval += eval_every
             episodes = evaluate_policy(agent, eval_env, eval_seeds)
-            entry = {"env_steps": agent.env_steps,
-                     "mean_best_score":
-                         float(np.mean([e.best_score for e in episodes])),
-                     "mean_improvement":
-                         float(np.mean([e.improvement for e in episodes]))}
-            if on_eval is not None:
-                on_eval(entry)
-            if checkpoint_path is not None:
-                save()
+            print(f"[eval] {agent.env_steps}/{total_env_steps} env steps: "
+                  f"mean best {np.mean([e.best_score for e in episodes]):.4f} "
+                  f"improvement {np.mean([e.improvement for e in episodes]):+.4f}",
+                  file=sys.stderr, flush=True)
+            save()
 
-    if checkpoint_path is not None:
-        save()
+    save()

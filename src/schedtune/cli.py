@@ -129,8 +129,9 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
             # dead worker breaks the pool, failing this and every later task.
             try:
                 rows, seconds = next(results)
-            except (SchedTuneError, BrokenProcessPool) as exc:
-                reason = "worker process died" if isinstance(exc, BrokenProcessPool) else exc
+            except (SchedTuneError, BrokenProcessPool, MemoryError) as exc:
+                reason = ("worker process died" if isinstance(exc, BrokenProcessPool)
+                          else "out of memory" if isinstance(exc, MemoryError) else exc)
                 raise SchedTuneError(f"scenario {index} of {len(tasks)} "
                                      f"(seed {task[-1]}): {reason}") from exc
             _report_progress(index, len(tasks), rows, seconds)
@@ -195,28 +196,12 @@ def cmd_train_agent(args) -> int:
                      seed=args.seed)
     buffer = ReplayBuffer(config.replay_capacity, vec.observation_dim, vec.action_dim)
     out_dir = make_out_dir(args.out)
-    checkpoint = out_dir / "agent.ckpt"
-
-    def report_eval(entry: dict):
-        """One stderr line per finished evaluation, like tune's progress."""
-        print(f"[eval] {entry['env_steps']}/{config.total_env_steps} env steps: "
-              f"mean best {entry['mean_best_score']:.4f} "
-              f"improvement {entry['mean_improvement']:+.4f}",
-              file=sys.stderr, flush=True)
-
-    train_agent(
-        agent, vec, total_env_steps=config.total_env_steps, seed=args.seed,
-        eval_env=eval_env,
-        eval_seeds=scenario_seeds(args.seed + 1, config.n_eval_seeds),
-        eval_every=config.eval_every,
-        checkpoint_path=checkpoint,
-        log_every=config.log_every,
-        log_path=out_dir / "train_log.csv",
-        on_eval=report_eval,
-        buffer=buffer,
-    )
+    train_agent(agent, vec, buffer, out_dir, config.total_env_steps, args.seed,
+                log_every=config.log_every, eval_env=eval_env,
+                eval_seeds=scenario_seeds(args.seed + 1, config.n_eval_seeds),
+                eval_every=config.eval_every)
     print(f"trained for {agent.env_steps} environment steps; "
-          f"checkpoint at {checkpoint}")
+          f"checkpoint at {out_dir / 'agent.ckpt'}")
     return 0
 
 

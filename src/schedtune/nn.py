@@ -9,7 +9,9 @@ SAC implementations; inputs of any float type are cast to it.  ``Mlp`` and
 ``Adam`` keep them in zero-filled buffers the caller hands in, such as the
 pieces of one :func:`arena`.  :func:`both` runs two independent jobs, such
 as the twin critics' halves of an update, on two cores where that pays:
-inside a :func:`helper_thread` block, when ``TWO_THREADS`` holds.
+inside a :func:`helper_thread` block, when ``TWO_THREADS`` holds, the first
+job goes to a one-thread ``ThreadPoolExecutor`` that the block's first pair
+starts and the block's end joins.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ import contextvars
 import math
 import mmap
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,63 +53,48 @@ def two_threads_help() -> bool:
 TWO_THREADS = two_threads_help()
 
 
-# The job and result queues of the helper thread that ``both`` hands its
-# first job to, in the block of :func:`helper_thread` that started it.
+# The one-thread pool that ``both`` hands its first job to, in the block of
+# :func:`helper_thread` that made it.
 _HELPER: contextvars.ContextVar = contextvars.ContextVar("helper", default=None)
 
 
 @contextlib.contextmanager
 def helper_thread():
     """A block in which :func:`both` runs its first job on one helper
-    thread, started here when ``TWO_THREADS`` holds.  Leaving the block,
-    normally or by an error, stops the helper and joins it, so no thread
-    outlives the block.  One thread serves every pair in the block: a
-    thread started per pair costs more, and glibc may give each new thread
-    a malloc arena of its own, which keeps its memory."""
+    thread when ``TWO_THREADS`` holds.  The helper starts at the block's
+    first pair, and leaving the block, normally or by an error, joins it,
+    so no thread outlives the block.  One thread serves every pair in the
+    block: a thread started per pair costs more, and glibc may give each
+    new thread a malloc arena of its own, which keeps its memory."""
     if not TWO_THREADS:
         yield
         return
-    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def serve():
-        for job in iter(jobs.get, None):
-            try:
-                results.put((job(), None))
-            except BaseException as exc:   # handed to the caller by both()
-                results.put((None, exc))
-
-    helper = threading.Thread(target=serve, name="schedtune-helper")
-    helper.start()
-    token = _HELPER.set((jobs, results))
-    try:
-        yield
-    finally:
-        _HELPER.reset(token)
-        jobs.put(None)
-        helper.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="schedtune-helper") as pool:
+        token = _HELPER.set(pool)
+        try:
+            yield
+        finally:
+            _HELPER.reset(token)
 
 
 def both(f, g) -> tuple:
-    """``(f(), g())``.  Inside :func:`helper_thread` with the helper
-    running, ``f`` runs on the helper while ``g`` runs on the caller's
-    thread; numpy lets go of the GIL inside BLAS, so the two products share
-    out the cores.  ``f`` has finished before ``both`` returns or raises,
-    and an error from ``f`` is raised in preference to one from ``g``, as
-    it would be inline.  Otherwise, and for a ``both`` inside ``g``, ``f``
-    runs, then ``g``, on the caller's thread."""
-    pair = _HELPER.get()
-    if pair is None:
+    """``(f(), g())``.  Inside :func:`helper_thread` with ``TWO_THREADS``,
+    ``f`` runs on the helper while ``g`` runs on the caller's thread; numpy
+    lets go of the GIL inside BLAS, so the two products share out the
+    cores.  ``f`` has finished before ``both`` returns or raises, and an
+    error from ``f`` is raised in preference to one from ``g``, as it would
+    be inline.  Otherwise, and for a ``both`` inside ``g``, ``f`` runs, then
+    ``g``, on the caller's thread."""
+    pool = _HELPER.get()
+    if pool is None:
         return f(), g()
-    jobs, results = pair
-    jobs.put(f)
+    future = pool.submit(f)
     token = _HELPER.set(None)
     try:
         second = g()
     finally:
         _HELPER.reset(token)
-        first, error = results.get()
-        if error is not None:
-            raise error
+        first = future.result()
     return first, second
 
 

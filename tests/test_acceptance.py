@@ -19,8 +19,8 @@ from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import simengine as se
 from schedtune import workload as wl
-from schedtune.agent import (SacAgent, SacConfig, env_action, evaluate_policy,
-                             train_agent)
+from schedtune.agent import (ReplayBuffer, SacAgent, SacConfig, env_action,
+                             evaluate_policy, train_agent)
 from schedtune.optimizers import (GP_NOISE_VAR, GP_SIGNAL_VAR, OPTIMIZERS, FixedOptimizer,
                                   RandomSearchOptimizer, gp_posterior, run_tuning,
                                   se_kernel, suggest_tpe)
@@ -379,7 +379,7 @@ def test_06_agent_numerics(capsys, tmp_path):
     _criterion(capsys, 6, "agent numerics", 120.0, body)
 
 
-def test_07_synthetic_learning_beats_random_search(capsys):
+def test_07_synthetic_learning_beats_random_search(capsys, tmp_path):
     def body():
         def env(mode):
             return SyntheticTuningEnv("himmelblau", mode=mode)
@@ -390,8 +390,10 @@ def test_07_synthetic_learning_beats_random_search(capsys):
                                    hidden=(128, 128), lr=1e-3,
                                    batch_size=128, start_steps=1000),
                          seed=0)
+        cfg = agent.config
         train_agent(agent, VectorEnv([env("train") for _ in range(4)]),
-                    total_env_steps=10_000, seed=0, log_every=0)
+                    ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim),
+                    tmp_path, total_env_steps=10_000, seed=0, log_every=0)
 
         seeds = [int(s) for s in
                  np.random.default_rng(999).integers(2**31, size=100)]
@@ -463,7 +465,7 @@ def test_09_evaluation_budget_and_observation_layout(capsys):
                body)
 
 
-def test_10_cluster_agent_generalizes_across_presets(capsys):
+def test_10_cluster_agent_generalizes_across_presets(capsys, tmp_path):
     def body():
         def env(mode):
             return FaasTuningEnv(mode=mode, mask_level="coarse")
@@ -473,8 +475,10 @@ def test_10_cluster_agent_generalizes_across_presets(capsys):
                                    act_dim=probe.action_dim, hidden=(64, 64),
                                    lr=1e-3, batch_size=64, start_steps=400),
                          seed=0)
+        cfg = agent.config
         train_agent(agent, VectorEnv([env("train") for _ in range(4)]),
-                    total_env_steps=2000, seed=0, log_every=0)
+                    ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim),
+                    tmp_path, total_env_steps=2000, seed=0, log_every=0)
 
         test_env = env("test")
         presets_seen = set()

@@ -6,6 +6,7 @@ import json
 import math
 import mmap
 import os
+import re
 import struct
 import sys
 import threading
@@ -792,30 +793,49 @@ def test_evaluate_policy_collects_full_episodes():
         assert 0.0 <= ep.best_score <= 1.0
 
 
-def test_train_agent_smoke(tmp_path):
+def test_train_agent_smoke(tmp_path, capsys):
     env = SyntheticTuningEnv("himmelblau")
     cfg = SacConfig(obs_dim=env.observation_dim, act_dim=2, hidden=(16, 16),
                     batch_size=16, replay_capacity=512, start_steps=32)
     agent = SacAgent(cfg, seed=22)
     vec = VectorEnv([SyntheticTuningEnv("himmelblau") for _ in range(2)])
-    path, log_path = tmp_path / "train.ckpt", tmp_path / "train_log.csv"
-    evaluations = []
-    assert train_agent(agent, vec, total_env_steps=120, seed=23,
-                       eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
-                       eval_seeds=[5], eval_every=60,
-                       checkpoint_path=path, log_every=40, log_path=log_path,
-                       on_eval=evaluations.append) is None
+    buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
+    assert train_agent(agent, vec, buffer, tmp_path, total_env_steps=120, seed=23,
+                       log_every=40, eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
+                       eval_seeds=[5], eval_every=60) is None
     assert agent.env_steps >= 120
     assert agent.grad_steps > 0
-    with open(log_path, newline="", encoding="utf-8") as fh:
+    with open(tmp_path / "train_log.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["env_steps"]) for row in rows] == [40, 80, 120]
     assert all(float(row["alpha"]) > 0.0 for row in rows)
-    assert [entry["env_steps"] for entry in evaluations] == [60, 120]
-    for entry in evaluations:
-        assert 0.0 <= entry["mean_best_score"] <= 1.0
-        assert math.isfinite(entry["mean_improvement"])
-    reloaded = SacAgent.load(path)
+    evaluations = [re.fullmatch(r"\[eval\] (\d+)/120 env steps: mean best (\S+) "
+                                r"improvement (\S+)", line)
+                   for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("[eval] ")]
+    assert [int(match[1]) for match in evaluations] == [60, 120]
+    for match in evaluations:
+        assert 0.0 <= float(match[2]) <= 1.0
+        assert math.isfinite(float(match[3]))
+    reloaded = SacAgent.load(tmp_path / "agent.ckpt")
+    assert (reloaded.env_steps, reloaded.grad_steps) == (agent.env_steps, agent.grad_steps)
+
+
+def test_train_agent_always_writes_its_log_and_checkpoint(tmp_path, capsys):
+    env = SyntheticTuningEnv("himmelblau")
+    cfg = SacConfig(obs_dim=env.observation_dim, act_dim=2, hidden=(8,),
+                    batch_size=8, replay_capacity=64, start_steps=8)
+    agent = SacAgent(cfg, seed=24)
+    vec = VectorEnv([SyntheticTuningEnv("himmelblau") for _ in range(2)])
+    buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
+    train_agent(agent, vec, buffer, tmp_path, total_env_steps=20, seed=25,
+                log_every=0, eval_every=0)
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["agent.ckpt", "train_log.csv"]
+    with open(tmp_path / "train_log.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [list(LOG_COLUMNS)]
+    reloaded = SacAgent.load(tmp_path / "agent.ckpt")
+    assert agent.grad_steps > 0
     assert (reloaded.env_steps, reloaded.grad_steps) == (agent.env_steps, agent.grad_steps)
 
 
@@ -834,10 +854,11 @@ def test_train_log_rows_are_on_disk_when_training_crashes(tmp_path):
 
     agent.update = update
     vec = VectorEnv([SyntheticTuningEnv("himmelblau") for _ in range(2)])
+    buffer = ReplayBuffer(cfg.replay_capacity, cfg.obs_dim, cfg.act_dim)
     path = tmp_path / "train_log.csv"
     with pytest.raises(RuntimeError, match="crash"):
-        train_agent(agent, vec, total_env_steps=200, seed=27, log_every=8,
-                    log_path=path)
+        train_agent(agent, vec, buffer, tmp_path, total_env_steps=200, seed=27,
+                    log_every=8)
     # Two updates per vector step from 16 env steps on: the 21st is at 36.
     assert calls[-1] == 36
     with open(path, newline="", encoding="utf-8") as fh:
@@ -849,8 +870,11 @@ def test_train_log_rows_are_on_disk_when_training_crashes(tmp_path):
     assert all(float(row["alpha"]) > 0.0 for row in rows[1:])
 
 
-def test_train_agent_rejects_dimension_mismatch():
+def test_train_agent_rejects_dimension_mismatch(tmp_path):
     agent = tiny_agent()
     vec = VectorEnv([SyntheticTuningEnv("ackley")])
+    buffer = ReplayBuffer(agent.config.replay_capacity, agent.config.obs_dim,
+                          agent.config.act_dim)
     with pytest.raises(ConfigError):
-        train_agent(agent, vec, total_env_steps=10, seed=0)
+        train_agent(agent, vec, buffer, tmp_path, total_env_steps=10, seed=0)
+    assert not list(tmp_path.iterdir())

@@ -594,6 +594,25 @@ def test_a_dead_worker_fails_tune_with_one_error_line(tmp_path, capsys, monkeypa
     assert not (out / "trials.csv").exists()
 
 
+def _out_of_memory(task):
+    raise MemoryError   # as numpy raises when an allocation is refused
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["tune", "eval"])
+def test_a_scenario_out_of_memory_fails_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            command, jobs):
+    monkeypatch.setattr(cli, "_tune_worker", _out_of_memory)
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    extra = ["--checkpoint", str(tmp_path / "agent.ckpt")] if command == "eval" else []
+    assert main([command, "--config", config, "--seed", "4", "--jobs", jobs,
+                 "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == (f"error: scenario 1 of 3 (seed "
+                                       f"{scenario_seeds(4, 3)[0]}): out of memory\n")
+    assert not (out / "trials.csv").exists()
+
+
 def _array_offset(raw, name):
     """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
     header_len = struct.unpack("<Q", raw[8:16])[0]

@@ -286,10 +286,10 @@ def test_both_runs_f_on_the_helper_and_leaves_no_thread(monkeypatch, threaded):
     before, me = threading.active_count(), threading.get_ident()
     assert both(threading.get_ident, threading.get_ident) == (me, me)
     with nn.helper_thread():
-        assert threading.active_count() == before + threaded
-        for _ in range(3):   # one helper serves every pair in the block
+        for _ in range(3):   # the first pair starts one helper, which serves them all
             first, second = both(threading.get_ident, threading.get_ident)
             assert (first != me) == threaded and second == me
+            assert threading.active_count() == before + threaded
         # A pair inside g runs inline: the helper is busy with f.
         _, inner = both(threading.get_ident,
                         lambda: both(threading.get_ident, threading.get_ident))
@@ -343,8 +343,17 @@ def test_an_error_in_the_block_joins_the_helper(monkeypatch):
     monkeypatch.setattr(nn, "TWO_THREADS", True)
     before = threading.active_count()
     with pytest.raises(Boom), nn.helper_thread():
+        both(lambda: None, lambda: None)
         assert threading.active_count() == before + 1
         _boom()
+    assert threading.active_count() == before
+
+
+def test_a_block_that_runs_no_pair_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(nn, "TWO_THREADS", True)
+    before = threading.active_count()
+    with nn.helper_thread():
+        assert threading.active_count() == before
     assert threading.active_count() == before
 
 
