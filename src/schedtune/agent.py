@@ -12,7 +12,8 @@ through :func:`nn.both`, which runs its halves on two cores where BLAS runs
 one thread per call (:func:`nn.helper_thread`).  Either way every float
 operation and every random draw is the same, in the same order.
 :func:`train_agent` writes the training log and the checkpoint into one
-output directory.
+output directory.  :meth:`SacAgent.suggest` lets :func:`optimizers.run_tuning`
+drive a trained agent as it drives a baseline.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from . import nn
 from .data import unique_keys
 from .errors import CheckpointError, ConfigError, writing
 from .nn import Adam, Mlp, both, helper_thread, polyak_update
+from .optimizers import run_tuning
 from .tunenv import TuningEnv, TuningEpisode, VectorEnv
 
 LOG_STD_MIN = -20.0
@@ -244,6 +246,10 @@ class SacAgent:
         """The policy's mean action for one observation, in the unit box; it draws no noise."""
         mean, _, _ = self._heads(obs)
         return env_action(np.tanh(mean)[0])
+
+    def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
+        """The mean action on ``episode.observation()``; it draws no random number."""
+        return self.act(episode.observation())
 
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
         """Sampled tanh-space actions for a batch of observations."""
@@ -471,19 +477,6 @@ class SacAgent:
         return agent
 
 
-def evaluate_policy(agent: SacAgent, env: TuningEnv,
-                    seeds) -> list[TuningEpisode]:
-    """Run deterministic episodes on the given seeds and collect them."""
-    episodes = []
-    for seed in seeds:
-        obs = env.reset(int(seed))
-        done = False
-        while not done:
-            obs, _, done, _ = env.step(agent.act(obs))
-        episodes.append(env.episode)
-    return episodes
-
-
 LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",
                "actor_loss", "alpha_loss", "alpha", "entropy")
 
@@ -506,7 +499,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_d
     gradient steps per second, and the row's mean terminal reward).  Every
     ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env``,
     prints an ``[eval]`` stderr line (mean best score and improvement) and
-    saves ``out_dir/agent.ckpt``, which it saves once more at the end."""
+    saves ``out_dir/agent.ckpt``, then once more at the end if unsaved."""
     cfg = agent.config
     if vec_env.observation_dim != cfg.obs_dim or vec_env.action_dim != cfg.act_dim:
         raise ConfigError("agent and environment dimensions differ")
@@ -517,6 +510,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_d
     stats: dict = {}
     next_log = log_every
     next_eval = eval_every
+    saved_at = None
     log_path, checkpoint_path = out_dir / "train_log.csv", out_dir / "agent.ckpt"
     _write_log_row(log_path, "w", LOG_COLUMNS)
     start, first_step, first_update = time.perf_counter(), agent.env_steps, agent.grad_steps
@@ -561,11 +555,13 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_d
 
         if eval_every and agent.env_steps >= next_eval:
             next_eval += eval_every
-            episodes = evaluate_policy(agent, eval_env, eval_seeds)
+            episodes = [run_tuning(agent, eval_env, seed) for seed in eval_seeds]
             print(f"[eval] {agent.env_steps}/{total_env_steps} env steps: "
                   f"mean best {np.mean([e.best_score for e in episodes]):.4f} "
                   f"improvement {np.mean([e.improvement for e in episodes]):+.4f}",
                   file=sys.stderr, flush=True)
             save()
+            saved_at = agent.env_steps
 
-    save()
+    if saved_at != agent.env_steps:
+        save()

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import ReplayBuffer, SacAgent, evaluate_policy, train_agent
+from .agent import ReplayBuffer, SacAgent, train_agent
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError, writing
 from .optimizers import OPTIMIZERS, run_tuning
@@ -45,7 +45,7 @@ from .report import (
     write_trials_csv,
 )
 from .synthfuncs import SyntheticTuningEnv
-from .tunenv import FaasTuningEnv, VectorEnv
+from .tunenv import FaasTuningEnv, TuningEpisode, VectorEnv
 
 RUNRECORD_FIELDS = ("schema_version", "experiment", "scenario_seed",
                     "scenario_digest", "preset", "topology", "num_nodes",
@@ -69,28 +69,15 @@ def scenario_seeds(seed: int, count: int) -> list[int]:
             for c in children]
 
 
-def _tune_worker(task) -> tuple[list[dict], float]:
-    """Tune one scenario; ``task`` is (env, experiment name, method,
-    checkpoint, scenario seed).  Return its trial rows and wall time in s."""
+def _tune_worker(task) -> tuple[TuningEpisode, float]:
+    """Tune one scenario; ``task`` is (env, method, checkpoint, scenario
+    seed).  Return its episode and wall time in s."""
     start = time.perf_counter()
-    env, experiment, method, checkpoint, scenario_seed = task
-    if method == "agent":
-        agent = SacAgent.load(checkpoint, acting_only=True)
-        episode = evaluate_policy(agent, env, [scenario_seed])[0]
-    else:
-        episode = run_tuning(OPTIMIZERS[method](), env, seed=scenario_seed)
-    rows = trial_rows(experiment, method, scenario_seed, episode,
-                      env.space.action_names)
-    return rows, time.perf_counter() - start
-
-
-def _report_progress(index: int, total: int, rows: list[dict], seconds: float):
-    """One stderr line per finished scenario: reference and best score."""
-    r0 = float(rows[0]["score"])
-    best = max(float(row["score"]) for row in rows[1:])
-    print(f"[{index}/{total}] scenario {rows[0]['scenario_digest']}: "
-          f"r0 {r0:.4f} best {best:.4f} ({seconds:.2f} s)",
-          file=sys.stderr, flush=True)
+    env, method, checkpoint, scenario_seed = task
+    tuner = (SacAgent.load(checkpoint, acting_only=True) if method == "agent"
+             else OPTIMIZERS[method]())
+    episode = run_tuning(tuner, env, seed=scenario_seed)
+    return episode, time.perf_counter() - start
 
 
 def make_out_dir(out) -> Path:
@@ -115,28 +102,35 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
     make_out_dir(out_dir)
     # Every scenario runs in this one environment.  A pool pickles it into
     # each task before any reset, so it carries no episode.
-    tasks = [(env, config.name, method, checkpoint, s)
+    tasks = [(env, method, checkpoint, s)
              for s in scenario_seeds(seed, config.n_scenarios)]
     all_rows = []
-    with ExitStack() as stack:
-        if jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_tune_worker, tasks)
-        else:
-            results = (_tune_worker(t) for t in tasks)
-        for index, task in enumerate(tasks, start=1):
-            # Results arrive in task order, so a failure is this task's.  A
-            # dead worker breaks the pool, failing this and every later task.
-            try:
-                rows, seconds = next(results)
-            except (SchedTuneError, BrokenProcessPool, MemoryError) as exc:
-                reason = ("worker process died" if isinstance(exc, BrokenProcessPool)
-                          else "out of memory" if isinstance(exc, MemoryError) else exc)
-                raise SchedTuneError(f"scenario {index} of {len(tasks)} "
-                                     f"(seed {task[-1]}): {reason}") from exc
-            _report_progress(index, len(tasks), rows, seconds)
-            all_rows.extend(rows)
-    write_trials_csv(path, all_rows, action_names)
+    try:
+        with ExitStack() as stack:
+            if jobs > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+                results = pool.map(_tune_worker, tasks)
+            else:
+                results = (_tune_worker(t) for t in tasks)
+            for index, task in enumerate(tasks, start=1):
+                # Results arrive in task order, so a failure is this task's.  A
+                # dead worker breaks the pool, failing this and every later task.
+                try:
+                    episode, seconds = next(results)
+                except (SchedTuneError, BrokenProcessPool, MemoryError) as exc:
+                    reason = ("worker process died" if isinstance(exc, BrokenProcessPool)
+                              else "out of memory" if isinstance(exc, MemoryError) else exc)
+                    raise SchedTuneError(f"scenario {index} of {len(tasks)} "
+                                         f"(seed {task[-1]}): {reason}") from exc
+                print(f"[{index}/{len(tasks)}] scenario {episode.scenario_digest}: "
+                      f"r0 {episode.r0:.4f} best {episode.best_score:.4f} ({seconds:.2f} s)",
+                      file=sys.stderr, flush=True)
+                all_rows.extend(trial_rows(config.name, method, task[-1], episode,
+                                           action_names))
+    finally:
+        # A failed scenario keeps the rows of those finished before it.
+        if all_rows:
+            write_trials_csv(path, all_rows, action_names)
     return path
 
 

@@ -3,13 +3,14 @@
 Every optimizer proposes points in the unit box [0, 1]^d.  They all see the
 same evaluation budget: the environment's reset evaluates the fixed initial
 weights (giving r0), then the optimizer supplies one suggestion per step.
-``run_tuning`` drives a full episode and returns its TuningEpisode record.
+``run_tuning`` drives a full episode of any method, the trained agent's
+(:meth:`agent.SacAgent.suggest`) included, and returns its TuningEpisode.
 
 The episode is the only history.  An optimizer keeps no state:
 ``suggest(episode, rng)`` reads the points and scores evaluated so far from
 ``episode.evaluations()``, the reference pair first, and draws only from
-``rng``.  Each method is still a class of its own in ``OPTIMIZERS``, so that
-a tracer can wrap ``suggest`` on each class and count the suggestions.
+``rng``.  Each baseline is still a class of its own in ``OPTIMIZERS``, so
+that a tracer can wrap ``suggest`` on each class and count the suggestions.
 
 The Bayesian optimizer keeps a Gaussian-process surrogate with a squared
 exponential kernel over centered scores and suggests the maximizer of an

@@ -11,10 +11,10 @@ improvement of the best trial over r0.  ``simulate`` draws through the same
 Observations concatenate a static description of the scenario,
 ``n_steps + 1`` frames of (action, raw score, valid) triples -- frame 0 is
 reserved for the initial (fixed weights, r0) pair -- and the normalized step
-index.  The frames and the done flag follow from the episode record
-(:class:`TuningEpisode`), the only state of a session: while it holds no
-trial, as at reset, every frame is zero, and it is done at ``n_steps``
-trials.
+index.  The episode record (:class:`TuningEpisode`), static features and
+budget included, is the whole state of a session and builds the
+observation: while it holds no trial, as at reset, every frame is zero, and
+it is done at ``n_steps`` trials.
 
 A ``SpaceSet`` describes each tuning problem once: its actions, its static
 features and those that survive coarse masking, and its train and test
@@ -241,12 +241,18 @@ def improvement(best, r0):
 
 @dataclass
 class TuningEpisode:
-    """Outcome of one tuning session: reference score plus the trials."""
+    """One tuning session: masked static features, r0, budget and trials."""
 
     r0: float
     initial_action: np.ndarray
+    static: np.ndarray
+    n_steps: int
     trials: list[tuple[np.ndarray, float]] = field(default_factory=list)
     scenario_digest: str = ""
+
+    @property
+    def done(self) -> bool:
+        return len(self.trials) >= self.n_steps
 
     @property
     def best_score(self) -> float:
@@ -266,6 +272,19 @@ class TuningEpisode:
         points = np.stack([self.initial_action] + [a for a, _ in self.trials])
         scores = np.array([self.r0] + [s for _, s in self.trials])
         return points, scores
+
+    def observation(self) -> np.ndarray:
+        """Static features, ``n_steps + 1`` frames and the step index."""
+        action_dim = len(self.initial_action)
+        frames = np.zeros((self.n_steps + 1, action_dim + 2))
+        k = len(self.trials)
+        if k:
+            points, scores = self.evaluations()
+            frames[:k + 1, :action_dim] = points
+            frames[:k + 1, action_dim] = scores
+            frames[:k + 1, action_dim + 1] = 1.0
+        step_index = np.array([k / self.n_steps])
+        return np.concatenate([self.static, frames.reshape(-1), step_index])
 
 
 class TuningEnv:
@@ -300,7 +319,6 @@ class TuningEnv:
         self.n_frames = n_steps + 1
         self.frame_width = self.action_dim + 2
         self.episode: TuningEpisode | None = None
-        self._static: np.ndarray | None = None
         self._evaluate = None
 
     @property
@@ -325,14 +343,14 @@ class TuningEnv:
     # -- protocol ------------------------------------------------------
     def reset(self, seed: int) -> np.ndarray:
         values, r0, evaluate, digest = self._begin_episode(np.random.default_rng(seed))
-        self._static = self._static_features(values)
         self._evaluate = evaluate
         self.episode = TuningEpisode(r0=float(r0), initial_action=self.initial_action.copy(),
-                                     scenario_digest=digest)
-        return self._observation()
+                                     static=self._static_features(values),
+                                     n_steps=self.n_steps, scenario_digest=digest)
+        return self.episode.observation()
 
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
-        if self.episode is None or len(self.episode.trials) >= self.n_steps:
+        if self.episode is None or self.episode.done:
             raise ProtocolError("step called on a finished or unreset episode")
         a = np.asarray(action, dtype=float).reshape(-1)
         if a.shape != (self.action_dim,):
@@ -343,20 +361,9 @@ class TuningEnv:
         a = np.clip(a, 0.0, 1.0)
         score = float(self._evaluate(a))
         self.episode.trials.append((a.copy(), score))
-        done = len(self.episode.trials) >= self.n_steps
+        done = self.episode.done
         reward = float(self.episode.improvement) if done else 0.0
-        return self._observation(), reward, done, {"score": score}
-
-    def _observation(self) -> np.ndarray:
-        frames = np.zeros((self.n_frames, self.frame_width))
-        k = len(self.episode.trials)
-        if k:
-            points, scores = self.episode.evaluations()
-            frames[:k + 1, :self.action_dim] = points
-            frames[:k + 1, self.action_dim] = scores
-            frames[:k + 1, self.action_dim + 1] = 1.0
-        step_index = np.array([k / self.n_steps])
-        return np.concatenate([self._static, frames.reshape(-1), step_index])
+        return self.episode.observation(), reward, done, {"score": score}
 
 
 class FaasTuningEnv(TuningEnv):

@@ -19,8 +19,7 @@ from schedtune import cluster as cl
 from schedtune import scheduler as sched
 from schedtune import simengine as se
 from schedtune import workload as wl
-from schedtune.agent import (ReplayBuffer, SacAgent, SacConfig, env_action,
-                             evaluate_policy, train_agent)
+from schedtune.agent import ReplayBuffer, SacAgent, SacConfig, env_action, train_agent
 from schedtune.optimizers import (GP_NOISE_VAR, GP_SIGNAL_VAR, OPTIMIZERS, FixedOptimizer,
                                   RandomSearchOptimizer, gp_posterior, run_tuning,
                                   se_kernel, suggest_tpe)
@@ -398,8 +397,8 @@ def test_07_synthetic_learning_beats_random_search(capsys, tmp_path):
         seeds = [int(s) for s in
                  np.random.default_rng(999).integers(2**31, size=100)]
         test_env = env("test")
-        agent_best = np.array([e.best_score for e in
-                               evaluate_policy(agent, test_env, seeds)])
+        agent_best = np.array([run_tuning(agent, test_env, seed=s).best_score
+                               for s in seeds])
         random_best = np.array([
             run_tuning(RandomSearchOptimizer(), test_env,
                        seed=s).best_score for s in seeds])
@@ -445,7 +444,7 @@ def test_09_evaluation_budget_and_observation_layout(capsys):
         scout = SacAgent(SacConfig(obs_dim=env.observation_dim,
                                    act_dim=env.action_dim, hidden=(16, 16)),
                          seed=0)
-        evaluate_policy(scout, env, [5])
+        run_tuning(scout, env, seed=5)
         assert len(scores) == 5
 
         expected = len(FAAS_STATIC_NAMES) + 5 * (env.action_dim + 2) + 1

@@ -26,10 +26,10 @@ from schedtune.agent import (
     SacConfig,
     checkpoint_layout,
     env_action,
-    evaluate_policy,
     train_agent,
 )
 from schedtune.errors import CheckpointError, ConfigError
+from schedtune.optimizers import run_tuning
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import VectorEnv
 from tests.conftest import float64_networks, make_mlp
@@ -783,14 +783,49 @@ def test_checkpoint_rejects_missing_or_duplicate_arrays(tmp_path):
         SacAgent.load(_forge_checkpoint(tmp_path / "d.ckpt", agent, duplicate))
 
 
-def test_evaluate_policy_collects_full_episodes():
+def test_run_tuning_drives_the_agent_through_full_episodes():
     env = SyntheticTuningEnv("ackley")
     agent = tiny_agent(obs_dim=env.observation_dim, act_dim=2)
-    episodes = evaluate_policy(agent, env, seeds=[1, 2, 3])
-    assert len(episodes) == 3
+    episodes = [run_tuning(agent, env, seed) for seed in (1, 2, 3)]
+    assert len({id(ep) for ep in episodes}) == 3
     for ep in episodes:
-        assert len(ep.trials) == env.n_steps
+        assert ep.done and len(ep.trials) == env.n_steps
         assert 0.0 <= ep.best_score <= 1.0
+
+
+def test_agent_suggest_acts_on_the_episode_and_draws_nothing():
+    env = SyntheticTuningEnv("ackley")
+    agent = tiny_agent(obs_dim=env.observation_dim, act_dim=2)
+    obs = env.reset(7)
+    rng = np.random.default_rng(3)
+    states = rng.bit_generator.state, agent.rng.bit_generator.state
+    for _ in range(env.n_steps):
+        action = agent.suggest(env.episode, rng)
+        assert np.array_equal(action, agent.act(obs))
+        obs = env.step(action)[0]
+    assert (rng.bit_generator.state, agent.rng.bit_generator.state) == states
+
+
+@pytest.mark.parametrize("eval_every, saves", [(8, 2), (0, 1)])
+def test_train_agent_saves_once_per_env_step_count(tmp_path, monkeypatch, eval_every,
+                                                   saves):
+    steps = []
+    real_save = SacAgent.save
+
+    def counting_save(agent, path):
+        steps.append(agent.env_steps)
+        real_save(agent, path)
+
+    monkeypatch.setattr(SacAgent, "save", counting_save)
+    env = SyntheticTuningEnv("himmelblau")
+    cfg = SacConfig(obs_dim=env.observation_dim, act_dim=2, hidden=(8,), batch_size=4,
+                    replay_capacity=64, start_steps=8)
+    train_agent(SacAgent(cfg, seed=1), VectorEnv([env, SyntheticTuningEnv("himmelblau")]),
+                ReplayBuffer(64, cfg.obs_dim, cfg.act_dim), tmp_path, total_env_steps=16,
+                seed=2, log_every=0, eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
+                eval_seeds=[5], eval_every=eval_every)
+    assert len(steps) == saves and steps[-1] == 16
+    assert SacAgent.load(tmp_path / "agent.ckpt").env_steps == 16
 
 
 def test_train_agent_smoke(tmp_path, capsys):

@@ -248,6 +248,28 @@ def test_train_agent_prints_one_line_per_evaluation(tmp_path, capsys):
         assert int(match[1]) == 40 * i
 
 
+def test_the_last_eval_line_matches_eval_and_report_on_the_checkpoint(tmp_path, capsys):
+    # Training evaluates on --seed + 1 in test mode, n_eval_seeds scenarios;
+    # eval then report on the saved checkpoint must read the same figures.
+    config = write_config(
+        tmp_path, mode="train", total_env_steps=48, start_steps=16, num_envs=2,
+        hidden=[16, 16], batch_size=8, replay_capacity=64, eval_every=24,
+        n_eval_seeds=3, log_every=0)
+    agent_dir, out = tmp_path / "agent", tmp_path / "run"
+    assert main(["train-agent", "--config", config, "--seed", "2",
+                 "--out", str(agent_dir)]) == 0
+    last = capsys.readouterr().err.splitlines()[-1]
+    match = re.fullmatch(r"\[eval\] 48/48 env steps: mean best (\S+) improvement (\S+)", last)
+    assert match, last
+    config = write_config(tmp_path, mode="test", n_scenarios=3)
+    assert main(["eval", "--config", config, "--seed", "3", "--out", str(out),
+                 "--checkpoint", str(agent_dir / "agent.ckpt")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    method, scenarios, _, mean_best, gain, _ = capsys.readouterr().out.splitlines()[1].split()
+    assert (method, scenarios, mean_best, gain) == ("agent", "3", match[1], match[2])
+
+
 def test_train_agent_prints_one_progress_line_per_log_row(tmp_path, capsys):
     config = write_config(
         tmp_path, mode="train", total_env_steps=120, start_steps=40,
@@ -611,6 +633,30 @@ def test_a_scenario_out_of_memory_fails_with_one_error_line(tmp_path, capsys, mo
     assert capsys.readouterr().err == (f"error: scenario 1 of 3 (seed "
                                        f"{scenario_seeds(4, 3)[0]}): out of memory\n")
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_scenario_keeps_the_rows_of_those_before_it(tmp_path, capsys, monkeypatch,
+                                                             jobs):
+    # Pool workers are forked, so they see the patched module global too.
+    real_run_tuning, bad_seed = cli.run_tuning, scenario_seeds(4, 3)[1]
+
+    def failing_run_tuning(tuner, env, seed):
+        if seed == bad_seed:
+            raise ConfigError("no schedulable scenario")
+        return real_run_tuning(tuner, env, seed=seed)
+
+    monkeypatch.setattr(cli, "run_tuning", failing_run_tuning)
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", config, "--seed", "4", "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: scenario 2 of 3 (seed {bad_seed}): no schedulable scenario"]
+    rows = read_trials_csv(out / "trials.csv")
+    assert len(rows) == 5 and len((out / "trials.csv").read_text().splitlines()) == 6
+    assert {row["scenario_seed"] for row in rows} == {scenario_seeds(4, 3)[0]}
 
 
 def _array_offset(raw, name):

@@ -121,6 +121,7 @@ def test_suggest_fixed_matches_default_weights():
     for space, expected in ((default_space_set(), FIXED_WEIGHTS),
                             (synth_space_set(), [0.5, 0.5])):
         episode = TuningEpisode(r0=0.3, initial_action=space.initial_action.copy(),
+                                static=np.zeros(0), n_steps=4,
                                 trials=[(np.full(len(expected), 0.9), 0.8)])
         got = FixedOptimizer().suggest(episode, rng)
         assert np.array_equal(got, expected)
@@ -297,7 +298,8 @@ def test_bo_optimizer_locates_smooth_optimum():
         return 1.0 - float(np.sum((a - target) ** 2))
 
     reference = np.array([0.5, 0.5])
-    episode = TuningEpisode(r0=score(reference), initial_action=reference)
+    episode = TuningEpisode(r0=score(reference), initial_action=reference,
+                            static=np.zeros(0), n_steps=20)
     rng = np.random.default_rng(10)
     for _ in range(20):
         a = BoOptimizer().suggest(episode, rng)

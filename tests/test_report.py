@@ -25,8 +25,8 @@ NAMES = ("z_x", "z_y")
 def episode_of(r0, scores, digest="cafe01234567"):
     trials = [(np.array([0.1 * (i + 1), 0.2]), s)
               for i, s in enumerate(scores)]
-    return TuningEpisode(r0=r0, initial_action=np.array([0.5, 0.5]),
-                         trials=trials, scenario_digest=digest)
+    return TuningEpisode(r0=r0, initial_action=np.array([0.5, 0.5]), static=np.zeros(0),
+                         n_steps=len(scores), trials=trials, scenario_digest=digest)
 
 
 def test_trial_rows_reference_first():

@@ -195,7 +195,7 @@ def test_one_evaluation_at_reset_plus_one_per_step():
 
 
 def test_episode_improvement_empty_trials_is_zero():
-    ep = TuningEpisode(r0=0.5, initial_action=np.zeros(2))
+    ep = TuningEpisode(r0=0.5, initial_action=np.zeros(2), static=np.zeros(0), n_steps=4)
     assert ep.improvement == 0.0
     with pytest.raises(ConfigError):
         _ = ep.best_score
