@@ -806,9 +806,9 @@ def test_agent_suggest_acts_on_the_episode_and_draws_nothing():
     assert (rng.bit_generator.state, agent.rng.bit_generator.state) == states
 
 
-@pytest.mark.parametrize("eval_every, saves", [(8, 2), (0, 1)])
+@pytest.mark.parametrize("eval_every, saved_at", [(8, [8, 16]), (0, [16])])
 def test_train_agent_saves_once_per_env_step_count(tmp_path, monkeypatch, eval_every,
-                                                   saves):
+                                                   saved_at):
     steps = []
     real_save = SacAgent.save
 
@@ -824,7 +824,7 @@ def test_train_agent_saves_once_per_env_step_count(tmp_path, monkeypatch, eval_e
                 ReplayBuffer(64, cfg.obs_dim, cfg.act_dim), tmp_path, total_env_steps=16,
                 seed=2, log_every=0, eval_env=SyntheticTuningEnv("himmelblau", mode="test"),
                 eval_seeds=[5], eval_every=eval_every)
-    assert len(steps) == saves and steps[-1] == 16
+    assert steps == saved_at
     assert SacAgent.load(tmp_path / "agent.ckpt").env_steps == 16
 
 
