@@ -12,7 +12,9 @@ through :func:`nn.both`, which runs its halves on two cores where BLAS runs
 one thread per call (:func:`nn.helper_thread`).  Either way every float
 operation and every random draw is the same, in the same order.
 :func:`train_agent` writes the training log and the checkpoint into one
-output directory.  :meth:`SacAgent.suggest` lets :func:`optimizers.run_tuning`
+output directory.  Each piece of a checkpoint carries its own digest, so an
+acting-only load checks the policy alone and :func:`verify_checkpoint` the
+whole file.  :meth:`SacAgent.suggest` lets :func:`optimizers.run_tuning`
 drive a trained agent as it drives a baseline.
 """
 from __future__ import annotations
@@ -44,7 +46,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -350,23 +352,20 @@ class SacAgent:
 
     def save(self, path) -> None:
         """Write the header, then each stored piece's little-endian bytes in
-        the networks' dtype, in arena order.  The header carries the
-        payload digest, so one pass hashes the pieces before a second writes
+        the networks' dtype, in arena order.  The header carries each
+        piece's digest, so one pass hashes the pieces before a second writes
         them; neither copies them on a little-endian host.  The bytes go to
         a temporary file beside ``path`` that then replaces it, so a write
         that fails leaves the previous checkpoint as it was."""
         self._require_full("save")
         dtype = self.dtype.newbyteorder("<")
         arrays = [np.ascontiguousarray(a, dtype=dtype) for a in self.stored]
-        hasher = hashlib.sha256()
-        for a in arrays:
-            hasher.update(a)
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, [n]] for name, n in checkpoint_layout(self.config)],
+            "arrays": [[name, [n], hashlib.sha256(a).hexdigest()]
+                       for (name, n), a in zip(checkpoint_layout(self.config), arrays)],
             "env_steps": self.env_steps,
             "grad_steps": self.grad_steps,
-            "payload_sha256": hasher.hexdigest(),
             "dtype": dtype.str,
         }
         blob = json.dumps(header, sort_keys=True).encode()
@@ -388,93 +387,107 @@ class SacAgent:
     def load(cls, path, *, acting_only: bool = False) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
-        The header is checked in full before anything is allocated: its keys
-        (only the six ``save`` writes, each once: any other is state this
-        build would drop), its step counts (not negative), the payload dtype
-        against ``nn.DTYPE``, its ``arrays`` (``[name, [length]]`` entries)
-        against :func:`checkpoint_layout` of its config, entry for entry in
-        that order (the only one ``save`` writes), and the payload length
-        against the file size.  Then every payload byte is read in that order
-        and hashed as it arrives, and the digest is compared before the
-        agent is returned.  A full load reads each piece straight into its
-        place in a fresh arena.  With ``acting_only`` only the policy, which
-        comes first, is kept, in an arena of its own; every other piece
-        passes through one scratch buffer the size of the largest (a
-        critic), so it is hashed but not kept.  The agent then acts as a full
-        load does but cannot ``update`` or ``save``.  Either way its rng
-        starts from seed 0.
+        :func:`_checkpoint` checks the whole header before anything is
+        allocated.  A full load then reads each piece into its place in a
+        fresh arena; with ``acting_only`` it reads only the policy, which
+        comes first, into an arena of its own, and the agent acts as a full
+        load does but cannot ``update`` or ``save``.  Each piece read is
+        checked against its own digest as it arrives, so a mismatch names
+        the piece.  Either way the rng starts from seed 0.
         """
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        with fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(16)
-            if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
-                raise CheckpointError(f"{path} is not an agent checkpoint")
-            version, header_len = struct.unpack("<IQ", head[4:])
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"unsupported checkpoint version {version}, "
-                    f"expected {CHECKPOINT_VERSION}")
-            if size < 16 + header_len:
-                raise CheckpointError(f"{path} is truncated inside the header")
-            try:
-                header = json.loads(fh.read(header_len).decode(),
-                                    object_pairs_hook=unique_keys)
-            # Not UTF-8, not JSON, a repeated key, or an integer past
-            # Python's digit limit.
-            except ValueError as exc:
-                raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
-            try:
-                config_dict = dict(header["config"])
-                config_dict["hidden"] = tuple(config_dict["hidden"])
-                config = SacConfig(**config_dict)
-                arrays = list(header["arrays"])
-                counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
-                if min(counters) < 0:
-                    raise ValueError("negative step count: env_steps {}, grad_steps {}"
-                                     .format(*counters))
-                digest, dtype = header["payload_sha256"], header["dtype"]
-                if extra := sorted(header.keys() - {"config", "arrays", "env_steps", "grad_steps",
-                                                    "payload_sha256", "dtype"}):
-                    raise ValueError(f"unknown key {extra[0]!r}")
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise CheckpointError(
-                    f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
-            if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
-                raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
-
-            layout = [[name, [n]] for name, n in checkpoint_layout(config)]
-            if arrays != layout:
-                i = next((i for i, (a, b) in enumerate(zip(arrays, layout)) if a != b),
-                         min(len(arrays), len(layout)))
-                got, want = (json.dumps(x[i]) if i < len(x) else "absent"
-                             for x in (arrays, layout))
-                raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
-            payload = size - 16 - header_len
-            lengths = [n for _, (n,) in layout]
-            expected = np.dtype(nn.DTYPE).itemsize * sum(lengths)
-            if payload != expected:
-                raise CheckpointError(
-                    f"{path} payload is {payload} bytes, expected {expected}")
-
+        with _checkpoint(path) as (fh, config, counters, pieces):
             agent = cls.__new__(cls)
             agent._build(config, 0, fill=False, acting_only=acting_only)
-            skipped = lengths[len(agent.stored):]
-            scratch = np.empty(max(skipped, default=0), agent.dtype)
-            hasher = hashlib.sha256()
-            for dst in agent.stored + [scratch[:n] for n in skipped]:
-                if fh.readinto(dst) != dst.nbytes:
-                    raise CheckpointError(f"{path} is truncated inside the payload")
-                hasher.update(dst)
-                if sys.byteorder == "big":
-                    dst.byteswap(inplace=True)
-        if hasher.hexdigest() != digest:
-            raise CheckpointError(f"{path} payload does not match its digest")
+            _read_pieces(fh, path, pieces, agent.stored)
         agent.env_steps, agent.grad_steps = counters
         return agent
+
+
+def verify_checkpoint(path) -> None:
+    """Check every byte of the checkpoint at ``path`` as a full load does, with
+    no agent: each piece passes through one scratch buffer the size of the largest."""
+    with _checkpoint(path) as (fh, _, _, pieces):
+        scratch = np.empty(max(n for _, n, _ in pieces), nn.DTYPE)
+        _read_pieces(fh, path, pieces, [scratch[:n] for _, n, _ in pieces])
+
+
+@contextlib.contextmanager
+def _checkpoint(path):
+    """Open the checkpoint at ``path`` and check its whole header, reading no
+    payload byte: its keys (only the five ``save`` writes, each once: any
+    other is state this build would drop), its step counts (not negative),
+    the dtype against ``nn.DTYPE``, its ``arrays`` (``[name, [length],
+    sha256]`` entries) against :func:`checkpoint_layout` of its config, in
+    that order, and the payload length against the file size.  Yield the
+    file at the payload, the config, ``[env_steps, grad_steps]`` and each
+    piece's ``(name, length, digest)``."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path} is not an agent checkpoint")
+        version, header_len = struct.unpack("<IQ", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}, "
+                                  f"expected {CHECKPOINT_VERSION}")
+        if size < 16 + header_len:
+            raise CheckpointError(f"{path} is truncated inside the header")
+        try:
+            header = json.loads(fh.read(header_len).decode(),
+                                object_pairs_hook=unique_keys)
+        # Not UTF-8, not JSON, a repeated key, or an integer past
+        # Python's digit limit.
+        except ValueError as exc:
+            raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
+        try:
+            config_dict = dict(header["config"])
+            config_dict["hidden"] = tuple(config_dict["hidden"])
+            config = SacConfig(**config_dict)
+            arrays = list(header["arrays"])
+            counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
+            if min(counters) < 0:
+                raise ValueError("negative step count: env_steps {}, grad_steps {}"
+                                 .format(*counters))
+            dtype = header["dtype"]
+            if extra := sorted(header.keys() - {"config", "arrays", "env_steps", "grad_steps",
+                                                "dtype"}):
+                raise ValueError(f"unknown key {extra[0]!r}")
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointError(
+                f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
+        if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
+            raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
+
+        layout = [[name, [n]] for name, n in checkpoint_layout(config)]
+        named = [a[:2] if isinstance(a, list) else a for a in arrays]
+        if named != layout:
+            i = next((i for i, (a, b) in enumerate(zip(named, layout)) if a != b),
+                     min(len(named), len(layout)))
+            got, want = (json.dumps(x[i]) if i < len(x) else "absent"
+                         for x in (named, layout))
+            raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
+        if bad := [i for i, a in enumerate(arrays) if len(a) != 3 or not isinstance(a[2], str)]:
+            raise CheckpointError(f"{path}: arrays[{bad[0]}] is not [name, [length], sha256]")
+        payload = size - 16 - header_len
+        expected = np.dtype(nn.DTYPE).itemsize * sum(n for _, (n,) in layout)
+        if payload != expected:
+            raise CheckpointError(f"{path} payload is {payload} bytes, expected {expected}")
+        yield fh, config, counters, [(name, n, a[2]) for (name, (n,)), a in zip(layout, arrays)]
+
+
+def _read_pieces(fh, path, pieces, buffers) -> None:
+    """Read ``pieces`` in order into ``buffers``, each checked against its own digest."""
+    for (name, _, digest), dst in zip(pieces, buffers):
+        if fh.readinto(dst) != dst.nbytes:
+            raise CheckpointError(f"{path} is truncated inside the payload")
+        if hashlib.sha256(dst).hexdigest() != digest:
+            raise CheckpointError(f"{path}: {name} does not match its digest")
+        if sys.byteorder == "big":
+            dst.byteswap(inplace=True)
 
 
 LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import ReplayBuffer, SacAgent, train_agent
+from .agent import ReplayBuffer, SacAgent, train_agent, verify_checkpoint
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SchedTuneError, writing
 from .optimizers import OPTIMIZERS, run_tuning
@@ -94,6 +94,8 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         raise ConfigError("evaluating the agent requires --checkpoint")
     if jobs < 1:
         raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
+    if method == "agent":   # every byte, once; each scenario then reads only the policy
+        verify_checkpoint(checkpoint)
     path = out_dir / "trials.csv"
     env = make_env(config)
     action_names = env.space.action_names

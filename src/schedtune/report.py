@@ -180,7 +180,7 @@ def summarize_trials(rows) -> list[MethodSummary]:
         if row["trial"] in trials:
             raise ProtocolError(
                 f"duplicate trial {row['trial']} for method {row['method']} "
-                f"scenario {row['scenario_seed']}")
+                f"scenario {row['scenario_seed']}: rerun into a fresh --out")
         trials[row["trial"]] = row["score"]
     experiment = "+".join(sorted(experiments))
 

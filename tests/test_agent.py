@@ -27,6 +27,7 @@ from schedtune.agent import (
     checkpoint_layout,
     env_action,
     train_agent,
+    verify_checkpoint,
 )
 from schedtune.errors import CheckpointError, ConfigError
 from schedtune.optimizers import run_tuning
@@ -379,7 +380,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
 
 # SHA-256 of the checkpoint `trained_tiny_agent` saves: the format, the array
 # order and every float32 bit of three updates (numpy 2.4, OpenBLAS, x86-64).
-PINNED_CHECKPOINT_SHA256 = "1115d1ca42669fc3cc3ba9597b7ee194e7ff11080d4d27bb7cf641828b47c1a6"
+PINNED_CHECKPOINT_SHA256 = "98359710a08c8ca980f1758795ed878823a3ce94945cf713991bb4a09e18d98a"
 
 
 def trained_tiny_agent():
@@ -614,6 +615,68 @@ def test_an_acting_only_load_keeps_only_the_policy(tmp_path):
         assert np.array_equal(a, saved[name]), name
 
 
+def _array_offset(raw, name):
+    """Offset in checkpoint bytes ``raw`` of the first byte of piece ``name``."""
+    offset = 16 + struct.unpack("<Q", raw[8:16])[0]
+    for entry in json.loads(raw[16:offset])["arrays"]:
+        if entry[0] == name:
+            return offset
+        offset += 4 * entry[1][0]
+    raise KeyError(name)
+
+
+def _flip_inside(path, name):
+    """Flip a bit of the first byte of piece ``name`` of the checkpoint at ``path``."""
+    raw = bytearray(path.read_bytes())
+    raw[_array_offset(raw, name)] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def test_an_acting_only_load_reads_past_damage_outside_the_policy(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    trained_tiny_agent().save(path)
+    intact = SacAgent.load(path, acting_only=True)
+    _flip_inside(path, "q2")
+    damaged = SacAgent.load(path, acting_only=True)
+    obs = np.random.default_rng(33).uniform(-3, 3, (20, 3))
+    assert all(np.array_equal(intact.act(o), damaged.act(o)) for o in obs)
+    assert np.array_equal(intact.policy.flat, damaged.policy.flat)
+    # A full load keeps q2, so it checks it.
+    with pytest.raises(CheckpointError, match=r"agent\.ckpt: q2 does not match its digest$"):
+        SacAgent.load(path)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in checkpoint_layout(tiny_agent().config)])
+def test_each_reader_names_a_damaged_piece_that_it_reads(tmp_path, name):
+    path = tmp_path / "agent.ckpt"
+    trained_tiny_agent().save(path)
+    verify_checkpoint(path)
+    _flip_inside(path, name)
+    message = rf"agent\.ckpt: {re.escape(name)} does not match its digest$"
+    for read in (verify_checkpoint, SacAgent.load):
+        with pytest.raises(CheckpointError, match=message):
+            read(path)
+    # The acting-only load reads the policy and nothing after it.
+    if name == "policy":
+        with pytest.raises(CheckpointError, match=message):
+            SacAgent.load(path, acting_only=True)
+    else:
+        assert SacAgent.load(path, acting_only=True).acting_only
+
+
+def test_every_reader_checks_the_header_before_it_allocates(tmp_path):
+    # A consistent header for 4.4 PB of arrays, and no payload.
+    config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
+    header = {"config": asdict(config), "env_steps": 0, "grad_steps": 0, "dtype": "<f4",
+              "arrays": [[name, [n], hashlib.sha256(b"").hexdigest()]
+                         for name, n in checkpoint_layout(config)]}
+    path = _write_checkpoint(tmp_path / "huge.ckpt", json.dumps(header).encode())
+    for read in (verify_checkpoint, SacAgent.load,
+                 lambda p: SacAgent.load(p, acting_only=True)):
+        with pytest.raises(CheckpointError, match="payload is 0 bytes, expected 4400012880000092"):
+            read(path)
+
+
 @pytest.mark.parametrize("call", ["update", "save"])
 def test_an_acting_only_agent_cannot_update_or_save(tmp_path, call):
     path = tmp_path / "agent.ckpt"
@@ -671,8 +734,8 @@ def _flip(offset):
     (lambda raw: raw[:-1], "payload is"),
     (lambda raw: raw + b"\0", "payload is"),
     (lambda raw: raw[:30], "header"),
-    (_flip(-1), "digest"),        # last byte of the last array
-    (_flip(-5), "digest"),        # last byte of the (float32) array before it
+    (_flip(-1), "opt_alpha.v0 does not match its digest"),   # last byte of the last array
+    (_flip(-5), "opt_alpha.m0 does not match its digest"),   # the (float32) array before it
 ], ids=["short-40", "short-1", "trailing-1", "short-header", "flip-last",
         "flip-second-last"])
 def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
@@ -703,24 +766,24 @@ def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
     """Write a checkpoint of ``agent`` holding the arrays ``names`` (in that
     order, duplicates allowed) in ``dtype`` (the agent's own by default) and
     a header without the keys in ``drop`` and with ``values`` over its own;
-    the payload length and digest stay consistent."""
+    the payload length and each piece's digest stay consistent."""
     arrays = dict(agent._named_arrays())
     if names is None:
         names = [name for name, _ in agent._named_arrays()]
     dtype = np.dtype(dtype or agent.dtype).newbyteorder("<")
-    payload = b"".join(arrays[n].astype(dtype).tobytes() for n in names)
+    pieces = [arrays[n].astype(dtype).tobytes() for n in names]
     header = {
         "config": asdict(agent.config),
-        "arrays": [[n, list(arrays[n].shape)] for n in names],
+        "arrays": [[n, list(arrays[n].shape), hashlib.sha256(piece).hexdigest()]
+                   for n, piece in zip(names, pieces)],
         "env_steps": 0,
         "grad_steps": 0,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "dtype": dtype.str,
     }
     header.update(values)
     for key in drop:
         del header[key]
-    return _write_checkpoint(path, json.dumps(header).encode(), payload, version)
+    return _write_checkpoint(path, json.dumps(header).encode(), b"".join(pieces), version)
 
 
 def _write_checkpoint(path, blob, payload=b"", version=CHECKPOINT_VERSION):
@@ -730,12 +793,27 @@ def _write_checkpoint(path, blob, payload=b"", version=CHECKPOINT_VERSION):
     return path
 
 
-@pytest.mark.parametrize("key", ["config", "arrays", "env_steps", "grad_steps",
-                                 "payload_sha256", "dtype"])
+@pytest.mark.parametrize("key", ["config", "arrays", "env_steps", "grad_steps", "dtype"])
 def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
     path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), drop=[key])
     with pytest.raises(CheckpointError, match=key):
         SacAgent.load(path)
+
+
+@pytest.mark.parametrize("tail", [[], [0], ["0" * 64, "x"]],
+                         ids=["no-digest", "not-a-string", "one-too-many"])
+def test_checkpoint_rejects_an_arrays_entry_without_a_digest(tmp_path, tail):
+    raw = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23)).read_bytes()
+    header_len = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:16 + header_len])
+    header["arrays"][3][2:] = tail
+    path = _write_checkpoint(tmp_path / "a.ckpt", json.dumps(header).encode(),
+                             raw[16 + header_len:])
+    for read in (verify_checkpoint, SacAgent.load,
+                 lambda p: SacAgent.load(p, acting_only=True)):
+        with pytest.raises(CheckpointError,
+                           match=r"arrays\[3\] is not \[name, \[length\], sha256\]$"):
+            read(path)
 
 
 @pytest.mark.parametrize("extra, key", [

@@ -93,10 +93,10 @@ TOKENS = st.one_of(
 )
 # Every value in the header an edit can replace, drop or repeat, as the keys
 # that lead to it.
-PATHS = ([(key,) for key in ("arrays", "config", "dtype", "env_steps", "grad_steps",
-                             "payload_sha256")]
+PATHS = ([(key,) for key in ("arrays", "config", "dtype", "env_steps", "grad_steps")]
          + [("config", f.name) for f in fields(SacConfig)]
-         + [("arrays", i, 1, 0) for i in range(len(checkpoint_layout(TINY)))])
+         + [("arrays", i, 1, 0) for i in range(len(checkpoint_layout(TINY)))]
+         + [("arrays", i, 2) for i in range(len(checkpoint_layout(TINY)))])
 
 
 def replaced(path, token):

@@ -20,7 +20,7 @@ from schedtune.data import data_dir
 from schedtune.errors import ConfigError
 from schedtune.report import read_trials_csv
 from schedtune.tunenv import FaasTuningEnv
-from tests.test_agent import _forge_checkpoint, _write_checkpoint
+from tests.test_agent import _array_offset, _forge_checkpoint, _write_checkpoint
 from tests.test_tunenv import DATA_FILES, _record_reads
 
 
@@ -627,7 +627,10 @@ def test_a_scenario_out_of_memory_fails_with_one_error_line(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "_tune_worker", _out_of_memory)
     config = write_config(tmp_path)
     out = tmp_path / "run"
-    extra = ["--checkpoint", str(tmp_path / "agent.ckpt")] if command == "eval" else []
+    extra = []
+    if command == "eval":   # a real checkpoint: eval checks it before any scenario
+        _damage_checkpoint(tmp_path / "agent.ckpt", "intact")
+        extra = ["--checkpoint", str(tmp_path / "agent.ckpt")]
     assert main([command, "--config", config, "--seed", "4", "--jobs", jobs,
                  "--out", str(out)] + extra) == 2
     assert capsys.readouterr().err == (f"error: scenario 1 of 3 (seed "
@@ -659,22 +662,11 @@ def test_a_failed_scenario_keeps_the_rows_of_those_before_it(tmp_path, capsys, m
     assert {row["scenario_seed"] for row in rows} == {scenario_seeds(4, 3)[0]}
 
 
-def _array_offset(raw, name):
-    """Offset in checkpoint bytes ``raw`` of the first byte of array ``name``."""
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    offset = 16 + header_len
-    for array, (length,) in json.loads(raw[16:offset])["arrays"]:
-        if array == name:
-            return offset
-        offset += 4 * length
-    raise KeyError(name)
-
-
 def _damage_checkpoint(path, damage):
     agent = SacAgent(SacConfig(obs_dim=24, act_dim=2, hidden=(8,),
                                batch_size=4, replay_capacity=16), seed=1)
-    if damage == "version-3":
-        _forge_checkpoint(path, agent, version=3)
+    if damage.startswith("version-"):
+        _forge_checkpoint(path, agent, version=int(damage.split("-")[1]))
     elif damage == "f8-payload":
         _forge_checkpoint(path, agent, dtype="<f8")
     elif damage == "negative-hidden":
@@ -711,10 +703,12 @@ def _damage_checkpoint(path, damage):
         # A consistent header for 4.4 PB of arrays, and no payload.
         config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
         header = {"config": asdict(config),
-                  "arrays": [[n, [length]] for n, length in checkpoint_layout(config)],
-                  "env_steps": 0, "grad_steps": 0,
-                  "payload_sha256": hashlib.sha256(b"").hexdigest(), "dtype": "<f4"}
+                  "arrays": [[n, [length], hashlib.sha256(b"").hexdigest()]
+                             for n, length in checkpoint_layout(config)],
+                  "env_steps": 0, "grad_steps": 0, "dtype": "<f4"}
         _write_checkpoint(path, json.dumps(header).encode())
+    elif damage == "intact":
+        agent.save(path)
     else:
         agent.save(path)
         raw = bytearray(path.read_bytes())
@@ -728,16 +722,17 @@ def _damage_checkpoint(path, damage):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("version-3", "unsupported checkpoint version 3, expected 4"),
+    ("version-3", "unsupported checkpoint version 3, expected 5"),
+    ("version-4", "unsupported checkpoint version 4, expected 5"),
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
     ("truncated", "payload is"),
-    ("flipped-byte", "payload does not match its digest"),
-    ("flipped:policy", "payload does not match its digest"),
-    ("flipped:q2", "payload does not match its digest"),
-    ("flipped:opt_critic.v1", "payload does not match its digest"),
+    ("flipped-byte", "opt_alpha.v0 does not match its digest"),
+    ("flipped:policy", "policy does not match its digest"),
+    ("flipped:q2", "q2 does not match its digest"),
+    ("flipped:opt_critic.v1", "opt_critic.v1 does not match its digest"),
     ("oversized-hidden", "payload is 0 bytes, expected 4400012880000092"),
     ("negative-hidden", "malformed header: ConfigError"),
-    # The payload digest does not cover the header, so its config is checked.
+    # The piece digests do not cover the header, so its config is checked.
     ("header:lr=NaN", "malformed header: ConfigError lr"),
     ("header:lr=Infinity", "malformed header: ConfigError lr"),
     ("header:lr=-Infinity", "malformed header: ConfigError lr"),
@@ -760,6 +755,55 @@ def test_bad_checkpoint_fails_eval_with_one_error_line(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "trials.csv").exists()
+
+
+def _count_checks_and_loads(monkeypatch):
+    """Wrap eval's up-front check and ``SacAgent.load``; return the lists of
+    paths each is called with, in this process."""
+    checks, loads = [], []
+    real_check, real_load = cli.verify_checkpoint, SacAgent.load
+
+    def check(path):
+        checks.append(path)
+        real_check(path)
+
+    def load(cls, path, **kwargs):
+        loads.append(path)
+        return real_load(path, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_checkpoint", check)
+    monkeypatch.setattr(SacAgent, "load", classmethod(load))
+    return checks, loads
+
+
+def test_eval_checks_the_whole_checkpoint_before_any_scenario(tmp_path, capsys,
+                                                              monkeypatch):
+    # An acting-only load reads only the policy; the damage lies in q2.
+    checkpoint = tmp_path / "agent.ckpt"
+    _damage_checkpoint(checkpoint, "flipped:q2")
+    checks, loads = _count_checks_and_loads(monkeypatch)
+    out = tmp_path / "run"
+    assert main(["eval", "--config", write_config(tmp_path), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 2
+    assert capsys.readouterr().err == (f"error: {checkpoint}: q2 does not match "
+                                       f"its digest\n")
+    assert not (out / "trials.csv").exists()
+    assert (len(checks), loads) == (1, [])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_checks_the_checkpoint_once_and_loads_it_per_scenario(tmp_path, capsys,
+                                                                   monkeypatch, jobs):
+    checkpoint = tmp_path / "agent.ckpt"
+    _damage_checkpoint(checkpoint, "intact")
+    checks, loads = _count_checks_and_loads(monkeypatch)
+    assert main(["eval", "--config", write_config(tmp_path), "--jobs", jobs,
+                 "--out", str(tmp_path / "run"), "--checkpoint", str(checkpoint)]) == 0
+    assert checks == [str(checkpoint)]
+    # Pool workers load in their own processes, where this list is a copy.
+    assert loads == ([str(checkpoint)] * 3 if jobs == "1" else [])
+    rows = read_trials_csv(tmp_path / "run" / "trials.csv")
+    assert {row["scenario_seed"] for row in rows} == set(scenario_seeds(0, 3))
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):
@@ -790,6 +834,19 @@ def test_unpaired_methods_fail_with_one_error_line(tmp_path, capsys):
     assert "fixed" in err and "random" in err
     for name in ("summary.csv", "report.md", "scores.svg"):
         assert not (tmp_path / "run" / name).exists()
+
+
+def test_a_tune_rerun_into_one_out_fails_report_with_one_error_line(tmp_path, capsys):
+    config = write_config(tmp_path, n_scenarios=2)
+    out = str(tmp_path / "run")
+    for _ in range(2):
+        assert main(["tune", "--config", config, "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate trial ") and err.count("\n") == 1
+    assert "fresh --out" in err
+    assert not (tmp_path / "run" / "summary.csv").exists()
 
 
 def test_compare_is_not_a_command(tmp_path, capsys):
