@@ -200,10 +200,11 @@ class SacAgent:
             self.dtype = self.arena.dtype
             self.policy = Mlp(policy_sizes, init, self.stored[0], None)
             return
-        # Two groups: the stored pieces, and the gradients that updates
-        # write.  The target networks never run backward, so keep none.
+        # The stored pieces, then the gradients that updates write, which a
+        # loaded agent that never trains leaves unfaulted.  The target
+        # networks never run backward, so keep none.
         n_pi, n_q = layout[0][1], layout[1][1]
-        self.arena, pieces = nn.arena([n for _, n in layout], [n_pi, n_q, n_q])
+        self.arena, pieces = nn.arena([n for _, n in layout] + [n_pi, n_q, n_q])
         self.stored, grads = pieces[:len(layout)], pieces[len(layout):]
         params, moments = self.stored[:6], self.stored[6:]
         self.dtype = self.arena.dtype

@@ -31,7 +31,6 @@ DTYPE = np.float32
 # Elements per in-place Adam or Polyak pass: whole-array numpy calls, with
 # scratch small enough to stay in cache.
 CHUNK = 1 << 16
-HUGE_PAGE = 2 << 20   # bytes in an x86-64 or arm64 transparent huge page
 
 
 def two_threads_help() -> bool:
@@ -98,40 +97,29 @@ def both(f, g) -> tuple:
     return first, second
 
 
-def arena(*groups) -> tuple[np.ndarray, list[np.ndarray]]:
+def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
     """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces, one per
-    length in ``groups`` (lists of lengths), each on a 64-byte boundary.
+    length in ``lengths``, each on a 64-byte boundary.
 
-    The buffer is a private anonymous mapping, which the kernel unmaps once
-    no piece is left.  Each group is advised ``MADV_HUGEPAGE`` over the 2 MB
-    pages that lie wholly inside it: where transparent huge pages allow, the
-    kernel faults those in 2 MB at a time, and a group that is never written
-    stays unmapped.  Where ``mmap`` lacks ``MAP_PRIVATE`` or
-    ``MADV_HUGEPAGE`` the buffer is ``np.zeros``.  A mapping too large to
-    make is a ``ConfigError`` naming its size.
+    The buffer is one private anonymous mapping, which the kernel unmaps
+    once no piece is left.  Its pages fault in on first write, so a piece
+    that is never written, such as the gradients of a loaded agent that
+    never trains, takes no memory.  Where ``mmap`` lacks ``MAP_PRIVATE`` the
+    buffer is ``np.zeros``.  A buffer too large to make is a ``ConfigError``
+    naming its size.
     """
     dtype = np.dtype(DTYPE)
     step = 64 // dtype.itemsize
-    lengths = [n for group in groups for n in group]
     starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
-    if starts[-1] and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE"):
-        nbytes = starts[-1] * dtype.itemsize
-        try:
-            memory = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        except (OverflowError, OSError) as exc:   # past ssize_t, or past the address space
-            raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena ({exc})") from exc
-        buffer = np.frombuffer(memory, dtype)
-        base, first = buffer.ctypes.data, 0
-        for group in groups:   # advise the whole huge pages inside each group
-            lo, hi = (base + starts[i] * dtype.itemsize for i in (first, first + len(group)))
-            lo = -(-lo // HUGE_PAGE) * HUGE_PAGE - base
-            hi = hi // HUGE_PAGE * HUGE_PAGE - base
-            if hi > lo:
-                with contextlib.suppress(OSError):   # a kernel without huge pages
-                    memory.madvise(mmap.MADV_HUGEPAGE, lo, hi - lo)
-            first += len(group)
-    else:
-        buffer = np.zeros(starts[-1], dtype)
+    nbytes = starts[-1] * dtype.itemsize
+    try:
+        if starts[-1] and hasattr(mmap, "MAP_PRIVATE"):
+            buffer = np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype)
+        else:
+            buffer = np.zeros(starts[-1], dtype)
+    # Past ssize_t or the address space; refused, or past numpy's size limit.
+    except (OverflowError, OSError, MemoryError, ValueError) as exc:
+        raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena ({exc})") from exc
     return buffer, [buffer[lo:lo + n] for lo, n in zip(starts, lengths)]
 
 

@@ -314,16 +314,14 @@ class TuningEnv:
                         for name in space.static_names if name in self.domain}
         self.initial_action = np.asarray(space.initial_action, dtype=float)
         self.action_dim = len(self.initial_action)
-        self.static_dim = len(space.static_names)
         self.n_steps = n_steps
-        self.n_frames = n_steps + 1
-        self.frame_width = self.action_dim + 2
         self.episode: TuningEpisode | None = None
         self._evaluate = None
 
     @property
     def observation_dim(self) -> int:
-        return self.static_dim + self.n_frames * self.frame_width + 1
+        """The width of :meth:`TuningEpisode.observation`."""
+        return len(self.space.static_names) + (self.n_steps + 1) * (self.action_dim + 2) + 1
 
     # -- subclass hook -------------------------------------------------
     def _begin_episode(self, rng: np.random.Generator):

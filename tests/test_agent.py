@@ -1,5 +1,6 @@
 """Policy distribution math, update gradients, checkpoints, training loop."""
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -488,17 +489,52 @@ def test_the_stored_pieces_open_the_arena_in_layout_order():
     assert agent.q1_target.grad_flat is None and agent.q2_target.grad_flat is None
 
 
-def test_the_arena_is_a_huge_page_mapping_where_mmap_offers_one():
-    if not (hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_HUGEPAGE")):
-        pytest.skip("mmap has no private mappings or huge-page advice here")
+def mappings_over(lo, hi):
+    """(start, end, permissions) of each of this process's mappings that
+    overlaps the bytes [lo, hi), from /proc/self/maps."""
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+        lines = fh.read().splitlines()   # read whole, before anything is parsed
+    out = []
+    for line in lines:
+        span, perms = line.split()[:2]
+        start, end = (int(x, 16) for x in span.split("-"))
+        if start < hi and lo < end:
+            out.append((start, end, perms))
+    return out
+
+
+def test_the_arena_is_a_private_mapping_where_mmap_offers_one():
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        pytest.skip("mmap has no private mappings here")
     arena = tiny_agent().arena
     assert isinstance(arena.base, memoryview) and isinstance(arena.base.obj, mmap.mmap)
+    if os.path.exists("/proc/self/maps"):
+        lo = arena.ctypes.data
+        [(start, end, perms)] = mappings_over(lo, lo + arena.nbytes)
+        assert start <= lo and lo + arena.nbytes <= end and perms.endswith("p")
 
 
-@pytest.mark.parametrize("flag", ["MAP_PRIVATE", "MADV_HUGEPAGE"])
-def test_an_agent_without_mmap_flags_trains_to_the_same_bits(tmp_path, monkeypatch, flag):
+# A tiny agent's arena is a few kB, smaller than anything the allocators
+# map on their own, so no other allocation takes its place once it is gone.
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE") or not os.path.exists("/proc/self/maps"),
+                    reason="needs private mappings and /proc/self/maps")
+def test_the_arena_is_unmapped_once_no_piece_is_left():
+    agent = tiny_agent()
+    lo = agent.arena.ctypes.data
+    hi = lo + agent.arena.nbytes
+    assert mappings_over(lo, hi)
+    flat = agent.policy.flat
+    del agent
+    gc.collect()
+    assert mappings_over(lo, hi)
+    del flat
+    gc.collect()
+    assert not mappings_over(lo, hi)
+
+
+def test_an_agent_without_private_mappings_trains_to_the_same_bits(tmp_path, monkeypatch):
     reference = trained_tiny_agent()
-    monkeypatch.delattr(mmap, flag, raising=False)
+    monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
     agent = trained_tiny_agent()
     assert agent.arena.flags.owndata   # np.zeros, not a mapping
     assert_views_of_one_arena(agent)
@@ -512,37 +548,47 @@ def test_an_agent_without_mmap_flags_trains_to_the_same_bits(tmp_path, monkeypat
     assert_views_of_one_arena(loaded)
 
 
-def huge_page_mappings():
-    """(start, end, resident bytes) of each of this process's mappings that
-    carries the huge-page advice, from /proc/self/smaps."""
-    out, current = [], None
-    with open("/proc/self/smaps", encoding="ascii", errors="replace") as fh:
-        for line in fh:
-            key, *rest = line.split()
-            if "-" in key and not key.endswith(":"):
-                current = [int(x, 16) for x in key.split("-")] + [0]
-            elif key == "Rss:":
-                current[2] = int(rest[0]) * 1024
-            elif key == "VmFlags:" and "hg" in rest:
-                out.append(tuple(current))
-    return out
+def present_pages(lo, hi):
+    """Whether each page wholly inside the bytes [lo, hi) of this process
+    is present in memory: bit 63 of its /proc/self/pagemap entry."""
+    size = mmap.PAGESIZE
+    first, last = -(-lo // size), hi // size
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(first * 8)
+        entries = fh.read((last - first) * 8)
+    return [bool(e >> 63) for e, in struct.iter_unpack("<Q", entries)]
 
 
-@pytest.mark.skipif(not os.path.exists("/sys/kernel/mm/transparent_hugepage")
-                    or not hasattr(mmap, "MADV_HUGEPAGE"),
-                    reason="needs Linux transparent huge pages")
+def pagemap_readable() -> bool:
+    """Whether /proc/self/pagemap shows pages just written as present."""
+    written = np.ones(4 * mmap.PAGESIZE, np.uint8)
+    try:
+        return all(present_pages(written.ctypes.data, written.ctypes.data + written.nbytes))
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE") or not pagemap_readable(),
+                    reason="needs private mappings and a readable /proc/self/pagemap")
 def test_a_loaded_agent_faults_in_none_of_its_gradients(tmp_path):
     path = tmp_path / "agent.ckpt"
     SacAgent(SacConfig(obs_dim=71, act_dim=8), seed=0).save(path)   # default size
     agent = SacAgent.load(path)
-    base, grads = agent.arena.ctypes.data, agent.policy.grad_flat.ctypes.data
-    end = base + agent.arena.nbytes
-    mappings = huge_page_mappings()
-    stored = [m for m in mappings if base <= m[0] and m[1] <= grads]
-    unwritten = [m for m in mappings if grads <= m[0] and m[1] <= end]
-    # A checkpoint's 25 MB span whole 2 MB pages, and so do the gradients.
-    assert stored and all(rss > 0 for _, _, rss in stored)
-    assert unwritten and all(rss == 0 for _, _, rss in unwritten)
+    base, end = agent.arena.ctypes.data, agent.arena.ctypes.data + agent.arena.nbytes
+    stored_end = agent.stored[-1].ctypes.data + agent.stored[-1].nbytes
+    grads = agent.policy.grad_flat.ctypes.data
+    assert stored_end <= grads
+    try:   # where huge pages are always on, the one the stored pieces end in may back both
+        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
+            if "[always]" in fh.read():
+                grads = -(-grads // (2 << 20)) * (2 << 20)
+    except OSError:
+        pass
+    stored = present_pages(base, stored_end)
+    unwritten = present_pages(grads, end)
+    # A default-size checkpoint and its gradients span thousands of pages.
+    assert len(stored) > 1000 and all(stored)
+    assert len(unwritten) > 1000 and not any(unwritten)
 
 
 def test_target_critics_start_as_independent_copies():

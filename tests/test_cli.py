@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import re
 import struct
@@ -1128,15 +1129,20 @@ def test_train_agent_without_evaluations_reads_each_data_file_once(tmp_path, mon
 
 
 # 10**400 is past float range, so the config refuses it; the arena of the
-# other two cannot be mapped in any 64-bit Linux address space, so no test
-# touches real memory.
-@pytest.mark.parametrize("width, message", [
-    (10**400, "hidden[0]: expected a finite number"),
-    (10**30, "-byte arena"),
-    (2**50, "-byte arena"),
-], ids=["10**400", "10**30", "2**50"])
-def test_a_huge_layer_width_fails_train_agent_with_one_error_line(tmp_path, capsys,
-                                                                   width, message):
+# other two cannot be mapped in any 64-bit Linux address space, and without
+# private mappings numpy refuses it (MemoryError, ValueError) before it
+# touches any memory, so no test touches real memory.
+@pytest.mark.parametrize("width, message, private", [
+    (10**400, "hidden[0]: expected a finite number", True),
+    (10**30, "-byte arena", True),
+    (2**50, "-byte arena", True),
+    (10**30, "-byte arena", False),
+    (2**50, "-byte arena", False),
+], ids=["10**400", "10**30", "2**50", "10**30-np.zeros", "2**50-np.zeros"])
+def test_a_huge_layer_width_fails_train_agent_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                   width, message, private):
+    if not private:
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
     config = write_config(tmp_path, mode="train", total_env_steps=8, num_envs=1,
                           hidden=[width], batch_size=4, replay_capacity=16,
                           start_steps=4)

@@ -131,7 +131,7 @@ def test_terminal_reward_formula_property(r0, scores):
 def test_reset_returns_zero_frames_and_zero_step_index():
     env = ScriptedEnv(0.5, [0.6] * 4, static=(0.25, 0.75))
     obs = env.reset(0)
-    static, frames, step = np.split(obs, [2, 2 + env.n_frames * env.frame_width])
+    static, frames, step = np.split(obs, [2, 2 + (env.n_steps + 1) * (env.action_dim + 2)])
     assert np.array_equal(static, [0.25, 0.75])
     assert np.all(frames == 0.0)
     assert step[0] == 0.0
@@ -142,7 +142,8 @@ def test_frame_zero_carries_initial_pair_after_first_step():
     env.reset(0)
     action = np.array([0.1, 0.9])
     obs, _, _, _ = env.step(action)
-    frames = obs[env.static_dim:-1].reshape(env.n_frames, env.frame_width)
+    n_static = len(env.space.static_names)
+    frames = obs[n_static:-1].reshape(env.n_steps + 1, env.action_dim + 2)
     assert np.array_equal(frames[0], [0.5, 0.5, 0.5, 1.0])
     assert np.array_equal(frames[1], [0.1, 0.9, 0.6, 1.0])
     assert np.all(frames[2:] == 0.0)
@@ -228,15 +229,17 @@ def _faas_and_synthetic_envs(mode, level):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_each_mask_level_shows_the_full_features_times_shown(mode):
-    full = [env.reset(5)[:env.static_dim] for env in _faas_and_synthetic_envs(mode, "full")]
+    full = [env.reset(5)[:len(env.space.static_names)]
+            for env in _faas_and_synthetic_envs(mode, "full")]
     faas_coarse = [FAAS_STATIC_NAMES.index(name) for name in FAAS_COARSE_NAMES]
     assert faas_coarse == [8, 9, 10, 11, 13, 14]
     for level in MASK_LEVELS:
         for env, features in zip(_faas_and_synthetic_envs(mode, level), full):
             coarse = faas_coarse if isinstance(env, FaasTuningEnv) else []
-            shown = np.zeros(env.static_dim)
+            n_static = len(env.space.static_names)
+            shown = np.zeros(n_static)
             shown[{"full": slice(None), "coarse": coarse, "none": []}[level]] = 1.0
-            assert np.array_equal(env.reset(5)[:env.static_dim], features * shown)
+            assert np.array_equal(env.reset(5)[:n_static], features * shown)
 
 
 def test_space_var_validation_and_normalize():
@@ -323,7 +326,7 @@ def test_scenario_digest_deterministic():
 
 def test_faas_observation_dimension():
     env = FaasTuningEnv()
-    assert env.static_dim == len(FAAS_STATIC_NAMES) == 20
+    assert len(env.space.static_names) == len(FAAS_STATIC_NAMES) == 20
     assert env.observation_dim == 20 + 5 * 10 + 1 == 71
 
 
