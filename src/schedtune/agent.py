@@ -6,11 +6,13 @@ unit box via (a + 1) / 2.  Temperature is learned against the target
 entropy -|A|, the negated action dimension (Haarnoja et al., arXiv:1812.05905).
 All learning math is explicit numpy; gradients flow through the critics'
 action inputs for the actor update, so no autodiff framework is needed.
-The twin critics' work in an update comes in pairs that do not depend on
-each other, from the target forwards to the Polyak updates; each pair goes
-through :func:`nn.both`, which runs its halves on two cores where BLAS runs
-one thread per call (:func:`nn.helper_thread`).  Either way every float
-operation and every random draw is the same, in the same order.
+An update's work comes in pairs that do not depend on each other: the
+next-state and the actor's policy forwards, then the twin critics' halves
+from the target forwards to the Polyak updates, then each policy layer's
+parameter and input gradients and the two halves of the policy's Adam step.
+Each pair goes through :func:`nn.both`, which runs its halves on two cores
+where BLAS runs one thread per call (:func:`nn.helper_thread`).  Either way
+every float operation and every random draw is the same, in the same order.
 :func:`train_agent` writes the training log and the checkpoint into one
 output directory.  Each piece of a checkpoint carries its own digest, so an
 acting-only load checks the policy alone and :func:`verify_checkpoint` the
@@ -211,6 +213,9 @@ class SacAgent:
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
             Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
                                        [init] * 3 + [None] * 2, params, grads + [None] * 2))
+        # The policy's parameters again, for the next-state forward: its
+        # cache of its own leaves the policy's for the actor's backward.
+        self.next_policy = Mlp(policy_sizes, None, self.policy.flat, None)
         if fill:
             self.q1_target.flat[:] = self.q1.flat
             self.q2_target.flat[:] = self.q2.flat
@@ -230,9 +235,10 @@ class SacAgent:
         return float(np.exp(self.log_alpha[0]))
 
     # -- policy heads ----------------------------------------------------
-    def _heads(self, obs: np.ndarray):
-        """Mean, raw and clipped log-std heads; ``forward`` casts ``obs`` to 2-D ``dtype``."""
-        out = self.policy.forward(obs)
+    def _heads(self, obs: np.ndarray, policy: Mlp | None = None):
+        """Mean, raw and clipped log-std heads of ``policy``, by default
+        ``self.policy``; ``forward`` casts ``obs`` to 2-D ``dtype``."""
+        out = (policy or self.policy).forward(obs)
         mean = out[:, : self.config.act_dim]
         raw = out[:, self.config.act_dim:]
         log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
@@ -259,9 +265,9 @@ class SacAgent:
         return self.sample_action(obs)[0]
 
     # -- gradient computations ---------------------------------------------
-    def critic_targets(self, rew, next_obs, done) -> np.ndarray:
-        """Entropy-regularized TD targets from the frozen twin critics."""
-        next_a, next_logp = self.sample_action(next_obs)
+    def critic_targets(self, rew, next_obs, done, next_a, next_logp) -> np.ndarray:
+        """Entropy-regularized TD targets from the frozen twin critics, for
+        the policy's sampled next actions and their log-probabilities."""
         next_in = np.concatenate([next_obs, next_a], axis=1)
         qt = np.minimum(*both(lambda: self.q1_target.forward(next_in)[:, 0],
                               lambda: self.q2_target.forward(next_in)[:, 0]))
@@ -281,17 +287,19 @@ class SacAgent:
         return float(np.mean((q1_pred - target) ** 2)
                      + np.mean((q2_pred - target) ** 2))
 
-    def actor_gradients(self, obs, eps) -> tuple[float, np.ndarray]:
+    def actor_gradients(self, obs, heads, eps) -> tuple[float, np.ndarray]:
         """Write policy gradients of mean(alpha * logp - min_q).
 
-        ``eps`` is the fixed reparameterization noise.  Gradients reach the
-        policy directly through the entropy terms and through the critics'
-        action inputs; the critics' backward passes are input-only, so their
-        gradient buffers are left as they were.
+        ``heads`` is :meth:`_heads` of ``obs``, whose forward pass the
+        policy's backward reads, and ``eps`` the fixed reparameterization
+        noise.  Gradients reach the policy directly through the entropy
+        terms and through the critics' action inputs; the critics' backward
+        passes are input-only, so their gradient buffers are left as they
+        were.
         """
         n = len(obs)
         alpha = self.alpha
-        mean, raw, log_std = self._heads(obs)
+        mean, raw, log_std = heads
         std, a_new, one_minus_sq, logp = _squash(mean, log_std, eps)
 
         actor_in = np.concatenate([obs, a_new], axis=1)
@@ -322,16 +330,27 @@ class SacAgent:
         obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
         self.grad_steps += 1   # the step number all three optimizers take
-        with helper_thread():   # joined before the policy's Adam step
-            target = self.critic_targets(rew, next_obs, done)
+        # The next-state noise, then the actor's, in the order SAC uses them.
+        next_eps, eps = (self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
+                         for _ in range(2))
+
+        def next_sample():
+            mean, _, log_std = self._heads(next_obs, self.next_policy)
+            _, next_a, _, next_logp = _squash(mean, log_std, next_eps)
+            return next_a, next_logp
+
+        with helper_thread():   # joined before the temperature's Adam step
+            # The policy changes only in its Adam step, so both of its
+            # forwards can run first.
+            next_a_logp, heads = both(next_sample, lambda: self._heads(obs))
+            target = self.critic_targets(rew, next_obs, done, *next_a_logp)
             critic_loss = self.critic_gradients(obs, act, target)
             self.opt_critic.step([self.q1.grad_flat, self.q2.grad_flat], self.grad_steps)
             # The targets move now: the next update is the first to read them.
             both(lambda: polyak_update(self.q1_target, self.q1, cfg.tau),
                  lambda: polyak_update(self.q2_target, self.q2, cfg.tau))
-            eps = self.rng.standard_normal((len(obs), cfg.act_dim), dtype=self.dtype)
-            actor_loss, logp = self.actor_gradients(obs, eps)
-        self.opt_policy.step([self.policy.grad_flat], self.grad_steps)
+            actor_loss, logp = self.actor_gradients(obs, heads, eps)
+            self.opt_policy.step([self.policy.grad_flat], self.grad_steps)
 
         # Temperature: loss -log_alpha * mean(logp + target entropy -act_dim).
         entropy_gap = float(np.mean(logp) - cfg.act_dim)

@@ -7,11 +7,14 @@ action), which ``Mlp.backward``'s input-only mode returns directly.
 Parameters, gradients and Adam moments hold ``DTYPE``, float32 as in common
 SAC implementations; inputs of any float type are cast to it.  ``Mlp`` and
 ``Adam`` keep them in zero-filled buffers the caller hands in, such as the
-pieces of one :func:`arena`.  :func:`both` runs two independent jobs, such
-as the twin critics' halves of an update, on two cores where that pays:
-inside a :func:`helper_thread` block, when ``TWO_THREADS`` holds, the first
-job goes to a one-thread ``ThreadPoolExecutor`` that the block's first pair
-starts and the block's end joins.
+pieces of one :func:`arena`.  :func:`both` runs two independent jobs on two
+cores where that pays: the twin critics' halves of an update, a layer's
+parameter gradients beside its input gradient in ``Mlp.backward``, or the
+two halves of a large lone parameter in ``Adam.step``.  Inside a
+:func:`helper_thread` block, when ``TWO_THREADS`` holds, the first job goes
+to a one-thread ``ThreadPoolExecutor`` that the block's first pair starts
+and the block's end joins.  Either way each job's float operations are the
+same, so the bytes they write are too.
 """
 from __future__ import annotations
 
@@ -60,11 +63,13 @@ _HELPER: contextvars.ContextVar = contextvars.ContextVar("helper", default=None)
 @contextlib.contextmanager
 def helper_thread():
     """A block in which :func:`both` runs its first job on one helper
-    thread when ``TWO_THREADS`` holds.  The helper starts at the block's
-    first pair, and leaving the block, normally or by an error, joins it,
-    so no thread outlives the block.  One thread serves every pair in the
-    block: a thread started per pair costs more, and glibc may give each
-    new thread a malloc arena of its own, which keeps its memory."""
+    thread when ``TWO_THREADS`` holds, such as a whole SAC update: every
+    pair in it, from the two policy forwards to the policy's Adam halves.
+    The helper starts at the block's first pair, and leaving the block,
+    normally or by an error, joins it, so no thread outlives the block.
+    One thread serves every pair in the block: a thread started per pair
+    costs more, and glibc may give each new thread a malloc arena of its
+    own, which keeps its memory."""
     if not TWO_THREADS:
         yield
         return
@@ -82,8 +87,9 @@ def both(f, g) -> tuple:
     lets go of the GIL inside BLAS, so the two products share out the
     cores.  ``f`` has finished before ``both`` returns or raises, and an
     error from ``f`` is raised in preference to one from ``g``, as it would
-    be inline.  Otherwise, and for a ``both`` inside ``g``, ``f`` runs, then
-    ``g``, on the caller's thread."""
+    be inline.  Otherwise, and for a ``both`` inside either job (a critic
+    fit's ``Mlp.backward``, say), ``f`` runs, then ``g``, on the caller's
+    thread."""
     pool = _HELPER.get()
     if pool is None:
         return f(), g()
@@ -185,21 +191,34 @@ class Mlp:
     def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray | None:
         """Write the parameter gradients into ``grad_flat`` and return None;
         with ``input_only`` return the input gradient instead, leaving
-        ``grad_flat`` as it was."""
+        ``grad_flat`` as it was.  Without ``input_only``, each layer above
+        the first writes its parameter gradients as the first job of a
+        :func:`both` pair, while the second carries the gradient down."""
         if self._cache is None:
             raise ConfigError("backward requires a preceding forward pass")
         activations = self._cache
         g = np.atleast_2d(np.asarray(grad_out, dtype=self.flat.dtype))
         if g.shape != activations[-1].shape:
             raise ConfigError("grad_out shape does not match the last forward")
-        for i in reversed(range(len(self.weights))):
-            if not input_only:
-                np.matmul(activations[i].T, g, out=self.grad_weights[i])
-                np.sum(g, axis=0, out=self.grad_biases[i])
-            if i == 0:
-                return g @ self.weights[0].T if input_only else None
+
+        def param_grads(i: int, g: np.ndarray) -> None:
+            np.matmul(activations[i].T, g, out=self.grad_weights[i])
+            np.sum(g, axis=0, out=self.grad_biases[i])
+
+        def input_grad(i: int, g: np.ndarray) -> np.ndarray:
             g = g @ self.weights[i].T
             g *= activations[i] > 0.0   # a ReLU output is > 0 exactly where its input is
+            return g
+
+        for i in reversed(range(1, len(self.weights))):
+            if input_only:
+                g = input_grad(i, g)
+            else:   # both reads this g; input_grad writes a new array
+                _, g = both(lambda: param_grads(i, g), lambda: input_grad(i, g))
+        if input_only:
+            return g @ self.weights[0].T
+        param_grads(0, g)
+        return None
 
 
 def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
@@ -224,9 +243,11 @@ class Adam:
     """Adam over a fixed list of 1-D parameter arrays (a network's ``flat``,
     say), updated in place.  The moments ``m`` and ``v`` are the caller's
     zero-filled arrays, one per parameter with its shape and dtype, and so
-    is the step count, which each :meth:`step` is given.  Each parameter
-    has scratch of its own, so that the two of a pair step on two threads
-    (:func:`both`)."""
+    is the step count, which each :meth:`step` is given.  A pair of
+    parameters (the twin critics) steps on two threads (:func:`both`), and
+    so do the two halves of a lone parameter of ``2 * CHUNK`` elements or
+    more (a policy), split on a ``CHUNK`` boundary.  Each part has scratch
+    of its own."""
 
     def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
                  v: list[np.ndarray], lr: float = 3e-4):
@@ -236,7 +257,13 @@ class Adam:
             raise ConfigError("Adam takes 1-D parameter arrays")
         self.params, self.m, self.v = list(params), list(m), list(v)
         self.lr = lr
-        self._scratch = [np.empty((2, min(CHUNK, m.size)), m.dtype) for m in self.m]
+        # (parameter index, slice) of each part that steps as one job.
+        self._parts = [(k, slice(None)) for k in range(len(self.params))]
+        if len(self.params) == 1 and self.params[0].size >= 2 * CHUNK:
+            mid = self.params[0].size // (2 * CHUNK) * CHUNK
+            self._parts = [(0, slice(None, mid)), (0, slice(mid, None))]
+        self._scratch = [np.empty((2, min(CHUNK, self.m[k][part].size)), self.m[k].dtype)
+                         for k, part in self._parts]
 
     def step(self, grads: list[np.ndarray], t: int) -> None:
         """Take step number ``t``, counted from 1 by the caller.  Per
@@ -249,22 +276,22 @@ class Adam:
             raise ConfigError("gradients do not match the parameters")
         bias1 = 1.0 - ADAM_BETA1**t
         bias2 = 1.0 - ADAM_BETA2**t
-        if len(grads) == 2:   # a pair, such as the twin critics
-            both(lambda: self._step_one(0, grads[0], bias1, bias2),
-                 lambda: self._step_one(1, grads[1], bias1, bias2))
+        if len(self._parts) == 2:
+            both(lambda: self._step_part(0, grads, bias1, bias2),
+                 lambda: self._step_part(1, grads, bias1, bias2))
         else:
-            for k, g in enumerate(grads):
-                self._step_one(k, g, bias1, bias2)
+            for j in range(len(self._parts)):
+                self._step_part(j, grads, bias1, bias2)
 
-    def _step_one(self, k: int, g: np.ndarray, bias1: float, bias2: float) -> None:
-        """Step parameter ``k`` with gradient ``g``, in place, in ``CHUNK``
-        slices through its own scratch."""
+    def _step_part(self, j: int, grads: list[np.ndarray], bias1: float, bias2: float) -> None:
+        """Step part ``j`` in place, in ``CHUNK`` slices through its own scratch."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        p, m, v = self.params[k], self.m[k], self.v[k]
+        k, part = self._parts[j]
+        p, g, m, v = (a[part] for a in (self.params[k], grads[k], self.m[k], self.v[k]))
         for lo in range(0, p.size, CHUNK):
-            part = slice(lo, lo + CHUNK)
-            pc, gc, mc, vc = p[part], g[part], m[part], v[part]
-            num, den = (s[:pc.size] for s in self._scratch[k])
+            chunk = slice(lo, lo + CHUNK)
+            pc, gc, mc, vc = p[chunk], g[chunk], m[chunk], v[chunk]
+            num, den = (s[:pc.size] for s in self._scratch[j])
             mc *= b1
             mc += np.multiply(gc, 1.0 - b1, out=num)
             vc *= b2

@@ -320,8 +320,12 @@ class TuningEnv:
 
     @property
     def observation_dim(self) -> int:
-        """The width of :meth:`TuningEpisode.observation`."""
-        return len(self.space.static_names) + (self.n_steps + 1) * (self.action_dim + 2) + 1
+        """The width of :meth:`TuningEpisode.observation`, read off a blank
+        episode's, so the layout lives in that method alone."""
+        blank = TuningEpisode(r0=0.0, initial_action=self.initial_action,
+                              static=np.zeros(len(self.space.static_names)),
+                              n_steps=self.n_steps)
+        return blank.observation().size
 
     # -- subclass hook -------------------------------------------------
     def _begin_episode(self, rng: np.random.Generator):

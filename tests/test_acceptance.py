@@ -332,7 +332,7 @@ def test_06_agent_numerics(capsys, tmp_path):
                                agent.q2.forward(joined)[:, 0])
             return float(np.mean(alpha * logp - q_min))
 
-        agent.actor_gradients(obs, eps)
+        agent.actor_gradients(obs, agent._heads(obs), eps)
         analytic = [agent.policy.grad_flat.copy()]
         numeric = _fd_gradients(actor_loss, [agent.policy.flat])
         actor_err = _worst_relative(analytic, numeric)

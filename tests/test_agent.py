@@ -99,9 +99,9 @@ def test_actor_gradients_match_finite_differences():
     obs = rng.uniform(-1, 1, (5, 3))
     eps = rng.standard_normal((5, 2))
 
-    agent.actor_gradients(obs, eps)
+    agent.actor_gradients(obs, agent._heads(obs), eps)
     grads = [g.copy() for g in per_array("grad_flat", agent.policy)]
-    worst = fd_check(lambda: agent.actor_gradients(obs, eps)[0],
+    worst = fd_check(lambda: agent.actor_gradients(obs, agent._heads(obs), eps)[0],
                      per_array("flat", agent.policy), grads, rng)
     assert worst < 1e-4
 
@@ -114,7 +114,7 @@ def test_actor_pass_leaves_critics_untouched():
     before = [net.flat.copy() for net in critics]
     for net in critics:
         net.grad_flat.fill(7.0)
-    agent.actor_gradients(obs, rng.standard_normal((4, 2)))
+    agent.actor_gradients(obs, agent._heads(obs), rng.standard_normal((4, 2)))
     assert all(np.array_equal(net.flat, b) for net, b in zip(critics, before))
     assert all(np.all(net.grad_flat == 7.0) for net in critics)
     assert np.any(agent.policy.grad_flat != 0.0)
@@ -327,18 +327,21 @@ def test_threaded_and_inline_updates_are_bit_identical(monkeypatch, hidden, batc
 
 
 @pytest.mark.parametrize("threaded", [False, True])
-@pytest.mark.parametrize("half", ["q1_target", "q2_target", "q1", "q2"])
+@pytest.mark.parametrize("half", ["q1_target", "q2_target", "q1", "q2", "next_policy",
+                                  "policy", "next_policy+policy"])
 def test_an_error_in_a_critic_half_leaves_no_thread(monkeypatch, threaded, half):
-    # q1's half of each pair runs on the helper thread, q2's on the caller's.
+    # The next-state policy forward and q1's half of each critic pair run on
+    # the helper thread, the actor's policy forward and q2's on the caller's.
+    # When both policy forwards fail, the helper's error is raised.
     monkeypatch.setattr(nn, "TWO_THREADS", threaded)
     agent = tiny_agent(seed=43)
+    for name in half.split("+"):
+        def fail(*args, name=name, **kwargs):
+            raise FloatingPointError(f"{name} failed")
 
-    def fail(*args, **kwargs):
-        raise FloatingPointError(f"{half} failed")
-
-    monkeypatch.setattr(getattr(agent, half), "forward", fail)
+        monkeypatch.setattr(getattr(agent, name), "forward", fail)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match=f"{half} failed"):
+    with pytest.raises(FloatingPointError, match=f"^{half.split('+')[0]} failed"):
         agent.update(next(_sac_batches(44, agent.config)))
     assert threading.active_count() == before
 

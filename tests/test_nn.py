@@ -120,6 +120,28 @@ def test_backward_overwrites_the_previous_gradients():
     assert np.array_equal(net.grad_flat, once)
 
 
+def test_a_full_backward_in_a_helper_block_writes_the_inline_bytes(monkeypatch):
+    # Each layer above the first writes its parameter gradients on the
+    # helper while the caller carries the gradient down.
+    rng = np.random.default_rng(12)
+    net = make_mlp((5, 16, 16, 16, 3), rng)
+    jitter_biases(net, rng)
+    x = rng.uniform(-1, 1, (32, 5))
+    coeff = rng.uniform(-1, 1, (32, 3))
+    monkeypatch.setattr(nn, "TWO_THREADS", False)
+    net.forward(x)
+    net.backward(coeff)
+    inline = net.grad_flat.tobytes()
+    net.grad_flat.fill(7.0)
+    monkeypatch.setattr(nn, "TWO_THREADS", True)
+    before = threading.active_count()
+    with nn.helper_thread():
+        net.forward(x)
+        assert net.backward(coeff) is None
+        assert threading.active_count() == before + 1   # a pair went to the helper
+    assert net.grad_flat.tobytes() == inline
+
+
 def input_only_and_full_backward():
     """The net's input-only input gradient and the oracle's full-backward one
     on the same weights and inputs (the net's values, widened to float64);
@@ -406,4 +428,29 @@ def test_a_pair_of_parameters_steps_as_two_single_ones(monkeypatch, threaded):
             opt.step([gk], t)
     for a, b in zip(pair + opt_pair.m + opt_pair.v,
                     singles + [o.m[0] for o in opt_singles] + [o.v[0] for o in opt_singles]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_lone_parameter_steps_as_two_halves_with_the_same_bytes(monkeypatch, threaded):
+    rng = np.random.default_rng(13)
+    start = rng.normal(size=31)
+    grads = [rng.normal(size=start.size) for _ in range(3)]
+    whole = start.copy()
+    opt_whole = adam([whole])   # one part: 31 elements are far below 2 * CHUNK
+    monkeypatch.setattr(nn, "TWO_THREADS", threaded)
+    monkeypatch.setattr(nn, "CHUNK", 7)   # five chunks, the last partial: halves of 14 and 17
+    halves = start.copy()
+    opt_halves = adam([halves])
+    pairs = []
+    monkeypatch.setattr(nn, "both", lambda f, g: pairs.append(1) or both(f, g))
+    before = threading.active_count()
+    with nn.helper_thread():
+        for t, g in enumerate(grads, start=1):
+            opt_halves.step([g], t)
+            opt_whole.step([g], t)
+        assert threading.active_count() == before + threaded
+    assert len(pairs) == len(grads)   # the halves stepped as a pair, and only they
+    for a, b in ((halves, whole), (opt_halves.m[0], opt_whole.m[0]),
+                 (opt_halves.v[0], opt_whole.v[0])):
         assert a.tobytes() == b.tobytes()

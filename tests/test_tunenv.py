@@ -12,6 +12,7 @@ from schedtune import data
 from schedtune.cluster import PRESETS
 from schedtune.errors import ConfigError, ProtocolError
 from schedtune.scheduler import FIXED_WEIGHTS, SCORING_FUNCTIONS
+from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import (
     EPS_REWARD,
     FAAS_COARSE_NAMES,
@@ -328,6 +329,18 @@ def test_faas_observation_dimension():
     env = FaasTuningEnv()
     assert len(env.space.static_names) == len(FAAS_STATIC_NAMES) == 20
     assert env.observation_dim == 20 + 5 * 10 + 1 == 71
+
+
+@pytest.mark.parametrize("make_env", [lambda: FaasTuningEnv(duration_s=20.0),
+                                      lambda: SyntheticTuningEnv("himmelblau")],
+                         ids=["faas", "synthetic"])
+def test_every_observation_is_observation_dim_wide(make_env):
+    env = make_env()
+    obs = env.reset(3)
+    assert not env.episode.trials and obs.shape == (env.observation_dim,)
+    for _ in range(env.n_steps):
+        obs, *_ = env.step(env.initial_action)
+        assert obs.shape == (env.observation_dim,)
 
 
 def test_faas_static_features_well_formed():
