@@ -14,10 +14,10 @@ Each pair goes through :func:`nn.both`, which runs its halves on two cores
 where BLAS runs one thread per call (:func:`nn.helper_thread`).  Either way
 every float operation and every random draw is the same, in the same order.
 :func:`train_agent` writes the training log and the checkpoint into one
-output directory.  Each piece of a checkpoint carries its own digest, so an
-acting-only load checks the policy alone and :func:`verify_checkpoint` the
-whole file.  :meth:`SacAgent.suggest` lets :func:`optimizers.run_tuning`
-drive a trained agent as it drives a baseline.
+output directory.  A checkpoint holds the policy's parameters alone, all
+that a command reads: ``eval`` acts with the mean action, and
+``train-agent`` always starts fresh.  :meth:`SacAgent.suggest` lets
+:func:`optimizers.run_tuning` drive a trained agent as it drives a baseline.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,6 @@ class SacConfig:
     @property
     def critic_sizes(self) -> tuple[int, ...]:
         return (self.obs_dim + self.act_dim,) + self.hidden + (1,)
-
-
-def checkpoint_layout(config: SacConfig) -> list[tuple[str, int]]:
-    """``(name, length)`` of each 1-D piece an agent with ``config`` stores,
-    in the order of its arena and of :meth:`SacAgent.save`: the five
-    networks' parameters, ``log_alpha``, then each optimizer's first
-    moments and its second moments, one per parameter buffer
-    (``opt_critic``'s 0 is q1, its 1 is q2)."""
-    n_pi, n_q = Mlp.param_count(config.policy_sizes), Mlp.param_count(config.critic_sizes)
-    nets = [("policy", n_pi)] + [(name, n_q) for name in ("q1", "q2", "q1_target", "q2_target")]
-    opts = (("opt_policy", [n_pi]), ("opt_critic", [n_q, n_q]), ("opt_alpha", [1]))
-    return nets + [("log_alpha", 1)] + [
-        (f"{name}.{moment}{i}", n)
-        for name, lengths in opts for moment in "mv" for i, n in enumerate(lengths)]
 
 
 class ReplayBuffer:
@@ -172,63 +158,39 @@ def _squash(mean: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
 
 
 class SacAgent:
-    """Every float the agent keeps (the five networks' parameters, the
-    trained three's gradients, ``log_alpha`` and the Adam moments) is a view
-    of one zero-filled ``nn.arena``, ``self.arena``, in ``nn.DTYPE``.  The
-    arena opens with ``self.stored``, the pieces :func:`checkpoint_layout`
-    names, in its order.  An agent loaded ``acting_only`` keeps the policy's
-    parameters alone, its one stored piece."""
+    """Every float the agent keeps is a view of one zero-filled
+    ``nn.arena``, ``self.arena``, in ``nn.DTYPE``: the five networks'
+    parameters, ``log_alpha``, each optimizer's first moments and then its
+    second, one per parameter buffer (``opt_critic``'s 0 is q1, its 1 is
+    q2), and last the trained three's gradients.  A checkpoint stores the
+    policy's parameters alone, so an agent :meth:`load` builds keeps only
+    those: it acts and saves, but cannot update."""
 
     def __init__(self, config: SacConfig, seed: int = 0):
-        self._build(config, seed, fill=True)
-
-    def _build(self, config: SacConfig, seed: int, fill: bool,
-               acting_only: bool = False) -> None:
-        """Carve every array from a fresh arena.  With ``fill`` False the
-        weights stay zero and the rng draws nothing: :meth:`load`
-        overwrites them, and the Adam moments, from the checkpoint.  With
-        ``acting_only`` the arena holds the policy's parameters and nothing
-        else: no gradients, critics, targets or optimizers."""
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.acting_only = acting_only
         self.env_steps = 0
         self.grad_steps = 0
-        init = self.rng if fill else None
         policy_sizes, critic_sizes = config.policy_sizes, config.critic_sizes
-        layout = checkpoint_layout(config)
-        if acting_only:
-            self.arena, self.stored = nn.arena([layout[0][1]])
-            self.dtype = self.arena.dtype
-            self.policy = Mlp(policy_sizes, init, self.stored[0], None)
-            return
-        # The stored pieces, then the gradients that updates write, which a
-        # loaded agent that never trains leaves unfaulted.  The target
-        # networks never run backward, so keep none.
-        n_pi, n_q = layout[0][1], layout[1][1]
-        self.arena, pieces = nn.arena([n for _, n in layout] + [n_pi, n_q, n_q])
-        self.stored, grads = pieces[:len(layout)], pieces[len(layout):]
-        params, moments = self.stored[:6], self.stored[6:]
+        n_pi, n_q = Mlp.param_count(policy_sizes), Mlp.param_count(critic_sizes)
+        # The target networks never run backward, so keep no gradients.
+        self.arena, pieces = nn.arena([n_pi] + [n_q] * 4 + [1] + [n_pi] * 2 + [n_q] * 4
+                                      + [1] * 2 + [n_pi, n_q, n_q])
+        params, moments, grads = pieces[:6], pieces[6:14], pieces[14:]
         self.dtype = self.arena.dtype
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
             Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
-                                       [init] * 3 + [None] * 2, params, grads + [None] * 2))
+                                       [self.rng] * 3 + [None] * 2, params, grads + [None] * 2))
         # The policy's parameters again, for the next-state forward: its
         # cache of its own leaves the policy's for the actor's backward.
         self.next_policy = Mlp(policy_sizes, None, self.policy.flat, None)
-        if fill:
-            self.q1_target.flat[:] = self.q1.flat
-            self.q2_target.flat[:] = self.q2.flat
+        self.q1_target.flat[:] = self.q1.flat
+        self.q2_target.flat[:] = self.q2.flat
         self.log_alpha = params[5]
         self.opt_policy = Adam([self.policy.flat], moments[0:1], moments[1:2], config.lr)
         self.opt_critic = Adam([self.q1.flat, self.q2.flat], moments[2:4], moments[4:6],
                                config.lr)
         self.opt_alpha = Adam([self.log_alpha], moments[6:7], moments[7:8], config.lr)
-
-    def _require_full(self, what: str) -> None:
-        if self.acting_only:
-            raise CheckpointError(
-                f"cannot {what} an agent loaded acting-only: it keeps only its policy")
 
     @property
     def alpha(self) -> float:
@@ -326,7 +288,8 @@ class SacAgent:
 
     # -- one gradient step -----------------------------------------------
     def update(self, batch) -> dict:
-        self._require_full("update")
+        if self.policy.grad_flat is None:
+            raise CheckpointError("cannot update a loaded agent: it keeps only its policy")
         obs, act, rew, next_obs, done = (np.asarray(a, self.dtype) for a in batch)
         cfg = self.config
         self.grad_steps += 1   # the step number all three optimizers take
@@ -366,24 +329,23 @@ class SacAgent:
 
     # -- persistence -------------------------------------------------------
     def _named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """The stored pieces, named by :func:`checkpoint_layout`; an
-        acting-only agent's one piece is the policy, which comes first there."""
-        return [(name, a) for (name, _), a in zip(checkpoint_layout(self.config), self.stored)]
+        """The pieces a checkpoint stores, by name: the policy's parameters
+        alone, on a trained agent and on a loaded one alike."""
+        return [("policy", self.policy.flat)]
 
     def save(self, path) -> None:
         """Write the header, then each stored piece's little-endian bytes in
-        the networks' dtype, in arena order.  The header carries each
-        piece's digest, so one pass hashes the pieces before a second writes
-        them; neither copies them on a little-endian host.  The bytes go to
-        a temporary file beside ``path`` that then replaces it, so a write
-        that fails leaves the previous checkpoint as it was."""
-        self._require_full("save")
+        the networks' dtype.  The header carries each piece's digest, so one
+        pass hashes the pieces before a second writes them; neither copies
+        them on a little-endian host.  The bytes go to a temporary file
+        beside ``path`` that then replaces it, so a write that fails leaves
+        the previous checkpoint as it was.  A loaded agent saves the bytes
+        it was loaded from."""
         dtype = self.dtype.newbyteorder("<")
-        arrays = [np.ascontiguousarray(a, dtype=dtype) for a in self.stored]
+        arrays = [(name, np.ascontiguousarray(a, dtype=dtype)) for name, a in self._named_arrays()]
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, [n], hashlib.sha256(a).hexdigest()]
-                       for (name, n), a in zip(checkpoint_layout(self.config), arrays)],
+            "arrays": [[name, [a.size], hashlib.sha256(a).hexdigest()] for name, a in arrays],
             "env_steps": self.env_steps,
             "grad_steps": self.grad_steps,
             "dtype": dtype.str,
@@ -395,7 +357,7 @@ class SacAgent:
                 fh.write(CHECKPOINT_MAGIC)
                 fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
                 fh.write(blob)
-                for a in arrays:
+                for _, a in arrays:
                     fh.write(a)
             os.replace(tmp, path)
         except BaseException:
@@ -404,31 +366,33 @@ class SacAgent:
             raise
 
     @classmethod
-    def load(cls, path, *, acting_only: bool = False) -> "SacAgent":
+    def load(cls, path) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
         :func:`_checkpoint` checks the whole header before anything is
-        allocated.  A full load then reads each piece into its place in a
-        fresh arena; with ``acting_only`` it reads only the policy, which
-        comes first, into an arena of its own, and the agent acts as a full
-        load does but cannot ``update`` or ``save``.  Each piece read is
-        checked against its own digest as it arrives, so a mismatch names
-        the piece.  Either way the rng starts from seed 0.
+        allocated.  The policy's bytes then go into an arena of their own
+        and are checked against their digest.  The agent acts as the saved
+        one does and can save again, but keeps no critics, targets,
+        gradients or optimizers, so it cannot ``update``.  Its rng starts
+        from seed 0.
         """
-        with _checkpoint(path) as (fh, config, counters, pieces):
+        with _checkpoint(path) as (fh, config, counters, digest):
             agent = cls.__new__(cls)
-            agent._build(config, 0, fill=False, acting_only=acting_only)
-            _read_pieces(fh, path, pieces, agent.stored)
-        agent.env_steps, agent.grad_steps = counters
+            agent.config, agent.rng = config, np.random.default_rng(0)
+            agent.env_steps, agent.grad_steps = counters
+            agent.arena, (flat,) = nn.arena([Mlp.param_count(config.policy_sizes)])
+            agent.dtype = agent.arena.dtype
+            _read_policy(fh, path, digest, flat)
+            agent.policy = Mlp(config.policy_sizes, None, flat, None)
         return agent
 
 
 def verify_checkpoint(path) -> None:
-    """Check every byte of the checkpoint at ``path`` as a full load does, with
-    no agent: each piece passes through one scratch buffer the size of the largest."""
-    with _checkpoint(path) as (fh, _, _, pieces):
-        scratch = np.empty(max(n for _, n, _ in pieces), nn.DTYPE)
-        _read_pieces(fh, path, pieces, [scratch[:n] for _, n, _ in pieces])
+    """Check every byte of the checkpoint at ``path`` as :meth:`SacAgent.load`
+    does, but build no agent: the policy passes through a scratch buffer."""
+    with _checkpoint(path) as (fh, config, _, digest):
+        _read_policy(fh, path, digest,
+                     np.empty(Mlp.param_count(config.policy_sizes), nn.DTYPE))
 
 
 @contextlib.contextmanager
@@ -436,11 +400,10 @@ def _checkpoint(path):
     """Open the checkpoint at ``path`` and check its whole header, reading no
     payload byte: its keys (only the five ``save`` writes, each once: any
     other is state this build would drop), its step counts (not negative),
-    the dtype against ``nn.DTYPE``, its ``arrays`` (``[name, [length],
-    sha256]`` entries) against :func:`checkpoint_layout` of its config, in
-    that order, and the payload length against the file size.  Yield the
-    file at the payload, the config, ``[env_steps, grad_steps]`` and each
-    piece's ``(name, length, digest)``."""
+    the dtype against ``nn.DTYPE``, its ``arrays`` against the one
+    ``["policy", [length], sha256]`` entry its config implies, and the
+    payload length against the file size.  Yield the file at the payload,
+    the config, ``[env_steps, grad_steps]`` and the policy's digest."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -482,7 +445,8 @@ def _checkpoint(path):
         if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
             raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
-        layout = [[name, [n]] for name, n in checkpoint_layout(config)]
+        n = Mlp.param_count(config.policy_sizes)
+        layout = [["policy", [n]]]
         named = [a[:2] if isinstance(a, list) else a for a in arrays]
         if named != layout:
             i = next((i for i, (a, b) in enumerate(zip(named, layout)) if a != b),
@@ -490,24 +454,23 @@ def _checkpoint(path):
             got, want = (json.dumps(x[i]) if i < len(x) else "absent"
                          for x in (named, layout))
             raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
-        if bad := [i for i, a in enumerate(arrays) if len(a) != 3 or not isinstance(a[2], str)]:
-            raise CheckpointError(f"{path}: arrays[{bad[0]}] is not [name, [length], sha256]")
+        if len(arrays[0]) != 3 or not isinstance(digest := arrays[0][2], str):
+            raise CheckpointError(f"{path}: arrays[0] is not [name, [length], sha256]")
         payload = size - 16 - header_len
-        expected = np.dtype(nn.DTYPE).itemsize * sum(n for _, (n,) in layout)
+        expected = np.dtype(nn.DTYPE).itemsize * n
         if payload != expected:
             raise CheckpointError(f"{path} payload is {payload} bytes, expected {expected}")
-        yield fh, config, counters, [(name, n, a[2]) for (name, (n,)), a in zip(layout, arrays)]
+        yield fh, config, counters, digest
 
 
-def _read_pieces(fh, path, pieces, buffers) -> None:
-    """Read ``pieces`` in order into ``buffers``, each checked against its own digest."""
-    for (name, _, digest), dst in zip(pieces, buffers):
-        if fh.readinto(dst) != dst.nbytes:
-            raise CheckpointError(f"{path} is truncated inside the payload")
-        if hashlib.sha256(dst).hexdigest() != digest:
-            raise CheckpointError(f"{path}: {name} does not match its digest")
-        if sys.byteorder == "big":
-            dst.byteswap(inplace=True)
+def _read_policy(fh, path, digest, dst) -> None:
+    """Read the policy's bytes into ``dst`` and check them against ``digest``."""
+    if fh.readinto(dst) != dst.nbytes:
+        raise CheckpointError(f"{path} is truncated inside the payload")
+    if hashlib.sha256(dst).hexdigest() != digest:
+        raise CheckpointError(f"{path}: policy does not match its digest")
+    if sys.byteorder == "big":
+        dst.byteswap(inplace=True)
 
 
 LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",

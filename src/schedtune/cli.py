@@ -74,7 +74,7 @@ def _tune_worker(task) -> tuple[TuningEpisode, float]:
     seed).  Return its episode and wall time in s."""
     start = time.perf_counter()
     env, method, checkpoint, scenario_seed = task
-    tuner = (SacAgent.load(checkpoint, acting_only=True) if method == "agent"
+    tuner = (SacAgent.load(checkpoint) if method == "agent"
              else OPTIMIZERS[method]())
     episode = run_tuning(tuner, env, seed=scenario_seed)
     return episode, time.perf_counter() - start
@@ -94,7 +94,7 @@ def run_tune(config: ExperimentConfig, method: str, seed: int, out_dir: Path,
         raise ConfigError("evaluating the agent requires --checkpoint")
     if jobs < 1:
         raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
-    if method == "agent":   # every byte, once; each scenario then reads only the policy
+    if method == "agent":   # once, before --out exists; each scenario then loads it
         verify_checkpoint(checkpoint)
     path = out_dir / "trials.csv"
     env = make_env(config)

@@ -109,8 +109,8 @@ def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
 
     The buffer is one private anonymous mapping, which the kernel unmaps
     once no piece is left.  Its pages fault in on first write, so a piece
-    that is never written, such as the gradients of a loaded agent that
-    never trains, takes no memory.  Where ``mmap`` lacks ``MAP_PRIVATE`` the
+    that is never written, such as the gradients of an agent that never
+    trains, takes no memory.  Where ``mmap`` lacks ``MAP_PRIVATE`` the
     buffer is ``np.zeros``.  A buffer too large to make is a ``ConfigError``
     naming its size.
     """

@@ -75,3 +75,16 @@ def make_mlp(sizes, rng):
     """A network over an arena of its own, in ``nn.DTYPE`` as it is now."""
     _, (flat, grad_flat) = nn.arena([nn.Mlp.param_count(sizes)] * 2)
     return nn.Mlp(sizes, rng, flat, grad_flat)
+
+
+def training_state(agent):
+    """``(name, array)`` of every piece of a trained agent's state, in arena
+    order, each named by the attribute that holds it: the five networks'
+    ``flat``, ``log_alpha``, then each optimizer's first moments and its
+    second (``opt_critic``'s 0 is q1, its 1 is q2)."""
+    nets = [(name, getattr(agent, name).flat)
+            for name in ("policy", "q1", "q2", "q1_target", "q2_target")]
+    moments = [(f"{name}.{moment}{i}", a)
+               for name in ("opt_policy", "opt_critic", "opt_alpha") for moment in "mv"
+               for i, a in enumerate(getattr(getattr(agent, name), moment))]
+    return nets + [("log_alpha", agent.log_alpha)] + moments

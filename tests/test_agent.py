@@ -25,7 +25,6 @@ from schedtune.agent import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
-    checkpoint_layout,
     env_action,
     train_agent,
     verify_checkpoint,
@@ -34,7 +33,7 @@ from schedtune.errors import CheckpointError, ConfigError
 from schedtune.optimizers import run_tuning
 from schedtune.synthfuncs import SyntheticTuningEnv
 from schedtune.tunenv import VectorEnv
-from tests.conftest import float64_networks, make_mlp
+from tests.conftest import float64_networks, make_mlp, training_state
 
 
 def tiny_agent(seed=0, obs_dim=3, act_dim=2, **overrides):
@@ -382,9 +381,14 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-# SHA-256 of the checkpoint `trained_tiny_agent` saves: the format, the array
-# order and every float32 bit of three updates (numpy 2.4, OpenBLAS, x86-64).
-PINNED_CHECKPOINT_SHA256 = "98359710a08c8ca980f1758795ed878823a3ce94945cf713991bb4a09e18d98a"
+# SHA-256 of `trained_tiny_agent`'s arena: every float32 bit of three updates
+# in every piece, in arena order (numpy 2.4, OpenBLAS, x86-64).
+PINNED_ARENA_SHA256 = "4dda569a938887af2f0205d17621b49c03974fa7d274f433535bfd5c22367a47"
+# SHA-256 of the checkpoint it saves: the format and the trained policy.
+PINNED_CHECKPOINT_SHA256 = "7a251f2443f20ab60a3a819b4f216208da35875fb149d3dac1971a4ba3f69cb6"
+# The policy's digest in its header, the one a version-5 checkpoint of the
+# same agent carried: the policy's bytes did not change with the format.
+PINNED_POLICY_SHA256 = "7e4e5fe16f3ab93307ba49ae126ffbb6d2a507f3234dda5c5518fda599018cd7"
 
 
 def trained_tiny_agent():
@@ -398,10 +402,19 @@ def trained_tiny_agent():
     return agent
 
 
-def test_checkpoint_bytes_are_pinned(tmp_path):
+def header_of(raw):
+    """The header of checkpoint bytes ``raw``, parsed."""
+    return json.loads(raw[16:16 + struct.unpack("<Q", raw[8:16])[0]])
+
+
+def test_training_bits_and_checkpoint_bytes_are_pinned(tmp_path):
+    agent = trained_tiny_agent()
+    assert hashlib.sha256(agent.arena.tobytes()).hexdigest() == PINNED_ARENA_SHA256
     path = tmp_path / "agent.ckpt"
-    trained_tiny_agent().save(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+    agent.save(path)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == PINNED_CHECKPOINT_SHA256
+    assert header_of(raw)["arrays"] == [["policy", [140], PINNED_POLICY_SHA256]]
 
 
 def test_a_save_that_fails_halfway_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -432,12 +445,12 @@ def test_a_save_that_fails_halfway_keeps_the_previous_checkpoint(tmp_path, monke
 
 
 def assert_views_of_one_arena(agent):
-    """Every named array and the trained networks' gradient buffers are
-    views of ``agent.arena``, and no two of them overlap.  The target
-    networks keep no gradients."""
+    """Every piece of the training state and the trained networks' gradient
+    buffers are views of ``agent.arena``, and no two of them overlap.  The
+    target networks keep no gradients."""
     assert agent.q1_target.grad_flat is None and agent.q2_target.grad_flat is None
     nets = (agent.policy, agent.q1, agent.q2)
-    arrays = [a for _, a in agent._named_arrays()] + [net.grad_flat for net in nets]
+    arrays = [a for _, a in training_state(agent)] + [net.grad_flat for net in nets]
     assert all(np.shares_memory(a, agent.arena) for a in arrays)
     spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
     lo, hi = agent.arena.ctypes.data, agent.arena.ctypes.data + agent.arena.nbytes
@@ -457,33 +470,25 @@ def test_arrays_are_views_of_their_network_buffers(tmp_path):
                               (net.split(opt.v[k]), opt.v[k])):
             assert all(np.shares_memory(a, buffer) for a in views)
         assert opt.params[k] is net.flat
-    named = dict(agent._named_arrays())
-    opt_names = {agent.opt_policy: "opt_policy", agent.opt_critic: "opt_critic"}
-    for name, (net, opt, k) in owners.items():
-        assert named[name] is net.flat
-        # opt_critic's 0 is q1, its 1 is q2.
-        assert named[f"{opt_names[opt]}.m{k}"] is opt.m[k]
-        assert named[f"{opt_names[opt]}.v{k}"] is opt.v[k]
-    assert named["opt_critic.m1"].size == agent.q2.flat.size
-    assert named["q1_target"] is agent.q1_target.flat
-    assert named["log_alpha"] is agent.log_alpha
-    assert named["opt_alpha.m0"] is agent.opt_alpha.m[0]
+    assert agent._named_arrays() == [("policy", agent.policy.flat)]
     assert agent.opt_alpha.params[0] is agent.log_alpha
     assert_views_of_one_arena(agent)
     path = tmp_path / "agent.ckpt"
     agent.save(path)
     loaded = SacAgent.load(path)
-    assert_views_of_one_arena(loaded)
+    assert np.shares_memory(loaded.policy.flat, loaded.arena)
     assert not np.shares_memory(agent.arena, loaded.arena)
     assert not np.shares_memory(agent.arena, tiny_agent(seed=22).arena)
 
 
-def test_the_stored_pieces_open_the_arena_in_layout_order():
+def test_the_training_state_opens_the_arena_in_order():
     agent = tiny_agent(seed=29)
-    layout = checkpoint_layout(agent.config)
-    assert [a.size for a in agent.stored] == [n for _, n in layout]
-    starts = [a.ctypes.data for a in agent.stored]
-    ends = [a.ctypes.data + a.nbytes for a in agent.stored]
+    state = [a for _, a in training_state(agent)]
+    # policy: 3 * 8 + 8, 8 * 8 + 8 and 8 * 4 + 4; critics: 5 * 8 + 8, 8 * 8 + 8, 8 + 1.
+    assert [a.size for a in state] == [140] + [129] * 4 + [1] + [140] * 2 + [129] * 4 + [1] * 2
+    assert all(a.ndim == 1 for a in state)
+    starts = [a.ctypes.data for a in state]
+    ends = [a.ctypes.data + a.nbytes for a in state]
     assert starts[0] == agent.arena.ctypes.data
     # Each piece begins at the first 64-byte boundary after the one before.
     assert all(0 <= start - end < 64 for end, start in zip(ends, starts[1:]))
@@ -541,57 +546,14 @@ def test_an_agent_without_private_mappings_trains_to_the_same_bits(tmp_path, mon
     agent = trained_tiny_agent()
     assert agent.arena.flags.owndata   # np.zeros, not a mapping
     assert_views_of_one_arena(agent)
-    for (name, a), (_, b) in zip(reference._named_arrays(), agent._named_arrays()):
-        assert np.array_equal(a, b), name
+    assert agent.arena.tobytes() == reference.arena.tobytes()
+    assert hashlib.sha256(agent.arena.tobytes()).hexdigest() == PINNED_ARENA_SHA256
     path = tmp_path / "agent.ckpt"
     agent.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
     loaded = SacAgent.load(path)
     assert loaded.arena.flags.owndata
-    assert_views_of_one_arena(loaded)
-
-
-def present_pages(lo, hi):
-    """Whether each page wholly inside the bytes [lo, hi) of this process
-    is present in memory: bit 63 of its /proc/self/pagemap entry."""
-    size = mmap.PAGESIZE
-    first, last = -(-lo // size), hi // size
-    with open("/proc/self/pagemap", "rb") as fh:
-        fh.seek(first * 8)
-        entries = fh.read((last - first) * 8)
-    return [bool(e >> 63) for e, in struct.iter_unpack("<Q", entries)]
-
-
-def pagemap_readable() -> bool:
-    """Whether /proc/self/pagemap shows pages just written as present."""
-    written = np.ones(4 * mmap.PAGESIZE, np.uint8)
-    try:
-        return all(present_pages(written.ctypes.data, written.ctypes.data + written.nbytes))
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE") or not pagemap_readable(),
-                    reason="needs private mappings and a readable /proc/self/pagemap")
-def test_a_loaded_agent_faults_in_none_of_its_gradients(tmp_path):
-    path = tmp_path / "agent.ckpt"
-    SacAgent(SacConfig(obs_dim=71, act_dim=8), seed=0).save(path)   # default size
-    agent = SacAgent.load(path)
-    base, end = agent.arena.ctypes.data, agent.arena.ctypes.data + agent.arena.nbytes
-    stored_end = agent.stored[-1].ctypes.data + agent.stored[-1].nbytes
-    grads = agent.policy.grad_flat.ctypes.data
-    assert stored_end <= grads
-    try:   # where huge pages are always on, the one the stored pieces end in may back both
-        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
-            if "[always]" in fh.read():
-                grads = -(-grads // (2 << 20)) * (2 << 20)
-    except OSError:
-        pass
-    stored = present_pages(base, stored_end)
-    unwritten = present_pages(grads, end)
-    # A default-size checkpoint and its gradients span thousands of pages.
-    assert len(stored) > 1000 and all(stored)
-    assert len(unwritten) > 1000 and not any(unwritten)
+    assert np.shares_memory(loaded.policy.flat, loaded.arena)
 
 
 def test_target_critics_start_as_independent_copies():
@@ -608,66 +570,41 @@ def test_target_critics_start_as_independent_copies():
         assert target.weights[0][0, 0] != net.weights[0][0, 0]
 
 
-def test_loaded_agent_acts_and_updates_like_the_saved_one(tmp_path):
-    rng = np.random.default_rng(23)
-
-    def batch():
-        return (rng.uniform(-1, 1, (4, 3)), np.tanh(rng.normal(size=(4, 2))),
-                rng.uniform(0, 1, 4), rng.uniform(-1, 1, (4, 3)), np.zeros(4))
-
-    agent = tiny_agent(seed=24)
-    for _ in range(3):
-        agent.update(batch())
-    path = tmp_path / "agent.ckpt"
-    agent.save(path)
-    loaded = SacAgent.load(path)
-    obs = rng.uniform(-1, 1, (5, 3))
-    assert all(np.array_equal(agent.act(o), loaded.act(o)) for o in obs)
-    agent.rng, loaded.rng = np.random.default_rng(25), np.random.default_rng(25)
-    step = batch()
-    assert repr(agent.update(step)) == repr(loaded.update(step))
-    for (name, a), (_, b) in zip(agent._named_arrays(), loaded._named_arrays()):
-        assert np.array_equal(a, b), name
-    assert loaded.grad_steps == agent.grad_steps == 4
-
-
-def test_an_acting_only_load_acts_like_a_full_load(tmp_path):
-    path = tmp_path / "agent.ckpt"
-    trained_tiny_agent().save(path)
-    full = SacAgent.load(path)
-    policy = SacAgent.load(path, acting_only=True)
-    obs = np.random.default_rng(26).uniform(-3, 3, (20, 3))
-    for o in obs:
-        assert np.array_equal(full.act(o), policy.act(o))
-    # Stochastic: each agent draws its noise from its own rng, seeded alike.
-    for a, b in zip(full.sample_action(obs), policy.sample_action(obs)):
-        assert np.array_equal(a, b)
-    assert np.array_equal(full.act_batch(obs), policy.act_batch(obs))
-    assert (policy.env_steps, policy.grad_steps) == (full.env_steps, full.grad_steps) == (12, 3)
-
-
-def test_an_acting_only_load_keeps_only_the_policy(tmp_path):
+def test_a_loaded_agent_acts_like_the_saved_one(tmp_path):
     path = tmp_path / "agent.ckpt"
     agent = trained_tiny_agent()
     agent.save(path)
-    loaded = SacAgent.load(path, acting_only=True)
-    assert sorted(vars(loaded)) == ["acting_only", "arena", "config", "dtype",
-                                    "env_steps", "grad_steps", "policy", "rng", "stored"]
+    loaded = SacAgent.load(path)
+    obs = np.random.default_rng(26).uniform(-3, 3, (20, 3))
+    for o in obs:
+        assert np.array_equal(agent.act(o), loaded.act(o))
+    # Stochastic: each agent draws its noise from its own rng, seeded alike.
+    agent.rng, loaded.rng = np.random.default_rng(25), np.random.default_rng(25)
+    for a, b in zip(agent.sample_action(obs), loaded.sample_action(obs)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(agent.act_batch(obs), loaded.act_batch(obs))
+    assert (loaded.env_steps, loaded.grad_steps) == (agent.env_steps, agent.grad_steps) == (12, 3)
+
+
+def test_a_loaded_agent_keeps_only_the_policy(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    agent = trained_tiny_agent()
+    agent.save(path)
+    loaded = SacAgent.load(path)
+    assert sorted(vars(loaded)) == ["arena", "config", "dtype", "env_steps", "grad_steps",
+                                    "policy", "rng"]
     assert loaded.policy.grad_flat is None
     assert loaded.arena.nbytes == -(-agent.policy.flat.nbytes // 64) * 64
     assert np.shares_memory(loaded.policy.flat, loaded.arena)
-    assert len(loaded.stored) == 1 and loaded.stored[0] is loaded.policy.flat
-    saved = dict(agent._named_arrays())
     named = loaded._named_arrays()
-    assert [n for n, _ in named] == ["policy"]
-    for name, a in named:
-        assert np.array_equal(a, saved[name]), name
+    assert [n for n, _ in named] == [n for n, _ in agent._named_arrays()] == ["policy"]
+    assert named[0][1].tobytes() == agent.policy.flat.tobytes()
 
 
 def _array_offset(raw, name):
     """Offset in checkpoint bytes ``raw`` of the first byte of piece ``name``."""
     offset = 16 + struct.unpack("<Q", raw[8:16])[0]
-    for entry in json.loads(raw[16:offset])["arrays"]:
+    for entry in header_of(raw)["arrays"]:
         if entry[0] == name:
             return offset
         offset += 4 * entry[1][0]
@@ -681,21 +618,7 @@ def _flip_inside(path, name):
     path.write_bytes(bytes(raw))
 
 
-def test_an_acting_only_load_reads_past_damage_outside_the_policy(tmp_path):
-    path = tmp_path / "agent.ckpt"
-    trained_tiny_agent().save(path)
-    intact = SacAgent.load(path, acting_only=True)
-    _flip_inside(path, "q2")
-    damaged = SacAgent.load(path, acting_only=True)
-    obs = np.random.default_rng(33).uniform(-3, 3, (20, 3))
-    assert all(np.array_equal(intact.act(o), damaged.act(o)) for o in obs)
-    assert np.array_equal(intact.policy.flat, damaged.policy.flat)
-    # A full load keeps q2, so it checks it.
-    with pytest.raises(CheckpointError, match=r"agent\.ckpt: q2 does not match its digest$"):
-        SacAgent.load(path)
-
-
-@pytest.mark.parametrize("name", [name for name, _ in checkpoint_layout(tiny_agent().config)])
+@pytest.mark.parametrize("name", [name for name, _ in tiny_agent()._named_arrays()])
 def test_each_reader_names_a_damaged_piece_that_it_reads(tmp_path, name):
     path = tmp_path / "agent.ckpt"
     trained_tiny_agent().save(path)
@@ -705,47 +628,119 @@ def test_each_reader_names_a_damaged_piece_that_it_reads(tmp_path, name):
     for read in (verify_checkpoint, SacAgent.load):
         with pytest.raises(CheckpointError, match=message):
             read(path)
-    # The acting-only load reads the policy and nothing after it.
-    if name == "policy":
-        with pytest.raises(CheckpointError, match=message):
-            SacAgent.load(path, acting_only=True)
-    else:
-        assert SacAgent.load(path, acting_only=True).acting_only
+
+
+@pytest.mark.parametrize("read", [verify_checkpoint, SacAgent.load], ids=["verify", "load"])
+@pytest.mark.parametrize("view", range(6), ids=["w0", "b0", "w1", "b1", "w2", "b2"])
+def test_each_reader_names_a_flip_in_any_layer_of_the_policy(tmp_path, read, view):
+    agent = trained_tiny_agent()
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    layer = agent.policy.split(agent.policy.flat)[view]
+    # The layer's last byte, counted from the policy's first one.
+    offset = layer.ctypes.data + layer.nbytes - 1 - agent.policy.flat.ctypes.data
+    raw = bytearray(path.read_bytes())
+    raw[_array_offset(raw, "policy") + offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: policy does not match its digest"
+
+
+@pytest.mark.parametrize("length", [0, 139, 141])
+def test_a_policy_entry_of_another_length_fails_with_one_error_line(tmp_path, length):
+    # Payload and digest agree with the entry, but the config implies 140.
+    agent = tiny_agent(seed=25)
+    path = _forge_checkpoint(tmp_path / "a.ckpt", agent,
+                             [("policy", np.resize(agent.policy.flat, length))])
+    for read in (verify_checkpoint, SacAgent.load):
+        with pytest.raises(CheckpointError) as info:
+            read(path)
+        assert str(info.value) == (f'{path}: arrays[0] is ["policy", [{length}]], '
+                                   f'expected ["policy", [140]]')
+
+
+@pytest.mark.parametrize("obs_dim, act_dim, hidden", [
+    (3, 2, (8,)), (1, 1, (4, 4)), (5, 3, (16, 8, 4)), (24, 2, (32, 32)),
+])
+def test_a_loaded_agent_of_any_shape_acts_like_the_saved_one(tmp_path, obs_dim, act_dim,
+                                                             hidden):
+    config = SacConfig(obs_dim=obs_dim, act_dim=act_dim, hidden=hidden, batch_size=4,
+                       replay_capacity=16)
+    agent = SacAgent(config, seed=7)
+    path, again = tmp_path / "agent.ckpt", tmp_path / "again.ckpt"
+    agent.save(path)
+    assert header_of(path.read_bytes())["arrays"][0][:2] == ["policy", [agent.policy.flat.size]]
+    loaded = SacAgent.load(path)
+    assert loaded.config == config and loaded.policy.sizes == agent.policy.sizes
+    assert loaded.policy.flat.tobytes() == agent.policy.flat.tobytes()
+    obs = np.random.default_rng(8).uniform(-3, 3, (6, obs_dim))
+    for o in obs:
+        assert np.array_equal(agent.act(o), loaded.act(o))
+    # Sampled: each agent draws its noise from its own rng, seeded alike.
+    agent.rng, loaded.rng = np.random.default_rng(9), np.random.default_rng(9)
+    assert np.array_equal(agent.act_batch(obs), loaded.act_batch(obs))
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("env_steps, grad_steps", [(0, 0), (12, 3), (2**53 + 1, 2**40)])
+def test_a_checkpoint_keeps_its_step_counts_exactly(tmp_path, env_steps, grad_steps):
+    # 2**53 + 1 is the first count a float would round.
+    agent = tiny_agent(seed=34)
+    agent.env_steps, agent.grad_steps = env_steps, grad_steps
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    assert header_of(path.read_bytes())["env_steps"] == env_steps
+    loaded = SacAgent.load(path)
+    assert (loaded.env_steps, loaded.grad_steps) == (env_steps, grad_steps)
+    assert type(loaded.env_steps) is int and type(loaded.grad_steps) is int
 
 
 def test_every_reader_checks_the_header_before_it_allocates(tmp_path):
-    # A consistent header for 4.4 PB of arrays, and no payload.
+    # A consistent header for a 400 TB policy, and no payload.
     config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
     header = {"config": asdict(config), "env_steps": 0, "grad_steps": 0, "dtype": "<f4",
-              "arrays": [[name, [n], hashlib.sha256(b"").hexdigest()]
-                         for name, n in checkpoint_layout(config)]}
+              "arrays": [["policy", [100_000_300_000_004], hashlib.sha256(b"").hexdigest()]]}
     path = _write_checkpoint(tmp_path / "huge.ckpt", json.dumps(header).encode())
-    for read in (verify_checkpoint, SacAgent.load,
-                 lambda p: SacAgent.load(p, acting_only=True)):
-        with pytest.raises(CheckpointError, match="payload is 0 bytes, expected 4400012880000092"):
+    for read in (verify_checkpoint, SacAgent.load):
+        with pytest.raises(CheckpointError, match="payload is 0 bytes, expected 400001200000016$"):
             read(path)
 
 
-@pytest.mark.parametrize("call", ["update", "save"])
-def test_an_acting_only_agent_cannot_update_or_save(tmp_path, call):
+def test_a_loaded_agent_cannot_update(tmp_path):
     path = tmp_path / "agent.ckpt"
     tiny_agent(seed=27).save(path)
-    loaded = SacAgent.load(path, acting_only=True)
-    argument = tmp_path / "copy.ckpt" if call == "save" else None
-    with pytest.raises(CheckpointError, match=f"cannot {call} an agent loaded acting-only"):
-        getattr(loaded, call)(argument)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["agent.ckpt"]
+    loaded = SacAgent.load(path)
+    with pytest.raises(CheckpointError) as info:
+        loaded.update(None)
+    assert str(info.value) == "cannot update a loaded agent: it keeps only its policy"
 
 
-def test_checkpoint_layout_names_every_saved_array_in_order():
-    agent = tiny_agent(seed=28)
-    assert checkpoint_layout(agent.config) == [
-        (name, a.size) for name, a in agent._named_arrays()]
-    assert all(a.ndim == 1 for a in agent.stored)
-    assert [name for name, _ in checkpoint_layout(agent.config)] == [
-        "policy", "q1", "q2", "q1_target", "q2_target", "log_alpha",
-        "opt_policy.m0", "opt_policy.v0", "opt_critic.m0", "opt_critic.m1",
-        "opt_critic.v0", "opt_critic.v1", "opt_alpha.m0", "opt_alpha.v0"]
+def test_a_loaded_agent_saves_the_bytes_it_was_loaded_from(tmp_path):
+    path, again = tmp_path / "agent.ckpt", tmp_path / "again.ckpt"
+    trained_tiny_agent().save(path)
+    SacAgent.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "agent.ckpt"]
+
+
+def test_a_checkpoint_stores_the_policy_alone(tmp_path):
+    agent = trained_tiny_agent()
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    raw = path.read_bytes()
+    policy = agent.policy.flat.astype("<f4").tobytes()
+    assert header_of(raw)["arrays"] == [["policy", [140], hashlib.sha256(policy).hexdigest()]]
+    assert raw.endswith(policy) and len(raw) == _array_offset(raw, "policy") + len(policy)
+
+
+def test_a_version_5_checkpoint_fails_with_one_error_line(tmp_path):
+    path = _forge_checkpoint(tmp_path / "v5.ckpt", tiny_agent(seed=28), version=5)
+    for read in (verify_checkpoint, SacAgent.load):
+        with pytest.raises(CheckpointError) as info:
+            read(path)
+        assert str(info.value) == "unsupported checkpoint version 5, expected 6"
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -783,8 +778,8 @@ def _flip(offset):
     (lambda raw: raw[:-1], "payload is"),
     (lambda raw: raw + b"\0", "payload is"),
     (lambda raw: raw[:30], "header"),
-    (_flip(-1), "opt_alpha.v0 does not match its digest"),   # last byte of the last array
-    (_flip(-5), "opt_alpha.m0 does not match its digest"),   # the (float32) array before it
+    (_flip(-1), "policy does not match its digest"),   # last byte of the one array
+    (_flip(-5), "policy does not match its digest"),   # the (float32) element before it
 ], ids=["short-40", "short-1", "trailing-1", "short-header", "flip-last",
         "flip-second-last"])
 def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
@@ -796,35 +791,33 @@ def test_checkpoint_rejects_bad_payload(tmp_path, mutate, message):
         SacAgent.load(path)
 
 
-def test_a_checkpoint_with_its_arrays_out_of_order_fails_with_one_error_line(tmp_path):
-    # save writes checkpoint_layout's order; the loader reads only that.
+def test_a_checkpoint_of_another_piece_fails_with_one_error_line(tmp_path):
+    # A header that lists q1, a piece version 5 stored, where the policy belongs.
     agent = tiny_agent(seed=25)
-    names = [name for name, _ in agent._named_arrays()]
-    path = _forge_checkpoint(tmp_path / "rev.ckpt", agent, names[::-1])
+    path = _forge_checkpoint(tmp_path / "q1.ckpt", agent, [("q1", agent.q1.flat)])
     with pytest.raises(CheckpointError) as info:
         SacAgent.load(path)
     message = str(info.value)
     assert len(message.splitlines()) == 1
     # policy: 3 * 8 + 8, 8 * 8 + 8 and 8 * 4 + 4 weights and biases.
-    assert (f'arrays[0] is ["opt_alpha.v0", [1]], expected ["policy", [140]]'
-            in message)
+    assert 'arrays[0] is ["q1", [129]], expected ["policy", [140]]' in message
 
 
-def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
+def _forge_checkpoint(path, agent, pieces=None, drop=(), dtype=None,
                       version=CHECKPOINT_VERSION, **values):
-    """Write a checkpoint of ``agent`` holding the arrays ``names`` (in that
-    order, duplicates allowed) in ``dtype`` (the agent's own by default) and
-    a header without the keys in ``drop`` and with ``values`` over its own;
-    the payload length and each piece's digest stay consistent."""
-    arrays = dict(agent._named_arrays())
-    if names is None:
-        names = [name for name, _ in agent._named_arrays()]
+    """Write a checkpoint of ``agent`` holding ``pieces``, ``(name, array)``
+    pairs (the agent's own by default, duplicates allowed), in ``dtype``
+    (the agent's own by default) and a header without the keys in ``drop``
+    and with ``values`` over its own; the payload length and each piece's
+    digest stay consistent."""
+    if pieces is None:
+        pieces = agent._named_arrays()
     dtype = np.dtype(dtype or agent.dtype).newbyteorder("<")
-    pieces = [arrays[n].astype(dtype).tobytes() for n in names]
+    blobs = [a.astype(dtype).tobytes() for _, a in pieces]
     header = {
         "config": asdict(agent.config),
-        "arrays": [[n, list(arrays[n].shape), hashlib.sha256(piece).hexdigest()]
-                   for n, piece in zip(names, pieces)],
+        "arrays": [[n, list(a.shape), hashlib.sha256(blob).hexdigest()]
+                   for (n, a), blob in zip(pieces, blobs)],
         "env_steps": 0,
         "grad_steps": 0,
         "dtype": dtype.str,
@@ -832,7 +825,7 @@ def _forge_checkpoint(path, agent, names=None, drop=(), dtype=None,
     header.update(values)
     for key in drop:
         del header[key]
-    return _write_checkpoint(path, json.dumps(header).encode(), b"".join(pieces), version)
+    return _write_checkpoint(path, json.dumps(header).encode(), b"".join(blobs), version)
 
 
 def _write_checkpoint(path, blob, payload=b"", version=CHECKPOINT_VERSION):
@@ -855,13 +848,12 @@ def test_checkpoint_rejects_an_arrays_entry_without_a_digest(tmp_path, tail):
     raw = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23)).read_bytes()
     header_len = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:16 + header_len])
-    header["arrays"][3][2:] = tail
+    header["arrays"][0][2:] = tail
     path = _write_checkpoint(tmp_path / "a.ckpt", json.dumps(header).encode(),
                              raw[16 + header_len:])
-    for read in (verify_checkpoint, SacAgent.load,
-                 lambda p: SacAgent.load(p, acting_only=True)):
+    for read in (verify_checkpoint, SacAgent.load):
         with pytest.raises(CheckpointError,
-                           match=r"arrays\[3\] is not \[name, \[length\], sha256\]$"):
+                           match=r"arrays\[0\] is not \[name, \[length\], sha256\]$"):
             read(path)
 
 
@@ -898,16 +890,14 @@ def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
 
 def test_checkpoint_rejects_missing_or_duplicate_arrays(tmp_path):
     agent = tiny_agent(seed=24)
-    names = [name for name, _ in agent._named_arrays()]
-    SacAgent.load(_forge_checkpoint(tmp_path / "ok.ckpt", agent, names))
-    assert "opt_alpha.v0" in names
-    missing = [n for n in names if n != "opt_alpha.v0"]
-    with pytest.raises(CheckpointError, match="opt_alpha.v0"):
-        SacAgent.load(_forge_checkpoint(tmp_path / "m.ckpt", agent, missing))
-    # same length and byte count, but opt_alpha.m0 twice and no v0
-    duplicate = [n if n != "opt_alpha.v0" else "opt_alpha.m0" for n in names]
-    with pytest.raises(CheckpointError, match="opt_alpha"):
-        SacAgent.load(_forge_checkpoint(tmp_path / "d.ckpt", agent, duplicate))
+    pieces = agent._named_arrays()
+    SacAgent.load(_forge_checkpoint(tmp_path / "ok.ckpt", agent, pieces))
+    with pytest.raises(CheckpointError,
+                       match=r'arrays\[0\] is absent, expected \["policy", \[140\]\]$'):
+        SacAgent.load(_forge_checkpoint(tmp_path / "m.ckpt", agent, []))
+    with pytest.raises(CheckpointError,
+                       match=r'arrays\[1\] is \["policy", \[140\]\], expected absent$'):
+        SacAgent.load(_forge_checkpoint(tmp_path / "d.ckpt", agent, pieces * 2))
 
 
 def test_run_tuning_drives_the_agent_through_full_episodes():

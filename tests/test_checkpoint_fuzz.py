@@ -24,7 +24,6 @@ from schedtune.agent import (
     CHECKPOINT_VERSION,
     SacAgent,
     SacConfig,
-    checkpoint_layout,
 )
 from schedtune.cli import main
 from tests.test_cli import write_config
@@ -95,8 +94,7 @@ TOKENS = st.one_of(
 # that lead to it.
 PATHS = ([(key,) for key in ("arrays", "config", "dtype", "env_steps", "grad_steps")]
          + [("config", f.name) for f in fields(SacConfig)]
-         + [("arrays", i, 1, 0) for i in range(len(checkpoint_layout(TINY)))]
-         + [("arrays", i, 2) for i in range(len(checkpoint_layout(TINY)))])
+         + [("arrays", 0, 1, 0), ("arrays", 0, 2)])
 
 
 def replaced(path, token):

@@ -14,7 +14,7 @@ import pytest
 
 from schedtune import agent as agent_module
 from schedtune import cli
-from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig, checkpoint_layout
+from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig
 from schedtune.cli import main, make_env, scenario_seeds
 from schedtune.config import load_config
 from schedtune.data import data_dir
@@ -701,20 +701,27 @@ def _damage_checkpoint(path, damage):
         assert blob.startswith(b'{"arrays"')
         _write_checkpoint(path, b'{"env_steps": 0, ' + blob[1:], raw[16 + header_len:])
     elif damage == "oversized-hidden":
-        # A consistent header for 4.4 PB of arrays, and no payload.
+        # A consistent header for a 400 TB policy, and no payload.
         config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
         header = {"config": asdict(config),
-                  "arrays": [[n, [length], hashlib.sha256(b"").hexdigest()]
-                             for n, length in checkpoint_layout(config)],
+                  "arrays": [["policy", [100_000_300_000_004], hashlib.sha256(b"").hexdigest()]],
                   "env_steps": 0, "grad_steps": 0, "dtype": "<f4"}
         _write_checkpoint(path, json.dumps(header).encode())
     elif damage == "intact":
         agent.save(path)
+    elif damage == "missing":
+        pass
+    elif damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "not-a-checkpoint":
+        path.write_text("schema_version,method\n")
     else:
         agent.save(path)
         raw = bytearray(path.read_bytes())
         if damage == "truncated":
             del raw[-10:]
+        elif damage == "cut-in-header":
+            del raw[30:]
         elif damage == "flipped-byte":
             raw[-3] ^= 0x01
         else:   # flip a byte inside the named array
@@ -723,15 +730,18 @@ def _damage_checkpoint(path, damage):
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("version-3", "unsupported checkpoint version 3, expected 5"),
-    ("version-4", "unsupported checkpoint version 4, expected 5"),
+    ("version-3", "unsupported checkpoint version 3, expected 6"),
+    ("version-4", "unsupported checkpoint version 4, expected 6"),
+    ("version-5", "unsupported checkpoint version 5, expected 6"),
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
+    ("missing", "cannot read checkpoint"),
+    ("empty", "is not an agent checkpoint"),
+    ("not-a-checkpoint", "is not an agent checkpoint"),
+    ("cut-in-header", "is truncated inside the header"),
     ("truncated", "payload is"),
-    ("flipped-byte", "opt_alpha.v0 does not match its digest"),
+    ("flipped-byte", "policy does not match its digest"),
     ("flipped:policy", "policy does not match its digest"),
-    ("flipped:q2", "q2 does not match its digest"),
-    ("flipped:opt_critic.v1", "opt_critic.v1 does not match its digest"),
-    ("oversized-hidden", "payload is 0 bytes, expected 4400012880000092"),
+    ("oversized-hidden", "payload is 0 bytes, expected 400001200000016"),
     ("negative-hidden", "malformed header: ConfigError"),
     # The piece digests do not cover the header, so its config is checked.
     ("header:lr=NaN", "malformed header: ConfigError lr"),
@@ -768,9 +778,9 @@ def _count_checks_and_loads(monkeypatch):
         checks.append(path)
         real_check(path)
 
-    def load(cls, path, **kwargs):
+    def load(cls, path):
         loads.append(path)
-        return real_load(path, **kwargs)
+        return real_load(path)
 
     monkeypatch.setattr(cli, "verify_checkpoint", check)
     monkeypatch.setattr(SacAgent, "load", classmethod(load))
@@ -779,16 +789,16 @@ def _count_checks_and_loads(monkeypatch):
 
 def test_eval_checks_the_whole_checkpoint_before_any_scenario(tmp_path, capsys,
                                                               monkeypatch):
-    # An acting-only load reads only the policy; the damage lies in q2.
+    # The damage lies in the policy, which every scenario would load.
     checkpoint = tmp_path / "agent.ckpt"
-    _damage_checkpoint(checkpoint, "flipped:q2")
+    _damage_checkpoint(checkpoint, "flipped:policy")
     checks, loads = _count_checks_and_loads(monkeypatch)
     out = tmp_path / "run"
     assert main(["eval", "--config", write_config(tmp_path), "--out", str(out),
                  "--checkpoint", str(checkpoint)]) == 2
-    assert capsys.readouterr().err == (f"error: {checkpoint}: q2 does not match "
+    assert capsys.readouterr().err == (f"error: {checkpoint}: policy does not match "
                                        f"its digest\n")
-    assert not (out / "trials.csv").exists()
+    assert not out.exists()
     assert (len(checks), loads) == (1, [])
 
 

@@ -422,10 +422,13 @@ def test_a_pair_of_parameters_steps_as_two_single_ones(monkeypatch, threaded):
     singles = [p.copy() for p in start]
     opt_pair = adam(pair)
     opt_singles = [adam([p]) for p in singles]
-    for t, g in enumerate(grads, start=1):
-        opt_pair.step(g, t)
-        for opt, gk in zip(opt_singles, g):
-            opt.step([gk], t)
+    before = threading.active_count()
+    with nn.helper_thread():
+        for t, g in enumerate(grads, start=1):
+            opt_pair.step(g, t)
+            for opt, gk in zip(opt_singles, g):
+                opt.step([gk], t)
+        assert threading.active_count() == before + threaded
     for a, b in zip(pair + opt_pair.m + opt_pair.v,
                     singles + [o.m[0] for o in opt_singles] + [o.v[0] for o in opt_singles]):
         assert a.tobytes() == b.tobytes()

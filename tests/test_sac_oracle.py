@@ -15,6 +15,7 @@ import pytest
 
 from schedtune import nn
 from schedtune.agent import SacAgent, SacConfig
+from tests.conftest import training_state
 from tests.sac_oracle import OracleSac
 
 UPDATES = 25
@@ -38,7 +39,7 @@ def grouped(arrays):
 
 
 def assert_same_state(agent, oracle, step):
-    mine, theirs = grouped(agent._named_arrays()), grouped(oracle._named_arrays())
+    mine, theirs = grouped(training_state(agent)), grouped(oracle._named_arrays())
     assert list(mine) == list(theirs)
     for name in mine:
         a, b = (np.concatenate([x.ravel() for x in g[name]]) for g in (mine, theirs))
@@ -99,7 +100,7 @@ def drift_gap(agent, oracle, start, net):
     far the oracle's has moved from the shared initial weights."""
     mine, theirs, init = (np.concatenate(
         [a.ravel() for name, a in arrays if name.split(".")[0] == net]).astype(float)
-        for arrays in (agent._named_arrays(), oracle._named_arrays(), start))
+        for arrays in (training_state(agent), oracle._named_arrays(), start))
     return float(np.linalg.norm(mine - theirs) / np.linalg.norm(theirs - init))
 
 
@@ -123,7 +124,7 @@ def test_float32_updates_track_the_float64_oracle(case, obs_scale):
     # The oracle starts from the float32 weights, widened: each group's
     # pieces are written back into its per-layer arrays in order.
     theirs = grouped(oracle._named_arrays())
-    for name, pieces in grouped(agent._named_arrays()).items():
+    for name, pieces in grouped(training_state(agent)).items():
         flat = np.concatenate(pieces)
         for b in theirs[name]:
             b[...] = flat[:b.size].reshape(b.shape)
