@@ -48,7 +48,7 @@ SQUASH_EPS = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"STCK"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -334,21 +334,21 @@ class SacAgent:
         return [("policy", self.policy.flat)]
 
     def save(self, path) -> None:
-        """Write the header, then each stored piece's little-endian bytes in
-        the networks' dtype.  The header carries each piece's digest, so one
-        pass hashes the pieces before a second writes them; neither copies
-        them on a little-endian host.  The bytes go to a temporary file
-        beside ``path`` that then replaces it, so a write that fails leaves
-        the previous checkpoint as it was.  A loaded agent saves the bytes
-        it was loaded from."""
+        """Write the header, then the policy's little-endian bytes in the
+        networks' dtype.  The header carries their digest, so one pass hashes
+        them before a second writes them; neither copies them on a
+        little-endian host.  The bytes go to a temporary file beside ``path``
+        that then replaces it, so a write that fails leaves the previous
+        checkpoint as it was.  A loaded agent saves the bytes it was loaded
+        from."""
         dtype = self.dtype.newbyteorder("<")
-        arrays = [(name, np.ascontiguousarray(a, dtype=dtype)) for name, a in self._named_arrays()]
+        policy = np.ascontiguousarray(self.policy.flat, dtype=dtype)
         header = {
             "config": asdict(self.config),
-            "arrays": [[name, [a.size], hashlib.sha256(a).hexdigest()] for name, a in arrays],
             "env_steps": self.env_steps,
             "grad_steps": self.grad_steps,
             "dtype": dtype.str,
+            "policy_sha256": hashlib.sha256(policy).hexdigest(),
         }
         blob = json.dumps(header, sort_keys=True).encode()
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -357,8 +357,7 @@ class SacAgent:
                 fh.write(CHECKPOINT_MAGIC)
                 fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
                 fh.write(blob)
-                for _, a in arrays:
-                    fh.write(a)
+                fh.write(policy)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -369,41 +368,39 @@ class SacAgent:
     def load(cls, path) -> "SacAgent":
         """Read a checkpoint written by :meth:`save`.
 
-        :func:`_checkpoint` checks the whole header before anything is
+        :func:`_read_checkpoint` checks the whole header before anything is
         allocated.  The policy's bytes then go into an arena of their own
         and are checked against their digest.  The agent acts as the saved
         one does and can save again, but keeps no critics, targets,
         gradients or optimizers, so it cannot ``update``.  Its rng starts
         from seed 0.
         """
-        with _checkpoint(path) as (fh, config, counters, digest):
-            agent = cls.__new__(cls)
-            agent.config, agent.rng = config, np.random.default_rng(0)
-            agent.env_steps, agent.grad_steps = counters
-            agent.arena, (flat,) = nn.arena([Mlp.param_count(config.policy_sizes)])
-            agent.dtype = agent.arena.dtype
-            _read_policy(fh, path, digest, flat)
-            agent.policy = Mlp(config.policy_sizes, None, flat, None)
+        agent = cls.__new__(cls)
+
+        def into(n):
+            agent.arena, (flat,) = nn.arena([n])
+            return flat
+
+        agent.config, (agent.env_steps, agent.grad_steps), flat = _read_checkpoint(path, into)
+        agent.rng, agent.dtype = np.random.default_rng(0), agent.arena.dtype
+        agent.policy = Mlp(agent.config.policy_sizes, None, flat, None)
         return agent
 
 
 def verify_checkpoint(path) -> None:
     """Check every byte of the checkpoint at ``path`` as :meth:`SacAgent.load`
     does, but build no agent: the policy passes through a scratch buffer."""
-    with _checkpoint(path) as (fh, config, _, digest):
-        _read_policy(fh, path, digest,
-                     np.empty(Mlp.param_count(config.policy_sizes), nn.DTYPE))
+    _read_checkpoint(path, lambda n: np.empty(n, nn.DTYPE))
 
 
-@contextlib.contextmanager
-def _checkpoint(path):
-    """Open the checkpoint at ``path`` and check its whole header, reading no
-    payload byte: its keys (only the five ``save`` writes, each once: any
+def _read_checkpoint(path, into):
+    """Read the checkpoint at ``path``.  First check its whole header, reading
+    no payload byte: its keys (only the five ``save`` writes, each once: any
     other is state this build would drop), its step counts (not negative),
-    the dtype against ``nn.DTYPE``, its ``arrays`` against the one
-    ``["policy", [length], sha256]`` entry its config implies, and the
-    payload length against the file size.  Yield the file at the payload,
-    the config, ``[env_steps, grad_steps]`` and the policy's digest."""
+    the dtype against ``nn.DTYPE``, the digest (a string) and the payload
+    length, which the config implies, against the file size.  Then read the
+    policy's ``n`` numbers into ``into(n)`` and check them against the digest.
+    Return the config, ``[env_steps, grad_steps]`` and the filled array."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -427,17 +424,16 @@ def _checkpoint(path):
         except ValueError as exc:
             raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
         try:
-            config_dict = dict(header["config"])
-            config_dict["hidden"] = tuple(config_dict["hidden"])
-            config = SacConfig(**config_dict)
-            arrays = list(header["arrays"])
+            config = SacConfig(**header["config"])
             counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
             if min(counters) < 0:
                 raise ValueError("negative step count: env_steps {}, grad_steps {}"
                                  .format(*counters))
             dtype = header["dtype"]
-            if extra := sorted(header.keys() - {"config", "arrays", "env_steps", "grad_steps",
-                                                "dtype"}):
+            if not isinstance(digest := header["policy_sha256"], str):
+                raise TypeError(f"policy_sha256 is {type(digest).__name__}, not a string")
+            if extra := sorted(header.keys() - {"config", "env_steps", "grad_steps", "dtype",
+                                                "policy_sha256"}):
                 raise ValueError(f"unknown key {extra[0]!r}")
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(
@@ -446,31 +442,18 @@ def _checkpoint(path):
             raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
 
         n = Mlp.param_count(config.policy_sizes)
-        layout = [["policy", [n]]]
-        named = [a[:2] if isinstance(a, list) else a for a in arrays]
-        if named != layout:
-            i = next((i for i, (a, b) in enumerate(zip(named, layout)) if a != b),
-                     min(len(named), len(layout)))
-            got, want = (json.dumps(x[i]) if i < len(x) else "absent"
-                         for x in (named, layout))
-            raise CheckpointError(f"{path}: arrays[{i}] is {got}, expected {want}")
-        if len(arrays[0]) != 3 or not isinstance(digest := arrays[0][2], str):
-            raise CheckpointError(f"{path}: arrays[0] is not [name, [length], sha256]")
         payload = size - 16 - header_len
         expected = np.dtype(nn.DTYPE).itemsize * n
         if payload != expected:
             raise CheckpointError(f"{path} payload is {payload} bytes, expected {expected}")
-        yield fh, config, counters, digest
-
-
-def _read_policy(fh, path, digest, dst) -> None:
-    """Read the policy's bytes into ``dst`` and check them against ``digest``."""
-    if fh.readinto(dst) != dst.nbytes:
-        raise CheckpointError(f"{path} is truncated inside the payload")
+        dst = into(n)
+        if fh.readinto(dst) != dst.nbytes:
+            raise CheckpointError(f"{path} is truncated inside the payload")
     if hashlib.sha256(dst).hexdigest() != digest:
         raise CheckpointError(f"{path}: policy does not match its digest")
     if sys.byteorder == "big":
         dst.byteswap(inplace=True)
+    return config, counters, dst
 
 
 LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",

@@ -84,10 +84,10 @@ def gp_posterior(x_obs: np.ndarray, y_obs: np.ndarray,
     return mean, var
 
 
-def suggest_bo(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator,
-               dim: int = 8) -> np.ndarray:
-    """Maximize mean + beta * std over uniform candidates in the unit box."""
-    candidates = rng.uniform(0.0, 1.0, size=(BO_CANDIDATES, dim))
+def suggest_bo(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Maximize mean + beta * std over uniform candidates in the unit box,
+    whose dimension is the number of columns of the 2-D ``x_obs``."""
+    candidates = rng.uniform(0.0, 1.0, size=(BO_CANDIDATES, x_obs.shape[1]))
     mean, var = gp_posterior(x_obs, y_obs, candidates)
     ucb = mean + UCB_BETA * np.sqrt(var)
     return candidates[int(np.argmax(ucb))]
@@ -148,20 +148,19 @@ def _parzen_sample(rng: np.random.Generator, mus: np.ndarray, sigmas: np.ndarray
     return out
 
 
-def suggest_tpe(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator,
-                dim: int = 8) -> np.ndarray:
-    """Propose the candidate maximizing the good/bad density ratio.
+def suggest_tpe(x_obs: np.ndarray, y_obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Propose the candidate maximizing the good/bad density ratio, in as
+    many dimensions as the 2-D ``x_obs`` has columns.
 
     With no observations the suggestion is uniform.  Otherwise the top
     ceil(gamma * n) observations by score form the good set.  With no bad
     observations the bad density is uniform, so the ratio reduces to the
     good density alone.
     """
-    y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
-    n = y_obs.size
+    x_obs, y_obs = np.asarray(x_obs, dtype=float), np.asarray(y_obs, dtype=float).reshape(-1)
+    n, dim = y_obs.size, x_obs.shape[1]
     if n == 0:
         return suggest_random(rng, dim)
-    x_obs = np.atleast_2d(np.asarray(x_obs, dtype=float))
     if x_obs.shape != (n, dim):
         raise ConfigError("x_obs must be an (n, dim) array matching y_obs")
     n_good = math.ceil(TPE_GAMMA * n)
@@ -199,13 +198,13 @@ class RandomSearchOptimizer:
 class BoOptimizer:
     def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
         x, y = episode.evaluations()
-        return suggest_bo(x, y, rng, x.shape[1])
+        return suggest_bo(x, y, rng)
 
 
 class TpeOptimizer:
     def suggest(self, episode: TuningEpisode, rng: np.random.Generator) -> np.ndarray:
         x, y = episode.evaluations()
-        return suggest_tpe(x, y, rng, x.shape[1])
+        return suggest_tpe(x, y, rng)
 
 
 OPTIMIZERS = {

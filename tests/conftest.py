@@ -1,4 +1,7 @@
 import contextlib
+import ctypes
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -88,3 +91,29 @@ def training_state(agent):
                for name in ("opt_policy", "opt_critic", "opt_alpha") for moment in "mv"
                for i, a in enumerate(getattr(getattr(agent, name), moment))]
     return nets + [("log_alpha", agent.log_alpha)] + moments
+
+
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, as OpenBLAS names it
+    (``SkylakeX``, ``Haswell``, ...).  Float32 GEMM results differ in their
+    last bits between kernels, so a pin of BLAS output has one value per
+    kernel.  A BLAS whose kernel cannot be read fails the calling test."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        [lib] = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+        corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError) as exc:
+        pytest.fail(f"cannot read the BLAS kernel from numpy's bundled OpenBLAS in "
+                    f"{os.path.normpath(libs)}: {exc}")
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pinned_for_blas_kernel(pins: dict):
+    """``pins[kernel]`` for the kernel :func:`blas_kernel` reads.  A kernel
+    with no pinned value fails the calling test, naming the kernel."""
+    kernel = blas_kernel()
+    if kernel not in pins:
+        pytest.fail(f"no value pinned for BLAS kernel {kernel!r}, only for {sorted(pins)}; "
+                    f"capture one under OPENBLAS_CORETYPE={kernel}")
+    return pins[kernel]

@@ -243,7 +243,7 @@ def test_05_tpe_concentrates_on_good_region(capsys):
                         0.0, 1.0)[:, None]
             y = np.concatenate([rng.uniform(0.8, 1.0, 8),
                                 rng.uniform(0.0, 0.3, 24)])
-            suggestions = [suggest_tpe(x, y, rng, dim=1)[0]
+            suggestions = [suggest_tpe(x, y, rng)[0]
                            for _ in range(1000)]
             mean = float(np.mean(suggestions))
             means.append(mean)

@@ -26,6 +26,7 @@ from schedtune.agent import (
     SacConfig,
 )
 from schedtune.cli import main
+from tests.test_agent import checkpoint_header
 from tests.test_cli import write_config
 from tests.test_file_fuzz import edited
 
@@ -60,6 +61,9 @@ def run_eval(base, raw: bytes) -> int:
 
 
 def test_the_undamaged_checkpoint_evaluates(base):
+    # The header the edits below start from is the one the agent saved.
+    payload = base.raw[base.payload_start:]
+    assert json.loads(base.raw[16:base.payload_start]) == checkpoint_header(TINY, payload)
     assert run_eval(base, base.raw) == 0
 
 
@@ -92,9 +96,8 @@ TOKENS = st.one_of(
 )
 # Every value in the header an edit can replace, drop or repeat, as the keys
 # that lead to it.
-PATHS = ([(key,) for key in ("arrays", "config", "dtype", "env_steps", "grad_steps")]
-         + [("config", f.name) for f in fields(SacConfig)]
-         + [("arrays", 0, 1, 0), ("arrays", 0, 2)])
+PATHS = ([(key,) for key in sorted(checkpoint_header(TINY))]
+         + [("config", f.name) for f in fields(SacConfig)])
 
 
 def replaced(path, token):
@@ -116,7 +119,7 @@ def replaced(path, token):
 def test_an_edited_header_exits_0_or_fails_with_one_error_line(
         base, edit, path, token, first, dtype, version):
     raw, payload_start = base.raw, base.payload_start
-    header = json.loads(raw[16:payload_start])
+    header = checkpoint_header(TINY, raw[payload_start:])
     if edit == "dtype":
         header["dtype"] = dtype
     if edit != "version":

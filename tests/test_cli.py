@@ -8,7 +8,6 @@ import mmap
 import os
 import re
 import struct
-from dataclasses import asdict
 
 import pytest
 
@@ -21,7 +20,13 @@ from schedtune.data import data_dir
 from schedtune.errors import ConfigError
 from schedtune.report import read_trials_csv
 from schedtune.tunenv import FaasTuningEnv
-from tests.test_agent import _array_offset, _forge_checkpoint, _write_checkpoint
+from tests.conftest import pinned_for_blas_kernel
+from tests.test_agent import (
+    _forge_checkpoint,
+    _payload_offset,
+    _write_checkpoint,
+    huge_policy_header,
+)
 from tests.test_tunenv import DATA_FILES, _record_reads
 
 
@@ -162,16 +167,23 @@ def test_every_method_trials_table_is_pinned(tmp_path, capsys, env_kind, method)
 
 
 # The trials table a fixed-seed tiny agent's checkpoint gives under eval, on
-# the FaaS config above and on the synthetic one, byte for byte.  Only the
-# policy acts, so a change to how a checkpoint stores or loads it that
-# moves any weight or action changes these digests.
+# the FaaS config above and on the synthetic one, byte for byte, by the BLAS
+# kernel that ran the policy's forwards.  Only the policy acts, so a change
+# to how a checkpoint stores or loads it that moves any weight or action
+# changes these digests.
 PINNED_EVAL_TRIALS_SHA256 = {
-    "faas": "a26798a50b16296fe32e1c9dd515033b35feb11fe1f06e123e23a22df3c2e5a8",
-    "synthetic": "827f363f110b55901a1f72a5dbe0ce552da9f0b75c77d3ae5f239a518808c505",
+    "SkylakeX": {
+        "faas": "a26798a50b16296fe32e1c9dd515033b35feb11fe1f06e123e23a22df3c2e5a8",
+        "synthetic": "827f363f110b55901a1f72a5dbe0ce552da9f0b75c77d3ae5f239a518808c505",
+    },
+    "Haswell": {
+        "faas": "564698dbbd525ceda742cc1aaaae284260e76cbaf0502e9c696c2664bbcbb1ee",
+        "synthetic": "c7ea0588b6137e58dec818a894955d846bc3149bfc3f42b9797bb993b8222113",
+    },
 }
 
 
-@pytest.mark.parametrize("env_kind", list(PINNED_EVAL_TRIALS_SHA256))
+@pytest.mark.parametrize("env_kind", ["faas", "synthetic"])
 def test_eval_trials_table_is_pinned(tmp_path, capsys, env_kind):
     if env_kind == "faas":
         config = write_config(tmp_path, env_kind="faas", n_scenarios=4, duration_s=50.0)
@@ -187,13 +199,16 @@ def test_eval_trials_table_is_pinned(tmp_path, capsys, env_kind):
                  "--checkpoint", str(checkpoint), "--jobs", "1"]) == 0
     capsys.readouterr()
     digest = hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_EVAL_TRIALS_SHA256[env_kind]
+    assert digest == pinned_for_blas_kernel(PINNED_EVAL_TRIALS_SHA256)[env_kind]
 
 
-# A tiny synthetic train-agent's log, byte for byte: every loss, alpha and
-# entropy it records is a float of the updates, so a change that moves any
-# update's bits changes this digest.
-PINNED_TRAIN_LOG_SHA256 = "bd3df9a4bad6750b46e6e68d14ac8359024aa06e9bffd6af71f6a2997fc98af0"
+# A tiny synthetic train-agent's log, byte for byte, by BLAS kernel: every
+# loss, alpha and entropy it records is a float of the updates, so a change
+# that moves any update's bits changes this digest.
+PINNED_TRAIN_LOG_SHA256 = {
+    "SkylakeX": "bd3df9a4bad6750b46e6e68d14ac8359024aa06e9bffd6af71f6a2997fc98af0",
+    "Haswell": "e5659575cb6d1a3bd3a0ded615ca7834089fd4bb8b18c3d67f0a3a3d3f276616",
+}
 
 
 def test_train_agent_log_is_pinned(tmp_path, capsys):
@@ -206,7 +221,7 @@ def test_train_agent_log_is_pinned(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     digest = hashlib.sha256((out / "train_log.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_TRAIN_LOG_SHA256
+    assert digest == pinned_for_blas_kernel(PINNED_TRAIN_LOG_SHA256)
 
 
 def test_train_agent_then_eval(tmp_path, capsys):
@@ -698,15 +713,11 @@ def _damage_checkpoint(path, damage):
         raw = path.read_bytes()
         header_len = struct.unpack("<Q", raw[8:16])[0]
         blob = raw[16:16 + header_len]
-        assert blob.startswith(b'{"arrays"')
+        assert blob.startswith(b'{"config"')
         _write_checkpoint(path, b'{"env_steps": 0, ' + blob[1:], raw[16 + header_len:])
     elif damage == "oversized-hidden":
         # A consistent header for a 400 TB policy, and no payload.
-        config = SacConfig(obs_dim=24, act_dim=2, hidden=(10_000_000, 10_000_000))
-        header = {"config": asdict(config),
-                  "arrays": [["policy", [100_000_300_000_004], hashlib.sha256(b"").hexdigest()]],
-                  "env_steps": 0, "grad_steps": 0, "dtype": "<f4"}
-        _write_checkpoint(path, json.dumps(header).encode())
+        _write_checkpoint(path, json.dumps(huge_policy_header()).encode())
     elif damage == "intact":
         agent.save(path)
     elif damage == "missing":
@@ -724,15 +735,16 @@ def _damage_checkpoint(path, damage):
             del raw[30:]
         elif damage == "flipped-byte":
             raw[-3] ^= 0x01
-        else:   # flip a byte inside the named array
-            raw[_array_offset(raw, damage.split(":")[1]) + 5] ^= 0x01
+        else:   # flipped:policy, a byte inside the policy
+            raw[_payload_offset(raw) + 5] ^= 0x01
         path.write_bytes(bytes(raw))
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("version-3", "unsupported checkpoint version 3, expected 6"),
-    ("version-4", "unsupported checkpoint version 4, expected 6"),
-    ("version-5", "unsupported checkpoint version 5, expected 6"),
+    ("version-3", "unsupported checkpoint version 3, expected 7"),
+    ("version-4", "unsupported checkpoint version 4, expected 7"),
+    ("version-5", "unsupported checkpoint version 5, expected 7"),
+    ("version-6", "unsupported checkpoint version 6, expected 7"),
     ("f8-payload", "holds '<f8' arrays, this build reads '<f4'"),
     ("missing", "cannot read checkpoint"),
     ("empty", "is not an agent checkpoint"),
@@ -743,7 +755,7 @@ def _damage_checkpoint(path, damage):
     ("flipped:policy", "policy does not match its digest"),
     ("oversized-hidden", "payload is 0 bytes, expected 400001200000016"),
     ("negative-hidden", "malformed header: ConfigError"),
-    # The piece digests do not cover the header, so its config is checked.
+    # The policy's digest does not cover the header, so its config is checked.
     ("header:lr=NaN", "malformed header: ConfigError lr"),
     ("header:lr=Infinity", "malformed header: ConfigError lr"),
     ("header:lr=-Infinity", "malformed header: ConfigError lr"),

@@ -138,7 +138,7 @@ def test_suggest_random_seeded_and_bounded():
 
 def test_suggest_bo_without_history_is_uniform_candidate():
     rng = np.random.default_rng(5)
-    got = suggest_bo(np.empty((0, 3)), np.empty(0), rng, dim=3)
+    got = suggest_bo(np.empty((0, 3)), np.empty(0), rng)
     # All candidates tie on the prior UCB, so argmax picks the first.
     expected = np.random.default_rng(5).uniform(0, 1, (BO_CANDIDATES, 3))[0]
     assert np.array_equal(got, expected)
@@ -147,7 +147,7 @@ def test_suggest_bo_without_history_is_uniform_candidate():
 def test_suggest_bo_picks_the_oracle_ucb_argmax():
     x_obs = np.array([[0.2, 0.2], [0.7, 0.4], [0.5, 0.9]])
     y_obs = np.array([0.9, 0.3, 0.6])
-    got = suggest_bo(x_obs, y_obs, np.random.default_rng(6), dim=2)
+    got = suggest_bo(x_obs, y_obs, np.random.default_rng(6))
     cands = np.random.default_rng(6).uniform(0, 1, (BO_CANDIDATES, 2))
     mean, var = oracle_posterior(x_obs, y_obs, cands)
     ucb = np.sort(mean + UCB_BETA * np.sqrt(var))
@@ -161,7 +161,7 @@ def test_suggest_bo_prefers_region_around_best_observation():
     grid = np.linspace(0.1, 0.9, 5)
     x_obs = np.array([[a, b] for a in grid for b in grid])
     y_obs = -np.linalg.norm(x_obs - 0.9, axis=1)
-    got = suggest_bo(x_obs, y_obs, np.random.default_rng(7), dim=2)
+    got = suggest_bo(x_obs, y_obs, np.random.default_rng(7))
     assert np.linalg.norm(got - 0.9) < np.linalg.norm(got - 0.1)
 
 
@@ -173,8 +173,8 @@ def test_suggestions_stay_in_unit_box(seed, n, dim):
     x_obs = rng.uniform(0, 1, (n, dim))
     y_obs = rng.uniform(0, 1, n)
     for point in (
-        suggest_bo(x_obs, y_obs, rng, dim=dim),
-        suggest_tpe(x_obs, y_obs, rng, dim=dim),
+        suggest_bo(x_obs, y_obs, rng),
+        suggest_tpe(x_obs, y_obs, rng),
         suggest_random(rng, dim=dim),
     ):
         assert point.shape == (dim,)
@@ -207,7 +207,7 @@ def test_parzen_pdf_integrates_to_one():
 
 
 def test_tpe_startup_falls_back_to_uniform():
-    got = suggest_tpe(np.empty((0, 4)), np.empty(0), np.random.default_rng(8), dim=4)
+    got = suggest_tpe(np.empty((0, 4)), np.empty(0), np.random.default_rng(8))
     expected = suggest_random(np.random.default_rng(8), dim=4)
     assert np.array_equal(got, expected)
 
@@ -215,7 +215,7 @@ def test_tpe_startup_falls_back_to_uniform():
 def test_tpe_single_observation_good_set_has_one_member():
     x_obs = np.array([[0.5, 0.5]])
     y_obs = np.array([0.7])
-    got = suggest_tpe(x_obs, y_obs, np.random.default_rng(9), dim=2)
+    got = suggest_tpe(x_obs, y_obs, np.random.default_rng(9))
     assert got.shape == (2,)
     assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
@@ -225,7 +225,7 @@ def test_tpe_concentrates_near_good_observations():
     y_obs = np.array([0.90, 1.00, 0.95, 0.10, 0.20, 0.15])
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        points = np.array([suggest_tpe(x_obs, y_obs, rng, dim=1)[0]
+        points = np.array([suggest_tpe(x_obs, y_obs, rng)[0]
                            for _ in range(200)])
         mean = points.mean()
         assert abs(mean - 0.2) < abs(mean - 0.8)
@@ -233,7 +233,7 @@ def test_tpe_concentrates_near_good_observations():
 
 def test_tpe_suggestion_rejects_mismatched_history():
     with pytest.raises(ConfigError):
-        suggest_tpe(np.zeros((3, 2)), np.zeros(4), np.random.default_rng(0), dim=2)
+        suggest_tpe(np.zeros((3, 2)), np.zeros(4), np.random.default_rng(0))
 
 
 def test_optimizers_registry():
