@@ -25,7 +25,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import operator
 import os
 import struct
 import sys
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import unique_keys
+from .data import read_fields, unique_keys
 from .errors import CheckpointError, ConfigError, writing
 from .nn import Adam, Mlp, both, helper_thread, polyak_update
 from .optimizers import run_tuning
@@ -64,10 +63,9 @@ class SacConfig:
     start_steps: int = 1000
 
     def __post_init__(self):
-        # Integers, not floats that equal them: the sizes shape arrays.
-        for name in ("obs_dim", "act_dim"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        object.__setattr__(self, "hidden", tuple(operator.index(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        if not self.hidden:
+            raise ConfigError("hidden: must not be empty")
         for name in ("obs_dim", "act_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be a positive integer")
@@ -343,14 +341,9 @@ class SacAgent:
         from."""
         dtype = self.dtype.newbyteorder("<")
         policy = np.ascontiguousarray(self.policy.flat, dtype=dtype)
-        header = {
-            "config": asdict(self.config),
-            "env_steps": self.env_steps,
-            "grad_steps": self.grad_steps,
-            "dtype": dtype.str,
-            "policy_sha256": hashlib.sha256(policy).hexdigest(),
-        }
-        blob = json.dumps(header, sort_keys=True).encode()
+        header = _Header(self.config, self.env_steps, self.grad_steps, dtype.str,
+                         hashlib.sha256(policy).hexdigest())
+        blob = json.dumps(asdict(header), sort_keys=True).encode()
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -393,14 +386,30 @@ def verify_checkpoint(path) -> None:
     _read_checkpoint(path, lambda n: np.empty(n, nn.DTYPE))
 
 
+@dataclass(frozen=True)
+class _Header:
+    """A checkpoint's JSON header.  A reader takes these keys only, each
+    once: any other is state this build would drop."""
+
+    config: SacConfig
+    env_steps: int
+    grad_steps: int
+    dtype: str
+    policy_sha256: str
+
+    def __post_init__(self):
+        if min(self.env_steps, self.grad_steps) < 0:
+            raise ConfigError(f"negative step count: env_steps {self.env_steps}, "
+                              f"grad_steps {self.grad_steps}")
+
+
 def _read_checkpoint(path, into):
     """Read the checkpoint at ``path``.  First check its whole header, reading
-    no payload byte: its keys (only the five ``save`` writes, each once: any
-    other is state this build would drop), its step counts (not negative),
-    the dtype against ``nn.DTYPE``, the digest (a string) and the payload
-    length, which the config implies, against the file size.  Then read the
-    policy's ``n`` numbers into ``into(n)`` and check them against the digest.
-    Return the config, ``[env_steps, grad_steps]`` and the filled array."""
+    no payload byte: its keys and their kinds (:func:`data.read_fields`), the
+    dtype against ``nn.DTYPE`` and the payload length, which the config
+    implies, against the file size.  Then read the policy's ``n`` numbers
+    into ``into(n)`` and check them against the digest.  Return the config,
+    ``(env_steps, grad_steps)`` and the filled array."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -424,24 +433,15 @@ def _read_checkpoint(path, into):
         except ValueError as exc:
             raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
         try:
-            config = SacConfig(**header["config"])
-            counters = [operator.index(header[key]) for key in ("env_steps", "grad_steps")]
-            if min(counters) < 0:
-                raise ValueError("negative step count: env_steps {}, grad_steps {}"
-                                 .format(*counters))
-            dtype = header["dtype"]
-            if not isinstance(digest := header["policy_sha256"], str):
-                raise TypeError(f"policy_sha256 is {type(digest).__name__}, not a string")
-            if extra := sorted(header.keys() - {"config", "env_steps", "grad_steps", "dtype",
-                                                "policy_sha256"}):
-                raise ValueError(f"unknown key {extra[0]!r}")
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise CheckpointError(
-                f"{path} has a malformed header: {type(exc).__name__} {exc}") from exc
-        if dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
-            raise CheckpointError(f"{path} holds {dtype!r} arrays, this build reads {want!r}")
+            # Partial: the config's settings with a default may be left out.
+            header = read_fields(header, _Header, partial=True)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path} has a malformed header: {exc}") from exc
+        if header.dtype != (want := np.dtype(nn.DTYPE).newbyteorder("<").str):
+            raise CheckpointError(f"{path} holds {header.dtype!r} arrays, "
+                                  f"this build reads {want!r}")
 
-        n = Mlp.param_count(config.policy_sizes)
+        n = Mlp.param_count(header.config.policy_sizes)
         payload = size - 16 - header_len
         expected = np.dtype(nn.DTYPE).itemsize * n
         if payload != expected:
@@ -449,11 +449,11 @@ def _read_checkpoint(path, into):
         dst = into(n)
         if fh.readinto(dst) != dst.nbytes:
             raise CheckpointError(f"{path} is truncated inside the payload")
-    if hashlib.sha256(dst).hexdigest() != digest:
+    if hashlib.sha256(dst).hexdigest() != header.policy_sha256:
         raise CheckpointError(f"{path}: policy does not match its digest")
     if sys.byteorder == "big":
         dst.byteswap(inplace=True)
-    return config, counters, dst
+    return header.config, (header.env_steps, header.grad_steps), dst
 
 
 LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",

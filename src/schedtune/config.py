@@ -6,10 +6,10 @@ its own problem instead of a traceback.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .agent import SacConfig
-from .data import check, read_json
+from .data import read_fields, read_json
 from .errors import ConfigError
 from .synthfuncs import LANDSCAPES
 from .tunenv import DEFAULT_N_STEPS, MASK_LEVELS, MODES, default_space_set
@@ -93,34 +93,8 @@ def _check_choice(value, path, choices):
         raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
 
 
-def _parse_hidden(value, path):
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of layer widths")
-    # SacConfig refuses a width below 1.
-    return tuple(check(layer, int, f"{path}[{i}]") for i, layer in enumerate(value))
-
-
-# One parser per annotation in ExperimentConfig; a field of any other type
-# fails at import.
-_PARSERS_BY_TYPE = {
-    "str": lambda v, p: check(v, str, p),
-    "int": lambda v, p: check(v, int, p),
-    "float": lambda v, p: check(v, float, p),
-    "tuple[int, ...]": _parse_hidden,
-    "str | None": lambda v, p: None if v is None else check(v, str, p),
-}
-_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
-
-
-def config_from_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
-    parsed = {}
-    for key, value in payload.items():
-        if key not in _PARSERS:
-            raise ConfigError(f"{key}: unknown field")
-        parsed[key] = _PARSERS[key](value, key)
-    return ExperimentConfig(**parsed)
+def config_from_dict(payload) -> ExperimentConfig:
+    return read_fields(payload, ExperimentConfig, partial=True)
 
 
 def load_config(path) -> ExperimentConfig:

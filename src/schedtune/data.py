@@ -1,27 +1,27 @@
-"""Resolution and loading of the calibration data files, and the one check
-that turns a JSON value into a typed field, for them and the config.
+"""Resolution and loading of the calibration data files, and the one reader
+of a JSON object into a dataclass, which they, the config and the checkpoint
+header share (:func:`read_fields`).
 
 Device classes, preset distributions and the function catalog ship with the
 package under ``schedtune/data``.  An explicit path (the config's
 ``data_dir``) selects an alternative directory, which makes it easy to run
 experiments against modified calibrations without touching the installed
 package.  Each list entry of ``devices.json`` and ``functions.json`` is
-built as its dataclass (:func:`entry_loader`), every field read from its
-own key and checked against the field's annotation.
-Every number must be finite as a float (JSON parsing accepts ``NaN`` and
-``Infinity``) and no two entries may share a name, so a malformed file fails
-with one error naming the file and the field path
-(``functions.json: functions[0].image_name: missing``), or the entry when
-its class refuses a value (``devices.json: devices[0]: xeon_cpu: ...``).
+built as its dataclass.  Every number must be finite as a float (JSON
+parsing accepts ``NaN`` and ``Infinity``) and no two entries may share a
+name, so a malformed file fails with one error naming the file and the field
+path (``functions.json: functions[0].image_name: missing``), or the entry
+when its class refuses a value (``devices.json: devices[0]: xeon_cpu: ...``).
 """
 from __future__ import annotations
 
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -29,9 +29,6 @@ SCHEMA_VERSION = 1
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
                list: "a list", dict: "an object"}
-# The kind a data-file entry field is read as, by its annotation; an entry
-# class with a field of any other annotation fails at import.
-_ENTRY_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
 _MISSING = object()
 
 
@@ -103,13 +100,46 @@ def load_json(name: str, kind, override: str | os.PathLike | None = None):
     return path, check(payload.get(key, _MISSING), kind, f"{path}: {key}")
 
 
-def entry_loader(name: str, cls, **keys):
+def _read(value, kind, where: str, partial: bool):
+    """``value`` as ``kind``, a field's type (see :func:`read_fields`)."""
+    if is_dataclass(kind):
+        return read_fields(value, kind, where, partial)
+    if kind == tuple[int, ...]:
+        return tuple(check(v, int, f"{where}[{i}]")
+                     for i, v in enumerate(check(value, list, where)))
+    if kind == str | None:
+        return None if value is None else check(value, str, where)
+    return check(value, kind, where)
+
+
+def read_fields(value, cls, where: str = "", partial: bool = False):
+    """The dataclass ``cls`` built from the JSON object ``value``, each field
+    from its own key as the kind its type names: one of :func:`check`'s, a
+    list of integers, a string or null, or an object read the same way.  A
+    key that names no field fails (the first in sorted order), and so does a
+    missing field, unless ``partial`` is set and the field has a default.
+    A ``ConfigError`` from ``cls`` comes back prefixed with ``where``."""
+    prefix = f"{where}." if where else ""
+    value = check(value, dict, where or "top level")
+    if unknown := sorted(value.keys() - {f.name for f in fields(cls)}):
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    values, kinds = {}, get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in value or not (partial and f.default is not MISSING):
+            values[f.name] = _read(value.get(f.name, _MISSING), kinds[f.name],
+                                   prefix + f.name, partial)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def entry_loader(name: str, cls):
     """A function of the data directory that reads the data file ``name``
-    and builds each entry of its list as the dataclass ``cls``.  Each field
-    is required and read from its own key, or from ``keys[field]``, as the
-    kind of its annotation; names must be unique.  A ``ConfigError`` from
-    ``cls`` itself comes back naming the file and the entry."""
-    table = [(f.name, keys.get(f.name, f.name), _ENTRY_KINDS[f.type]) for f in fields(cls)]
+    and builds each entry of its list as the dataclass ``cls``, every field
+    required; names must be unique."""
     key = name.removesuffix(".json")
 
     def load(override: str | os.PathLike | None = None) -> list:
@@ -117,16 +147,10 @@ def entry_loader(name: str, cls, **keys):
         built, names = [], set()
         for i, entry in enumerate(entries):
             where = f"{path}: {key}[{i}]"
-            check(entry, dict, where)
-            values = {field: check(entry.get(source, _MISSING), kind, f"{where}.{source}")
-                      for field, source, kind in table}
-            if values["name"] in names:
-                raise ConfigError(f"{where}.name: duplicate name {values['name']!r}")
-            names.add(values["name"])
-            try:
-                built.append(cls(**values))
-            except ConfigError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
+            built.append(item := read_fields(entry, cls, where))
+            if item.name in names:
+                raise ConfigError(f"{where}.name: duplicate name {item.name!r}")
+            names.add(item.name)
         return built
 
     return load

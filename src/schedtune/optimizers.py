@@ -44,7 +44,7 @@ TPE_CANDIDATES = 24
 TPE_BANDWIDTH_FLOOR = 1e-3
 
 
-def suggest_random(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
+def suggest_random(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=dim)
 
 

@@ -123,9 +123,9 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
         static = _static_columns(fn, cluster)
         w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
         feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
-                    & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem))
+                    & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem_mb))
         u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
-        u_mem = (cluster.alloc_mem + fn.req_mem) / cluster.capacity_mem
+        u_mem = (cluster.alloc_mem + fn.req_mem_mb) / cluster.capacity_mem
         u = (u_cpu + u_mem) / 2.0
         s3, s4, s5, s7 = static.T
         s7 = np.where(cluster.image_mask(fn.image_name), 1.0, s7)
@@ -140,7 +140,7 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
             weights.tobytes())
     elif table.seen < len(cluster.changes):
         static, feasible, totals, changed = table.static, table.feasible, table.totals, False
-        req_cpu, req_mem = fn.req_cpu, fn.req_mem
+        req_cpu, req_mem = fn.req_cpu, fn.req_mem_mb
         cached = cluster.images.get(fn.image_name)
         w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
         for j in set(cluster.changes[table.seen:]):

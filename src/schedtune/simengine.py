@@ -195,7 +195,7 @@ def simulate_requests(cluster: Cluster, workload: WorkloadSpec,
         if nid is None:
             fs.unplaceable = True
             return False
-        cluster.commit(nid, fn.req_cpu, fn.req_mem)
+        cluster.commit(nid, fn.req_cpu, fn.req_mem_mb)
         exec_s, fetch_s = execution_seconds(fn, cluster.devices[nid]), fs.fetch_s.item(nid)
         # Summed in the order exec, pull, fetch, which the pinned scores
         # and the engine oracle use, so service times stay bit-identical.

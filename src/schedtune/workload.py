@@ -38,7 +38,7 @@ class FunctionSpec:
 
     name: str
     req_cpu: float
-    req_mem: float
+    req_mem_mb: float
     preferred_accelerator: str = "none"
     preferred_locality: str = "any"
     image_name: str = ""
@@ -49,7 +49,7 @@ class FunctionSpec:
 
     def __post_init__(self):
         # Written so that NaN fails too: every comparison with NaN is False.
-        if not (self.req_cpu > 0 and self.req_mem > 0):
+        if not (self.req_cpu > 0 and self.req_mem_mb > 0):
             raise ConfigError(f"{self.name}: resource requests must be positive")
         if self.preferred_accelerator not in ACCELERATORS:
             raise ConfigError(f"{self.name}: unknown accelerator {self.preferred_accelerator!r}")
@@ -89,7 +89,7 @@ class WorkloadSpec:
                               f"above the bound of {MAX_TRACE_REQUESTS}")
 
 
-_load_functions = _data.entry_loader("functions.json", FunctionSpec, req_mem="req_mem_mb")
+_load_functions = _data.entry_loader("functions.json", FunctionSpec)
 
 
 def catalog(data_dir=None) -> list[FunctionSpec]:

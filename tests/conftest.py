@@ -32,7 +32,7 @@ def small_cluster():
 def make_function(name="probe", cpu=1.0, mem=1024.0, accel="none", locality="any",
                   image_bytes=1e8, dataset_bytes=1e7, base_exec_s=1.0):
     return wl.FunctionSpec(
-        name=name, req_cpu=cpu, req_mem=mem,
+        name=name, req_cpu=cpu, req_mem_mb=mem,
         preferred_accelerator=accel, preferred_locality=locality,
         image_name=f"{name}-image", image_bytes=image_bytes,
         dataset_bytes=dataset_bytes, base_exec_s=base_exec_s,

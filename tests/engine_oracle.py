@@ -85,7 +85,7 @@ class _Engine:
                     self.options.percent_nodes_to_score, self.rng)
         if nid is None:
             return False
-        self.cluster.commit(nid, fn.req_cpu, fn.req_mem)
+        self.cluster.commit(nid, fn.req_cpu, fn.req_mem_mb)
         reps = self.replicas[fn.name]
         pod = f"{fn.name}-{len(reps)}"
         reps.append(_Replica(pod, fn.name, nid))

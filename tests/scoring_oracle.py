@@ -39,7 +39,7 @@ IMAGE_TIME_CAP_S = 60.0
 def feasible_mask(fn: FunctionSpec, cluster: Cluster) -> np.ndarray:
     free_cpu = cluster.capacity_cpu - cluster.alloc_cpu
     free_mem = cluster.capacity_mem - cluster.alloc_mem
-    return (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem)
+    return (free_cpu >= fn.req_cpu) & (free_mem >= fn.req_mem_mb)
 
 
 def _static_columns(fn: FunctionSpec, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +72,7 @@ def score_nodes(fn: FunctionSpec, node_ids: np.ndarray, cluster: Cluster) -> np.
     locality_type, data_locality, capability, uncached = static[:, ids]
 
     u_cpu = (cluster.alloc_cpu[ids] + fn.req_cpu) / cluster.capacity_cpu[ids]
-    u_mem = (cluster.alloc_mem[ids] + fn.req_mem) / cluster.capacity_mem[ids]
+    u_mem = (cluster.alloc_mem[ids] + fn.req_mem_mb) / cluster.capacity_mem[ids]
     u = (u_cpu + u_mem) / 2.0
 
     least_allocated = 1.0 - u

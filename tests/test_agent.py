@@ -855,9 +855,9 @@ def test_checkpoint_rejects_header_without_required_key(tmp_path, key):
 
 
 @pytest.mark.parametrize("digest, message", [
-    (None, " has a malformed header: KeyError 'policy_sha256'"),
-    (0, " has a malformed header: TypeError policy_sha256 is int, not a string"),
-    (["0" * 64], " has a malformed header: TypeError policy_sha256 is list, not a string"),
+    (None, " has a malformed header: policy_sha256: missing"),
+    (0, " has a malformed header: policy_sha256: expected a string, got int"),
+    (["0" * 64], " has a malformed header: policy_sha256: expected a string, got list"),
     ("0" * 64, ": policy does not match its digest"),
 ], ids=["missing", "int", "list", "mismatched"])
 def test_a_missing_or_wrong_policy_digest_fails_with_one_error_line(tmp_path, digest,
@@ -883,7 +883,7 @@ def test_checkpoint_rejects_an_unknown_header_key(tmp_path, extra, key):
     # not read would be state dropped without a word.
     path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), **extra)
     with pytest.raises(CheckpointError,
-                       match=rf"malformed header: ValueError unknown key '{key}'") as info:
+                       match=rf"malformed header: {key}: unknown field$") as info:
         SacAgent.load(path)
     assert len(str(info.value).splitlines()) == 1
 
@@ -893,9 +893,28 @@ def test_checkpoint_rejects_a_negative_step_count(tmp_path, key):
     # Counts are never negative; at grad_steps -1 the next update's Adam
     # bias correction would divide by 1 - beta**0 = 0.
     path = _forge_checkpoint(tmp_path / "a.ckpt", tiny_agent(seed=23), **{key: -1})
-    message = rf"malformed header: ValueError negative step count: .*{key} -1"
+    message = rf"malformed header: negative step count: .*{key} -1"
     with pytest.raises(CheckpointError, match=message):
         SacAgent.load(path)
+
+
+@pytest.mark.parametrize("key", ["env_steps", "grad_steps", "config.obs_dim", "config.gamma",
+                                 "config.lr", "config.start_steps"])
+@pytest.mark.parametrize("value", [True, False])
+def test_checkpoint_rejects_a_boolean_number(tmp_path, key, value):
+    # JSON's true is not the number 1, in a header as in a config.
+    agent = tiny_agent(seed=23)
+    payload = agent.policy.flat.tobytes()
+    header = checkpoint_header(agent.config, payload)
+    *parent, name = key.split(".")
+    (header[parent[0]] if parent else header)[name] = value
+    path = _write_checkpoint(tmp_path / "a.ckpt", json.dumps(header).encode(), payload)
+    kind = "a number" if key in ("config.gamma", "config.lr") else "an integer"
+    for read in (verify_checkpoint, SacAgent.load):
+        with pytest.raises(CheckpointError) as info:
+            read(path)
+        assert str(info.value) == (f"{path} has a malformed header: {key}: "
+                                   f"expected {kind}, got bool")
 
 
 def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):

@@ -754,16 +754,24 @@ def _damage_checkpoint(path, damage):
     ("flipped-byte", "policy does not match its digest"),
     ("flipped:policy", "policy does not match its digest"),
     ("oversized-hidden", "payload is 0 bytes, expected 400001200000016"),
-    ("negative-hidden", "malformed header: ConfigError"),
+    ("negative-hidden", "malformed header: config: hidden[0]: expected a positive integer"),
     # The policy's digest does not cover the header, so its config is checked.
-    ("header:lr=NaN", "malformed header: ConfigError lr"),
-    ("header:lr=Infinity", "malformed header: ConfigError lr"),
-    ("header:lr=-Infinity", "malformed header: ConfigError lr"),
+    ("header:lr=NaN", "malformed header: config.lr: expected a finite number, got nan"),
+    ("header:lr=Infinity", "malformed header: config.lr: expected a finite number, got inf"),
+    ("header:lr=-Infinity",
+     "malformed header: config.lr: expected a finite number, got -inf"),
+    # JSON's true is not the number 1.
+    ("header:env_steps=true", "malformed header: env_steps: expected an integer, got bool"),
+    ("header:grad_steps=false", "malformed header: grad_steps: expected an integer, got bool"),
+    ("header:obs_dim=true", "malformed header: config.obs_dim: expected an integer, got bool"),
+    ("header:gamma=true", "malformed header: config.gamma: expected a number, got bool"),
+    ("header:lr=false", "malformed header: config.lr: expected a number, got bool"),
     # Adam's bias correction at step grad_steps + 1 would be 1 - beta**0 = 0.
     ("header:grad_steps=-1",
-     "malformed header: ValueError negative step count: env_steps 0, grad_steps -1"),
-    ("old-setting:target_entropy", "malformed header: TypeError"),
-    ("old-setting:updates_per_step", "malformed header: TypeError"),
+     "malformed header: negative step count: env_steps 0, grad_steps -1"),
+    ("old-setting:target_entropy", "malformed header: config.target_entropy: unknown field"),
+    ("old-setting:updates_per_step",
+     "malformed header: config.updates_per_step: unknown field"),
     # Which of two values counts is not for the loader to guess.
     ("repeated-key", "corrupt header: repeated key 'env_steps'"),
 ])
@@ -928,6 +936,11 @@ def write_data_dir(tmp_path, file_name=None, edit=None):
      "functions[2].req_cpu: expected a number"),
     ("functions.json", lambda p: p.update(functions={}),
      "functions: expected a list"),
+    # A key this build does not read is refused, not dropped.
+    ("functions.json", lambda p: p["functions"][0].update(gpu="tpu"),
+     "functions[0].gpu: unknown field"),
+    ("devices.json", lambda p: p["devices"][2].update(req_mem=64),
+     "devices[2].req_mem: unknown field"),
     ("devices.json", lambda p: p["devices"][1].update(cpu_cores="32"),
      "devices[1].cpu_cores: expected an integer"),
     ("devices.json", lambda p: p["devices"].__setitem__(0, "xeon_cpu"),

@@ -42,7 +42,7 @@ def test_unknown_field_is_named():
 
 
 def test_root_must_be_object():
-    with pytest.raises(ConfigError, match="root must be a JSON object"):
+    with pytest.raises(ConfigError, match="^top level: expected an object, got list$"):
         config_from_dict([1, 2, 3])
 
 
@@ -74,12 +74,13 @@ def test_invalid_values_name_the_field(payload, fragment):
     ({"lr": "fast"}, "lr: expected a number, got str"),
     ({"gamma": False}, "gamma: expected a number, got bool"),
     ({"name": 7}, "name: expected a string, got int"),
-    ({"hidden": []}, "hidden: expected a non-empty list"),
+    ({"hidden": []}, "hidden: must not be empty"),
     ({"hidden": [32, "x"]}, r"hidden\[1\]: expected an integer, got str"),
     ({"hidden": [32, True]}, r"hidden\[1\]: expected an integer, got bool"),
     ({"hidden": [10**400]}, r"hidden\[0\]: expected a finite number"),
     ({"hidden": [32, 0]}, r"hidden\[1\]: expected a positive integer"),
     ({"data_dir": 3}, "data_dir: expected a string, got int"),
+    ({"hidden": 64}, "hidden: expected a list, got int"),
 ])
 def test_type_errors_name_the_field_path(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):

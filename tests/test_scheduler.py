@@ -161,13 +161,13 @@ def test_a_commit_for_one_function_refreshes_the_node_in_every_table():
     c = cl.build_cluster(spec)
     before = _table(b, c).totals.copy()
     _table(a, c)
-    c.commit(7, a.req_cpu, a.req_mem)
+    c.commit(7, a.req_cpu, a.req_mem_mb)
     assert c.changes == [7]
     assert c.score_tables[a].seen == c.score_tables[b].seen == 0
     after = _table(b, c).totals
     assert c.score_tables[b].seen == 1
     fresh = cl.build_cluster(spec)
-    fresh.commit(7, a.req_cpu, a.req_mem)
+    fresh.commit(7, a.req_cpu, a.req_mem_mb)
     assert np.array_equal(after, _table(b, fresh).totals)
     assert np.array_equal(after, _table(b, c.clone()).totals)
     assert np.flatnonzero(after != before).tolist() == [7]
@@ -489,7 +489,7 @@ def test_place_returns_none_once_no_node_fits():
     rng = np.random.default_rng(0)
     placed = []
     while (nid := sched.place(fn, c, sched.FIXED_WEIGHTS, 1.0, rng)) is not None:
-        c.commit(nid, fn.req_cpu, fn.req_mem)
+        c.commit(nid, fn.req_cpu, fn.req_mem_mb)
         placed.append(nid)
     assert sorted(placed) == [0] * 4 + [1] * 4 + [2] * 4
     assert not _table(fn, c).feasible.any()

@@ -88,7 +88,7 @@ def test_scorer_matches_oracle(session):
     for op, *args in ops:
         if op == "commit":
             fn, nid = functions[args[0]], args[1]
-            cluster.commit(nid, fn.req_cpu, fn.req_mem)
+            cluster.commit(nid, fn.req_cpu, fn.req_mem_mb)
         elif op == "image":
             fn, nid = functions[args[0]], args[1]
             if fn.image_name:

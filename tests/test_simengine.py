@@ -377,7 +377,7 @@ def test_single_replica_queue_matches_pollaczek_khinchine(rho):
     # M/D/1 queue, whose mean wait is rho * s / (2 * (1 - rho)).  The horizon
     # leaves room for the backlog to drain, so every request completes.
     c = cl.build_cluster(cl.ClusterSpec("cloud_cpu", 1, "internet"))
-    fn = wl.FunctionSpec(name="md1", req_cpu=1.0, req_mem=1024.0,
+    fn = wl.FunctionSpec(name="md1", req_cpu=1.0, req_mem_mb=1024.0,
                          dataset_bytes=1e7, base_exec_s=0.5)
     fetch_s = (c.store_latency[:, 0] + fn.dataset_bytes / c.store_bw[:, 0]).min()
     s = wl.execution_seconds(fn, c.devices[0]) + float(fetch_s)

@@ -26,7 +26,7 @@ def test_catalog_has_eight_functions(function_catalog):
 
 def test_catalog_fields_are_sane(function_catalog):
     for fn in function_catalog:
-        assert fn.req_cpu > 0 and fn.req_mem > 0
+        assert fn.req_cpu > 0 and fn.req_mem_mb > 0
         assert fn.base_exec_s > 0
         assert fn.image_bytes >= 0 and fn.dataset_bytes >= 0
 
@@ -190,7 +190,7 @@ def test_a_trace_past_the_request_bound_is_refused_before_any_draw():
         assert f"above the bound of {bound}" in message
 
 
-@pytest.mark.parametrize("field", ["req_cpu", "req_mem", "image_bytes",
+@pytest.mark.parametrize("field", ["req_cpu", "req_mem_mb", "image_bytes",
                                    "dataset_bytes", "base_exec_s"])
 def test_function_spec_rejects_nan(field):
     # Every comparison with NaN is False, so the checks must be written to fail.
