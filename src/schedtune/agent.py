@@ -95,10 +95,15 @@ class SacConfig:
 
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``.
-    A capacity the system refuses to allocate is a ``ConfigError``."""
+    A capacity past physical memory, or one the system refuses to
+    allocate, is a ``ConfigError``."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         self.capacity = capacity
+        nbytes = capacity * (2 * obs_dim + act_dim + 2) * np.dtype(nn.DTYPE).itemsize
+        if (limit := nn.physical_memory()) is not None and nbytes > limit:
+            raise ConfigError(f"replay_capacity: cannot allocate a {nbytes}-byte "
+                              f"replay buffer (physical memory is {limit} bytes)")
         try:
             self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
             self.act = np.zeros((capacity, act_dim), nn.DTYPE)
@@ -106,7 +111,6 @@ class ReplayBuffer:
             self.next_obs = np.zeros((capacity, obs_dim), nn.DTYPE)
             self.done = np.zeros(capacity, nn.DTYPE)
         except (MemoryError, ValueError) as exc:   # refused, or past numpy's size limit
-            nbytes = capacity * (2 * obs_dim + act_dim + 2) * np.dtype(nn.DTYPE).itemsize
             raise ConfigError(f"replay_capacity: cannot allocate a {nbytes}-byte "
                               f"replay buffer") from exc
         self.idx = 0
@@ -179,8 +183,9 @@ class SacAgent:
         self.policy, self.q1, self.q2, self.q1_target, self.q2_target = (
             Mlp(*args) for args in zip([policy_sizes] + [critic_sizes] * 4,
                                        [self.rng] * 3 + [None] * 2, params, grads + [None] * 2))
-        # The policy's parameters again, for the next-state forward: its
-        # cache of its own leaves the policy's for the actor's backward.
+        # The policy's parameters again, without gradients, for the
+        # next-state forward: it keeps no activations, so the policy's own
+        # stay those of the actor's forward until the actor's backward.
         self.next_policy = Mlp(policy_sizes, None, self.policy.flat, None)
         self.q1_target.flat[:] = self.q1.flat
         self.q2_target.flat[:] = self.q2.flat

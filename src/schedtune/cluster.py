@@ -193,10 +193,13 @@ def load_presets(data_dir=None) -> dict[str, tuple[tuple[DeviceClass, float], ..
     read of ``devices.json`` and ``presets.json``.  Every preset in PRESETS
     is checked here, whether or not a scenario ever draws it: it must be
     present, name known devices only, and have fractions in [0, 1] that sum
-    to 1."""
+    to 1.  A preset outside PRESETS, which no scenario could draw, fails."""
     directory = _data.data_dir(data_dir)
     devices = {device.name: device for device in _load_devices(directory)}
     path, table = _data.load_json("presets.json", dict, directory)
+    for preset in table:
+        if preset not in PRESETS:
+            raise ConfigError(f"{path}: presets.{preset}: unknown preset")
     dists = {preset: {name: _data.check(frac, float, f"{path}: presets.{preset}.{name}")
                       for name, frac in _data.check(dist, dict, f"{path}: presets.{preset}")
                       .items()}

@@ -15,12 +15,14 @@ when its class refuses a value (``devices.json: devices[0]: xeon_cpu: ...``).
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import get_type_hints
 
 from .errors import ConfigError
@@ -88,7 +90,8 @@ def check(value, kind, where: str):
 def load_json(name: str, kind, override: str | os.PathLike | None = None):
     """The path of the data file ``name`` and the value of ``kind`` under
     its key (``devices`` for ``devices.json``), after checking its
-    ``schema_version``."""
+    ``schema_version``.  The top level holds those two keys alone: any
+    other (the first in sorted order) fails as an unknown field."""
     path = data_dir(override) / name
     payload = check(read_json(path, "data file"), dict, f"{path}: top level")
     version = payload.get("schema_version")
@@ -97,6 +100,8 @@ def load_json(name: str, kind, override: str | os.PathLike | None = None):
             f"{path}: schema_version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
     key = name.removesuffix(".json")
+    if unknown := sorted(payload.keys() - {"schema_version", key}):
+        raise ConfigError(f"{path}: {unknown[0]}: unknown field")
     return path, check(payload.get(key, _MISSING), kind, f"{path}: {key}")
 
 
@@ -112,6 +117,14 @@ def _read(value, kind, where: str, partial: bool):
     return check(value, kind, where)
 
 
+@functools.cache
+def field_kinds(cls) -> MappingProxyType:
+    """Each field of the dataclass ``cls`` by name, with the type its
+    annotation names: worked out once per class, as a read-only mapping."""
+    hints = get_type_hints(cls)
+    return MappingProxyType({f.name: (f, hints[f.name]) for f in fields(cls)})
+
+
 def read_fields(value, cls, where: str = "", partial: bool = False):
     """The dataclass ``cls`` built from the JSON object ``value``, each field
     from its own key as the kind its type names: one of :func:`check`'s, a
@@ -121,13 +134,13 @@ def read_fields(value, cls, where: str = "", partial: bool = False):
     A ``ConfigError`` from ``cls`` comes back prefixed with ``where``."""
     prefix = f"{where}." if where else ""
     value = check(value, dict, where or "top level")
-    if unknown := sorted(value.keys() - {f.name for f in fields(cls)}):
+    kinds = field_kinds(cls)
+    if unknown := sorted(value.keys() - kinds.keys()):
         raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
-    values, kinds = {}, get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in value or not (partial and f.default is not MISSING):
-            values[f.name] = _read(value.get(f.name, _MISSING), kinds[f.name],
-                                   prefix + f.name, partial)
+    values = {}
+    for name, (f, kind) in kinds.items():
+        if name in value or not (partial and f.default is not MISSING):
+            values[name] = _read(value.get(name, _MISSING), kind, prefix + name, partial)
     try:
         return cls(**values)
     except ConfigError as exc:

@@ -7,14 +7,19 @@ action), which ``Mlp.backward``'s input-only mode returns directly.
 Parameters, gradients and Adam moments hold ``DTYPE``, float32 as in common
 SAC implementations; inputs of any float type are cast to it.  ``Mlp`` and
 ``Adam`` keep them in zero-filled buffers the caller hands in, such as the
-pieces of one :func:`arena`.  :func:`both` runs two independent jobs on two
-cores where that pays: the twin critics' halves of an update, a layer's
-parameter gradients beside its input gradient in ``Mlp.backward``, or the
-two halves of a large lone parameter in ``Adam.step``.  Inside a
-:func:`helper_thread` block, when ``TWO_THREADS`` holds, the first job goes
-to a one-thread ``ThreadPoolExecutor`` that the block's first pair starts
-and the block's end joins.  Either way each job's float operations are the
-same, so the bytes they write are too.
+pieces of one :func:`arena`, and hold any other array only while a call
+reads it: a network with gradients keeps its activations from a
+``forward`` until the ``backward`` that reads them, a network without
+keeps none, and an Adam step's scratch lives for that step.
+
+:func:`both` runs two independent jobs on two cores where that pays: the
+twin critics' halves of an update, a layer's parameter gradients beside its
+input gradient in ``Mlp.backward``, or the two halves of a large lone
+parameter in ``Adam.step``.  Inside a :func:`helper_thread` block, when
+``TWO_THREADS`` holds, the first job goes to a one-thread
+``ThreadPoolExecutor`` that the block's first pair starts and the block's
+end joins.  Either way each job's float operations are the same, so the
+bytes they write are too.
 """
 from __future__ import annotations
 
@@ -103,6 +108,19 @@ def both(f, g) -> tuple:
     return first, second
 
 
+def physical_memory() -> int | None:
+    """The machine's physical memory in bytes, as ``os.sysconf`` reports
+    it: a bound on any buffer, which the system could not back even where
+    it grants the mapping.  None where it cannot say; the system's refusal
+    is then the only check."""
+    try:
+        nbytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # No sysconf on this platform, or no such name; an unknown value reads -1.
+    except (AttributeError, ValueError, OSError):
+        return None
+    return nbytes if nbytes > 0 else None
+
+
 def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
     """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces, one per
     length in ``lengths``, each on a 64-byte boundary.
@@ -111,13 +129,16 @@ def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
     once no piece is left.  Its pages fault in on first write, so a piece
     that is never written, such as the gradients of an agent that never
     trains, takes no memory.  Where ``mmap`` lacks ``MAP_PRIVATE`` the
-    buffer is ``np.zeros``.  A buffer too large to make is a ``ConfigError``
-    naming its size.
+    buffer is ``np.zeros``.  A buffer larger than physical memory, or too
+    large for the system to make, is a ``ConfigError`` naming its size.
     """
     dtype = np.dtype(DTYPE)
     step = 64 // dtype.itemsize
     starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
     nbytes = starts[-1] * dtype.itemsize
+    if (limit := physical_memory()) is not None and nbytes > limit:
+        raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena "
+                          f"(physical memory is {limit} bytes)")
     try:
         if starts[-1] and hasattr(mmap, "MAP_PRIVATE"):
             buffer = np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype)
@@ -136,12 +157,14 @@ class Mlp:
     (``w0, b0, w1, b1, ...``, :meth:`param_count` elements), viewed as
     ``weights`` and ``biases``; the gradients in ``grad_flat``, of the same
     size and dtype, viewed as ``grad_weights`` and ``grad_biases``.
-    ``forward`` caches activations; ``backward`` either writes the parameter
-    gradients (scaled however the caller scaled ``grad_out``) over the
-    previous ones or returns the gradient with respect to the input batch.
-    With ``rng`` None the parameters keep what ``flat`` holds, for a caller
-    that fills them (a checkpoint load, a target network).  With
-    ``grad_flat`` None the network keeps no gradients and only runs forward.
+    ``forward`` keeps its activations until the one ``backward`` that reads
+    them, which lets each go once its layer is done; ``backward`` either
+    writes the parameter gradients (scaled however the caller scaled
+    ``grad_out``) over the previous ones or returns the gradient with
+    respect to the input batch.  With ``rng`` None the parameters keep what
+    ``flat`` holds, for a caller that fills them (a checkpoint load, a
+    target network).  With ``grad_flat`` None the network keeps no
+    gradients and no activations: it only runs forward.
     """
 
     def __init__(self, sizes, rng: np.random.Generator | None,
@@ -178,13 +201,15 @@ class Mlp:
         if h.shape[1] != self.sizes[0]:
             raise ConfigError(
                 f"input width {h.shape[1]} does not match {self.sizes[0]}")
-        activations = [h]
+        # Kept for a backward only where there is one.
+        activations = [h] if self.grad_flat is not None else None
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i:   # ReLU on the hidden layer below, in place and in the cache
+            if i:   # ReLU on the hidden layer below, in place, so in the cache too
                 np.maximum(h, 0.0, out=h)
             h = h @ w
             h += b
-            activations.append(h)
+            if activations is not None:
+                activations.append(h)
         self._cache = activations
         return h
 
@@ -193,31 +218,37 @@ class Mlp:
         with ``input_only`` return the input gradient instead, leaving
         ``grad_flat`` as it was.  Without ``input_only``, each layer above
         the first writes its parameter gradients as the first job of a
-        :func:`both` pair, while the second carries the gradient down."""
-        if self._cache is None:
+        :func:`both` pair, while the second carries the gradient down.  It
+        takes the activations of the last ``forward`` and drops each layer's
+        once that layer is done, so the next ``backward`` needs a ``forward``
+        of its own."""
+        if self.grad_flat is None:
+            raise ConfigError("backward on a network without gradients: it runs forward only")
+        activations, self._cache = self._cache, None
+        if activations is None:
             raise ConfigError("backward requires a preceding forward pass")
-        activations = self._cache
         g = np.atleast_2d(np.asarray(grad_out, dtype=self.flat.dtype))
-        if g.shape != activations[-1].shape:
+        if g.shape != activations.pop().shape:
             raise ConfigError("grad_out shape does not match the last forward")
 
-        def param_grads(i: int, g: np.ndarray) -> None:
-            np.matmul(activations[i].T, g, out=self.grad_weights[i])
+        def param_grads(i: int, h: np.ndarray, g: np.ndarray) -> None:
+            np.matmul(h.T, g, out=self.grad_weights[i])
             np.sum(g, axis=0, out=self.grad_biases[i])
 
-        def input_grad(i: int, g: np.ndarray) -> np.ndarray:
+        def input_grad(i: int, h: np.ndarray, g: np.ndarray) -> np.ndarray:
             g = g @ self.weights[i].T
-            g *= activations[i] > 0.0   # a ReLU output is > 0 exactly where its input is
+            g *= h > 0.0   # a ReLU output is > 0 exactly where its input is
             return g
 
         for i in reversed(range(1, len(self.weights))):
+            h = activations.pop()   # layer i's input, the last read of it
             if input_only:
-                g = input_grad(i, g)
+                g = input_grad(i, h, g)
             else:   # both reads this g; input_grad writes a new array
-                _, g = both(lambda: param_grads(i, g), lambda: input_grad(i, g))
+                _, g = both(lambda: param_grads(i, h, g), lambda: input_grad(i, h, g))
         if input_only:
             return g @ self.weights[0].T
-        param_grads(0, g)
+        param_grads(0, activations.pop(), g)
         return None
 
 
@@ -246,8 +277,9 @@ class Adam:
     is the step count, which each :meth:`step` is given.  A pair of
     parameters (the twin critics) steps on two threads (:func:`both`), and
     so do the two halves of a lone parameter of ``2 * CHUNK`` elements or
-    more (a policy), split on a ``CHUNK`` boundary.  Each part has scratch
-    of its own."""
+    more (a policy), split on a ``CHUNK`` boundary.  Each part's step makes
+    scratch of its own, two rows of up to ``CHUNK`` elements, and lets it go
+    when it ends: between steps Adam holds only the caller's arrays."""
 
     def __init__(self, params: list[np.ndarray], m: list[np.ndarray],
                  v: list[np.ndarray], lr: float = 3e-4):
@@ -262,8 +294,6 @@ class Adam:
         if len(self.params) == 1 and self.params[0].size >= 2 * CHUNK:
             mid = self.params[0].size // (2 * CHUNK) * CHUNK
             self._parts = [(0, slice(None, mid)), (0, slice(mid, None))]
-        self._scratch = [np.empty((2, min(CHUNK, self.m[k][part].size)), self.m[k].dtype)
-                         for k, part in self._parts]
 
     def step(self, grads: list[np.ndarray], t: int) -> None:
         """Take step number ``t``, counted from 1 by the caller.  Per
@@ -284,14 +314,15 @@ class Adam:
                 self._step_part(j, grads, bias1, bias2)
 
     def _step_part(self, j: int, grads: list[np.ndarray], bias1: float, bias2: float) -> None:
-        """Step part ``j`` in place, in ``CHUNK`` slices through its own scratch."""
+        """Step part ``j`` in place, in ``CHUNK`` slices through scratch of its own."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         k, part = self._parts[j]
         p, g, m, v = (a[part] for a in (self.params[k], grads[k], self.m[k], self.v[k]))
+        scratch = np.empty((2, min(CHUNK, p.size)), m.dtype)
         for lo in range(0, p.size, CHUNK):
             chunk = slice(lo, lo + CHUNK)
             pc, gc, mc, vc = p[chunk], g[chunk], m[chunk], v[chunk]
-            num, den = (s[:pc.size] for s in self._scratch[j])
+            num, den = (s[:pc.size] for s in scratch)
             mc *= b1
             mc += np.multiply(gc, 1.0 - b1, out=num)
             vc *= b2

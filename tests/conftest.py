@@ -80,6 +80,17 @@ def make_mlp(sizes, rng):
     return nn.Mlp(sizes, rng, flat, grad_flat)
 
 
+def held_arrays(obj) -> list[np.ndarray]:
+    """Every numpy array ``obj``'s attributes hold, directly or in a list or
+    tuple: what it keeps between calls."""
+    held = []
+    for value in vars(obj).values():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, np.ndarray):
+                held.append(item)
+    return held
+
+
 def training_state(agent):
     """``(name, array)`` of every piece of a trained agent's state, in arena
     order, each named by the attribute that holds it: the five networks'

@@ -12,7 +12,7 @@ import struct
 import pytest
 
 from schedtune import agent as agent_module
-from schedtune import cli
+from schedtune import cli, nn
 from schedtune.agent import LOG_COLUMNS, SacAgent, SacConfig
 from schedtune.cli import main, make_env, scenario_seeds
 from schedtune.config import load_config
@@ -978,6 +978,13 @@ def write_data_dir(tmp_path, file_name=None, edit=None):
         tpu_pod=p["presets"]["edge_tpu"].pop("coral_devboard")),
      "presets.edge_tpu.tpu_pod: unknown device"),
     ("presets.json", lambda p: _drop(p["presets"], "edge_tpu"), "presets.edge_tpu: missing"),
+    # The top level holds schema_version and the file's own key, and the
+    # presets are the ones the code knows: anything else is refused, not
+    # dropped.
+    ("presets.json", lambda p: p.update(extra=1), "extra: unknown field"),
+    ("devices.json", lambda p: p.update(also=[]), "also: unknown field"),
+    ("presets.json", lambda p: p["presets"].update(edge_fpga={"xeon_cpu": 1.0}),
+     "presets.edge_fpga: unknown preset"),
     # Names are unique per file.
     ("devices.json", lambda p: p["devices"].append(dict(p["devices"][0])),
      "devices[9].name: duplicate name 'xeon_cpu'"),
@@ -1201,4 +1208,25 @@ def test_a_huge_replay_capacity_fails_train_agent_with_one_error_line(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(r"replay_capacity: cannot allocate a \d+-byte replay buffer", err)
+    assert not out.exists()
+
+
+# A buffer larger than physical memory is refused before it is asked for,
+# where the system might grant a mapping it cannot back.  A 4 MB machine
+# stands in for this one, so no buffer is large and none is allocated.
+@pytest.mark.parametrize("settings, message", [
+    ({"hidden": [512, 512]}, r"hidden: cannot map a (\d+)-byte arena"),
+    ({"replay_capacity": 100_000}, r"replay_capacity: cannot allocate a (\d+)-byte replay buffer"),
+], ids=["arena", "replay"])
+def test_a_buffer_past_physical_memory_fails_train_agent_with_one_error_line(
+        tmp_path, capsys, monkeypatch, settings, message):
+    monkeypatch.setattr(nn, "physical_memory", lambda: 4_000_000)
+    config = write_config(tmp_path, mode="train", total_env_steps=8, num_envs=1,
+                          **{"hidden": [8], "batch_size": 4, "replay_capacity": 16,
+                             "start_steps": 4, **settings})
+    out = tmp_path / "agent"
+    assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(f"error: {message} \\(physical memory is 4000000 bytes\\)\n", err)
+    assert match and int(match[1]) > 4_000_000
     assert not out.exists()

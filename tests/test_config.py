@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from schedtune import data
 from schedtune.agent import SacConfig
 from schedtune.config import ExperimentConfig, config_from_dict, load_config
 from schedtune.errors import ConfigError
@@ -34,6 +35,21 @@ def test_to_dict_serializes_hidden_as_list():
 
 def test_hidden_normalized_to_tuple():
     assert ExperimentConfig(hidden=[64, 64]).hidden == (64, 64)
+
+
+def test_each_class_has_its_field_types_worked_out_once(monkeypatch):
+    calls = []
+    hints = data.get_type_hints
+    monkeypatch.setattr(data, "get_type_hints", lambda cls: calls.append(cls) or hints(cls))
+    data.field_kinds.cache_clear()
+    for _ in range(3):
+        config_from_dict({"hidden": [8], "lr": 1e-3})
+    assert calls == [ExperimentConfig]
+    kinds = data.field_kinds(ExperimentConfig)
+    assert list(kinds) == [f.name for f in fields(ExperimentConfig)]
+    assert kinds["hidden"][1] == tuple[int, ...]
+    with pytest.raises(TypeError):
+        kinds["hidden"] = (None, int)
 
 
 def test_unknown_field_is_named():

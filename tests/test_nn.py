@@ -14,7 +14,7 @@ import pytest
 from schedtune import nn
 from schedtune.errors import ConfigError
 from schedtune.nn import Adam, both, polyak_update
-from tests.conftest import make_mlp
+from tests.conftest import held_arrays, make_mlp
 from tests.sac_oracle import Mlp as OracleMlp
 
 FD_H = 1e-5
@@ -215,6 +215,82 @@ def test_validation_errors():
     net.forward(np.zeros((1, 3)))
     with pytest.raises(ConfigError):
         net.backward(np.zeros((2, 2)))
+
+
+def test_physical_memory_is_what_sysconf_reports():
+    if not hasattr(os, "sysconf"):
+        pytest.skip("no os.sysconf on this platform")
+    assert nn.physical_memory() == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("sysconf", [None, _unknown_name], ids=["no-sysconf", "unknown-name"])
+def test_without_a_memory_size_the_system_refusal_is_the_check(monkeypatch, sysconf):
+    if sysconf is None:
+        monkeypatch.delattr(os, "sysconf", raising=False)
+    else:
+        monkeypatch.setattr(os, "sysconf", sysconf)
+    assert nn.physical_memory() is None
+    # 2**60 elements are past any 64-bit Linux address space, so the system
+    # refuses them without touching memory.
+    with pytest.raises(ConfigError, match=r"^hidden: cannot map a 4611686018427387904-byte "
+                                          r"arena \((?!physical memory)"):
+        nn.arena([2**60])
+
+
+def forward_only_mlp(sizes, rng):
+    """A network over an arena of its own, without a gradient buffer."""
+    _, (flat,) = nn.arena([nn.Mlp.param_count(sizes)])
+    return nn.Mlp(sizes, rng, flat, None)
+
+
+@pytest.mark.parametrize("input_only", [False, True])
+def test_a_network_without_gradients_keeps_no_activations(input_only):
+    rng = np.random.default_rng(14)
+    net = forward_only_mlp((3, 5, 5, 2), rng)
+    x = rng.uniform(-1, 1, (4, 3))
+    out = net.forward(x)
+    assert all(np.shares_memory(a, net.flat) for a in held_arrays(net))
+    with pytest.raises(ConfigError, match="^backward on a network without gradients: "
+                                          "it runs forward only$"):
+        net.backward(np.ones_like(out), input_only=input_only)
+    # It computes what a network with gradients computes.
+    twin = make_mlp(net.sizes, None)
+    twin.flat[:] = net.flat
+    assert twin.forward(x).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("input_only", [False, True])
+def test_each_forward_serves_one_backward(input_only):
+    rng = np.random.default_rng(15)
+    net = make_mlp((3, 5, 5, 2), rng)
+    x = rng.uniform(-1, 1, (4, 3))
+    coeff = rng.uniform(-1, 1, (4, 2))
+    net.forward(x)
+    first = net.backward(coeff, input_only=input_only)
+    # The backward let go of every activation it read.
+    buffers = (net.flat, net.grad_flat)
+    assert all(any(np.shares_memory(a, b) for b in buffers) for a in held_arrays(net))
+    with pytest.raises(ConfigError, match="^backward requires a preceding forward pass$"):
+        net.backward(coeff, input_only=input_only)
+    net.forward(x)
+    again = net.backward(coeff, input_only=input_only)
+    if input_only:
+        assert again.tobytes() == first.tobytes()
+    else:
+        assert first is None and again is None
+
+
+@pytest.mark.parametrize("size", [31, 2 * 7 * 3])   # one part, then two halves
+def test_adam_holds_no_scratch_between_steps(monkeypatch, size):
+    monkeypatch.setattr(nn, "CHUNK", 7)
+    param = np.zeros(size)
+    opt = adam([param])
+    opt.step([np.ones(size)], 1)
+    assert all(any(a is b for b in (param, opt.m[0], opt.v[0])) for a in held_arrays(opt))
 
 
 def adam(params, **kwargs):
