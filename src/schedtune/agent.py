@@ -22,7 +22,6 @@ that a command reads: ``eval`` acts with the mean action, and
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import os
@@ -39,6 +38,7 @@ from .data import read_fields, unique_keys
 from .errors import CheckpointError, ConfigError, writing
 from .nn import Adam, Mlp, both, helper_thread, polyak_update
 from .optimizers import run_tuning
+from .report import write_rows
 from .tunenv import TuningEnv, TuningEpisode, VectorEnv
 
 LOG_STD_MIN = -20.0
@@ -94,25 +94,18 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``.
-    A capacity past physical memory, or one the system refuses to
-    allocate, is a ``ConfigError``."""
+    """Fixed-capacity ring buffer of transitions, stored in ``nn.DTYPE``:
+    its five arrays are pieces of one ``nn.arena``, so a capacity past
+    physical memory, or one the system refuses, is a ``ConfigError``."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         self.capacity = capacity
-        nbytes = capacity * (2 * obs_dim + act_dim + 2) * np.dtype(nn.DTYPE).itemsize
-        if (limit := nn.physical_memory()) is not None and nbytes > limit:
-            raise ConfigError(f"replay_capacity: cannot allocate a {nbytes}-byte "
-                              f"replay buffer (physical memory is {limit} bytes)")
-        try:
-            self.obs = np.zeros((capacity, obs_dim), nn.DTYPE)
-            self.act = np.zeros((capacity, act_dim), nn.DTYPE)
-            self.rew = np.zeros(capacity, nn.DTYPE)
-            self.next_obs = np.zeros((capacity, obs_dim), nn.DTYPE)
-            self.done = np.zeros(capacity, nn.DTYPE)
-        except (MemoryError, ValueError) as exc:   # refused, or past numpy's size limit
-            raise ConfigError(f"replay_capacity: cannot allocate a {nbytes}-byte "
-                              f"replay buffer") from exc
+        _, (obs, act, self.rew, next_obs, self.done) = nn.arena(
+            [capacity * obs_dim, capacity * act_dim, capacity, capacity * obs_dim, capacity],
+            "replay_capacity", "replay buffer")
+        self.obs = obs.reshape(capacity, obs_dim)
+        self.act = act.reshape(capacity, act_dim)
+        self.next_obs = next_obs.reshape(capacity, obs_dim)
         self.idx = 0
         self.size = 0
 
@@ -465,20 +458,14 @@ LOG_COLUMNS = ("env_steps", "episodes", "mean_terminal_reward", "critic_loss",
                "actor_loss", "alpha_loss", "alpha", "entropy")
 
 
-def _write_log_row(path, mode: str, row) -> None:
-    """Write one CSV row and close the file, so the row is on disk."""
-    with writing(path), open(path, mode, newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(row)
-
-
 def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_dir: Path,
                 total_env_steps: int, seed: int, log_every: int = 500,
                 eval_env: TuningEnv | None = None, eval_seeds=(),
                 eval_every: int = 0) -> None:
     """Standard off-policy loop: uniform warm-up actions until
     ``start_steps``, then one gradient step per environment step, with the
-    transitions in ``buffer``.  It writes ``out_dir/train_log.csv``, a
-    header and then a row every ``log_every`` environment steps, each with
+    transitions in ``buffer``.  It replaces ``out_dir/train_log.csv`` with
+    a header, then appends a row every ``log_every`` environment steps, each with
     a ``[train]`` stderr line (env steps, elapsed seconds, env steps and
     gradient steps per second, and the row's mean terminal reward).  Every
     ``eval_every`` steps the agent tunes ``eval_seeds`` in ``eval_env``,
@@ -496,7 +483,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_d
     next_eval = eval_every
     saved_at = None
     log_path, checkpoint_path = out_dir / "train_log.csv", out_dir / "agent.ckpt"
-    _write_log_row(log_path, "w", LOG_COLUMNS)
+    write_rows(log_path, LOG_COLUMNS, [], replace=True)
     start, first_step, first_update = time.perf_counter(), agent.env_steps, agent.grad_steps
 
     def save():
@@ -529,7 +516,7 @@ def train_agent(agent: SacAgent, vec_env: VectorEnv, buffer: ReplayBuffer, out_d
                      "mean_terminal_reward":
                          float(np.mean(recent)) if recent else 0.0}
             entry.update(stats)
-            _write_log_row(log_path, "a", [entry.get(c, "") for c in LOG_COLUMNS])
+            write_rows(log_path, LOG_COLUMNS, [entry])
             elapsed = time.perf_counter() - start
             print(f"[train] {agent.env_steps}/{total_env_steps} env steps: "
                   f"{elapsed:.2f} s, {(agent.env_steps - first_step) / elapsed:.1f} "

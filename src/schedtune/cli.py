@@ -32,7 +32,6 @@ from .optimizers import OPTIMIZERS, run_tuning
 from .report import (
     CHART_FILENAME,
     CSV_SCHEMA_VERSION,
-    append_rows,
     read_trials_csv,
     render_report_md,
     render_score_chart,
@@ -41,6 +40,7 @@ from .report import (
     summarize_trials,
     trial_rows,
     trials_header,
+    write_rows,
     write_summary_csv,
     write_trials_csv,
 )
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     path = make_out_dir(args.out) / "runrecords.csv"
     spec, digest = scenario.cluster_spec, scenario.digest()
     rps = dict((fn.name, r) for fn, r in scenario.workload.functions)
-    append_rows(path, RUNRECORD_FIELDS, [{
+    write_rows(path, RUNRECORD_FIELDS, [{
         "schema_version": CSV_SCHEMA_VERSION,
         "experiment": config.name,
         "scenario_seed": args.seed,

@@ -121,7 +121,8 @@ def physical_memory() -> int | None:
     return nbytes if nbytes > 0 else None
 
 
-def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
+def arena(lengths, setting: str = "hidden",
+          noun: str = "arena") -> tuple[np.ndarray, list[np.ndarray]]:
     """A zero-filled 1-D ``DTYPE`` buffer and its consecutive pieces, one per
     length in ``lengths``, each on a 64-byte boundary.
 
@@ -130,15 +131,16 @@ def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
     that is never written, such as the gradients of an agent that never
     trains, takes no memory.  Where ``mmap`` lacks ``MAP_PRIVATE`` the
     buffer is ``np.zeros``.  A buffer larger than physical memory, or too
-    large for the system to make, is a ``ConfigError`` naming its size.
+    large for the system to make, is a ``ConfigError`` naming its size, the
+    config ``setting`` that sized it and the ``noun`` it goes by.
     """
     dtype = np.dtype(DTYPE)
     step = 64 // dtype.itemsize
     starts = np.cumsum([0] + [-(-n // step) * step for n in lengths]).tolist()
     nbytes = starts[-1] * dtype.itemsize
+    refusal = f"{setting}: cannot map a {nbytes}-byte {noun}"
     if (limit := physical_memory()) is not None and nbytes > limit:
-        raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena "
-                          f"(physical memory is {limit} bytes)")
+        raise ConfigError(f"{refusal} (physical memory is {limit} bytes)")
     try:
         if starts[-1] and hasattr(mmap, "MAP_PRIVATE"):
             buffer = np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype)
@@ -146,7 +148,7 @@ def arena(lengths) -> tuple[np.ndarray, list[np.ndarray]]:
             buffer = np.zeros(starts[-1], dtype)
     # Past ssize_t or the address space; refused, or past numpy's size limit.
     except (OverflowError, OSError, MemoryError, ValueError) as exc:
-        raise ConfigError(f"hidden: cannot map a {nbytes}-byte arena ({exc})") from exc
+        raise ConfigError(f"{refusal} ({exc})") from exc
     return buffer, [buffer[lo:lo + n] for lo, n in zip(starts, lengths)]
 
 

@@ -2,14 +2,15 @@
 
 Trial tables use a versioned CSV schema.  Each (method, scenario) pair
 contributes one reference evaluation at trial index 0 (the fixed initial
-weights) and its tuned trials at indices >= 1; summaries recompute the best
-tuned score from the raw rows rather than trusting any precomputed column.
+weights) and its tuned trials at indices 1, 2, ... without a gap; summaries
+recompute the best tuned score from the raw rows rather than trusting any
+precomputed column.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,9 +21,6 @@ CSV_SCHEMA_VERSION = 1
 
 TRIAL_FIELDS = ("schema_version", "experiment", "method", "scenario_seed",
                 "scenario_digest", "trial", "score")
-SUMMARY_FIELDS = ("schema_version", "experiment", "method", "n_scenarios",
-                  "mean_reference", "mean_best", "mean_improvement",
-                  "win_rate")
 # The report's chart, next to report.md in the output directory.
 CHART_FILENAME = "scores.svg"
 
@@ -36,6 +34,9 @@ class MethodSummary:
     mean_best: float
     mean_improvement: float
     win_rate: float
+
+
+SUMMARY_FIELDS = ("schema_version",) + tuple(f.name for f in fields(MethodSummary))
 
 
 def trial_rows(experiment: str, method: str, scenario_seed: int, episode,
@@ -66,14 +67,17 @@ def trials_header(action_names) -> list[str]:
 
 
 def write_trials_csv(path, rows, action_names) -> None:
-    append_rows(path, trials_header(action_names), rows)
+    write_rows(path, trials_header(action_names), rows)
 
 
-def append_rows(path, header, rows) -> None:
-    """Append the dicts ``rows`` to the CSV table ``path`` under ``header``,
-    which a missing or empty file gets first (see :func:`starts_new_table`)."""
-    new_file = starts_new_table(path, header)
-    with writing(path), open(path, "a", newline="", encoding="utf-8") as fh:
+def write_rows(path, header, rows, replace: bool = False) -> None:
+    """Write the dicts ``rows`` to the CSV table ``path`` under ``header``,
+    a key a row lacks as an empty field.  Appending, a missing or empty file
+    gets the header first (see :func:`starts_new_table`); with ``replace``
+    the file is rewritten, header first."""
+    new_file = replace or starts_new_table(path, header)
+    with writing(path), open(path, "w" if replace else "a", newline="",
+                             encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         if new_file:
             writer.writeheader()
@@ -168,7 +172,8 @@ def require_paired(rows) -> None:
 
 
 def summarize_trials(rows) -> list[MethodSummary]:
-    """Aggregate per method; best scores are recomputed from trials >= 1."""
+    """Aggregate per method; best scores are recomputed from trials >= 1.
+    A scenario whose trials are not 0, 1, 2, ... without a gap fails."""
     if not rows:
         raise ConfigError("no trial rows to summarize")
     groups: dict[tuple, dict[int, float]] = {}
@@ -193,6 +198,10 @@ def summarize_trials(rows) -> list[MethodSummary]:
         if not tuned:
             raise ProtocolError(
                 f"method {method} scenario {seed} has no tuned trials")
+        if sorted(trials) != list(range(len(trials))):
+            raise ProtocolError(
+                f"method {method} scenario {seed} has the trials {sorted(trials)}, "
+                f"not 0, 1, 2, ... without a gap")
         per_method.setdefault(method, []).append((trials[0], max(tuned)))
 
     summaries = []
@@ -211,20 +220,11 @@ def summarize_trials(rows) -> list[MethodSummary]:
 
 
 def write_summary_csv(path, summaries) -> None:
-    with writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        for s in summaries:
-            writer.writerow({
-                "schema_version": CSV_SCHEMA_VERSION,
-                "experiment": s.experiment,
-                "method": s.method,
-                "n_scenarios": s.n_scenarios,
-                "mean_reference": f"{s.mean_reference:.6f}",
-                "mean_best": f"{s.mean_best:.6f}",
-                "mean_improvement": f"{s.mean_improvement:.6f}",
-                "win_rate": f"{s.win_rate:.6f}",
-            })
+    """Replace ``path`` with one row per summary, each float to six places."""
+    write_rows(path, SUMMARY_FIELDS, [
+        {"schema_version": CSV_SCHEMA_VERSION,
+         **{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in asdict(s).items()}}
+        for s in summaries], replace=True)
 
 
 # -- plotting ----------------------------------------------------------------

@@ -99,6 +99,27 @@ class ScoreTable:
     weights: bytes
 
 
+def _node_scores(fn: FunctionSpec, a_cpu, a_mem, c_cpu, c_mem, static, w, minimum):
+    """Whether the pod fits a node with allocations ``a_cpu``, ``a_mem``
+    and capacities ``c_cpu``, ``c_mem``, and the node's weighted total for
+    the weights ``w``, given its ``static`` scores (locality_type,
+    data_locality, capability and latency_aware_image_locality).  Either
+    every node at once, as arrays with ``np.minimum``, or one node, as
+    Python floats with ``min``: ``&`` and ``abs`` serve both."""
+    s3, s4, s5, s7 = static
+    w0, w1, w2, w3, w4, w5, w6, w7 = w
+    fits = (c_cpu - a_cpu >= fn.req_cpu) & (c_mem - a_mem >= fn.req_mem_mb)
+    u_cpu = (a_cpu + fn.req_cpu) / c_cpu
+    u_mem = (a_mem + fn.req_mem_mb) / c_mem
+    u = (u_cpu + u_mem) / 2.0
+    # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1),
+    # clamped at 1 as np.interp clamps; on feasible nodes it equals
+    # most_allocated.  balanced_resource: the population stddev of two
+    # utilizations collapses to half their gap.
+    return fits, (((1.0 - u) * w0 + u * w1) + (minimum(u, 1.0) * w2 + s3 * w3)) \
+        + ((s4 * w4 + s5 * w5) + ((1.0 - abs(u_cpu - u_mem) / 2.0) * w6 + s7 * w7))
+
+
 def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> ScoreTable:
     """The function's score table on this cluster copy, up to date for ``weights``.
 
@@ -112,7 +133,8 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
     The feasible ids are rebuilt only when a refreshed node's feasibility
     changed.
 
-    Both paths add a node's eight weighted scores in one fixed order,
+    Both paths take a node's fit and total from :func:`_node_scores`, which
+    adds the eight weighted scores in one fixed order,
     ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  ``scores @ weights`` would
     leave the order to BLAS, whose kernels round a row differently by where
     it sits in the matrix, so bit-identical rows could get different totals
@@ -121,42 +143,28 @@ def _score_table(fn: FunctionSpec, cluster: Cluster, weights: np.ndarray) -> Sco
     table = cluster.score_tables.get(fn)
     if table is None or table.weights != weights.tobytes():
         static = _static_columns(fn, cluster)
-        w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
-        feasible = ((cluster.capacity_cpu - cluster.alloc_cpu >= fn.req_cpu)
-                    & (cluster.capacity_mem - cluster.alloc_mem >= fn.req_mem_mb))
-        u_cpu = (cluster.alloc_cpu + fn.req_cpu) / cluster.capacity_cpu
-        u_mem = (cluster.alloc_mem + fn.req_mem_mb) / cluster.capacity_mem
-        u = (u_cpu + u_mem) / 2.0
         s3, s4, s5, s7 = static.T
         s7 = np.where(cluster.image_mask(fn.image_name), 1.0, s7)
-        # rtc_ratio: the fixed identity shape through (0, 0) and (1, 1),
-        # clamped at 1 as np.interp clamps; on feasible nodes it equals
-        # most_allocated.  balanced_resource: the population stddev of two
-        # utilizations collapses to half their gap.
-        totals = (((1.0 - u) * w0 + u * w1) + (np.minimum(u, 1.0) * w2 + s3 * w3)) \
-            + ((s4 * w4 + s5 * w5) + ((1.0 - np.abs(u_cpu - u_mem) / 2.0) * w6 + s7 * w7))
+        feasible, totals = _node_scores(fn, cluster.alloc_cpu, cluster.alloc_mem,
+                                        cluster.capacity_cpu, cluster.capacity_mem,
+                                        (s3, s4, s5, s7), weights.tolist(), np.minimum)
         table = cluster.score_tables[fn] = ScoreTable(
             totals, feasible, np.flatnonzero(feasible), static, len(cluster.changes),
             weights.tobytes())
     elif table.seen < len(cluster.changes):
         static, feasible, totals, changed = table.static, table.feasible, table.totals, False
-        req_cpu, req_mem = fn.req_cpu, fn.req_mem_mb
         cached = cluster.images.get(fn.image_name)
-        w0, w1, w2, w3, w4, w5, w6, w7 = weights.tolist()
+        w = weights.tolist()
         for j in set(cluster.changes[table.seen:]):
-            a_cpu, a_mem = cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j)
-            c_cpu, c_mem = cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j)
-            fits = c_cpu - a_cpu >= req_cpu and c_mem - a_mem >= req_mem
-            if fits != feasible.item(j):   # a Python bool: comparing np.bool_ is slow
-                feasible[j], changed = fits, True
-            u_cpu = (a_cpu + req_cpu) / c_cpu
-            u_mem = (a_mem + req_mem) / c_mem
-            u = (u_cpu + u_mem) / 2.0
             s3, s4, s5, s7 = static[j].tolist()
             if cached is not None and cached[j]:
                 s7 = 1.0
-            totals[j] = (((1.0 - u) * w0 + u * w1) + (min(u, 1.0) * w2 + s3 * w3)) \
-                + ((s4 * w4 + s5 * w5) + ((1.0 - abs(u_cpu - u_mem) / 2.0) * w6 + s7 * w7))
+            fits, totals[j] = _node_scores(
+                fn, cluster.alloc_cpu.item(j), cluster.alloc_mem.item(j),
+                cluster.capacity_cpu.item(j), cluster.capacity_mem.item(j),
+                (s3, s4, s5, s7), w, min)
+            if fits != feasible.item(j):   # a Python bool: comparing np.bool_ is slow
+                feasible[j], changed = fits, True
         if changed:
             table.ids = np.flatnonzero(feasible)
         table.seen = len(cluster.changes)

@@ -310,6 +310,24 @@ def test_train_agent_prints_one_progress_line_per_log_row(tmp_path, capsys):
         assert update_rate == pytest.approx(env_rate * updates / int(match[1]), abs=0.11)
 
 
+def test_train_agent_into_a_used_out_replaces_the_log(tmp_path, capsys):
+    # Each run replaces train_log.csv, header first: a second run into one
+    # --out leaves the log a fresh directory gets from that run alone.
+    def train(out, total, seed):
+        config = write_config(tmp_path, mode="train", total_env_steps=total,
+                              start_steps=40, num_envs=2, hidden=[8], batch_size=16,
+                              log_every=20)
+        assert main(["train-agent", "--config", config, "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        return (out / "train_log.csv").read_bytes()
+
+    train(tmp_path / "used", 120, 2)
+    second = train(tmp_path / "used", 80, 3)
+    capsys.readouterr()
+    assert second == train(tmp_path / "fresh", 80, 3)
+    assert second.count(b"env_steps,") == 1 and second.count(b"\r\n") == 1 + 80 // 20
+
+
 def test_train_agent_with_evaluation_but_no_seeds_fails(tmp_path, capsys):
     config = write_config(tmp_path, mode="train", total_env_steps=40,
                           hidden=[8], batch_size=16, eval_every=20,
@@ -880,6 +898,30 @@ def test_a_tune_rerun_into_one_out_fails_report_with_one_error_line(tmp_path, ca
     assert not (tmp_path / "run" / "summary.csv").exists()
 
 
+# A trial index outside 0, 1, ..., k would leave the summary unseen: -1 is
+# neither the reference nor a tuned trial, and a gap hides a lost row.
+@pytest.mark.parametrize("index", [-1, 9], ids=["negative", "gap"])
+def test_a_trial_index_outside_0_to_k_fails_report_with_one_error_line(tmp_path, capsys,
+                                                                        index):
+    out = tmp_path / "run"
+    assert main(["tune", "--config", write_config(tmp_path, n_scenarios=1),
+                 "--out", str(out)]) == 0
+    table = out / "trials.csv"
+    with open(table, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows[-1][header.index("trial")] = str(index)
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    trials = sorted(int(row[header.index("trial")]) for row in rows)
+    seed = rows[0][header.index("scenario_seed")]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: method random scenario {seed} has the "
+                                       f"trials {trials}, not 0, 1, 2, ... without a gap\n")
+    for name in ("summary.csv", "report.md", "scores.svg"):
+        assert not (out / name).exists()
+
+
 def test_compare_is_not_a_command(tmp_path, capsys):
     # report prints the per-method table; there is no second summary command.
     with pytest.raises(SystemExit) as exc:
@@ -1207,7 +1249,7 @@ def test_a_huge_replay_capacity_fails_train_agent_with_one_error_line(tmp_path, 
     assert main(["train-agent", "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert re.search(r"replay_capacity: cannot allocate a \d+-byte replay buffer", err)
+    assert re.search(r"replay_capacity: cannot map a \d+-byte replay buffer", err)
     assert not out.exists()
 
 
@@ -1216,7 +1258,7 @@ def test_a_huge_replay_capacity_fails_train_agent_with_one_error_line(tmp_path, 
 # stands in for this one, so no buffer is large and none is allocated.
 @pytest.mark.parametrize("settings, message", [
     ({"hidden": [512, 512]}, r"hidden: cannot map a (\d+)-byte arena"),
-    ({"replay_capacity": 100_000}, r"replay_capacity: cannot allocate a (\d+)-byte replay buffer"),
+    ({"replay_capacity": 100_000}, r"replay_capacity: cannot map a (\d+)-byte replay buffer"),
 ], ids=["arena", "replay"])
 def test_a_buffer_past_physical_memory_fails_train_agent_with_one_error_line(
         tmp_path, capsys, monkeypatch, settings, message):

@@ -215,6 +215,17 @@ def test_summary_csv_round_trip(tmp_path):
     }
 
 
+def test_summary_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "summary.csv"
+    write_summary_csv(path, [MethodSummary("exp+grid", "bo", 3, 0.45, 0.6, 0.333333, 2 / 3),
+                             MethodSummary("exp+grid", "random", 3, 0.8, 0.6, -0.25, 0.0)])
+    assert path.read_bytes() == (
+        b"schema_version,experiment,method,n_scenarios,mean_reference,mean_best,"
+        b"mean_improvement,win_rate\r\n"
+        b"1,exp+grid,bo,3,0.450000,0.600000,0.333333,0.666667\r\n"
+        b"1,exp+grid,random,3,0.800000,0.600000,-0.250000,0.000000\r\n")
+
+
 # -- rendering ----------------------------------------------------------------
 
 SUMMARIES = [
